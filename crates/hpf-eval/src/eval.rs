@@ -7,15 +7,21 @@
 //! serves three roles: semantics oracle for the compiler, source of
 //! data-dependent execution profiles for the machine simulator, and
 //! critical-variable resolution of last resort.
+//!
+//! Each run lowers the program once ([`crate::lower`]) and then executes the
+//! slot code over `Copy` scalars and typed array buffers written in place.
 
-use crate::array::ArrayVal;
-use crate::profile::ExecutionProfile;
-use hpf_lang::ast::*;
-use hpf_lang::sema::{AnalyzedProgram, SymbolKind};
+use crate::buffer::{self, coerce, Buf, Val};
+use crate::lower::{
+    self, Code, Ex, Forall, ForallItem, Instr, Op, Root, Sub, Where, WhereItem, A, S,
+};
+use crate::profile::{ExecutionProfile, StmtStats};
+use hpf_lang::ast::{BinOp, Intrinsic, TypeSpec};
+use hpf_lang::sema::AnalyzedProgram;
 use hpf_lang::value::Value;
-use hpf_lang::value_ops;
 use hpf_lang::Span;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// Evaluation error.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,43 +38,14 @@ impl std::fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-type EvalResult<T> = Result<T, EvalError>;
+/// Internal result: the error is boxed so that `R<Val>` stays two words.
+type R<T> = Result<T, Box<EvalError>>;
 
-fn err<T>(message: impl Into<String>, span: Span) -> EvalResult<T> {
-    Err(EvalError {
+fn fail<T>(message: impl Into<String>, span: Span) -> R<T> {
+    Err(Box::new(EvalError {
         message: message.into(),
         span,
-    })
-}
-
-/// A scalar or array evaluation result.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EvalValue {
-    Scalar(Value),
-    Array(ArrayVal),
-}
-
-impl EvalValue {
-    pub fn as_scalar(&self) -> Option<&Value> {
-        match self {
-            EvalValue::Scalar(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    pub fn as_array(&self) -> Option<&ArrayVal> {
-        match self {
-            EvalValue::Array(a) => Some(a),
-            _ => None,
-        }
-    }
-}
-
-/// A variable binding.
-#[derive(Debug, Clone)]
-enum Binding {
-    Scalar(Value),
-    Array(ArrayVal),
+    }))
 }
 
 /// Outcome of a completed run.
@@ -82,987 +59,893 @@ pub struct RunOutcome {
     pub scalars: BTreeMap<String, Value>,
 }
 
+/// Most array elements one run may hold, summed over its arrays (2 GiB of
+/// 8-byte words).
+const MAX_ELEMENTS: u128 = 1 << 28;
+
 /// Run the functional interpreter over an analyzed program.
-pub fn run(analyzed: &AnalyzedProgram) -> EvalResult<RunOutcome> {
+pub fn run(analyzed: &AnalyzedProgram) -> Result<RunOutcome, EvalError> {
     run_with_limit(analyzed, 500_000_000)
 }
 
 /// Run with an explicit step budget (guards non-terminating DO WHILE loops).
-pub fn run_with_limit(analyzed: &AnalyzedProgram, step_limit: u64) -> EvalResult<RunOutcome> {
-    let mut ev = Evaluator {
-        env: BTreeMap::new(),
-        analyzed,
-        profile: ExecutionProfile::default(),
-        output: Vec::new(),
-        steps: 0,
-        step_limit,
-        stopped: false,
-    };
-    ev.init_storage();
-    for st in &analyzed.program.body {
-        if ev.stopped {
-            break;
-        }
-        ev.exec_stmt(st, &BTreeMap::new())?;
-    }
-    let scalars = ev
-        .env
-        .iter()
-        .filter_map(|(k, b)| match b {
-            Binding::Scalar(v) => Some((k.clone(), v.clone())),
-            _ => None,
-        })
-        .collect();
-    Ok(RunOutcome {
-        output: ev.output,
-        profile: ev.profile,
-        scalars,
-    })
-}
-
-struct Evaluator<'a> {
-    env: BTreeMap<String, Binding>,
-    analyzed: &'a AnalyzedProgram,
-    profile: ExecutionProfile,
-    output: Vec<String>,
-    steps: u64,
+pub fn run_with_limit(
+    analyzed: &AnalyzedProgram,
     step_limit: u64,
-    stopped: bool,
+) -> Result<RunOutcome, EvalError> {
+    let code = lower::lower(analyzed);
+    let mut m = Machine::new(&code, step_limit).map_err(|e| *e)?;
+    m.block(&code.body).map_err(|e| *e)?;
+    Ok(m.finish())
 }
 
-/// Forall/implied-do index bindings active during expression evaluation.
-type IndexEnv = BTreeMap<String, i64>;
-
-/// Bounds metadata of an array (no element storage) — lets subscript
-/// machinery run without borrowing or cloning the array data.
-struct ArrayMeta {
+/// A declared array: bounds, column-major strides and its buffer.
+struct Array {
+    ty: TypeSpec,
     lbounds: Vec<i64>,
     extents: Vec<usize>,
+    strides: Vec<usize>,
+    buf: Buf,
 }
 
-impl ArrayMeta {
-    fn rank(&self) -> usize {
-        self.extents.len()
-    }
-
-    fn len(&self) -> usize {
-        self.extents.iter().product()
-    }
-
-    fn offset(&self, idx: &[i64]) -> Option<usize> {
-        if idx.len() != self.rank() {
-            return None;
-        }
-        let mut off = 0usize;
-        let mut stride = 1usize;
-        for (d, &i) in idx.iter().enumerate() {
-            let rel = i - self.lbounds[d];
-            if rel < 0 || rel as usize >= self.extents[d] {
-                return None;
-            }
-            off += rel as usize * stride;
-            stride *= self.extents[d];
-        }
-        Some(off)
-    }
+/// An array value computed by an expression. Its lower bounds are never
+/// observable, so only the extents are kept.
+#[derive(Default)]
+struct Temp {
+    extents: Vec<usize>,
+    buf: Buf,
 }
 
-impl<'a> Evaluator<'a> {
-    fn init_storage(&mut self) {
-        for (name, sym) in &self.analyzed.symbols {
-            match &sym.kind {
-                SymbolKind::Scalar => {
-                    let v = match sym.ty {
-                        TypeSpec::Integer => Value::Int(0),
-                        TypeSpec::Logical => Value::Logical(false),
-                        _ => Value::Real(0.0),
-                    };
-                    self.env.insert(name.clone(), Binding::Scalar(v));
-                }
-                SymbolKind::Array { shape } => {
-                    self.env.insert(
-                        name.clone(),
-                        Binding::Array(ArrayVal::zeroed(shape, sym.ty)),
-                    );
-                }
-                _ => {}
+/// An array operand: a declared array, read in place, or a computed value.
+enum Arr {
+    Var(usize),
+    Temp(Temp),
+}
+
+/// An evaluated intrinsic argument.
+enum Arg {
+    S(Val),
+    A(Arr),
+}
+
+/// One dimension of a section: index (relative to the lower bound) of its
+/// first element, element count and step.
+struct Dim {
+    first: i64,
+    count: usize,
+    step: i64,
+    triplet: bool,
+}
+
+/// One FORALL index: its register, first value, trip count, step, and the
+/// position of the running tuple.
+#[derive(Clone, Copy)]
+struct Range {
+    reg: usize,
+    lo: i64,
+    count: u64,
+    step: i64,
+    at: u64,
+}
+
+struct Machine<'c> {
+    code: &'c Code,
+    scalars: Vec<Val>,
+    /// Whether each scalar slot holds a binding yet.
+    bound: Vec<bool>,
+    arrays: Vec<Array>,
+    /// FORALL index registers.
+    idx: Vec<i64>,
+    steps: u64,
+    limit: u64,
+    stats: Vec<StmtStats>,
+    touched: Vec<bool>,
+    output: Vec<String>,
+    stopped: bool,
+    /// Recycled array temporaries.
+    temps: Vec<Temp>,
+    /// `(offset, value)` of every FORALL assignment before its commit.
+    staging: Vec<(usize, Val)>,
+    /// Recycled FORALL index ranges and active-tuple lists.
+    ranges: Vec<Vec<Range>>,
+    lists: Vec<Vec<i64>>,
+}
+
+impl<'c> Machine<'c> {
+    fn new(code: &'c Code, limit: u64) -> R<Machine<'c>> {
+        let mut total: u128 = 0;
+        let mut arrays = Vec::with_capacity(code.arrays.len());
+        for slot in &code.arrays {
+            let extents: Vec<u128> = slot
+                .shape
+                .iter()
+                .map(|&(lb, ub)| (ub as i128 - lb as i128 + 1).max(0) as u128)
+                .collect();
+            let n = extents
+                .iter()
+                .try_fold(1u128, |acc, &e| acc.checked_mul(e))
+                .unwrap_or(u128::MAX);
+            total = total.saturating_add(n);
+            if total > MAX_ELEMENTS {
+                return fail(
+                    format!(
+                        "array `{}` takes the program past {MAX_ELEMENTS} elements, \
+                         the functional interpreter's limit",
+                        slot.name
+                    ),
+                    slot.span,
+                );
             }
+            let extents: Vec<usize> = extents.iter().map(|&e| e as usize).collect();
+            let mut strides = Vec::with_capacity(extents.len());
+            let mut stride = 1;
+            for &e in &extents {
+                strides.push(stride);
+                stride *= e;
+            }
+            arrays.push(Array {
+                ty: slot.ty,
+                lbounds: slot.shape.iter().map(|&(lb, _)| lb).collect(),
+                buf: Buf::zeroed(buffer::Kind::of(slot.ty), n as usize),
+                extents,
+                strides,
+            });
+        }
+        Ok(Machine {
+            code,
+            scalars: code.scalars.iter().map(|s| s.init).collect(),
+            bound: code.scalars.iter().map(|s| s.declared).collect(),
+            arrays,
+            idx: vec![0; code.registers],
+            steps: 0,
+            limit,
+            stats: vec![StmtStats::default(); code.keys.len()],
+            touched: vec![false; code.keys.len()],
+            output: Vec::new(),
+            stopped: false,
+            temps: Vec::new(),
+            staging: Vec::new(),
+            ranges: Vec::new(),
+            lists: Vec::new(),
+        })
+    }
+
+    fn finish(self) -> RunOutcome {
+        let strings = &self.code.strings;
+        let scalars = self
+            .code
+            .scalars
+            .iter()
+            .zip(&self.scalars)
+            .zip(&self.bound)
+            .filter(|(_, &bound)| bound)
+            .map(|((slot, v), _)| (slot.name.clone(), v.to_value(strings)))
+            .collect();
+        let stats = self
+            .code
+            .keys
+            .iter()
+            .zip(self.stats)
+            .zip(&self.touched)
+            .filter(|(_, &touched)| touched)
+            .map(|((&key, s), _)| (key, s))
+            .collect();
+        RunOutcome {
+            output: self.output,
+            profile: ExecutionProfile::from_parts(stats, self.steps),
+            scalars,
         }
     }
 
-    fn tick(&mut self, n: u64, span: Span) -> EvalResult<()> {
-        self.steps += n;
-        self.profile.total_steps += n;
-        if self.steps > self.step_limit {
-            err("step limit exceeded (non-terminating loop?)", span)
+    fn tick(&mut self, n: u64, span: Span) -> R<()> {
+        self.steps = self.steps.saturating_add(n);
+        if self.steps > self.limit {
+            fail("step limit exceeded (non-terminating loop?)", span)
         } else {
             Ok(())
         }
     }
 
+    /// The statistics of profile entry `prof`, which now exists.
+    fn touch(&mut self, prof: usize) -> &mut StmtStats {
+        self.touched[prof] = true;
+        &mut self.stats[prof]
+    }
+
     // ---- statements ------------------------------------------------------
 
-    fn exec_stmt(&mut self, st: &Stmt, idx: &IndexEnv) -> EvalResult<()> {
-        if self.stopped {
-            return Ok(());
-        }
-        self.profile.entry(st.span()).executions += 1;
-        match st {
-            Stmt::Assign { lhs, rhs, span } => {
-                let v = self.eval_expr(rhs, idx)?;
-                self.assign(lhs, v, idx, *span)
+    fn block(&mut self, body: &'c [Instr]) -> R<()> {
+        for st in body {
+            if self.stopped {
+                break;
             }
-            Stmt::Forall { header, body, span } => self.exec_forall(header, body, idx, *span),
-            Stmt::Where {
-                mask,
-                body,
-                elsewhere,
-                span,
-            } => self.exec_where(mask, body, elsewhere, idx, *span),
-            Stmt::Do {
+            self.stmt(st)?;
+        }
+        Ok(())
+    }
+
+    fn stmt(&mut self, st: &'c Instr) -> R<()> {
+        let span = st.span;
+        self.touch(st.prof).executions += 1;
+        match &st.op {
+            Op::AssignScalar { slot, ty, rhs } => {
+                self.tick(rhs.ticks, span)?;
+                let v = self.scalar(&rhs.e)?;
+                self.scalars[*slot] = coerce(v, *ty);
+            }
+            Op::AssignElem { arr, subs, rhs } => {
+                self.tick(rhs.ticks, span)?;
+                let v = self.scalar(&rhs.e)?;
+                let off = self.offset(*arr, subs, span)?;
+                let a = &mut self.arrays[*arr];
+                a.buf.set(off, coerce(v, a.ty));
+            }
+            Op::AssignArray { arr, section, rhs } => {
+                self.assign_array(*arr, section.as_deref(), rhs, span)?
+            }
+            Op::Forall(f) => self.forall(f)?,
+            Op::Where(w) => self.where_construct(w, st.prof, span)?,
+            Op::Do {
                 var,
                 lo,
                 hi,
                 step,
+                ticks,
                 body,
-                span,
             } => {
-                let lo = self.eval_int(lo, idx)?;
-                let hi = self.eval_int(hi, idx)?;
+                self.tick(*ticks, span)?;
+                let lo = self.int(lo, span)?;
+                let hi = self.int(hi, span)?;
                 let step = match step {
-                    Some(s) => self.eval_int(s, idx)?,
+                    Some(s) => self.int(s, span)?,
                     None => 1,
                 };
                 if step == 0 {
-                    return err("DO step of zero", *span);
+                    return fail("DO step of zero", span);
                 }
-                let mut i = lo;
-                loop {
-                    let done = if step > 0 { i > hi } else { i < hi };
-                    if done || self.stopped {
-                        break;
-                    }
-                    self.tick(1, *span)?;
-                    self.profile.entry(*span).iterations += 1;
-                    self.env.insert(var.clone(), Binding::Scalar(Value::Int(i)));
-                    for s in body {
-                        self.exec_stmt(s, idx)?;
-                    }
-                    // Loop variable may be modified inside in full Fortran;
-                    // our subset forbids it, so re-read is unnecessary.
-                    i += step;
-                }
-                Ok(())
-            }
-            Stmt::DoWhile { cond, body, span } => {
-                loop {
-                    if self.stopped {
-                        break;
-                    }
-                    let c = self.eval_expr(cond, idx)?;
-                    let c = match c {
-                        EvalValue::Scalar(Value::Logical(b)) => b,
-                        _ => return err("DO WHILE condition must be scalar LOGICAL", *span),
+                let trips = loop_trips(lo, hi, step);
+                let mut k = 0u128;
+                while k < trips && !self.stopped {
+                    self.tick(1, span)?;
+                    self.stats[st.prof].iterations += 1;
+                    let slot = match var {
+                        Ok(slot) => *slot,
+                        Err(msg) => return fail(msg.clone(), span),
                     };
-                    if !c {
-                        break;
-                    }
-                    self.tick(1, *span)?;
-                    self.profile.entry(*span).iterations += 1;
-                    for s in body {
-                        self.exec_stmt(s, idx)?;
-                    }
+                    // `lo + k * step` never passes `hi`, so the wrapped
+                    // arithmetic is exact.
+                    self.scalars[slot] = Val::Int(lo.wrapping_add((k as i64).wrapping_mul(step)));
+                    self.bound[slot] = true;
+                    self.block(body)?;
+                    k += 1;
                 }
-                Ok(())
             }
-            Stmt::If {
-                arms,
-                else_body,
-                span,
-            } => {
+            Op::DoWhile { cond, body } => {
+                while !self.stopped {
+                    self.tick(cond.ticks, span)?;
+                    match self.scalar(&cond.e)? {
+                        Val::Logical(true) => {}
+                        Val::Logical(false) => break,
+                        _ => return fail("DO WHILE condition must be scalar LOGICAL", span),
+                    }
+                    self.tick(1, span)?;
+                    self.stats[st.prof].iterations += 1;
+                    self.block(body)?;
+                }
+            }
+            Op::If { arms, else_body } => {
                 for (cond, body) in arms {
-                    let c = self.eval_expr(cond, idx)?;
-                    match c {
-                        EvalValue::Scalar(Value::Logical(true)) => {
-                            self.profile.entry(*span).mask_true += 1;
-                            self.profile.entry(*span).mask_total += 1;
-                            for s in body {
-                                self.exec_stmt(s, idx)?;
-                            }
-                            return Ok(());
+                    self.tick(cond.ticks, span)?;
+                    match self.scalar(&cond.e)? {
+                        Val::Logical(true) => {
+                            let s = &mut self.stats[st.prof];
+                            s.mask_true += 1;
+                            s.mask_total += 1;
+                            return self.block(body);
                         }
-                        EvalValue::Scalar(Value::Logical(false)) => {
-                            self.profile.entry(*span).mask_total += 1;
-                        }
-                        _ => return err("IF condition must be scalar LOGICAL", *span),
+                        Val::Logical(false) => self.stats[st.prof].mask_total += 1,
+                        _ => return fail("IF condition must be scalar LOGICAL", span),
                     }
                 }
-                for s in else_body {
-                    self.exec_stmt(s, idx)?;
-                }
-                Ok(())
+                self.block(else_body)?;
             }
-            Stmt::Call { name, span, .. } => {
-                // The subset has no user procedures; CALL is accepted by the
-                // parser for completeness but has no executable semantics.
-                err(
-                    format!("CALL to `{name}` — user procedures are outside the subset"),
-                    *span,
-                )
-            }
-            Stmt::Print { items, span } => {
+            Op::Print(items) => {
                 let mut line = String::new();
-                for (i, e) in items.iter().enumerate() {
+                for (i, item) in items.iter().enumerate() {
                     if i > 0 {
                         line.push(' ');
                     }
-                    match self.eval_expr(e, idx)? {
-                        EvalValue::Scalar(v) => line.push_str(&v.to_string()),
-                        EvalValue::Array(a) => {
-                            for (j, v) in a.data.iter().enumerate() {
-                                if j > 0 {
+                    self.tick(item.ticks, span)?;
+                    match &item.e {
+                        Ex::S(s) => {
+                            let v = self.scalar(s)?;
+                            let _ = write!(line, "{}", v.to_value(&self.code.strings));
+                        }
+                        Ex::A(a) => {
+                            let a = self.array(a)?;
+                            let (_, buf) = self.view(&a);
+                            for k in 0..buf.len() {
+                                if k > 0 {
                                     line.push(' ');
                                 }
-                                line.push_str(&v.to_string());
+                                let _ = write!(line, "{}", buf.get(k).to_value(&self.code.strings));
                             }
+                            self.recycle(a);
                         }
                     }
                 }
-                self.tick(1, *span)?;
+                self.tick(1, span)?;
                 self.output.push(line);
-                Ok(())
             }
-            Stmt::Stop { .. } => {
-                self.stopped = true;
-                Ok(())
+            Op::Stop => self.stopped = true,
+            Op::Io => self.tick(1, span)?,
+            Op::Fail(msg) => return fail(msg.clone(), span),
+        }
+        Ok(())
+    }
+
+    /// Whole-array or section assignment, written in place.
+    fn assign_array(
+        &mut self,
+        arr: usize,
+        section: Option<&'c [Sub]>,
+        rhs: &'c Root<Ex>,
+        span: Span,
+    ) -> R<()> {
+        self.tick(rhs.ticks, span)?;
+        let value = self.arg(&rhs.e)?;
+        let dims = match section {
+            Some(subs) => Some(self.select(arr, subs, span)?),
+            None => None,
+        };
+        let n = match &dims {
+            Some(dims) => section_len(dims),
+            None => self.arrays[arr].buf.len(),
+        };
+        self.tick(n as u64, span)?;
+        match value {
+            Arg::S(v) => {
+                let a = &mut self.arrays[arr];
+                let v = coerce(v, a.ty);
+                match &dims {
+                    None => a.buf.fill(v),
+                    Some(dims) => walk(dims, &a.strides, &mut |off| a.buf.set(off, v)),
+                }
             }
-            // Parallel I/O moves data between memory and the striped file
-            // system; the functional semantics of the program are unchanged,
-            // so evaluation treats it as a (counted) no-op.
-            Stmt::Io { span, .. } => {
-                self.tick(1, *span)?;
-                Ok(())
+            Arg::A(src) => {
+                let len = self.view(&src).1.len();
+                if len != n {
+                    return fail(
+                        format!(
+                            "shape mismatch in assignment: section has {n} elements, RHS has {len}"
+                        ),
+                        span,
+                    );
+                }
+                // A target read by its own right-hand side is staged first.
+                let src = match src {
+                    Arr::Var(s) if s == arr => Arr::Temp(self.copy_of(s)),
+                    other => other,
+                };
+                let (dst, from) = self.target_and_source(arr, &src);
+                store(dst, dims.as_deref(), from);
+                self.recycle(src);
             }
         }
+        Ok(())
     }
 
     /// FORALL semantics: for *each body statement in order*, evaluate all
     /// right-hand sides over the active index set, then commit all
     /// assignments (Fortran 90D/HPF definition — "all the right-hand sides
     /// being evaluated before any left-hand sides are assigned").
-    fn exec_forall(
-        &mut self,
-        header: &ForallHeader,
-        body: &[Stmt],
-        outer: &IndexEnv,
-        span: Span,
-    ) -> EvalResult<()> {
-        // Resolve the index ranges. HPF evaluates all triplet bounds before
-        // any index takes a value, so bounds may reference *enclosing*
-        // forall indices (via `outer`) but not sibling triplets.
-        struct Range {
-            var: String,
-            lo: i64,
-            count: i64,
-            step: i64,
-        }
-        let mut ranges: Vec<Range> = Vec::with_capacity(header.triplets.len());
-        for t in &header.triplets {
-            let lo = self.eval_int_in(&t.lo, outer)?;
-            let hi = self.eval_int_in(&t.hi, outer)?;
+    fn forall(&mut self, f: &'c Forall) -> R<()> {
+        // HPF evaluates all triplet bounds before any index takes a value,
+        // so bounds see the enclosing indices but no sibling triplet.
+        self.tick(f.bound_ticks, f.span)?;
+        let mut ranges = self.ranges.pop().unwrap_or_default();
+        ranges.clear();
+        let mut counts = 1u128;
+        let mut empty = false;
+        for t in &f.triplets {
+            let lo = self.int(&t.lo, f.span)?;
+            let hi = self.int(&t.hi, f.span)?;
             let step = match &t.stride {
-                Some(s) => self.eval_int_in(s, outer)?,
+                Some(s) => self.int(s, f.span)?,
                 None => 1,
             };
             if step == 0 {
-                return err("FORALL stride of zero", span);
+                return fail("FORALL stride of zero", f.span);
             }
-            let count = ((hi - lo) / step + 1).max(0);
+            let count = forall_trips(lo, hi, step);
+            empty |= count == 0;
+            counts = counts.saturating_mul(count);
             ranges.push(Range {
-                var: t.var.clone(),
+                reg: t.reg,
                 lo,
-                count,
+                count: count.min(u64::MAX as u128) as u64,
                 step,
+                at: 0,
             });
         }
-        let total: i64 = ranges.iter().map(|r| r.count).product();
-        self.tick(total.max(0) as u64, span)?;
-
-        // Enumerate active tuples once (mask applied), reusing one env.
-        let mut env = outer.clone();
-        let mut active: Vec<Vec<i64>> = Vec::new();
-        let mut counters = vec![0i64; ranges.len()];
-        let mut mask_true = 0u64;
-        for _ in 0..total.max(0) {
-            let mut vals = Vec::with_capacity(ranges.len());
-            for (r, &c) in ranges.iter().zip(&counters) {
-                let v = r.lo + c * r.step;
-                env.insert(r.var.clone(), v);
-                vals.push(v);
-            }
-            let keep = match &header.mask {
-                None => true,
-                Some(m) => match self.eval_expr(m, &env)? {
-                    EvalValue::Scalar(Value::Logical(b)) => {
-                        if b {
-                            mask_true += 1;
-                        }
-                        b
-                    }
-                    _ => return err("FORALL mask must be scalar LOGICAL", span),
-                },
-            };
-            if keep {
-                active.push(vals);
-            }
-            // odometer, first triplet fastest
-            for d in 0..counters.len() {
-                counters[d] += 1;
-                if counters[d] < ranges[d].count {
-                    break;
-                }
-                counters[d] = 0;
-            }
-        }
-        if header.mask.is_some() {
-            let st = self.profile.entry(span);
-            st.mask_total += total.max(0) as u64;
-            st.mask_true += mask_true;
-        }
-        self.profile.entry(span).iterations += active.len() as u64;
-
-        let bind = |env: &mut IndexEnv, ranges: &[Range], vals: &[i64]| {
-            for (r, &v) in ranges.iter().zip(vals) {
-                env.insert(r.var.clone(), v);
-            }
+        let total = match (empty, u64::try_from(counts)) {
+            (true, _) => 0,
+            (false, Ok(total)) => total,
+            (false, Err(_)) => return fail("FORALL index space overflows", f.span),
         };
+        self.tick(total, f.span)?;
 
-        for st in body {
-            match st {
-                Stmt::Assign {
-                    lhs,
+        // Enumerate the active tuples once (mask applied).
+        let mut active = None;
+        if let Some(mask) = &f.mask {
+            self.tick(mask.ticks.saturating_mul(total), f.span)?;
+            let mut list = self.lists.pop().unwrap_or_default();
+            list.clear();
+            for t in 0..total {
+                self.tuple(&mut ranges, None, t);
+                match self.scalar(&mask.e)? {
+                    Val::Logical(true) => list.extend(ranges.iter().map(|r| self.idx[r.reg])),
+                    Val::Logical(false) => {}
+                    _ => return fail("FORALL mask must be scalar LOGICAL", f.span),
+                }
+            }
+            let trues = (list.len() / ranges.len().max(1)) as u64;
+            let s = self.touch(f.prof);
+            s.mask_total += total;
+            s.mask_true += trues;
+            active = Some(list);
+        }
+        let n = match &active {
+            Some(list) => (list.len() / ranges.len().max(1)) as u64,
+            None => total,
+        };
+        self.touch(f.prof).iterations += n;
+
+        for item in &f.body {
+            match item {
+                ForallItem::Assign {
+                    arr,
+                    subs,
                     rhs,
-                    span: sspan,
+                    ticks,
+                    span,
                 } => {
-                    // Two-pass: gather (location, value), then commit.
-                    let mut updates: Vec<(Vec<i64>, Value)> = Vec::with_capacity(active.len());
-                    for vals in &active {
-                        bind(&mut env, &ranges, vals);
-                        let v = self.eval_expr(rhs, &env)?;
-                        let v = match v {
-                            EvalValue::Scalar(v) => v,
-                            EvalValue::Array(_) => {
-                                return err(
-                                    "array-valued RHS inside FORALL body is outside the subset",
-                                    *sspan,
-                                )
-                            }
-                        };
-                        let idx_vals = self.element_index(lhs, &env)?;
-                        updates.push((idx_vals, v));
+                    self.tick(ticks.saturating_mul(n), *span)?;
+                    let ty = self.arrays[*arr].ty;
+                    let mut staging = std::mem::take(&mut self.staging);
+                    staging.clear();
+                    for t in 0..n {
+                        self.tuple(&mut ranges, active.as_deref(), t);
+                        let v = self.scalar(rhs)?;
+                        let off = self.offset(*arr, subs, *span)?;
+                        staging.push((off, coerce(v, ty)));
                     }
-                    for (idx_vals, v) in updates {
-                        self.store_element(&lhs.name, &idx_vals, v, *sspan)?;
+                    let buf = &mut self.arrays[*arr].buf;
+                    for &(off, v) in &staging {
+                        buf.set(off, v);
                     }
+                    self.staging = staging;
                 }
-                Stmt::Forall {
-                    header: h2,
-                    body: b2,
-                    span: s2,
-                } => {
-                    // Nested forall: execute per active tuple.
-                    for vals in &active {
-                        bind(&mut env, &ranges, vals);
-                        let inner = env.clone();
-                        self.exec_forall(h2, b2, &inner, *s2)?;
+                ForallItem::Nested(inner) => {
+                    for t in 0..n {
+                        self.tuple(&mut ranges, active.as_deref(), t);
+                        self.forall(inner)?;
                     }
                 }
-                other => {
-                    return err(
-                        "only assignments and nested FORALLs are allowed in a FORALL body",
-                        other.span(),
-                    )
+                ForallItem::FailIfActive(msg, span) => {
+                    if n > 0 {
+                        return fail(msg.clone(), *span);
+                    }
                 }
+                ForallItem::Fail(msg, span) => return fail(msg.clone(), *span),
             }
         }
+        if let Some(list) = active {
+            self.lists.push(list);
+        }
+        self.ranges.push(ranges);
         Ok(())
     }
 
-    fn exec_where(
-        &mut self,
-        mask: &Expr,
-        body: &[Stmt],
-        elsewhere: &[Stmt],
-        idx: &IndexEnv,
-        span: Span,
-    ) -> EvalResult<()> {
-        let m = match self.eval_expr(mask, idx)? {
-            EvalValue::Array(a) => a,
-            EvalValue::Scalar(_) => return err("WHERE mask must be an array", span),
-        };
-        let trues = m.data.iter().filter(|v| v.truthy()).count() as u64;
-        self.profile.entry(span).mask_total += m.len() as u64;
-        self.profile.entry(span).mask_true += trues;
-        self.tick(m.len() as u64, span)?;
+    /// Load the `t`-th index tuple into the registers: from the active list
+    /// when masked, else by stepping the odometer (first triplet fastest;
+    /// tuples are visited in order from 0).
+    fn tuple(&mut self, ranges: &mut [Range], active: Option<&[i64]>, t: u64) {
+        if let Some(list) = active {
+            let at = t as usize * ranges.len();
+            for (r, &v) in ranges.iter().zip(&list[at..]) {
+                self.idx[r.reg] = v;
+            }
+            return;
+        }
+        if t == 0 {
+            for r in ranges.iter_mut() {
+                r.at = 0;
+                self.idx[r.reg] = r.lo;
+            }
+            return;
+        }
+        for r in ranges.iter_mut() {
+            r.at += 1;
+            if r.at < r.count {
+                self.idx[r.reg] = self.idx[r.reg].wrapping_add(r.step);
+                return;
+            }
+            r.at = 0;
+            self.idx[r.reg] = r.lo;
+        }
+    }
 
-        // Each body statement must be a conformable array assignment.
-        for (stmts, negate) in [(body, false), (elsewhere, true)] {
-            for st in stmts {
-                match st {
-                    Stmt::Assign {
-                        lhs,
-                        rhs,
-                        span: sspan,
-                    } => {
-                        let rhs_v = self.eval_expr(rhs, idx)?;
-                        let cur = match self.env.get(&lhs.name) {
-                            Some(Binding::Array(a)) => a.clone(),
-                            _ => return err("WHERE assignment target must be an array", *sspan),
-                        };
-                        if !lhs.subs.is_empty() {
-                            return err(
-                                "sections on WHERE assignment targets are outside the subset",
-                                *sspan,
-                            );
+    fn where_construct(&mut self, w: &'c Where, prof: usize, span: Span) -> R<()> {
+        self.tick(w.mask.ticks, span)?;
+        // The mask is fixed before the body runs, even if the body assigns
+        // the array it was read from.
+        let mask = match self.array(&w.mask.e)? {
+            Arr::Var(s) => self.copy_of(s),
+            Arr::Temp(t) => t,
+        };
+        let n = mask.buf.len();
+        let trues = (0..n).filter(|&k| mask.buf.get(k).truthy()).count() as u64;
+        let s = self.touch(prof);
+        s.mask_total += n as u64;
+        s.mask_true += trues;
+        self.tick(n as u64, span)?;
+        for (items, negate) in [(&w.body, false), (&w.elsewhere, true)] {
+            for item in items {
+                let (arr, rhs, span) = match item {
+                    WhereItem::Assign { arr, rhs, span } => (*arr, rhs, *span),
+                    WhereItem::Fail(msg, span) => return fail(msg.clone(), *span),
+                };
+                self.tick(rhs.ticks, span)?;
+                let value = self.arg(&rhs.e)?;
+                let name = &self.code.arrays[arr].name;
+                if mask.extents != self.arrays[arr].extents {
+                    return fail(format!("WHERE mask is not conformable with `{name}`"), span);
+                }
+                let active = |k: usize| mask.buf.get(k).truthy() != negate;
+                match value {
+                    Arg::S(v) => {
+                        let a = &mut self.arrays[arr];
+                        let v = coerce(v, a.ty);
+                        for k in (0..n).filter(|&k| active(k)) {
+                            a.buf.set(k, v);
                         }
-                        let mut newv = cur.clone();
-                        for off in 0..cur.len() {
-                            let active = m.data[off].truthy() != negate;
-                            if !active {
-                                continue;
-                            }
-                            let v = match &rhs_v {
-                                EvalValue::Scalar(v) => v.clone(),
-                                EvalValue::Array(a) => {
-                                    if !a.conformable(&cur) {
-                                        return err("WHERE operands not conformable", *sspan);
-                                    }
-                                    a.data[off].clone()
-                                }
-                            };
-                            newv.data[off] = v;
-                        }
-                        self.env.insert(lhs.name.clone(), Binding::Array(newv));
                     }
-                    other => return err("WHERE body must contain only assignments", other.span()),
+                    Arg::A(src) => {
+                        if self.view(&src).0 != self.arrays[arr].extents {
+                            return fail("WHERE operands not conformable", span);
+                        }
+                        // An array assigned to itself is left as it is.
+                        if !matches!(src, Arr::Var(s) if s == arr) {
+                            let (dst, from) = self.target_and_source(arr, &src);
+                            for k in (0..n).filter(|&k| active(k)) {
+                                dst.buf.set(k, coerce(from.get(k), dst.ty));
+                            }
+                        }
+                        self.recycle(src);
+                    }
                 }
             }
         }
+        self.temps.push(mask);
         Ok(())
     }
 
-    // ---- assignment --------------------------------------------------------
+    // ---- references ------------------------------------------------------
 
-    fn assign(
-        &mut self,
-        lhs: &DataRef,
-        v: EvalValue,
-        idx: &IndexEnv,
-        span: Span,
-    ) -> EvalResult<()> {
-        let is_array = matches!(self.env.get(&lhs.name), Some(Binding::Array(_)));
-        if !is_array {
-            if !lhs.subs.is_empty() {
-                return err(format!("`{}` is not an array", lhs.name), span);
+    /// Column-major offset of the element `arr(subs)`.
+    fn offset(&mut self, arr: usize, subs: &'c [S], span: Span) -> R<usize> {
+        let mut off = 0usize;
+        for (d, s) in subs.iter().enumerate() {
+            let i = self.int(s, span)?;
+            let a = &self.arrays[arr];
+            let rel = i.wrapping_sub(a.lbounds[d]) as u64;
+            if rel >= a.extents[d] as u64 {
+                let name = &self.code.arrays[arr].name;
+                return fail(format!("index {i} out of bounds for `{name}`"), span);
             }
-            let v = match v {
-                EvalValue::Scalar(v) => v,
-                EvalValue::Array(_) => return err("cannot assign array to scalar", span),
-            };
-            let v = self.coerce_to_symbol_type(&lhs.name, v);
-            self.tick(1, span)?;
-            self.env.insert(lhs.name.clone(), Binding::Scalar(v));
-            return Ok(());
+            off += rel as usize * a.strides[d];
         }
-        if lhs.subs.iter().all(|s| s.is_index()) && !lhs.subs.is_empty() {
-            // Element assignment.
-            let idx_vals = self.element_index(lhs, idx)?;
-            let v = match v {
-                EvalValue::Scalar(v) => v,
-                EvalValue::Array(_) => return err("cannot assign array to array element", span),
-            };
-            self.tick(1, span)?;
-            return self.store_element(&lhs.name, &idx_vals, v, span);
-        }
-        // Whole-array or section assignment, written in place.
-        let Some(meta) = self.array_meta(&lhs.name) else {
-            return err(format!("`{}` is not an array", lhs.name), span);
-        };
-        let (offsets, sec_extents) = self.section_offsets(&meta, lhs, idx, span)?;
-        self.tick(offsets.len() as u64, span)?;
-        let ty = self.analyzed.symbols.get(&lhs.name).map(|s| s.ty);
-        let coerce = |v: Value| match ty {
-            Some(TypeSpec::Integer) => Value::Int(v.as_i64().unwrap_or(0)),
-            Some(TypeSpec::Real | TypeSpec::DoublePrecision) => {
-                Value::Real(v.as_f64().unwrap_or(0.0))
-            }
-            _ => v,
-        };
-        let target = match self.env.get_mut(&lhs.name) {
-            Some(Binding::Array(a)) => a,
-            _ => unreachable!("checked above"),
-        };
-        match v {
-            EvalValue::Scalar(v) => {
-                for &off in &offsets {
-                    target.data[off] = coerce(v.clone());
-                }
-            }
-            EvalValue::Array(a) => {
-                let n: usize = sec_extents.iter().product();
-                if a.len() != n {
-                    return err(
-                        format!(
-                            "shape mismatch in assignment: section has {n} elements, RHS has {}",
-                            a.len()
-                        ),
-                        span,
-                    );
-                }
-                for (k, &off) in offsets.iter().enumerate() {
-                    target.data[off] = coerce(a.data[k].clone());
-                }
-            }
-        }
-        Ok(())
+        Ok(off)
     }
 
-    fn coerce_to_symbol_type(&self, name: &str, v: Value) -> Value {
-        match self.analyzed.symbols.get(name).map(|s| s.ty) {
-            Some(TypeSpec::Integer) => Value::Int(v.as_i64().unwrap_or(0)),
-            Some(TypeSpec::Real | TypeSpec::DoublePrecision) => {
-                Value::Real(v.as_f64().unwrap_or(0.0))
-            }
-            _ => v,
-        }
-    }
-
-    fn store_element(
-        &mut self,
-        name: &str,
-        idx_vals: &[i64],
-        v: Value,
-        span: Span,
-    ) -> EvalResult<()> {
-        let v = self.coerce_to_symbol_type(name, v);
-        match self.env.get_mut(name) {
-            Some(Binding::Array(a)) => {
-                if a.set(idx_vals, v) {
-                    Ok(())
-                } else {
-                    err(
-                        format!("index {idx_vals:?} out of bounds for `{name}`"),
-                        span,
-                    )
-                }
-            }
-            _ => err(format!("`{name}` is not an array"), span),
-        }
-    }
-
-    /// Evaluate the (all-Index) subscripts of an element reference.
-    fn element_index(&mut self, r: &DataRef, idx: &IndexEnv) -> EvalResult<Vec<i64>> {
-        let mut out = Vec::with_capacity(r.subs.len());
-        for s in &r.subs {
-            match s {
-                Subscript::Index(e) => out.push(self.eval_int_in(e, idx)?),
-                Subscript::Triplet { .. } => {
-                    return err("expected element subscript, found section", r.span)
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Compute the column-major linear offsets selected by a (possibly
-    /// sectioned) reference, plus the section's extents.
-    fn section_offsets(
-        &mut self,
-        arr: &ArrayMeta,
-        r: &DataRef,
-        idx: &IndexEnv,
-        span: Span,
-    ) -> EvalResult<(Vec<usize>, Vec<usize>)> {
-        if r.subs.is_empty() {
-            return Ok(((0..arr.len()).collect(), arr.extents.clone()));
-        }
-        if r.subs.len() != arr.rank() {
-            return err(
-                format!("rank mismatch: `{}` has rank {}", r.name, arr.rank()),
-                span,
-            );
-        }
-        // Per-dimension index lists.
-        let mut dim_lists: Vec<Vec<i64>> = Vec::with_capacity(arr.rank());
-        let mut sec_extents = Vec::new();
-        for (d, s) in r.subs.iter().enumerate() {
-            match s {
-                Subscript::Index(e) => {
-                    dim_lists.push(vec![self.eval_int_in(e, idx)?]);
-                }
-                Subscript::Triplet { lo, hi, stride } => {
-                    let lb = arr.lbounds[d];
-                    let ub = lb + arr.extents[d] as i64 - 1;
+    /// Resolve a section's subscripts to per-dimension walks, checking that
+    /// every element it selects is in bounds.
+    fn select(&mut self, arr: usize, subs: &'c [Sub], span: Span) -> R<Vec<Dim>> {
+        let mut picks = Vec::with_capacity(subs.len());
+        for (d, sub) in subs.iter().enumerate() {
+            let (lb, extent) = (self.arrays[arr].lbounds[d], self.arrays[arr].extents[d]);
+            picks.push(match sub {
+                Sub::Index(s) => (self.int(s, span)?, 1, 1, false),
+                Sub::Triplet { lo, hi, stride } => {
                     let lo = match lo {
-                        Some(e) => self.eval_int_in(e, idx)?,
+                        Some(e) => self.int(e, span)?,
                         None => lb,
                     };
                     let hi = match hi {
-                        Some(e) => self.eval_int_in(e, idx)?,
-                        None => ub,
+                        Some(e) => self.int(e, span)?,
+                        None => lb + extent as i64 - 1,
                     };
                     let step = match stride {
-                        Some(e) => self.eval_int_in(e, idx)?,
+                        Some(e) => self.int(e, span)?,
                         None => 1,
                     };
                     if step == 0 {
-                        return err("section stride of zero", span);
+                        return fail("section stride of zero", span);
                     }
-                    let mut list = Vec::new();
-                    let mut i = lo;
-                    loop {
-                        let done = if step > 0 { i > hi } else { i < hi };
-                        if done {
-                            break;
-                        }
-                        list.push(i);
-                        i += step;
-                    }
-                    sec_extents.push(list.len());
-                    dim_lists.push(list);
+                    (lo, loop_trips(lo, hi, step), step, true)
+                }
+            });
+        }
+        let empty = picks.iter().any(|&(_, count, _, _)| count == 0);
+        let a = &self.arrays[arr];
+        let mut dims = Vec::with_capacity(picks.len());
+        for (d, &(first, count, step, triplet)) in picks.iter().enumerate() {
+            let last = first as i128 + (count as i128 - 1).max(0) * step as i128;
+            let ub = a.lbounds[d] as i128 + a.extents[d] as i128 - 1;
+            let inside = |i: i128| (a.lbounds[d] as i128..=ub).contains(&i);
+            if !(empty || inside(first as i128) && inside(last)) {
+                let name = &self.code.arrays[arr].name;
+                return fail(format!("section index out of bounds for `{name}`"), span);
+            }
+            // In bounds, or never visited: an empty section's walk stops
+            // before it reads a dimension.
+            dims.push(Dim {
+                first: first.wrapping_sub(a.lbounds[d]),
+                count: count.min(usize::MAX as u128) as usize,
+                step,
+                triplet,
+            });
+        }
+        Ok(dims)
+    }
+
+    // ---- expressions -----------------------------------------------------
+
+    fn int(&mut self, s: &'c S, span: Span) -> R<i64> {
+        match self.scalar(s)?.as_i64() {
+            Some(i) => Ok(i),
+            None => fail("expected integer value", span),
+        }
+    }
+
+    fn scalar(&mut self, s: &'c S) -> R<Val> {
+        Ok(match s {
+            S::Const(v) => *v,
+            S::Index(r) => Val::Int(self.idx[*r]),
+            S::Scalar(slot) => self.scalars[*slot],
+            S::Late(slot, span) => {
+                if !self.bound[*slot] {
+                    let name = &self.code.scalars[*slot].name;
+                    return fail(format!("undefined variable `{name}`"), *span);
+                }
+                self.scalars[*slot]
+            }
+            S::Elem { arr, subs, span } => {
+                let off = self.offset(*arr, subs, *span)?;
+                self.arrays[*arr].buf.get(off)
+            }
+            S::Unary(op, x, span) => {
+                let v = self.scalar(x)?;
+                match buffer::unary(*op, v) {
+                    Some(v) => v,
+                    None => return fail("bad operand for unary operator", *span),
                 }
             }
-        }
-        if sec_extents.is_empty() {
-            sec_extents.push(1); // pure element treated as 1-element section
-        }
-        // Cartesian product in column-major order (first dim varies fastest).
-        let mut offsets = Vec::new();
-        let total: usize = dim_lists.iter().map(|l| l.len()).product();
-        let mut counters = vec![0usize; dim_lists.len()];
-        for _ in 0..total {
-            let mut index = Vec::with_capacity(dim_lists.len());
-            for (d, c) in counters.iter().enumerate() {
-                index.push(dim_lists[d][*c]);
-            }
-            match arr.offset(&index) {
-                Some(o) => offsets.push(o),
-                None => return err(format!("section index {index:?} out of bounds"), span),
-            }
-            // Increment odometer, first dimension fastest.
-            for d in 0..counters.len() {
-                counters[d] += 1;
-                if counters[d] < dim_lists[d].len() {
-                    break;
+            S::Binary(op, l, r, span) => {
+                let a = self.scalar(l)?;
+                let b = self.scalar(r)?;
+                match buffer::binary(*op, a, b) {
+                    Some(v) => v,
+                    None => return fail("bad operands", *span),
                 }
-                counters[d] = 0;
             }
-        }
-        Ok((offsets, sec_extents))
-    }
-
-    // ---- expressions --------------------------------------------------------
-
-    fn eval_int(&mut self, e: &Expr, idx: &IndexEnv) -> EvalResult<i64> {
-        self.eval_int_in(e, idx)
-    }
-
-    fn eval_int_in(&mut self, e: &Expr, idx: &IndexEnv) -> EvalResult<i64> {
-        match self.eval_expr(e, idx)? {
-            EvalValue::Scalar(v) => v.as_i64().ok_or_else(|| EvalError {
-                message: "expected integer value".into(),
-                span: e.span(),
-            }),
-            _ => err("expected scalar integer, found array", e.span()),
-        }
-    }
-
-    fn eval_expr(&mut self, e: &Expr, idx: &IndexEnv) -> EvalResult<EvalValue> {
-        self.tick(1, e.span())?;
-        match e {
-            Expr::IntLit(v, _) => Ok(EvalValue::Scalar(Value::Int(*v))),
-            Expr::RealLit(v, _) => Ok(EvalValue::Scalar(Value::Real(*v))),
-            Expr::LogicalLit(v, _) => Ok(EvalValue::Scalar(Value::Logical(*v))),
-            Expr::StrLit(s, _) => Ok(EvalValue::Scalar(Value::Str(s.clone()))),
-            Expr::Ref(r) => self.eval_ref(r, idx),
-            Expr::Intrinsic { name, args, span } => self.eval_intrinsic(*name, args, idx, *span),
-            Expr::Unary { op, operand, span } => {
-                let v = self.eval_expr(operand, idx)?;
+            S::Elemental(f, args, span) => {
+                let v = match &args[..] {
+                    [a] => {
+                        let a = self.scalar(a)?;
+                        buffer::elemental(*f, &[a])
+                    }
+                    [a, b] => {
+                        let a = self.scalar(a)?;
+                        let b = self.scalar(b)?;
+                        buffer::elemental(*f, &[a, b])
+                    }
+                    _ => {
+                        let vals = args.iter().map(|a| self.scalar(a)).collect::<R<Vec<_>>>()?;
+                        buffer::elemental(*f, &vals)
+                    }
+                };
                 match v {
-                    EvalValue::Scalar(v) => value_ops::apply_unary(*op, &v)
-                        .map(EvalValue::Scalar)
-                        .ok_or_else(|| EvalError {
-                            message: "bad operand for unary operator".into(),
-                            span: *span,
-                        }),
-                    EvalValue::Array(mut a) => {
-                        self.tick(a.len() as u64, *span)?;
-                        for v in &mut a.data {
-                            *v = value_ops::apply_unary(*op, v).ok_or_else(|| EvalError {
-                                message: "bad array operand for unary operator".into(),
-                                span: *span,
-                            })?;
-                        }
-                        Ok(EvalValue::Array(a))
-                    }
+                    Some(v) => v,
+                    None => return fail(format!("bad arguments to {}", f.name()), *span),
                 }
             }
-            Expr::Binary { op, lhs, rhs, span } => {
-                let l = self.eval_expr(lhs, idx)?;
-                let r = self.eval_expr(rhs, idx)?;
-                self.apply_binary_elemental(*op, l, r, *span)
+            S::Call(f, args, span) => {
+                let args = self.args(args)?;
+                let v = self.reduce(*f, &args, *span);
+                for a in args {
+                    if let Arg::A(a) = a {
+                        self.recycle(a);
+                    }
+                }
+                v?
             }
-        }
+            S::Fail(msg, span) => return fail(msg.clone(), *span),
+        })
     }
 
-    fn apply_binary_elemental(
-        &mut self,
-        op: BinOp,
-        l: EvalValue,
-        r: EvalValue,
-        span: Span,
-    ) -> EvalResult<EvalValue> {
-        use EvalValue::*;
-        match (l, r) {
-            (Scalar(a), Scalar(b)) => {
-                value_ops::apply_binary(op, &a, &b)
-                    .map(Scalar)
-                    .ok_or_else(|| EvalError {
-                        message: "bad operands".into(),
-                        span,
+    fn arg(&mut self, e: &'c Ex) -> R<Arg> {
+        Ok(match e {
+            Ex::S(s) => Arg::S(self.scalar(s)?),
+            Ex::A(a) => Arg::A(self.array(a)?),
+        })
+    }
+
+    fn args(&mut self, args: &'c [Ex]) -> R<Vec<Arg>> {
+        args.iter().map(|a| self.arg(a)).collect()
+    }
+
+    fn array(&mut self, a: &'c A) -> R<Arr> {
+        match a {
+            A::Whole(slot) => Ok(Arr::Var(*slot)),
+            A::Section { arr, subs, span } => {
+                let dims = self.select(*arr, subs, *span)?;
+                let n = section_len(&dims);
+                self.tick(n as u64, *span)?;
+                let mut t = self.temp();
+                t.extents
+                    .extend(dims.iter().filter(|d| d.triplet).map(|d| d.count));
+                let a = &self.arrays[*arr];
+                walk(&dims, &a.strides, &mut |off| t.buf.push(a.buf.get(off)));
+                Ok(Arr::Temp(t))
+            }
+            A::Unary(op, x, span) => {
+                let x = self.array(x)?;
+                self.tick(self.view(&x).1.len() as u64, *span)?;
+                let mut t = self.temp();
+                let (extents, buf) = self.view(&x);
+                t.extents.extend_from_slice(extents);
+                for k in 0..buf.len() {
+                    match buffer::unary(*op, buf.get(k)) {
+                        Some(v) => t.buf.push(v),
+                        None => return fail("bad array operand for unary operator", *span),
+                    }
+                }
+                self.recycle(x);
+                Ok(Arr::Temp(t))
+            }
+            A::Binary(op, l, r, span) => {
+                let l = self.arg(l)?;
+                let r = self.arg(r)?;
+                let mut t = self.temp();
+                let ok = self.elementwise(&[&l, &r], &mut t, *span, |v| {
+                    buffer::binary(*op, v[0], v[1])
+                });
+                for a in [l, r] {
+                    if let Arg::A(a) = a {
+                        self.recycle(a);
+                    }
+                }
+                ok.map_err(|msg| {
+                    Box::new(EvalError {
+                        message: msg.into(),
+                        span: *span,
                     })
+                })?;
+                Ok(Arr::Temp(t))
             }
-            (Array(a), Scalar(b)) => {
-                self.tick(a.len() as u64, span)?;
-                let mut out = a.clone();
-                for (o, v) in out.data.iter_mut().zip(&a.data) {
-                    *o = value_ops::apply_binary(op, v, &b).ok_or_else(|| EvalError {
-                        message: "bad operands".into(),
-                        span,
-                    })?;
-                }
-                Ok(Array(out))
-            }
-            (Scalar(a), Array(b)) => {
-                self.tick(b.len() as u64, span)?;
-                let mut out = b.clone();
-                for (o, v) in out.data.iter_mut().zip(&b.data) {
-                    *o = value_ops::apply_binary(op, &a, v).ok_or_else(|| EvalError {
-                        message: "bad operands".into(),
-                        span,
-                    })?;
-                }
-                Ok(Array(out))
-            }
-            (Array(a), Array(b)) => {
-                if !a.conformable(&b) {
-                    return err("operands not conformable", span);
-                }
-                self.tick(a.len() as u64, span)?;
-                let mut out = a.clone();
-                for ((o, x), y) in out.data.iter_mut().zip(&a.data).zip(&b.data) {
-                    *o = value_ops::apply_binary(op, x, y).ok_or_else(|| EvalError {
-                        message: "bad operands".into(),
-                        span,
-                    })?;
-                }
-                Ok(Array(out))
-            }
-        }
-    }
-
-    fn eval_ref(&mut self, r: &DataRef, idx: &IndexEnv) -> EvalResult<EvalValue> {
-        // forall / implied-do dummies shadow the environment.
-        if r.subs.is_empty() {
-            if let Some(v) = idx.get(&r.name) {
-                return Ok(EvalValue::Scalar(Value::Int(*v)));
-            }
-            // Named constants live in the symbol table, not the store.
-            if let Some(SymbolKind::Parameter { value }) =
-                self.analyzed.symbols.get(&r.name).map(|s| &s.kind)
-            {
-                return Ok(EvalValue::Scalar(value.clone()));
-            }
-        }
-        // Fast paths avoid cloning array storage: indices are evaluated
-        // first (which may tick), then the store is borrowed immutably.
-        match self.env.get(&r.name) {
-            Some(Binding::Scalar(_)) => {
-                if !r.subs.is_empty() {
-                    return err(format!("`{}` is not an array", r.name), r.span);
-                }
-                match self.env.get(&r.name) {
-                    Some(Binding::Scalar(v)) => Ok(EvalValue::Scalar(v.clone())),
-                    _ => unreachable!("checked above"),
-                }
-            }
-            Some(Binding::Array(_)) => {
-                if r.subs.is_empty() {
-                    match self.env.get(&r.name) {
-                        Some(Binding::Array(a)) => return Ok(EvalValue::Array(a.clone())),
-                        _ => unreachable!(),
+            A::Call(f, args, span) => {
+                let args = self.args(args)?;
+                let mut t = self.temp();
+                let v = self.transform(*f, &args, &mut t, *span);
+                for a in args {
+                    if let Arg::A(a) = a {
+                        self.recycle(a);
                     }
                 }
-                if r.subs.iter().all(|s| s.is_index()) {
-                    let iv = self.element_index(r, idx)?;
-                    match self.env.get(&r.name) {
-                        Some(Binding::Array(a)) => match a.get(&iv) {
-                            Some(v) => Ok(EvalValue::Scalar(v.clone())),
-                            None => err(
-                                format!("index {iv:?} out of bounds for `{}`", r.name),
-                                r.span,
-                            ),
-                        },
-                        _ => unreachable!(),
-                    }
-                } else {
-                    let Some(meta) = self.array_meta(&r.name) else {
-                        return err(format!("`{}` is not an array", r.name), r.span);
-                    };
-                    let (offsets, sec_extents) = self.section_offsets(&meta, r, idx, r.span)?;
-                    self.tick(offsets.len() as u64, r.span)?;
-                    let a = match self.env.get(&r.name) {
-                        Some(Binding::Array(a)) => a,
-                        _ => unreachable!(),
-                    };
-                    let data: Vec<Value> = offsets.iter().map(|&o| a.data[o].clone()).collect();
-                    // Rank of the section = number of triplet subscripts.
-                    let extents = if sec_extents.is_empty() {
-                        vec![data.len()]
-                    } else {
-                        sec_extents
-                    };
-                    Ok(EvalValue::Array(ArrayVal {
-                        lbounds: vec![1; extents.len()],
-                        extents,
-                        data,
-                    }))
-                }
+                v?;
+                Ok(Arr::Temp(t))
             }
-            None => err(format!("undefined variable `{}`", r.name), r.span),
+            A::Fail(msg, span) => fail(msg.clone(), *span),
         }
     }
 
-    /// Cheap copy of an array's bounds metadata (no element data).
-    fn array_meta(&self, name: &str) -> Option<ArrayMeta> {
-        match self.env.get(name) {
-            Some(Binding::Array(a)) => Some(ArrayMeta {
-                lbounds: a.lbounds.clone(),
-                extents: a.extents.clone(),
-            }),
-            _ => None,
-        }
-    }
-
-    fn eval_intrinsic(
+    /// Apply `op` element by element over `args` (scalars broadcast; arrays
+    /// must share the first array's extents), writing into `out`.
+    fn elementwise(
         &mut self,
-        name: Intrinsic,
-        args: &[Expr],
-        idx: &IndexEnv,
+        args: &[&Arg],
+        out: &mut Temp,
         span: Span,
-    ) -> EvalResult<EvalValue> {
-        use Intrinsic::*;
-        let vals: Vec<EvalValue> = args
+        op: impl Fn(&[Val]) -> Option<Val>,
+    ) -> Result<(), &'static str> {
+        let shape = args
             .iter()
-            .map(|a| self.eval_expr(a, idx))
-            .collect::<EvalResult<_>>()?;
-
-        // Transformational (array) intrinsics.
-        match name {
-            CShift | TShift | EoShift => {
-                let a = vals
-                    .first()
-                    .and_then(|v| v.as_array())
-                    .ok_or_else(|| EvalError {
-                        message: "shift of non-array".into(),
-                        span,
-                    })?;
-                let shift = match vals
-                    .get(1)
-                    .and_then(|v| v.as_scalar())
-                    .and_then(|v| v.as_i64())
-                {
-                    Some(s) => s,
-                    None => return err("shift amount must be scalar integer", span),
+            .find_map(|a| match a {
+                Arg::A(a) => Some(self.view(a).0),
+                Arg::S(_) => None,
+            })
+            .ok_or("elemental operation without an array operand")?;
+        if args
+            .iter()
+            .any(|a| matches!(a, Arg::A(a) if self.view(a).0 != shape))
+        {
+            return Err("operands not conformable");
+        }
+        out.extents.extend_from_slice(shape);
+        let n: usize = shape.iter().product();
+        if self.tick(n as u64, span).is_err() {
+            return Err("step limit exceeded (non-terminating loop?)");
+        }
+        let mut vals = vec![Val::Int(0); args.len()];
+        for k in 0..n {
+            for (v, a) in vals.iter_mut().zip(args) {
+                *v = match a {
+                    Arg::S(s) => *s,
+                    Arg::A(a) => self.view(a).1.get(k),
                 };
-                let dim = match vals.get(2) {
-                    Some(v) => v.as_scalar().and_then(|v| v.as_i64()).unwrap_or(1) as usize,
-                    None => 1,
-                };
-                self.tick(a.len() as u64, span)?;
-                let out = if name == CShift {
-                    a.cshift(shift, dim)
-                } else {
-                    a.eoshift(shift, dim)
-                };
-                out.map(EvalValue::Array).ok_or_else(|| EvalError {
-                    message: "bad shift dimension".into(),
-                    span,
-                })
             }
+            out.buf.push(op(&vals).ok_or("bad operands")?);
+        }
+        Ok(())
+    }
+
+    /// Transformational intrinsics with a scalar result.
+    fn reduce(&mut self, f: Intrinsic, args: &[Arg], span: Span) -> R<Val> {
+        use Intrinsic::*;
+        let array = |i: usize, what: &str| match args.get(i) {
+            Some(Arg::A(a)) => Ok(a),
+            _ => fail(format!("{what} of non-array"), span),
+        };
+        match f {
             Sum | Product | MaxVal | MinVal => {
-                let a = vals
-                    .first()
-                    .and_then(|v| v.as_array())
-                    .ok_or_else(|| EvalError {
-                        message: "reduction of non-array".into(),
-                        span,
-                    })?;
-                self.tick(a.len() as u64, span)?;
-                let mut acc: Option<Value> = None;
-                for v in &a.data {
-                    acc = Some(match &acc {
-                        None => v.clone(),
+                let a = array(0, "reduction")?;
+                let n = self.view(a).1.len();
+                self.tick(n as u64, span)?;
+                let buf = self.view(a).1;
+                let mut acc: Option<Val> = None;
+                for k in 0..n {
+                    let v = buf.get(k);
+                    acc = Some(match acc {
+                        None => v,
                         Some(cur) => {
-                            let combined = match name {
-                                Sum => value_ops::apply_binary(BinOp::Add, cur, v),
-                                Product => value_ops::apply_binary(BinOp::Mul, cur, v),
-                                MaxVal => value_ops::apply_intrinsic_scalar(
-                                    Max,
-                                    &[cur.clone(), v.clone()],
-                                ),
-                                MinVal => value_ops::apply_intrinsic_scalar(
-                                    Min,
-                                    &[cur.clone(), v.clone()],
-                                ),
-                                _ => unreachable!(),
+                            let combined = match f {
+                                Sum => buffer::binary(BinOp::Add, cur, v),
+                                Product => buffer::binary(BinOp::Mul, cur, v),
+                                MaxVal => buffer::elemental(Max, &[cur, v]),
+                                _ => buffer::elemental(Min, &[cur, v]),
                             };
-                            combined.ok_or_else(|| EvalError {
-                                message: "non-numeric reduction".into(),
-                                span,
-                            })?
+                            match combined {
+                                Some(c) => c,
+                                None => return fail("non-numeric reduction", span),
+                            }
                         }
                     });
                 }
-                let zero = match name {
-                    Sum => Value::Real(0.0),
-                    Product => Value::Real(1.0),
-                    _ => Value::Real(f64::NEG_INFINITY),
-                };
-                Ok(EvalValue::Scalar(acc.unwrap_or(zero)))
+                Ok(acc.unwrap_or(match f {
+                    Sum => Val::Real(0.0),
+                    Product => Val::Real(1.0),
+                    _ => Val::Real(f64::NEG_INFINITY),
+                }))
             }
             MaxLoc | MinLoc => {
-                let a = vals
-                    .first()
-                    .and_then(|v| v.as_array())
-                    .ok_or_else(|| EvalError {
-                        message: "maxloc of non-array".into(),
-                        span,
-                    })?;
-                if a.rank() != 1 {
-                    return err("MAXLOC/MINLOC restricted to rank-1 in the subset", span);
+                let a = array(0, "maxloc")?;
+                if self.view(a).0.len() != 1 {
+                    return fail("MAXLOC/MINLOC restricted to rank-1 in the subset", span);
                 }
-                self.tick(a.len() as u64, span)?;
+                let n = self.view(a).1.len();
+                self.tick(n as u64, span)?;
+                let buf = self.view(a).1;
                 let mut best: Option<(usize, f64)> = None;
-                for (i, v) in a.data.iter().enumerate() {
-                    let x = v.as_f64().ok_or_else(|| EvalError {
-                        message: "non-numeric maxloc".into(),
-                        span,
-                    })?;
+                for k in 0..n {
+                    let Some(x) = buf.get(k).as_f64() else {
+                        return fail("non-numeric maxloc", span);
+                    };
                     let better = match best {
                         None => true,
                         Some((_, b)) => {
-                            if name == MaxLoc {
+                            if f == MaxLoc {
                                 x > b
                             } else {
                                 x < b
@@ -1070,145 +953,261 @@ impl<'a> Evaluator<'a> {
                         }
                     };
                     if better {
-                        best = Some((i, x));
+                        best = Some((k, x));
                     }
                 }
-                // Fortran returns a rank-1 result array; subset returns the
-                // 1-based position as a scalar INTEGER for simplicity.
-                Ok(EvalValue::Scalar(Value::Int(
-                    best.map(|(i, _)| i as i64 + 1).unwrap_or(0),
-                )))
+                // Fortran returns a rank-1 result array; the subset returns
+                // the 1-based position as a scalar INTEGER for simplicity.
+                Ok(Val::Int(best.map_or(0, |(k, _)| k as i64 + 1)))
             }
             DotProduct => {
-                let a = vals.first().and_then(|v| v.as_array());
-                let b = vals.get(1).and_then(|v| v.as_array());
-                match (a, b) {
-                    (Some(a), Some(b)) if a.conformable(b) => {
-                        self.tick(2 * a.len() as u64, span)?;
-                        let mut acc = 0.0f64;
-                        for (x, y) in a.data.iter().zip(&b.data) {
-                            acc += x.as_f64().unwrap_or(0.0) * y.as_f64().unwrap_or(0.0);
-                        }
-                        Ok(EvalValue::Scalar(Value::Real(acc)))
-                    }
-                    _ => err("DOT_PRODUCT of non-conformable arrays", span),
+                let (Some(Arg::A(a)), Some(Arg::A(b))) = (args.first(), args.get(1)) else {
+                    return fail("DOT_PRODUCT of non-conformable arrays", span);
+                };
+                if self.view(a).0 != self.view(b).0 {
+                    return fail("DOT_PRODUCT of non-conformable arrays", span);
                 }
+                let n = self.view(a).1.len();
+                self.tick(2 * n as u64, span)?;
+                let (x, y) = (self.view(a).1, self.view(b).1);
+                let mut acc = 0.0f64;
+                for k in 0..n {
+                    acc += x.get(k).as_f64().unwrap_or(0.0) * y.get(k).as_f64().unwrap_or(0.0);
+                }
+                Ok(Val::Real(acc))
+            }
+            Size => {
+                let (extents, buf) = self.view(array(0, "SIZE")?);
+                match args.get(1) {
+                    None => Ok(Val::Int(buf.len() as i64)),
+                    Some(d) => {
+                        let d = match d {
+                            Arg::S(v) => v.as_i64().unwrap_or(1),
+                            Arg::A(_) => 1,
+                        } as usize;
+                        if d == 0 || d > extents.len() {
+                            return fail("SIZE dim out of range", span);
+                        }
+                        Ok(Val::Int(extents[d - 1] as i64))
+                    }
+                }
+            }
+            _ => unreachable!("lowering sends only scalar-valued intrinsics here"),
+        }
+    }
+
+    /// Array-valued intrinsics, written into `out`.
+    fn transform(&mut self, f: Intrinsic, args: &[Arg], out: &mut Temp, span: Span) -> R<()> {
+        use Intrinsic::*;
+        match f {
+            CShift | TShift | EoShift => {
+                let Some(Arg::A(a)) = args.first() else {
+                    return fail("shift of non-array", span);
+                };
+                let shift = match args.get(1) {
+                    Some(Arg::S(v)) => v.as_i64(),
+                    _ => None,
+                };
+                let Some(shift) = shift else {
+                    return fail("shift amount must be scalar integer", span);
+                };
+                let dim = match args.get(2) {
+                    Some(Arg::S(v)) => v.as_i64().unwrap_or(1),
+                    _ => 1,
+                } as usize;
+                let n = self.view(a).1.len();
+                self.tick(n as u64, span)?;
+                let (extents, buf) = self.view(a);
+                if dim == 0 || dim > extents.len() {
+                    return fail("bad shift dimension", span);
+                }
+                out.extents.extend_from_slice(extents);
+                if f == CShift {
+                    buffer::cshift(extents, buf, shift, dim - 1, &mut out.buf);
+                } else {
+                    buffer::eoshift(extents, buf, shift, dim - 1, &mut out.buf);
+                }
+                Ok(())
             }
             Transpose => {
-                let a = vals
-                    .first()
-                    .and_then(|v| v.as_array())
-                    .ok_or_else(|| EvalError {
-                        message: "transpose of non-array".into(),
-                        span,
-                    })?;
-                self.tick(a.len() as u64, span)?;
-                a.transpose()
-                    .map(EvalValue::Array)
-                    .ok_or_else(|| EvalError {
-                        message: "TRANSPOSE needs rank 2".into(),
-                        span,
-                    })
+                let Some(Arg::A(a)) = args.first() else {
+                    return fail("transpose of non-array", span);
+                };
+                let n = self.view(a).1.len();
+                self.tick(n as u64, span)?;
+                let (extents, buf) = self.view(a);
+                let &[n0, n1] = extents else {
+                    return fail("TRANSPOSE needs rank 2", span);
+                };
+                out.extents.extend_from_slice(&[n1, n0]);
+                for i in 0..n0 {
+                    for j in 0..n1 {
+                        out.buf.push(buf.get(i + j * n0));
+                    }
+                }
+                Ok(())
             }
             MatMul => {
-                let a = vals.first().and_then(|v| v.as_array());
-                let b = vals.get(1).and_then(|v| v.as_array());
-                match (a, b) {
-                    (Some(a), Some(b)) if a.rank() == 2 && b.rank() == 2 => {
-                        let (m, k) = (a.extents[0], a.extents[1]);
-                        let (k2, n) = (b.extents[0], b.extents[1]);
-                        if k != k2 {
-                            return err("MATMUL inner dimensions disagree", span);
-                        }
-                        self.tick((m * n * k) as u64, span)?;
-                        let mut out = ArrayVal {
-                            lbounds: vec![1, 1],
-                            extents: vec![m, n],
-                            data: vec![Value::Real(0.0); m * n],
-                        };
-                        for j in 0..n {
-                            for i in 0..m {
-                                let mut acc = 0.0;
-                                for p in 0..k {
-                                    let x = a.data[i + p * m].as_f64().unwrap_or(0.0);
-                                    let y = b.data[p + j * k].as_f64().unwrap_or(0.0);
-                                    acc += x * y;
-                                }
-                                out.data[i + j * m] = Value::Real(acc);
-                            }
-                        }
-                        Ok(EvalValue::Array(out))
-                    }
-                    _ => err("MATMUL needs two rank-2 arrays", span),
-                }
-            }
-            Spread => err(
-                "SPREAD is not supported by the functional interpreter",
-                span,
-            ),
-            Size => {
-                let a = vals
-                    .first()
-                    .and_then(|v| v.as_array())
-                    .ok_or_else(|| EvalError {
-                        message: "SIZE of non-array".into(),
-                        span,
-                    })?;
-                match vals.get(1) {
-                    None => Ok(EvalValue::Scalar(Value::Int(a.len() as i64))),
-                    Some(d) => {
-                        let d = d.as_scalar().and_then(|v| v.as_i64()).unwrap_or(1) as usize;
-                        if d == 0 || d > a.rank() {
-                            return err("SIZE dim out of range", span);
-                        }
-                        Ok(EvalValue::Scalar(Value::Int(a.extents[d - 1] as i64)))
-                    }
-                }
-            }
-            // Elemental intrinsics: map over arrays, apply to scalars.
-            _ => {
-                let any_array = vals.iter().any(|v| matches!(v, EvalValue::Array(_)));
-                if !any_array {
-                    let scalars: Vec<Value> =
-                        vals.iter().filter_map(|v| v.as_scalar().cloned()).collect();
-                    return value_ops::apply_intrinsic_scalar(name, &scalars)
-                        .map(EvalValue::Scalar)
-                        .ok_or_else(|| EvalError {
-                            message: format!("bad arguments to {}", name.name()),
-                            span,
-                        });
-                }
-                // Elementwise with scalar broadcast.
-                let Some(shape) = vals.iter().find_map(|v| v.as_array()).cloned() else {
-                    return err(format!("bad arguments to {}", name.name()), span);
+                let (Some(Arg::A(a)), Some(Arg::A(b))) = (args.first(), args.get(1)) else {
+                    return fail("MATMUL needs two rank-2 arrays", span);
                 };
-                for v in &vals {
-                    if let EvalValue::Array(a) = v {
-                        if !a.conformable(&shape) {
-                            return err("elemental intrinsic operands not conformable", span);
+                let (&[m, k], &[k2, n]) = (self.view(a).0, self.view(b).0) else {
+                    return fail("MATMUL needs two rank-2 arrays", span);
+                };
+                if k != k2 {
+                    return fail("MATMUL inner dimensions disagree", span);
+                }
+                let work = (m as u64)
+                    .checked_mul(n as u64)
+                    .and_then(|x| x.checked_mul(k as u64))
+                    .unwrap_or(u64::MAX);
+                self.tick(work, span)?;
+                let (x, y) = (self.view(a).1, self.view(b).1);
+                out.extents.extend_from_slice(&[m, n]);
+                for j in 0..n {
+                    for i in 0..m {
+                        let mut acc = 0.0;
+                        for p in 0..k {
+                            acc += x.get(i + p * m).as_f64().unwrap_or(0.0)
+                                * y.get(p + j * k).as_f64().unwrap_or(0.0);
                         }
+                        out.buf.push(Val::Real(acc));
                     }
                 }
-                self.tick(shape.len() as u64, span)?;
-                let mut out = shape.clone();
-                for off in 0..shape.len() {
-                    let scalars: Vec<Value> = vals
-                        .iter()
-                        .map(|v| match v {
-                            EvalValue::Scalar(s) => s.clone(),
-                            EvalValue::Array(a) => a.data[off].clone(),
-                        })
-                        .collect();
-                    out.data[off] =
-                        value_ops::apply_intrinsic_scalar(name, &scalars).ok_or_else(|| {
-                            EvalError {
-                                message: format!("bad arguments to {}", name.name()),
-                                span,
+                Ok(())
+            }
+            // Elemental intrinsics map over arrays with scalar broadcast.
+            _ => {
+                let args: Vec<&Arg> = args.iter().collect();
+                self.elementwise(&args, out, span, |v| buffer::elemental(f, v))
+                    .or_else(|msg| {
+                        let msg = match msg {
+                            "bad operands" => format!("bad arguments to {}", f.name()),
+                            "operands not conformable" => {
+                                "elemental intrinsic operands not conformable".to_string()
                             }
-                        })?;
-                }
-                Ok(EvalValue::Array(out))
+                            other => other.to_string(),
+                        };
+                        fail(msg, span)
+                    })
             }
         }
     }
+
+    // ---- temporaries -----------------------------------------------------
+
+    fn temp(&mut self) -> Temp {
+        let mut t = self.temps.pop().unwrap_or_default();
+        t.extents.clear();
+        t.buf.clear();
+        t
+    }
+
+    fn recycle(&mut self, a: Arr) {
+        if let Arr::Temp(t) = a {
+            self.temps.push(t);
+        }
+    }
+
+    /// A temporary holding a copy of declared array `slot`.
+    fn copy_of(&mut self, slot: usize) -> Temp {
+        let mut t = self.temp();
+        let a = &self.arrays[slot];
+        t.extents.extend_from_slice(&a.extents);
+        for k in 0..a.buf.len() {
+            t.buf.push(a.buf.get(k));
+        }
+        t
+    }
+
+    fn view<'a>(&'a self, a: &'a Arr) -> (&'a [usize], &'a Buf) {
+        match a {
+            Arr::Var(s) => (&self.arrays[*s].extents, &self.arrays[*s].buf),
+            Arr::Temp(t) => (&t.extents, &t.buf),
+        }
+    }
+
+    /// Declared array `dst` for writing, and the source buffer `src` (which
+    /// is not `dst`) for reading.
+    fn target_and_source<'a>(&'a mut self, dst: usize, src: &'a Arr) -> (&'a mut Array, &'a Buf) {
+        match src {
+            Arr::Temp(t) => (&mut self.arrays[dst], &t.buf),
+            Arr::Var(s) => {
+                let s = *s;
+                if s < dst {
+                    let (lo, hi) = self.arrays.split_at_mut(dst);
+                    (&mut hi[0], &lo[s].buf)
+                } else {
+                    let (lo, hi) = self.arrays.split_at_mut(s);
+                    (&mut lo[dst], &hi[0].buf)
+                }
+            }
+        }
+    }
+}
+
+/// Copy `src` into `dst` (whole, or the section `dims`), converting each
+/// element to `dst`'s type.
+fn store(dst: &mut Array, dims: Option<&[Dim]>, src: &Buf) {
+    match dims {
+        None => {
+            if !dst.buf.copy_words(src) {
+                for k in 0..src.len() {
+                    dst.buf.set(k, coerce(src.get(k), dst.ty));
+                }
+            }
+        }
+        Some(dims) => {
+            let mut k = 0;
+            walk(dims, &dst.strides, &mut |off| {
+                dst.buf.set(off, coerce(src.get(k), dst.ty));
+                k += 1;
+            });
+        }
+    }
+}
+
+/// Number of elements a section selects.
+fn section_len(dims: &[Dim]) -> usize {
+    if dims.iter().any(|d| d.count == 0) {
+        0
+    } else {
+        dims.iter().map(|d| d.count).product()
+    }
+}
+
+/// Visit the column-major offsets a section selects, first dimension
+/// fastest.
+fn walk(dims: &[Dim], strides: &[usize], f: &mut impl FnMut(usize)) {
+    fn from(dims: &[Dim], strides: &[usize], base: i64, f: &mut impl FnMut(usize)) {
+        match dims.split_last() {
+            None => f(base as usize),
+            Some((d, rest)) => {
+                let stride = strides[rest.len()] as i64;
+                for c in 0..d.count as i64 {
+                    from(rest, strides, base + (d.first + c * d.step) * stride, f);
+                }
+            }
+        }
+    }
+    if section_len(dims) > 0 {
+        from(dims, strides, 0, f);
+    }
+}
+
+/// Trips of a DO loop or section triplet `lo, lo + step, …` that stay on
+/// `lo`'s side of `hi` (`step != 0`).
+fn loop_trips(lo: i64, hi: i64, step: i64) -> u128 {
+    let (span, step) = (hi as i128 - lo as i128, step as i128);
+    if (step > 0 && span < 0) || (step < 0 && span > 0) {
+        0
+    } else {
+        (span / step + 1) as u128
+    }
+}
+
+/// Index-space extent of one FORALL triplet, `max((hi - lo) / step + 1, 0)`
+/// with truncating division, as the FORALL has always counted it.
+fn forall_trips(lo: i64, hi: i64, step: i64) -> u128 {
+    ((hi as i128 - lo as i128) / step as i128 + 1).max(0) as u128
 }

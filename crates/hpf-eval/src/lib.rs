@@ -4,18 +4,23 @@
 //! AST. One of the three tools of the paper's application development
 //! environment (compiler, functional interpreter, performance predictor).
 //!
-//! The [`eval::run`] entry point executes an analyzed program and returns a
-//! [`profile::ExecutionProfile`] of dynamic behaviour (loop trips, mask
-//! densities, branch outcomes) that the iPSC/860 simulator uses for its
-//! ground-truth timing, plus all PRINT output and final scalar values for
-//! semantics tests.
+//! The [`run`] entry point executes an analyzed program and returns an
+//! [`ExecutionProfile`] of dynamic behaviour (loop trips, mask densities,
+//! branch outcomes) that the iPSC/860 simulator uses for its ground-truth
+//! timing, plus all PRINT output and final scalar values for semantics
+//! tests.
+//!
+//! A run first lowers the program to slot code (`lower`): variables become
+//! dense slots, PARAMETERs constants, FORALL indices index registers. It
+//! then executes that code over `Copy` scalars and typed 8-byte array
+//! buffers (`buffer`) written in place (`eval`).
 
-pub mod array;
-pub mod eval;
-pub mod profile;
+mod buffer;
+mod eval;
+mod lower;
+mod profile;
 
-pub use array::ArrayVal;
-pub use eval::{run, run_with_limit, EvalError, EvalValue, RunOutcome};
+pub use eval::{run, run_with_limit, EvalError, RunOutcome};
 pub use profile::{ExecutionProfile, StmtStats};
 
 #[cfg(test)]

@@ -1,0 +1,751 @@
+//! Lowering: the analyzed program is resolved once per run into slot code.
+//!
+//! Variables become dense slots, PARAMETERs become constants, FORALL
+//! indices become index registers and every statement carries the dense id
+//! of its profile entry. Whether an expression is scalar- or array-valued
+//! is fixed by the symbol table, so it is decided here too. A construct the
+//! evaluator rejects (`CALL`, a section on a WHERE target, an array where a
+//! scalar must be, …) lowers to a `Fail` node that raises its error when,
+//! and only when, it is executed.
+//!
+//! The step budget counts one step per expression node evaluated. Nodes
+//! are never skipped (no operator short-circuits), so every root records
+//! its node count here and the evaluator charges it in one tick.
+
+use crate::buffer::{zero, Val};
+use hpf_lang::ast::*;
+use hpf_lang::sema::{AnalyzedProgram, SymbolKind};
+use hpf_lang::value::Value;
+use hpf_lang::Span;
+use std::collections::BTreeMap;
+
+/// A scalar-valued expression.
+pub(crate) enum S {
+    Const(Val),
+    /// A FORALL index register.
+    Index(usize),
+    Scalar(usize),
+    /// A binding created only by a DO loop over a non-variable name: reading
+    /// it before the loop has run is an error.
+    Late(usize, Span),
+    Elem {
+        arr: usize,
+        subs: Box<[S]>,
+        span: Span,
+    },
+    Unary(UnOp, Box<S>, Span),
+    Binary(BinOp, Box<S>, Box<S>, Span),
+    /// An elemental intrinsic over scalar arguments.
+    Elemental(Intrinsic, Box<[S]>, Span),
+    /// A transformational intrinsic with a scalar result (SUM, SIZE, …).
+    Call(Intrinsic, Box<[Ex]>, Span),
+    Fail(String, Span),
+}
+
+/// An array-valued expression.
+pub(crate) enum A {
+    Whole(usize),
+    Section {
+        arr: usize,
+        subs: Box<[Sub]>,
+        span: Span,
+    },
+    Unary(UnOp, Box<A>, Span),
+    /// At least one operand is an array.
+    Binary(BinOp, Box<Ex>, Box<Ex>, Span),
+    /// A transformational intrinsic with an array result, or an elemental
+    /// one with an array argument.
+    Call(Intrinsic, Box<[Ex]>, Span),
+    Fail(String, Span),
+}
+
+pub(crate) enum Ex {
+    S(S),
+    A(A),
+}
+
+/// One subscript of a section.
+pub(crate) enum Sub {
+    Index(S),
+    Triplet {
+        lo: Option<S>,
+        hi: Option<S>,
+        stride: Option<S>,
+    },
+}
+
+/// An expression to evaluate, with the steps its nodes cost.
+pub(crate) struct Root<T> {
+    pub(crate) e: T,
+    pub(crate) ticks: u64,
+}
+
+pub(crate) struct Instr {
+    /// Dense id of the statement's profile entry.
+    pub(crate) prof: usize,
+    pub(crate) span: Span,
+    pub(crate) op: Op,
+}
+
+pub(crate) enum Op {
+    AssignScalar {
+        slot: usize,
+        ty: TypeSpec,
+        rhs: Root<S>,
+    },
+    AssignElem {
+        arr: usize,
+        subs: Box<[S]>,
+        rhs: Root<S>,
+    },
+    /// Whole-array (`section` is `None`) or section assignment.
+    AssignArray {
+        arr: usize,
+        section: Option<Box<[Sub]>>,
+        rhs: Root<Ex>,
+    },
+    Forall(Box<Forall>),
+    Where(Box<Where>),
+    Do {
+        /// The loop variable's scalar slot, or the error binding it raises.
+        var: Result<usize, String>,
+        lo: S,
+        hi: S,
+        step: Option<S>,
+        ticks: u64,
+        body: Vec<Instr>,
+    },
+    DoWhile {
+        cond: Root<S>,
+        body: Vec<Instr>,
+    },
+    If {
+        arms: Vec<(Root<S>, Vec<Instr>)>,
+        else_body: Vec<Instr>,
+    },
+    Print(Vec<Root<Ex>>),
+    Stop,
+    Io,
+    Fail(String),
+}
+
+pub(crate) struct Triplet {
+    pub(crate) reg: usize,
+    pub(crate) lo: S,
+    pub(crate) hi: S,
+    pub(crate) stride: Option<S>,
+}
+
+pub(crate) struct Forall {
+    pub(crate) prof: usize,
+    pub(crate) span: Span,
+    pub(crate) triplets: Vec<Triplet>,
+    /// Steps of all triplet bound expressions.
+    pub(crate) bound_ticks: u64,
+    pub(crate) mask: Option<Root<S>>,
+    pub(crate) body: Vec<ForallItem>,
+}
+
+pub(crate) enum ForallItem {
+    /// `arr(subs) = rhs` per active index tuple; `ticks` per tuple.
+    Assign {
+        arr: usize,
+        subs: Box<[S]>,
+        rhs: S,
+        ticks: u64,
+        span: Span,
+    },
+    Nested(Box<Forall>),
+    /// An assignment that fails as soon as one index tuple is active.
+    FailIfActive(String, Span),
+    /// A statement that fails whenever it is reached.
+    Fail(String, Span),
+}
+
+pub(crate) struct Where {
+    pub(crate) mask: Root<A>,
+    pub(crate) body: Vec<WhereItem>,
+    pub(crate) elsewhere: Vec<WhereItem>,
+}
+
+pub(crate) enum WhereItem {
+    Assign {
+        arr: usize,
+        rhs: Root<Ex>,
+        span: Span,
+    },
+    Fail(String, Span),
+}
+
+/// A declared scalar, or a name only a DO loop binds.
+pub(crate) struct ScalarSlot {
+    pub(crate) name: String,
+    pub(crate) init: Val,
+    /// Declared variables exist from the start; DO-only bindings appear in
+    /// the final scalars once a trip has bound them.
+    pub(crate) declared: bool,
+}
+
+pub(crate) struct ArraySlot {
+    pub(crate) name: String,
+    pub(crate) ty: TypeSpec,
+    pub(crate) shape: Vec<(i64, i64)>,
+    pub(crate) span: Span,
+}
+
+/// A lowered program.
+pub(crate) struct Code {
+    pub(crate) body: Vec<Instr>,
+    pub(crate) scalars: Vec<ScalarSlot>,
+    pub(crate) arrays: Vec<ArraySlot>,
+    pub(crate) strings: Vec<String>,
+    /// Profile key `(line, start)` of each profile id.
+    pub(crate) keys: Vec<(u32, u32)>,
+    pub(crate) registers: usize,
+}
+
+pub(crate) fn lower(analyzed: &AnalyzedProgram) -> Code {
+    let mut l = Lowerer {
+        analyzed,
+        scalar_slot: BTreeMap::new(),
+        array_slot: BTreeMap::new(),
+        key_slot: BTreeMap::new(),
+        scope: Vec::new(),
+        code: Code {
+            body: Vec::new(),
+            scalars: Vec::new(),
+            arrays: Vec::new(),
+            strings: Vec::new(),
+            keys: Vec::new(),
+            registers: 0,
+        },
+    };
+    for (name, sym) in &analyzed.symbols {
+        match &sym.kind {
+            SymbolKind::Scalar => {
+                l.scalar_slot.insert(name.clone(), l.code.scalars.len());
+                l.code.scalars.push(ScalarSlot {
+                    name: name.clone(),
+                    init: zero(sym.ty),
+                    declared: true,
+                });
+            }
+            SymbolKind::Array { shape } => {
+                l.array_slot.insert(name.clone(), l.code.arrays.len());
+                l.code.arrays.push(ArraySlot {
+                    name: name.clone(),
+                    ty: sym.ty,
+                    shape: shape.clone(),
+                    span: sym.span,
+                });
+            }
+            _ => {}
+        }
+    }
+    l.bind_do_variables(&analyzed.program.body);
+    l.code.body = l.block(&analyzed.program.body);
+    l.code
+}
+
+/// Steps charged for evaluating `e`: one per node, subscripts included.
+fn nodes(e: &Expr) -> u64 {
+    match e {
+        Expr::IntLit(..) | Expr::RealLit(..) | Expr::LogicalLit(..) | Expr::StrLit(..) => 1,
+        Expr::Ref(r) => 1 + ref_nodes(r),
+        Expr::Intrinsic { args, .. } => 1 + args.iter().map(nodes).sum::<u64>(),
+        Expr::Unary { operand, .. } => 1 + nodes(operand),
+        Expr::Binary { lhs, rhs, .. } => 1 + nodes(lhs) + nodes(rhs),
+    }
+}
+
+/// Steps charged for a reference's subscripts.
+fn ref_nodes(r: &DataRef) -> u64 {
+    r.subs
+        .iter()
+        .map(|s| match s {
+            Subscript::Index(e) => nodes(e),
+            Subscript::Triplet { lo, hi, stride } => [lo, hi, stride]
+                .iter()
+                .flat_map(|e| e.iter())
+                .map(nodes)
+                .sum(),
+        })
+        .sum()
+}
+
+struct Lowerer<'a> {
+    analyzed: &'a AnalyzedProgram,
+    scalar_slot: BTreeMap<String, usize>,
+    array_slot: BTreeMap<String, usize>,
+    key_slot: BTreeMap<(u32, u32), usize>,
+    /// FORALL indices in scope, innermost last.
+    scope: Vec<(&'a str, usize)>,
+    code: Code,
+}
+
+impl<'a> Lowerer<'a> {
+    /// Give every DO variable that is not a declared scalar a binding of its
+    /// own (arrays excepted: binding one is an error at run time).
+    fn bind_do_variables(&mut self, body: &[Stmt]) {
+        for st in body {
+            match st {
+                Stmt::Do { var, body, .. } => {
+                    if !self.scalar_slot.contains_key(var) && !self.array_slot.contains_key(var) {
+                        self.scalar_slot
+                            .insert(var.clone(), self.code.scalars.len());
+                        self.code.scalars.push(ScalarSlot {
+                            name: var.clone(),
+                            init: Val::Int(0),
+                            declared: false,
+                        });
+                    }
+                    self.bind_do_variables(body);
+                }
+                Stmt::DoWhile { body, .. } => self.bind_do_variables(body),
+                Stmt::If {
+                    arms, else_body, ..
+                } => {
+                    for (_, b) in arms {
+                        self.bind_do_variables(b);
+                    }
+                    self.bind_do_variables(else_body);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    fn prof(&mut self, span: Span) -> usize {
+        let key = (span.line, span.start);
+        let next = self.code.keys.len();
+        *self.key_slot.entry(key).or_insert_with(|| {
+            self.code.keys.push(key);
+            next
+        })
+    }
+
+    fn intern(&mut self, s: &str) -> Val {
+        let i = match self.code.strings.iter().position(|t| t == s) {
+            Some(i) => i,
+            None => {
+                self.code.strings.push(s.to_string());
+                self.code.strings.len() - 1
+            }
+        };
+        Val::Str(i as u32)
+    }
+
+    fn constant(&mut self, v: &Value) -> Val {
+        match v {
+            Value::Int(v) => Val::Int(*v),
+            Value::Real(v) => Val::Real(*v),
+            Value::Logical(v) => Val::Logical(*v),
+            Value::Str(s) => self.intern(s),
+        }
+    }
+
+    fn block(&mut self, body: &'a [Stmt]) -> Vec<Instr> {
+        body.iter().map(|s| self.stmt(s)).collect()
+    }
+
+    fn stmt(&mut self, st: &'a Stmt) -> Instr {
+        let span = st.span();
+        let prof = self.prof(span);
+        let op = match st {
+            Stmt::Assign { lhs, rhs, .. } => self.assign(lhs, rhs),
+            Stmt::Forall { header, body, .. } => {
+                Op::Forall(Box::new(self.forall(header, body, span)))
+            }
+            Stmt::Where {
+                mask,
+                body,
+                elsewhere,
+                ..
+            } => {
+                let mask = Root {
+                    ticks: nodes(mask),
+                    e: match self.expr(mask) {
+                        Ex::A(a) => a,
+                        Ex::S(_) => A::Fail("WHERE mask must be an array".into(), span),
+                    },
+                };
+                Op::Where(Box::new(Where {
+                    mask,
+                    body: body.iter().map(|s| self.where_item(s)).collect(),
+                    elsewhere: elsewhere.iter().map(|s| self.where_item(s)).collect(),
+                }))
+            }
+            Stmt::Do {
+                var,
+                lo,
+                hi,
+                step,
+                body,
+                ..
+            } => Op::Do {
+                var: match self.scalar_slot.get(var) {
+                    Some(&slot) => Ok(slot),
+                    None => Err(format!("DO variable `{var}` is an array")),
+                },
+                lo: self.int_expr(lo),
+                hi: self.int_expr(hi),
+                step: step.as_ref().map(|s| self.int_expr(s)),
+                ticks: nodes(lo) + nodes(hi) + step.as_ref().map_or(0, nodes),
+                body: self.block(body),
+            },
+            Stmt::DoWhile { cond, body, .. } => Op::DoWhile {
+                cond: self.condition(cond, "DO WHILE condition must be scalar LOGICAL"),
+                body: self.block(body),
+            },
+            Stmt::If {
+                arms, else_body, ..
+            } => Op::If {
+                arms: arms
+                    .iter()
+                    .map(|(c, b)| {
+                        let c = self.condition(c, "IF condition must be scalar LOGICAL");
+                        (c, self.block(b))
+                    })
+                    .collect(),
+                else_body: self.block(else_body),
+            },
+            // The subset has no user procedures; CALL is accepted by the
+            // parser for completeness but has no executable semantics.
+            Stmt::Call { name, .. } => Op::Fail(format!(
+                "CALL to `{name}` — user procedures are outside the subset"
+            )),
+            Stmt::Print { items, .. } => Op::Print(
+                items
+                    .iter()
+                    .map(|e| Root {
+                        ticks: nodes(e),
+                        e: self.expr(e),
+                    })
+                    .collect(),
+            ),
+            Stmt::Stop { .. } => Op::Stop,
+            // Parallel I/O moves data between memory and the striped file
+            // system; the functional semantics of the program are unchanged,
+            // so evaluation treats it as a (counted) no-op.
+            Stmt::Io { .. } => Op::Io,
+        };
+        Instr { prof, span, op }
+    }
+
+    fn condition(&mut self, e: &'a Expr, msg: &str) -> Root<S> {
+        Root {
+            ticks: nodes(e),
+            e: match self.expr(e) {
+                Ex::S(s) => s,
+                Ex::A(_) => S::Fail(msg.into(), e.span()),
+            },
+        }
+    }
+
+    fn assign(&mut self, lhs: &'a DataRef, rhs: &'a Expr) -> Op {
+        let ticks = nodes(rhs);
+        let rhs = self.expr(rhs);
+        let Some(&arr) = self.array_slot.get(&lhs.name) else {
+            if !lhs.subs.is_empty() {
+                return Op::Fail(format!("`{}` is not an array", lhs.name));
+            }
+            let Some(&slot) = self.scalar_slot.get(&lhs.name) else {
+                return Op::Fail(format!("undefined variable `{}`", lhs.name));
+            };
+            let Ex::S(rhs) = rhs else {
+                return Op::Fail("cannot assign array to scalar".into());
+            };
+            // A name without a declared type is stored unconverted.
+            let ty = self
+                .analyzed
+                .symbols
+                .get(&lhs.name)
+                .map_or(TypeSpec::Logical, |s| s.ty);
+            return Op::AssignScalar {
+                slot,
+                ty,
+                rhs: Root {
+                    e: rhs,
+                    ticks: ticks + 1,
+                },
+            };
+        };
+        let rank = self.code.arrays[arr].shape.len();
+        let sub_ticks = ref_nodes(lhs);
+        if !lhs.subs.is_empty() && lhs.subs.iter().all(Subscript::is_index) {
+            let Ex::S(rhs) = rhs else {
+                return Op::Fail("cannot assign array to array element".into());
+            };
+            if lhs.subs.len() != rank {
+                return Op::Fail(format!("index out of bounds for `{}`", lhs.name));
+            }
+            return Op::AssignElem {
+                arr,
+                subs: self.element_subs(&lhs.subs),
+                rhs: Root {
+                    e: rhs,
+                    ticks: ticks + sub_ticks + 1,
+                },
+            };
+        }
+        if !lhs.subs.is_empty() && lhs.subs.len() != rank {
+            return Op::Fail(format!("rank mismatch: `{}` has rank {rank}", lhs.name));
+        }
+        let section = (!lhs.subs.is_empty()).then(|| self.section_subs(&lhs.subs));
+        Op::AssignArray {
+            arr,
+            section,
+            rhs: Root {
+                e: rhs,
+                ticks: ticks + sub_ticks,
+            },
+        }
+    }
+
+    fn forall(&mut self, header: &'a ForallHeader, body: &'a [Stmt], span: Span) -> Forall {
+        let prof = self.prof(span);
+        // Triplet bounds see the enclosing indices only, never a sibling.
+        let first = self.scope.last().map_or(0, |&(_, r)| r + 1);
+        let mut triplets = Vec::with_capacity(header.triplets.len());
+        let mut bound_ticks = 0;
+        for (k, t) in header.triplets.iter().enumerate() {
+            bound_ticks += nodes(&t.lo) + nodes(&t.hi) + t.stride.as_ref().map_or(0, nodes);
+            triplets.push(Triplet {
+                reg: first + k,
+                lo: self.int_expr(&t.lo),
+                hi: self.int_expr(&t.hi),
+                stride: t.stride.as_ref().map(|s| self.int_expr(s)),
+            });
+        }
+        let depth = self.scope.len();
+        for (k, t) in header.triplets.iter().enumerate() {
+            self.scope.push((&t.var, first + k));
+        }
+        self.code.registers = self.code.registers.max(first + header.triplets.len());
+        let mask = header
+            .mask
+            .as_ref()
+            .map(|m| self.condition(m, "FORALL mask must be scalar LOGICAL"));
+        let body = body.iter().map(|st| self.forall_item(st)).collect();
+        self.scope.truncate(depth);
+        Forall {
+            prof,
+            span,
+            triplets,
+            bound_ticks,
+            mask,
+            body,
+        }
+    }
+
+    fn forall_item(&mut self, st: &'a Stmt) -> ForallItem {
+        match st {
+            Stmt::Assign { lhs, rhs, span } => {
+                let ticks = nodes(rhs) + ref_nodes(lhs);
+                let rhs = match self.expr(rhs) {
+                    Ex::S(s) => s,
+                    Ex::A(_) => {
+                        return ForallItem::FailIfActive(
+                            "array-valued RHS inside FORALL body is outside the subset".into(),
+                            *span,
+                        )
+                    }
+                };
+                if lhs.subs.iter().any(|s| !s.is_index()) {
+                    return ForallItem::FailIfActive(
+                        "expected element subscript, found section".into(),
+                        lhs.span,
+                    );
+                }
+                let Some(&arr) = self.array_slot.get(&lhs.name) else {
+                    return ForallItem::FailIfActive(
+                        format!("`{}` is not an array", lhs.name),
+                        *span,
+                    );
+                };
+                if lhs.subs.len() != self.code.arrays[arr].shape.len() {
+                    return ForallItem::FailIfActive(
+                        format!("index out of bounds for `{}`", lhs.name),
+                        *span,
+                    );
+                }
+                ForallItem::Assign {
+                    arr,
+                    subs: self.element_subs(&lhs.subs),
+                    rhs,
+                    ticks,
+                    span: *span,
+                }
+            }
+            Stmt::Forall { header, body, span } => {
+                ForallItem::Nested(Box::new(self.forall(header, body, *span)))
+            }
+            other => ForallItem::Fail(
+                "only assignments and nested FORALLs are allowed in a FORALL body".into(),
+                other.span(),
+            ),
+        }
+    }
+
+    fn where_item(&mut self, st: &'a Stmt) -> WhereItem {
+        let Stmt::Assign { lhs, rhs, span } = st else {
+            return WhereItem::Fail("WHERE body must contain only assignments".into(), st.span());
+        };
+        let Some(&arr) = self.array_slot.get(&lhs.name) else {
+            return WhereItem::Fail("WHERE assignment target must be an array".into(), *span);
+        };
+        if !lhs.subs.is_empty() {
+            return WhereItem::Fail(
+                "sections on WHERE assignment targets are outside the subset".into(),
+                *span,
+            );
+        }
+        WhereItem::Assign {
+            arr,
+            rhs: Root {
+                ticks: nodes(rhs),
+                e: self.expr(rhs),
+            },
+            span: *span,
+        }
+    }
+
+    /// A scalar expression whose value is used as an integer.
+    fn int_expr(&mut self, e: &'a Expr) -> S {
+        match self.expr(e) {
+            Ex::S(s) => s,
+            Ex::A(_) => S::Fail("expected scalar integer, found array".into(), e.span()),
+        }
+    }
+
+    fn element_subs(&mut self, subs: &'a [Subscript]) -> Box<[S]> {
+        subs.iter()
+            .map(|s| match s {
+                Subscript::Index(e) => self.int_expr(e),
+                Subscript::Triplet { .. } => unreachable!("element subscripts are all indices"),
+            })
+            .collect()
+    }
+
+    fn section_subs(&mut self, subs: &'a [Subscript]) -> Box<[Sub]> {
+        subs.iter()
+            .map(|s| match s {
+                Subscript::Index(e) => Sub::Index(self.int_expr(e)),
+                Subscript::Triplet { lo, hi, stride } => Sub::Triplet {
+                    lo: lo.as_ref().map(|e| self.int_expr(e)),
+                    hi: hi.as_ref().map(|e| self.int_expr(e)),
+                    stride: stride.as_ref().map(|e| self.int_expr(e)),
+                },
+            })
+            .collect()
+    }
+
+    fn expr(&mut self, e: &'a Expr) -> Ex {
+        match e {
+            Expr::IntLit(v, _) => Ex::S(S::Const(Val::Int(*v))),
+            Expr::RealLit(v, _) => Ex::S(S::Const(Val::Real(*v))),
+            Expr::LogicalLit(v, _) => Ex::S(S::Const(Val::Logical(*v))),
+            Expr::StrLit(s, _) => Ex::S(S::Const(self.intern(s))),
+            Expr::Ref(r) => self.reference(r),
+            Expr::Unary { op, operand, span } => match self.expr(operand) {
+                Ex::S(x) => Ex::S(S::Unary(*op, Box::new(x), *span)),
+                Ex::A(x) => Ex::A(A::Unary(*op, Box::new(x), *span)),
+            },
+            Expr::Binary { op, lhs, rhs, span } => match (self.expr(lhs), self.expr(rhs)) {
+                (Ex::S(l), Ex::S(r)) => Ex::S(S::Binary(*op, Box::new(l), Box::new(r), *span)),
+                (l, r) => Ex::A(A::Binary(*op, Box::new(l), Box::new(r), *span)),
+            },
+            Expr::Intrinsic { name, args, span } => self.intrinsic(*name, args, *span),
+        }
+    }
+
+    fn intrinsic(&mut self, f: Intrinsic, args: &'a [Expr], span: Span) -> Ex {
+        use Intrinsic::*;
+        let args: Vec<Ex> = args.iter().map(|a| self.expr(a)).collect();
+        let array_result = match f {
+            CShift | TShift | EoShift | Transpose | MatMul => true,
+            Sum | Product | MaxVal | MinVal | MaxLoc | MinLoc | DotProduct | Size => false,
+            Spread => {
+                return Ex::S(S::Fail(
+                    "SPREAD is not supported by the functional interpreter".into(),
+                    span,
+                ))
+            }
+            _ => {
+                if args.iter().all(|a| matches!(a, Ex::S(_))) {
+                    let args = args
+                        .into_iter()
+                        .map(|a| match a {
+                            Ex::S(s) => s,
+                            Ex::A(_) => unreachable!("all arguments are scalar"),
+                        })
+                        .collect();
+                    return Ex::S(S::Elemental(f, args, span));
+                }
+                true
+            }
+        };
+        if array_result {
+            Ex::A(A::Call(f, args.into(), span))
+        } else {
+            Ex::S(S::Call(f, args.into(), span))
+        }
+    }
+
+    fn reference(&mut self, r: &'a DataRef) -> Ex {
+        let span = r.span;
+        let undefined = || format!("undefined variable `{}`", r.name);
+        if r.subs.is_empty() {
+            // FORALL dummies shadow every other meaning of the name.
+            if let Some(&(_, reg)) = self.scope.iter().rev().find(|(n, _)| *n == r.name) {
+                return Ex::S(S::Index(reg));
+            }
+            // Named constants live in the symbol table, not the store.
+            if let Some(SymbolKind::Parameter { value }) =
+                self.analyzed.symbols.get(&r.name).map(|s| &s.kind)
+            {
+                return Ex::S(S::Const(self.constant(value)));
+            }
+            if let Some(&arr) = self.array_slot.get(&r.name) {
+                return Ex::A(A::Whole(arr));
+            }
+            return Ex::S(match self.scalar_slot.get(&r.name) {
+                Some(&slot) if self.code.scalars[slot].declared => S::Scalar(slot),
+                Some(&slot) => S::Late(slot, span),
+                None => S::Fail(undefined(), span),
+            });
+        }
+        let Some(&arr) = self.array_slot.get(&r.name) else {
+            let msg = match self.scalar_slot.get(&r.name) {
+                Some(_) => format!("`{}` is not an array", r.name),
+                None => undefined(),
+            };
+            return Ex::S(S::Fail(msg, span));
+        };
+        let rank = self.code.arrays[arr].shape.len();
+        if r.subs.iter().all(Subscript::is_index) {
+            if r.subs.len() != rank {
+                return Ex::S(S::Fail(
+                    format!("index out of bounds for `{}`", r.name),
+                    span,
+                ));
+            }
+            return Ex::S(S::Elem {
+                arr,
+                subs: self.element_subs(&r.subs),
+                span,
+            });
+        }
+        if r.subs.len() != rank {
+            return Ex::A(A::Fail(
+                format!("rank mismatch: `{}` has rank {rank}", r.name),
+                span,
+            ));
+        }
+        Ex::A(A::Section {
+            arr,
+            subs: self.section_subs(&r.subs),
+            span,
+        })
+    }
+}

@@ -43,6 +43,11 @@ pub struct ExecutionProfile {
 }
 
 impl ExecutionProfile {
+    /// A profile of the given entries, keyed by `(line, start)`.
+    pub(crate) fn from_parts(stats: BTreeMap<(u32, u32), StmtStats>, total_steps: u64) -> Self {
+        ExecutionProfile { stats, total_steps }
+    }
+
     fn key(span: Span) -> (u32, u32) {
         (span.line, span.start)
     }
