@@ -664,7 +664,7 @@ impl<'c> Machine<'c> {
                     };
                     let hi = match hi {
                         Some(e) => self.int(e, span)?,
-                        None => lb + extent as i64 - 1,
+                        None => lb + (extent as i64 - 1),
                     };
                     let step = match stride {
                         Some(e) => self.int(e, span)?,
@@ -763,13 +763,9 @@ impl<'c> Machine<'c> {
             }
             S::Call(f, args, span) => {
                 let args = self.args(args)?;
-                let v = self.reduce(*f, &args, *span);
-                for a in args {
-                    if let Arg::A(a) = a {
-                        self.recycle(a);
-                    }
-                }
-                v?
+                let v = self.reduce(*f, &args, *span)?;
+                self.recycle_args(args);
+                v
             }
             S::Fail(msg, span) => return fail(msg.clone(), *span),
         })
@@ -816,35 +812,17 @@ impl<'c> Machine<'c> {
                 Ok(Arr::Temp(t))
             }
             A::Binary(op, l, r, span) => {
-                let l = self.arg(l)?;
-                let r = self.arg(r)?;
+                let args = [self.arg(l)?, self.arg(r)?];
                 let mut t = self.temp();
-                let ok = self.elementwise(&[&l, &r], &mut t, *span, |v| {
-                    buffer::binary(*op, v[0], v[1])
-                });
-                for a in [l, r] {
-                    if let Arg::A(a) = a {
-                        self.recycle(a);
-                    }
-                }
-                ok.map_err(|msg| {
-                    Box::new(EvalError {
-                        message: msg.into(),
-                        span: *span,
-                    })
-                })?;
+                self.elementwise(&args, &mut t, *span, |v| buffer::binary(*op, v[0], v[1]))?;
+                self.recycle_args(args);
                 Ok(Arr::Temp(t))
             }
             A::Call(f, args, span) => {
                 let args = self.args(args)?;
                 let mut t = self.temp();
-                let v = self.transform(*f, &args, &mut t, *span);
-                for a in args {
-                    if let Arg::A(a) = a {
-                        self.recycle(a);
-                    }
-                }
-                v?;
+                self.transform(*f, &args, &mut t, *span)?;
+                self.recycle_args(args);
                 Ok(Arr::Temp(t))
             }
             A::Fail(msg, span) => fail(msg.clone(), *span),
@@ -855,29 +833,27 @@ impl<'c> Machine<'c> {
     /// must share the first array's extents), writing into `out`.
     fn elementwise(
         &mut self,
-        args: &[&Arg],
+        args: &[Arg],
         out: &mut Temp,
         span: Span,
         op: impl Fn(&[Val]) -> Option<Val>,
-    ) -> Result<(), &'static str> {
-        let shape = args
-            .iter()
-            .find_map(|a| match a {
-                Arg::A(a) => Some(self.view(a).0),
-                Arg::S(_) => None,
-            })
-            .ok_or("elemental operation without an array operand")?;
+    ) -> R<()> {
+        let shape = args.iter().find_map(|a| match a {
+            Arg::A(a) => Some(self.view(a).0),
+            Arg::S(_) => None,
+        });
+        let Some(shape) = shape else {
+            return fail("elemental operation without an array operand", span);
+        };
         if args
             .iter()
             .any(|a| matches!(a, Arg::A(a) if self.view(a).0 != shape))
         {
-            return Err("operands not conformable");
+            return fail("operands not conformable", span);
         }
         out.extents.extend_from_slice(shape);
         let n: usize = shape.iter().product();
-        if self.tick(n as u64, span).is_err() {
-            return Err("step limit exceeded (non-terminating loop?)");
-        }
+        self.tick(n as u64, span)?;
         let mut vals = vec![Val::Int(0); args.len()];
         for k in 0..n {
             for (v, a) in vals.iter_mut().zip(args) {
@@ -886,7 +862,10 @@ impl<'c> Machine<'c> {
                     Arg::A(a) => self.view(a).1.get(k),
                 };
             }
-            out.buf.push(op(&vals).ok_or("bad operands")?);
+            match op(&vals) {
+                Some(v) => out.buf.push(v),
+                None => return fail("bad operands", span),
+            }
         }
         Ok(())
     }
@@ -1077,20 +1056,7 @@ impl<'c> Machine<'c> {
                 Ok(())
             }
             // Elemental intrinsics map over arrays with scalar broadcast.
-            _ => {
-                let args: Vec<&Arg> = args.iter().collect();
-                self.elementwise(&args, out, span, |v| buffer::elemental(f, v))
-                    .or_else(|msg| {
-                        let msg = match msg {
-                            "bad operands" => format!("bad arguments to {}", f.name()),
-                            "operands not conformable" => {
-                                "elemental intrinsic operands not conformable".to_string()
-                            }
-                            other => other.to_string(),
-                        };
-                        fail(msg, span)
-                    })
-            }
+            _ => self.elementwise(args, out, span, |v| buffer::elemental(f, v)),
         }
     }
 
@@ -1106,6 +1072,14 @@ impl<'c> Machine<'c> {
     fn recycle(&mut self, a: Arr) {
         if let Arr::Temp(t) = a {
             self.temps.push(t);
+        }
+    }
+
+    fn recycle_args(&mut self, args: impl IntoIterator<Item = Arg>) {
+        for a in args {
+            if let Arg::A(a) = a {
+                self.recycle(a);
+            }
         }
     }
 

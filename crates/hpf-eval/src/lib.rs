@@ -479,4 +479,118 @@ END
         let a = analyze(&p, &BTreeMap::new()).unwrap();
         assert!(run(&a).is_err(), "5 elements into 4 must fail");
     }
+
+    fn run_err(src: &str) -> EvalError {
+        let p = parse_program(src).unwrap();
+        let a = analyze(&p, &BTreeMap::new()).unwrap();
+        run_with_limit(&a, 1_000_000).expect_err("run must fail")
+    }
+
+    #[test]
+    fn where_mask_shorter_than_target_is_an_error() {
+        let e = run_err("PROGRAM T\nREAL A(4), B(8)\nA = 1.0\nWHERE (A > 0.0) B = 2.0\nEND\n");
+        assert!(e.message.contains("mask"), "{e}");
+    }
+
+    #[test]
+    fn where_mask_longer_than_target_is_an_error() {
+        let e = run_err("PROGRAM T\nREAL A(8), B(4)\nA = 1.0\nWHERE (A > 0.0) B = 2.0\nEND\n");
+        assert!(e.message.contains("mask"), "{e}");
+    }
+
+    #[test]
+    fn where_rhs_shape_is_checked_with_no_element_active() {
+        let e = run_err("PROGRAM T\nREAL A(4), B(4), C(5)\nWHERE (A > 0.0) B = C\nEND\n");
+        assert!(e.message.contains("conformable"), "{e}");
+    }
+
+    #[test]
+    fn where_converts_to_the_target_type() {
+        let out =
+            run_src("PROGRAM T\nINTEGER K(4), S\nK = 1\nWHERE (K > 0) K = 2.7\nS = SUM(K)\nEND\n");
+        assert_eq!(out.scalars.get("S"), Some(&hpf_lang::Value::Int(8)));
+    }
+
+    #[test]
+    fn forall_index_space_overflow_is_an_error() {
+        let e = run_err(
+            "PROGRAM T\nREAL A(4)\n\
+             FORALL (I = 1:4000000000, J = 1:4000000000, K = 1:4000000000) A(1) = 1.0\nEND\n",
+        );
+        assert!(e.message.contains("overflows"), "{e}");
+    }
+
+    #[test]
+    fn do_loop_up_to_the_integer_limit_runs_its_trips() {
+        let out = run_src(
+            "PROGRAM T\nINTEGER K, C\n\
+             DO K = 9223372036854775806, 9223372036854775807\nC = C + 1\nEND DO\nEND\n",
+        );
+        assert_eq!(out.scalars.get("C"), Some(&hpf_lang::Value::Int(2)));
+        assert_eq!(out.scalars.get("K"), Some(&hpf_lang::Value::Int(i64::MAX)));
+        let out = run_src(
+            "PROGRAM T\nINTEGER K, C\n\
+             DO K = -9223372036854775807, -9223372036854775807 - 1, -1\nC = C + 1\nEND DO\nEND\n",
+        );
+        assert_eq!(out.scalars.get("C"), Some(&hpf_lang::Value::Int(2)));
+        assert_eq!(out.scalars.get("K"), Some(&hpf_lang::Value::Int(i64::MIN)));
+    }
+
+    #[test]
+    fn sections_and_foralls_at_the_integer_limit() {
+        let out = run_src(
+            "PROGRAM T
+REAL A(9223372036854775806:9223372036854775807), S, Z
+A(:) = 2.0
+FORALL (I = 9223372036854775806:9223372036854775807) A(I) = A(I) + 1.0
+S = SUM(A(9223372036854775806:9223372036854775807))
+Z = SUM(A(9223372036854775807:9223372036854775806))
+END
+",
+        );
+        assert_eq!(f(&out, "S"), 6.0);
+        assert_eq!(f(&out, "Z"), 0.0);
+        let e = run_err(
+            "PROGRAM T\nREAL A(4)\nA(9223372036854775806:9223372036854775807) = 1.0\nEND\n",
+        );
+        assert!(e.message.contains("out of bounds"), "{e}");
+        let e = run_err(
+            "PROGRAM T\nREAL A(4)\nA(1:9223372036854775807:4611686018427387904) = 1.0\nEND\n",
+        );
+        assert!(e.message.contains("out of bounds"), "{e}");
+    }
+
+    #[test]
+    fn integer_extremes_wrap() {
+        let out = run_src(
+            "PROGRAM T\nINTEGER K, A, M\nK = -9223372036854775807 - 1\nA = ABS(K)\n\
+             M = MOD(K, -1)\nK = -K\nEND\n",
+        );
+        assert_eq!(out.scalars.get("K"), Some(&hpf_lang::Value::Int(i64::MIN)));
+        assert_eq!(out.scalars.get("A"), Some(&hpf_lang::Value::Int(i64::MIN)));
+        assert_eq!(out.scalars.get("M"), Some(&hpf_lang::Value::Int(0)));
+    }
+
+    #[test]
+    fn oversized_arrays_are_an_error() {
+        let e = run_err("PROGRAM T\nREAL A(1:9223372036854775807)\nA(1) = 1.0\nEND\n");
+        assert!(e.message.contains("limit"), "{e}");
+        let e = run_err("PROGRAM T\nREAL A(4000000000, 4000000000)\nEND\n");
+        assert!(e.message.contains("limit"), "{e}");
+    }
+
+    #[test]
+    fn nonunit_lower_bounds() {
+        let out = run_src(
+            "PROGRAM T\nREAL A(0:4), B(-2:2, 3:4), S\nA(0) = 7.0\nA(4) = 1.0\n\
+             B(-2, 4) = 2.0\nB(2, 3) = 3.0\nS = A(0) + A(4) + SUM(B)\nEND\n",
+        );
+        assert_eq!(f(&out, "S"), 13.0);
+        assert!(run_err("PROGRAM T\nREAL A(0:4)\nA(5) = 1.0\nEND\n")
+            .message
+            .contains("out of bounds"));
+        assert!(run_err("PROGRAM T\nREAL A(0:4)\nA(-1) = 1.0\nEND\n")
+            .message
+            .contains("out of bounds"));
+    }
 }

@@ -10,7 +10,7 @@ use crate::value::Value;
 /// Apply a unary operator; `None` on a type error.
 pub fn apply_unary(op: UnOp, v: &Value) -> Option<Value> {
     match (op, v) {
-        (UnOp::Neg, Value::Int(i)) => Some(Value::Int(-i)),
+        (UnOp::Neg, Value::Int(i)) => Some(Value::Int(i.wrapping_neg())),
         (UnOp::Neg, Value::Real(r)) => Some(Value::Real(-r)),
         (UnOp::Plus, Value::Int(_) | Value::Real(_)) => Some(v.clone()),
         (UnOp::Not, Value::Logical(b)) => Some(Value::Logical(!b)),
@@ -39,7 +39,7 @@ pub fn apply_binary(op: BinOp, l: &Value, r: &Value) -> Option<Value> {
                         Int(a.wrapping_pow((*b).min(u32::MAX as i64) as u32))
                     } else {
                         // INTEGER ** negative is 0 (or 1/±1) in Fortran.
-                        Int(if a.abs() == 1 {
+                        Int(if a.unsigned_abs() == 1 {
                             a.pow((-b % 2) as u32)
                         } else {
                             0
@@ -103,7 +103,7 @@ pub fn apply_intrinsic_scalar(intr: Intrinsic, args: &[Value]) -> Option<Value> 
     let f1 = |f: fn(f64) -> f64| args.first()?.as_f64().map(|v| V::Real(f(v)));
     match intr {
         Abs => match args.first()? {
-            V::Int(v) => Some(V::Int(v.abs())),
+            V::Int(v) => Some(V::Int(v.wrapping_abs())),
             V::Real(v) => Some(V::Real(v.abs())),
             _ => None,
         },
@@ -137,7 +137,7 @@ pub fn apply_intrinsic_scalar(intr: Intrinsic, args: &[Value]) -> Option<Value> 
             }
         }
         Mod => match (args.first()?, args.get(1)?) {
-            (V::Int(a), V::Int(b)) if *b != 0 => Some(V::Int(a % b)),
+            (V::Int(a), V::Int(b)) if *b != 0 => Some(V::Int(a.wrapping_rem(*b))),
             (a, b) => {
                 let (a, b) = (a.as_f64()?, b.as_f64()?);
                 Some(V::Real(a % b))
@@ -251,6 +251,25 @@ mod tests {
             Some(Value::Int(3))
         );
         assert_eq!(apply_intrinsic_scalar(I::Sum, &[Value::Int(1)]), None);
+    }
+
+    #[test]
+    fn integer_extremes_wrap_instead_of_panicking() {
+        use crate::ast::Intrinsic as I;
+        let min = Value::Int(i64::MIN);
+        assert_eq!(apply_unary(UnOp::Neg, &min), Some(min.clone()));
+        assert_eq!(
+            apply_intrinsic_scalar(I::Abs, std::slice::from_ref(&min)),
+            Some(min.clone())
+        );
+        assert_eq!(
+            apply_intrinsic_scalar(I::Mod, &[min.clone(), Value::Int(-1)]),
+            Some(Value::Int(0))
+        );
+        assert_eq!(
+            apply_binary(BinOp::Pow, &min, &Value::Int(-1)),
+            Some(Value::Int(0))
+        );
     }
 
     #[test]

@@ -77,6 +77,21 @@ END
 }
 
 #[test]
+fn where_converts_like_the_forall_it_normalizes_to() {
+    // The normalized FORALL stores 2.7 into an INTEGER array as 2, so the
+    // WHERE it came from must too: S = 8, not 10.
+    check(
+        "PROGRAM T
+INTEGER K(4), S
+K = 1
+WHERE (K > 0) K = 2.7
+S = SUM(K)
+END
+",
+    );
+}
+
+#[test]
 fn cshift_rewrite_preserves_access_not_values() {
     // CSHIFT normalization deliberately models the *access pattern* (offset
     // reference) rather than circular value semantics; at the boundary the
