@@ -476,29 +476,28 @@ impl<'c> Machine<'c> {
         self.tick(total, f.span)?;
 
         // Enumerate the active tuples once (mask applied).
-        let mut active = None;
+        let (mut active, mut n) = (None, total);
         if let Some(mask) = &f.mask {
             self.tick(mask.ticks.saturating_mul(total), f.span)?;
             let mut list = self.lists.pop().unwrap_or_default();
             list.clear();
+            n = 0;
             for t in 0..total {
                 self.tuple(&mut ranges, None, t);
                 match self.scalar(&mask.e)? {
-                    Val::Logical(true) => list.extend(ranges.iter().map(|r| self.idx[r.reg])),
+                    Val::Logical(true) => {
+                        list.extend(ranges.iter().map(|r| self.idx[r.reg]));
+                        n += 1;
+                    }
                     Val::Logical(false) => {}
                     _ => return fail("FORALL mask must be scalar LOGICAL", f.span),
                 }
             }
-            let trues = (list.len() / ranges.len().max(1)) as u64;
             let s = self.touch(f.prof);
             s.mask_total += total;
-            s.mask_true += trues;
+            s.mask_true += n;
             active = Some(list);
         }
-        let n = match &active {
-            Some(list) => (list.len() / ranges.len().max(1)) as u64,
-            None => total,
-        };
         self.touch(f.prof).iterations += n;
 
         for item in &f.body {
