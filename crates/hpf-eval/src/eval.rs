@@ -577,18 +577,19 @@ impl<'c> Machine<'c> {
 
     fn where_construct(&mut self, w: &'c Where, prof: usize, span: Span) -> R<()> {
         self.tick(w.mask.ticks, span)?;
+        let mask = self.array(&w.mask.e)?;
+        let n = self.view(&mask).1.len();
+        self.tick(n as u64, span)?;
         // The mask is fixed before the body runs, even if the body assigns
         // the array it was read from.
-        let mask = match self.array(&w.mask.e)? {
+        let mask = match mask {
             Arr::Var(s) => self.copy_of(s),
             Arr::Temp(t) => t,
         };
-        let n = mask.buf.len();
         let trues = (0..n).filter(|&k| mask.buf.get(k).truthy()).count() as u64;
         let s = self.touch(prof);
         s.mask_total += n as u64;
         s.mask_true += trues;
-        self.tick(n as u64, span)?;
         for (items, negate) in [(&w.body, false), (&w.elsewhere, true)] {
             for item in items {
                 let (arr, rhs, span) = match item {
