@@ -289,10 +289,10 @@ impl Buf {
 /// CSHIFT along dimension `d` (0-based) of an array with `extents`:
 /// element `j` of each line comes from element `j + shift`, wrapped.
 pub(crate) fn cshift(extents: &[usize], src: &Buf, shift: i64, d: usize, out: &mut Buf) {
-    let (inner, e, outer) = split_at_dim(extents, d);
-    if e == 0 {
+    if src.len() == 0 {
         return;
     }
+    let (inner, e, outer) = split_at_dim(extents, d);
     let s = shift.rem_euclid(e as i64) as usize;
     for o in 0..outer {
         for j in 0..e {
@@ -330,7 +330,8 @@ pub(crate) fn eoshift(extents: &[usize], src: &Buf, shift: i64, d: usize, out: &
     }
 }
 
-/// `(elements before d, extent of d, lines after d)` of a column-major shape.
+/// `(elements before d, extent of d, lines after d)` of a column-major shape
+/// with at least one element.
 fn split_at_dim(extents: &[usize], d: usize) -> (usize, usize, usize) {
     let inner = extents[..d].iter().product();
     let outer = extents[d + 1..].iter().product();

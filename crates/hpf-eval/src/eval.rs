@@ -838,11 +838,11 @@ impl<'c> Machine<'c> {
         span: Span,
         op: impl Fn(&[Val]) -> Option<Val>,
     ) -> R<()> {
-        let shape = args.iter().find_map(|a| match a {
-            Arg::A(a) => Some(self.view(a).0),
+        let first = args.iter().find_map(|a| match a {
+            Arg::A(a) => Some(self.view(a)),
             Arg::S(_) => None,
         });
-        let Some(shape) = shape else {
+        let Some((shape, buf)) = first else {
             return fail("elemental operation without an array operand", span);
         };
         if args
@@ -852,7 +852,7 @@ impl<'c> Machine<'c> {
             return fail("operands not conformable", span);
         }
         out.extents.extend_from_slice(shape);
-        let n: usize = shape.iter().product();
+        let n = buf.len();
         self.tick(n as u64, span)?;
         let mut vals = vec![Val::Int(0); args.len()];
         for k in 0..n {
@@ -1019,9 +1019,12 @@ impl<'c> Machine<'c> {
                     return fail("TRANSPOSE needs rank 2", span);
                 };
                 out.extents.extend_from_slice(&[n1, n0]);
-                for i in 0..n0 {
-                    for j in 0..n1 {
-                        out.buf.push(buf.get(i + j * n0));
+                // An empty operand (a section) may still have one huge extent.
+                if n > 0 {
+                    for i in 0..n0 {
+                        for j in 0..n1 {
+                            out.buf.push(buf.get(i + j * n0));
+                        }
                     }
                 }
                 Ok(())
@@ -1041,6 +1044,11 @@ impl<'c> Machine<'c> {
                     .and_then(|x| x.checked_mul(k as u64))
                     .unwrap_or(u64::MAX);
                 self.tick(work, span)?;
+                // With an empty inner dimension the result is all zeros and
+                // costs no steps, so its size is checked separately.
+                if m as u128 * n as u128 > MAX_ELEMENTS {
+                    return fail("MATMUL result exceeds the array element limit", span);
+                }
                 let (x, y) = (self.view(a).1, self.view(b).1);
                 out.extents.extend_from_slice(&[m, n]);
                 for j in 0..n {

@@ -575,4 +575,23 @@ END
             .message
             .contains("out of bounds"));
     }
+
+    #[test]
+    fn empty_sections_may_have_huge_extents() {
+        let out = run_src(
+            "PROGRAM T
+REAL A(2,2,2), B(2,2), S
+S = SUM(A(1:9223372036854775807, 1:9223372036854775807, 1:0) + 1.0)
+PRINT *, TRANSPOSE(B(1:9223372036854775807, 1:0) * 2.0)
+PRINT *, CSHIFT(B(1:9223372036854775807, 1:0) + 1.0, 1)
+END
+",
+        );
+        assert_eq!(f(&out, "S"), 0.0);
+        assert_eq!(out.output, vec![String::new(), String::new()]);
+        let e = run_err(
+            "PROGRAM T\nREAL B(2,2), C(2,2)\nPRINT *, MATMUL(B(1:1048576, 1:0), B(1:0, 1:1048576))\nEND\n",
+        );
+        assert!(e.message.contains("limit"), "{e}");
+    }
 }

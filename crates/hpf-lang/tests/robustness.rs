@@ -247,8 +247,8 @@ impl ProgramGen {
                 self.real_expr(depth - 1)
             ),
             7 => {
-                let (a, _) = self.array();
-                format!("{}({a})", self.pick(&["SUM", "MAXVAL", "PRODUCT"]))
+                let f = self.pick(&["SUM", "MAXVAL", "PRODUCT"]);
+                format!("{f}({})", self.array_expr())
             }
             _ => self.elem(depth - 1),
         }
@@ -278,7 +278,9 @@ impl ProgramGen {
     fn array_expr(&mut self) -> String {
         let (a, rank) = self.array();
         let (b, _) = self.array();
-        match self.below(8) {
+        match self.below(10) {
+            8 => format!("TRANSPOSE({a})"),
+            9 => format!("MATMUL({a}, {b})"),
             0 => a.to_string(),
             1 => format!("{a} + {}", self.real_expr(1)),
             2 => format!("{a} * {b}"),
@@ -409,7 +411,7 @@ impl ProgramGen {
         let mut src = String::from("PROGRAM G\nINTEGER K, N, M\nREAL X, Y\nLOGICAL L\n");
         for name in ['A', 'B', 'C'] {
             let ty = self.pick(&["REAL", "REAL", "INTEGER", "LOGICAL"]);
-            let rank = 1 + self.below(2) as usize;
+            let rank = 1 + self.below(3) as usize;
             let dims: Vec<String> = (0..rank).map(|_| self.dim()).collect();
             src.push_str(&format!("{ty} {name}({})\n", dims.join(", ")));
             self.arrays.push((name, rank));
