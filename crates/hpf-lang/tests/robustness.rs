@@ -1,6 +1,7 @@
 //! Robustness: the front end must never panic — malformed input produces
 //! diagnostics, arbitrary bytes produce lexical errors, and every error
-//! carries a usable source location.
+//! carries a usable source location — and neither may the functional
+//! evaluator on any program the front end accepts.
 
 use hpf_lang::{analyze, lex, parse_program, LangError, Phase};
 use proptest::prelude::*;
