@@ -9,10 +9,6 @@
 //! median regression past 20 % — the CI perf gate. [`analyze_trend`] looks at
 //! the whole checked-in series (`bench_history/`) instead of one pair,
 //! catching slow cumulative drift the pairwise gate is blind to.
-//!
-//! The Criterion micro-benches under `benches/` remain for interactive
-//! exploration; this library is the *stable-schema* harness the perf
-//! trajectory is recorded with.
 
 use hpf_trace::json::{self, Value};
 use std::collections::BTreeMap;
