@@ -3,7 +3,9 @@
 //! A topology answers the three questions the discrete-event network
 //! model asks: *how many link-occupancy slots are there* ([`Topology::link_slots`]),
 //! *which slot does a traversed link occupy* ([`Topology::link_index`]),
-//! and *which links does a message cross* ([`Topology::route_links`]).
+//! and *which links does a message cross* ([`Topology::route`]). Routes
+//! and slots are computed without allocating, so the simulator can route
+//! every message of a phase through one reused buffer.
 //! Routes may pass through **switch vertices** — vertex ids `>=
 //! nodes()` (the fat tree's leaf and root switches); compute nodes are
 //! always vertices `0..nodes()`.
@@ -36,17 +38,13 @@ pub trait Topology: Send + Sync {
     /// Occupancy slot of the link joining *adjacent* vertices `a`, `b`.
     fn link_index(&self, a: usize, b: usize) -> usize;
 
-    /// The links a message from node `a` to node `b` traverses, in
-    /// order, as `(from, to)` vertex pairs. Empty when `a == b`.
-    fn route_links(&self, a: usize, b: usize) -> Vec<(usize, usize)>;
+    /// Append the links a message from node `a` to node `b` traverses,
+    /// in order, as `(from, to)` vertex pairs, to `route`. Appends
+    /// nothing when `a == b`, and never allocates beyond `route`'s growth.
+    fn route(&self, a: usize, b: usize, route: &mut Vec<(usize, usize)>);
 
     /// Vertices adjacent to vertex `v` (switch vertices included).
     fn vertex_neighbors(&self, v: usize) -> Vec<usize>;
-
-    /// Hop count of the `a -> b` route.
-    fn hops(&self, a: usize, b: usize) -> usize {
-        self.route_links(a, b).len()
-    }
 
     /// Maximum hop count over all node pairs.
     fn diameter(&self) -> usize;
@@ -119,8 +117,8 @@ pub fn build_topology(
 }
 
 /// Binary hypercube with e-cube routing — the iPSC/860 Direct-Connect
-/// network. Link indexing matches the DES's flat occupancy table
-/// (`min(a,b) * dim + crossed-dimension`) bit for bit.
+/// network. The link between XOR-neighbors occupies slot
+/// `min(a,b) * dim + crossed-dimension`.
 #[derive(Debug, Clone, Copy)]
 pub struct HypercubeTopo {
     pub cube: Hypercube,
@@ -151,18 +149,22 @@ impl Topology for HypercubeTopo {
         a.min(b) * (self.cube.dim as usize).max(1) + (a ^ b).trailing_zeros() as usize
     }
 
-    fn route_links(&self, a: usize, b: usize) -> Vec<(usize, usize)> {
-        self.cube.route_links(a, b)
+    /// E-cube routing: dimensions are resolved lowest first.
+    fn route(&self, a: usize, b: usize, route: &mut Vec<(usize, usize)>) {
+        let mut cur = a;
+        for d in 0..self.cube.dim {
+            if (cur ^ b) & (1 << d) != 0 {
+                let next = self.cube.neighbor(cur, d);
+                route.push((cur, next));
+                cur = next;
+            }
+        }
     }
 
     fn vertex_neighbors(&self, v: usize) -> Vec<usize> {
         (0..self.cube.dim)
             .map(|d| self.cube.neighbor(v, d))
             .collect()
-    }
-
-    fn hops(&self, a: usize, b: usize) -> usize {
-        self.cube.hops(a, b) as usize
     }
 
     fn diameter(&self) -> usize {
@@ -179,30 +181,24 @@ pub struct TorusTopo {
 }
 
 impl TorusTopo {
-    fn coords(&self, mut v: usize) -> Vec<usize> {
-        self.dims
-            .iter()
-            .map(|&e| {
-                let c = v % e;
-                v /= e;
-                c
-            })
-            .collect()
+    /// Node-id distance between neighbors along dimension `d`.
+    fn stride(&self, d: usize) -> usize {
+        self.dims[..d].iter().product()
     }
 
-    fn vertex(&self, coords: &[usize]) -> usize {
-        let mut v = 0;
-        for (d, &c) in coords.iter().enumerate().rev() {
-            v = v * self.dims[d] + c;
-        }
-        v
+    fn coord(&self, v: usize, d: usize) -> usize {
+        v / self.stride(d) % self.dims[d]
+    }
+
+    /// `v` moved to coordinate `c` along dimension `d`.
+    fn with_coord(&self, v: usize, d: usize, c: usize) -> usize {
+        let s = self.stride(d);
+        v - self.coord(v, d) * s + c * s
     }
 
     /// The `+1` neighbor of `v` along dimension `d` (with wraparound).
     fn plus(&self, v: usize, d: usize) -> usize {
-        let mut c = self.coords(v);
-        c[d] = (c[d] + 1) % self.dims[d];
-        self.vertex(&c)
+        self.with_coord(v, d, (self.coord(v, d) + 1) % self.dims[d])
     }
 
     /// Canonical occupancy slot of the link between adjacent `u`, `w`
@@ -239,46 +235,41 @@ impl Topology for TorusTopo {
     }
 
     fn link_index(&self, a: usize, b: usize) -> usize {
-        let (ca, cb) = (self.coords(a), self.coords(b));
         let d = (0..self.dims.len())
-            .find(|&d| ca[d] != cb[d])
+            .find(|&d| self.coord(a, d) != self.coord(b, d))
             .expect("link_index of identical vertices");
         self.link_of(a, b, d)
     }
 
-    fn route_links(&self, a: usize, b: usize) -> Vec<(usize, usize)> {
-        let mut links = Vec::new();
-        let mut cur = self.coords(a);
-        let target = self.coords(b);
-        for d in 0..self.dims.len() {
-            let e = self.dims[d];
-            while cur[d] != target[d] {
-                let fwd = (target[d] + e - cur[d]) % e;
-                let from = self.vertex(&cur);
+    fn route(&self, a: usize, b: usize, route: &mut Vec<(usize, usize)>) {
+        let mut cur = a;
+        for (d, &e) in self.dims.iter().enumerate() {
+            let target = self.coord(b, d);
+            let mut c = self.coord(cur, d);
+            while c != target {
+                let fwd = (target + e - c) % e;
                 // Shorter wrap direction; ties go +1.
-                cur[d] = if fwd <= e - fwd {
-                    (cur[d] + 1) % e
+                c = if fwd <= e - fwd {
+                    (c + 1) % e
                 } else {
-                    (cur[d] + e - 1) % e
+                    (c + e - 1) % e
                 };
-                links.push((from, self.vertex(&cur)));
+                let next = self.with_coord(cur, d, c);
+                route.push((cur, next));
+                cur = next;
             }
         }
-        links
     }
 
     fn vertex_neighbors(&self, v: usize) -> Vec<usize> {
         let mut out = Vec::new();
-        for d in 0..self.dims.len() {
-            if self.dims[d] < 2 {
+        for (d, &e) in self.dims.iter().enumerate() {
+            if e < 2 {
                 continue;
             }
-            let c = self.coords(v);
-            let mut up = c.clone();
-            up[d] = (up[d] + 1) % self.dims[d];
-            let mut down = c;
-            down[d] = (down[d] + self.dims[d] - 1) % self.dims[d];
-            let (up, down) = (self.vertex(&up), self.vertex(&down));
+            let c = self.coord(v, d);
+            let up = self.with_coord(v, d, (c + 1) % e);
+            let down = self.with_coord(v, d, (c + e - 1) % e);
             out.push(up);
             if down != up {
                 out.push(down);
@@ -349,16 +340,16 @@ impl Topology for FatTreeTopo {
         }
     }
 
-    fn route_links(&self, a: usize, b: usize) -> Vec<(usize, usize)> {
+    fn route(&self, a: usize, b: usize, route: &mut Vec<(usize, usize)>) {
         if a == b {
-            return Vec::new();
+            return;
         }
         let (la, lb) = (self.leaf_of(a), self.leaf_of(b));
         if la == lb {
-            vec![(a, la), (la, b)]
+            route.extend([(a, la), (la, b)]);
         } else {
             let root = self.root();
-            vec![(a, la), (la, root), (root, lb), (lb, b)]
+            route.extend([(a, la), (la, root), (root, lb), (lb, b)]);
         }
     }
 
@@ -412,11 +403,9 @@ impl Topology for CrossbarTopo {
         b
     }
 
-    fn route_links(&self, a: usize, b: usize) -> Vec<(usize, usize)> {
-        if a == b {
-            Vec::new()
-        } else {
-            vec![(a, b)]
+    fn route(&self, a: usize, b: usize, route: &mut Vec<(usize, usize)>) {
+        if a != b {
+            route.push((a, b));
         }
     }
 
@@ -427,6 +416,14 @@ impl Topology for CrossbarTopo {
     fn diameter(&self) -> usize {
         usize::from(self.nodes > 1)
     }
+}
+
+/// The route from `a` to `b` in a fresh buffer.
+#[cfg(test)]
+fn route_of(topo: &dyn Topology, a: usize, b: usize) -> Vec<(usize, usize)> {
+    let mut route = Vec::new();
+    topo.route(a, b, &mut route);
+    route
 }
 
 #[cfg(test)]
@@ -462,7 +459,7 @@ mod tests {
     fn check_routes(topo: &dyn Topology) {
         for a in 0..topo.nodes() {
             for b in 0..topo.nodes() {
-                let links = topo.route_links(a, b);
+                let links = route_of(topo, a, b);
                 if a == b {
                     assert!(links.is_empty(), "{}: self-route not empty", topo.kind());
                     continue;
@@ -498,7 +495,6 @@ mod tests {
                     "{}: route {a}->{b} not shortest",
                     topo.kind()
                 );
-                assert_eq!(topo.hops(a, b), links.len());
                 assert!(links.len() <= topo.diameter(), "{}", topo.kind());
             }
         }
@@ -528,8 +524,8 @@ mod tests {
             nodes: 10,
             radix: 4,
         };
-        assert_eq!(t.route_links(0, 3).len(), 2); // same leaf
-        assert_eq!(t.route_links(0, 9).len(), 4); // via root
+        assert_eq!(route_of(&t, 0, 3).len(), 2); // same leaf
+        assert_eq!(route_of(&t, 0, 9).len(), 4); // via root
         check_routes(&t);
     }
 
@@ -589,7 +585,7 @@ mod topology_properties {
     }
 
     fn route_is_shortest(topo: &dyn Topology, a: usize, b: usize) {
-        let links = topo.route_links(a, b);
+        let links = route_of(topo, a, b);
         let mut cur = a;
         for &(from, to) in &links {
             assert_eq!(from, cur);

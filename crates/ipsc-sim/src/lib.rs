@@ -1,10 +1,12 @@
-//! # ipsc-sim — discrete-event simulator of the iPSC/860 hypercube
+//! # ipsc-sim — discrete-event simulator of the registered machines
 //!
 //! This crate is the reproduction's substitute for the physical machine the
-//! paper measured against (DESIGN.md §2): a per-node-clock, event-level
-//! network simulator executing the compiled SPMD program. Its cost model is
-//! deliberately richer than the predictor's analytic one — compiled-code
-//! distortion factors, cache conflict misses, e-cube link contention, and
+//! paper measured against (DESIGN.md §2), the iPSC/860 hypercube, and for
+//! the other backends of the `hpf-machines` registry: a per-node-clock,
+//! event-level network simulator executing the compiled SPMD program over
+//! the machine's topology. Its cost model is deliberately richer than the
+//! predictor's analytic one — compiled-code distortion factors, cache
+//! conflict misses, per-link contention along each message's route, and
 //! per-run system-load jitter — so that predicted-vs-"measured" error is an
 //! emergent quantity with the same character as the paper's Table 2.
 
@@ -12,10 +14,7 @@ pub mod network;
 pub mod simulator;
 pub mod trace;
 
-pub use network::{
-    route_table, simulate_phase, simulate_phase_faulty, simulate_phase_topo, simulate_phase_with,
-    FaultStats, Message, PhaseTiming, RouteTable, ROUTE_TABLE_MAX_DIM,
-};
+pub use network::{simulate_phase, FaultStats, Message, PhaseTiming};
 pub use simulator::{
     calibrate, calibrate_backend, calibrate_params, collective_base_time,
     collective_base_time_with, io_base_time, sim_ops_time, FaultSession, SimConfig, SimResult,
@@ -159,40 +158,11 @@ END
 #[cfg(test)]
 mod machine_backend_tests {
     use super::*;
-    use hpf_machines::topology::HypercubeTopo;
-    use machine::{ipsc860_comm, CollectiveOp, Hypercube};
+    use machine::CollectiveOp;
 
-    /// Driving a hypercube through the generic topology walk must time
-    /// phases bit-identically to the dedicated hypercube path — the
-    /// refactor's zero-behavioral-change contract at the phase level.
-    #[test]
-    fn generic_walk_matches_hypercube_path_bit_for_bit() {
-        let comm = ipsc860_comm();
-        for dim in 1u32..=4 {
-            let cube = Hypercube { dim };
-            let nodes = cube.nodes();
-            let topo = HypercubeTopo { cube };
-            // A deliberately contended mix: ring shift plus long-haul pairs.
-            let mut ms = network::patterns::shift(nodes, 900);
-            for n in 0..nodes {
-                ms.push(Message {
-                    from: n,
-                    to: nodes - 1 - n,
-                    bytes: 64 + 100 * n as u64,
-                });
-            }
-            let dedicated = simulate_phase(cube, &comm, nodes, &ms);
-            let generic = simulate_phase_topo(&topo, &comm, nodes, &ms);
-            assert_eq!(dedicated.duration.to_bits(), generic.duration.to_bits());
-            for (a, b) in dedicated.node_done.iter().zip(&generic.node_done) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    /// A hypercube-topology machine must take the dedicated code path in
-    /// `collective_base_time` (not merely agree with it), which the
-    /// registry's iPSC backend relies on for byte-identical goldens.
+    /// The registry's iPSC backend must time collectives bit-identically
+    /// to the directly constructed machine, which the byte-identical
+    /// goldens rely on.
     #[test]
     fn registry_ipsc_collectives_match_direct_machine_bit_for_bit() {
         let direct = machine::ipsc860(8);

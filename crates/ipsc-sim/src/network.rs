@@ -1,17 +1,19 @@
-//! Event-level network model of the iPSC/860 Direct-Connect hypercube:
-//! e-cube-routed messages with per-link occupancy (contention), used by the
-//! simulator to time each communication phase.
+//! Event-level network model: messages routed over the machine's
+//! [`Topology`] with per-link occupancy (contention), used by the
+//! simulator to time each communication phase. Every registered machine,
+//! the iPSC/860 Direct-Connect hypercube included, is timed by the one
+//! walk in [`simulate_phase`].
 //!
 //! This is deliberately *richer* than the analytic collective model the
 //! predictor uses — contention and per-hop effects are exactly the kind of
 //! behaviour a static model abstracts away, and they are one honest source
 //! of prediction error in the reproduction.
 
-use machine::{CommComponent, FaultPlan, Hypercube, LinkState};
-use rand::rngs::StdRng;
+use crate::simulator::FaultSession;
+use hpf_machines::Topology;
+use machine::{CommComponent, FaultPlan, LinkState, RetryPolicy};
 use rand::Rng;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::collections::VecDeque;
 
 /// One message to deliver within a communication phase.
 #[derive(Debug, Clone, Copy)]
@@ -28,204 +30,52 @@ pub struct PhaseTiming {
     pub node_done: Vec<f64>,
     /// Max over nodes.
     pub duration: f64,
-}
-
-/// Per-link occupancy end-times as a flat array: every hypercube link is
-/// between XOR-neighbors `a` and `b = a ^ (1 << d)`, so the canonical
-/// undirected link id `min(a, b) * dim + d` is dense in
-/// `0..nodes * dim` — no hashing in the per-message hot loop.
-struct LinkTable {
-    dim: usize,
-    free: Vec<f64>,
-}
-
-impl LinkTable {
-    fn new(cube: Hypercube) -> Self {
-        let dim = (cube.dim as usize).max(1);
-        LinkTable {
-            dim,
-            free: vec![0.0f64; cube.nodes() * dim],
-        }
-    }
-
-    /// Canonical undirected index of the link between XOR-neighbors.
-    #[inline]
-    fn index(dim: usize, a: usize, b: usize) -> usize {
-        let d = (a ^ b).trailing_zeros() as usize;
-        a.min(b) * dim + d
-    }
-
-    /// Reserve the link for a transmission of `wire` seconds plus the
-    /// per-hop switch cost, starting no earlier than `t`; returns the time
-    /// the transmission clears the link. The two cost terms are added to
-    /// `start` separately — the exact f64 association the original
-    /// hash-map walk used, preserving bit-identical phase timings.
-    #[inline]
-    fn occupy(&mut self, a: usize, b: usize, t: f64, wire: f64, hop: f64) -> f64 {
-        let i = Self::index(self.dim, a, b);
-        debug_assert!(
-            i < self.free.len(),
-            "link ({a},{b}) indexes {i} past table of {}",
-            self.free.len()
-        );
-        let start = t.max(self.free[i]);
-        let end = start + wire + hop;
-        self.free[i] = end;
-        end
-    }
-}
-
-/// Precomputed e-cube routes for every (from, to) pair of one hypercube —
-/// the flattened-CSR replacement for calling [`Hypercube::route_links`]
-/// (which allocates a fresh `Vec`) on every message of every phase of
-/// every simulated run.
-pub struct RouteTable {
-    nodes: usize,
-    offsets: Vec<u32>,
-    links: Vec<(u32, u32)>,
-}
-
-impl RouteTable {
-    fn build(cube: Hypercube) -> RouteTable {
-        let n = cube.nodes();
-        let mut offsets = Vec::with_capacity(n * n + 1);
-        let mut links = Vec::new();
-        offsets.push(0u32);
-        for from in 0..n {
-            for to in 0..n {
-                for (a, b) in cube.route_links(from, to) {
-                    links.push((a as u32, b as u32));
-                }
-                offsets.push(links.len() as u32);
-            }
-        }
-        RouteTable {
-            nodes: n,
-            offsets,
-            links,
-        }
-    }
-
-    /// The e-cube route `from → to` as (from, to) link hops.
-    #[inline]
-    pub fn route(&self, from: usize, to: usize) -> &[(u32, u32)] {
-        let i = from * self.nodes + to;
-        &self.links[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-}
-
-/// Largest cube dimension whose route table is precomputed (64 nodes →
-/// 4096 pairs). Bigger cubes fall back to on-the-fly routing, counted as
-/// `sim.route_cache_miss`.
-pub const ROUTE_TABLE_MAX_DIM: u32 = 6;
-
-/// The shared route table for `cube`, built once per dimension for the
-/// whole process. `None` when the cube exceeds [`ROUTE_TABLE_MAX_DIM`].
-pub fn route_table(cube: Hypercube) -> Option<Arc<RouteTable>> {
-    if cube.dim > ROUTE_TABLE_MAX_DIM {
-        return None;
-    }
-    static CACHE: OnceLock<Mutex<HashMap<u32, Arc<RouteTable>>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut guard = cache.lock().unwrap_or_else(|e| e.into_inner());
-    Some(
-        guard
-            .entry(cube.dim)
-            .or_insert_with(|| Arc::new(RouteTable::build(cube)))
-            .clone(),
-    )
+    /// Messages sent on their direct route, counted as
+    /// `sim.route_cache_hit`. The detoured and undeliverable messages in
+    /// `faults` are counted as `sim.route_cache_miss`.
+    pub direct: u64,
+    /// Fault events of this phase (all zero without a fault session).
+    pub faults: FaultStats,
 }
 
 /// Simulate the delivery of a set of messages injected simultaneously at
-/// phase start. Links are half-duplex channels; messages crossing the same
-/// link serialize (store-and-forward per link occupancy).
+/// phase start, in the order given. Each message follows its route from
+/// [`Topology::route`]; links are half-duplex channels indexed by
+/// [`Topology::link_index`], and messages crossing the same link
+/// serialize (store-and-forward per link occupancy). Messages to self or
+/// with an endpoint outside `nodes` or the topology are skipped.
+///
+/// Under a fault session each message is subject to the plan's loss
+/// probability (timeout + exponential-backoff resend, per
+/// [`machine::RetryPolicy`]), degraded links stretch its wire time, and
+/// severed links force a detour. Deterministic for a given session RNG
+/// state; without a session every hop costs exactly `wire + hop`.
 pub fn simulate_phase(
-    cube: Hypercube,
+    topo: &dyn Topology,
     comm: &CommComponent,
     nodes: usize,
     messages: &[Message],
+    mut faults: Option<&mut FaultSession<'_>>,
 ) -> PhaseTiming {
-    let table = route_table(cube);
-    simulate_phase_with(cube, comm, nodes, messages, table.as_deref())
-}
+    let plan: Option<&FaultPlan> = faults.as_ref().map(|s| s.plan);
+    // A healthy phase makes one attempt per message.
+    let retry = plan.map_or(
+        RetryPolicy {
+            max_retries: 0,
+            ..RetryPolicy::default()
+        },
+        |p| p.retry,
+    );
+    let loss = plan.map_or(0.0, |p| p.loss_prob);
+    let state = |a: usize, b: usize| plan.and_then(|p| p.link_state(a, b));
 
-/// [`simulate_phase`] against a caller-held route table (the simulator
-/// resolves the table once per run set instead of once per phase).
-pub fn simulate_phase_with(
-    cube: Hypercube,
-    comm: &CommComponent,
-    nodes: usize,
-    messages: &[Message],
-    table: Option<&RouteTable>,
-) -> PhaseTiming {
-    let mut node_done = vec![0.0f64; nodes];
-    let mut links = LinkTable::new(cube);
-    let traced = hpf_trace::enabled();
-    let mut hits = 0u64;
-    let mut misses = 0u64;
-
-    // Deterministic order: messages as given (phase algorithms inject in a
-    // fixed order already).
-    for m in messages {
-        if m.from == m.to || m.from >= nodes || m.to >= nodes {
-            continue;
-        }
-        let startup = if m.bytes <= comm.short_threshold {
-            comm.short_latency_s
-        } else {
-            comm.long_latency_s
-        };
-        let wire = m.bytes as f64 * comm.per_byte_s;
-        let mut t = node_done[m.from] + startup;
-        match table {
-            Some(tab) => {
-                hits += 1;
-                for &(a, b) in tab.route(m.from, m.to) {
-                    t = links.occupy(a as usize, b as usize, t, wire, comm.per_hop_s);
-                }
-            }
-            None => {
-                misses += 1;
-                for (a, b) in cube.route_links(m.from, m.to) {
-                    t = links.occupy(a, b, t, wire, comm.per_hop_s);
-                }
-            }
-        }
-        // Sender is busy only for injection; receiver blocks until arrival.
-        node_done[m.from] = node_done[m.from].max(node_done[m.from] + startup + wire);
-        node_done[m.to] = node_done[m.to].max(t);
-    }
-    if traced {
-        if hits > 0 {
-            hpf_trace::counter_add("sim.route_cache_hit", hits);
-        }
-        if misses > 0 {
-            hpf_trace::counter_add("sim.route_cache_miss", misses);
-        }
-    }
-    let duration = node_done.iter().copied().fold(0.0, f64::max);
-    PhaseTiming {
-        node_done,
-        duration,
-    }
-}
-
-/// Generic-topology variant of [`simulate_phase`]: the same
-/// store-and-forward occupancy walk, with link slots, routes and link
-/// indices supplied by an [`hpf_machines::Topology`] instead of the
-/// hard-wired hypercube tables. Each traversed link adds `wire + hop`
-/// to the occupancy start in the same f64 association order as
-/// `LinkTable::occupy`, so a hypercube driven through this path times
-/// phases bit-identically to [`simulate_phase`].
-pub fn simulate_phase_topo(
-    topo: &dyn hpf_machines::Topology,
-    comm: &CommComponent,
-    nodes: usize,
-    messages: &[Message],
-) -> PhaseTiming {
     let limit = nodes.min(topo.nodes());
     let mut node_done = vec![0.0f64; nodes];
     let mut free = vec![0.0f64; topo.link_slots()];
+    let mut route = Vec::with_capacity(topo.diameter());
+    let mut direct = 0u64;
+    let mut stats = FaultStats::default();
+
     for m in messages {
         if m.from == m.to || m.from >= limit || m.to >= limit {
             continue;
@@ -236,22 +86,115 @@ pub fn simulate_phase_topo(
             comm.long_latency_s
         };
         let wire = m.bytes as f64 * comm.per_byte_s;
-        let mut t = node_done[m.from] + startup;
-        for (a, b) in topo.route_links(m.from, m.to) {
-            let i = topo.link_index(a, b);
-            let start = t.max(free[i]);
-            let end = start + wire + comm.per_hop_s;
-            free[i] = end;
-            t = end;
+        route.clear();
+        topo.route(m.from, m.to, &mut route);
+        let severed = plan.filter(|p| {
+            route
+                .iter()
+                .any(|&(a, b)| p.link_state(a, b) == Some(LinkState::Down))
+        });
+        match severed {
+            None => direct += 1,
+            Some(plan) if detour(topo, plan, m.from, m.to, &mut route) => stats.detours += 1,
+            Some(_) => {
+                // Partitioned: the sender burns its full retry budget waiting.
+                stats.undeliverable += 1;
+                let mut waited = 0.0;
+                for k in 0..retry.max_retries {
+                    waited += retry.timeout_s * retry.backoff.powi(k as i32);
+                }
+                node_done[m.from] = node_done[m.from].max(node_done[m.from] + startup + waited);
+                continue;
+            }
         }
-        node_done[m.from] = node_done[m.from].max(node_done[m.from] + startup + wire);
-        node_done[m.to] = node_done[m.to].max(t);
+
+        let mut inject = node_done[m.from];
+        for attempt in 0..=retry.max_retries {
+            // The transmission occupies links whether or not it is lost.
+            let mut t = inject + startup;
+            for &(a, b) in &route {
+                let slow = match state(a, b) {
+                    Some(LinkState::Degraded { factor }) => factor.max(1.0),
+                    _ => 1.0,
+                };
+                let i = topo.link_index(a, b);
+                t = t.max(free[i]) + wire * slow + comm.per_hop_s;
+                free[i] = t;
+            }
+            let lost = loss > 0.0
+                && attempt < retry.max_retries
+                && faults
+                    .as_deref_mut()
+                    .is_some_and(|s| s.rng.gen_bool(loss.clamp(0.0, 1.0)));
+            if lost {
+                stats.retries += 1;
+                // Sender notices via timeout, backs off, resends.
+                inject += startup + retry.timeout_s * retry.backoff.powi(attempt as i32);
+                continue;
+            }
+            // Sender is busy only for injection; receiver blocks until arrival.
+            node_done[m.from] = node_done[m.from].max(inject + startup + wire);
+            node_done[m.to] = node_done[m.to].max(t);
+            break;
+        }
+    }
+    if hpf_trace::enabled() {
+        let missed = stats.detours + stats.undeliverable;
+        if direct > 0 {
+            hpf_trace::counter_add("sim.route_cache_hit", direct);
+        }
+        if missed > 0 {
+            hpf_trace::counter_add("sim.route_cache_miss", missed);
+        }
     }
     let duration = node_done.iter().copied().fold(0.0, f64::max);
     PhaseTiming {
         node_done,
         duration,
+        direct,
+        faults: stats,
     }
+}
+
+/// Replace `route` with the shortest route from `from` to `to` over the
+/// links `plan` leaves up: a breadth-first search over
+/// [`Topology::vertex_neighbors`], which on a cube lists dimensions in
+/// ascending order, so the same detour is found every time. Returns
+/// `false`, leaving `route` as it was, when the severed links partition
+/// `from` from `to`.
+fn detour(
+    topo: &dyn Topology,
+    plan: &FaultPlan,
+    from: usize,
+    to: usize,
+    route: &mut Vec<(usize, usize)>,
+) -> bool {
+    let up = |a: usize, b: usize| plan.link_state(a, b) != Some(LinkState::Down);
+    let mut prev = vec![usize::MAX; topo.vertices()];
+    prev[from] = from;
+    let mut queue = VecDeque::from([from]);
+    'search: while let Some(v) = queue.pop_front() {
+        for w in topo.vertex_neighbors(v) {
+            if prev[w] == usize::MAX && up(v, w) {
+                prev[w] = v;
+                if w == to {
+                    break 'search;
+                }
+                queue.push_back(w);
+            }
+        }
+    }
+    if prev[to] == usize::MAX {
+        return false;
+    }
+    route.clear();
+    let mut v = to;
+    while v != from {
+        route.push((prev[v], v));
+        v = prev[v];
+    }
+    route.reverse();
+    true
 }
 
 /// Counts of fault events observed while delivering messages.
@@ -276,155 +219,6 @@ impl FaultStats {
         self.detours += other.detours;
         self.undeliverable += other.undeliverable;
     }
-}
-
-/// E-cube route for `m`, detouring around severed links: if the dimension-
-/// ordered route crosses a Down link, fall back to a breadth-first search
-/// over the healthy links (deterministic: dimensions explored in order, so
-/// the same shortest detour is found every time). Returns `None` when the
-/// severed links partition `from` from `to`.
-fn route_avoiding(
-    cube: Hypercube,
-    from: usize,
-    to: usize,
-    plan: &FaultPlan,
-    table: Option<&RouteTable>,
-) -> Option<(Vec<(usize, usize)>, bool)> {
-    let up = |a: usize, b: usize| plan.link_state(a, b) != Some(LinkState::Down);
-    let direct: Vec<(usize, usize)> = match table {
-        Some(t) => t
-            .route(from, to)
-            .iter()
-            .map(|&(a, b)| (a as usize, b as usize))
-            .collect(),
-        None => cube.route_links(from, to),
-    };
-    if direct.iter().all(|&(a, b)| up(a, b)) {
-        return Some((direct, false));
-    }
-    let n = cube.nodes();
-    let mut prev = vec![usize::MAX; n];
-    prev[from] = from;
-    let mut queue = std::collections::VecDeque::from([from]);
-    'search: while let Some(v) = queue.pop_front() {
-        for d in 0..cube.dim {
-            let w = cube.neighbor(v, d);
-            if prev[w] == usize::MAX && up(v, w) {
-                prev[w] = v;
-                if w == to {
-                    break 'search;
-                }
-                queue.push_back(w);
-            }
-        }
-    }
-    if prev[to] == usize::MAX {
-        return None; // partitioned
-    }
-    let mut links = Vec::new();
-    let mut v = to;
-    while v != from {
-        links.push((prev[v], v));
-        v = prev[v];
-    }
-    links.reverse();
-    Some((links, true))
-}
-
-/// Fault-injected variant of [`simulate_phase`]: each message is subject to
-/// the plan's loss probability (timeout + exponential-backoff resend, per
-/// [`machine::RetryPolicy`]), degraded links stretch wire time, and severed
-/// links force detour routes. Deterministic for a given `rng` state.
-pub fn simulate_phase_faulty(
-    cube: Hypercube,
-    comm: &CommComponent,
-    nodes: usize,
-    messages: &[Message],
-    plan: &FaultPlan,
-    rng: &mut StdRng,
-) -> (PhaseTiming, FaultStats) {
-    let table = route_table(cube);
-    let table = table.as_deref();
-    let mut node_done = vec![0.0f64; nodes];
-    let mut links = LinkTable::new(cube);
-    let mut stats = FaultStats::default();
-    let traced = hpf_trace::enabled();
-    let mut hits = 0u64;
-    let mut misses = 0u64;
-
-    for m in messages {
-        if m.from == m.to || m.from >= nodes || m.to >= nodes {
-            continue;
-        }
-        let startup = if m.bytes <= comm.short_threshold {
-            comm.short_latency_s
-        } else {
-            comm.long_latency_s
-        };
-        let wire = m.bytes as f64 * comm.per_byte_s;
-
-        let Some((route, detoured)) = route_avoiding(cube, m.from, m.to, plan, table) else {
-            // Partitioned: the BFS ran and found nothing — a cache miss
-            // and the sender burns its full retry budget waiting.
-            misses += 1;
-            stats.undeliverable += 1;
-            let mut waited = 0.0;
-            for k in 0..plan.retry.max_retries {
-                waited += plan.retry.timeout_s * plan.retry.backoff.powi(k as i32);
-            }
-            node_done[m.from] = node_done[m.from].max(node_done[m.from] + startup + waited);
-            continue;
-        };
-        if detoured || table.is_none() {
-            misses += 1;
-        } else {
-            hits += 1;
-        }
-        if detoured {
-            stats.detours += 1;
-        }
-
-        let mut inject = node_done[m.from];
-        for attempt in 0..=plan.retry.max_retries {
-            // The transmission occupies links whether or not it is lost.
-            let mut t = inject + startup;
-            for &(a, b) in &route {
-                let slow = match plan.link_state(a, b) {
-                    Some(LinkState::Degraded { factor }) => factor.max(1.0),
-                    _ => 1.0,
-                };
-                t = links.occupy(a, b, t, wire * slow, comm.per_hop_s);
-            }
-            let lost = plan.loss_prob > 0.0
-                && attempt < plan.retry.max_retries
-                && rng.gen_bool(plan.loss_prob.clamp(0.0, 1.0));
-            if lost {
-                stats.retries += 1;
-                // Sender notices via timeout, backs off, resends.
-                inject += startup + plan.retry.timeout_s * plan.retry.backoff.powi(attempt as i32);
-                continue;
-            }
-            node_done[m.from] = node_done[m.from].max(inject + startup + wire);
-            node_done[m.to] = node_done[m.to].max(t);
-            break;
-        }
-    }
-    if traced {
-        if hits > 0 {
-            hpf_trace::counter_add("sim.route_cache_hit", hits);
-        }
-        if misses > 0 {
-            hpf_trace::counter_add("sim.route_cache_miss", misses);
-        }
-    }
-    let duration = node_done.iter().copied().fold(0.0, f64::max);
-    (
-        PhaseTiming {
-            node_done,
-            duration,
-        },
-        stats,
-    )
 }
 
 /// Build the message list for one stage-structured collective.
@@ -538,14 +332,20 @@ pub mod patterns {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use machine::ipsc860_comm;
+    use hpf_machines::topology::HypercubeTopo;
+    use machine::{ipsc860_comm, Hypercube};
+
+    pub(super) fn cube(dim: u32) -> HypercubeTopo {
+        HypercubeTopo {
+            cube: Hypercube { dim },
+        }
+    }
 
     #[test]
     fn single_message_time() {
         let comm = ipsc860_comm();
-        let cube = Hypercube { dim: 3 };
         let t = simulate_phase(
-            cube,
+            &cube(3),
             &comm,
             8,
             &[Message {
@@ -553,6 +353,7 @@ mod tests {
                 to: 1,
                 bytes: 1024,
             }],
+            None,
         );
         let expect = comm.long_latency_s + 1024.0 * comm.per_byte_s + comm.per_hop_s;
         assert!(
@@ -565,10 +366,9 @@ mod tests {
     #[test]
     fn contention_serializes_shared_links() {
         let comm = ipsc860_comm();
-        let cube = Hypercube { dim: 2 };
         // two messages crossing the same link 0-1
         let t2 = simulate_phase(
-            cube,
+            &cube(2),
             &comm,
             4,
             &[
@@ -583,9 +383,10 @@ mod tests {
                     bytes: 4096,
                 },
             ],
+            None,
         );
         let t1 = simulate_phase(
-            cube,
+            &cube(2),
             &comm,
             4,
             &[Message {
@@ -593,6 +394,7 @@ mod tests {
                 to: 1,
                 bytes: 4096,
             }],
+            None,
         );
         assert!(
             t2.duration > 1.5 * t1.duration,
@@ -605,9 +407,8 @@ mod tests {
     #[test]
     fn disjoint_messages_overlap() {
         let comm = ipsc860_comm();
-        let cube = Hypercube { dim: 2 };
         let par = simulate_phase(
-            cube,
+            &cube(2),
             &comm,
             4,
             &[
@@ -622,9 +423,10 @@ mod tests {
                     bytes: 4096,
                 },
             ],
+            None,
         );
         let one = simulate_phase(
-            cube,
+            &cube(2),
             &comm,
             4,
             &[Message {
@@ -632,6 +434,7 @@ mod tests {
                 to: 1,
                 bytes: 4096,
             }],
+            None,
         );
         assert!((par.duration - one.duration).abs() < 1e-9);
     }
@@ -639,9 +442,8 @@ mod tests {
     #[test]
     fn multi_hop_costs_more() {
         let comm = ipsc860_comm();
-        let cube = Hypercube { dim: 3 };
         let far = simulate_phase(
-            cube,
+            &cube(3),
             &comm,
             8,
             &[Message {
@@ -649,9 +451,10 @@ mod tests {
                 to: 7,
                 bytes: 512,
             }],
+            None,
         );
         let near = simulate_phase(
-            cube,
+            &cube(3),
             &comm,
             8,
             &[Message {
@@ -659,30 +462,29 @@ mod tests {
                 to: 1,
                 bytes: 512,
             }],
+            None,
         );
         assert!(far.duration > near.duration);
     }
 
-    /// Serializes tests that flip the process-global trace enable flag.
-    static TRACE_LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn link_index_in_bounds_up_to_1024_nodes() {
-        // The flat link table's contract: for every cube up to 1024 nodes
-        // (dim 10), every XOR-neighbor pair maps inside `nodes * dim`, and
-        // distinct undirected links get distinct slots (nodes * dim / 2 of
-        // them — the other half of the table is unused headroom).
+        // The occupancy table's contract: for every cube up to 1024 nodes
+        // (dim 10), every XOR-neighbor pair maps inside `link_slots()`,
+        // and distinct undirected links get distinct slots (nodes * dim / 2
+        // of them — the other half of the table is unused headroom).
         for dim in 1u32..=10 {
-            let cube = Hypercube { dim };
-            let nodes = cube.nodes();
+            let topo = cube(dim);
+            let nodes = topo.nodes();
             let d = dim as usize;
+            assert_eq!(topo.link_slots(), nodes * d);
             let mut seen = std::collections::HashSet::new();
             for a in 0..nodes {
                 for bit in 0..d {
                     let b = a ^ (1 << bit);
-                    let i = LinkTable::index(d, a, b);
+                    let i = topo.link_index(a, b);
                     assert!(i < nodes * d, "dim {dim}: link ({a},{b}) -> {i}");
-                    assert_eq!(i, LinkTable::index(d, b, a), "must be undirected");
+                    assert_eq!(i, topo.link_index(b, a), "must be undirected");
                     seen.insert(i);
                 }
             }
@@ -691,53 +493,17 @@ mod tests {
     }
 
     #[test]
-    fn route_table_matches_on_the_fly_routing() {
-        for dim in 1u32..=ROUTE_TABLE_MAX_DIM {
-            let cube = Hypercube { dim };
-            let tab = route_table(cube).expect("within precompute bound");
-            for from in 0..cube.nodes() {
-                for to in 0..cube.nodes() {
-                    let cached: Vec<(usize, usize)> = tab
-                        .route(from, to)
-                        .iter()
-                        .map(|&(a, b)| (a as usize, b as usize))
-                        .collect();
-                    assert_eq!(cached, cube.route_links(from, to), "dim {dim} {from}->{to}");
-                }
-            }
-        }
-        assert!(route_table(Hypercube {
-            dim: ROUTE_TABLE_MAX_DIM + 1
-        })
-        .is_none());
-    }
-
-    #[test]
     fn healthy_phase_counts_route_cache_hits() {
-        let comm = ipsc860_comm();
-        let cube = Hypercube { dim: 3 };
         let ms = patterns::shift(8, 256);
-
-        let _lock = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let h0 = hpf_trace::counter_get("sim.route_cache_hit");
-        let m0 = hpf_trace::counter_get("sim.route_cache_miss");
-        hpf_trace::enable();
-        simulate_phase(cube, &comm, 8, &ms);
-        hpf_trace::disable();
-        assert_eq!(
-            hpf_trace::counter_get("sim.route_cache_hit") - h0,
-            ms.len() as u64
-        );
-        assert_eq!(hpf_trace::counter_get("sim.route_cache_miss"), m0);
+        let t = simulate_phase(&cube(3), &ipsc860_comm(), 8, &ms, None);
+        assert_eq!(t.direct, ms.len() as u64);
+        assert_eq!(t.faults, FaultStats::default());
     }
 
     #[test]
     fn severed_link_counts_route_cache_misses() {
-        use rand::SeedableRng;
-        let comm = ipsc860_comm();
-        let cube = Hypercube { dim: 3 };
         let plan = FaultPlan::link_down(0, 1);
-        // 0->1 must detour (miss); 2->3 rides the table (hit).
+        // 0->1 must detour (miss); 2->3 keeps its direct route (hit).
         let ms = [
             Message {
                 from: 0,
@@ -750,23 +516,11 @@ mod tests {
                 bytes: 512,
             },
         ];
-
-        let _lock = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let h0 = hpf_trace::counter_get("sim.route_cache_hit");
-        let m0 = hpf_trace::counter_get("sim.route_cache_miss");
-        hpf_trace::enable();
-        let (_, stats) = simulate_phase_faulty(
-            cube,
-            &comm,
-            8,
-            &ms,
-            &plan,
-            &mut StdRng::seed_from_u64(0xFA17),
-        );
-        hpf_trace::disable();
-        assert_eq!(stats.detours, 1);
-        assert_eq!(hpf_trace::counter_get("sim.route_cache_miss") - m0, 1);
-        assert_eq!(hpf_trace::counter_get("sim.route_cache_hit") - h0, 1);
+        let mut session = FaultSession::new(&plan, 0);
+        let t = simulate_phase(&cube(3), &ipsc860_comm(), 8, &ms, Some(&mut session));
+        assert_eq!(t.direct, 1);
+        assert_eq!(t.faults.detours, 1);
+        assert_eq!(t.faults.undeliverable, 0);
     }
 
     #[test]
@@ -813,18 +567,23 @@ mod tests {
 
 #[cfg(test)]
 mod fault_tests {
+    use super::tests::cube;
     use super::*;
     use machine::ipsc860_comm;
-    use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(0xFA17)
+    /// Time `ms` on a `dim`-cube under `plan`, with the session seeded
+    /// from the plan's own seed.
+    fn faulty(dim: u32, nodes: usize, ms: &[Message], plan: &FaultPlan) -> PhaseTiming {
+        let mut session = FaultSession::new(plan, 0);
+        simulate_phase(&cube(dim), &ipsc860_comm(), nodes, ms, Some(&mut session))
+    }
+
+    fn healthy(dim: u32, nodes: usize, ms: &[Message]) -> PhaseTiming {
+        simulate_phase(&cube(dim), &ipsc860_comm(), nodes, ms, None)
     }
 
     #[test]
     fn zero_plan_matches_healthy_path_exactly() {
-        let comm = ipsc860_comm();
-        let cube = Hypercube { dim: 3 };
         let ms = [
             Message {
                 from: 0,
@@ -842,18 +601,15 @@ mod fault_tests {
                 bytes: 9,
             },
         ];
-        let healthy = simulate_phase(cube, &comm, 8, &ms);
-        let (faulty, stats) =
-            simulate_phase_faulty(cube, &comm, 8, &ms, &FaultPlan::none(), &mut rng());
+        let healthy = healthy(3, 8, &ms);
+        let faulty = faulty(3, 8, &ms, &FaultPlan::none());
         assert_eq!(healthy.duration, faulty.duration);
         assert_eq!(healthy.node_done, faulty.node_done);
-        assert!(!stats.any());
+        assert!(!faulty.faults.any());
     }
 
     #[test]
     fn degraded_link_stretches_crossing_messages_only() {
-        let comm = ipsc860_comm();
-        let cube = Hypercube { dim: 2 };
         let plan = FaultPlan::degraded_link(0, 1, 4.0);
         let crossing = [Message {
             from: 0,
@@ -865,9 +621,9 @@ mod fault_tests {
             to: 3,
             bytes: 4096,
         }];
-        let (t_cross, _) = simulate_phase_faulty(cube, &comm, 4, &crossing, &plan, &mut rng());
-        let (t_avoid, _) = simulate_phase_faulty(cube, &comm, 4, &avoiding, &plan, &mut rng());
-        let base = simulate_phase(cube, &comm, 4, &crossing);
+        let t_cross = faulty(2, 4, &crossing, &plan);
+        let t_avoid = faulty(2, 4, &avoiding, &plan);
+        let base = healthy(2, 4, &crossing);
         assert!(
             t_cross.duration > base.duration * 1.5,
             "{} vs {}",
@@ -879,34 +635,32 @@ mod fault_tests {
 
     #[test]
     fn severed_link_detours_and_still_delivers() {
-        let comm = ipsc860_comm();
-        let cube = Hypercube { dim: 3 };
         let plan = FaultPlan::link_down(0, 1);
         let ms = [Message {
             from: 0,
             to: 1,
             bytes: 512,
         }];
-        let (t, stats) = simulate_phase_faulty(cube, &comm, 8, &ms, &plan, &mut rng());
-        assert_eq!(stats.detours, 1);
-        assert_eq!(stats.undeliverable, 0);
+        let t = faulty(3, 8, &ms, &plan);
+        assert_eq!(t.faults.detours, 1);
+        assert_eq!(t.faults.undeliverable, 0);
         // Delivered, later than the direct single-hop send.
-        let direct = simulate_phase(cube, &comm, 8, &ms);
+        let direct = healthy(3, 8, &ms);
         assert!(t.node_done[1] > direct.node_done[1]);
     }
 
     #[test]
     fn partition_is_reported_not_hung() {
-        let comm = ipsc860_comm();
-        let cube = Hypercube { dim: 1 }; // 2 nodes, single link
+        // 2 nodes, single link
         let plan = FaultPlan::link_down(0, 1);
         let ms = [Message {
             from: 0,
             to: 1,
             bytes: 512,
         }];
-        let (t, stats) = simulate_phase_faulty(cube, &comm, 2, &ms, &plan, &mut rng());
-        assert_eq!(stats.undeliverable, 1);
+        let t = faulty(1, 2, &ms, &plan);
+        assert_eq!(t.faults.undeliverable, 1);
+        assert_eq!(t.direct, 0);
         // Receiver never completes; sender burned its retry budget.
         assert_eq!(t.node_done[1], 0.0);
         assert!(t.node_done[0] > 0.0);
@@ -914,8 +668,6 @@ mod fault_tests {
 
     #[test]
     fn loss_forces_retries_deterministically() {
-        let comm = ipsc860_comm();
-        let cube = Hypercube { dim: 3 };
         let plan = FaultPlan::lossy(0.4);
         let ms: Vec<Message> = (0..8)
             .map(|n| Message {
@@ -924,22 +676,23 @@ mod fault_tests {
                 bytes: 256,
             })
             .collect();
-        let (t1, s1) = simulate_phase_faulty(cube, &comm, 8, &ms, &plan, &mut rng());
-        let (t2, s2) = simulate_phase_faulty(cube, &comm, 8, &ms, &plan, &mut rng());
+        let t1 = faulty(3, 8, &ms, &plan);
+        let t2 = faulty(3, 8, &ms, &plan);
         assert!(
-            s1.retries > 0,
+            t1.faults.retries > 0,
             "p=0.4 over 8 messages should lose at least one"
         );
-        assert_eq!(s1, s2);
+        assert_eq!(t1.faults, t2.faults);
         assert_eq!(t1.node_done, t2.node_done);
         // Retries only ever add time.
-        let healthy = simulate_phase(cube, &comm, 8, &ms);
+        let healthy = healthy(3, 8, &ms);
         assert!(t1.duration >= healthy.duration);
     }
 }
 
 #[cfg(test)]
 mod network_properties {
+    use super::tests::cube;
     use super::*;
     use machine::ipsc860_comm;
     use proptest::prelude::*;
@@ -954,13 +707,13 @@ mod network_properties {
             msgs in proptest::collection::vec((0usize..16, 0usize..16, 1u64..50_000), 1..12),
         ) {
             let comm = ipsc860_comm();
-            let cube = Hypercube { dim };
-            let nodes = cube.nodes();
+            let topo = cube(dim);
+            let nodes = topo.cube.nodes();
             let messages: Vec<Message> = msgs
                 .iter()
                 .map(|&(f, t, b)| Message { from: f % nodes, to: t % nodes, bytes: b })
                 .collect();
-            let timing = simulate_phase(cube, &comm, nodes, &messages);
+            let timing = simulate_phase(&topo, &comm, nodes, &messages, None);
 
             let single = |m: &Message| -> f64 {
                 if m.from == m.to {
@@ -971,7 +724,7 @@ mod network_properties {
                 } else {
                     comm.long_latency_s
                 };
-                let hops = cube.hops(m.from, m.to) as f64;
+                let hops = topo.cube.hops(m.from, m.to) as f64;
                 startup + hops * (m.bytes as f64 * comm.per_byte_s + comm.per_hop_s)
             };
             let max_single = messages.iter().map(&single).fold(0.0f64, f64::max);
@@ -992,12 +745,12 @@ mod network_properties {
         #[test]
         fn degenerate_messages_ignored(n in 0usize..10, b in 0u64..1000) {
             let comm = ipsc860_comm();
-            let cube = Hypercube { dim: 2 };
             let t = simulate_phase(
-                cube,
+                &cube(2),
                 &comm,
                 4,
                 &[Message { from: n % 5, to: n % 5, bytes: b }],
+                None,
             );
             prop_assert_eq!(t.duration, 0.0);
         }

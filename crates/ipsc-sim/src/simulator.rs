@@ -10,13 +10,14 @@
 //! between the two is therefore an honest prediction error, not a tuned
 //! constant.
 
-use crate::network::{
-    patterns, simulate_phase, simulate_phase_faulty, simulate_phase_topo, FaultStats, Message,
-};
+use crate::network::{patterns, simulate_phase, FaultStats, Message};
 use hpf_compiler::{CommPhase, CompPhase, OpCounts, SeqBlock, SpmdNode, SpmdProgram};
 use hpf_eval::ExecutionProfile;
+use hpf_machines::topology::HypercubeTopo;
 use hpf_machines::{Topology, TopologyError};
-use machine::{CollectiveOp, CommComponent, FaultPlan, Hypercube, MachineModel, OpClass};
+use machine::{
+    CollectiveOp, CommComponent, FaultPlan, Hypercube, MachineModel, OpClass, TopologyDesc,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -529,34 +530,23 @@ pub fn collective_base_time(
 /// stage-level recovery barrier — charged at the comm component's
 /// synchronization overhead.
 fn stage_time(
-    cube: Hypercube,
+    topo: &dyn Topology,
     comm: &CommComponent,
     nodes: usize,
     ms: &[Message],
     faults: &mut Option<&mut FaultSession<'_>>,
-    topo: Option<&dyn Topology>,
 ) -> f64 {
-    if let Some(topo) = topo {
-        // Non-hypercube machine: the generic occupancy walk. Network-level
-        // fault injection (loss draws, detour routing) is hypercube-only;
-        // degraded operation of other backends is modeled analytically via
-        // `MachineModel::degrade` upstream, so the fault session is not
-        // consumed here.
-        return simulate_phase_topo(topo, comm, nodes, ms).duration;
-    }
-    match faults {
-        None => simulate_phase(cube, comm, nodes, ms).duration,
-        Some(s) => {
-            let (timing, st) = simulate_phase_faulty(cube, comm, nodes, ms, s.plan, &mut s.rng);
-            let recovery = if s.plan.needs_recovery() && st.any() {
-                comm.sync_overhead_s
-            } else {
-                0.0
-            };
-            s.stats.absorb(st);
-            timing.duration + recovery
-        }
-    }
+    let timing = simulate_phase(topo, comm, nodes, ms, faults.as_deref_mut());
+    let Some(s) = faults else {
+        return timing.duration;
+    };
+    let recovery = if s.plan.needs_recovery() && timing.faults.any() {
+        comm.sync_overhead_s
+    } else {
+        0.0
+    };
+    s.stats.absorb(timing.faults);
+    timing.duration + recovery
 }
 
 /// [`collective_base_time`] with fault injection: every stage runs through
@@ -567,30 +557,37 @@ pub fn collective_base_time_with(
     op: CollectiveOp,
     participants: usize,
     bytes_per_node: u64,
-    mut faults: Option<&mut FaultSession<'_>>,
+    faults: Option<&mut FaultSession<'_>>,
 ) -> f64 {
     let nodes = participants.max(1);
     // The collective runs on the subcube spanning its participants (which
     // may exceed the configured machine during characterization probes).
     // Collective *schedules* are always built over this virtual hypercube;
     // only per-message routing differs between physical topologies.
-    let cube = machine::Hypercube::fitting(nodes.max(machine.nodes));
+    let cube = Hypercube::fitting(nodes.max(machine.nodes));
     let comm = &machine.comm;
     if nodes <= 1 {
         return 0.0;
     }
-    let topo: Option<Box<dyn Topology>> = match &machine.topology {
-        machine::TopologyDesc::Hypercube => None,
-        desc => Some(
-            hpf_machines::build_topology(desc, machine.nodes)
-                .expect("machine topology validated by the registry"),
-        ),
+    let hypercube = HypercubeTopo { cube };
+    let built;
+    let (topo, mut faults): (&dyn Topology, _) = match &machine.topology {
+        TopologyDesc::Hypercube => (&hypercube, faults),
+        desc => {
+            built = hpf_machines::build_topology(desc, machine.nodes)
+                .expect("machine topology validated by the registry");
+            // Network faults (loss, degraded and severed links) are
+            // injected on hypercube machines only: other backends model
+            // degraded operation analytically through
+            // `MachineModel::degrade`, so their stages never see the
+            // session.
+            (built.as_ref(), None)
+        }
     };
-    let topo = topo.as_deref();
     match op {
         CollectiveOp::Shift => {
             let ms = patterns::shift(nodes, bytes_per_node);
-            stage_time(cube, comm, nodes, &ms, &mut faults, topo)
+            stage_time(topo, comm, nodes, &ms, &mut faults)
         }
         CollectiveOp::Reduce | CollectiveOp::ReduceLoc | CollectiveOp::Barrier => {
             let bytes = match op {
@@ -600,7 +597,7 @@ pub fn collective_base_time_with(
             };
             let mut t = 0.0;
             for stage in patterns::reduce_stages(cube, nodes, bytes.max(4)) {
-                t += stage_time(cube, comm, nodes, &stage, &mut faults, topo);
+                t += stage_time(topo, comm, nodes, &stage, &mut faults);
                 t += machine.node_processing.op_time(OpClass::FAdd) * (bytes as f64 / 4.0).max(1.0);
             }
             t
@@ -608,7 +605,7 @@ pub fn collective_base_time_with(
         CollectiveOp::Broadcast => {
             let mut t = 0.0;
             for stage in patterns::broadcast_stages(cube, nodes, bytes_per_node) {
-                t += stage_time(cube, comm, nodes, &stage, &mut faults, topo);
+                t += stage_time(topo, comm, nodes, &stage, &mut faults);
             }
             t
         }
@@ -616,13 +613,13 @@ pub fn collective_base_time_with(
             let per_pair = (bytes_per_node / nodes as u64).max(4);
             let mut t = 0.0;
             for round in patterns::all_to_all_rounds(nodes, per_pair) {
-                t += stage_time(cube, comm, nodes, &round, &mut faults, topo);
+                t += stage_time(topo, comm, nodes, &round, &mut faults);
             }
             t
         }
         CollectiveOp::Gather | CollectiveOp::Scatter => {
             let ms = patterns::gather(cube, nodes, bytes_per_node);
-            stage_time(cube, comm, nodes, &ms, &mut faults, topo)
+            stage_time(topo, comm, nodes, &ms, &mut faults)
         }
     }
 }

@@ -4,10 +4,10 @@
 //!
 //! Also declares [`TopologyDesc`], the serializable interconnect
 //! description a [`crate::MachineModel`] carries so the simulator can
-//! route messages over the machine's physical network. The concrete
-//! routing/link-occupancy implementations for non-hypercube topologies
-//! live in the `hpf-machines` crate behind its `Topology` trait; this
-//! enum is only the data the SAU tables travel with.
+//! route messages over the machine's physical network. The routing and
+//! link-occupancy implementations of every topology, the hypercube's
+//! included, live in the `hpf-machines` crate behind its `Topology`
+//! trait; this enum is only the data the SAU tables travel with.
 
 use serde::{Deserialize, Serialize};
 
@@ -88,18 +88,6 @@ impl Hypercube {
         }
         debug_assert_eq!(cur, b);
         path
-    }
-
-    /// Links traversed by the e-cube route, as (from, to) pairs.
-    pub fn route_links(&self, a: usize, b: usize) -> Vec<(usize, usize)> {
-        let mut links = Vec::new();
-        let mut cur = a;
-        for next in self.route(a, b) {
-            links.push((cur, next));
-            links.last().expect("pushed");
-            cur = next;
-        }
-        links
     }
 }
 
