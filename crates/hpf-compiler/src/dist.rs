@@ -188,10 +188,7 @@ impl ArrayDist {
     /// owned by grid coordinate `c`.
     pub fn owned_count_in_range(&self, d: usize, c: i64, lo: i64, hi: i64, st: i64) -> u64 {
         if !self.dims[d].is_distributed() {
-            if st == 0 {
-                return 0;
-            }
-            return (((hi - lo) / st) + 1).max(0) as u64;
+            return triplet_count(lo, hi, st);
         }
         let mut n = 0u64;
         let mut i = lo;
@@ -203,6 +200,16 @@ impl ArrayDist {
         }
         n
     }
+}
+
+/// Values of the triplet `lo:hi:st` as Fortran counts them: none when
+/// `hi` lies before `lo` in the stride's direction or the stride is zero.
+pub(crate) fn triplet_count(lo: i64, hi: i64, st: i64) -> u64 {
+    let (span, st) = (hi as i128 - lo as i128, st as i128);
+    if st == 0 || (st > 0 && span < 0) || (st < 0 && span > 0) {
+        return 0;
+    }
+    u64::try_from(span / st + 1).unwrap_or(u64::MAX)
 }
 
 /// All resolved array mappings plus the processor grid.
@@ -894,5 +901,17 @@ END
         assert_eq!(u.owned_count_in_range(0, 3, 2, 15, 1), 3);
         // collapsed dim counts the whole range
         assert_eq!(u.owned_count_in_range(1, 0, 2, 15, 1), 14);
+    }
+
+    #[test]
+    fn triplet_past_its_bound_owns_nothing() {
+        let t = table(LAP, None);
+        let u = t.get("U").unwrap();
+        // Distributed rows (coordinate 1 owns 5..8) and the collapsed dim.
+        for (d, c) in [(0, 1), (1, 0)] {
+            assert_eq!(u.owned_count_in_range(d, c, 5, 4, 2), 0, "dim {d}");
+            assert_eq!(u.owned_count_in_range(d, c, 4, 5, -2), 0, "dim {d}");
+        }
+        assert_eq!(u.owned_count_in_range(1, 0, 6, 1, -2), 3);
     }
 }

@@ -6,7 +6,7 @@
 //! shows; reductions become partial-computation + global-combine phases;
 //! scalar code becomes replicated `Seq` blocks.
 
-use crate::dist::{ArrayDist, DistributionTable};
+use crate::dist::{triplet_count, ArrayDist, DistributionTable};
 use crate::normalize::normalize;
 use crate::ops::{count_assign, count_expr, OpCounts};
 use crate::spmd::{CommPhase, CompPhase, CompileWarning, SeqBlock, SpmdNode, SpmdProgram};
@@ -243,11 +243,7 @@ impl<'a> Lower<'a> {
                 if st_v == 0 {
                     return cerr("DO step of zero", *span);
                 }
-                let trips = if (st_v > 0 && lo_v > hi_v) || (st_v < 0 && lo_v < hi_v) {
-                    0
-                } else {
-                    ((hi_v - lo_v) / st_v + 1).max(0) as u64
-                };
+                let trips = triplet_count(lo_v, hi_v, st_v);
                 // Bind the loop variable to its midpoint for nested bounds.
                 let mid = lo_v + ((hi_v - lo_v) / 2 / st_v.max(1)) * st_v.max(1);
                 let prev = self.loop_env.insert(var.clone(), mid);
@@ -689,7 +685,7 @@ impl<'a> Lower<'a> {
                 st,
             });
         }
-        let count_of = |t: &TripletR| -> u64 { (((t.hi - t.lo) / t.st) + 1).max(0) as u64 };
+        let count_of = |t: &TripletR| triplet_count(t.lo, t.hi, t.st);
         let dummies: BTreeMap<String, ()> = trips.iter().map(|t| (t.var.clone(), ())).collect();
 
         for st_body in body {

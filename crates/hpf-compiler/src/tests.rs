@@ -277,6 +277,29 @@ END
 }
 
 #[test]
+fn forall_triplet_past_its_bound_has_no_iterations() {
+    // `(hi - lo) / st + 1` truncates to one iteration for these headers;
+    // Fortran runs none, on distributed and undistributed arrays alike.
+    for dist in ["!HPF$ DISTRIBUTE A(BLOCK) ONTO P\n", ""] {
+        for header in ["I = 5:4:2", "I = 4:5:-2"] {
+            let src = format!(
+                "PROGRAM E\nREAL A(8)\n!HPF$ PROCESSORS P(4)\n{dist}FORALL ({header}) A(I) = 1.0\nEND\n"
+            );
+            let p = compile_src(&src, 4);
+            let comp = phases(&p)
+                .into_iter()
+                .find_map(|n| match n {
+                    SpmdNode::Comp(c) => Some(c),
+                    _ => None,
+                })
+                .unwrap();
+            assert_eq!(comp.total_iters, 0, "{dist}{header}");
+            assert_eq!(comp.max_node_iters(), 0, "{dist}{header}");
+        }
+    }
+}
+
+#[test]
 fn user_critical_values_override() {
     let src = "
 PROGRAM C

@@ -457,7 +457,7 @@ impl<'c> Machine<'c> {
             if step == 0 {
                 return fail("FORALL stride of zero", f.span);
             }
-            let count = forall_trips(lo, hi, step);
+            let count = loop_trips(lo, hi, step);
             empty |= count == 0;
             counts = counts.saturating_mul(count);
             ranges.push(Range {
@@ -1177,8 +1177,8 @@ fn walk(dims: &[Dim], strides: &[usize], f: &mut impl FnMut(usize)) {
     }
 }
 
-/// Trips of a DO loop or section triplet `lo, lo + step, …` that stay on
-/// `lo`'s side of `hi` (`step != 0`).
+/// Trips of a DO loop, section or FORALL triplet `lo, lo + step, …` that
+/// stay on `lo`'s side of `hi` (`step != 0`).
 fn loop_trips(lo: i64, hi: i64, step: i64) -> u128 {
     let (span, step) = (hi as i128 - lo as i128, step as i128);
     if (step > 0 && span < 0) || (step < 0 && span > 0) {
@@ -1186,10 +1186,4 @@ fn loop_trips(lo: i64, hi: i64, step: i64) -> u128 {
     } else {
         (span / step + 1) as u128
     }
-}
-
-/// Index-space extent of one FORALL triplet, `max((hi - lo) / step + 1, 0)`
-/// with truncating division, as the FORALL has always counted it.
-fn forall_trips(lo: i64, hi: i64, step: i64) -> u128 {
-    ((hi as i128 - lo as i128) / step as i128 + 1).max(0) as u128
 }

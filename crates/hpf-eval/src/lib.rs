@@ -319,6 +319,18 @@ mod more_tests {
     }
 
     #[test]
+    fn forall_triplet_past_its_bound_is_empty() {
+        // `(hi - lo) / step + 1` truncates to one tuple for these headers;
+        // Fortran runs none.
+        for (header, sum) in [("5:4:2", 0.0), ("4:5:-2", 0.0), ("6:1:-2", 3.0)] {
+            let out = run_src(&format!(
+                "PROGRAM T\nREAL A(6), S\nA = 0.0\nFORALL (I = {header}) A(I) = 1.0\nS = SUM(A)\nEND\n"
+            ));
+            assert_eq!(f(&out, "S"), sum, "FORALL (I = {header})");
+        }
+    }
+
+    #[test]
     fn eoshift_fills_zero_at_ends() {
         let out =
             run_src("PROGRAM T\nREAL A(4), B(4), S\nA = 1.0\nB = EOSHIFT(A, 2)\nS = SUM(B)\nEND\n");
