@@ -149,15 +149,15 @@ impl Topology for HypercubeTopo {
         a.min(b) * (self.cube.dim as usize).max(1) + (a ^ b).trailing_zeros() as usize
     }
 
-    /// E-cube routing: dimensions are resolved lowest first.
+    /// E-cube routing: the differing address bits are corrected lowest
+    /// first, one dimension per hop.
     fn route(&self, a: usize, b: usize, route: &mut Vec<(usize, usize)>) {
-        let mut cur = a;
-        for d in 0..self.cube.dim {
-            if (cur ^ b) & (1 << d) != 0 {
-                let next = self.cube.neighbor(cur, d);
-                route.push((cur, next));
-                cur = next;
-            }
+        let (mut cur, mut diff) = (a, a ^ b);
+        while diff != 0 {
+            let next = cur ^ (diff & diff.wrapping_neg());
+            route.push((cur, next));
+            cur = next;
+            diff &= diff - 1;
         }
     }
 

@@ -67,7 +67,6 @@ pub fn simulate_phase(
         |p| p.retry,
     );
     let loss = plan.map_or(0.0, |p| p.loss_prob);
-    let state = |a: usize, b: usize| plan.and_then(|p| p.link_state(a, b));
 
     let limit = nodes.min(topo.nodes());
     let mut node_done = vec![0.0f64; nodes];
@@ -113,7 +112,7 @@ pub fn simulate_phase(
             // The transmission occupies links whether or not it is lost.
             let mut t = inject + startup;
             for &(a, b) in &route {
-                let slow = match state(a, b) {
+                let slow = match plan.and_then(|p| p.link_state(a, b)) {
                     Some(LinkState::Degraded { factor }) => factor.max(1.0),
                     _ => 1.0,
                 };
