@@ -117,6 +117,8 @@ pub fn simulate_phase(
                     _ => 1.0,
                 };
                 let i = topo.link_index(a, b);
+                // Wire and hop costs are added to the start one after the
+                // other; every golden phase time depends on that order.
                 t = t.max(free[i]) + wire * slow + comm.per_hop_s;
                 free[i] = t;
             }
