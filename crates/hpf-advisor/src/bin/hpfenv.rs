@@ -7,7 +7,7 @@
 //! printf 'set nodes 4\nkernel PI 1024\ncompare\nquit\n' | hpfenv
 //! ```
 
-use hpf_report::session::Session;
+use hpf_advisor::Session;
 use std::io::{BufRead, Write};
 
 fn main() {

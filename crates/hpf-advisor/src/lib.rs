@@ -12,8 +12,8 @@
 //!    bound (zero-communication interpretation, sound because dropping
 //!    communication can only shrink the predicted time);
 //! 3. **evaluates** the survivors with the analytic interpretation
-//!    engine through warm, memoized candidate sessions fanned across a
-//!    std-only work-stealing thread pool ([`pool`]);
+//!    engine through warm, memoized candidate sessions fanned across
+//!    `report`'s std-only work-stealing thread pool (`report::pool`);
 //! 4. **cross-validates** the top-k survivors against the discrete-event
 //!    simulator and reports the predicted-vs-simulated error.
 //!
@@ -23,17 +23,22 @@
 //! and results are assembled in candidate order — so the ranked table is
 //! bit-identical across repeated runs and thread counts.
 //!
+//! [`session`] wraps the advisor in the paper's interactive environment
+//! (§5.3): the `hpfenv` binary loads a program, varies parameters and the
+//! target machine, and its `search` command runs this search.
+//!
 //! Trace instrumentation (when `hpf_trace::enable()` is on):
 //! `advisor.candidates`, `advisor.pruned`, `advisor.evaluated`,
 //! `advisor.sessions_reused`, `advisor.profile_reused` counters and
 //! `advisor/{enumerate,lower_bound,evaluate,simulate}` spans.
 
-pub mod pool;
 pub mod search;
+pub mod session;
 pub mod space;
 
 pub use search::{
     render_cross_table, render_table, Advisor, AdvisorConfig, AdvisorReport, CrossMachineReport,
     CrossMachineRow, RankedCandidate,
 };
+pub use session::Session;
 pub use space::{enumerate_candidates, ordered_factorizations, Candidate};

@@ -27,9 +27,9 @@ use interp::{InterpOptions, InterpretationEngine, Metrics};
 use ipsc_sim::{SimConfig, Simulator};
 use kernels::Kernel;
 use report::pipeline::{calibrated_machine_for, machine_params};
-use report::{shared_profile, PipelineError, PipelineStage};
+use report::pool;
+use report::{fnv1a, shared_profile, PipelineError, PipelineStage, FNV_OFFSET};
 
-use crate::pool;
 use crate::space::{self, Candidate};
 
 /// Search-shaping knobs. The defaults match the paper-scale Laplace
@@ -193,6 +193,9 @@ impl Advisor {
     pub fn search(&self, cfg: &AdvisorConfig) -> Result<AdvisorReport, PipelineError> {
         let _root = hpf_trace::span("advisor");
 
+        // The registry validates the node budget before anything is
+        // enumerated over it.
+        let machine = calibrated_machine_for(&cfg.machine, cfg.procs)?;
         let cands = {
             let _s = hpf_trace::span("enumerate");
             space::enumerate_candidates(self.rank, cfg.procs, &cfg.ks)
@@ -200,7 +203,6 @@ impl Advisor {
         hpf_trace::counter_add("advisor.candidates", cands.len() as u64);
         let labels: Vec<String> = cands.iter().map(|c| c.label()).collect();
 
-        let machine = calibrated_machine_for(&cfg.machine, cfg.procs)?;
         let lb_engine = InterpretationEngine::with_options(
             &machine,
             InterpOptions {
@@ -319,8 +321,7 @@ impl Advisor {
 
         let ranked: Vec<RankedCandidate> = rank_order
             .iter()
-            .enumerate()
-            .map(|(pos, &i)| {
+            .map(|&i| {
                 let m = predictions[i].unwrap();
                 let simulated_s = top.iter().position(|&t| t == i).map(|j| sims[j]);
                 let sim_error_pct = simulated_s.map(|s| {
@@ -330,7 +331,6 @@ impl Advisor {
                         0.0
                     }
                 });
-                let _ = pos;
                 RankedCandidate {
                     candidate: cands[i].clone(),
                     label: labels[i].clone(),
@@ -526,12 +526,10 @@ pub fn render_cross_table(r: &CrossMachineReport) -> String {
 /// Seeded FNV-1a over the candidate label: the total, stable tie-break
 /// order for equal predicted times (and equal lower bounds).
 fn tie_break(seed: u64, label: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    for b in label.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a(
+        FNV_OFFSET ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+        label.as_bytes(),
+    )
 }
 
 /// Render the ranked table exactly as the `advise` binary prints it —

@@ -1,36 +1,35 @@
 //! The interactive environment (§3.4's output interface and §5.3's
 //! menu-driven workflow), as a scriptable command session: load a program,
-//! vary parameters and directives *from within the interface*, predict,
-//! query lines, compare against the simulated machine, search directives.
+//! vary parameters, directives and the target machine *from within the
+//! interface*, predict, query lines, compare against the simulated
+//! machine, and search the directive space with the [`Advisor`].
 //!
 //! The REPL binary (`bin/hpfenv`) is a thin stdin loop over
 //! [`Session::execute`]; keeping the engine here makes every command
-//! unit-testable.
+//! unit-testable. Every command targets one registered machine by name
+//! (`machine <name>`, default `ipsc860`), so the registry validates the
+//! node count on every path.
 
-use crate::autotune::search_distributions;
-use crate::pipeline::{
-    calibrated_machine, compile_source, predict_source_on, PredictOptions, SimulateOptions,
-};
-use hpf_compiler::CompileOptions;
-use interp::{profile_report, query_line, query_lines, InterpOptions};
+use crate::search::{render_table, Advisor, AdvisorConfig};
+use hpf_compiler::{CompileOptions, SpmdProgram};
+use hpf_lang::{AnalyzedProgram, SymbolKind, Value};
+use interp::{profile_report, query_line, query_lines, InterpOptions, Prediction};
 use ipsc_sim::SimConfig;
 use machine::MachineModel;
+use report::pipeline::{
+    calibrated_machine_for, compile_source, machine_params, predict_source_full,
+    profile_with_limit, simulate_source, PredictOptions, SimulateOptions,
+};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// Which machine the session predicts for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Target {
-    Ipsc860,
-    NowCluster,
-}
 
 /// Interactive session state.
 pub struct Session {
     source: Option<String>,
     source_name: String,
     nodes: usize,
-    target: Target,
+    /// Registry name of the target machine (`hpf_machines::machine_names`).
+    machine: String,
     overrides: BTreeMap<String, i64>,
     copts: CompileOptions,
     iopts: InterpOptions,
@@ -43,7 +42,7 @@ impl Default for Session {
             source: None,
             source_name: String::new(),
             nodes: 8,
-            target: Target::Ipsc860,
+            machine: hpf_machines::DEFAULT_MACHINE.to_string(),
             overrides: BTreeMap::new(),
             copts: CompileOptions::default(),
             iopts: InterpOptions::default(),
@@ -57,11 +56,10 @@ impl Session {
         Session::default()
     }
 
-    fn machine(&self) -> MachineModel {
-        match self.target {
-            Target::Ipsc860 => calibrated_machine(self.nodes),
-            Target::NowCluster => machine::now_cluster(self.nodes),
-        }
+    /// The calibrated model of the target machine at the session's node
+    /// count; the registry rejects counts the machine does not support.
+    fn model(&self) -> Result<MachineModel, String> {
+        calibrated_machine_for(&self.machine, self.nodes).map_err(|e| e.to_string())
     }
 
     fn require_source(&self) -> Result<&str, String> {
@@ -210,12 +208,22 @@ impl Session {
                 "<none>"
             }
         );
-        let _ = writeln!(out, "machine    : {:?} × {}", self.target, self.nodes);
+        let _ = writeln!(out, "machine    : {} × {}", self.machine, self.nodes);
         let _ = writeln!(out, "runs       : {}", self.runs);
         let _ = writeln!(out, "mask hint  : {}", self.copts.mask_density_hint);
         let _ = writeln!(out, "overrides  : {:?}", self.overrides);
         let _ = writeln!(out, "criticals  : {:?}", self.copts.critical_values);
         out
+    }
+
+    fn compiled(&self) -> Result<(AnalyzedProgram, SpmdProgram), String> {
+        compile_source(
+            self.require_source()?,
+            self.nodes,
+            &self.overrides,
+            &self.copts,
+        )
+        .map_err(|e| e.to_string())
     }
 
     fn popts(&self) -> PredictOptions {
@@ -224,51 +232,59 @@ impl Session {
             param_overrides: self.overrides.clone(),
             compile: self.copts.clone(),
             interp: self.iopts.clone(),
+            machine: self.machine.clone(),
+        }
+    }
+
+    fn sim_options(&self, runs: usize) -> SimulateOptions {
+        SimulateOptions {
+            nodes: self.nodes,
+            param_overrides: self.overrides.clone(),
+            compile: self.copts.clone(),
+            sim: SimConfig {
+                runs,
+                ..Default::default()
+            },
+            machine: self.machine.clone(),
             ..Default::default()
         }
     }
 
-    fn predicted(&self) -> Result<(interp::Prediction, appgraph::Aag), String> {
-        let src = self.require_source()?;
-        let machine = self.machine();
-        let (_, spmd) = compile_source(src, machine.nodes, &self.overrides, &self.copts)
-            .map_err(|e| e.to_string())?;
-        let aag = appgraph::build_aag(&spmd);
-        let engine = interp::InterpretationEngine::with_options(&machine, self.iopts.clone());
-        Ok((engine.interpret(&aag), aag))
+    fn predicted(&self) -> Result<(Prediction, appgraph::Aag, SpmdProgram), String> {
+        predict_source_full(self.require_source()?, &self.popts()).map_err(|e| e.to_string())
     }
 
     fn cmd_predict(&self) -> Result<String, String> {
-        let src = self.require_source()?;
-        let machine = self.machine();
-        let (_, spmd) = compile_source(src, machine.nodes, &self.overrides, &self.copts)
-            .map_err(|e| e.to_string())?;
-        let aag = appgraph::build_aag(&spmd);
-        let engine = interp::InterpretationEngine::with_options(&machine, self.iopts.clone());
-        let pred = engine.interpret(&aag);
+        let (pred, _, spmd) = self.predicted()?;
         let mut out = String::new();
         for w in &spmd.warnings {
-            out.push_str(&format!("{w}\n"));
+            let _ = writeln!(out, "{w}");
         }
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             "estimated {:.6} s on {} (comp {:.6}, comm {:.6}, ovhd {:.6})",
             pred.total_seconds(),
-            machine.name,
+            self.model()?.name,
             pred.total.comp,
             pred.total.comm,
             pred.total.overhead
-        ));
+        );
         Ok(out)
     }
 
     fn cmd_profile(&self) -> Result<String, String> {
-        let (pred, aag) = self.predicted()?;
+        let (pred, aag, _) = self.predicted()?;
         Ok(profile_report(&pred, &aag, &self.source_name))
     }
 
     fn cmd_line(&self, rest: &str) -> Result<String, String> {
-        let n: u32 = rest.trim().parse().map_err(|_| "usage: line <number>")?;
-        let (pred, aag) = self.predicted()?;
+        let n: u32 = rest
+            .trim()
+            .parse()
+            .ok()
+            .filter(|&n| n >= 1)
+            .ok_or("usage: line <number>, counting from 1")?;
+        let (pred, aag, _) = self.predicted()?;
         let m = query_line(&pred, &aag, n);
         let text = self
             .require_source()?
@@ -296,7 +312,7 @@ impl Session {
             .next()
             .and_then(|v| v.parse().ok())
             .ok_or("usage: lines <a> <b>")?;
-        let (pred, aag) = self.predicted()?;
+        let (pred, aag, _) = self.predicted()?;
         let m = query_lines(&pred, &aag, a..=b);
         Ok(format!(
             "lines {a}-{b}: {:.1} µs (comm fraction {:.1}%)",
@@ -306,23 +322,15 @@ impl Session {
     }
 
     fn cmd_outline(&self) -> Result<String, String> {
-        let src = self.require_source()?;
-        let (_, spmd) = compile_source(src, self.nodes, &self.overrides, &self.copts)
-            .map_err(|e| e.to_string())?;
-        Ok(spmd.outline())
+        Ok(self.compiled()?.1.outline())
     }
 
     fn cmd_aag(&self) -> Result<String, String> {
-        let src = self.require_source()?;
-        let (_, spmd) = compile_source(src, self.nodes, &self.overrides, &self.copts)
-            .map_err(|e| e.to_string())?;
-        Ok(appgraph::build_aag(&spmd).outline())
+        Ok(appgraph::build_aag(&self.compiled()?.1).outline())
     }
 
     fn cmd_dists(&self) -> Result<String, String> {
-        let src = self.require_source()?;
-        let (_, spmd) = compile_source(src, self.nodes, &self.overrides, &self.copts)
-            .map_err(|e| e.to_string())?;
+        let (_, spmd) = self.compiled()?;
         let mut out = format!(
             "grid {:?} ({} nodes)\n",
             spmd.grid.extents,
@@ -353,14 +361,7 @@ impl Session {
     fn cmd_simulate(&self, rest: &str) -> Result<String, String> {
         let src = self.require_source()?;
         let runs: usize = rest.trim().parse().unwrap_or(self.runs);
-        let mut o = SimulateOptions::with_nodes(self.nodes);
-        o.param_overrides = self.overrides.clone();
-        o.compile = self.copts.clone();
-        o.sim = SimConfig {
-            runs,
-            ..Default::default()
-        };
-        let r = crate::pipeline::simulate_source(src, &o).map_err(|e| e.to_string())?;
+        let r = simulate_source(src, &self.sim_options(runs)).map_err(|e| e.to_string())?;
         Ok(format!(
             "measured {:.6} s ± {:.6} over {} runs (comp {:.6}, comm {:.6})",
             r.mean, r.std, r.runs, r.comp, r.comm
@@ -368,17 +369,12 @@ impl Session {
     }
 
     fn cmd_compare(&self) -> Result<String, String> {
-        let src = self.require_source()?;
-        let machine = self.machine();
-        let pred = predict_source_on(src, &machine, &self.popts()).map_err(|e| e.to_string())?;
-        let mut o = SimulateOptions::with_nodes(self.nodes);
-        o.param_overrides = self.overrides.clone();
-        o.compile = self.copts.clone();
-        o.sim = SimConfig {
-            runs: self.runs.min(200),
-            ..Default::default()
-        };
-        let meas = crate::pipeline::simulate_source(src, &o).map_err(|e| e.to_string())?;
+        let (pred, _, _) = self.predicted()?;
+        let meas = simulate_source(
+            self.require_source()?,
+            &self.sim_options(self.runs.min(200)),
+        )
+        .map_err(|e| e.to_string())?;
         let err = 100.0 * (pred.total_seconds() - meas.mean).abs() / meas.mean.max(1e-30);
         Ok(format!(
             "estimated {:.6} s   measured {:.6} s   |error| {:.2}%",
@@ -388,33 +384,32 @@ impl Session {
         ))
     }
 
+    /// Run the directive-space [`Advisor`] at the session's node count,
+    /// machine and problem size `N`, and recommend its top candidate.
     fn cmd_search(&self) -> Result<String, String> {
         let src = self.require_source()?;
-        let choices = search_distributions(src, self.nodes).map_err(|e| e.to_string())?;
-        let mut out = String::new();
-        for c in &choices {
-            let _ = writeln!(
-                out,
-                "{:<18} {:?} {:>12.6} s",
-                c.label(),
-                c.grid,
-                c.predicted_s
-            );
-        }
-        if let Some(best) = choices.first() {
-            let _ = writeln!(out, "recommended: DISTRIBUTE {}", best.label());
+        let (analyzed, _) = self.compiled()?;
+        let defaults = AdvisorConfig::default();
+        let cfg = AdvisorConfig {
+            n: parameter_n(&analyzed).unwrap_or(defaults.n),
+            procs: self.nodes,
+            machine: self.machine.clone(),
+            ..defaults
+        };
+        let report = Advisor::for_source(&self.source_name, src)
+            .and_then(|advisor| advisor.search(&cfg))
+            .map_err(|e| e.to_string())?;
+        let mut out = render_table(&report);
+        if let Some(best) = report.ranked.first() {
+            let _ = writeln!(out, "recommended: DISTRIBUTE {}", best.label);
         }
         Ok(out)
     }
 
     fn cmd_trace(&self) -> Result<String, String> {
-        let src = self.require_source()?;
-        let (analyzed, spmd) = compile_source(src, self.nodes, &self.overrides, &self.copts)
-            .map_err(|e| e.to_string())?;
-        let profile = hpf_eval::run_with_limit(&analyzed, 10_000_000)
-            .ok()
-            .map(|o| o.profile);
-        let machine = machine::ipsc860(self.nodes);
+        let machine = machine_params(&self.machine, self.nodes).map_err(|e| e.to_string())?;
+        let (analyzed, spmd) = self.compiled()?;
+        let profile = profile_with_limit(&analyzed, 10_000_000);
         let tr = ipsc_sim::trace_program(&machine, &spmd, profile.as_ref());
         let mut out = tr.gantt(64);
         let _ = writeln!(out, "\nutilization (busy/comm/idle):");
@@ -431,22 +426,34 @@ impl Session {
     }
 
     fn cmd_machine(&mut self, rest: &str) -> Result<String, String> {
-        match rest.to_ascii_lowercase().as_str() {
-            "ipsc860" | "ipsc" | "cube" => {
-                self.target = Target::Ipsc860;
-                Ok("target machine: iPSC/860".into())
-            }
-            "now" | "cluster" => {
-                self.target = Target::NowCluster;
-                Ok("target machine: NOW cluster".into())
-            }
-            "" => Ok(format!(
-                "target machine: {:?}\n{}",
-                self.target,
-                self.machine().sag.outline()
-            )),
-            other => Err(format!("unknown machine `{other}` (ipsc860, now)")),
+        if rest.is_empty() {
+            return Ok(format!(
+                "target machine: {} × {} (registered: {})\n{}",
+                self.machine,
+                self.nodes,
+                hpf_machines::machine_names().join(", "),
+                self.model()?.sag.outline()
+            ));
         }
+        let backend =
+            hpf_machines::machine(&rest.to_ascii_lowercase()).map_err(|e| e.to_string())?;
+        self.machine = backend.name().to_string();
+        Ok(format!(
+            "target machine: {} ({})",
+            backend.name(),
+            backend.description()
+        ))
+    }
+}
+
+/// The program's PARAMETER `N` after overrides — the problem size the
+/// advisor binds — when it has one.
+fn parameter_n(analyzed: &AnalyzedProgram) -> Option<usize> {
+    match analyzed.symbol("N").map(|s| &s.kind) {
+        Some(SymbolKind::Parameter {
+            value: Value::Int(n),
+        }) => usize::try_from(*n).ok(),
+        _ => None,
     }
 }
 
@@ -463,7 +470,7 @@ commands:
   set while-trips <n>      DO WHILE trip-count heuristic
   set memory-model <bool>  memory-hierarchy model on/off
   set overlap <bool>       comp/comm overlap model on/off
-  machine [ipsc860|now]    select / show the target machine
+  machine [<name>]         select a registered machine (default ipsc860) / show it
   show                     session state
   predict                  estimated execution time
   profile                  full comp/comm/overhead profile
@@ -471,7 +478,7 @@ commands:
   outline | aag | dists    SPMD phases / abstraction graph / distributions
   simulate [runs]          run on the simulated machine
   compare                  estimated vs measured
-  search                   evaluate all DISTRIBUTE alternatives
+  search                   rank the PROCESSORS/DISTRIBUTE alternatives (advisor)
   trace                    per-node Gantt from the simulated machine
   quit
 ";
@@ -523,12 +530,30 @@ mod tests {
     }
 
     #[test]
-    fn search_from_session() {
+    fn laplace_search_picks_block_star() {
         let mut se = Session::new();
         s(&mut se, "set nodes 4");
-        s(&mut se, "kernel Laplace (Blk-Blk) 64");
+        s(&mut se, "kernel Laplace (Blk-Blk) 256");
         let out = s(&mut se, "search");
-        assert!(out.contains("recommended"), "{out}");
+        assert!(out.contains("n=256  budget P=4"), "{out}");
+        assert!(
+            out.contains("recommended: DISTRIBUTE (BLOCK,*) onto (4)"),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn search_ranks_at_the_overridden_problem_size() {
+        let mut se = Session::new();
+        s(&mut se, "set nodes 4");
+        s(&mut se, "kernel Laplace (Blk-Blk) 128");
+        let before = s(&mut se, "search");
+        s(&mut se, "set param:N 64");
+        let after = s(&mut se, "search");
+        assert!(before.contains("n=128"), "{before}");
+        assert!(after.contains("n=64"), "{after}");
+        let ranking = |out: &str| out.lines().skip(4).collect::<Vec<_>>().join("\n");
+        assert_ne!(ranking(&before), ranking(&after));
     }
 
     #[test]
@@ -537,10 +562,41 @@ mod tests {
         s(&mut se, "set nodes 8");
         s(&mut se, "kernel PI 1024");
         let cube = s(&mut se, "predict");
-        s(&mut se, "machine now");
-        let now = s(&mut se, "predict");
-        assert!(now.contains("NOW"), "{now}");
-        assert_ne!(cube, now);
+        assert!(cube.contains("iPSC/860"), "{cube}");
+        s(&mut se, "machine torus3d");
+        let torus = s(&mut se, "predict");
+        assert!(torus.contains("torus"), "{torus}");
+        assert_ne!(cube, torus);
+        assert!(s(&mut se, "show").contains("torus3d × 8"));
+    }
+
+    #[test]
+    fn compare_measures_on_the_selected_machine() {
+        let mut se = Session::new();
+        s(&mut se, "set nodes 4");
+        s(&mut se, "kernel PI 512");
+        s(&mut se, "machine torus3d");
+        let out = s(&mut se, "compare");
+        let mut opts = SimulateOptions::with_nodes(4);
+        opts.machine = "torus3d".into();
+        opts.sim.runs = 200;
+        let src = s(&mut se, "source");
+        let meas = simulate_source(&src, &opts).unwrap();
+        assert!(
+            out.contains(&format!("measured {:.6} s", meas.mean)),
+            "{out} vs {}",
+            meas.mean
+        );
+    }
+
+    #[test]
+    fn unknown_machine_lists_the_registry() {
+        let mut se = Session::new();
+        let err = se.execute("machine now").unwrap_err();
+        for name in hpf_machines::machine_names() {
+            assert!(err.contains(name), "{err}");
+        }
+        assert!(s(&mut se, "show").contains("ipsc860"), "selection kept");
     }
 
     #[test]
@@ -552,6 +608,17 @@ mod tests {
         assert!(se.execute("frobnicate").is_err());
         assert!(se.execute("").unwrap().is_empty());
         assert!(se.execute("# comment").unwrap().is_empty());
+
+        s(&mut se, "set nodes 4");
+        s(&mut se, "kernel PI 256");
+        assert!(se.execute("line 0").is_err());
+        for nodes in ["0", "5000"] {
+            s(&mut se, &format!("set nodes {nodes}"));
+            for cmd in ["predict", "compare", "profile", "line 1", "trace", "search"] {
+                let err = se.execute(cmd).unwrap_err();
+                assert!(err.contains("machine"), "{cmd} at {nodes} nodes: {err}");
+            }
+        }
     }
 
     #[test]

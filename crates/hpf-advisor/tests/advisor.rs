@@ -200,6 +200,14 @@ fn cross_machine_search_rejects_unknown_machine() {
     assert!(err.to_string().contains("cm5"), "{err}");
 }
 
+/// A program with no DISTRIBUTE directive has nothing to search over.
+#[test]
+fn search_requires_distribute() {
+    let err = Advisor::for_source("T", "PROGRAM T\nREAL X\nX = 1.0\nEND\n")
+        .expect_err("no DISTRIBUTE directive");
+    assert!(err.to_string().contains("no DISTRIBUTE"), "{err}");
+}
+
 /// The paper-loop acceptance numbers on the Laplace kernel at P = 8:
 /// a rich ranked space, nonzero lower-bound pruning, warm-session reuse,
 /// and a top-1 prediction within 20% of its own DES simulation.

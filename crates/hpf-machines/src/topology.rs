@@ -510,6 +510,18 @@ mod tests {
     }
 
     #[test]
+    fn hypercube_route_is_dimension_ordered() {
+        let t = HypercubeTopo {
+            cube: Hypercube { dim: 3 },
+        };
+        // Dimension 0 first, then dimension 2.
+        assert_eq!(
+            route_of(&t, 0b000, 0b101),
+            vec![(0b000, 0b001), (0b001, 0b101)]
+        );
+    }
+
+    #[test]
     fn hypercube_link_index_matches_des_table_layout() {
         let t = HypercubeTopo::fitting(8);
         // min(a,b)*dim + crossed dimension — the DES flat-table formula.

@@ -49,9 +49,7 @@ use hpf_lang::{analyze, parse_program, AnalyzedProgram};
 use hpf_trace::json::Value;
 use kernels::CompiledKernel;
 use report::lru::LruMap;
-use report::{directive_free_source, PipelineError, PipelineStage};
-
-use crate::loadgen::{fnv1a, FNV_OFFSET};
+use report::{directive_free_source, fnv1a, PipelineError, PipelineStage, FNV_OFFSET};
 
 /// Capacities of the serving caches.
 #[derive(Debug, Clone)]

@@ -45,10 +45,11 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use hpf_trace::json::{parse as parse_json, Value};
+use report::{fnv1a, splitmix64, FNV_OFFSET};
 
 use crate::api::CHAOS_HEADER;
 use crate::http::read_response;
-use crate::loadgen::{fnv1a, percentile, request_at, splitmix64, FNV_OFFSET};
+use crate::loadgen::{percentile, request_at};
 use crate::server::{start, ServerConfig, ServerHandle};
 
 /// Chaos harness knobs.

@@ -44,6 +44,7 @@ use std::time::Instant;
 
 use hpf_trace::json::{parse as parse_json, Value};
 use hpf_trace::QuantileSketch;
+use report::{fnv1a, splitmix64, FNV_OFFSET};
 
 use crate::cache::CacheConfig;
 use crate::http::read_response;
@@ -141,24 +142,6 @@ impl LoadgenReport {
             self.checksum
         )
     }
-}
-
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-pub(crate) fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
 }
 
 /// The deterministic request at index `i`: `(path, body)`.
@@ -837,12 +820,5 @@ mod tests {
         assert_eq!(percentile(&lat, 0.50), 2.0);
         assert_eq!(percentile(&lat, 0.99), 4.0);
         assert_eq!(percentile(&[], 0.5), 0.0);
-    }
-
-    #[test]
-    fn fnv_checksum_is_order_sensitive() {
-        let a = fnv1a(fnv1a(FNV_OFFSET, b"one"), b"two");
-        let b = fnv1a(fnv1a(FNV_OFFSET, b"two"), b"one");
-        assert_ne!(a, b);
     }
 }

@@ -258,6 +258,7 @@ fn loadgen_mix_runs_warm() {
 /// generic compile error.
 #[test]
 fn io_error_maps_to_structured_400_with_io_stage() {
+    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let api = Api::new(&CacheConfig::default());
     let src = "\nPROGRAM SCALARS\nREAL X\nX = 1.0\nCHECKPOINT\nEND\n";
     let body = hpf_trace::json::Value::obj(vec![
@@ -276,6 +277,7 @@ fn io_error_maps_to_structured_400_with_io_stage() {
 /// (present only when nonzero, so I/O-free responses keep the old schema).
 #[test]
 fn ooc_kernel_predict_reports_io_seconds() {
+    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let api = Api::new(&CacheConfig::default());
     let body = r#"{"kernel": "Laplace OOC", "n": 32, "procs": 4}"#;
     let resp = api.handle(&post("/v1/predict", body));

@@ -1,4 +1,4 @@
-//! Hypercube topology of the iPSC/860: node addressing, e-cube routing and
+//! Hypercube topology of the iPSC/860: node addressing, hop counts and
 //! neighbor relations, shared by the communication cost models and by the
 //! discrete-event simulator's network.
 //!
@@ -73,22 +73,6 @@ impl Hypercube {
     pub fn neighbor(&self, node: usize, d: u32) -> usize {
         node ^ (1 << d)
     }
-
-    /// The e-cube (dimension-ordered) route from `a` to `b`, as the sequence
-    /// of intermediate nodes ending at `b` (empty if `a == b`). E-cube
-    /// routing resolves dimensions lowest-first, which is deadlock-free.
-    pub fn route(&self, a: usize, b: usize) -> Vec<usize> {
-        let mut path = Vec::new();
-        let mut cur = a;
-        for d in 0..self.dim {
-            if (cur ^ b) & (1 << d) != 0 {
-                cur ^= 1 << d;
-                path.push(cur);
-            }
-        }
-        debug_assert_eq!(cur, b);
-        path
-    }
 }
 
 #[cfg(test)]
@@ -110,33 +94,6 @@ mod tests {
         assert_eq!(h.hops(0, 7), 3);
         assert_eq!(h.hops(5, 5), 0);
         assert_eq!(h.hops(0b001, 0b011), 1);
-    }
-
-    #[test]
-    fn route_is_minimal_and_ends_at_target() {
-        let h = Hypercube { dim: 4 };
-        for a in 0..h.nodes() {
-            for b in 0..h.nodes() {
-                let r = h.route(a, b);
-                assert_eq!(r.len() as u32, h.hops(a, b));
-                if a != b {
-                    assert_eq!(*r.last().unwrap(), b);
-                }
-                // each step flips exactly one bit
-                let mut prev = a;
-                for &n in &r {
-                    assert_eq!(h.hops(prev, n), 1);
-                    prev = n;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn route_is_dimension_ordered() {
-        let h = Hypercube { dim: 3 };
-        let r = h.route(0b000, 0b101);
-        assert_eq!(r, vec![0b001, 0b101]); // dim 0 first, then dim 2
     }
 
     #[test]

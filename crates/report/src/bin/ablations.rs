@@ -5,7 +5,9 @@
 //! error against the simulated machine.
 
 use hpf_report::experiments::SweepConfig;
-use hpf_report::pipeline::{calibrated_machine, compile_source, predict_source_on, PredictOptions};
+use hpf_report::pipeline::{
+    calibrated_machine, compile_source, predict_source_on, profile_with_limit, PredictOptions,
+};
 use interp::InterpOptions;
 use ipsc_sim::{SimConfig, Simulator};
 
@@ -109,9 +111,7 @@ fn main() {
                 },
             )
             .expect("compile");
-            let profile = hpf_eval::run_with_limit(&analyzed, cfg.profile_steps)
-                .ok()
-                .map(|o| o.profile);
+            let profile = profile_with_limit(&analyzed, cfg.profile_steps);
             let raw = machine::ipsc860(procs);
             let meas = Simulator::with_config(
                 &raw,

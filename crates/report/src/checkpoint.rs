@@ -9,7 +9,9 @@
 //! once from the discrete-event simulator's — so checkpoint-interval policy
 //! can be evaluated in the same predicted-vs-simulated frame as Table 2.
 
-use crate::pipeline::{calibrated_machine, compile_source, PipelineError, PipelineStage};
+use crate::pipeline::{
+    calibrated_machine, compile_source, profile_with_limit, PipelineError, PipelineStage,
+};
 use hpf_compiler::CompileOptions;
 use hpf_io::{CheckpointSchedule, IoKind, IoPhase};
 use ipsc_sim::{io_base_time, SimConfig, Simulator};
@@ -136,9 +138,7 @@ pub fn checkpoint_experiment(
         )
     })?;
 
-    let profile = hpf_eval::run_with_limit(&analyzed, cfg.profile_steps)
-        .ok()
-        .map(|o| o.profile);
+    let profile = profile_with_limit(&analyzed, cfg.profile_steps);
     let aag = appgraph::build_aag(&spmd);
 
     // Predicted frame: analytic engine on the calibrated machine, healthy

@@ -1,7 +1,9 @@
 //! Experiment drivers for the paper's tables and figures.
 
 use crate::harness::{run_batch, HarnessConfig, JobFailure, SweepFailure};
-use crate::pipeline::{calibrated_machine_for, compile_source, machine_params, PredictOptions};
+use crate::pipeline::{
+    calibrated_machine_for, compile_source, machine_params, profile_with_limit, PredictOptions,
+};
 use crate::sweep::SweepSession;
 use hpf_compiler::{CompileOptions, SpmdProgram};
 use hpf_eval::ExecutionProfile;
@@ -190,9 +192,7 @@ pub fn accuracy_sample(
     )?;
     let profile = {
         let _s = hpf_trace::span("profile");
-        hpf_eval::run_with_limit(&analyzed, cfg.profile_steps)
-            .ok()
-            .map(|o| o.profile)
+        profile_with_limit(&analyzed, cfg.profile_steps)
     };
     sample_from_artifact_on(
         kernel.name,

@@ -14,7 +14,9 @@
 //! reproduces the healthy numbers bit-for-bit — the control that anchors
 //! every degraded row.
 
-use crate::pipeline::{calibrated_machine, compile_source, PipelineError, PredictOptions};
+use crate::pipeline::{
+    calibrated_machine, compile_source, profile_with_limit, PipelineError, PredictOptions,
+};
 use hpf_compiler::CompileOptions;
 use ipsc_sim::{SimConfig, Simulator};
 use kernels::Kernel;
@@ -96,9 +98,7 @@ pub fn fault_experiment(cfg: &FaultExperimentConfig) -> Result<Vec<FaultRow>, Pi
             ..Default::default()
         },
     )?;
-    let profile = hpf_eval::run_with_limit(&analyzed, cfg.profile_steps)
-        .ok()
-        .map(|o| o.profile);
+    let profile = profile_with_limit(&analyzed, cfg.profile_steps);
     let aag = appgraph::build_aag(&spmd);
 
     let healthy_calibrated = calibrated_machine(cfg.procs);

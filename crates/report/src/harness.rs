@@ -9,10 +9,10 @@
 //! back as data ([`JobFailure`]), never as a crash of the harness itself.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::Mutex;
 use std::time::Duration;
+
+use crate::pool::map_indexed;
 
 /// Execution limits for one isolated job.
 #[derive(Debug, Clone)]
@@ -118,56 +118,38 @@ pub struct SweepFailure {
     pub attempts: u32,
 }
 
-/// Run a batch of labelled jobs across worker threads, isolating each one.
-/// All successes and all failures are returned; one bad job never stops the
-/// rest of the batch (the panic-isolation contract of the sweep).
+/// Run a batch of labelled jobs across the [`pool`](crate::pool),
+/// isolating each one. All successes and all failures are returned in job
+/// order; one bad job never stops the rest of the batch (the
+/// panic-isolation contract of the sweep).
 pub fn run_batch<T, F>(jobs: Vec<(String, F)>, cfg: &HarnessConfig) -> (Vec<T>, Vec<SweepFailure>)
 where
     T: Send + 'static,
     F: Fn() -> T + Clone + Send + Sync + 'static,
 {
-    let results = Mutex::new(Vec::new());
-    let failures = Mutex::new(Vec::new());
-    let next = AtomicUsize::new(0);
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(jobs.len().max(1));
-
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let (label, job) = &jobs[i];
-                let _job_span = hpf_trace::span("job");
-                match run_isolated(job.clone(), cfg) {
-                    Ok(v) => results.lock().unwrap_or_else(|e| e.into_inner()).push(v),
-                    Err(f) => {
-                        failures
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .push(SweepFailure {
-                                label: label.clone(),
-                                failure: f,
-                                attempts: cfg.retries + 1,
-                            })
-                    }
-                }
-            });
-        }
+    let outcomes = map_indexed(jobs.len(), 0, |i| {
+        let _job_span = hpf_trace::span("job");
+        run_isolated(jobs[i].1.clone(), cfg)
     });
-    (
-        results.into_inner().unwrap_or_else(|e| e.into_inner()),
-        failures.into_inner().unwrap_or_else(|e| e.into_inner()),
-    )
+    let mut results = Vec::new();
+    let mut failures = Vec::new();
+    for ((label, _), outcome) in jobs.into_iter().zip(outcomes) {
+        match outcome {
+            Ok(v) => results.push(v),
+            Err(failure) => failures.push(SweepFailure {
+                label,
+                failure,
+                attempts: cfg.retries + 1,
+            }),
+        }
+    }
+    (results, failures)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn quick() -> HarnessConfig {
         HarnessConfig {
@@ -301,9 +283,8 @@ mod tests {
                 i * 10
             }));
         }
-        let (mut ok, failed) = run_batch(jobs, &quick());
-        ok.sort();
-        assert_eq!(ok, vec![0, 10, 20, 40, 50, 60, 70]);
+        let (ok, failed) = run_batch(jobs, &quick());
+        assert_eq!(ok, vec![0, 10, 20, 40, 50, 60, 70], "results in job order");
         assert_eq!(failed.len(), 1);
         assert_eq!(failed[0].label, "job-3");
         assert!(matches!(failed[0].failure, JobFailure::Panicked(_)));

@@ -11,14 +11,13 @@
 //! and each job is a pure function of its inputs.
 
 use crate::pipeline::{
-    calibrated_machine_for, compile_source, machine_params, PipelineError, PipelineStage,
+    calibrated_machine_for, compile_source, machine_params, profile_with_limit, PipelineError,
 };
+use crate::pool::map_indexed;
 use hpf_compiler::CompileOptions;
 use interp::{InterpOptions, InterpretationEngine};
 use ipsc_sim::{SimConfig, Simulator};
 use serde::Serialize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// One (machine, kernel, size) point of the I/O accuracy table.
 #[derive(Debug, Clone, Serialize)]
@@ -89,14 +88,11 @@ pub fn io_accuracy(cfg: &IoAccuracyConfig) -> Result<Vec<IoAccuracyRow>, Pipelin
                     ..Default::default()
                 },
             )?;
-            let profile = hpf_eval::run_with_limit(&analyzed, cfg.profile_steps)
-                .ok()
-                .map(|o| o.profile);
             artifacts.push(Artifact {
                 app: k.name.to_string(),
                 size,
                 spmd,
-                profile,
+                profile: profile_with_limit(&analyzed, cfg.profile_steps),
             });
         }
     }
@@ -106,49 +102,22 @@ pub fn io_accuracy(cfg: &IoAccuracyConfig) -> Result<Vec<IoAccuracyRow>, Pipelin
         .flat_map(|m| (0..artifacts.len()).map(move |a| (m, a)))
         .collect();
 
-    // Fan out over worker threads; each job writes its own indexed slot,
-    // so assembly order is scheduling-independent.
-    let slots: Vec<Mutex<Option<Result<IoAccuracyRow, PipelineError>>>> =
-        work.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let workers = cfg.threads.max(1).min(work.len().max(1));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= work.len() {
-                    break;
-                }
-                let (mi, ai) = work[i];
-                let machine_name = &cfg.machines[mi];
-                let art = &artifacts[ai];
-                let row = point(
-                    machine_name,
-                    art.app.clone(),
-                    art.size,
-                    cfg,
-                    &art.spmd,
-                    art.profile.as_ref(),
-                );
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(row);
-            });
-        }
-    });
-
-    let mut rows = Vec::with_capacity(work.len());
-    for slot in slots {
-        match slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            Some(Ok(row)) => rows.push(row),
-            Some(Err(e)) => return Err(e),
-            None => {
-                return Err(PipelineError::new(
-                    PipelineStage::Sweep,
-                    "io accuracy job produced no result",
-                ))
-            }
-        }
-    }
-    Ok(rows)
+    // Fan out over the pool: each job fills its own indexed slot, so
+    // assembly order is scheduling-independent.
+    map_indexed(work.len(), cfg.threads.max(1), |i| {
+        let (mi, ai) = work[i];
+        let art = &artifacts[ai];
+        point(
+            &cfg.machines[mi],
+            art.app.clone(),
+            art.size,
+            cfg,
+            &art.spmd,
+            art.profile.as_ref(),
+        )
+    })
+    .into_iter()
+    .collect()
 }
 
 fn point(

@@ -11,21 +11,26 @@
 //! | Figures 4–5| [`experiments::laplace_curves`], `bin/figures4_5` |
 //! | Figure 7   | [`experiments::figure7`], `bin/figure7` |
 //! | Figure 8   | [`workflow`], `bin/figure8`             |
+//!
+//! It also holds the primitives the advisor and the service build on: the
+//! [`pipeline`] entry points, the fan-out [`pool`], the [`hash`] and the
+//! [`LruMap`].
 
-pub mod autotune;
 pub mod checkpoint;
 pub mod csv;
 pub mod experiments;
 pub mod faults;
 pub mod harness;
+pub mod hash;
 pub mod io_accuracy;
 pub mod lru;
 pub mod pipeline;
-pub mod session;
+pub mod pool;
 pub mod sweep;
 pub mod workflow;
 
 pub use harness::{run_batch, run_isolated, HarnessConfig, JobFailure, SweepFailure};
+pub use hash::{fnv1a, splitmix64, FNV_OFFSET};
 pub use lru::LruMap;
 pub use pipeline::{
     compile_source, predict_source, predict_source_full, simulate_source, PipelineError,

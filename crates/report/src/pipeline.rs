@@ -382,6 +382,18 @@ pub fn predict_source_full(
     Ok((engine.interpret(&aag), aag, spmd))
 }
 
+/// The functional interpreter's execution profile of `analyzed`, or `None`
+/// when the run exceeds `max_steps` (or fails) — the simulator then falls
+/// back to static trip counts and mask densities.
+pub fn profile_with_limit(
+    analyzed: &hpf_lang::AnalyzedProgram,
+    max_steps: u64,
+) -> Option<hpf_eval::ExecutionProfile> {
+    hpf_eval::run_with_limit(analyzed, max_steps)
+        .ok()
+        .map(|o| o.profile)
+}
+
 /// "Measured" execution: run the program on the simulated iPSC/860.
 pub fn simulate_source(src: &str, opts: &SimulateOptions) -> Result<SimResult, PipelineError> {
     let _span = hpf_trace::span("measure");

@@ -154,16 +154,19 @@ proptest! {
         prop_assert!(t2 > t1);
     }
 
-    /// The e-cube hypercube route is minimal for every pair (redundant with
-    /// the machine crate's own tests but exercised here through the public
-    /// facade for API stability).
+    /// The e-cube hypercube route the DES walks is minimal for every pair
+    /// and ends at the target (redundant with the registry's BFS-oracle
+    /// test, but kept at the top level for API stability).
     #[test]
     fn hypercube_routes_minimal(dim in 0u32..7, a in 0usize..128, b in 0usize..128) {
+        use hpf_machines::Topology;
         let h = hpf90d::machine::Hypercube { dim };
         let a = a % h.nodes();
         let b = b % h.nodes();
-        let route = h.route(a, b);
+        let mut route = Vec::new();
+        hpf_machines::topology::HypercubeTopo { cube: h }.route(a, b, &mut route);
         prop_assert_eq!(route.len() as u32, h.hops(a, b));
+        prop_assert_eq!(route.last().map_or(a, |&(_, to)| to), b);
     }
 
     /// Totality of the prediction pipeline on arbitrary text: whatever the
