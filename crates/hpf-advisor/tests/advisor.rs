@@ -68,7 +68,7 @@ fn assert_partition(n: usize, procs: usize) {
             cand.label()
         );
         for (node, &counted) in per_node.iter().enumerate() {
-            let computed = dist.local_elems(&spmd.grid.coords(node));
+            let computed = dist.local_elems(|p| spmd.grid.coord(node, p));
             assert_eq!(
                 counted,
                 computed,

@@ -26,14 +26,18 @@ impl ProcGrid {
         self.extents.iter().product::<i64>().max(1) as usize
     }
 
+    /// Coordinate of linear node id `node` along grid dimension `dim`
+    /// (first dim fastest).
+    pub fn coord(&self, node: usize, dim: usize) -> i64 {
+        let below: usize = self.extents[..dim].iter().map(|&e| e as usize).product();
+        (node / below % self.extents[dim] as usize) as i64
+    }
+
     /// Decompose a linear node id into grid coordinates (first dim fastest).
-    pub fn coords(&self, mut node: usize) -> Vec<i64> {
-        let mut c = Vec::with_capacity(self.extents.len());
-        for &e in &self.extents {
-            c.push((node % e as usize) as i64);
-            node /= e as usize;
-        }
-        c
+    pub fn coords(&self, node: usize) -> Vec<i64> {
+        (0..self.extents.len())
+            .map(|d| self.coord(node, d))
+            .collect()
     }
 
     /// Inverse of [`coords`](Self::coords).
@@ -149,24 +153,18 @@ impl ArrayDist {
     /// Number of elements of dimension `d` owned by grid coordinate `c`.
     pub fn local_extent(&self, d: usize, c: i64) -> i64 {
         let (lb, ub) = self.bounds[d];
-        match self.dims[d] {
-            DimDist::Collapsed => self.extent(d),
-            _ => (lb..=ub).filter(|&i| self.owner_coord(d, i) == c).count() as i64,
-        }
+        self.owned_count_in_range(d, c, lb, ub, 1) as i64
     }
 
-    /// Per-node element count for a node with grid coordinates `coords`
-    /// (coordinates indexed by grid dimension).
-    pub fn local_elems(&self, coords: &[i64]) -> u64 {
+    /// Per-node element count for the node whose coordinate along grid
+    /// dimension `p` is `coord(p)`.
+    pub fn local_elems(&self, coord: impl Fn(usize) -> i64) -> u64 {
         if self.replicated {
             return self.elems();
         }
-        let mut n = 1u64;
-        for d in 0..self.rank() {
-            let c = self.dims[d].pdim().map(|p| coords[p]).unwrap_or(0);
-            n *= self.local_extent(d, c).max(0) as u64;
-        }
-        n
+        (0..self.rank())
+            .map(|d| self.local_extent(d, self.dims[d].pdim().map(&coord).unwrap_or(0)) as u64)
+            .product()
     }
 
     /// Whether indices `i` (per dim) are owned by the node at `coords`.
@@ -185,21 +183,223 @@ impl ArrayDist {
     }
 
     /// Count of index values in `lo..=hi` (stride `st`) of dimension `d`
-    /// owned by grid coordinate `c`.
+    /// owned by grid coordinate `c`, in closed form.
     pub fn owned_count_in_range(&self, d: usize, c: i64, lo: i64, hi: i64, st: i64) -> u64 {
-        if !self.dims[d].is_distributed() {
-            return triplet_count(lo, hi, st);
-        }
-        let mut n = 0u64;
-        let mut i = lo;
-        while (st > 0 && i <= hi) || (st < 0 && i >= hi) {
-            if self.owner_coord(d, i) == c {
-                n += 1;
-            }
-            i += st;
-        }
-        n
+        count_owned_steps(
+            triplet_count(lo, hi, st),
+            std::iter::once(self.owned_steps(d, c, lo, st)),
+        )
     }
+
+    /// The steps `j` of the index progression `first + j·step` along
+    /// dimension `d` whose element grid coordinate `c` owns: what
+    /// [`owner_coord`](Self::owner_coord) says of every index, without
+    /// visiting one. Exact while the template cells fit in an `i64`, as
+    /// `owner_coord` needs too.
+    pub(crate) fn owned_steps(&self, d: usize, c: i64, first: i64, step: i64) -> OwnedSteps {
+        let (stride, offset) = self.align[d];
+        // Template cell at step j: cell0 + j·cell_step.
+        let cell0 = stride as i128 * first as i128 + offset as i128;
+        let cell_step = stride as i128 * step as i128;
+        let c128 = c as i128;
+        match self.dims[d] {
+            DimDist::Collapsed => OwnedSteps::ALL,
+            dist if !(0..dist.pcount()).contains(&c) => OwnedSteps::NONE,
+            DimDist::Block { pcount, block, .. } => {
+                // Cells [c·block, (c+1)·block), except that `owner_coord`'s
+                // clamp gives the first coordinate every cell below and the
+                // last every cell above.
+                let lo = (c > 0).then(|| c128 * block as i128);
+                let hi = (c < pcount - 1).then(|| (c128 + 1) * block as i128 - 1);
+                OwnedSteps::cells_between(cell0, cell_step, lo, hi)
+            }
+            // Cells whose offset from c·k, modulo k·pcount, is below k.
+            DimDist::Cyclic { pcount, k, .. } => OwnedSteps::Cyclic {
+                base: cell0 - c128 * k as i128,
+                step: cell_step,
+                k: k as i128,
+                period: k as i128 * pcount as i128,
+            },
+        }
+    }
+}
+
+/// The steps `j` of an index progression whose element one grid coordinate
+/// owns along one array dimension ([`ArrayDist::owned_steps`]); counted by
+/// [`count_owned_steps`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum OwnedSteps {
+    /// Every step in `lo..=hi`: a BLOCK coordinate, or a dimension that is
+    /// not distributed.
+    Range { lo: i128, hi: i128 },
+    /// Every step whose cell offset `base + j·step`, modulo `period`, is
+    /// below `k`: a CYCLIC(k) coordinate.
+    Cyclic {
+        base: i128,
+        step: i128,
+        k: i128,
+        period: i128,
+    },
+}
+
+impl OwnedSteps {
+    const ALL: OwnedSteps = OwnedSteps::Range {
+        lo: i128::MIN,
+        hi: i128::MAX,
+    };
+    const NONE: OwnedSteps = OwnedSteps::Range { lo: 0, hi: -1 };
+
+    /// The steps whose cell `cell0 + j·cell_step` lies in `lo..=hi`; a
+    /// `None` bound leaves that side open.
+    fn cells_between(cell0: i128, cell_step: i128, lo: Option<i128>, hi: Option<i128>) -> Self {
+        let (mut first, mut last) = (i128::MIN, i128::MAX);
+        for (bound, at_least) in [(lo, true), (hi, false)] {
+            let Some(bound) = bound else { continue };
+            // Rewrite `cell ≥ bound` (or `≤`) as `j·s ≥ gap` (or `≤`), s ≥ 0.
+            let (s, gap, at_least) = if cell_step < 0 {
+                (-cell_step, cell0 - bound, !at_least)
+            } else {
+                (cell_step, bound - cell0, at_least)
+            };
+            if s == 0 {
+                if (at_least && gap > 0) || (!at_least && gap < 0) {
+                    return OwnedSteps::NONE;
+                }
+            } else if at_least {
+                first = first.max(-(-gap).div_euclid(s));
+            } else {
+                last = last.min(gap.div_euclid(s));
+            }
+        }
+        OwnedSteps::Range {
+            lo: first,
+            hi: last,
+        }
+    }
+
+    fn admits(&self, j: i128) -> bool {
+        match *self {
+            OwnedSteps::Range { lo, hi } => (lo..=hi).contains(&j),
+            OwnedSteps::Cyclic {
+                base,
+                step,
+                k,
+                period,
+            } => (base + j * step).rem_euclid(period) < k,
+        }
+    }
+}
+
+/// Number of steps `j` in `[0, count)` that every constraint admits. The
+/// ranges intersect into one interval; a single CYCLIC constraint is counted
+/// over it with two floor sums. Only two or more CYCLIC constraints (one
+/// FORALL index driving several cyclic dimensions) are checked step by
+/// step, over one joint period of their residues.
+pub(crate) fn count_owned_steps(
+    count: u64,
+    owned: impl Iterator<Item = OwnedSteps> + Clone,
+) -> u64 {
+    let (mut lo, mut hi) = (0i128, count as i128 - 1);
+    for o in owned.clone() {
+        if let OwnedSteps::Range { lo: l, hi: h } = o {
+            lo = lo.max(l);
+            hi = hi.min(h);
+        }
+    }
+    if lo > hi {
+        return 0;
+    }
+    let n = hi - lo + 1;
+    let mut cyclic = owned
+        .clone()
+        .filter(|o| matches!(o, OwnedSteps::Cyclic { .. }));
+    match (cyclic.next(), cyclic.next()) {
+        (None, _) => n as u64,
+        (
+            Some(OwnedSteps::Cyclic {
+                base,
+                step,
+                k,
+                period,
+            }),
+            None,
+        ) => cyclic_count(base + lo * step, step, k, period, n),
+        _ => {
+            // Each constraint repeats every period / gcd(step, period)
+            // steps, so all of them repeat every lcm of those.
+            let joint = owned.clone().try_fold(1i128, |acc, o| match o {
+                OwnedSteps::Cyclic { step, period, .. } => {
+                    lcm(acc, period / gcd(step.rem_euclid(period), period))
+                }
+                OwnedSteps::Range { .. } => Some(acc),
+            });
+            let span = joint.filter(|&p| p < n).unwrap_or(n);
+            let hits = |from: i128, len: i128| {
+                (from..from + len)
+                    .filter(|&j| owned.clone().all(|o| o.admits(j)))
+                    .count() as i128
+            };
+            let periods = n / span;
+            (hits(lo, span) * periods + hits(lo + periods * span, n - periods * span)) as u64
+        }
+    }
+}
+
+/// Steps `j` in `[0, n)` with `(base + j·step) mod period < k`, for
+/// `1 ≤ k ≤ period`: `⌊x/period⌋ − ⌊(x − k)/period⌋` is 1 exactly when
+/// `x mod period < k`, so the count is a difference of two floor sums.
+fn cyclic_count(base: i128, step: i128, k: i128, period: i128, n: i128) -> u64 {
+    // The count ignores the order of the steps: walk them upward.
+    let (base, step) = if step < 0 {
+        (base + (n - 1) * step, -step)
+    } else {
+        (base, step)
+    };
+    let (n, m, a) = (n as u128, period as u128, step as u128);
+    floor_sum(n, m, a, base).wrapping_sub(floor_sum(n, m, a, base - k)) as u64
+}
+
+/// `Σ_{j<n} ⌊(a·j + b)/m⌋` modulo 2^128 for `m ≥ 1`, by the Euclid-like
+/// floor-sum recursion in O(log m) rounds. The wraparound cancels in the
+/// difference [`cyclic_count`] takes.
+fn floor_sum(n: u128, m: u128, a: u128, b: i128) -> u128 {
+    let (q, r) = (b.div_euclid(m as i128), b.rem_euclid(m as i128));
+    let mut sum = n.wrapping_mul(q as u128);
+    let (mut n, mut m, mut a, mut b) = (n, m, a, r as u128);
+    loop {
+        if a >= m {
+            let pairs = if n % 2 == 0 {
+                (n / 2).wrapping_mul(n.saturating_sub(1))
+            } else {
+                n.wrapping_mul((n - 1) / 2)
+            };
+            sum = sum.wrapping_add(pairs.wrapping_mul(a / m));
+            a %= m;
+        }
+        if b >= m {
+            sum = sum.wrapping_add(n.wrapping_mul(b / m));
+            b %= m;
+        }
+        let top = a * n + b;
+        if top < m {
+            return sum;
+        }
+        n = top / m;
+        b = top % m;
+        std::mem::swap(&mut m, &mut a);
+    }
+}
+
+fn gcd(a: i128, b: i128) -> i128 {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
+fn lcm(a: i128, b: i128) -> Option<i128> {
+    (a / gcd(a, b)).checked_mul(b)
 }
 
 /// Values of the triplet `lo:hi:st` as Fortran counts them: none when
@@ -661,7 +861,7 @@ END
         assert_eq!(u.owner_coord(0, 5), 1);
         assert_eq!(u.owner_coord(0, 16), 3);
         assert_eq!(u.local_extent(0, 2), 4);
-        assert_eq!(u.local_elems(&[0]), 64);
+        assert_eq!(u.local_elems(|_| 0), 64);
     }
 
     #[test]
@@ -769,7 +969,7 @@ END
         let u = t.get("U").unwrap();
         assert_eq!(u.dims[0].pdim(), Some(0));
         assert_eq!(u.dims[1].pdim(), Some(1));
-        assert_eq!(u.local_elems(&[0, 0]), 16);
+        assert_eq!(u.local_elems(|_| 0), 16);
         assert!(u.owns(&[0, 0], &[1, 1]));
         assert!(u.owns(&[1, 1], &[8, 8]));
         assert!(!u.owns(&[0, 0], &[8, 8]));
@@ -780,7 +980,7 @@ END
         let t = table("PROGRAM T\nREAL W(8)\nW = 0.0\nEND\n", Some(4));
         let w = t.get("W").unwrap();
         assert!(w.replicated);
-        assert_eq!(w.local_elems(&[0]), 8);
+        assert_eq!(w.local_elems(|_| 0), 8);
     }
 
     #[test]
@@ -901,6 +1101,68 @@ END
         assert_eq!(u.owned_count_in_range(0, 3, 2, 15, 1), 3);
         // collapsed dim counts the whole range
         assert_eq!(u.owned_count_in_range(1, 0, 2, 15, 1), 14);
+    }
+
+    /// Joint counts, one index driving two distributed dimensions, equal a
+    /// check of every index against `owner_coord` in both: BLOCK ranges
+    /// intersect, one CYCLIC goes through the floor sums, two through the
+    /// joint period.
+    #[test]
+    fn joint_owned_steps_match_bruteforce() {
+        let formats: [fn(usize, i64) -> DimDist; 4] = [
+            |pdim, pcount| DimDist::Block {
+                pdim,
+                pcount,
+                block: (24 + pcount - 1) / pcount,
+            },
+            |pdim, pcount| DimDist::Cyclic { pdim, pcount, k: 1 },
+            |pdim, pcount| DimDist::Cyclic { pdim, pcount, k: 4 },
+            |pdim, pcount| DimDist::Cyclic {
+                pdim,
+                pcount,
+                k: 25,
+            },
+        ];
+        // Subscripts a*I + b per dimension: the diagonal and an
+        // anti-diagonal with a stride.
+        for (axes, align) in [
+            ([(1, 0), (1, 0)], [(1, -1), (1, -1)]),
+            ([(1, 0), (-2, 41)], [(1, -1), (2, 3)]),
+        ] {
+            for f0 in formats {
+                for f1 in formats {
+                    let ad = ArrayDist {
+                        array: "A".into(),
+                        bounds: vec![(1, 20), (1, 40)],
+                        align: align.to_vec(),
+                        dims: vec![f0(0, 3), f1(1, 2)],
+                        replicated: false,
+                        elem_bytes: 4,
+                    };
+                    for (lo, hi, st) in [(1, 20, 1), (20, 1, -3), (2, 19, 4), (5, 4, 1)] {
+                        for c in [[0, 0], [1, 1], [2, 0], [2, 1]] {
+                            let owned: Vec<OwnedSteps> = (0..2)
+                                .map(|d| {
+                                    let (a, b) = axes[d];
+                                    ad.owned_steps(d, c[d], a * lo + b, a * st)
+                                })
+                                .collect();
+                            let got =
+                                count_owned_steps(triplet_count(lo, hi, st), owned.iter().copied());
+                            let want = (0..triplet_count(lo, hi, st) as i64)
+                                .map(|j| lo + j * st)
+                                .filter(|&i| {
+                                    (0..2).all(|d| {
+                                        ad.owner_coord(d, axes[d].0 * i + axes[d].1) == c[d]
+                                    })
+                                })
+                                .count() as u64;
+                            assert_eq!(got, want, "{:?} {lo}:{hi}:{st} at {c:?}", ad.dims);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -435,7 +435,7 @@ impl<'a> Lower<'a> {
             };
             total_bytes += ad.elems() * ad.elem_bytes;
             for (n, acc) in per_node.iter_mut().enumerate() {
-                *acc += ad.local_elems(&self.dist.grid.coords(n)) * ad.elem_bytes;
+                *acc += ad.local_elems(|p| self.dist.grid.coord(n, p)) * ad.elem_bytes;
             }
         }
 
@@ -563,10 +563,9 @@ impl<'a> Lower<'a> {
 
             // Partial-reduction computation phase over locally owned elems.
             let nodes = self.dist.grid.total();
-            let mut per_node = Vec::with_capacity(nodes);
-            for n in 0..nodes {
-                per_node.push(ad.local_elems(&self.dist.grid.coords(n)));
-            }
+            let per_node: Vec<u64> = (0..nodes)
+                .map(|n| ad.local_elems(|p| self.dist.grid.coord(n, p)))
+                .collect();
             let total: u64 = if ad.replicated {
                 ad.elems()
             } else {
@@ -752,7 +751,7 @@ impl<'a> Lower<'a> {
                     Some(&(d, a, b)) if lhs_dist.dims[d].is_distributed() && !lhs_indirect => {
                         let pdim = lhs_dist.dims[d].pdim().expect("distributed");
                         for (n, pn) in per_node.iter_mut().enumerate() {
-                            let c = self.dist.grid.coords(n)[pdim];
+                            let c = self.dist.grid.coord(n, pdim);
                             // index values: a*dummy+b over dummy range
                             let (ilo, ihi, ist) = (a * t.lo + b, a * t.hi + b, a * t.st);
                             *pn = pn

@@ -615,7 +615,7 @@ END
 ";
     let p = compile_src(src, 8);
     let a = p.dist.get("A").unwrap();
-    let total: u64 = (0..8).map(|n| a.local_elems(&p.grid.coords(n))).sum();
+    let total: u64 = (0..8).map(|n| a.local_elems(|d| p.grid.coord(n, d))).sum();
     assert_eq!(total, 32 * 32);
 }
 

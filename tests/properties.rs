@@ -1,6 +1,6 @@
 //! Property-based tests over the core invariants (proptest).
 
-use hpf90d::compiler::{partition, DimDist};
+use hpf90d::compiler::{partition, ArrayDist, DimDist};
 use hpf90d::lang::{analyze, parse_program, pretty_program};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -56,31 +56,58 @@ proptest! {
         prop_assert!(max - min <= 1, "cyclic imbalance: {counts:?}");
     }
 
-    /// `owned_count_in_range` equals brute-force counting for arbitrary
-    /// ranges and strides.
+    /// The closed-form ownership counts equal a brute-force `owner_coord`
+    /// loop: `owned_count_in_range` over arbitrary triplets (empty ones and
+    /// negative strides included) and `local_extent`, for BLOCK, CYCLIC and
+    /// CYCLIC(k) with k up to past the extent, align strides of ±1 to ±3
+    /// with offsets, every coordinate and the two just outside the grid.
     #[test]
     fn owned_count_matches_bruteforce(
-        n in 8i64..512,
-        p in 1i64..9,
-        lo in 1i64..64,
-        len in 0i64..256,
-        st in 1i64..5,
+        lb in -20i64..20,
+        extent in 0i64..300,
+        textent in 1i64..400,
+        p in 1i64..70,
+        format in 0u8..3,
+        k in 2i64..300,
+        align_stride in 1i64..4,
+        align_negative in 0u8..2,
+        offset in -40i64..40,
+        lo in -30i64..330,
+        len in -20i64..330,
+        st in 1i64..6,
+        st_negative in 0u8..2,
     ) {
-        let hi = (lo + len).min(n);
-        let src = format!(
-            "PROGRAM T\nREAL A({n})\n!HPF$ PROCESSORS P({p})\n!HPF$ DISTRIBUTE A(BLOCK) ONTO P\nA = 0.0\nEND\n"
-        );
-        let prog = parse_program(&src).unwrap();
-        let a = analyze(&prog, &BTreeMap::new()).unwrap();
-        let table = partition(&a, None).unwrap();
-        let ad = table.get("A").unwrap();
-        for c in 0..p {
-            let fast = ad.owned_count_in_range(0, c, lo, hi, st);
-            let slow = (lo..=hi)
-                .step_by(st as usize)
-                .filter(|&i| ad.owner_coord(0, i) == c)
-                .count() as u64;
-            prop_assert_eq!(fast, slow, "c={}", c);
+        let ub = lb + extent - 1;
+        let stride = if align_negative == 1 { -align_stride } else { align_stride };
+        let st = if st_negative == 1 { -st } else { st };
+        let hi = lo + len * st.signum();
+        let dim = match format {
+            0 => DimDist::Block { pdim: 0, pcount: p, block: (textent + p - 1) / p },
+            1 => DimDist::Cyclic { pdim: 0, pcount: p, k: 1 },
+            _ => DimDist::Cyclic { pdim: 0, pcount: p, k },
+        };
+        let ad = ArrayDist {
+            array: "A".into(),
+            bounds: vec![(lb, ub)],
+            align: vec![(stride, offset)],
+            dims: vec![dim],
+            replicated: false,
+            elem_bytes: 4,
+        };
+        let brute = |c: i64, lo: i64, hi: i64, st: i64| {
+            let mut n = 0u64;
+            let mut i = lo;
+            while (st > 0 && i <= hi) || (st < 0 && i >= hi) {
+                if ad.owner_coord(0, i) == c {
+                    n += 1;
+                }
+                i += st;
+            }
+            n
+        };
+        for c in -1..=p {
+            prop_assert_eq!(ad.owned_count_in_range(0, c, lo, hi, st), brute(c, lo, hi, st), "c={}", c);
+            prop_assert_eq!(ad.local_extent(0, c), brute(c, lb, ub, 1) as i64, "c={}", c);
         }
     }
 
