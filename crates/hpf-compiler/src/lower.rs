@@ -6,7 +6,7 @@
 //! shows; reductions become partial-computation + global-combine phases;
 //! scalar code becomes replicated `Seq` blocks.
 
-use crate::dist::{triplet_count, ArrayDist, DistributionTable};
+use crate::dist::{count_owned_steps, triplet_count, ArrayDist, DistributionTable};
 use crate::normalize::normalize;
 use crate::ops::{count_assign, count_expr, OpCounts};
 use crate::spmd::{CommPhase, CompPhase, CompileWarning, SeqBlock, SpmdNode, SpmdProgram};
@@ -723,13 +723,19 @@ impl<'a> Lower<'a> {
 
             // Map each triplet dummy to the LHS dimension it indexes
             // (affine, stride ±1) — the owner-computes partitioning basis.
-            // dummy -> (lhs_dim, a, b) with index = a*dummy + b.
+            // dummy -> (lhs_dim, a, b) with index = a*dummy + b. A dummy
+            // indexing several dimensions keeps the last here, for the
+            // communication and locality models; `lhs_axes` keeps them all,
+            // as (triplet position, lhs_dim, a, b).
             let mut dummy_dim: BTreeMap<String, (usize, i64, i64)> = BTreeMap::new();
+            let mut lhs_axes = Vec::with_capacity(lhs.subs.len());
             let mut lhs_indirect = false;
             for (d, s) in lhs.subs.iter().enumerate() {
                 match s {
                     Subscript::Index(e) => match affine_in(e, &dummies) {
                         Some((Some(v), a, b)) => {
+                            let pos = trips.iter().position(|t| t.var == v);
+                            lhs_axes.push((pos.expect("dummies come from the triplets"), d, a, b));
                             dummy_dim.insert(v, (d, a, b));
                         }
                         Some((None, _, _)) => {} // constant subscript
@@ -741,28 +747,32 @@ impl<'a> Lower<'a> {
                 }
             }
 
-            // Per-node iteration counts (owner-computes on the LHS).
+            // Per-node iteration counts (owner-computes on the LHS): a node
+            // runs the values of each dummy whose LHS element it owns in
+            // every distributed dimension the dummy indexes, jointly when
+            // there are several (`A(I,I)`).
             let mut per_node = vec![1u64; nodes];
             let mut total: u64 = 1;
-            for t in &trips {
+            for (ti, t) in trips.iter().enumerate() {
                 let cnt = count_of(t);
                 total = total.saturating_mul(cnt);
-                match dummy_dim.get(&t.var) {
-                    Some(&(d, a, b)) if lhs_dist.dims[d].is_distributed() && !lhs_indirect => {
+                let axes = lhs_axes
+                    .iter()
+                    .filter(|&&(at, d, ..)| at == ti && lhs_dist.dims[d].is_distributed());
+                if lhs_indirect || axes.clone().next().is_none() {
+                    for pn in per_node.iter_mut() {
+                        *pn = pn.saturating_mul(cnt);
+                    }
+                    continue;
+                }
+                for (n, pn) in per_node.iter_mut().enumerate() {
+                    // index values: a*dummy+b over the dummy's triplet
+                    let owned = axes.clone().map(|&(_, d, a, b)| {
                         let pdim = lhs_dist.dims[d].pdim().expect("distributed");
-                        for (n, pn) in per_node.iter_mut().enumerate() {
-                            let c = self.dist.grid.coord(n, pdim);
-                            // index values: a*dummy+b over dummy range
-                            let (ilo, ihi, ist) = (a * t.lo + b, a * t.hi + b, a * t.st);
-                            *pn = pn
-                                .saturating_mul(lhs_dist.owned_count_in_range(d, c, ilo, ihi, ist));
-                        }
-                    }
-                    _ => {
-                        for pn in per_node.iter_mut() {
-                            *pn = pn.saturating_mul(cnt);
-                        }
-                    }
+                        let c = self.dist.grid.coord(n, pdim);
+                        lhs_dist.owned_steps(d, c, a * t.lo + b, a * t.st)
+                    });
+                    *pn = pn.saturating_mul(count_owned_steps(cnt, owned));
                 }
             }
             if lhs_dist.replicated || lhs_indirect {

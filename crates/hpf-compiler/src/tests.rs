@@ -619,6 +619,42 @@ END
     assert_eq!(total, 32 * 32);
 }
 
+/// One FORALL index driving two distributed LHS dimensions is counted
+/// jointly: on a 2×2 grid each node runs the diagonal elements it owns in
+/// both dimensions, and the per-node counts add up to the 16 iterations.
+#[test]
+fn diagonal_forall_counts_joint_ownership() {
+    for (dist, want) in [
+        ("BLOCK,BLOCK", [8, 0, 0, 8]),
+        ("CYCLIC,BLOCK", [4, 4, 4, 4]),
+        ("CYCLIC,CYCLIC", [8, 0, 0, 8]),
+    ] {
+        let src = format!(
+            "
+PROGRAM D
+INTEGER, PARAMETER :: N = 16
+REAL A(N,N)
+!HPF$ PROCESSORS P(2,2)
+!HPF$ TEMPLATE T(N,N)
+!HPF$ ALIGN A(I,J) WITH T(I,J)
+!HPF$ DISTRIBUTE T({dist}) ONTO P
+FORALL (I = 1:N) A(I,I) = 1.0
+END
+"
+        );
+        let p = compile_src(&src, 4);
+        let comp = phases(&p)
+            .into_iter()
+            .find_map(|n| match n {
+                SpmdNode::Comp(c) => Some(c),
+                _ => None,
+            })
+            .unwrap();
+        assert_eq!(comp.total_iters, 16, "({dist})");
+        assert_eq!(comp.per_node_iters, want, "({dist})");
+    }
+}
+
 #[test]
 fn print_of_reduction_is_seq_only() {
     // PRINT *, SUM(A): accepted, charged as a Seq library call (the output
