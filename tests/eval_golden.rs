@@ -6,12 +6,16 @@
 //! records the step count, the number of profile entries, an FNV-1a hash
 //! over every profile entry (key and all four counters), an FNV-1a hash over
 //! the final scalars (names and value bits) and the PRINT lines; a failed
-//! run records `Err`. The rows are diffed against
-//! `artifacts_eval_profiles.txt`; set `UPDATE_GOLDENS=1` to regenerate it.
+//! run records `Err`. A kernel's results live in its arrays, so each kernel
+//! row is followed by an `arrays` row: the same source with one
+//! `PRINT *, <every array>` before `END`, and an FNV-1a hash of the lines it
+//! prints (f64 `Display` round-trips, so the hash is bit-exact). The rows
+//! are diffed against `artifacts_eval_profiles.txt`; set `UPDATE_GOLDENS=1`
+//! to regenerate it.
 
 use hpf90d::eval::{run_with_limit, RunOutcome};
 use hpf90d::kernels::{all_kernels, ooc_kernels};
-use hpf90d::lang::{analyze, parse_program, Value};
+use hpf90d::lang::{analyze, parse_program, SymbolKind, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -313,17 +317,46 @@ fn row(out: &mut String, label: &str, src: &str, limit: u64) {
     }
 }
 
+/// The `arrays` row: `src` with every declared array printed before its
+/// final `END`, and the hash of the printed lines.
+fn arrays_row(out: &mut String, label: &str, src: &str) {
+    let program = parse_program(src).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let analyzed = analyze(&program, &BTreeMap::new()).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let names: Vec<&str> = analyzed
+        .symbols
+        .iter()
+        .filter(|(_, s)| matches!(s.kind, SymbolKind::Array { .. }))
+        .map(|(name, _)| name.as_str())
+        .collect();
+    let end = src.rfind("\nEND\n").expect("source ends with END") + 1;
+    let printed = format!(
+        "{}PRINT *, {}\n{}",
+        &src[..end],
+        names.join(", "),
+        &src[end..]
+    );
+    let program = parse_program(&printed).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let analyzed = analyze(&program, &BTreeMap::new()).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let outcome = run_with_limit(&analyzed, LIMIT).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let mut hash = FNV_OFFSET;
+    for line in &outcome.output {
+        fnv(&mut hash, line.as_bytes());
+        fnv(&mut hash, b"\n");
+    }
+    writeln!(out, "{label} | arrays {} {hash:016x}", names.join(",")).unwrap();
+}
+
 fn render() -> String {
-    let mut out = String::from("# hpf-eval golden: label | steps | entries | profile | scalars\n");
+    let mut out = String::from(
+        "# hpf-eval golden: label | steps | entries | profile | scalars (| arrays names hash)\n",
+    );
     for k in all_kernels().into_iter().chain(ooc_kernels()) {
         let lo = k.size_range.0;
         for n in [lo, 2 * lo] {
-            row(
-                &mut out,
-                &format!("{} n={n}", k.name),
-                &k.source(n, 4),
-                LIMIT,
-            );
+            let label = format!("{} n={n}", k.name);
+            let src = k.source(n, 4);
+            row(&mut out, &label, &src, LIMIT);
+            arrays_row(&mut out, &label, &src);
         }
     }
     for &(label, src, limit) in PROGRAMS {
