@@ -10,7 +10,7 @@
 
 use hpf_lang::ast::{BinOp, Intrinsic, TypeSpec, UnOp};
 use hpf_lang::value::Value;
-use hpf_lang::value_ops;
+use hpf_lang::value_ops::{self, Operand, Scalar};
 
 /// A scalar value. `Str` indexes the program's string-literal table.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,26 +55,6 @@ impl Val {
         }
     }
 
-    /// The operand form for [`value_ops`]. Every operator and elemental
-    /// intrinsic rejects a string operand whatever its text, so strings
-    /// pass as empty ones and nothing is allocated.
-    fn operand(self) -> Value {
-        match self {
-            Val::Str(_) => Value::Str(String::new()),
-            v => v.to_value(&[]),
-        }
-    }
-
-    /// Back from an operator result (which is never a string).
-    fn from_result(v: Value) -> Option<Val> {
-        match v {
-            Value::Int(v) => Some(Val::Int(v)),
-            Value::Real(v) => Some(Val::Real(v)),
-            Value::Logical(v) => Some(Val::Logical(v)),
-            Value::Str(_) => None,
-        }
-    }
-
     fn kind(self) -> Kind {
         match self {
             Val::Int(_) => Kind::Int,
@@ -114,48 +94,45 @@ pub(crate) fn coerce(v: Val, ty: TypeSpec) -> Val {
     }
 }
 
-/// `value_ops::apply_unary` over `Copy` values.
-pub(crate) fn unary(op: UnOp, v: Val) -> Option<Val> {
-    match (op, v) {
-        (UnOp::Neg, Val::Real(x)) => Some(Val::Real(-x)),
-        _ => Val::from_result(value_ops::apply_unary(op, &v.operand())?),
-    }
-}
-
-/// `value_ops::apply_binary` over `Copy` values. REAL arithmetic and
-/// comparisons, the evaluator's hot path, are answered here with exactly
-/// the operations `value_ops` performs; everything else goes through it.
-#[inline]
-pub(crate) fn binary(op: BinOp, l: Val, r: Val) -> Option<Val> {
-    if let (Val::Real(a), Val::Real(b)) = (l, r) {
-        return Some(match op {
-            BinOp::Add => Val::Real(a + b),
-            BinOp::Sub => Val::Real(a - b),
-            BinOp::Mul => Val::Real(a * b),
-            BinOp::Div => Val::Real(a / b),
-            BinOp::Lt => Val::Logical(a < b),
-            BinOp::Le => Val::Logical(a <= b),
-            BinOp::Gt => Val::Logical(a > b),
-            BinOp::Ge => Val::Logical(a >= b),
-            _ => return Val::from_result(value_ops::apply_binary(op, &l.operand(), &r.operand())?),
-        });
-    }
-    Val::from_result(value_ops::apply_binary(op, &l.operand(), &r.operand())?)
-}
-
-/// `value_ops::apply_intrinsic_scalar` over `Copy` values.
-pub(crate) fn elemental(f: Intrinsic, args: &[Val]) -> Option<Val> {
-    match args {
-        [a] => Val::from_result(value_ops::apply_intrinsic_scalar(f, &[a.operand()])?),
-        [a, b] => Val::from_result(value_ops::apply_intrinsic_scalar(
-            f,
-            &[a.operand(), b.operand()],
-        )?),
-        _ => {
-            let vals: Vec<Value> = args.iter().map(|a| a.operand()).collect();
-            Val::from_result(value_ops::apply_intrinsic_scalar(f, &vals)?)
+impl Operand for Val {
+    #[inline]
+    fn scalar(&self) -> Option<Scalar> {
+        match *self {
+            Val::Int(v) => Some(Scalar::Int(v)),
+            Val::Real(v) => Some(Scalar::Real(v)),
+            Val::Logical(v) => Some(Scalar::Logical(v)),
+            Val::Str(_) => None,
         }
     }
+}
+
+impl From<Scalar> for Val {
+    #[inline]
+    fn from(v: Scalar) -> Val {
+        match v {
+            Scalar::Int(v) => Val::Int(v),
+            Scalar::Real(v) => Val::Real(v),
+            Scalar::Logical(v) => Val::Logical(v),
+        }
+    }
+}
+
+/// [`value_ops::unary`] over a [`Val`].
+#[inline]
+pub(crate) fn unary(op: UnOp, v: Val) -> Option<Val> {
+    value_ops::unary(op, v.scalar()?).map(Val::from)
+}
+
+/// [`value_ops::binary`] over [`Val`]s.
+#[inline]
+pub(crate) fn binary(op: BinOp, l: Val, r: Val) -> Option<Val> {
+    value_ops::binary(op, l.scalar()?, r.scalar()?).map(Val::from)
+}
+
+/// [`value_ops::intrinsic`] over [`Val`]s.
+#[inline]
+pub(crate) fn elemental(f: Intrinsic, args: &[Val]) -> Option<Val> {
+    value_ops::intrinsic(f, args).map(Val::from)
 }
 
 /// The element type a [`Buf`] holds.
@@ -408,31 +385,5 @@ mod tests {
         out.clear();
         eoshift(&[4], &ints(&[1, 2, 3, 4]), i64::MAX, 0, &mut out);
         assert_eq!(read(&out), vec![0, 0, 0, 0]);
-    }
-
-    #[test]
-    fn real_fast_path_agrees_with_value_ops() {
-        let xs = [0.0, -0.0, 1.5, -2.25, f64::NAN, f64::INFINITY, 1e308];
-        for op in [
-            BinOp::Add,
-            BinOp::Sub,
-            BinOp::Mul,
-            BinOp::Div,
-            BinOp::Pow,
-            BinOp::Lt,
-            BinOp::Le,
-            BinOp::Gt,
-            BinOp::Ge,
-            BinOp::Eq,
-            BinOp::Ne,
-        ] {
-            for &a in &xs {
-                for &b in &xs {
-                    let fast = binary(op, Val::Real(a), Val::Real(b)).map(|v| v.to_value(&[]));
-                    let slow = value_ops::apply_binary(op, &Value::Real(a), &Value::Real(b));
-                    assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "{op:?} {a} {b}");
-                }
-            }
-        }
     }
 }

@@ -3,40 +3,103 @@
 //!
 //! Fortran mixed-mode rules: INTEGER op INTEGER stays INTEGER (with truncating
 //! division); any REAL operand promotes the operation to REAL.
+//!
+//! The core works on [`Scalar`], a `Copy` value with no string: every
+//! operator and elemental intrinsic rejects a string operand. The `&Value`
+//! entry points (`apply_*`) wrap it, mapping a string to `None`.
 
 use crate::ast::{BinOp, Intrinsic, UnOp};
 use crate::value::Value;
 
+/// A non-string scalar: what every operator takes and returns.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Scalar {
+    Int(i64),
+    Real(f64),
+    Logical(bool),
+}
+
+impl Scalar {
+    /// Numeric view (as [`Value::as_f64`]).
+    #[inline]
+    fn as_f64(self) -> Option<f64> {
+        match self {
+            Scalar::Int(v) => Some(v as f64),
+            Scalar::Real(v) => Some(v),
+            Scalar::Logical(_) => None,
+        }
+    }
+
+    #[inline]
+    fn as_bool(self) -> Option<bool> {
+        match self {
+            Scalar::Logical(b) => Some(b),
+            _ => None,
+        }
+    }
+}
+
+impl From<Scalar> for Value {
+    fn from(v: Scalar) -> Value {
+        match v {
+            Scalar::Int(v) => Value::Int(v),
+            Scalar::Real(v) => Value::Real(v),
+            Scalar::Logical(v) => Value::Logical(v),
+        }
+    }
+}
+
+/// An intrinsic argument as the core reads it: its scalar, or `None` for a
+/// string. Arguments an intrinsic does not use are never read.
+pub trait Operand {
+    fn scalar(&self) -> Option<Scalar>;
+}
+
+impl Operand for Value {
+    #[inline]
+    fn scalar(&self) -> Option<Scalar> {
+        match self {
+            Value::Int(v) => Some(Scalar::Int(*v)),
+            Value::Real(v) => Some(Scalar::Real(*v)),
+            Value::Logical(v) => Some(Scalar::Logical(*v)),
+            Value::Str(_) => None,
+        }
+    }
+}
+
 /// Apply a unary operator; `None` on a type error.
-pub fn apply_unary(op: UnOp, v: &Value) -> Option<Value> {
+#[inline]
+pub fn unary(op: UnOp, v: Scalar) -> Option<Scalar> {
+    use Scalar::*;
     match (op, v) {
-        (UnOp::Neg, Value::Int(i)) => Some(Value::Int(i.wrapping_neg())),
-        (UnOp::Neg, Value::Real(r)) => Some(Value::Real(-r)),
-        (UnOp::Plus, Value::Int(_) | Value::Real(_)) => Some(v.clone()),
-        (UnOp::Not, Value::Logical(b)) => Some(Value::Logical(!b)),
+        (UnOp::Neg, Int(i)) => Some(Int(i.wrapping_neg())),
+        (UnOp::Neg, Real(r)) => Some(Real(-r)),
+        (UnOp::Plus, Int(_) | Real(_)) => Some(v),
+        (UnOp::Not, Logical(b)) => Some(Logical(!b)),
         _ => None,
     }
 }
 
 /// Apply a binary operator; `None` on a type error.
-pub fn apply_binary(op: BinOp, l: &Value, r: &Value) -> Option<Value> {
+#[inline]
+pub fn binary(op: BinOp, l: Scalar, r: Scalar) -> Option<Scalar> {
     use BinOp::*;
-    use Value::*;
+    use Scalar::*;
     match op {
         Add | Sub | Mul | Div | Pow => match (l, r) {
             (Int(a), Int(b)) => Some(match op {
-                Add => Int(a.wrapping_add(*b)),
-                Sub => Int(a.wrapping_sub(*b)),
-                Mul => Int(a.wrapping_mul(*b)),
+                Add => Int(a.wrapping_add(b)),
+                Sub => Int(a.wrapping_sub(b)),
+                Mul => Int(a.wrapping_mul(b)),
                 Div => {
-                    if *b == 0 {
+                    if b == 0 {
                         return None;
                     }
-                    Int(a.wrapping_div(*b))
+                    Int(a.wrapping_div(b))
                 }
                 Pow => {
-                    if *b >= 0 {
-                        Int(a.wrapping_pow((*b).min(u32::MAX as i64) as u32))
+                    if b >= 0 {
+                        Int(a.wrapping_pow(b.min(u32::MAX as i64) as u32))
                     } else {
                         // INTEGER ** negative is 0 (or 1/±1) in Fortran.
                         Int(if a.unsigned_abs() == 1 {
@@ -97,15 +160,17 @@ pub fn apply_binary(op: BinOp, l: &Value, r: &Value) -> Option<Value> {
 
 /// Apply an *elemental* intrinsic to scalar arguments; `None` if the
 /// intrinsic is transformational (array-valued) or arguments are malformed.
-pub fn apply_intrinsic_scalar(intr: Intrinsic, args: &[Value]) -> Option<Value> {
+#[inline]
+pub fn intrinsic<T: Operand>(intr: Intrinsic, args: &[T]) -> Option<Scalar> {
     use Intrinsic::*;
-    use Value as V;
-    let f1 = |f: fn(f64) -> f64| args.first()?.as_f64().map(|v| V::Real(f(v)));
+    use Scalar as S;
+    let arg = |k: usize| args.get(k)?.scalar();
+    let f1 = |f: fn(f64) -> f64| Some(S::Real(f(arg(0)?.as_f64()?)));
     match intr {
-        Abs => match args.first()? {
-            V::Int(v) => Some(V::Int(v.wrapping_abs())),
-            V::Real(v) => Some(V::Real(v.abs())),
-            _ => None,
+        Abs => match arg(0)? {
+            S::Int(v) => Some(S::Int(v.wrapping_abs())),
+            S::Real(v) => Some(S::Real(v.abs())),
+            S::Logical(_) => None,
         },
         Sqrt => f1(f64::sqrt),
         Exp => f1(f64::exp),
@@ -119,47 +184,62 @@ pub fn apply_intrinsic_scalar(intr: Intrinsic, args: &[Value]) -> Option<Value> 
             if args.is_empty() {
                 return None;
             }
-            let all_int = args.iter().all(|a| matches!(a, V::Int(_)));
-            if all_int {
-                let it = args.iter().filter_map(|a| a.as_i64());
-                Some(V::Int(if intr == Min { it.min()? } else { it.max()? }))
+            let int = |a: &T| match a.scalar() {
+                Some(S::Int(v)) => Some(v),
+                _ => None,
+            };
+            if args.iter().all(|a| int(a).is_some()) {
+                let it = args.iter().filter_map(int);
+                Some(S::Int(if intr == Min { it.min()? } else { it.max()? }))
             } else {
-                let mut best = args.first()?.as_f64()?;
+                let mut best = arg(0)?.as_f64()?;
                 for a in &args[1..] {
-                    let v = a.as_f64()?;
+                    let v = a.scalar()?.as_f64()?;
                     best = if intr == Min {
                         best.min(v)
                     } else {
                         best.max(v)
                     };
                 }
-                Some(V::Real(best))
+                Some(S::Real(best))
             }
         }
-        Mod => match (args.first()?, args.get(1)?) {
-            (V::Int(a), V::Int(b)) if *b != 0 => Some(V::Int(a.wrapping_rem(*b))),
-            (a, b) => {
-                let (a, b) = (a.as_f64()?, b.as_f64()?);
-                Some(V::Real(a % b))
-            }
+        Mod => match (arg(0)?, arg(1)?) {
+            (S::Int(a), S::Int(b)) if b != 0 => Some(S::Int(a.wrapping_rem(b))),
+            (a, b) => Some(S::Real(a.as_f64()? % b.as_f64()?)),
         },
         Sign => {
-            let a = args.first()?.as_f64()?;
-            let b = args.get(1)?.as_f64()?;
+            let a = arg(0)?.as_f64()?;
+            let b = arg(1)?.as_f64()?;
             let m = a.abs();
-            Some(V::Real(if b < 0.0 { -m } else { m }))
+            Some(S::Real(if b < 0.0 { -m } else { m }))
         }
         Int | Nint => {
-            let a = args.first()?.as_f64()?;
-            Some(Value::Int(if intr == Nint {
+            let a = arg(0)?.as_f64()?;
+            Some(S::Int(if intr == Nint {
                 a.round() as i64
             } else {
                 a as i64
             }))
         }
-        Real | Dble | Float => Some(Value::Real(args.first()?.as_f64()?)),
+        Real | Dble | Float => Some(S::Real(arg(0)?.as_f64()?)),
         _ => None, // transformational intrinsics handled at array level
     }
+}
+
+/// [`unary`] over a [`Value`].
+pub fn apply_unary(op: UnOp, v: &Value) -> Option<Value> {
+    unary(op, v.scalar()?).map(Value::from)
+}
+
+/// [`binary`] over [`Value`]s.
+pub fn apply_binary(op: BinOp, l: &Value, r: &Value) -> Option<Value> {
+    binary(op, l.scalar()?, r.scalar()?).map(Value::from)
+}
+
+/// [`intrinsic`] over [`Value`]s.
+pub fn apply_intrinsic_scalar(intr: Intrinsic, args: &[Value]) -> Option<Value> {
+    intrinsic(intr, args).map(Value::from)
 }
 
 #[cfg(test)]
@@ -270,6 +350,19 @@ mod tests {
             apply_binary(BinOp::Pow, &min, &Value::Int(-1)),
             Some(Value::Int(0))
         );
+    }
+
+    #[test]
+    fn strings_are_rejected_where_they_are_read() {
+        use crate::ast::Intrinsic as I;
+        let s = Value::Str("x".into());
+        assert_eq!(apply_binary(BinOp::Eq, &s, &s), None);
+        assert_eq!(apply_unary(UnOp::Plus, &s), None);
+        assert_eq!(
+            apply_intrinsic_scalar(I::Abs, &[Value::Int(-2), s.clone()]),
+            Some(Value::Int(2))
+        );
+        assert_eq!(apply_intrinsic_scalar(I::Max, &[Value::Int(1), s]), None);
     }
 
     #[test]
