@@ -13,7 +13,7 @@
 
 use crate::buffer::{self, coerce, Buf, Val};
 use crate::lower::{
-    self, Code, Ex, Forall, ForallItem, Instr, Op, Root, Sub, Where, WhereItem, A, S,
+    self, Code, Ex, Forall, ForallItem, Instr, Op, Root, Sub, Subs, Where, WhereItem, A, S,
 };
 use crate::profile::{ExecutionProfile, StmtStats};
 use hpf_lang::ast::{BinOp, Intrinsic, TypeSpec};
@@ -86,6 +86,16 @@ struct Array {
     extents: Vec<usize>,
     strides: Vec<usize>,
     buf: Buf,
+}
+
+impl Array {
+    /// The offset that subscript `i` adds along dimension `d`, or `None`
+    /// when `i` is out of bounds.
+    #[inline]
+    fn position(&self, d: usize, i: i64) -> Option<usize> {
+        let rel = i.wrapping_sub(self.lbounds[d]) as u64;
+        (rel < self.extents[d] as u64).then(|| rel as usize * self.strides[d])
+    }
 }
 
 /// An array value computed by an expression. Its lower bounds are never
@@ -438,7 +448,10 @@ impl<'c> Machine<'c> {
     /// FORALL semantics: for *each body statement in order*, evaluate all
     /// right-hand sides over the active index set, then commit all
     /// assignments (Fortran 90D/HPF definition — "all the right-hand sides
-    /// being evaluated before any left-hand sides are assigned").
+    /// being evaluated before any left-hand sides are assigned"). An
+    /// assignment lowered as `direct` stores each value as it is computed,
+    /// since no read can tell the difference; a failing run returns no
+    /// state, so its partial stores are never observed.
     fn forall(&mut self, f: &'c Forall) -> R<()> {
         // HPF evaluates all triplet bounds before any index takes a value,
         // so bounds see the enclosing indices but no sibling triplet.
@@ -508,6 +521,7 @@ impl<'c> Machine<'c> {
                     rhs,
                     ticks,
                     span,
+                    direct,
                 } => {
                     self.tick(ticks.saturating_mul(n), *span)?;
                     let ty = self.arrays[*arr].ty;
@@ -515,9 +529,13 @@ impl<'c> Machine<'c> {
                     staging.clear();
                     for t in 0..n {
                         self.tuple(&mut ranges, active.as_deref(), t);
-                        let v = self.scalar(rhs)?;
+                        let v = coerce(self.scalar(rhs)?, ty);
                         let off = self.offset(*arr, subs, *span)?;
-                        staging.push((off, coerce(v, ty)));
+                        if *direct {
+                            self.arrays[*arr].buf.set(off, v);
+                        } else {
+                            staging.push((off, v));
+                        }
                     }
                     let buf = &mut self.arrays[*arr].buf;
                     for &(off, v) in &staging {
@@ -633,20 +651,39 @@ impl<'c> Machine<'c> {
 
     // ---- references ------------------------------------------------------
 
-    /// Column-major offset of the element `arr(subs)`.
-    fn offset(&mut self, arr: usize, subs: &'c [S], span: Span) -> R<usize> {
+    /// Column-major offset of the element `arr(subs)`. Each subscript is
+    /// checked against its dimension's bounds before the next is read.
+    #[inline]
+    fn offset(&mut self, arr: usize, subs: &'c Subs, span: Span) -> R<usize> {
         let mut off = 0usize;
-        for (d, s) in subs.iter().enumerate() {
-            let i = self.int(s, span)?;
-            let a = &self.arrays[arr];
-            let rel = i.wrapping_sub(a.lbounds[d]) as u64;
-            if rel >= a.extents[d] as u64 {
-                let name = &self.code.arrays[arr].name;
-                return fail(format!("index {i} out of bounds for `{name}`"), span);
+        match subs {
+            Subs::Affine(subs) => {
+                let a = &self.arrays[arr];
+                for (d, s) in subs.iter().enumerate() {
+                    let i = s.value(&self.idx);
+                    match a.position(d, i) {
+                        Some(p) => off += p,
+                        None => return self.out_of_bounds(arr, i, span),
+                    }
+                }
             }
-            off += rel as usize * a.strides[d];
+            Subs::General(subs) => {
+                for (d, s) in subs.iter().enumerate() {
+                    let i = self.int(s, span)?;
+                    match self.arrays[arr].position(d, i) {
+                        Some(p) => off += p,
+                        None => return self.out_of_bounds(arr, i, span),
+                    }
+                }
+            }
         }
         Ok(off)
+    }
+
+    #[cold]
+    fn out_of_bounds<T>(&self, arr: usize, i: i64, span: Span) -> R<T> {
+        let name = &self.code.arrays[arr].name;
+        fail(format!("index {i} out of bounds for `{name}`"), span)
     }
 
     /// Resolve a section's subscripts to per-dimension walks, checking that

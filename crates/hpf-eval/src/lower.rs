@@ -10,7 +10,13 @@
 //!
 //! The step budget counts one step per expression node evaluated. Nodes
 //! are never skipped (no operator short-circuits), so every root records
-//! its node count here and the evaluator charges it in one tick.
+//! its node count here and the evaluator charges it in one tick. The count
+//! comes from the source tree, so a subscript lowered to an affine form
+//! (which evaluates no node) costs what its expression costs.
+//!
+//! Lowering also decides how each FORALL assignment stores: in place when
+//! no read can see another tuple's store, staged otherwise
+//! ([`ForallItem::Assign`]).
 
 use crate::buffer::{zero, Val};
 use hpf_lang::ast::*;
@@ -18,6 +24,7 @@ use hpf_lang::sema::{AnalyzedProgram, SymbolKind};
 use hpf_lang::value::Value;
 use hpf_lang::Span;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// A scalar-valued expression.
 pub(crate) enum S {
@@ -30,7 +37,7 @@ pub(crate) enum S {
     Late(usize, Span),
     Elem {
         arr: usize,
-        subs: Box<[S]>,
+        subs: Subs,
         span: Span,
     },
     Unary(UnOp, Box<S>, Span),
@@ -64,6 +71,32 @@ pub(crate) enum Ex {
     A(A),
 }
 
+/// The subscripts of an element reference or assignment target.
+pub(crate) enum Subs {
+    /// Every subscript is affine in the FORALL indices.
+    Affine(Box<[Affine]>),
+    General(Box<[S]>),
+}
+
+/// A subscript `I`, `I + c`, `c + I` or `I - c` over the FORALL index in
+/// register `reg`, or an INTEGER constant `c` (`reg` is `None`). Its value
+/// is the register plus `offset`, wrapping as INTEGER `+` and `-` do.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Affine {
+    pub(crate) reg: Option<usize>,
+    pub(crate) offset: i64,
+}
+
+impl Affine {
+    #[inline]
+    pub(crate) fn value(self, idx: &[i64]) -> i64 {
+        match self.reg {
+            Some(r) => idx[r].wrapping_add(self.offset),
+            None => self.offset,
+        }
+    }
+}
+
 /// One subscript of a section.
 pub(crate) enum Sub {
     Index(S),
@@ -95,7 +128,7 @@ pub(crate) enum Op {
     },
     AssignElem {
         arr: usize,
-        subs: Box<[S]>,
+        subs: Subs,
         rhs: Root<S>,
     },
     /// Whole-array (`section` is `None`) or section assignment.
@@ -148,12 +181,23 @@ pub(crate) struct Forall {
 
 pub(crate) enum ForallItem {
     /// `arr(subs) = rhs` per active index tuple; `ticks` per tuple.
+    ///
+    /// FORALL evaluates every right-hand side before it stores any. A
+    /// `direct` assignment stores each tuple's value as soon as it is
+    /// computed, which is the same thing when no read can see another
+    /// tuple's store: its target's subscripts do not read the target, and
+    /// every read of the target in `rhs` is either the element being stored
+    /// (identical affine subscripts that use every index of this FORALL, so
+    /// no two tuples store one element) or an element no tuple stores (a
+    /// dimension where both subscripts are different constants). Any other
+    /// assignment stages all its values first.
     Assign {
         arr: usize,
-        subs: Box<[S]>,
+        subs: Subs,
         rhs: S,
         ticks: u64,
         span: Span,
+        direct: bool,
     },
     Nested(Box<Forall>),
     /// An assignment that fails as soon as one index tuple is active.
@@ -211,6 +255,7 @@ pub(crate) fn lower(analyzed: &AnalyzedProgram) -> Code {
         array_slot: BTreeMap::new(),
         key_slot: BTreeMap::new(),
         scope: Vec::new(),
+        inner: 0..0,
         code: Code {
             body: Vec::new(),
             scalars: Vec::new(),
@@ -280,6 +325,8 @@ struct Lowerer<'a> {
     key_slot: BTreeMap<(u32, u32), usize>,
     /// FORALL indices in scope, innermost last.
     scope: Vec<(&'a str, usize)>,
+    /// Index registers of the innermost FORALL.
+    inner: Range<usize>,
     code: Code,
 }
 
@@ -526,7 +573,9 @@ impl<'a> Lowerer<'a> {
             .mask
             .as_ref()
             .map(|m| self.condition(m, "FORALL mask must be scalar LOGICAL"));
+        let outer = std::mem::replace(&mut self.inner, first..first + header.triplets.len());
         let body = body.iter().map(|st| self.forall_item(st)).collect();
+        self.inner = outer;
         self.scope.truncate(depth);
         Forall {
             prof,
@@ -569,12 +618,15 @@ impl<'a> Lowerer<'a> {
                         *span,
                     );
                 }
+                let subs = self.element_subs(&lhs.subs);
+                let direct = stores_in_place(arr, &subs, &rhs, self.inner.clone());
                 ForallItem::Assign {
                     arr,
-                    subs: self.element_subs(&lhs.subs),
+                    subs,
                     rhs,
                     ticks,
                     span: *span,
+                    direct,
                 }
             }
             Stmt::Forall { header, body, span } => {
@@ -618,13 +670,67 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    fn element_subs(&mut self, subs: &'a [Subscript]) -> Box<[S]> {
-        subs.iter()
-            .map(|s| match s {
-                Subscript::Index(e) => self.int_expr(e),
-                Subscript::Triplet { .. } => unreachable!("element subscripts are all indices"),
-            })
-            .collect()
+    /// An element's subscripts: affine when every one of them is.
+    fn element_subs(&mut self, subs: &'a [Subscript]) -> Subs {
+        let index = |s: &'a Subscript| match s {
+            Subscript::Index(e) => e,
+            Subscript::Triplet { .. } => unreachable!("element subscripts are all indices"),
+        };
+        if subs.iter().all(|s| self.affine(index(s)).is_some()) {
+            return Subs::Affine(subs.iter().filter_map(|s| self.affine(index(s))).collect());
+        }
+        Subs::General(subs.iter().map(|s| self.int_expr(index(s))).collect())
+    }
+
+    /// `e` as an [`Affine`] subscript, if it has one of its forms.
+    fn affine(&self, e: &Expr) -> Option<Affine> {
+        let index = |e: &Expr| match e {
+            Expr::Ref(r) if r.subs.is_empty() => self.index_reg(&r.name),
+            _ => None,
+        };
+        let constant = |e: &Expr| match e {
+            Expr::IntLit(v, _) => Some(*v),
+            Expr::Ref(r) if r.subs.is_empty() && self.index_reg(&r.name).is_none() => {
+                match self.analyzed.symbols.get(&r.name).map(|s| &s.kind) {
+                    Some(SymbolKind::Parameter {
+                        value: Value::Int(v),
+                    }) => Some(*v),
+                    _ => None,
+                }
+            }
+            _ => None,
+        };
+        let at = |reg, offset| Some(Affine { reg, offset });
+        match e {
+            Expr::Binary {
+                op: BinOp::Add,
+                lhs,
+                rhs,
+                ..
+            } => match (index(lhs), constant(rhs)) {
+                (Some(r), Some(c)) => at(Some(r), c),
+                _ => at(Some(index(rhs)?), constant(lhs)?),
+            },
+            Expr::Binary {
+                op: BinOp::Sub,
+                lhs,
+                rhs,
+                ..
+            } => at(Some(index(lhs)?), constant(rhs)?.wrapping_neg()),
+            _ => match index(e) {
+                Some(r) => at(Some(r), 0),
+                None => at(None, constant(e)?),
+            },
+        }
+    }
+
+    /// The register of the innermost FORALL index named `name`.
+    fn index_reg(&self, name: &str) -> Option<usize> {
+        self.scope
+            .iter()
+            .rev()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, reg)| reg)
     }
 
     fn section_subs(&mut self, subs: &'a [Subscript]) -> Box<[Sub]> {
@@ -697,7 +803,7 @@ impl<'a> Lowerer<'a> {
         let undefined = || format!("undefined variable `{}`", r.name);
         if r.subs.is_empty() {
             // FORALL dummies shadow every other meaning of the name.
-            if let Some(&(_, reg)) = self.scope.iter().rev().find(|(n, _)| *n == r.name) {
+            if let Some(reg) = self.index_reg(&r.name) {
                 return Ex::S(S::Index(reg));
             }
             // Named constants live in the symbol table, not the store.
@@ -747,5 +853,248 @@ impl<'a> Lowerer<'a> {
             subs: self.section_subs(&r.subs),
             span,
         })
+    }
+}
+
+/// Whether `arr(subs) = rhs` in a FORALL over the index registers `inner`
+/// may store each tuple's value in place (see [`ForallItem::Assign`]).
+fn stores_in_place(arr: usize, subs: &Subs, rhs: &S, inner: Range<usize>) -> bool {
+    let mut direct = true;
+    let target = match subs {
+        Subs::Affine(t) => Some(&t[..]),
+        Subs::General(g) => {
+            for s in g.iter() {
+                each_read(s, &mut |a, _| direct &= a != arr);
+            }
+            None
+        }
+    };
+    // Every index of this FORALL names a dimension: one element per tuple.
+    let own = target.is_some_and(|t| inner.clone().all(|r| t.iter().any(|a| a.reg == Some(r))));
+    each_read(rhs, &mut |a, read| {
+        if a != arr {
+            return;
+        }
+        direct &= match (target, read) {
+            (Some(t), Some(read)) => {
+                (own && t == read)
+                    || t.iter()
+                        .zip(read)
+                        .any(|(x, y)| x.reg.is_none() && y.reg.is_none() && x.offset != y.offset)
+            }
+            _ => false,
+        };
+    });
+    direct
+}
+
+/// Call `f` on every array that evaluating `s` may read, with the
+/// subscripts of an element read when they are affine and `None` for any
+/// other read (general subscripts, a whole array, a section).
+fn each_read(s: &S, f: &mut impl FnMut(usize, Option<&[Affine]>)) {
+    match s {
+        S::Const(_) | S::Index(_) | S::Scalar(_) | S::Late(..) | S::Fail(..) => {}
+        S::Elem { arr, subs, .. } => match subs {
+            Subs::Affine(subs) => f(*arr, Some(subs)),
+            Subs::General(subs) => {
+                f(*arr, None);
+                subs.iter().for_each(|s| each_read(s, f));
+            }
+        },
+        S::Unary(_, x, _) => each_read(x, f),
+        S::Binary(_, l, r, _) => {
+            each_read(l, f);
+            each_read(r, f);
+        }
+        S::Elemental(_, args, _) => args.iter().for_each(|s| each_read(s, f)),
+        S::Call(_, args, _) => args.iter().for_each(|e| each_read_ex(e, f)),
+    }
+}
+
+fn each_read_ex(e: &Ex, f: &mut impl FnMut(usize, Option<&[Affine]>)) {
+    match e {
+        Ex::S(s) => each_read(s, f),
+        Ex::A(a) => each_read_array(a, f),
+    }
+}
+
+fn each_read_array(a: &A, f: &mut impl FnMut(usize, Option<&[Affine]>)) {
+    match a {
+        A::Whole(arr) => f(*arr, None),
+        A::Section { arr, subs, .. } => {
+            f(*arr, None);
+            for sub in subs.iter() {
+                match sub {
+                    Sub::Index(s) => each_read(s, f),
+                    Sub::Triplet { lo, hi, stride } => [lo, hi, stride]
+                        .into_iter()
+                        .flatten()
+                        .for_each(|s| each_read(s, f)),
+                }
+            }
+        }
+        A::Unary(_, x, _) => each_read_array(x, f),
+        A::Binary(_, l, r, _) => {
+            each_read_ex(l, f);
+            each_read_ex(r, f);
+        }
+        A::Call(_, args, _) => args.iter().for_each(|e| each_read_ex(e, f)),
+        A::Fail(..) => {}
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hpf_lang::{analyze, parse_program};
+
+    /// Whether each FORALL assignment of `src` stores in place, in source
+    /// order.
+    fn direct(src: &str) -> Vec<bool> {
+        fn block(body: &[Instr], out: &mut Vec<bool>) {
+            for st in body {
+                match &st.op {
+                    Op::Forall(f) => forall(f, out),
+                    Op::Do { body, .. } | Op::DoWhile { body, .. } => block(body, out),
+                    _ => {}
+                }
+            }
+        }
+        fn forall(f: &Forall, out: &mut Vec<bool>) {
+            for item in &f.body {
+                match item {
+                    ForallItem::Assign { direct, .. } => out.push(*direct),
+                    ForallItem::Nested(inner) => forall(inner, out),
+                    _ => {}
+                }
+            }
+        }
+        let program = parse_program(src).unwrap();
+        let analyzed = analyze(&program, &BTreeMap::new()).unwrap();
+        let mut out = Vec::new();
+        block(&lower(&analyzed).body, &mut out);
+        out
+    }
+
+    fn program(decls: &str, body: &str) -> String {
+        format!("PROGRAM T\nINTEGER, PARAMETER :: N = 16\n{decls}\n{body}\nEND\n")
+    }
+
+    #[test]
+    fn the_suites_own_element_updates_store_in_place() {
+        // Laplace's stencil, N-Body's accumulation, PBS 2 and 3, LFK 9's
+        // row, LFK 14's gather and LFK 22's masked quotient.
+        let cases = [
+            (
+                "REAL U(N,N), UNEW(N,N)",
+                "FORALL (I = 2:N-1, J = 2:N-1) UNEW(I,J) = \
+                 0.25 * (U(I-1,J) + U(I+1,J) + U(I,J-1) + U(I,J+1))",
+            ),
+            (
+                "REAL X(N), M(N), XT(N), MT(N), F(N), G, EPS",
+                "FORALL (I = 1:N) F(I) = F(I) + G * M(I) * MT(I) / ((X(I) - XT(I)) ** 2 + EPS)",
+            ),
+            (
+                "INTEGER, PARAMETER :: J = 3\nREAL ROW(N), ACC(N)",
+                "FORALL (I = 1:N) ROW(I) = 1.0 + 0.5 ** ABS(I - J) + 0.001\n\
+                 FORALL (I = 1:N) ACC(I) = ACC(I) * ROW(I)",
+            ),
+            (
+                "INTEGER J\nREAL A(8, N), R(N)",
+                "FORALL (I = 1:N) R(I) = R(I) * A(J, I)",
+            ),
+            (
+                "REAL PX(13, N), C0",
+                "FORALL (I = 1:N) PX(1,I) = 0.08*PX(13,I) + 0.07*PX(12,I) + \
+                 C0*(PX(5,I) + PX(6,I)) + PX(3,I)",
+            ),
+            (
+                "REAL VX(N), EX(N)\nINTEGER IX(N)",
+                "FORALL (K = 1:N) VX(K) = VX(K) + EX(IX(K)) * 0.5",
+            ),
+            (
+                "REAL U(N), V(N), Y(N)",
+                "FORALL (K = 1:N, U(K)/V(K) .LE. 20.0) Y(K) = U(K) / V(K)",
+            ),
+            (
+                "REAL A(4,4)",
+                "FORALL (I = 1:4)\nFORALL (J = 1:4) A(I,J) = A(I,J) + J\nEND FORALL",
+            ),
+        ];
+        for (decls, body) in cases {
+            let got = direct(&program(decls, body));
+            assert!(got.iter().all(|&d| d), "{body}: {got:?}");
+        }
+    }
+
+    #[test]
+    fn reads_of_other_tuples_elements_stage() {
+        let cases = [
+            // LFK 2: non-affine reads of the target.
+            (
+                "REAL X(2*N), V(2*N)\nINTEGER IP, IPO",
+                "FORALL (K = 1:N/2) X(IP+K) = \
+                 X(IPO+2*K) - V(IPO+2*K-1)*X(IPO+2*K-1) - V(IPO+2*K)*X(IPO+2*K)",
+            ),
+            // Financial's lattice update: a shifted self-read.
+            (
+                "REAL S(N), V(N), DISC, PU",
+                "FORALL (I = 1:N-1) V(I) = \
+                 MAX(DISC * (PU * V(I+1) + (1.0 - PU) * V(I)), S(I) - 1.1)",
+            ),
+            ("REAL X(N)", "FORALL (K = 2:N-1) X(K+1) = X(K) + X(K-1)"),
+            // Every tuple stores the one element.
+            ("REAL X(N)", "FORALL (I = 1:N) X(1) = X(1) + I"),
+            (
+                "REAL A(4)",
+                "FORALL (I = 1:4)\nFORALL (J = 1:4) A(I) = A(I) + J\nEND FORALL",
+            ),
+            // An array operand of an intrinsic.
+            ("REAL X(N)", "FORALL (I = 1:N) X(I) = SUM(X)"),
+            // The target's subscript reads the target.
+            ("INTEGER IX(N)", "FORALL (K = 1:N) IX(IX(K)) = K"),
+            // Same constant row, another column.
+            ("REAL P(2, N)", "FORALL (I = 1:N-1) P(1,I) = P(1,I+1)"),
+        ];
+        for (decls, body) in cases {
+            assert_eq!(direct(&program(decls, body)), [false], "{body}");
+        }
+    }
+
+    #[test]
+    fn affine_forms() {
+        let program = parse_program(&program(
+            "INTEGER, PARAMETER :: M = 5\nREAL A(N), B(N)\nINTEGER K",
+            "FORALL (I = 1:N) A(I) = B(I) + B(I+M) + B(2+I) + B(I-1) + B(M) + B(7) \
+             + B(I*1) + B(K) + B(-1 + I)",
+        ))
+        .unwrap();
+        let analyzed = analyze(&program, &BTreeMap::new()).unwrap();
+        let code = lower(&analyzed);
+        let Op::Forall(f) = &code.body[0].op else {
+            panic!("first statement is the FORALL")
+        };
+        let ForallItem::Assign { rhs, .. } = &f.body[0] else {
+            panic!("an assignment")
+        };
+        let mut got = Vec::new();
+        each_read(rhs, &mut |_, subs| {
+            got.push(subs.map(|s| (s[0].reg, s[0].offset)));
+        });
+        let i = Some(0);
+        assert_eq!(
+            got,
+            [
+                Some((i, 0)),
+                Some((i, 5)),
+                Some((i, 2)),
+                Some((i, -1)),
+                Some((None, 5)),
+                Some((None, 7)),
+                None,
+                None,
+                None,
+            ]
+        );
     }
 }
