@@ -150,6 +150,21 @@ proptest! {
         prop_assert!((got - oracle).abs() < 1e-6, "{got} vs {oracle}");
     }
 
+    /// FORALL in place: random FORALLs over small 1-D and 2-D REAL arrays
+    /// (affine and non-affine subscripts; self-reads at the stored element,
+    /// shifted, at another constant row and through SUM; targets missing an
+    /// index; masks; nested FORALLs) print every element bit for bit as a
+    /// reference that evaluates all right-hand sides before any store.
+    #[test]
+    fn forall_stores_match_two_phase_reference(seed in 0u64..u64::MAX) {
+        let program = forall_gen::Program::random(seed);
+        let src = program.source();
+        let p = parse_program(&src).unwrap();
+        let a = analyze(&p, &BTreeMap::new()).unwrap();
+        let out = hpf90d::eval::run(&a).map_err(|e| format!("{e}\n{src}"))?;
+        prop_assert_eq!(&out.output, &vec![program.reference()], "{}", src);
+    }
+
     /// Masked forall assigns exactly the masked subset.
     #[test]
     fn masked_forall_counts(n in 4usize..200, m in 2usize..7) {
@@ -308,5 +323,479 @@ proptest! {
         // Byte-identical replay: the rendered record (floats print their
         // shortest round-trip form, so equal text ⇔ equal bits).
         prop_assert_eq!(format!("{r1:?}"), format!("{r2:?}"));
+    }
+}
+
+/// Random FORALL programs and their brute-force reference.
+mod forall_gen {
+    use std::fmt::Write as _;
+
+    /// SplitMix64.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+
+        fn chance(&mut self, percent: u64) -> bool {
+            self.below(100) < percent
+        }
+    }
+
+    /// Rows of `P`; `N` (columns, and the length of `X` and `Y`) is random.
+    const M: i64 = 4;
+    const ARRAYS: [&str; 3] = ["X", "Y", "P"];
+    const LITERALS: [&str; 6] = ["0.5", "0.75", "1.5", "2.0", "0.25", "3.0"];
+
+    /// A FORALL index: `I` runs over columns (extent `N`), `J` over rows
+    /// (extent `M`).
+    #[derive(Clone, Copy, PartialEq)]
+    enum Var {
+        I,
+        J,
+    }
+
+    #[derive(Clone, Copy, PartialEq)]
+    enum Sub {
+        /// `v + shift`, written `shift+v` when `flip`.
+        At(Var, i64, bool),
+        Const(i64),
+        /// The extent's PARAMETER, `N` or `M`.
+        Last,
+        /// `E+1-v`: not affine.
+        Rev(Var),
+        /// `MOD(v*2,E)+1`: not affine.
+        Mod(Var),
+    }
+
+    enum E {
+        Lit(&'static str),
+        Index(Var),
+        Elem(usize, Vec<Sub>),
+        Sum(usize),
+        Bin(char, Box<E>, Box<E>),
+    }
+
+    struct Assign {
+        arr: usize,
+        subs: Vec<Sub>,
+        rhs: E,
+    }
+
+    enum Item {
+        Assign(Assign),
+        Nested(Forall),
+    }
+
+    struct Forall {
+        /// Index, first value, distance of the last value from the extent.
+        triplets: Vec<(Var, i64, i64)>,
+        /// `mask .GT. literal`.
+        mask: Option<(E, &'static str)>,
+        body: Vec<Item>,
+    }
+
+    pub struct Program {
+        n: i64,
+        foralls: Vec<Forall>,
+    }
+
+    #[derive(Clone, Copy)]
+    enum V {
+        Int(i64),
+        Real(f64),
+    }
+
+    impl V {
+        fn real(self) -> f64 {
+            match self {
+                V::Int(i) => i as f64,
+                V::Real(x) => x,
+            }
+        }
+    }
+
+    impl Program {
+        /// Three FORALLs give the arrays distinct values, then up to four
+        /// random ones follow.
+        pub fn random(seed: u64) -> Program {
+            let mut rng = Rng(seed);
+            let n = 4 + rng.below(4) as i64;
+            let linear = |arr, subs, a: &'static str, b: &'static str, v| Assign {
+                arr,
+                subs,
+                rhs: E::Bin(
+                    '+',
+                    Box::new(E::Bin('*', Box::new(E::Index(v)), Box::new(E::Lit(a)))),
+                    Box::new(E::Lit(b)),
+                ),
+            };
+            let init = |triplets, a: Assign| Forall {
+                triplets,
+                mask: None,
+                body: vec![Item::Assign(a)],
+            };
+            let at = |v| Sub::At(v, 0, false);
+            let mut foralls = vec![
+                init(
+                    vec![(Var::I, 1, 0)],
+                    linear(0, vec![at(Var::I)], "0.75", "0.5", Var::I),
+                ),
+                init(
+                    vec![(Var::I, 1, 0)],
+                    linear(1, vec![at(Var::I)], "1.5", "0.25", Var::I),
+                ),
+                init(
+                    vec![(Var::I, 1, 0), (Var::J, 1, 0)],
+                    linear(2, vec![at(Var::J), at(Var::I)], "0.5", "2.0", Var::J),
+                ),
+            ];
+            let mut g = Gen { rng, n };
+            for _ in 0..1 + g.rng.below(4) {
+                foralls.push(g.forall());
+            }
+            Program { n, foralls }
+        }
+
+        pub fn source(&self) -> String {
+            let mut s = format!(
+                "PROGRAM T\nINTEGER, PARAMETER :: N = {}\nINTEGER, PARAMETER :: M = {M}\n\
+                 REAL X(N), Y(N), P(M, N)\n",
+                self.n
+            );
+            for f in &self.foralls {
+                f.render(&mut s);
+            }
+            s.push_str("PRINT *, X, Y, P\nEND\n");
+            s
+        }
+
+        /// The line the program prints, computed with every right-hand
+        /// side of a FORALL statement evaluated before any store.
+        pub fn reference(&self) -> String {
+            let n = self.n as usize;
+            let mut st = State {
+                n: self.n,
+                arrays: vec![vec![0.0; n], vec![0.0; n], vec![0.0; n * M as usize]],
+            };
+            for f in &self.foralls {
+                st.forall(f, [0, 0]);
+            }
+            let all: Vec<String> = st.arrays.concat().iter().map(|x| format!("{x}")).collect();
+            all.join(" ")
+        }
+    }
+
+    struct Gen {
+        rng: Rng,
+        n: i64,
+    }
+
+    impl Gen {
+        fn forall(&mut self) -> Forall {
+            let (i, j) = ((Var::I, 2, 1), (Var::J, 2, 1));
+            match self.rng.below(3) {
+                0 => self.construct(vec![i], &[Var::I]),
+                1 => self.construct(vec![i, j], &[Var::I, Var::J]),
+                _ => {
+                    let mut outer = self.construct(vec![i], &[Var::I]);
+                    let inner = self.construct(vec![j], &[Var::I, Var::J]);
+                    let at = self.rng.below(outer.body.len() as u64 + 1) as usize;
+                    outer.body.insert(at, Item::Nested(inner));
+                    outer
+                }
+            }
+        }
+
+        /// A FORALL over `triplets` whose body sees the indices `scope`.
+        fn construct(&mut self, triplets: Vec<(Var, i64, i64)>, scope: &[Var]) -> Forall {
+            let mask = self.rng.chance(30).then(|| {
+                let arr = self.rng.below(3) as usize;
+                let subs = self.subs(arr, scope);
+                (E::Elem(arr, subs), LITERALS[self.rng.below(6) as usize])
+            });
+            let body = (0..1 + self.rng.below(2))
+                .map(|_| {
+                    let arr = self.rng.below(3) as usize;
+                    let subs = self.subs(arr, scope);
+                    let rhs = self.expr(3, &(arr, &subs), scope);
+                    Item::Assign(Assign { arr, subs, rhs })
+                })
+                .collect();
+            Forall {
+                triplets,
+                mask,
+                body,
+            }
+        }
+
+        fn subs(&mut self, arr: usize, scope: &[Var]) -> Vec<Sub> {
+            let dims: &[Var] = if arr == 2 {
+                &[Var::J, Var::I]
+            } else {
+                &[Var::I]
+            };
+            dims.iter().map(|&v| self.sub(v, scope)).collect()
+        }
+
+        /// A subscript for a dimension that index `dim` runs over.
+        fn sub(&mut self, dim: Var, scope: &[Var]) -> Sub {
+            let extent = if dim == Var::I { self.n } else { M };
+            let constant = match self.rng.below(4) {
+                0 => Sub::Last,
+                _ => Sub::Const(1 + self.rng.below(extent as u64) as i64),
+            };
+            if !scope.contains(&dim) {
+                return constant;
+            }
+            match self.rng.below(10) {
+                0..=4 => Sub::At(dim, self.rng.below(3) as i64 - 1, self.rng.chance(50)),
+                5 | 6 => constant,
+                7 => Sub::Rev(dim),
+                _ => Sub::Mod(dim),
+            }
+        }
+
+        /// A right-hand side that often reads the target `arr(subs)`: at the
+        /// stored element, shifted, at another constant, or at random.
+        fn expr(&mut self, depth: u32, target: &(usize, &[Sub]), scope: &[Var]) -> E {
+            if depth > 0 && self.rng.chance(60) {
+                let op = ['+', '-', '*'][self.rng.below(3) as usize];
+                let l = self.expr(depth - 1, target, scope);
+                let r = self.expr(depth - 1, target, scope);
+                return E::Bin(op, Box::new(l), Box::new(r));
+            }
+            let (arr, subs) = *target;
+            match self.rng.below(10) {
+                0 => E::Lit(LITERALS[self.rng.below(6) as usize]),
+                1 => E::Index(scope[self.rng.below(scope.len() as u64) as usize]),
+                2 => E::Sum(if self.rng.chance(50) {
+                    arr
+                } else {
+                    self.rng.below(3) as usize
+                }),
+                3 | 4 => E::Elem(arr, subs.to_vec()),
+                5 | 6 => {
+                    let mut subs = subs.to_vec();
+                    let k = self.rng.below(subs.len() as u64) as usize;
+                    let dim = if arr == 2 && k == 0 { Var::J } else { Var::I };
+                    subs[k] = match subs[k] {
+                        Sub::At(v, 0, flip) => Sub::At(v, 2 * self.rng.below(2) as i64 - 1, flip),
+                        Sub::At(v, _, flip) => Sub::At(v, 0, flip),
+                        _ => self.sub(dim, scope),
+                    };
+                    E::Elem(arr, subs)
+                }
+                _ => {
+                    let other = self.rng.below(3) as usize;
+                    E::Elem(other, self.subs(other, scope))
+                }
+            }
+        }
+    }
+
+    fn var(v: Var) -> &'static str {
+        if v == Var::I {
+            "I"
+        } else {
+            "J"
+        }
+    }
+
+    fn extent_name(v: Var) -> &'static str {
+        if v == Var::I {
+            "N"
+        } else {
+            "M"
+        }
+    }
+
+    fn render_subs(arr: usize, subs: &[Sub], s: &mut String) {
+        let dims: &[Var] = if arr == 2 {
+            &[Var::J, Var::I]
+        } else {
+            &[Var::I]
+        };
+        let parts: Vec<String> = subs
+            .iter()
+            .zip(dims)
+            .map(|(sub, &dim)| match *sub {
+                Sub::At(v, 0, _) => var(v).to_string(),
+                Sub::At(v, c, true) if c > 0 => format!("{c}+{}", var(v)),
+                Sub::At(v, c, _) if c > 0 => format!("{}+{c}", var(v)),
+                Sub::At(v, c, _) => format!("{}-{}", var(v), -c),
+                Sub::Const(c) => c.to_string(),
+                Sub::Last => extent_name(dim).into(),
+                Sub::Rev(v) => format!("{}+1-{}", extent_name(dim), var(v)),
+                Sub::Mod(v) => format!("MOD({}*2,{})+1", var(v), extent_name(dim)),
+            })
+            .collect();
+        let _ = write!(s, "{}({})", ARRAYS[arr], parts.join(","));
+    }
+
+    impl E {
+        fn render(&self, s: &mut String) {
+            match self {
+                E::Lit(x) => s.push_str(x),
+                E::Index(v) => s.push_str(var(*v)),
+                E::Elem(arr, subs) => render_subs(*arr, subs, s),
+                E::Sum(arr) => {
+                    let _ = write!(s, "SUM({})", ARRAYS[*arr]);
+                }
+                E::Bin(op, l, r) => {
+                    s.push('(');
+                    l.render(s);
+                    let _ = write!(s, " {op} ");
+                    r.render(s);
+                    s.push(')');
+                }
+            }
+        }
+    }
+
+    impl Forall {
+        fn render(&self, s: &mut String) {
+            s.push_str("FORALL (");
+            let triplets: Vec<String> = self
+                .triplets
+                .iter()
+                .map(|&(v, lo, back)| match back {
+                    0 => format!("{} = {lo}:{}", var(v), extent_name(v)),
+                    _ => format!("{} = {lo}:{}-{back}", var(v), extent_name(v)),
+                })
+                .collect();
+            s.push_str(&triplets.join(", "));
+            if let Some((e, lit)) = &self.mask {
+                s.push_str(", ");
+                e.render(s);
+                let _ = write!(s, " .GT. {lit}");
+            }
+            s.push_str(")\n");
+            for item in &self.body {
+                match item {
+                    Item::Assign(a) => {
+                        render_subs(a.arr, &a.subs, s);
+                        s.push_str(" = ");
+                        a.rhs.render(s);
+                        s.push('\n');
+                    }
+                    Item::Nested(f) => f.render(s),
+                }
+            }
+            s.push_str("END FORALL\n");
+        }
+    }
+
+    struct State {
+        n: i64,
+        arrays: Vec<Vec<f64>>,
+    }
+
+    impl State {
+        fn extent(&self, v: Var) -> i64 {
+            if v == Var::I {
+                self.n
+            } else {
+                M
+            }
+        }
+
+        /// The value of `sub` along a dimension that `dim` runs over, with
+        /// the indices bound to `env` (`I`, `J`).
+        fn sub(&self, sub: Sub, dim: Var, env: [i64; 2]) -> i64 {
+            let val = |v: Var| env[v as usize];
+            match sub {
+                Sub::At(v, c, _) => val(v) + c,
+                Sub::Const(c) => c,
+                Sub::Last => self.extent(dim),
+                Sub::Rev(v) => self.extent(dim) + 1 - val(v),
+                Sub::Mod(v) => (val(v) * 2) % self.extent(dim) + 1,
+            }
+        }
+
+        fn offset(&self, arr: usize, subs: &[Sub], env: [i64; 2]) -> usize {
+            if arr == 2 {
+                let row = self.sub(subs[0], Var::J, env);
+                let col = self.sub(subs[1], Var::I, env);
+                ((row - 1) + M * (col - 1)) as usize
+            } else {
+                (self.sub(subs[0], Var::I, env) - 1) as usize
+            }
+        }
+
+        /// `hpf_lang::value_ops` on INTEGER and REAL operands.
+        fn eval(&self, e: &E, env: [i64; 2]) -> V {
+            match e {
+                E::Lit(x) => V::Real(x.parse().unwrap()),
+                E::Index(v) => V::Int(env[*v as usize]),
+                E::Elem(arr, subs) => V::Real(self.arrays[*arr][self.offset(*arr, subs, env)]),
+                E::Sum(arr) => {
+                    let a = &self.arrays[*arr];
+                    V::Real(a[1..].iter().fold(a[0], |acc, x| acc + x))
+                }
+                E::Bin(op, l, r) => match (self.eval(l, env), self.eval(r, env)) {
+                    (V::Int(a), V::Int(b)) => V::Int(match op {
+                        '+' => a.wrapping_add(b),
+                        '-' => a.wrapping_sub(b),
+                        _ => a.wrapping_mul(b),
+                    }),
+                    (a, b) => {
+                        let (a, b) = (a.real(), b.real());
+                        V::Real(match op {
+                            '+' => a + b,
+                            '-' => a - b,
+                            _ => a * b,
+                        })
+                    }
+                },
+            }
+        }
+
+        /// One FORALL with the enclosing indices bound to `env`: the mask
+        /// over every tuple (first index fastest), then each body item in
+        /// order. A nested FORALL runs once per active tuple, as the
+        /// evaluator runs it.
+        fn forall(&mut self, f: &Forall, env: [i64; 2]) {
+            let mut tuples = vec![env];
+            for &(v, lo, back) in &f.triplets {
+                let hi = self.extent(v) - back;
+                tuples = (lo..=hi)
+                    .flat_map(|x| {
+                        tuples.iter().map(move |&t| {
+                            let mut t = t;
+                            t[v as usize] = x;
+                            t
+                        })
+                    })
+                    .collect();
+            }
+            if let Some((e, lit)) = &f.mask {
+                let lit: f64 = lit.parse().unwrap();
+                tuples.retain(|&t| self.eval(e, t).real() > lit);
+            }
+            for item in &f.body {
+                match item {
+                    Item::Assign(a) => {
+                        let stores: Vec<(usize, f64)> = tuples
+                            .iter()
+                            .map(|&t| (self.offset(a.arr, &a.subs, t), self.eval(&a.rhs, t).real()))
+                            .collect();
+                        for (off, x) in stores {
+                            self.arrays[a.arr][off] = x;
+                        }
+                    }
+                    Item::Nested(inner) => {
+                        for &t in &tuples {
+                            self.forall(inner, t);
+                        }
+                    }
+                }
+            }
+        }
     }
 }
