@@ -2,16 +2,6 @@
 //! Phase-1 three-level SPMD structure (communication / computation /
 //! communication) and the Phase-2 sub-AAG (Seq → Comm → IterD ⊃ CondtD).
 
-use hpf_report::experiments::figure2;
-
 fn main() {
-    let (spmd, aag) = figure2();
-    println!("Figure 2: Abstraction of the forall statement");
-    println!();
-    println!("source:  FORALL (K=2:N-1, V(K) .GT. 0.0)  X(K+1) = X(K) + G(K)");
-    println!();
-    println!("Phase 1 — loosely synchronous SPMD structure:");
-    println!("{spmd}");
-    println!("Phase 2 — sub-AAG (application abstraction):");
-    println!("{aag}");
+    print!("{}", hpf_report::experiments::figure2_text());
 }

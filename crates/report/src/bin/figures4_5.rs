@@ -4,7 +4,7 @@
 //!
 //! Usage: `figures4_5 [--runs R] [--max-size S]`
 
-use hpf_report::experiments::laplace_curves;
+use hpf_report::experiments::figures4_5;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -25,62 +25,8 @@ fn main() {
         .iter()
         .position(|a| a == "--csv")
         .and_then(|i| args.get(i + 1).cloned());
-    let mut all_points = Vec::new();
-
-    for (fig, procs, grid) in [(4, 4, "2x2 / 4"), (5, 8, "2x4 / 8")] {
-        println!(
-            "Figure {fig}: Laplace Solver ({procs} Procs, grids {grid}) — estimated/measured (s)"
-        );
-        println!();
-        let pts = laplace_curves(procs, max_size, runs);
-        all_points.extend(pts.clone());
-        println!(
-            "{:>5}  {:>12} {:>12}   {:>12} {:>12}   {:>12} {:>12}",
-            "N", "est(B,B)", "meas(B,B)", "est(B,*)", "meas(B,*)", "est(*,B)", "meas(*,B)"
-        );
-        let mut sizes: Vec<usize> = pts.iter().map(|p| p.size).collect();
-        sizes.sort_unstable();
-        sizes.dedup();
-        for size in &sizes {
-            let get = |d: &str| {
-                pts.iter()
-                    .find(|p| p.size == *size && p.dist == d)
-                    .map(|p| (p.estimated_s, p.measured_s))
-                    .unwrap_or((f64::NAN, f64::NAN))
-            };
-            let bb = get("(Blk,Blk)");
-            let bs = get("(Blk,*)");
-            let sb = get("(*,Blk)");
-            println!(
-                "{:>5}  {:>12.6} {:>12.6}   {:>12.6} {:>12.6}   {:>12.6} {:>12.6}",
-                size, bb.0, bb.1, bs.0, bs.1, sb.0, sb.1
-            );
-        }
-        // Directive-selection check at the largest size.
-        if let Some(&n) = sizes.last() {
-            let best_est = pts
-                .iter()
-                .filter(|p| p.size == n)
-                .min_by(|a, b| a.estimated_s.total_cmp(&b.estimated_s))
-                .unwrap();
-            let best_meas = pts
-                .iter()
-                .filter(|p| p.size == n)
-                .min_by(|a, b| a.measured_s.total_cmp(&b.measured_s))
-                .unwrap();
-            let max_err = pts
-                .iter()
-                .filter(|p| p.size == n)
-                .map(|p| 100.0 * (p.estimated_s - p.measured_s).abs() / p.measured_s)
-                .fold(0.0f64, f64::max);
-            println!();
-            println!(
-                "at N={n}: predicted best = {}, measured best = {}, max |err| = {max_err:.1}%",
-                best_est.dist, best_meas.dist
-            );
-            println!();
-        }
-    }
+    let (text, all_points) = figures4_5(runs, max_size);
+    print!("{text}");
 
     if let Some(path) = csv_path {
         let _ = std::fs::write(&path, hpf_report::csv::laplace_csv(&all_points));

@@ -57,37 +57,5 @@ fn main() {
         }
     }
 
-    println!("Table 2: Accuracy of the Performance Prediction Framework");
-    println!(
-        "(measured = mean of {} simulated runs with load jitter)\n",
-        cfg.runs
-    );
-    println!("{}", table2_text(&rows));
-
-    let worst = rows.iter().map(|r| r.max_err_pct).fold(0.0f64, f64::max);
-    let best = rows
-        .iter()
-        .map(|r| r.min_err_pct)
-        .fold(f64::INFINITY, f64::min);
-    println!("worst-case max error : {worst:.2}%  (paper: 18.6%, \"within 20%\")");
-    println!("best-case  min error : {best:.3}%  (paper: 0.00%)");
-    let kernel_max: f64 = rows
-        .iter()
-        .filter(|r| {
-            kernels::kernel_by_name(&r.app)
-                .map(|k| k.is_kernel)
-                .unwrap_or(false)
-        })
-        .map(|r| r.max_err_pct)
-        .fold(0.0, f64::max);
-    let app_max: f64 = rows
-        .iter()
-        .filter(|r| {
-            kernels::kernel_by_name(&r.app)
-                .map(|k| !k.is_kernel)
-                .unwrap_or(false)
-        })
-        .map(|r| r.max_err_pct)
-        .fold(0.0, f64::max);
-    println!("kernels max error    : {kernel_max:.2}%   applications max error: {app_max:.2}%");
+    print!("{}", table2_text(&rows, cfg.runs));
 }

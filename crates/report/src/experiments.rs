@@ -12,6 +12,7 @@ use ipsc_sim::{SimConfig, Simulator};
 use kernels::{all_kernels, Kernel, KernelKind, LaplaceDist};
 use serde::Serialize;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// One (application, size, procs) accuracy sample.
@@ -320,9 +321,14 @@ pub fn table2(cfg: &SweepConfig) -> Table2Output {
     }
 }
 
-/// Render Table 2 as text.
-pub fn table2_text(rows: &[Table2Row]) -> String {
-    let mut out = String::new();
+/// Table 2 as `bin/table2` prints it: the table of a sweep with `runs`
+/// simulated runs per measurement, then its error summary.
+pub fn table2_text(rows: &[Table2Row], runs: usize) -> String {
+    let mut out = String::from("Table 2: Accuracy of the Performance Prediction Framework\n");
+    let _ = writeln!(
+        out,
+        "(measured = mean of {runs} simulated runs with load jitter)\n"
+    );
     out.push_str(
         "Name               Problem Sizes    System Size   Min Abs Error   Max Abs Error\n",
     );
@@ -333,6 +339,29 @@ pub fn table2_text(rows: &[Table2Row]) -> String {
             r.app, r.sizes.0, r.sizes.1, r.procs.0, r.procs.1, r.min_err_pct, r.max_err_pct
         ));
     }
+    out.push('\n');
+    let worst = rows.iter().map(|r| r.max_err_pct).fold(0.0f64, f64::max);
+    let best = rows
+        .iter()
+        .map(|r| r.min_err_pct)
+        .fold(f64::INFINITY, f64::min);
+    let _ = writeln!(
+        out,
+        "worst-case max error : {worst:.2}%  (paper: 18.6%, \"within 20%\")"
+    );
+    let _ = writeln!(out, "best-case  min error : {best:.3}%  (paper: 0.00%)");
+    let max_where = |kernel: bool| {
+        rows.iter()
+            .filter(|r| kernels::kernel_by_name(&r.app).is_some_and(|k| k.is_kernel == kernel))
+            .map(|r| r.max_err_pct)
+            .fold(0.0, f64::max)
+    };
+    let _ = writeln!(
+        out,
+        "kernels max error    : {:.2}%   applications max error: {:.2}%",
+        max_where(true),
+        max_where(false)
+    );
     out
 }
 
@@ -388,6 +417,63 @@ pub fn laplace_curves(procs: usize, max_size: usize, runs: usize) -> Vec<Laplace
         }
     }
     pts
+}
+
+/// Figures 4 and 5 as `bin/figures4_5` prints them (4 and 8 processors,
+/// sizes up to `max_size`, `runs` simulated runs per point), with every
+/// point of both.
+pub fn figures4_5(runs: usize, max_size: usize) -> (String, Vec<LaplacePoint>) {
+    let mut out = String::new();
+    let mut all_points = Vec::new();
+    for (fig, procs, grid) in [(4, 4, "2x2 / 4"), (5, 8, "2x4 / 8")] {
+        let _ = writeln!(
+            out,
+            "Figure {fig}: Laplace Solver ({procs} Procs, grids {grid}) — estimated/measured (s)\n"
+        );
+        let pts = laplace_curves(procs, max_size, runs);
+        let _ = writeln!(
+            out,
+            "{:>5}  {:>12} {:>12}   {:>12} {:>12}   {:>12} {:>12}",
+            "N", "est(B,B)", "meas(B,B)", "est(B,*)", "meas(B,*)", "est(*,B)", "meas(*,B)"
+        );
+        let mut sizes: Vec<usize> = pts.iter().map(|p| p.size).collect();
+        sizes.sort_unstable();
+        sizes.dedup();
+        for size in &sizes {
+            let get = |d: &str| {
+                pts.iter()
+                    .find(|p| p.size == *size && p.dist == d)
+                    .map(|p| (p.estimated_s, p.measured_s))
+                    .unwrap_or((f64::NAN, f64::NAN))
+            };
+            let (bb, bs, sb) = (get("(Blk,Blk)"), get("(Blk,*)"), get("(*,Blk)"));
+            let _ = writeln!(
+                out,
+                "{:>5}  {:>12.6} {:>12.6}   {:>12.6} {:>12.6}   {:>12.6} {:>12.6}",
+                size, bb.0, bb.1, bs.0, bs.1, sb.0, sb.1
+            );
+        }
+        // Directive-selection check at the largest size.
+        if let Some(&n) = sizes.last() {
+            let at_n = || pts.iter().filter(|p| p.size == n);
+            let best_est = at_n()
+                .min_by(|a, b| a.estimated_s.total_cmp(&b.estimated_s))
+                .unwrap();
+            let best_meas = at_n()
+                .min_by(|a, b| a.measured_s.total_cmp(&b.measured_s))
+                .unwrap();
+            let max_err = at_n()
+                .map(|p| 100.0 * (p.estimated_s - p.measured_s).abs() / p.measured_s)
+                .fold(0.0f64, f64::max);
+            let _ = writeln!(
+                out,
+                "\nat N={n}: predicted best = {}, measured best = {}, max |err| = {max_err:.1}%\n",
+                best_est.dist, best_meas.dist
+            );
+        }
+        all_points.extend(pts);
+    }
+    (out, all_points)
 }
 
 /// Figure 3: ASCII rendering of the three Laplace data distributions on
@@ -485,6 +571,17 @@ pub fn figure7(size: usize, procs: usize) -> Vec<PhaseProfile> {
             overhead_us: p2.overhead * 1e6,
         },
     ]
+}
+
+/// Figure 2 as `bin/figure2` prints it.
+pub fn figure2_text() -> String {
+    let (spmd, aag) = figure2();
+    format!(
+        "Figure 2: Abstraction of the forall statement\n\n\
+         source:  FORALL (K=2:N-1, V(K) .GT. 0.0)  X(K+1) = X(K) + G(K)\n\n\
+         Phase 1 — loosely synchronous SPMD structure:\n{spmd}\n\
+         Phase 2 — sub-AAG (application abstraction):\n{aag}\n"
+    )
 }
 
 /// Figure 2: the abstraction of the paper's forall example, shown as the

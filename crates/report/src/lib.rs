@@ -6,11 +6,14 @@
 //! |------------|----------------------|
 //! | Table 1    | `bin/table1`         |
 //! | Table 2    | [`experiments::table2`], `bin/table2`   |
-//! | Figure 2   | `bin/figure2`        |
+//! | Figure 2   | [`experiments::figure2_text`], `bin/figure2` |
 //! | Figure 3   | [`experiments::figure3`], `bin/figure3` |
-//! | Figures 4–5| [`experiments::laplace_curves`], `bin/figures4_5` |
+//! | Figures 4–5| [`experiments::figures4_5`], `bin/figures4_5` |
 //! | Figure 7   | [`experiments::figure7`], `bin/figure7` |
 //! | Figure 8   | [`workflow`], `bin/figure8`             |
+//!
+//! The text of Table 2 and Figures 2, 4 and 5 is rendered here, not in the
+//! binaries, so `tests/goldens.rs` diffs exactly what they print.
 //!
 //! It also holds the primitives the advisor and the service build on: the
 //! [`pipeline`] entry points, the fan-out [`pool`], the [`hash`] and the

@@ -1,0 +1,56 @@
+//! Golden pins of the report binaries' deterministic outputs.
+//!
+//! Each row regenerates one checked-in artifact in process, with the
+//! renderer its binary prints, and diffs it against the file. Set
+//! `UPDATE_GOLDENS=1` to regenerate the files instead.
+
+use hpf90d::report::experiments::{figure2_text, figures4_5, table2, table2_text, SweepConfig};
+
+/// Renders an artifact's text.
+type Render = fn() -> String;
+
+/// `(artifact, renderer)`: what `figure2`, `table2 --quick` and
+/// `figures4_5` print with their default options.
+const GOLDENS: &[(&str, Render)] = &[
+    ("artifacts_figure2.txt", figure2_text),
+    ("artifacts_table2_quick.txt", || {
+        let cfg = SweepConfig::quick();
+        table2_text(&table2(&cfg).rows, cfg.runs)
+    }),
+    ("artifacts_figures4_5.txt", || figures4_5(200, 256).0),
+];
+
+#[test]
+fn report_artifacts_match_goldens() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let update = std::env::var_os("UPDATE_GOLDENS").is_some();
+    let mut drifted = Vec::new();
+    for &(file, render) in GOLDENS {
+        let got = render();
+        let path = root.join(file);
+        if update {
+            std::fs::write(&path, &got).expect("write golden");
+            continue;
+        }
+        let want = std::fs::read_to_string(&path).expect("golden file present");
+        if got != want {
+            let diff: Vec<String> = want
+                .lines()
+                .zip(got.lines())
+                .filter(|(w, g)| w != g)
+                .map(|(w, g)| format!("- {w}\n+ {g}"))
+                .collect();
+            drifted.push(format!(
+                "{file} ({} vs {} lines):\n{}",
+                want.lines().count(),
+                got.lines().count(),
+                diff.join("\n")
+            ));
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "drifted from golden:\n{}",
+        drifted.join("\n")
+    );
+}
