@@ -215,7 +215,8 @@ fn faults_case(size: usize, procs: usize, runs: usize) -> BenchCase {
 /// candidates, so this measures the warm-session fan-out cost.
 fn advisor_case(n: usize, procs: usize) -> BenchCase {
     let kernel = kernels::kernel_by_name("Laplace (Blk-Blk)").expect("kernel");
-    let advisor = Arc::new(Advisor::for_kernel(&kernel).expect("advisor"));
+    let artifact = kernels::CompiledKernel::new(&kernel).expect("kernel parses");
+    let advisor = Arc::new(Advisor::for_kernel(&artifact).expect("advisor"));
     let cfg = AdvisorConfig {
         n,
         procs,

@@ -21,6 +21,7 @@
 //! `hpf-serve` returns as a structured 400 body.
 
 use hpf_advisor::{render_cross_table, render_table, Advisor, AdvisorConfig};
+use report::PipelineError;
 
 fn usage() -> ! {
     eprintln!(
@@ -103,10 +104,13 @@ fn main() {
                     std::process::exit(2)
                 }
             };
-            Advisor::for_kernel(&kernel).unwrap_or_else(|e| {
-                eprintln!("advise: advisor setup failed: {e}");
-                std::process::exit(1)
-            })
+            kernels::CompiledKernel::new(&kernel)
+                .map_err(PipelineError::from)
+                .and_then(|artifact| Advisor::for_kernel(&artifact))
+                .unwrap_or_else(|e| {
+                    eprintln!("advise: advisor setup failed: {e}");
+                    std::process::exit(1)
+                })
         }
     };
 

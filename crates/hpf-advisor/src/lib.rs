@@ -38,7 +38,7 @@ pub mod space;
 
 pub use search::{
     render_cross_table, render_table, Advisor, AdvisorConfig, AdvisorReport, CrossMachineReport,
-    CrossMachineRow, RankedCandidate,
+    CrossMachineRow, Front, RankedCandidate,
 };
 pub use session::Session;
 pub use space::{enumerate_candidates, ordered_factorizations, Candidate};

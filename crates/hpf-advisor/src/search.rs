@@ -19,13 +19,14 @@
 //!    and independent of enumeration order.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use hpf_compiler::{compile, CompileOptions, SpmdProgram};
-use hpf_lang::ast::Program;
-use hpf_lang::{analyze, parse_program, AnalyzedProgram};
+use hpf_compiler::{compile_normalized, normalize, CompileError, CompileOptions, SpmdProgram};
+use hpf_lang::ast::{Program, Stmt};
+use hpf_lang::{analyze_front, check_directives, parse_program, AnalyzedProgram};
 use interp::{InterpOptions, InterpretationEngine, Metrics};
 use ipsc_sim::{SimConfig, Simulator};
-use kernels::Kernel;
+use kernels::CompiledKernel;
 use report::pipeline::{calibrated_machine_for, machine_params};
 use report::pool;
 use report::{fnv1a, shared_profile, PipelineError, PipelineStage, FNV_OFFSET};
@@ -140,27 +141,64 @@ pub struct AdvisorReport {
 /// compiled exactly once in the lower-bound pass and re-served to the
 /// full evaluation and the simulator.
 struct CandidateSession {
-    analyzed: AnalyzedProgram,
     spmd: SpmdProgram,
     aag: appgraph::Aag,
     lower_bound_s: f64,
 }
 
+/// The front half of one search: the program analyzed with `N` bound and
+/// normalized, once. Candidates differ only in their directive lists, and
+/// nothing here reads a DISTRIBUTE format or a PROCESSORS shape, so every
+/// candidate's back half ([`Front::compile`]) starts from this.
+#[derive(Debug)]
+pub struct Front {
+    overrides: BTreeMap<String, i64>,
+    analyzed: AnalyzedProgram,
+    normalized: Vec<Stmt>,
+}
+
+impl Front {
+    /// The back half for one candidate on `procs` nodes: rewrite the
+    /// directive list, check it, then partition and lower with the grid
+    /// pinned through `CompileOptions::grid_extents`. No AST is cloned.
+    pub fn compile(&self, c: &Candidate, procs: usize) -> Result<SpmdProgram, PipelineError> {
+        let directives = space::candidate_directives(&self.analyzed.program.directives, c);
+        check_directives(&self.analyzed, &directives, &self.overrides)?;
+        let opts = CompileOptions {
+            nodes: procs,
+            grid_extents: Some(c.grid.clone()),
+            ..CompileOptions::default()
+        };
+        let _s = hpf_trace::span("compile");
+        Ok(compile_normalized(
+            &self.analyzed,
+            &self.normalized,
+            &directives,
+            &opts,
+        )?)
+    }
+}
+
 /// A what-if advisor bound to one program: the canonical source is parsed
-/// exactly once, every candidate is an AST rewrite of that one program.
+/// exactly once, and every candidate is a rewrite of that program's
+/// directive list.
 #[derive(Debug)]
 pub struct Advisor {
     name: String,
     source: String,
-    program: Program,
+    program: Arc<Program>,
     rank: usize,
 }
 
 impl Advisor {
-    /// Parse the kernel's canonical source and locate its template rank.
-    pub fn for_kernel(kernel: &Kernel) -> Result<Self, PipelineError> {
-        let source = kernel.source(kernel.size_range.0, 1);
-        Advisor::for_source(kernel.name, &source)
+    /// The advisor over a kernel's compile-once artifact, searching the
+    /// canonical instance the artifact already parsed.
+    pub fn for_kernel(artifact: &CompiledKernel) -> Result<Self, PipelineError> {
+        Advisor::new(
+            artifact.kernel().name,
+            artifact.canonical_source(),
+            artifact.program().clone(),
+        )
     }
 
     /// Build an advisor over arbitrary HPF source (the `advise --file` /
@@ -168,7 +206,11 @@ impl Advisor {
     /// [`PipelineError`] — never a panic — so callers can render the same
     /// diagnostic on a terminal or in a structured 400 body.
     pub fn for_source(name: &str, source: &str) -> Result<Self, PipelineError> {
-        let program = parse_program(source)?;
+        Advisor::new(name, source, Arc::new(parse_program(source)?))
+    }
+
+    /// Locate the template rank the enumeration runs over.
+    fn new(name: &str, source: &str, program: Arc<Program>) -> Result<Self, PipelineError> {
         let rank = space::distribute_rank(&program).ok_or_else(|| {
             PipelineError::new(
                 PipelineStage::Analyze,
@@ -214,16 +256,20 @@ impl Advisor {
 
         // Stage 1: compile every candidate once and take its
         // zero-communication lower bound, fanned across the pool. The
-        // session (analyzed + SPMD + AAG) is memoized for later stages.
+        // front half runs once; a program it rejects has no valid
+        // candidate. The session (SPMD + AAG) is memoized for later stages.
+        let front = self.front(cfg.n).ok();
         let sessions: Vec<Option<CandidateSession>> =
             pool::map_indexed(cands.len(), cfg.threads, |i| {
                 let _s = hpf_trace::span("lower_bound");
-                self.build_session(&cands[i], cfg)
-                    .map(|mut sess| {
-                        sess.lower_bound_s = lb_engine.interpret(&sess.aag).total_seconds();
-                        sess
-                    })
-                    .ok()
+                let spmd = front.as_ref()?.compile(&cands[i], cfg.procs).ok()?;
+                let aag = appgraph::build_aag(&spmd);
+                let lower_bound_s = lb_engine.interpret(&aag).total_seconds();
+                Some(CandidateSession {
+                    spmd,
+                    aag,
+                    lower_bound_s,
+                })
             });
         let invalid = sessions.iter().filter(|s| s.is_none()).count();
 
@@ -291,13 +337,9 @@ impl Advisor {
         // profile (one interpreter run per problem size, process-wide,
         // because the profile ignores directives).
         let top: Vec<usize> = rank_order.iter().take(cfg.top_k).copied().collect();
-        let profile = top.first().map(|&i| {
-            let (p, reused) = shared_profile(
-                &self.source,
-                cfg.n,
-                cfg.profile_steps,
-                &sessions[i].as_ref().unwrap().analyzed,
-            );
+        let profile = front.as_ref().filter(|_| !top.is_empty()).map(|front| {
+            let (p, reused) =
+                shared_profile(&self.source, cfg.n, cfg.profile_steps, &front.analyzed);
             if reused {
                 hpf_trace::counter_add("advisor.profile_reused", 1);
             }
@@ -357,30 +399,19 @@ impl Advisor {
         })
     }
 
-    /// Compile one candidate into its warm session: AST rewrite → semantic
-    /// analysis with the `N = n` override → SPMD lowering with the grid
-    /// pinned through `CompileOptions::grid_extents` → AAG construction.
-    fn build_session(
-        &self,
-        c: &Candidate,
-        cfg: &AdvisorConfig,
-    ) -> Result<CandidateSession, PipelineError> {
-        let variant = space::apply_candidate(&self.program, c);
-        let mut overrides = BTreeMap::new();
-        overrides.insert("N".to_string(), cfg.n as i64);
-        let analyzed = analyze(&variant, &overrides)?;
-        let opts = CompileOptions {
-            nodes: cfg.procs,
-            grid_extents: Some(c.grid.clone()),
-            ..CompileOptions::default()
+    /// The front half at problem size `n`: semantic analysis with the
+    /// `N = n` override and normalization, run once per search.
+    pub fn front(&self, n: usize) -> Result<Front, PipelineError> {
+        let overrides = BTreeMap::from([("N".to_string(), n as i64)]);
+        let analyzed = analyze_front(&self.program, &overrides)?;
+        let normalized = {
+            let _s = hpf_trace::span("compile");
+            normalize(&analyzed).map_err(CompileError::from)?
         };
-        let spmd = compile(&analyzed, &opts)?;
-        let aag = appgraph::build_aag(&spmd);
-        Ok(CandidateSession {
+        Ok(Front {
+            overrides,
             analyzed,
-            spmd,
-            aag,
-            lower_bound_s: 0.0,
+            normalized,
         })
     }
 }

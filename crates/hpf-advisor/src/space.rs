@@ -125,16 +125,17 @@ pub fn enumerate_candidates(rank: usize, procs: usize, ks: &[i64]) -> Vec<Candid
     }
 }
 
-/// Rewrite `program`'s mapping directives to realize `candidate`: every
+/// Rewrite a program's mapping directives to realize `candidate`: every
 /// `DISTRIBUTE` whose rank matches the candidate gets the candidate's
-/// format tuple, and every `PROCESSORS` arrangement is redeclared with
-/// the candidate's grid shape. The rewritten AST is what semantic
-/// analysis and SPMD lowering see — no re-rendering or re-parsing, so
-/// spans (and therefore profile lookups) stay aligned with the original
-/// source text.
-pub fn apply_candidate(program: &Program, candidate: &Candidate) -> Program {
-    let mut p = program.clone();
-    for d in &mut p.directives {
+/// format tuple, and every `PROCESSORS` arrangement is redeclared with the
+/// candidate's grid shape. Nothing else in the program differs between
+/// candidates, so the search's back half reads only this list.
+pub(crate) fn candidate_directives(
+    directives: &[Directive],
+    candidate: &Candidate,
+) -> Vec<Directive> {
+    let mut out = directives.to_vec();
+    for d in &mut out {
         match d {
             Directive::Distribute { formats, .. } if formats.len() == candidate.formats.len() => {
                 *formats = candidate.formats.clone();
@@ -145,7 +146,18 @@ pub fn apply_candidate(program: &Program, candidate: &Candidate) -> Program {
             _ => {}
         }
     }
-    p
+    out
+}
+
+/// `program` with its directives rewritten for `candidate` as the search's
+/// back half rewrites them: the whole-program form of a candidate, which
+/// `analyze` and `compile` take, kept as the tests' reference. Spans stay
+/// aligned with the original source text.
+pub fn apply_candidate(program: &Program, candidate: &Candidate) -> Program {
+    Program {
+        directives: candidate_directives(&program.directives, candidate),
+        ..program.clone()
+    }
 }
 
 /// Rank (dimension count) of the first `DISTRIBUTE` directive, if any —

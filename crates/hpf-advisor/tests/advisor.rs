@@ -89,6 +89,12 @@ proptest! {
     }
 }
 
+/// The advisor over Laplace (Blk-Blk)'s compile-once artifact.
+fn laplace_advisor() -> Advisor {
+    let kernel = kernels::kernel_by_name("Laplace (Blk-Blk)").unwrap();
+    Advisor::for_kernel(&kernels::CompiledKernel::new(&kernel).unwrap()).unwrap()
+}
+
 /// A trimmed search config the determinism tests can run quickly.
 fn small_cfg(threads: usize) -> AdvisorConfig {
     AdvisorConfig {
@@ -105,8 +111,7 @@ fn small_cfg(threads: usize) -> AdvisorConfig {
 /// under multi-threaded evaluation with different worker counts.
 #[test]
 fn search_is_bit_identical_across_runs_and_threads() {
-    let kernel = kernels::kernel_by_name("Laplace (Blk-Blk)").unwrap();
-    let advisor = Advisor::for_kernel(&kernel).unwrap();
+    let advisor = laplace_advisor();
 
     let baseline = advisor.search(&small_cfg(1)).unwrap();
     for threads in [1usize, 2, 8] {
@@ -145,8 +150,7 @@ fn search_is_bit_identical_across_runs_and_threads() {
 /// of them.
 #[test]
 fn cross_machine_search_is_bit_identical_across_threads() {
-    let kernel = kernels::kernel_by_name("Laplace (Blk-Blk)").unwrap();
-    let advisor = Advisor::for_kernel(&kernel).unwrap();
+    let advisor = laplace_advisor();
     let machines: Vec<String> = hpf_machines::machine_names()
         .iter()
         .map(|m| m.to_string())
@@ -192,8 +196,7 @@ fn cross_machine_search_is_bit_identical_across_threads() {
 /// structured error instead of panicking.
 #[test]
 fn cross_machine_search_rejects_unknown_machine() {
-    let kernel = kernels::kernel_by_name("Laplace (Blk-Blk)").unwrap();
-    let advisor = Advisor::for_kernel(&kernel).unwrap();
+    let advisor = laplace_advisor();
     let err = advisor
         .search_cross(&small_cfg(1), &["cm5".to_string()])
         .expect_err("cm5 is not registered");
@@ -213,8 +216,7 @@ fn search_requires_distribute() {
 /// and a top-1 prediction within 20% of its own DES simulation.
 #[test]
 fn laplace_quick_search_meets_acceptance() {
-    let kernel = kernels::kernel_by_name("Laplace (Blk-Blk)").unwrap();
-    let advisor = Advisor::for_kernel(&kernel).unwrap();
+    let advisor = laplace_advisor();
     let report = advisor.search(&AdvisorConfig::quick()).unwrap();
 
     assert_eq!(report.procs, 8);
@@ -251,8 +253,7 @@ fn laplace_quick_search_meets_acceptance() {
 /// not perturb the ranked output (spot-checked via the rendered table).
 #[test]
 fn trace_counters_register_and_do_not_perturb() {
-    let kernel = kernels::kernel_by_name("Laplace (Blk-Blk)").unwrap();
-    let advisor = Advisor::for_kernel(&kernel).unwrap();
+    let advisor = laplace_advisor();
     let cfg = small_cfg(2);
     let untraced = advisor.search(&cfg).unwrap();
 

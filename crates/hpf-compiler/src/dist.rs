@@ -449,17 +449,22 @@ pub fn partition(
     analyzed: &AnalyzedProgram,
     nodes_override: Option<usize>,
 ) -> Result<DistributionTable, PartitionError> {
-    partition_onto(analyzed, nodes_override, None)
+    partition_onto(analyzed, &analyzed.program.directives, nodes_override, None)
 }
 
-/// [`partition`] with an exact processor-grid shape. When `grid_extents` is
-/// given it replaces the PROCESSORS arrangement verbatim — no
-/// [`reshape_grid`] refactoring — which is what a compile-once artifact
-/// needs to re-bind the machine-size critical variable: the caller pins the
-/// exact grid the equivalent regenerated source would have declared, so the
-/// partitioning (and everything downstream) is identical.
+/// [`partition`] over the mapping `directives` (the program's own, or a
+/// directive candidate's rewrite of them) with an exact processor-grid
+/// shape. When `grid_extents` is given it replaces the PROCESSORS
+/// arrangement verbatim — no [`reshape_grid`] refactoring — which is what a
+/// compile-once artifact needs to re-bind the machine-size critical
+/// variable: the caller pins the exact grid the equivalent regenerated
+/// source would have declared, so the partitioning (and everything
+/// downstream) is identical. Without it the grid is the arrangement's
+/// extents as `analyzed` records them, which a front half
+/// (`hpf_lang::analyze_front`) does not.
 pub fn partition_onto(
     analyzed: &AnalyzedProgram,
+    directives: &[Directive],
     nodes_override: Option<usize>,
     grid_extents: Option<&[i64]>,
 ) -> Result<DistributionTable, PartitionError> {
@@ -470,7 +475,7 @@ pub fn partition_onto(
         name: "P".into(),
         extents: vec![1],
     };
-    for d in &analyzed.program.directives {
+    for d in directives {
         if let Directive::Processors { name, .. } = d {
             if let Some(SymbolKind::Processors { shape }) =
                 analyzed.symbols.get(name).map(|s| &s.kind)
@@ -504,6 +509,14 @@ pub fn partition_onto(
             name: grid.name.clone(),
             extents: extents.to_vec(),
         };
+    } else if grid.extents.is_empty() {
+        return Err(PartitionError {
+            message: format!(
+                "PROCESSORS `{}` has no resolved extents; pin the grid",
+                grid.name
+            ),
+            span: Span::SYNTHETIC,
+        });
     } else if let Some(n) = nodes_override {
         if grid.total() != n {
             grid = reshape_grid(&grid, n);
@@ -517,7 +530,7 @@ pub fn partition_onto(
         formats: Vec<DistFormat>,
     }
     let mut templates: BTreeMap<String, TemplateDist> = BTreeMap::new();
-    for d in &analyzed.program.directives {
+    for d in directives {
         if let Directive::Template { name, .. } = d {
             if let Some(SymbolKind::Template { shape }) =
                 analyzed.symbols.get(name).map(|s| &s.kind)
@@ -532,7 +545,7 @@ pub fn partition_onto(
             }
         }
     }
-    for d in &analyzed.program.directives {
+    for d in directives {
         if let Directive::Distribute {
             target,
             formats,
@@ -603,7 +616,7 @@ pub fn partition_onto(
 
     // 3. Compose alignments.
     let mut arrays: BTreeMap<String, ArrayDist> = BTreeMap::new();
-    for d in &analyzed.program.directives {
+    for d in directives {
         if let Directive::Align {
             alignee,
             dummies,
@@ -942,13 +955,29 @@ END
     fn grid_extents_are_validated() {
         let p = parse_program(LAP).unwrap();
         let a = analyze(&p, &Map::new()).unwrap();
-        assert!(partition_onto(&a, Some(8), Some(&[2, 4])).is_ok());
-        let err = partition_onto(&a, Some(8), Some(&[2, 2])).unwrap_err();
+        assert!(partition_onto(&a, &a.program.directives, Some(8), Some(&[2, 4])).is_ok());
+        let err = partition_onto(&a, &a.program.directives, Some(8), Some(&[2, 2])).unwrap_err();
         assert!(err.message.contains("8 were requested"), "{}", err.message);
-        let err = partition_onto(&a, Some(8), Some(&[8, 0])).unwrap_err();
+        let err = partition_onto(&a, &a.program.directives, Some(8), Some(&[8, 0])).unwrap_err();
         assert!(err.message.contains("positive"), "{}", err.message);
-        let err = partition_onto(&a, Some(1), Some(&[])).unwrap_err();
+        let err = partition_onto(&a, &a.program.directives, Some(1), Some(&[])).unwrap_err();
         assert!(err.message.contains("non-empty"), "{}", err.message);
+    }
+
+    /// A front half records no PROCESSORS extents, so partitioning it
+    /// without a pinned grid is an error rather than an empty grid.
+    #[test]
+    fn front_half_needs_a_pinned_grid() {
+        let p = parse_program(LAP).unwrap();
+        let front = hpf_lang::analyze_front(&p, &Map::new()).unwrap();
+        let err = partition_onto(&front, &p.directives, Some(4), None).unwrap_err();
+        assert!(
+            err.message.contains("no resolved extents"),
+            "{}",
+            err.message
+        );
+        let t = partition_onto(&front, &p.directives, Some(4), Some(&[4])).unwrap();
+        assert_eq!(t.grid.extents, vec![4]);
     }
 
     #[test]
@@ -1058,7 +1087,7 @@ END
         let a = analyze(&p, &Map::new()).unwrap();
         let reshaped = partition(&a, Some(8)).unwrap();
         assert_eq!(reshaped.grid.extents, vec![4, 2]);
-        let exact = partition_onto(&a, Some(8), Some(&[2, 4])).unwrap();
+        let exact = partition_onto(&a, &a.program.directives, Some(8), Some(&[2, 4])).unwrap();
         assert_eq!(exact.grid.extents, vec![2, 4]);
         assert_eq!(exact.grid.total(), 8);
         assert_eq!(exact.grid.name, "P");

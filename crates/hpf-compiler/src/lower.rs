@@ -7,7 +7,7 @@
 //! scalar code becomes replicated `Seq` blocks.
 
 use crate::dist::{count_owned_steps, triplet_count, ArrayDist, DistributionTable};
-use crate::normalize::normalize;
+use crate::normalize::{normalize, NormalizeError};
 use crate::ops::{count_assign, count_expr, OpCounts};
 use crate::spmd::{CommPhase, CompPhase, CompileWarning, SeqBlock, SpmdNode, SpmdProgram};
 use hpf_lang::ast::*;
@@ -104,25 +104,48 @@ fn cerr<T>(message: impl Into<String>, span: Span) -> CResult<T> {
     })
 }
 
-/// Compile an analyzed program to the SPMD IR.
+impl From<NormalizeError> for CompileError {
+    fn from(e: NormalizeError) -> Self {
+        CompileError {
+            message: e.message,
+            span: e.span,
+            io: None,
+        }
+    }
+}
+
+/// Compile an analyzed program to the SPMD IR: normalize the body, then
+/// run the back half ([`compile_normalized`]) over the program's own
+/// directives.
 pub fn compile(analyzed: &AnalyzedProgram, opts: &CompileOptions) -> CResult<SpmdProgram> {
     let _span = hpf_trace::span("compile");
-    let normalized = {
-        let _s = hpf_trace::span("normalize");
-        normalize(analyzed).map_err(|e| CompileError {
+    let normalized = normalize(analyzed)?;
+    compile_normalized(analyzed, &normalized, &analyzed.program.directives, opts)
+}
+
+/// The back half of [`compile`]: partition onto `directives` and lower
+/// `normalized`, the [`normalize`]d body of `analyzed`. Normalization reads
+/// no directive, so a directive search normalizes once and runs this once
+/// per candidate list, which `hpf_lang::check_directives` has checked.
+pub fn compile_normalized(
+    analyzed: &AnalyzedProgram,
+    normalized: &[Stmt],
+    directives: &[Directive],
+    opts: &CompileOptions,
+) -> CResult<SpmdProgram> {
+    let dist = {
+        let _s = hpf_trace::span("partition");
+        crate::dist::partition_onto(
+            analyzed,
+            directives,
+            Some(opts.nodes),
+            opts.grid_extents.as_deref(),
+        )
+        .map_err(|e| CompileError {
             message: e.message,
             span: e.span,
             io: None,
         })?
-    };
-    let dist = {
-        let _s = hpf_trace::span("partition");
-        crate::dist::partition_onto(analyzed, Some(opts.nodes), opts.grid_extents.as_deref())
-            .map_err(|e| CompileError {
-                message: e.message,
-                span: e.span,
-                io: None,
-            })?
     };
 
     let _lower_span = hpf_trace::span("lower");
@@ -134,7 +157,7 @@ pub fn compile(analyzed: &AnalyzedProgram, opts: &CompileOptions) -> CResult<Spm
         warnings: Vec::new(),
     };
     let mut body = Vec::new();
-    for st in &normalized {
+    for st in normalized {
         lw.stmt(st, &mut body)?;
     }
     let warnings = lw.warnings;
@@ -145,7 +168,6 @@ pub fn compile(analyzed: &AnalyzedProgram, opts: &CompileOptions) -> CResult<Spm
         grid: dist.grid.clone(),
         dist,
         body,
-        symbols: analyzed.symbols.clone(),
         warnings,
     })
 }

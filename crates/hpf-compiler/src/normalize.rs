@@ -25,8 +25,10 @@ impl std::error::Error for NormalizeError {}
 
 type NResult<T> = Result<T, NormalizeError>;
 
-/// Normalize the executable part of a program.
+/// Normalize the executable part of a program. It reads no directive, so
+/// one normalized body serves every directive list of the program.
 pub fn normalize(analyzed: &AnalyzedProgram) -> NResult<Vec<Stmt>> {
+    let _span = hpf_trace::span("normalize");
     let n = Normalizer {
         analyzed,
         fresh: std::cell::Cell::new(0),

@@ -10,7 +10,6 @@
 
 use crate::dist::{DistributionTable, ProcGrid};
 use crate::ops::OpCounts;
-use hpf_lang::sema::SymbolTable;
 use hpf_lang::Span;
 use machine::CollectiveOp;
 
@@ -38,7 +37,6 @@ pub struct SpmdProgram {
     pub grid: ProcGrid,
     pub dist: DistributionTable,
     pub body: Vec<SpmdNode>,
-    pub symbols: SymbolTable,
     /// Graceful-degradation diagnostics collected during lowering.
     pub warnings: Vec<CompileWarning>,
 }

@@ -27,6 +27,8 @@ pub use error::{LangError, LangResult, Phase};
 pub use lexer::lex;
 pub use parser::parse_program;
 pub use pretty::{pretty_expr, pretty_program, pretty_ref};
-pub use sema::{analyze, AnalyzedProgram, Symbol, SymbolKind, SymbolTable};
+pub use sema::{
+    analyze, analyze_front, check_directives, AnalyzedProgram, Symbol, SymbolKind, SymbolTable,
+};
 pub use span::Span;
 pub use value::Value;

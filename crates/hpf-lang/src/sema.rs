@@ -94,43 +94,148 @@ pub fn implicit_type(name: &str) -> TypeSpec {
 
 /// Analyze a parsed program. `overrides` maps PARAMETER names to replacement
 /// integer values (the interface's problem-size knob).
+///
+/// Analysis has two halves, split where directive candidates differ.
+/// [`analyze_front`] does what no DISTRIBUTE format or PROCESSORS shape
+/// changes; [`check_directives`] does the checks over those, for one
+/// directive list. `analyze` runs both over the program's own directives,
+/// one directive at a time, so its checks keep their order: declarations,
+/// then each directive in turn, then the executable part.
 pub fn analyze(
     program: &Program,
     overrides: &BTreeMap<String, i64>,
 ) -> LangResult<AnalyzedProgram> {
     let _span = hpf_trace::span("sema");
-    let mut a = Analyzer {
-        symbols: SymbolTable::new(),
-        overrides,
-    };
-    a.collect_decls(program)?;
-    a.collect_directives(program)?;
-
-    // Resolve intrinsics / validate refs in the executable part.
-    let mut body = Vec::with_capacity(program.body.len());
-    for st in &program.body {
-        body.push(a.rewrite_stmt(st)?);
+    let mut a = Analyzer::with_decls(program, overrides)?;
+    let mut checks = DirectiveChecks::new(overrides);
+    for d in &program.directives {
+        checks.check(&a.symbols, d)?;
+        a.declare_mapping(d)?;
     }
-    // Implicitly declare any scalars first seen in executable context
-    // (Fortran implicit typing) — done inside rewrite via ensure_scalar.
+    for (name, extents) in checks.arrangements {
+        if let Some(Symbol {
+            kind: SymbolKind::Processors { shape },
+            ..
+        }) = a.symbols.get_mut(name)
+        {
+            *shape = extents;
+        }
+    }
+    a.finish(program)
+}
 
-    let program_out = Program {
-        name: program.name.clone(),
-        decls: program.decls.clone(),
-        directives: program.directives.clone(),
-        body,
-        span: program.span,
-    };
+/// The front half of [`analyze`]: declarations, TEMPLATE shapes, the
+/// mapping-object names, the ALIGN checks and the names a DISTRIBUTE
+/// refers to, the executable part and critical-variable tracing. None of
+/// these reads a DISTRIBUTE format or a PROCESSORS shape, so one front half
+/// serves every directive candidate of the program. Its PROCESSORS symbols
+/// carry no extents: [`check_directives`] resolves those per directive list.
+pub fn analyze_front(
+    program: &Program,
+    overrides: &BTreeMap<String, i64>,
+) -> LangResult<AnalyzedProgram> {
+    let _span = hpf_trace::span("sema");
+    let mut a = Analyzer::with_decls(program, overrides)?;
+    for d in &program.directives {
+        a.declare_mapping(d)?;
+    }
+    a.finish(program)
+}
 
-    // Critical-variable identification + definition tracing.
-    let (resolved, unresolved) = trace_critical_variables(&program_out, &a.symbols);
+/// The checks of [`analyze`] that a DISTRIBUTE format or a PROCESSORS shape
+/// can change, over `directives` against a front half ([`analyze_front`]):
+/// each PROCESSORS extent, each DISTRIBUTE's rank against its target, and
+/// its distributed dimensions against the ONTO arrangement. `directives`
+/// must be the front half's own list with only those formats and shapes
+/// rewritten, as a directive candidate is.
+pub fn check_directives(
+    front: &AnalyzedProgram,
+    directives: &[Directive],
+    overrides: &BTreeMap<String, i64>,
+) -> LangResult<()> {
+    let mut checks = DirectiveChecks::new(overrides);
+    directives
+        .iter()
+        .try_for_each(|d| checks.check(&front.symbols, d))
+}
 
-    Ok(AnalyzedProgram {
-        program: program_out,
-        symbols: a.symbols,
-        unresolved_critical: unresolved,
-        resolved_critical: resolved,
-    })
+/// One walk of the per-list directive checks, in directive order.
+struct DirectiveChecks<'a> {
+    overrides: &'a BTreeMap<String, i64>,
+    /// PROCESSORS arrangements seen so far, with their extents.
+    arrangements: Vec<(&'a str, Vec<i64>)>,
+}
+
+impl<'a> DirectiveChecks<'a> {
+    fn new(overrides: &'a BTreeMap<String, i64>) -> Self {
+        DirectiveChecks {
+            overrides,
+            arrangements: Vec::new(),
+        }
+    }
+
+    fn check(&mut self, symbols: &SymbolTable, d: &'a Directive) -> LangResult<()> {
+        match d {
+            Directive::Processors { name, shape, span } => {
+                let mut extents = Vec::with_capacity(shape.len());
+                for e in shape {
+                    let v = const_eval_in(e, symbols, self.overrides)?
+                        .as_i64()
+                        .ok_or_else(|| {
+                            LangError::sema("PROCESSORS extent must be integer", *span)
+                        })?;
+                    if v < 1 {
+                        return Err(LangError::sema("PROCESSORS extent must be >= 1", *span));
+                    }
+                    extents.push(v);
+                }
+                self.arrangements.push((name, extents));
+            }
+            Directive::Distribute {
+                target,
+                formats,
+                onto,
+                span,
+            } => {
+                // An undeclared target or ONTO arrangement is the front
+                // half's error (`declare_mapping`), reported after these.
+                let Some(tgt) = symbols.get(target) else {
+                    return Ok(());
+                };
+                let rank = tgt.shape().map(|s| s.len()).unwrap_or(0);
+                if formats.len() != rank {
+                    return Err(LangError::sema(
+                        format!(
+                            "DISTRIBUTE formats ({}) do not match rank of `{target}` ({rank})",
+                            formats.len()
+                        ),
+                        *span,
+                    ));
+                }
+                let grid = onto
+                    .as_ref()
+                    .and_then(|p| self.arrangements.iter().rev().find(|(n, _)| n == p));
+                if let Some((_, shape)) = grid {
+                    let dist_dims = formats
+                        .iter()
+                        .filter(|f| **f != DistFormat::Degenerate)
+                        .count();
+                    if dist_dims != shape.len() && !(dist_dims == 0 && shape.len() == 1) {
+                        return Err(LangError::sema(
+                            format!(
+                                "distributed dimensions ({dist_dims}) do not match \
+                                 PROCESSORS rank ({})",
+                                shape.len()
+                            ),
+                            *span,
+                        ));
+                    }
+                }
+            }
+            _ => {}
+        }
+        Ok(())
+    }
 }
 
 struct Analyzer<'a> {
@@ -139,6 +244,16 @@ struct Analyzer<'a> {
 }
 
 impl<'a> Analyzer<'a> {
+    /// An analyzer holding the program's declarations.
+    fn with_decls(program: &Program, overrides: &'a BTreeMap<String, i64>) -> LangResult<Self> {
+        let mut a = Analyzer {
+            symbols: SymbolTable::new(),
+            overrides,
+        };
+        a.collect_decls(program)?;
+        Ok(a)
+    }
+
     fn collect_decls(&mut self, program: &Program) -> LangResult<()> {
         for decl in &program.decls {
             for ent in &decl.entities {
@@ -211,134 +326,130 @@ impl<'a> Analyzer<'a> {
         Ok(())
     }
 
-    fn collect_directives(&mut self, program: &Program) -> LangResult<()> {
-        for d in &program.directives {
-            match d {
-                Directive::Processors { name, shape, span } => {
-                    let mut extents = Vec::new();
-                    for e in shape {
-                        let v = self.const_eval(e)?.as_i64().ok_or_else(|| {
-                            LangError::sema("PROCESSORS extent must be integer", *span)
-                        })?;
-                        if v < 1 {
-                            return Err(LangError::sema("PROCESSORS extent must be >= 1", *span));
-                        }
-                        extents.push(v);
-                    }
-                    self.symbols.insert(
-                        name.clone(),
-                        Symbol {
-                            name: name.clone(),
-                            ty: TypeSpec::Integer,
-                            kind: SymbolKind::Processors { shape: extents },
-                            span: *span,
-                        },
-                    );
+    /// Declare one directive's mapping object and make the checks no
+    /// directive candidate changes: TEMPLATE shapes, ALIGN, and the names a
+    /// DISTRIBUTE refers to.
+    fn declare_mapping(&mut self, d: &Directive) -> LangResult<()> {
+        match d {
+            Directive::Processors { name, span, .. } => {
+                // The extents belong to the directive list: see
+                // `DirectiveChecks`.
+                self.symbols.insert(
+                    name.clone(),
+                    Symbol {
+                        name: name.clone(),
+                        ty: TypeSpec::Integer,
+                        kind: SymbolKind::Processors { shape: Vec::new() },
+                        span: *span,
+                    },
+                );
+            }
+            Directive::Template { name, shape, span } => {
+                let shape = self.resolve_shape(shape)?;
+                self.symbols.insert(
+                    name.clone(),
+                    Symbol {
+                        name: name.clone(),
+                        ty: TypeSpec::Integer,
+                        kind: SymbolKind::Template { shape },
+                        span: *span,
+                    },
+                );
+            }
+            Directive::Independent { .. } => {}
+            Directive::Align {
+                alignee,
+                dummies,
+                target,
+                target_subs,
+                span,
+            } => {
+                let al = self.symbols.get(alignee).ok_or_else(|| {
+                    LangError::sema(format!("ALIGN of undeclared `{alignee}`"), *span)
+                })?;
+                let rank = al.shape().map(|s| s.len()).unwrap_or(0);
+                if dummies.len() != rank {
+                    return Err(LangError::sema(
+                        format!(
+                            "ALIGN dummies ({}) do not match rank of `{alignee}` ({rank})",
+                            dummies.len()
+                        ),
+                        *span,
+                    ));
                 }
-                Directive::Template { name, shape, span } => {
-                    let shape = self.resolve_shape(shape)?;
-                    self.symbols.insert(
-                        name.clone(),
-                        Symbol {
-                            name: name.clone(),
-                            ty: TypeSpec::Integer,
-                            kind: SymbolKind::Template { shape },
-                            span: *span,
-                        },
-                    );
+                let tgt = self.symbols.get(target).ok_or_else(|| {
+                    LangError::sema(format!("ALIGN WITH undeclared `{target}`"), *span)
+                })?;
+                let trank = tgt.shape().map(|s| s.len()).unwrap_or(0);
+                if !target_subs.is_empty() && target_subs.len() != trank {
+                    return Err(LangError::sema(
+                        format!("ALIGN target subscripts do not match rank of `{target}`"),
+                        *span,
+                    ));
                 }
-                Directive::Independent { .. } => {}
-                Directive::Align {
-                    alignee,
-                    dummies,
-                    target,
-                    target_subs,
-                    span,
-                } => {
-                    let al = self.symbols.get(alignee).ok_or_else(|| {
-                        LangError::sema(format!("ALIGN of undeclared `{alignee}`"), *span)
-                    })?;
-                    let rank = al.shape().map(|s| s.len()).unwrap_or(0);
-                    if dummies.len() != rank {
-                        return Err(LangError::sema(
-                            format!(
-                                "ALIGN dummies ({}) do not match rank of `{alignee}` ({rank})",
-                                dummies.len()
-                            ),
-                            *span,
-                        ));
-                    }
-                    let tgt = self.symbols.get(target).ok_or_else(|| {
-                        LangError::sema(format!("ALIGN WITH undeclared `{target}`"), *span)
-                    })?;
-                    let trank = tgt.shape().map(|s| s.len()).unwrap_or(0);
-                    if !target_subs.is_empty() && target_subs.len() != trank {
-                        return Err(LangError::sema(
-                            format!("ALIGN target subscripts do not match rank of `{target}`"),
-                            *span,
-                        ));
-                    }
-                    for sub in target_subs {
-                        if let AlignSub::Affine { dummy, .. } = sub {
-                            if !dummies.contains(dummy) {
-                                return Err(LangError::sema(
-                                    format!("align subscript uses unknown dummy `{dummy}`"),
-                                    *span,
-                                ));
-                            }
+                for sub in target_subs {
+                    if let AlignSub::Affine { dummy, .. } = sub {
+                        if !dummies.contains(dummy) {
+                            return Err(LangError::sema(
+                                format!("align subscript uses unknown dummy `{dummy}`"),
+                                *span,
+                            ));
                         }
                     }
                 }
-                Directive::Distribute {
-                    target,
-                    formats,
-                    onto,
-                    span,
-                } => {
-                    let tgt = self.symbols.get(target).ok_or_else(|| {
-                        LangError::sema(format!("DISTRIBUTE of undeclared `{target}`"), *span)
-                    })?;
-                    let rank = tgt.shape().map(|s| s.len()).unwrap_or(0);
-                    if formats.len() != rank {
+            }
+            Directive::Distribute {
+                target, onto, span, ..
+            } => {
+                if !self.symbols.contains_key(target) {
+                    return Err(LangError::sema(
+                        format!("DISTRIBUTE of undeclared `{target}`"),
+                        *span,
+                    ));
+                }
+                if let Some(p) = onto {
+                    if !matches!(
+                        self.symbols.get(p).map(|s| &s.kind),
+                        Some(SymbolKind::Processors { .. })
+                    ) {
                         return Err(LangError::sema(
-                            format!(
-                                "DISTRIBUTE formats ({}) do not match rank of `{target}` ({rank})",
-                                formats.len()
-                            ),
+                            format!("ONTO names unknown PROCESSORS `{p}`"),
                             *span,
                         ));
-                    }
-                    if let Some(p) = onto {
-                        match self.symbols.get(p).map(|s| &s.kind) {
-                            Some(SymbolKind::Processors { shape }) => {
-                                let dist_dims = formats
-                                    .iter()
-                                    .filter(|f| **f != DistFormat::Degenerate)
-                                    .count();
-                                if dist_dims != shape.len() && !(dist_dims == 0 && shape.len() == 1)
-                                {
-                                    return Err(LangError::sema(
-                                        format!(
-                                            "distributed dimensions ({dist_dims}) do not match \
-                                             PROCESSORS rank ({})",
-                                            shape.len()
-                                        ),
-                                        *span,
-                                    ));
-                                }
-                            }
-                            _ => {
-                                return Err(LangError::sema(
-                                    format!("ONTO names unknown PROCESSORS `{p}`"),
-                                    *span,
-                                ))
-                            }
-                        }
                     }
                 }
             }
         }
         Ok(())
+    }
+
+    /// Resolve intrinsics and check references in the executable part, then
+    /// trace the critical variables.
+    fn finish(mut self, program: &Program) -> LangResult<AnalyzedProgram> {
+        let mut body = Vec::with_capacity(program.body.len());
+        for st in &program.body {
+            body.push(self.rewrite_stmt(st)?);
+        }
+        // Implicitly declare any scalars first seen in executable context
+        // (Fortran implicit typing) — done inside rewrite via ensure_scalar.
+
+        let program_out = Program {
+            name: program.name.clone(),
+            decls: program.decls.clone(),
+            directives: program.directives.clone(),
+            body,
+            span: program.span,
+        };
+
+        // Critical-variable identification + definition tracing.
+        let (resolved, unresolved) = trace_critical_variables(&program_out, &self.symbols);
+
+        Ok(AnalyzedProgram {
+            program: program_out,
+            symbols: self.symbols,
+            unresolved_critical: unresolved,
+            resolved_critical: resolved,
+        })
     }
 
     fn resolve_shape(&self, dims: &[DimBound]) -> LangResult<Vec<(i64, i64)>> {

@@ -1079,9 +1079,15 @@ impl Api {
         }
 
         let advisor = match &target {
-            Target::Kernel(name) => match kernels::kernel_by_name(name) {
-                Some(k) => hpf_advisor::Advisor::for_kernel(&k),
-                None => return bad_request(format!("unknown kernel `{name}`")),
+            Target::Kernel(name) => match self.cache.kernel_artifact(name) {
+                Ok(artifact) => hpf_advisor::Advisor::for_kernel(&artifact),
+                Err(_) if kernels::kernel_by_name(name).is_none() => {
+                    return bad_request(format!("unknown kernel `{name}`"))
+                }
+                Err(f) => {
+                    let (status, value) = failure_value(&f, None);
+                    return ApiResponse::json(status, &value);
+                }
             },
             Target::Source(src) => hpf_advisor::Advisor::for_source("<inline source>", src),
         };

@@ -14,6 +14,7 @@
 //! (for prediction and simulation) without touching the lexer or parser.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use hpf_compiler::{compile, CompileError, CompileOptions, SpmdProgram};
 use hpf_lang::{analyze, parse_program, AnalyzedProgram, LangError};
@@ -64,7 +65,7 @@ impl From<CompileError> for KernelBindError {
 pub struct CompiledKernel {
     kernel: Kernel,
     source: String,
-    program: hpf_lang::ast::Program,
+    program: Arc<hpf_lang::ast::Program>,
 }
 
 impl CompiledKernel {
@@ -72,7 +73,7 @@ impl CompiledKernel {
     /// ever, per session.
     pub fn new(kernel: &Kernel) -> Result<Self, KernelBindError> {
         let source = kernel.source(kernel.size_range.0, 1);
-        let program = parse_program(&source)?;
+        let program = Arc::new(parse_program(&source)?);
         Ok(CompiledKernel {
             kernel: kernel.clone(),
             source,
@@ -91,6 +92,12 @@ impl CompiledKernel {
     /// the AST plus a critical-variable binding can be shared by key).
     pub fn canonical_source(&self) -> &str {
         &self.source
+    }
+
+    /// The canonical instance's AST, shared rather than copied: the
+    /// directive advisor searches over this one parse.
+    pub fn program(&self) -> &Arc<hpf_lang::ast::Program> {
+        &self.program
     }
 
     /// Re-bind the artifact to a sweep point: override the critical

@@ -4,13 +4,17 @@
 //! renderer its binary prints, and diffs it against the file. Set
 //! `UPDATE_GOLDENS=1` to regenerate the files instead.
 
+use hpf90d::kernels::{kernel_by_name, CompiledKernel};
 use hpf90d::report::experiments::{figure2_text, figures4_5, table2, table2_text, SweepConfig};
+use hpf_advisor::{render_cross_table, render_table, Advisor, AdvisorConfig};
 
 /// Renders an artifact's text.
 type Render = fn() -> String;
 
 /// `(artifact, renderer)`: what `figure2`, `table2 --quick` and
-/// `figures4_5` print with their default options.
+/// `figures4_5` print with their default options, and what `advise --quick`
+/// prints alone and with `--machines ipsc860,torus3d,fattree,multicore`,
+/// each with `--threads 1` and `--threads 2`.
 const GOLDENS: &[(&str, Render)] = &[
     ("artifacts_figure2.txt", figure2_text),
     ("artifacts_table2_quick.txt", || {
@@ -18,7 +22,39 @@ const GOLDENS: &[(&str, Render)] = &[
         table2_text(&table2(&cfg).rows, cfg.runs)
     }),
     ("artifacts_figures4_5.txt", || figures4_5(200, 256).0),
+    ("artifacts_advisor_laplace.txt", || advise_quick(1)),
+    ("artifacts_advisor_laplace.txt", || advise_quick(2)),
+    ("artifacts_advisor_cross_machine.txt", || advise_cross(1)),
+    ("artifacts_advisor_cross_machine.txt", || advise_cross(2)),
 ];
+
+/// The advisor `advise` builds for its default kernel.
+fn laplace_advisor() -> Advisor {
+    let kernel = kernel_by_name("Laplace (Blk-Blk)").unwrap();
+    Advisor::for_kernel(&CompiledKernel::new(&kernel).unwrap()).unwrap()
+}
+
+fn quick(threads: usize) -> AdvisorConfig {
+    AdvisorConfig {
+        threads,
+        ..AdvisorConfig::quick()
+    }
+}
+
+/// `advise --quick --threads <threads>`.
+fn advise_quick(threads: usize) -> String {
+    render_table(&laplace_advisor().search(&quick(threads)).unwrap())
+}
+
+/// `advise --quick --threads <threads> --machines ipsc860,torus3d,fattree,multicore`.
+fn advise_cross(threads: usize) -> String {
+    let machines = ["ipsc860", "torus3d", "fattree", "multicore"].map(String::from);
+    render_cross_table(
+        &laplace_advisor()
+            .search_cross(&quick(threads), &machines)
+            .unwrap(),
+    )
+}
 
 #[test]
 fn report_artifacts_match_goldens() {

@@ -5,18 +5,16 @@
 //! on 1, 3, 8 and 64 nodes, and Laplace (Blk-Blk) also at n = 16384 on 64
 //! nodes. Every directive candidate the advisor enumerates for Laplace
 //! (Blk-Blk) at n = 160 on 16 nodes, with CYCLIC(k) for k in {2, 16, 160},
-//! is compiled as the advisor compiles it: that covers `*` dimensions, 2-D
-//! grids and CYCLIC(k) blocks wider than the extent. Each flattened phase
+//! is compiled through the advisor's back half: that covers `*`
+//! dimensions, 2-D grids and CYCLIC(k) blocks wider than the extent. Each flattened phase
 //! is one line: its label, its total and per-node iterations (runs of equal
 //! counts written `count*run`) and working set, or the payload per node of
 //! a communication or I/O phase. The rows are diffed against
 //! `artifacts_spmd_phases.txt`; set `UPDATE_GOLDENS=1` to regenerate it.
 
-use hpf90d::compiler::{compile, flatten_phases, CompileOptions, SpmdNode, SpmdProgram};
+use hpf90d::compiler::{flatten_phases, CompileOptions, SpmdNode, SpmdProgram};
 use hpf90d::kernels::{all_kernels, kernel_by_name, ooc_kernels, CompiledKernel};
-use hpf90d::lang::{analyze, parse_program};
-use hpf_advisor::space::{apply_candidate, enumerate_candidates};
-use std::collections::BTreeMap;
+use hpf_advisor::{enumerate_candidates, Advisor};
 use std::fmt::Write as _;
 
 const GOLDEN: &str = "artifacts_spmd_phases.txt";
@@ -82,21 +80,16 @@ fn bind_rows(out: &mut String, artifact: &CompiledKernel, n: usize, procs: usize
     }
 }
 
-/// Each candidate compiled as the advisor's `build_session` compiles it.
+/// Each candidate compiled through the advisor's back half, over the
+/// front half its search builds once.
 fn advisor_rows(out: &mut String) {
     let (n, procs) = (160usize, 16usize);
     let k = kernel_by_name("Laplace (Blk-Blk)").unwrap();
-    let program = parse_program(&k.source(k.size_range.0, 1)).unwrap();
-    let overrides = BTreeMap::from([("N".to_string(), n as i64)]);
+    let advisor = Advisor::for_kernel(&CompiledKernel::new(&k).unwrap()).unwrap();
+    let front = advisor.front(n).unwrap();
     for cand in enumerate_candidates(2, procs, &[2, 16, 160]) {
         let label = cand.label();
-        let analyzed = analyze(&apply_candidate(&program, &cand), &overrides).unwrap();
-        let opts = CompileOptions {
-            nodes: procs,
-            grid_extents: Some(cand.grid.clone()),
-            ..CompileOptions::default()
-        };
-        match compile(&analyzed, &opts) {
+        match front.compile(&cand, procs) {
             Ok(spmd) => {
                 writeln!(out, "== advisor {} n={n} p={procs} {label}", k.name).unwrap();
                 phase_rows(out, &spmd);
