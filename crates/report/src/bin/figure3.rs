@@ -1,13 +1,11 @@
 //! Regenerate **Figure 3** — the Laplace solver's three data distributions
 //! on 4 processors, shown as ownership grids (digit = owning node).
-
-use hpf_report::experiments::figure3;
+//!
+//! Usage: `figure3 [N] [PROCS]` (default 16 × 16 on 4 processors).
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let n = args.get(1).and_then(|v| v.parse().ok()).unwrap_or(16);
     let procs = args.get(2).and_then(|v| v.parse().ok()).unwrap_or(4);
-    println!("Figure 3: Laplace Solver - Data Distributions ({procs} processors, {n}x{n})");
-    println!();
-    println!("{}", figure3(n, procs));
+    print!("{}", hpf_report::experiments::figure3_text(n, procs));
 }

@@ -1,48 +1,12 @@
 //! Regenerate **Figures 6 & 7** — the financial model's application phases
 //! and the per-phase interpreted performance profile (comp/comm/overhead),
 //! 4 processors, problem size 256.
-
-use hpf_report::experiments::figure7;
+//!
+//! Usage: `figure7 [SIZE] [PROCS]`.
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let size = args.get(1).and_then(|v| v.parse().ok()).unwrap_or(256);
     let procs = args.get(2).and_then(|v| v.parse().ok()).unwrap_or(4);
-
-    println!("Figure 6: Financial Model — Application Phases");
-    println!("  Phase 1: create stock price lattice (backward induction, shift per step)");
-    println!("  Phase 2: compute call prices (local, no communication)");
-    println!();
-    println!("Figure 7: Stock Option Pricing — Interpreted Performance Profile");
-    println!("  Procs = {procs}; Size = {size}");
-    println!();
-    let phases = figure7(size, procs);
-    println!(
-        "{:<36} {:>12} {:>12} {:>12}",
-        "Phase", "Comp (µs)", "Comm (µs)", "Ovhd (µs)"
-    );
-    for p in &phases {
-        println!(
-            "{:<36} {:>12.1} {:>12.1} {:>12.1}",
-            p.phase, p.comp_us, p.comm_us, p.overhead_us
-        );
-    }
-    println!();
-    // ASCII bars (scaled to the tallest phase total).
-    let max: f64 = phases
-        .iter()
-        .map(|p| p.comp_us + p.comm_us + p.overhead_us)
-        .fold(0.0, f64::max)
-        .max(1.0);
-    for p in &phases {
-        let w = |x: f64| ((x / max) * 50.0).round() as usize;
-        println!(
-            "{:<10} [{}{}{}]",
-            p.phase.split(' ').take(2).collect::<Vec<_>>().join(" "),
-            "#".repeat(w(p.comp_us)),
-            "~".repeat(w(p.comm_us)),
-            "+".repeat(w(p.overhead_us)),
-        );
-    }
-    println!("           # computation   ~ communication   + overhead");
+    print!("{}", hpf_report::experiments::figure7_text(size, procs));
 }

@@ -3,7 +3,7 @@
 //! I/O subsystem's Table-2-style validation artifact).
 //!
 //! Usage: `io_accuracy [--threads N]` (output is bit-identical for any
-//! thread count — the CI io-goldens job verifies at two).
+//! thread count — `tests/goldens.rs` checks 1 and 2).
 
 use hpf_report::io_accuracy::{io_accuracy, io_accuracy_text, IoAccuracyConfig};
 

@@ -476,6 +476,14 @@ pub fn figures4_5(runs: usize, max_size: usize) -> (String, Vec<LaplacePoint>) {
     (out, all_points)
 }
 
+/// Figure 3 as `bin/figure3` prints it.
+pub fn figure3_text(n: usize, procs: usize) -> String {
+    format!(
+        "Figure 3: Laplace Solver - Data Distributions ({procs} processors, {n}x{n})\n\n{}\n",
+        figure3(n, procs)
+    )
+}
+
 /// Figure 3: ASCII rendering of the three Laplace data distributions on
 /// `procs` processors (ownership of an `n × n` template).
 pub fn figure3(n: usize, procs: usize) -> String {
@@ -571,6 +579,51 @@ pub fn figure7(size: usize, procs: usize) -> Vec<PhaseProfile> {
             overhead_us: p2.overhead * 1e6,
         },
     ]
+}
+
+/// Figures 6 and 7 as `bin/figure7` prints them: the financial model's
+/// phases, then its per-phase profile as a table and as ASCII bars
+/// scaled to the tallest phase.
+pub fn figure7_text(size: usize, procs: usize) -> String {
+    let mut out = String::from(
+        "Figure 6: Financial Model — Application Phases\n  \
+         Phase 1: create stock price lattice (backward induction, shift per step)\n  \
+         Phase 2: compute call prices (local, no communication)\n\n\
+         Figure 7: Stock Option Pricing — Interpreted Performance Profile\n",
+    );
+    let _ = writeln!(out, "  Procs = {procs}; Size = {size}\n");
+    let phases = figure7(size, procs);
+    let _ = writeln!(
+        out,
+        "{:<36} {:>12} {:>12} {:>12}",
+        "Phase", "Comp (µs)", "Comm (µs)", "Ovhd (µs)"
+    );
+    for p in &phases {
+        let _ = writeln!(
+            out,
+            "{:<36} {:>12.1} {:>12.1} {:>12.1}",
+            p.phase, p.comp_us, p.comm_us, p.overhead_us
+        );
+    }
+    out.push('\n');
+    let max: f64 = phases
+        .iter()
+        .map(|p| p.comp_us + p.comm_us + p.overhead_us)
+        .fold(0.0, f64::max)
+        .max(1.0);
+    for p in &phases {
+        let w = |x: f64| ((x / max) * 50.0).round() as usize;
+        let _ = writeln!(
+            out,
+            "{:<10} [{}{}{}]",
+            p.phase.split(' ').take(2).collect::<Vec<_>>().join(" "),
+            "#".repeat(w(p.comp_us)),
+            "~".repeat(w(p.comm_us)),
+            "+".repeat(w(p.overhead_us)),
+        );
+    }
+    out.push_str("           # computation   ~ communication   + overhead\n");
+    out
 }
 
 /// Figure 2 as `bin/figure2` prints it.

@@ -5,18 +5,27 @@
 //! `UPDATE_GOLDENS=1` to regenerate the files instead.
 
 use hpf90d::kernels::{kernel_by_name, CompiledKernel};
-use hpf90d::report::experiments::{figure2_text, figures4_5, table2, table2_text, SweepConfig};
+use hpf90d::report::experiments::{
+    figure2_text, figure3_text, figure7_text, figures4_5, table2, table2_text, SweepConfig,
+};
+use hpf90d::report::io_accuracy::{io_accuracy, io_accuracy_text, IoAccuracyConfig};
 use hpf_advisor::{render_cross_table, render_table, Advisor, AdvisorConfig};
+use hpf_serve::http::Request;
+use hpf_serve::{Api, CacheConfig};
 
 /// Renders an artifact's text.
 type Render = fn() -> String;
 
-/// `(artifact, renderer)`: what `figure2`, `table2 --quick` and
-/// `figures4_5` print with their default options, and what `advise --quick`
-/// prints alone and with `--machines ipsc860,torus3d,fattree,multicore`,
-/// each with `--threads 1` and `--threads 2`.
+/// `(artifact, renderer)`: what `figure2`, `figure3`, `figure7`,
+/// `table2 --quick` and `figures4_5` print with their default options;
+/// what `io_accuracy` prints, and what `advise --quick` prints alone and
+/// with `--machines ipsc860,torus3d,fattree,multicore`, each with
+/// `--threads 1` and `--threads 2`; and the service's answer to
+/// `examples/serve_predict_request.json`.
 const GOLDENS: &[(&str, Render)] = &[
     ("artifacts_figure2.txt", figure2_text),
+    ("artifacts_figure3.txt", || figure3_text(16, 4)),
+    ("artifacts_figure7.txt", || figure7_text(256, 4)),
     ("artifacts_table2_quick.txt", || {
         let cfg = SweepConfig::quick();
         table2_text(&table2(&cfg).rows, cfg.runs)
@@ -26,7 +35,35 @@ const GOLDENS: &[(&str, Render)] = &[
     ("artifacts_advisor_laplace.txt", || advise_quick(2)),
     ("artifacts_advisor_cross_machine.txt", || advise_cross(1)),
     ("artifacts_advisor_cross_machine.txt", || advise_cross(2)),
+    ("artifacts_io_accuracy.txt", || io_accuracy_table(1)),
+    ("artifacts_io_accuracy.txt", || io_accuracy_table(2)),
+    ("artifacts_serve_predict.json", serve_predict),
 ];
+
+/// `io_accuracy --threads <threads>`.
+fn io_accuracy_table(threads: usize) -> String {
+    let cfg = IoAccuracyConfig {
+        threads,
+        ..IoAccuracyConfig::default()
+    };
+    io_accuracy_text(&cfg, &io_accuracy(&cfg).unwrap())
+}
+
+/// `POST /v1/predict` of `examples/serve_predict_request.json`, answered
+/// in process by a fresh service.
+fn serve_predict() -> String {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let request = Request {
+        method: "POST".into(),
+        path: "/v1/predict".into(),
+        query: String::new(),
+        headers: Vec::new(),
+        body: std::fs::read(root.join("examples/serve_predict_request.json")).unwrap(),
+    };
+    let response = Api::new(&CacheConfig::default()).handle(&request);
+    assert_eq!(response.status, 200);
+    String::from_utf8(response.body.to_vec()).unwrap()
+}
 
 /// The advisor `advise` builds for its default kernel.
 fn laplace_advisor() -> Advisor {
