@@ -6,7 +6,8 @@
 
 use hpf90d::kernels::{kernel_by_name, CompiledKernel};
 use hpf90d::report::experiments::{
-    figure2_text, figure3_text, figure7_text, figures4_5, table2, table2_text, SweepConfig,
+    ablations_text, figure2_text, figure3_text, figure7_text, figures4_5, table2, table2_text,
+    SweepConfig,
 };
 use hpf90d::report::io_accuracy::{io_accuracy, io_accuracy_text, IoAccuracyConfig};
 use hpf_advisor::{render_cross_table, render_table, Advisor, AdvisorConfig};
@@ -16,13 +17,15 @@ use hpf_serve::{Api, CacheConfig};
 /// Renders an artifact's text.
 type Render = fn() -> String;
 
-/// `(artifact, renderer)`: what `figure2`, `figure3`, `figure7`,
-/// `table2 --quick` and `figures4_5` print with their default options;
+/// `(artifact, renderer)`: what `ablations`, `figure2`, `figure3`,
+/// `figure7`, `table2 --quick` and `figures4_5` print with their default
+/// options;
 /// what `io_accuracy` prints, and what `advise --quick` prints alone and
 /// with `--machines ipsc860,torus3d,fattree,multicore`, each with
 /// `--threads 1` and `--threads 2`; and the service's answer to
 /// `examples/serve_predict_request.json`.
 const GOLDENS: &[(&str, Render)] = &[
+    ("artifacts_ablations.txt", ablations_text),
     ("artifacts_figure2.txt", figure2_text),
     ("artifacts_figure3.txt", || figure3_text(16, 4)),
     ("artifacts_figure7.txt", || figure7_text(256, 4)),
