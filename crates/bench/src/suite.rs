@@ -75,7 +75,6 @@ fn table2_case(max_size: usize, runs: usize) -> BenchCase {
                     timeout: Some(Duration::from_secs(60)),
                     retries: 0,
                 },
-                share_artifacts: true,
                 machine: hpf_machines::DEFAULT_MACHINE.to_string(),
             };
             let out = table2(&cfg);

@@ -11,14 +11,14 @@
 //! node count on every path.
 
 use crate::search::{render_table, Advisor, AdvisorConfig};
-use hpf_compiler::{CompileOptions, SpmdProgram};
+use hpf_compiler::CompileOptions;
 use hpf_lang::{AnalyzedProgram, SymbolKind, Value};
 use interp::{profile_report, query_line, query_lines, InterpOptions, Prediction};
 use ipsc_sim::SimConfig;
 use machine::MachineModel;
 use report::pipeline::{
     calibrated_machine_for, compile_source, machine_params, predict_source_full,
-    profile_with_limit, simulate_source, PredictOptions, SimulateOptions,
+    profile_with_limit, simulate_source, Bound, PredictOptions, SimulateOptions,
 };
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -216,7 +216,7 @@ impl Session {
         out
     }
 
-    fn compiled(&self) -> Result<(AnalyzedProgram, SpmdProgram), String> {
+    fn compiled(&self) -> Result<Bound, String> {
         compile_source(
             self.require_source()?,
             self.nodes,
@@ -250,14 +250,14 @@ impl Session {
         }
     }
 
-    fn predicted(&self) -> Result<(Prediction, appgraph::Aag, SpmdProgram), String> {
+    fn predicted(&self) -> Result<(Prediction, Bound), String> {
         predict_source_full(self.require_source()?, &self.popts()).map_err(|e| e.to_string())
     }
 
     fn cmd_predict(&self) -> Result<String, String> {
-        let (pred, _, spmd) = self.predicted()?;
+        let (pred, bound) = self.predicted()?;
         let mut out = String::new();
-        for w in &spmd.warnings {
+        for w in &bound.spmd.warnings {
             let _ = writeln!(out, "{w}");
         }
         let _ = write!(
@@ -273,8 +273,8 @@ impl Session {
     }
 
     fn cmd_profile(&self) -> Result<String, String> {
-        let (pred, aag, _) = self.predicted()?;
-        Ok(profile_report(&pred, &aag, &self.source_name))
+        let (pred, bound) = self.predicted()?;
+        Ok(profile_report(&pred, &bound.aag, &self.source_name))
     }
 
     fn cmd_line(&self, rest: &str) -> Result<String, String> {
@@ -284,8 +284,8 @@ impl Session {
             .ok()
             .filter(|&n| n >= 1)
             .ok_or("usage: line <number>, counting from 1")?;
-        let (pred, aag, _) = self.predicted()?;
-        let m = query_line(&pred, &aag, n);
+        let (pred, bound) = self.predicted()?;
+        let m = query_line(&pred, &bound.aag, n);
         let text = self
             .require_source()?
             .lines()
@@ -312,8 +312,8 @@ impl Session {
             .next()
             .and_then(|v| v.parse().ok())
             .ok_or("usage: lines <a> <b>")?;
-        let (pred, aag, _) = self.predicted()?;
-        let m = query_lines(&pred, &aag, a..=b);
+        let (pred, bound) = self.predicted()?;
+        let m = query_lines(&pred, &bound.aag, a..=b);
         Ok(format!(
             "lines {a}-{b}: {:.1} µs (comm fraction {:.1}%)",
             m.time() * 1e6,
@@ -322,15 +322,15 @@ impl Session {
     }
 
     fn cmd_outline(&self) -> Result<String, String> {
-        Ok(self.compiled()?.1.outline())
+        Ok(self.compiled()?.spmd.outline())
     }
 
     fn cmd_aag(&self) -> Result<String, String> {
-        Ok(appgraph::build_aag(&self.compiled()?.1).outline())
+        Ok(self.compiled()?.aag.outline())
     }
 
     fn cmd_dists(&self) -> Result<String, String> {
-        let (_, spmd) = self.compiled()?;
+        let spmd = self.compiled()?.spmd;
         let mut out = format!(
             "grid {:?} ({} nodes)\n",
             spmd.grid.extents,
@@ -369,7 +369,7 @@ impl Session {
     }
 
     fn cmd_compare(&self) -> Result<String, String> {
-        let (pred, _, _) = self.predicted()?;
+        let (pred, _) = self.predicted()?;
         let meas = simulate_source(
             self.require_source()?,
             &self.sim_options(self.runs.min(200)),
@@ -388,7 +388,7 @@ impl Session {
     /// machine and problem size `N`, and recommend its top candidate.
     fn cmd_search(&self) -> Result<String, String> {
         let src = self.require_source()?;
-        let (analyzed, _) = self.compiled()?;
+        let analyzed = self.compiled()?.analyzed;
         let defaults = AdvisorConfig::default();
         let cfg = AdvisorConfig {
             n: parameter_n(&analyzed).unwrap_or(defaults.n),
@@ -408,9 +408,9 @@ impl Session {
 
     fn cmd_trace(&self) -> Result<String, String> {
         let machine = machine_params(&self.machine, self.nodes).map_err(|e| e.to_string())?;
-        let (analyzed, spmd) = self.compiled()?;
-        let profile = profile_with_limit(&analyzed, 10_000_000);
-        let tr = ipsc_sim::trace_program(&machine, &spmd, profile.as_ref());
+        let bound = self.compiled()?;
+        let profile = profile_with_limit(&bound.analyzed, 10_000_000);
+        let tr = ipsc_sim::trace_program(&machine, &bound.spmd, profile.as_ref());
         let mut out = tr.gantt(64);
         let _ = writeln!(out, "\nutilization (busy/comm/idle):");
         for (n, (b, c, i)) in tr.utilization().iter().enumerate() {

@@ -34,8 +34,8 @@ use report::PipelineError;
 
 use crate::breaker::{Breaker, BreakerConfig, BreakerOutcome};
 use crate::cache::{
-    body_cache_key, BoundArtifact, CacheConfig, Deadline, FlightJoin, FlightWait, ServeCache,
-    ServeFailure, WireEntry,
+    body_cache_key, CacheConfig, Deadline, FlightJoin, FlightWait, ServeCache, ServeFailure,
+    WireEntry,
 };
 use crate::http::Request;
 use crate::metrics::ServeMetrics;
@@ -256,14 +256,6 @@ impl Target {
             Target::Source(_) => Value::Str("<inline source>".into()),
         }
     }
-}
-
-/// A target with its session-level artifact resolved once, so a batch of
-/// points (a sweep's sizes) binds from one warm artifact instead of
-/// re-resolving per point.
-enum ResolvedTarget {
-    Kernel(String, std::sync::Arc<kernels::CompiledKernel>),
-    Source(std::sync::Arc<crate::cache::SourceProgram>),
 }
 
 fn uint_field(body: &Value, key: &str, default: usize) -> Result<usize, ApiResponse> {
@@ -678,47 +670,13 @@ impl Api {
         n: Option<i64>,
         procs: usize,
         deadline: &Deadline,
-    ) -> Result<std::sync::Arc<BoundArtifact>, ServeFailure> {
+    ) -> Result<std::sync::Arc<report::Bound>, ServeFailure> {
         match target {
             Target::Kernel(name) => {
                 let n = n.unwrap_or(256);
                 self.cache.bind_kernel(name, n, procs, deadline)
             }
             Target::Source(src) => self.cache.bind_source(src, n, procs, deadline),
-        }
-    }
-
-    /// Resolve the session-level artifact for a target once — the
-    /// batched-evaluation front half. Every subsequent point binds from
-    /// this resolved artifact through the same bind-cache keys the
-    /// per-request path uses, so a 50-point sweep does one session
-    /// lookup instead of fifty.
-    fn resolve_target(&self, target: &Target) -> Result<ResolvedTarget, ServeFailure> {
-        match target {
-            Target::Kernel(name) => Ok(ResolvedTarget::Kernel(
-                name.clone(),
-                self.cache.kernel_artifact(name)?,
-            )),
-            Target::Source(src) => Ok(ResolvedTarget::Source(self.cache.source_program(src)?)),
-        }
-    }
-
-    /// Bind one batched point from the resolved artifact.
-    fn bind_resolved(
-        &self,
-        resolved: &ResolvedTarget,
-        n: i64,
-        procs: usize,
-        deadline: &Deadline,
-    ) -> Result<std::sync::Arc<BoundArtifact>, ServeFailure> {
-        match resolved {
-            ResolvedTarget::Kernel(name, artifact) => self
-                .cache
-                .bind_kernel_artifact(name, artifact, n, procs, deadline),
-            ResolvedTarget::Source(program) => {
-                self.cache
-                    .bind_source_program(program, Some(n), procs, deadline)
-            }
         }
     }
 
@@ -868,21 +826,21 @@ impl Api {
             Err(resp) => return resp,
         };
 
-        // Batched evaluation: resolve the session artifact once, then
-        // bind-and-interpret every point from it — one `SweepSession`-style
-        // pass instead of a session lookup per point. Bind keys are
-        // identical to the per-request path, so batched and unbatched
-        // evaluation are interchangeable warm and byte-identical cold.
+        // Batched evaluation: every point binds through `bind_target`,
+        // under the same bind-cache keys as a predict of that point. The
+        // program is looked up first, so a bad program fails before the
+        // machine is checked.
         let _batch = hpf_trace::span("batch");
         hpf_trace::counter_add("serve.batch.sessions", 1);
         hpf_trace::counter_add("serve.batch.points", sizes.len() as u64);
-        let resolved = match self.resolve_target(&target) {
-            Ok(r) => r,
-            Err(f) => {
-                let (status, value) = failure_value(&f, target.source_text());
-                return ApiResponse::json(status, &value);
-            }
+        let looked_up = match &target {
+            Target::Kernel(name) => self.cache.kernel_artifact(name).map(drop),
+            Target::Source(src) => self.cache.source_program(src).map(drop),
         };
+        if let Err(f) = looked_up {
+            let (status, value) = failure_value(&f, target.source_text());
+            return ApiResponse::json(status, &value);
+        }
         let machine = match report::pipeline::calibrated_machine_for(
             machine_name
                 .as_deref()
@@ -902,7 +860,7 @@ impl Api {
                 let (status, value) = failure_value(&f, target.source_text());
                 return ApiResponse::json(status, &value);
             }
-            let bound = match self.bind_resolved(&resolved, n as i64, procs, &deadline) {
+            let bound = match self.bind_target(&target, Some(n as i64), procs, &deadline) {
                 Ok(b) => b,
                 Err(f) => {
                     let (status, value) = failure_value(&f, target.source_text());

@@ -7,9 +7,10 @@
 //!   kernel shape (the PR-3 warm-session primitive);
 //! * **source programs** — parsed ASTs of POSTed HPF text, keyed by the
 //!   full source (directives included — they shape the partitioning);
-//! * **bound artifacts** — (analyzed, SPMD, AAG) per `(origin, n, procs)`
-//!   point, so a repeat or near-repeat request skips parse, semantic
-//!   analysis *and* partitioning entirely;
+//! * **bound programs** — one [`report::Bound`] (analyzed, SPMD, AAG and
+//!   profile-memo key) per `(origin, n, procs)` point, so a repeat or
+//!   near-repeat request skips parse, semantic analysis *and* partitioning
+//!   entirely;
 //! * **response bodies** — the serialized JSON answer per canonical
 //!   request, the layer that makes a warm `/v1/predict` a hash lookup.
 //!
@@ -44,19 +45,20 @@ use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
 
-use hpf_compiler::{compile, CompileOptions, SpmdProgram};
-use hpf_lang::{analyze, parse_program, AnalyzedProgram};
+use hpf_compiler::{compile, CompileOptions};
+use hpf_lang::ast::Program;
+use hpf_lang::{analyze, parse_program};
 use hpf_trace::json::Value;
 use kernels::CompiledKernel;
 use report::lru::LruMap;
-use report::{directive_free_source, fnv1a, PipelineError, PipelineStage, FNV_OFFSET};
+use report::{fnv1a, Bound, PipelineError, PipelineStage, FNV_OFFSET};
 
 /// Capacities of the serving caches.
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
     /// Distinct kernel artifacts + parsed source programs.
     pub sessions: usize,
-    /// Distinct bound (analyzed, SPMD, AAG) artifacts.
+    /// Distinct bound programs.
     pub binds: usize,
     /// Distinct serialized response bodies.
     pub bodies: usize,
@@ -167,26 +169,6 @@ impl std::fmt::Display for ServeFailure {
             }
         }
     }
-}
-
-/// A POSTed program parsed once: the AST plus the directive-stripped text
-/// that keys the shared profile memo.
-#[derive(Debug)]
-pub struct SourceProgram {
-    pub source: String,
-    pub canonical: String,
-    pub program: hpf_lang::ast::Program,
-}
-
-/// Everything the predict/sweep paths need for one `(program, n, procs)`
-/// point, compiled once and re-served warm.
-#[derive(Debug)]
-pub struct BoundArtifact {
-    pub analyzed: AnalyzedProgram,
-    pub spmd: SpmdProgram,
-    pub aag: appgraph::Aag,
-    /// Directive-stripped source — the shared-profile memo key.
-    pub canonical: String,
 }
 
 fn lock_plain<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -429,8 +411,8 @@ impl SingleFlight {
 #[derive(Debug)]
 pub struct ServeCache {
     kernels: ShardedLru<Arc<CompiledKernel>>,
-    programs: ShardedLru<Arc<SourceProgram>>,
-    binds: ShardedLru<Arc<BoundArtifact>>,
+    programs: ShardedLru<Arc<Program>>,
+    binds: ShardedLru<Arc<Bound>>,
     bodies: ShardedLru<Arc<Vec<u8>>>,
     /// Exact-raw-bytes front memo over `bodies` — see [`ServeCache::wire_lookup`].
     wire: ShardedLru<Arc<WireEntry>>,
@@ -465,60 +447,6 @@ fn counter_pair(prefix: &'static str, hit: bool) {
         },
         1,
     );
-}
-
-/// The shared cold-bind body for suite kernels: semantic analysis + SPMD
-/// lowering + AAG construction from an already-resolved artifact, with
-/// the deadline checked between stages. Used by both the per-request path
-/// ([`ServeCache::bind_kernel`]) and the batched sweep path that resolves
-/// the artifact once for many points.
-fn build_kernel_bind(
-    compiled: &CompiledKernel,
-    n: i64,
-    procs: usize,
-    deadline: &Deadline,
-) -> Result<BoundArtifact, ServeFailure> {
-    deadline.check("analyze")?;
-    let (analyzed, spmd) = compiled.bind(n, procs, &CompileOptions::default())?;
-    deadline.check("build_aag")?;
-    let aag = appgraph::build_aag(&spmd);
-    Ok(BoundArtifact {
-        analyzed,
-        spmd,
-        aag,
-        canonical: directive_free_source(compiled.canonical_source()),
-    })
-}
-
-/// The shared cold-bind body for POSTed source, from an already-parsed
-/// program. Stage order and deadline checks match the historical inline
-/// path exactly, so error bodies are byte-identical.
-fn build_source_bind(
-    program: &SourceProgram,
-    n: Option<i64>,
-    procs: usize,
-    deadline: &Deadline,
-) -> Result<BoundArtifact, ServeFailure> {
-    deadline.check("analyze")?;
-    let mut overrides = std::collections::BTreeMap::new();
-    if let Some(n) = n {
-        overrides.insert("N".to_string(), n);
-    }
-    let analyzed = analyze(&program.program, &overrides).map_err(PipelineError::from)?;
-    deadline.check("compile")?;
-    let opts = CompileOptions {
-        nodes: procs,
-        ..CompileOptions::default()
-    };
-    let spmd = compile(&analyzed, &opts).map_err(PipelineError::from)?;
-    deadline.check("build_aag")?;
-    let aag = appgraph::build_aag(&spmd);
-    Ok(BoundArtifact {
-        analyzed,
-        spmd,
-        aag,
-        canonical: program.canonical.clone(),
-    })
 }
 
 fn kernel_bind_key(name: &str, n: i64, procs: usize) -> String {
@@ -576,28 +504,23 @@ impl ServeCache {
 
     /// The parsed AST for POSTed source (full text is the key: directive
     /// lines shape partitioning, so they are part of program identity).
-    pub fn source_program(&self, source: &str) -> Result<Arc<SourceProgram>, ServeFailure> {
+    pub fn source_program(&self, source: &str) -> Result<Arc<Program>, ServeFailure> {
         if let Some(p) = self.programs.get(source) {
             counter_pair("session", true);
             return Ok(p);
         }
         counter_pair("session", false);
-        let program = parse_program(source).map_err(PipelineError::from)?;
-        let entry = Arc::new(SourceProgram {
-            source: source.to_string(),
-            canonical: directive_free_source(source),
-            program,
-        });
-        self.programs.insert(source.to_string(), entry.clone());
-        Ok(entry)
+        let program = Arc::new(parse_program(source).map_err(PipelineError::from)?);
+        self.programs.insert(source.to_string(), program.clone());
+        Ok(program)
     }
 
     fn bind_cached(
         &self,
         key: &str,
         deadline: &Deadline,
-        build: impl FnOnce() -> Result<BoundArtifact, ServeFailure>,
-    ) -> Result<Arc<BoundArtifact>, ServeFailure> {
+        build: impl FnOnce() -> Result<Bound, ServeFailure>,
+    ) -> Result<Arc<Bound>, ServeFailure> {
         if let Some(b) = self.binds.get(key) {
             counter_pair("bind", true);
             return Ok(b);
@@ -610,34 +533,21 @@ impl ServeCache {
     }
 
     /// Bind a suite kernel to `(n, procs)` — warm, deadline-checked
-    /// between the pipeline stages it runs on a miss.
+    /// between the pipeline stages it runs on a miss (semantic analysis +
+    /// SPMD lowering, then the AAG).
     pub fn bind_kernel(
         &self,
         name: &str,
         n: i64,
         procs: usize,
         deadline: &Deadline,
-    ) -> Result<Arc<BoundArtifact>, ServeFailure> {
+    ) -> Result<Arc<Bound>, ServeFailure> {
         self.bind_cached(&kernel_bind_key(name, n, procs), deadline, || {
             let compiled = self.kernel_artifact(name)?;
-            build_kernel_bind(&compiled, n, procs, deadline)
-        })
-    }
-
-    /// Bind an already-resolved kernel artifact — the batched sweep path:
-    /// the artifact is looked up once per request, then every point is
-    /// served through the *same* bind-cache keys as [`bind_kernel`](Self::bind_kernel),
-    /// so batched and per-request evaluation are interchangeable warm.
-    pub fn bind_kernel_artifact(
-        &self,
-        name: &str,
-        compiled: &Arc<CompiledKernel>,
-        n: i64,
-        procs: usize,
-        deadline: &Deadline,
-    ) -> Result<Arc<BoundArtifact>, ServeFailure> {
-        self.bind_cached(&kernel_bind_key(name, n, procs), deadline, || {
-            build_kernel_bind(compiled, n, procs, deadline)
+            deadline.check("analyze")?;
+            let (analyzed, spmd) = compiled.bind(n, procs, &CompileOptions::default())?;
+            deadline.check("build_aag")?;
+            Ok(Bound::new(analyzed, spmd, compiled.canonical_source()))
         })
     }
 
@@ -650,27 +560,21 @@ impl ServeCache {
         n: Option<i64>,
         procs: usize,
         deadline: &Deadline,
-    ) -> Result<Arc<BoundArtifact>, ServeFailure> {
+    ) -> Result<Arc<Bound>, ServeFailure> {
         self.bind_cached(&source_bind_key(source, n, procs), deadline, || {
             let program = self.source_program(source)?;
-            build_source_bind(&program, n, procs, deadline)
+            deadline.check("analyze")?;
+            let overrides = n.map(|n| ("N".to_string(), n)).into_iter().collect();
+            let analyzed = analyze(&program, &overrides).map_err(PipelineError::from)?;
+            deadline.check("compile")?;
+            let opts = CompileOptions {
+                nodes: procs,
+                ..CompileOptions::default()
+            };
+            let spmd = compile(&analyzed, &opts).map_err(PipelineError::from)?;
+            deadline.check("build_aag")?;
+            Ok(Bound::new(analyzed, spmd, source))
         })
-    }
-
-    /// Bind an already-parsed source program — the batched sweep
-    /// counterpart of [`bind_source`](Self::bind_source), sharing its keys.
-    pub fn bind_source_program(
-        &self,
-        program: &Arc<SourceProgram>,
-        n: Option<i64>,
-        procs: usize,
-        deadline: &Deadline,
-    ) -> Result<Arc<BoundArtifact>, ServeFailure> {
-        self.bind_cached(
-            &source_bind_key(&program.source, n, procs),
-            deadline,
-            || build_source_bind(program, n, procs, deadline),
-        )
     }
 
     /// Look up a serialized response body (`serve.cache.hit` /
@@ -759,28 +663,6 @@ END
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(a.spmd.nodes, 4);
         assert!(!a.canonical.contains("!HPF$"));
-    }
-
-    #[test]
-    fn batched_binds_share_keys_with_per_request_binds() {
-        let cache = ServeCache::new(&CacheConfig::default());
-        let a = cache.bind_kernel("PI", 256, 4, &Deadline::none()).unwrap();
-        let artifact = cache.kernel_artifact("PI").unwrap();
-        let b = cache
-            .bind_kernel_artifact("PI", &artifact, 256, 4, &Deadline::none())
-            .unwrap();
-        assert!(
-            Arc::ptr_eq(&a, &b),
-            "batched bind must hit the per-request bind's cache entry"
-        );
-        let s1 = cache
-            .bind_source(PI_SRC, Some(96), 4, &Deadline::none())
-            .unwrap();
-        let program = cache.source_program(PI_SRC).unwrap();
-        let s2 = cache
-            .bind_source_program(&program, Some(96), 4, &Deadline::none())
-            .unwrap();
-        assert!(Arc::ptr_eq(&s1, &s2));
     }
 
     #[test]

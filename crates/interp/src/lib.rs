@@ -16,19 +16,6 @@ pub use engine::{InterpOptions, InterpretationEngine, Prediction};
 pub use metrics::Metrics;
 pub use output::{paragraph_trace, profile_report, query_line, query_lines, query_subgraph};
 
-/// Convenience: compile → abstract → interpret in one call.
-pub fn predict(
-    analyzed: &hpf_lang::AnalyzedProgram,
-    copts: &hpf_compiler::CompileOptions,
-    machine: &machine::MachineModel,
-    iopts: InterpOptions,
-) -> Result<(Prediction, appgraph::Aag), hpf_compiler::CompileError> {
-    let spmd = hpf_compiler::compile(analyzed, copts)?;
-    let aag = appgraph::build_aag(&spmd);
-    let engine = InterpretationEngine::with_options(machine, iopts);
-    Ok((engine.interpret(&aag), aag))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -36,6 +23,19 @@ mod tests {
     use hpf_lang::{analyze, parse_program};
     use machine::ipsc860;
     use std::collections::BTreeMap;
+
+    /// Compile → abstract → interpret in one call.
+    fn predict(
+        analyzed: &hpf_lang::AnalyzedProgram,
+        copts: &CompileOptions,
+        machine: &machine::MachineModel,
+        iopts: InterpOptions,
+    ) -> Result<(Prediction, appgraph::Aag), hpf_compiler::CompileError> {
+        let spmd = hpf_compiler::compile(analyzed, copts)?;
+        let aag = appgraph::build_aag(&spmd);
+        let engine = InterpretationEngine::with_options(machine, iopts);
+        Ok((engine.interpret(&aag), aag))
+    }
 
     fn predict_src(src: &str, nodes: usize) -> (Prediction, appgraph::Aag) {
         let p = parse_program(src).unwrap();

@@ -112,7 +112,7 @@ pub fn checkpoint_experiment(
         )
     })?;
     let src = kernel.source(cfg.size, cfg.procs);
-    let (analyzed, spmd) = compile_source(
+    let bound = compile_source(
         &src,
         cfg.procs,
         &Default::default(),
@@ -124,7 +124,7 @@ pub fn checkpoint_experiment(
 
     // The restart read and per-checkpoint cost come from the kernel's own
     // I/O phases — the same descriptors both pricing models see.
-    let phases = spmd.io_phases();
+    let phases = bound.spmd.io_phases();
     let read = phase_of(&phases, IoKind::Read).ok_or_else(|| {
         PipelineError::new(
             PipelineStage::Io,
@@ -138,15 +138,14 @@ pub fn checkpoint_experiment(
         )
     })?;
 
-    let profile = profile_with_limit(&analyzed, cfg.profile_steps);
-    let aag = appgraph::build_aag(&spmd);
+    let profile = profile_with_limit(&bound.analyzed, cfg.profile_steps);
 
     // Predicted frame: analytic engine on the calibrated machine, healthy
     // and degraded. Work is the non-I/O share of the prediction.
     let healthy = calibrated_machine(cfg.procs);
     let degraded = healthy.degrade(&cfg.plan);
-    let (work_p, ckpt_p, restart_p) = predicted_frame(&healthy, &aag, ckpt, read);
-    let (work_p_deg, _, _) = predicted_frame(&degraded, &aag, ckpt, read);
+    let (work_p, ckpt_p, restart_p) = predicted_frame(&healthy, &bound.aag, ckpt, read);
+    let (work_p_deg, _, _) = predicted_frame(&degraded, &bound.aag, ckpt, read);
     let ratio_p = if work_p > 0.0 {
         work_p_deg / work_p
     } else {
@@ -162,7 +161,7 @@ pub fn checkpoint_experiment(
             ..Default::default()
         },
     );
-    let meas = sim.simulate(&spmd, profile.as_ref());
+    let meas = sim.simulate(&bound.spmd, profile.as_ref());
     let work_s = (meas.mean - meas.io).max(0.0);
     let sim_deg = Simulator::with_config(
         &raw,
@@ -172,7 +171,7 @@ pub fn checkpoint_experiment(
             ..Default::default()
         },
     );
-    let meas_deg = sim_deg.simulate(&spmd, profile.as_ref());
+    let meas_deg = sim_deg.simulate(&bound.spmd, profile.as_ref());
     let work_s_deg = (meas_deg.mean - meas_deg.io).max(0.0);
     let ratio_s = if work_s > 0.0 {
         work_s_deg / work_s

@@ -3,10 +3,10 @@
 use crate::harness::{run_batch, HarnessConfig, JobFailure, SweepFailure};
 use crate::pipeline::{
     calibrated_machine, calibrated_machine_for, compile_source, machine_params, profile_with_limit,
-    PredictOptions,
+    Bound, PredictOptions,
 };
 use crate::sweep::SweepSession;
-use hpf_compiler::{CompileOptions, SpmdProgram};
+use hpf_compiler::CompileOptions;
 use hpf_eval::ExecutionProfile;
 use interp::{InterpOptions, InterpretationEngine};
 use ipsc_sim::{SimConfig, Simulator};
@@ -54,11 +54,6 @@ pub struct SweepConfig {
     pub profile_steps: u64,
     /// Per-configuration isolation limits (timeout, retries).
     pub harness: HarnessConfig,
-    /// Compile each kernel once per session and re-bind it per sweep point
-    /// (the [`SweepSession`] fast path). `false` regenerates and recompiles
-    /// source from scratch at every point — the pre-session behaviour, kept
-    /// for the bit-identity cross-check.
-    pub share_artifacts: bool,
     /// Registered machine backend the sweep predicts and simulates on
     /// (see `hpf_machines::machine_names`). Defaults to the paper's
     /// iPSC/860.
@@ -73,7 +68,6 @@ impl Default for SweepConfig {
             runs: 1000,
             profile_steps: 40_000_000,
             harness: HarnessConfig::default(),
-            share_artifacts: true,
             machine: hpf_machines::DEFAULT_MACHINE.to_string(),
         }
     }
@@ -91,45 +85,22 @@ impl SweepConfig {
                 timeout: Some(std::time::Duration::from_secs(60)),
                 retries: 0,
             },
-            share_artifacts: true,
             machine: hpf_machines::DEFAULT_MACHINE.to_string(),
         }
     }
 }
 
-/// Analytic prediction and simulated measurement of one SPMD artifact —
+/// Analytic prediction and simulated measurement of one bound program —
 /// the point where the interpretive and measurement paths provably operate
 /// on the *same* compiled program. Both [`accuracy_sample`] (from-scratch)
 /// and [`SweepSession::evaluate`] (compile-once) funnel through here.
-pub fn sample_from_artifact(
-    app: &str,
-    spmd: &SpmdProgram,
-    profile: Option<&ExecutionProfile>,
-    size: usize,
-    procs: usize,
-    runs: usize,
-) -> AccuracySample {
-    sample_from_artifact_on(
-        app,
-        spmd,
-        profile,
-        size,
-        procs,
-        runs,
-        hpf_machines::DEFAULT_MACHINE,
-    )
-    .expect("the default machine is always registered")
-}
-
-/// [`sample_from_artifact`] generalised over the machine registry: predict
-/// on the named backend's calibrated model and simulate on its raw
-/// parameter tables. The default machine takes exactly the historical
-/// code path (same calibration memo, same `ipsc860` constructor), so
-/// existing sweeps stay bit-identical.
+/// Predicts on the named backend's calibrated model and simulates on its
+/// raw parameter tables; the default machine takes exactly the historical
+/// code path (same calibration memo, same `ipsc860` constructor).
 #[allow(clippy::too_many_arguments)]
 pub fn sample_from_artifact_on(
     app: &str,
-    spmd: &SpmdProgram,
+    bound: &Bound,
     profile: Option<&ExecutionProfile>,
     size: usize,
     procs: usize,
@@ -142,9 +113,8 @@ pub fn sample_from_artifact_on(
             let _s = hpf_trace::span("calibrate");
             calibrated_machine_for(machine_name, procs)?
         };
-        let aag = appgraph::build_aag(spmd);
         let engine = InterpretationEngine::with_options(&machine, InterpOptions::default());
-        engine.interpret(&aag)
+        engine.interpret(&bound.aag)
     };
 
     let machine = machine_params(machine_name, procs)?;
@@ -155,7 +125,7 @@ pub fn sample_from_artifact_on(
             ..Default::default()
         },
     );
-    let meas = sim.simulate(spmd, profile);
+    let meas = sim.simulate(&bound.spmd, profile);
 
     let err = if meas.mean > 0.0 {
         100.0 * (pred.total_seconds() - meas.mean).abs() / meas.mean
@@ -183,7 +153,7 @@ pub fn accuracy_sample(
 ) -> Result<AccuracySample, crate::PipelineError> {
     let src = kernel.source(size, procs);
 
-    let (analyzed, spmd) = compile_source(
+    let bound = compile_source(
         &src,
         procs,
         &Default::default(),
@@ -194,11 +164,11 @@ pub fn accuracy_sample(
     )?;
     let profile = {
         let _s = hpf_trace::span("profile");
-        profile_with_limit(&analyzed, cfg.profile_steps)
+        profile_with_limit(&bound.analyzed, cfg.profile_steps)
     };
     sample_from_artifact_on(
         kernel.name,
-        &spmd,
+        &bound,
         profile.as_ref(),
         size,
         procs,
@@ -227,36 +197,17 @@ pub fn table2(cfg: &SweepConfig) -> Table2Output {
     // behind an Arc and only re-bind (N, P) per point. A kernel whose
     // canonical instance fails to parse falls back to the from-scratch
     // path, which reports the error per-point as before.
-    let sessions: HashMap<&'static str, Arc<SweepSession>> = if cfg.share_artifacts {
-        all_kernels()
-            .iter()
-            .filter_map(|k| {
-                SweepSession::new(k, cfg)
-                    .ok()
-                    .map(|s| (k.name, Arc::new(s)))
-            })
-            .collect()
-    } else {
-        HashMap::new()
-    };
-
-    // Build the work list.
-    let mut work: Vec<(Kernel, usize, usize)> = Vec::new();
-    for k in all_kernels() {
-        for size in k.sweep_sizes() {
-            if let Some(cap) = cfg.max_size {
-                if size > cap {
-                    continue;
-                }
-            }
-            for &p in &cfg.proc_counts {
-                work.push((k.clone(), size, p));
-            }
-        }
-    }
+    let sessions: HashMap<&'static str, Arc<SweepSession>> = all_kernels()
+        .iter()
+        .filter_map(|k| {
+            SweepSession::new(k, cfg)
+                .ok()
+                .map(|s| (k.name, Arc::new(s)))
+        })
+        .collect();
 
     let hcfg = cfg.harness.clone();
-    let jobs: Vec<(String, _)> = work
+    let jobs: Vec<(String, _)> = table2_work(cfg)
         .into_iter()
         .map(|(k, size, p)| {
             let cfg = cfg.clone();
@@ -320,6 +271,23 @@ pub fn table2(cfg: &SweepConfig) -> Table2Output {
         samples,
         failures,
     }
+}
+
+/// Table 2's sweep points: every kernel at each of its sizes up to
+/// `cfg.max_size`, on each of `cfg.proc_counts`.
+fn table2_work(cfg: &SweepConfig) -> Vec<(Kernel, usize, usize)> {
+    let mut work = Vec::new();
+    for k in all_kernels() {
+        for size in k.sweep_sizes() {
+            if cfg.max_size.is_some_and(|cap| size > cap) {
+                continue;
+            }
+            for &p in &cfg.proc_counts {
+                work.push((k.clone(), size, p));
+            }
+        }
+    }
+    work
 }
 
 /// Table 2 as `bin/table2` prints it: the table of a sweep with `runs`
@@ -502,7 +470,7 @@ pub fn figure3(n: usize, procs: usize) -> String {
             size_range: (n, n),
         };
         let src = kernel.source(n, procs);
-        let (_, spmd) = compile_source(
+        let spmd = compile_source(
             &src,
             procs,
             &Default::default(),
@@ -511,7 +479,8 @@ pub fn figure3(n: usize, procs: usize) -> String {
                 ..Default::default()
             },
         )
-        .expect("laplace compiles");
+        .expect("laplace compiles")
+        .spmd;
         let u = spmd.dist.get("U").expect("U mapped");
         out.push_str(&format!("{}\n", dist.label()));
         for i in 1..=n as i64 {
@@ -546,7 +515,7 @@ pub struct PhaseProfile {
 pub fn figure7(size: usize, procs: usize) -> Vec<PhaseProfile> {
     let kernel = kernels::kernel_by_name("Financial").expect("financial kernel");
     let src = kernel.source(size, procs);
-    let (pred, aag, _) =
+    let (pred, bound) =
         crate::predict_source_full(&src, &PredictOptions::with_nodes(procs)).expect("predicts");
 
     // Phase 1 = the backward-induction DO loop (creates the price lattice,
@@ -564,8 +533,8 @@ pub fn figure7(size: usize, procs: usize) -> Vec<PhaseProfile> {
         .last()
         .expect("phase 2 forall");
 
-    let p1 = interp::query_line(&pred, &aag, do_line);
-    let p2 = interp::query_line(&pred, &aag, phase2_line);
+    let p1 = interp::query_line(&pred, &bound.aag, do_line);
+    let p2 = interp::query_line(&pred, &bound.aag, phase2_line);
     vec![
         PhaseProfile {
             phase: "Phase 1 (create price lattice)".into(),
@@ -709,8 +678,8 @@ pub fn ablations_text() -> String {
             let src = kernels::kernel_by_name(name)
                 .expect("kernel")
                 .source(*size, procs);
-            let (analyzed, spmd) = compile(&src, false);
-            let profile = profile_with_limit(&analyzed, cfg.profile_steps);
+            let bound = compile(&src, false);
+            let profile = profile_with_limit(&bound.analyzed, cfg.profile_steps);
             let raw = machine::ipsc860(procs);
             let sim = Simulator::with_config(
                 &raw,
@@ -719,8 +688,8 @@ pub fn ablations_text() -> String {
                     ..Default::default()
                 },
             );
-            let measured = sim.simulate(&spmd, profile.as_ref()).mean;
-            (src, appgraph::build_aag(&spmd), measured)
+            let measured = sim.simulate(&bound.spmd, profile.as_ref()).mean;
+            (src, bound, measured)
         })
         .collect();
 
@@ -739,11 +708,11 @@ pub fn ablations_text() -> String {
         let engine = InterpretationEngine::with_options(&machine, ab.interp.clone());
         let _ = write!(out, "{:<24}", ab.name);
         let mut errs = Vec::new();
-        for (src, aag, measured) in &truths {
+        for (src, bound, measured) in &truths {
             let predicted = if ab.loop_reorder {
-                engine.interpret(&appgraph::build_aag(&compile(src, true).1))
+                engine.interpret(&compile(src, true).aag)
             } else {
-                engine.interpret(aag)
+                engine.interpret(&bound.aag)
             };
             let err = 100.0 * (predicted.total_seconds() - measured).abs() / measured;
             errs.push(err);
@@ -788,7 +757,7 @@ REAL X(N), V(N), G(N)
 FORALL (K=2:N-1, V(K) .GT. 0.0) X(K+1) = X(K) + G(K)
 END
 ";
-    let (_, spmd) = compile_source(
+    let bound = compile_source(
         src,
         4,
         &Default::default(),
@@ -798,8 +767,7 @@ END
         },
     )
     .expect("figure 2 compiles");
-    let aag = appgraph::build_aag(&spmd);
-    (spmd.outline(), aag.outline())
+    (bound.spmd.outline(), bound.aag.outline())
 }
 
 #[cfg(test)]
@@ -814,12 +782,13 @@ mod tests {
         assert!(s.abs_error_pct < 25.0, "error {:.1}%", s.abs_error_pct);
     }
 
-    /// The whole trimmed Table 2 sweep must be bit-identical between the
-    /// compile-once session path and the from-scratch path — every
+    /// The whole trimmed Table 2 sweep, which evaluates every point
+    /// through a compile-once session, must be bit-identical to the
+    /// from-scratch [`accuracy_sample`] over the same work list — every
     /// predicted and measured field, compared by `to_bits`.
     #[test]
     fn table2_shared_artifacts_bit_identical_to_scratch() {
-        let shared_cfg = SweepConfig {
+        let cfg = SweepConfig {
             proc_counts: vec![1, 4],
             max_size: Some(128),
             runs: 5,
@@ -828,21 +797,19 @@ mod tests {
                 timeout: Some(std::time::Duration::from_secs(120)),
                 retries: 0,
             },
-            share_artifacts: true,
             machine: hpf_machines::DEFAULT_MACHINE.to_string(),
         };
-        let scratch_cfg = SweepConfig {
-            share_artifacts: false,
-            ..shared_cfg.clone()
-        };
 
-        let shared = table2(&shared_cfg);
-        let scratch = table2(&scratch_cfg);
+        let shared = table2(&cfg);
+        let mut scratch: Vec<AccuracySample> = table2_work(&cfg)
+            .iter()
+            .map(|(k, size, p)| accuracy_sample(k, *size, *p, &cfg).unwrap())
+            .collect();
+        scratch.sort_by(|a, b| (&a.app, a.size, a.procs).cmp(&(&b.app, b.size, b.procs)));
 
         assert!(shared.failures.is_empty(), "{:?}", shared.failures);
-        assert!(scratch.failures.is_empty(), "{:?}", scratch.failures);
-        assert_eq!(shared.samples.len(), scratch.samples.len());
-        for (a, b) in shared.samples.iter().zip(&scratch.samples) {
+        assert_eq!(shared.samples.len(), scratch.len());
+        for (a, b) in shared.samples.iter().zip(&scratch) {
             assert_eq!(a.app, b.app);
             assert_eq!((a.size, a.procs), (b.size, b.procs));
             let ctx = format!("{} n={} p={}", a.app, a.size, a.procs);

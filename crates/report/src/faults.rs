@@ -89,7 +89,7 @@ pub fn fault_experiment(cfg: &FaultExperimentConfig) -> Result<Vec<FaultRow>, Pi
     })?;
     let src = kernel.source(cfg.size, cfg.procs);
 
-    let (analyzed, spmd) = compile_source(
+    let bound = compile_source(
         &src,
         cfg.procs,
         &Default::default(),
@@ -98,8 +98,7 @@ pub fn fault_experiment(cfg: &FaultExperimentConfig) -> Result<Vec<FaultRow>, Pi
             ..Default::default()
         },
     )?;
-    let profile = profile_with_limit(&analyzed, cfg.profile_steps);
-    let aag = appgraph::build_aag(&spmd);
+    let profile = profile_with_limit(&bound.analyzed, cfg.profile_steps);
 
     let healthy_calibrated = calibrated_machine(cfg.procs);
     let healthy_machine = ipsc860(cfg.procs);
@@ -110,7 +109,7 @@ pub fn fault_experiment(cfg: &FaultExperimentConfig) -> Result<Vec<FaultRow>, Pi
         // Predicted: the analytic engine against the degraded abstraction.
         let degraded = healthy_calibrated.degrade(plan);
         let engine = interp::InterpretationEngine::with_options(&degraded, popts.interp.clone());
-        let predicted = engine.interpret(&aag).total_seconds();
+        let predicted = engine.interpret(&bound.aag).total_seconds();
 
         // Measured: the DES with the plan injected at the network level.
         let sim = Simulator::with_config(
@@ -121,7 +120,7 @@ pub fn fault_experiment(cfg: &FaultExperimentConfig) -> Result<Vec<FaultRow>, Pi
                 ..Default::default()
             },
         );
-        let meas = sim.simulate(&spmd, profile.as_ref());
+        let meas = sim.simulate(&bound.spmd, profile.as_ref());
 
         let err = if meas.mean > 0.0 {
             100.0 * (predicted - meas.mean).abs() / meas.mean

@@ -2,16 +2,18 @@
 //! out-of-core kernels, per machine backend — the validation artifact of
 //! the parallel-I/O subsystem (`artifacts_io_accuracy.txt`).
 //!
-//! Every (machine × kernel × size) point compiles the OOC source once,
-//! prices it with the analytic interpreter on the backend's calibrated
-//! model, and measures it with the discrete-event simulator on the raw
-//! parameter tables — the same dual-frame contract as the in-core Table 2.
+//! Every (kernel × size) point compiles the OOC source once; each machine
+//! prices that one bound program with the analytic interpreter on the
+//! backend's calibrated model, and measures it with the discrete-event
+//! simulator on the raw parameter tables — the same dual-frame contract as
+//! the in-core Table 2.
 //! The sweep runs on a caller-chosen number of worker threads and is
 //! bit-deterministic at every thread count: jobs write into indexed slots
 //! and each job is a pure function of its inputs.
 
 use crate::pipeline::{
-    calibrated_machine_for, compile_source, machine_params, profile_with_limit, PipelineError,
+    calibrated_machine_for, compile_source, machine_params, profile_with_limit, Bound,
+    PipelineError,
 };
 use crate::pool::map_indexed;
 use hpf_compiler::CompileOptions;
@@ -71,7 +73,7 @@ pub fn io_accuracy(cfg: &IoAccuracyConfig) -> Result<Vec<IoAccuracyRow>, Pipelin
     struct Artifact {
         app: String,
         size: usize,
-        spmd: hpf_compiler::SpmdProgram,
+        bound: Bound,
         profile: Option<hpf_eval::ExecutionProfile>,
     }
     let mut artifacts = Vec::new();
@@ -79,7 +81,7 @@ pub fn io_accuracy(cfg: &IoAccuracyConfig) -> Result<Vec<IoAccuracyRow>, Pipelin
         let lo = k.size_range.0.max(16);
         for size in [lo, lo * 2] {
             let src = k.source(size, cfg.procs);
-            let (analyzed, spmd) = compile_source(
+            let bound = compile_source(
                 &src,
                 cfg.procs,
                 &Default::default(),
@@ -91,8 +93,8 @@ pub fn io_accuracy(cfg: &IoAccuracyConfig) -> Result<Vec<IoAccuracyRow>, Pipelin
             artifacts.push(Artifact {
                 app: k.name.to_string(),
                 size,
-                spmd,
-                profile: profile_with_limit(&analyzed, cfg.profile_steps),
+                profile: profile_with_limit(&bound.analyzed, cfg.profile_steps),
+                bound,
             });
         }
     }
@@ -112,7 +114,7 @@ pub fn io_accuracy(cfg: &IoAccuracyConfig) -> Result<Vec<IoAccuracyRow>, Pipelin
             art.app.clone(),
             art.size,
             cfg,
-            &art.spmd,
+            &art.bound,
             art.profile.as_ref(),
         )
     })
@@ -125,13 +127,12 @@ fn point(
     app: String,
     size: usize,
     cfg: &IoAccuracyConfig,
-    spmd: &hpf_compiler::SpmdProgram,
+    bound: &Bound,
     profile: Option<&hpf_eval::ExecutionProfile>,
 ) -> Result<IoAccuracyRow, PipelineError> {
     let calibrated = calibrated_machine_for(machine_name, cfg.procs)?;
-    let aag = appgraph::build_aag(spmd);
     let engine = InterpretationEngine::with_options(&calibrated, InterpOptions::default());
-    let pred = engine.interpret(&aag);
+    let pred = engine.interpret(&bound.aag);
 
     let raw = machine_params(machine_name, cfg.procs)?;
     let sim = Simulator::with_config(
@@ -141,7 +142,7 @@ fn point(
             ..Default::default()
         },
     );
-    let meas = sim.simulate(spmd, profile);
+    let meas = sim.simulate(&bound.spmd, profile);
 
     let err = if meas.mean > 0.0 {
         100.0 * (pred.total_seconds() - meas.mean).abs() / meas.mean

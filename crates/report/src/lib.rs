@@ -36,7 +36,7 @@ pub use harness::{run_batch, run_isolated, HarnessConfig, JobFailure, SweepFailu
 pub use hash::{fnv1a, splitmix64, FNV_OFFSET};
 pub use lru::LruMap;
 pub use pipeline::{
-    compile_source, predict_source, predict_source_full, simulate_source, PipelineError,
+    compile_source, predict_source, predict_source_full, simulate_source, Bound, PipelineError,
     PipelineStage, PredictOptions, SimulateOptions,
 };
 pub use sweep::{directive_free_source, shared_profile, SweepSession};

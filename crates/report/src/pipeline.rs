@@ -3,8 +3,9 @@
 //! machine" path). These are the two experimentation routes Figure 8
 //! compares.
 
+use crate::sweep::directive_free_source;
 use hpf_compiler::{compile, CompileOptions, SpmdProgram};
-use hpf_lang::{analyze, parse_program, LangError};
+use hpf_lang::{analyze, parse_program, AnalyzedProgram, LangError};
 use hpf_machines::TopologyError;
 use interp::{InterpOptions, InterpretationEngine, Prediction};
 use ipsc_sim::{SimConfig, SimResult, Simulator};
@@ -330,13 +331,40 @@ impl From<hpf_eval::EvalError> for PipelineError {
     }
 }
 
+/// One program bound to one `(N, P)` point: the analyzed program, its SPMD
+/// lowering (Phase 1) and the AAG abstracted from it (Phase 2), with the
+/// key of the process-wide profile memo. Every path from a program to its
+/// AAG goes through [`Bound::new`].
+#[derive(Debug)]
+pub struct Bound {
+    pub analyzed: AnalyzedProgram,
+    pub spmd: SpmdProgram,
+    pub aag: appgraph::Aag,
+    /// The source with its directive lines removed, the key under which
+    /// [`shared_profile`](crate::shared_profile) memoizes the profile.
+    pub canonical: String,
+}
+
+impl Bound {
+    /// Abstract `spmd` into its AAG and key the profile memo by `source`,
+    /// the text `analyzed` came from.
+    pub fn new(analyzed: AnalyzedProgram, spmd: SpmdProgram, source: &str) -> Bound {
+        Bound {
+            aag: appgraph::build_aag(&spmd),
+            canonical: directive_free_source(source),
+            analyzed,
+            spmd,
+        }
+    }
+}
+
 /// Parse + analyze + compile.
-pub fn compile_source(
+fn frontend(
     src: &str,
     nodes: usize,
     overrides: &BTreeMap<String, i64>,
     copts: &CompileOptions,
-) -> Result<(hpf_lang::AnalyzedProgram, SpmdProgram), PipelineError> {
+) -> Result<(AnalyzedProgram, SpmdProgram), PipelineError> {
     let _span = hpf_trace::span("frontend");
     let program = parse_program(src)?;
     let analyzed = analyze(&program, overrides)?;
@@ -344,6 +372,17 @@ pub fn compile_source(
     copts.nodes = nodes;
     let spmd = compile(&analyzed, &copts)?;
     Ok((analyzed, spmd))
+}
+
+/// Parse + analyze + compile + abstract: `src` bound to `nodes` nodes.
+pub fn compile_source(
+    src: &str,
+    nodes: usize,
+    overrides: &BTreeMap<String, i64>,
+    copts: &CompileOptions,
+) -> Result<Bound, PipelineError> {
+    let (analyzed, spmd) = frontend(src, nodes, overrides, copts)?;
+    Ok(Bound::new(analyzed, spmd, src))
 }
 
 /// Source-driven performance prediction: the interpretive path.
@@ -364,29 +403,27 @@ pub fn predict_source_on(
     machine: &MachineModel,
     opts: &PredictOptions,
 ) -> Result<Prediction, PipelineError> {
-    let (_, spmd) = compile_source(src, machine.nodes, &opts.param_overrides, &opts.compile)?;
-    let aag = appgraph::build_aag(&spmd);
+    let bound = compile_source(src, machine.nodes, &opts.param_overrides, &opts.compile)?;
     let engine = InterpretationEngine::with_options(machine, opts.interp.clone());
-    Ok(engine.interpret(&aag))
+    Ok(engine.interpret(&bound.aag))
 }
 
-/// Full prediction with the AAG kept for output-module queries.
+/// Full prediction with the bound program kept for output-module queries.
 pub fn predict_source_full(
     src: &str,
     opts: &PredictOptions,
-) -> Result<(Prediction, appgraph::Aag, SpmdProgram), PipelineError> {
-    let (_, spmd) = compile_source(src, opts.nodes, &opts.param_overrides, &opts.compile)?;
-    let aag = appgraph::build_aag(&spmd);
+) -> Result<(Prediction, Bound), PipelineError> {
+    let bound = compile_source(src, opts.nodes, &opts.param_overrides, &opts.compile)?;
     let machine = calibrated_machine_for(&opts.machine, opts.nodes)?;
     let engine = InterpretationEngine::with_options(&machine, opts.interp.clone());
-    Ok((engine.interpret(&aag), aag, spmd))
+    Ok((engine.interpret(&bound.aag), bound))
 }
 
 /// The functional interpreter's execution profile of `analyzed`, or `None`
 /// when the run exceeds `max_steps` (or fails) — the simulator then falls
 /// back to static trip counts and mask densities.
 pub fn profile_with_limit(
-    analyzed: &hpf_lang::AnalyzedProgram,
+    analyzed: &AnalyzedProgram,
     max_steps: u64,
 ) -> Option<hpf_eval::ExecutionProfile> {
     hpf_eval::run_with_limit(analyzed, max_steps)
@@ -397,7 +434,7 @@ pub fn profile_with_limit(
 /// "Measured" execution: run the program on the simulated iPSC/860.
 pub fn simulate_source(src: &str, opts: &SimulateOptions) -> Result<SimResult, PipelineError> {
     let _span = hpf_trace::span("measure");
-    let (analyzed, spmd) = compile_source(src, opts.nodes, &opts.param_overrides, &opts.compile)?;
+    let (analyzed, spmd) = frontend(src, opts.nodes, &opts.param_overrides, &opts.compile)?;
     let profile = if opts.use_profile {
         let _s = hpf_trace::span("profile");
         hpf_eval::run(&analyzed).ok().map(|o| o.profile)

@@ -7,19 +7,18 @@
 //! front-end work the paper's own tooling does once.
 //!
 //! [`SweepSession`] holds a [`CompiledKernel`] artifact (one parse per
-//! kernel shape, ever) and a per-problem-size cache of functional-
-//! interpreter profiles. [`SweepSession::evaluate`] re-binds the critical
+//! kernel shape, ever). [`SweepSession::evaluate`] re-binds the critical
 //! variable `N` and the processor grid through semantic-analysis
-//! overrides, then feeds *one* SPMD program to both the analytic
-//! interpretation engine and the discrete-event simulator — the shared-
-//! artifact restructure that makes prediction and measurement provably
-//! compare the same program.
+//! overrides into one [`Bound`] program, then feeds it to both the
+//! analytic interpretation engine and the discrete-event simulator — the
+//! shared-artifact restructure that makes prediction and measurement
+//! provably compare the same program.
 //!
-//! Sessions are `Send + Sync`; sweep workers share one behind an `Arc`,
-//! so a size-`n` profile is computed by whichever worker gets there first
-//! and reused by the rest.
+//! Sessions are `Send + Sync`; sweep workers share one behind an `Arc`.
+//! Profiles come from the process-wide memo behind [`shared_profile`], so
+//! a size-`n` profile is computed by whichever worker gets there first and
+//! reused by the rest.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use hpf_compiler::CompileOptions;
@@ -29,7 +28,7 @@ use kernels::{CompiledKernel, Kernel};
 
 use crate::experiments::{sample_from_artifact_on, AccuracySample, SweepConfig};
 use crate::lru::LruMap;
-use crate::pipeline::PipelineError;
+use crate::pipeline::{Bound, PipelineError};
 
 /// A computed-at-most-once profile entry: `None` means the functional
 /// interpreter exceeded its step budget for this point.
@@ -84,7 +83,6 @@ pub struct SweepSession {
     profile_steps: u64,
     runs: usize,
     machine: String,
-    profiles: Mutex<HashMap<usize, Option<Arc<ExecutionProfile>>>>,
 }
 
 impl SweepSession {
@@ -98,7 +96,6 @@ impl SweepSession {
             profile_steps: cfg.profile_steps,
             runs: cfg.runs,
             machine: cfg.machine.clone(),
-            profiles: Mutex::new(HashMap::new()),
         })
     }
 
@@ -108,8 +105,8 @@ impl SweepSession {
     }
 
     /// Evaluate one sweep point: re-bind the artifact to `(n, procs)`,
-    /// profile (cached per `n`), predict and simulate from the same SPMD
-    /// program.
+    /// profile (memoized per `n`), predict and simulate from the same
+    /// bound program.
     pub fn evaluate(&self, n: usize, procs: usize) -> Result<AccuracySample, PipelineError> {
         let _session = hpf_trace::span("session");
         hpf_trace::counter_add("session.evaluate", 1);
@@ -119,10 +116,11 @@ impl SweepSession {
             self.compiled
                 .bind(n as i64, procs, &CompileOptions::default())?
         };
-        let profile = self.profile_for(n, &analyzed);
+        let bound = Bound::new(analyzed, spmd, self.compiled.canonical_source());
+        let (profile, _) = shared_profile(&bound.canonical, n, self.profile_steps, &bound.analyzed);
         sample_from_artifact_on(
             self.compiled.kernel().name,
-            &spmd,
+            &bound,
             profile.as_deref(),
             n,
             procs,
@@ -130,53 +128,20 @@ impl SweepSession {
             &self.machine,
         )
     }
-
-    /// The functional-interpreter profile for problem size `n`, computed
-    /// at most once per *process* for a given (directive-stripped source, size,
-    /// step budget) — the profile is a pure function of those three, so
-    /// repeated sessions over the same kernel shape (bench iterations,
-    /// Figure 4 then Figure 5) skip the interpreter entirely. The global
-    /// map's lock only guards slot lookup; the per-slot [`OnceLock`] makes
-    /// same-size workers wait for the first computation while distinct
-    /// sizes profile concurrently.
-    fn profile_for(&self, n: usize, analyzed: &AnalyzedProgram) -> Option<Arc<ExecutionProfile>> {
-        if let Some(p) = self
-            .profiles
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&n)
-        {
-            return p.clone();
-        }
-        let (profile, _) = shared_profile(
-            self.compiled.canonical_source(),
-            n,
-            self.profile_steps,
-            analyzed,
-        );
-        self.profiles
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(n, profile.clone());
-        profile
-    }
-
-    /// Number of distinct problem sizes whose profiles are cached.
-    pub fn cached_profiles(&self) -> usize {
-        self.profiles
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .len()
-    }
 }
 
 /// The functional-interpreter profile for `(source, n, step budget)`,
 /// computed at most once per *process* — the warm-session primitive shared
-/// by [`SweepSession`] and the directive-space advisor. The memo key is the
-/// directive-stripped source (see module docs), so directive rewrites of
-/// the same program all hit one entry. Returns the profile (`None` = the
-/// step budget was exceeded) and whether the call was served from the memo
-/// without running the interpreter.
+/// by [`SweepSession`], the service and the directive-space advisor. The
+/// memo key is the directive-stripped source (see
+/// [`directive_free_source`]), so directive rewrites of the same program
+/// all hit one entry, and repeated sessions over the same kernel shape
+/// (bench iterations, Figure 4 then Figure 5) skip the interpreter
+/// entirely. The memo's lock only guards slot lookup; the per-slot
+/// [`OnceLock`] makes same-size callers wait for the first computation
+/// while distinct sizes profile concurrently. Returns the profile (`None`
+/// = the step budget was exceeded) and whether the call was served from
+/// the memo without running the interpreter.
 pub fn shared_profile(
     canonical_source: &str,
     n: usize,
@@ -262,17 +227,29 @@ mod tests {
     }
 
     /// Profiles are reused across processor counts: the functional
-    /// interpreter never reads PROCESSORS, so one profile per size.
+    /// interpreter never reads PROCESSORS, so the memo misses once per
+    /// size. A step budget no other test uses keeps the keys fresh.
     #[test]
     fn profile_cache_is_per_size_not_per_procs() {
         let k = kernels::kernel_by_name("PI").unwrap();
-        let cfg = SweepConfig::quick();
+        let cfg = SweepConfig {
+            profile_steps: 4_999_999,
+            ..SweepConfig::quick()
+        };
         let session = SweepSession::new(&k, &cfg).unwrap();
+
+        let _lock = crate::TRACE_TEST_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        hpf_trace::reset();
+        hpf_trace::enable();
         session.evaluate(128, 1).unwrap();
         session.evaluate(128, 4).unwrap();
-        assert_eq!(session.cached_profiles(), 1);
+        let misses_one_size = hpf_trace::counter_get("profile_cache.miss");
         session.evaluate(256, 4).unwrap();
-        assert_eq!(session.cached_profiles(), 2);
+        hpf_trace::disable();
+        assert_eq!(misses_one_size, 1);
+        assert_eq!(hpf_trace::counter_get("profile_cache.miss"), 2);
     }
 
     /// The process-wide memo is bounded and instrumented: repeat lookups

@@ -15,20 +15,21 @@ fn main() {
     let src = kernel.source(256, 4);
     println!("=== source ===\n{src}");
 
-    let (pred, aag, _) =
+    let (pred, bound) =
         predict_source_full(&src, &PredictOptions::with_nodes(4)).expect("prediction");
+    let aag = &bound.aag;
 
     // Output form 1: the generic application profile.
     println!(
         "{}",
-        profile_report(&pred, &aag, "stock option pricing, 4 procs, size 256")
+        profile_report(&pred, aag, "stock option pricing, 4 procs, size 256")
     );
 
     // Output form 2: per-line queries — walk every source line and show
     // which ones carry the cost (the "identify bottlenecks" workflow).
     println!("== per-line cost attribution ==");
     for (i, line) in src.lines().enumerate() {
-        let m = query_line(&pred, &aag, i as u32 + 1);
+        let m = query_line(&pred, aag, i as u32 + 1);
         if m.time() > 0.0 {
             println!(
                 "{:>3}  {:>10.1} µs  ({:>4.1}% comm)  | {}",
@@ -42,7 +43,7 @@ fn main() {
 
     // The bottleneck: the line with the largest attributed time.
     let (line_no, cost) = (1..=src.lines().count() as u32)
-        .map(|l| (l, query_line(&pred, &aag, l).time()))
+        .map(|l| (l, query_line(&pred, aag, l).time()))
         .max_by(|a, b| a.1.total_cmp(&b.1))
         .expect("lines");
     println!(
@@ -52,7 +53,7 @@ fn main() {
     );
 
     // Output form 3: the ParaGraph-style interpretation trace.
-    let trace = paragraph_trace(&pred, &aag);
+    let trace = paragraph_trace(&pred, aag);
     println!(
         "\n== ParaGraph trace (first 12 events of {}) ==",
         trace.lines().count()
@@ -62,13 +63,11 @@ fn main() {
     }
 
     // Bonus: the machine-side per-node utilization view (what ParaGraph
-    // would draw from the trace), from the simulated iPSC/860.
-    let (analyzed, spmd) =
-        hpf90d::report::pipeline::compile_source(&src, 4, &Default::default(), &Default::default())
-            .expect("compile");
-    let profile = hpf90d::eval::run(&analyzed).ok().map(|o| o.profile);
+    // would draw from the trace), from the simulated iPSC/860, of the same
+    // bound program.
+    let profile = hpf90d::eval::run(&bound.analyzed).ok().map(|o| o.profile);
     let machine = hpf90d::machine::ipsc860(4);
-    let sim_trace = hpf90d::sim::trace_program(&machine, &spmd, profile.as_ref());
+    let sim_trace = hpf90d::sim::trace_program(&machine, &bound.spmd, profile.as_ref());
     println!("\n== per-node Gantt (simulated machine) ==");
     print!("{}", sim_trace.gantt(64));
     println!("\nutilization (busy/comm/idle):");

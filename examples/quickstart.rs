@@ -30,18 +30,18 @@ fn main() {
     // 1. The whole pipeline in one call: parse → analyze → compile (Phase 1)
     //    → abstract (AAG/SAAG) → interpret (Phase 2).
     let opts = PredictOptions::with_nodes(8);
-    let (prediction, aag, spmd) = predict_source_full(SRC, &opts).expect("pipeline");
+    let (prediction, bound) = predict_source_full(SRC, &opts).expect("pipeline");
 
     println!("== SPMD program structure (Phase 1 output) ==");
-    println!("{}", spmd.outline());
+    println!("{}", bound.spmd.outline());
 
     println!("== Application abstraction (SAAG) ==");
-    println!("{}", aag.outline());
+    println!("{}", bound.aag.outline());
 
     println!("== Interpreted performance ==");
     println!(
         "{}",
-        hpf90d::interp::profile_report(&prediction, &aag, "SAXPY on 8 nodes")
+        hpf90d::interp::profile_report(&prediction, &bound.aag, "SAXPY on 8 nodes")
     );
 
     // 2. The same program "run on the machine" (discrete-event simulation),
