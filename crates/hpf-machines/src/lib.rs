@@ -11,10 +11,11 @@
 //!   (dimension-ordered shortest-wrap routing), a two-level fat tree
 //!   (up/down routing through switch vertices), and an idealized
 //!   crossbar (receiver-port serialization).
-//! * [`MachineModel`] — a named machine backend: SAU parameter tables
-//!   (via [`machine::MachineModel`]), a topology factory, and the
-//!   fault-plan degradation hook. The iPSC/860 is re-expressed as the
-//!   first registered backend with zero behavioral change.
+//! * [`MachineModel`] — a named machine backend: its supported node range
+//!   and SAU parameter tables (via [`machine::MachineModel`]), which name
+//!   the topology ([`build_topology`]) and degrade under a fault plan. The
+//!   iPSC/860 is re-expressed as the first registered backend with zero
+//!   behavioral change.
 //! * [`mod@registry`]/[`fn@machine`] — the `MachineRegistry`: name → backend,
 //!   following the ReFrame/HPL per-system reference-table idiom
 //!   (machine name → expected calibration numbers ± tolerance, see

@@ -1,8 +1,9 @@
 //! The machine registry: named backends behind the [`MachineModel`] trait.
 //!
-//! A backend owns three things: the SAU parameter tables for a node count
-//! (via [`machine::MachineModel`]), the topology the DES routes over, and
-//! the fault-plan degradation hook. The iPSC/860 backend delegates to
+//! A backend owns the SAU parameter tables for a node count (via
+//! [`machine::MachineModel`]); the tables name the topology the DES routes
+//! over (`build_topology(&params.topology, nodes)`) and degrade under a
+//! fault plan (`params.degrade(&plan)`). The iPSC/860 backend delegates to
 //! [`machine::ipsc860`] verbatim — same struct, same numbers — so routing
 //! the existing stack through the registry is a zero-behavioral-change
 //! refactor. Three further backends model the machine classes the paper's
@@ -11,9 +12,8 @@
 //! multicore node.
 
 use crate::error::TopologyError;
-use crate::topology::{build_topology, Topology};
 use machine::{
-    CommComponent, FaultPlan, IoComponent, MemoryComponent, ProcessingComponent, Sau, TopologyDesc,
+    CommComponent, IoComponent, MemoryComponent, ProcessingComponent, Sau, TopologyDesc,
 };
 
 /// A named machine backend the pipeline can target.
@@ -45,19 +45,6 @@ pub trait MachineModel: Send + Sync {
             });
         }
         Ok(())
-    }
-
-    /// Routing/occupancy topology for `nodes` compute nodes.
-    fn topology(&self, nodes: usize) -> Result<Box<dyn Topology>, TopologyError> {
-        let params = self.params(nodes)?;
-        build_topology(&params.topology, nodes)
-    }
-
-    /// Fault-plan degradation: rescale the parameter tables for a
-    /// degraded machine state (analytic hook; DES-level link rerouting
-    /// remains hypercube-only).
-    fn degrade(&self, params: &machine::MachineModel, plan: &FaultPlan) -> machine::MachineModel {
-        params.degrade(plan)
     }
 }
 
@@ -419,6 +406,8 @@ impl MachineModel for MulticoreNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::build_topology;
+    use machine::FaultPlan;
 
     #[test]
     fn registry_lists_four_backends_ipsc_first() {
@@ -459,7 +448,7 @@ mod tests {
         for backend in registry() {
             let params = backend.params(8).unwrap();
             assert_eq!(params.nodes, 8);
-            let topo = backend.topology(8).unwrap();
+            let topo = build_topology(&params.topology, 8).unwrap();
             assert_eq!(topo.nodes(), 8);
             assert!(topo.link_slots() > 0);
         }
@@ -483,7 +472,7 @@ mod tests {
         let backend = machine("torus3d").unwrap();
         let params = backend.params(8).unwrap();
         let plan = FaultPlan::lossy(0.05);
-        let degraded = backend.degrade(&params, &plan);
+        let degraded = params.degrade(&plan);
         assert!(degraded.comm.short_latency_s > params.comm.short_latency_s);
     }
 }
