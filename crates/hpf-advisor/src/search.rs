@@ -518,40 +518,33 @@ pub fn render_cross_table(r: &CrossMachineReport) -> String {
         "rank", "machine", "directives", "predicted(s)", "comp%", "comm%", "simulated(s)", "err%"
     );
     for (i, row) in r.ranked.iter().enumerate() {
-        let c = &row.candidate;
-        let t = c.predicted_s;
-        let comp_pct = if t > 0.0 {
-            100.0 * c.metrics.comp / t
-        } else {
-            0.0
-        };
-        let comm_pct = if t > 0.0 {
-            100.0 * c.metrics.comm / t
-        } else {
-            0.0
-        };
-        let sim = c
-            .simulated_s
-            .map(|s| format!("{s:.6}"))
-            .unwrap_or_else(|| "-".to_string());
-        let err = c
-            .sim_error_pct
-            .map(|e| format!("{e:.2}"))
-            .unwrap_or_else(|| "-".to_string());
         let _ = writeln!(
             out,
-            "{:>4}  {:<12} {:<38} {:>13.6} {:>6.1} {:>6.1} {:>13} {:>7}",
+            "{:>4}  {:<12} {}",
             i + 1,
             row.machine,
-            c.label,
-            t,
-            comp_pct,
-            comm_pct,
-            sim,
-            err
+            candidate_cells(&row.candidate)
         );
     }
     out
+}
+
+/// The directives, predicted(s), comp%, comm%, simulated(s) and err% cells
+/// of one ranked candidate: the row both advisor tables print after their
+/// rank (and machine) columns.
+fn candidate_cells(c: &RankedCandidate) -> String {
+    let t = c.predicted_s;
+    let pct = |x: f64| if t > 0.0 { 100.0 * x / t } else { 0.0 };
+    let or_dash = |v: Option<String>| v.unwrap_or_else(|| "-".to_string());
+    format!(
+        "{:<38} {:>13.6} {:>6.1} {:>6.1} {:>13} {:>7}",
+        c.label,
+        t,
+        pct(c.metrics.comp),
+        pct(c.metrics.comm),
+        or_dash(c.simulated_s.map(|s| format!("{s:.6}"))),
+        or_dash(c.sim_error_pct.map(|e| format!("{e:.2}")))
+    )
 }
 
 /// Seeded FNV-1a over the candidate label: the total, stable tie-break
@@ -600,36 +593,7 @@ pub fn render_table(r: &AdvisorReport) -> String {
         "rank", "directives", "predicted(s)", "comp%", "comm%", "simulated(s)", "err%"
     );
     for (i, c) in r.ranked.iter().enumerate() {
-        let t = c.predicted_s;
-        let comp_pct = if t > 0.0 {
-            100.0 * c.metrics.comp / t
-        } else {
-            0.0
-        };
-        let comm_pct = if t > 0.0 {
-            100.0 * c.metrics.comm / t
-        } else {
-            0.0
-        };
-        let sim = c
-            .simulated_s
-            .map(|s| format!("{s:.6}"))
-            .unwrap_or_else(|| "-".to_string());
-        let err = c
-            .sim_error_pct
-            .map(|e| format!("{e:.2}"))
-            .unwrap_or_else(|| "-".to_string());
-        let _ = writeln!(
-            out,
-            "{:>4}  {:<38} {:>13.6} {:>6.1} {:>6.1} {:>13} {:>7}",
-            i + 1,
-            c.label,
-            t,
-            comp_pct,
-            comm_pct,
-            sim,
-            err
-        );
+        let _ = writeln!(out, "{:>4}  {}", i + 1, candidate_cells(c));
     }
     out
 }
