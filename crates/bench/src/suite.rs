@@ -274,8 +274,8 @@ fn serve_predict_case(batch: usize) -> BenchCase {
 /// session and bind caches are warm, but the response-body layers are
 /// sized to a single entry and two distinct sweep bodies alternate — each
 /// request evicts the other's cached body, so every iteration re-runs the
-/// batched bind-once/evaluate-many pass (resolve the kernel artifact
-/// once, evaluate every sweep point against warm binds, serialize). This
+/// batched pass (look the kernel up, evaluate every sweep point against
+/// warm binds, serialize). This
 /// is the serving cost the batching layer is supposed to bound, isolated
 /// from the response cache that normally hides it.
 fn serve_sweep_batched_case() -> BenchCase {

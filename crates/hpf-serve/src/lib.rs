@@ -32,7 +32,7 @@
 //!   JSON keys, seeded simulation); the loadgen checksum and the
 //!   end-to-end tests enforce this.
 //! * **Bounded memory** — every cache layer (kernel artifacts, parsed
-//!   sources, bound artifacts, response bodies, and the process-wide
+//!   sources, bound programs, response bodies, and the process-wide
 //!   profile memo in `report`) is LRU-bounded.
 //! * **Backpressure** — a full connection queue answers `429` with
 //!   `Retry-After` instead of queueing without limit.

@@ -684,7 +684,7 @@ pub fn calibrate(nodes: usize) -> MachineModel {
 /// `nodes` (typed error on an out-of-range node count) and run the same
 /// §4.4 benchmarking/fitting pass [`calibrate`] runs for the iPSC/860 —
 /// against the backend's own topology, since [`collective_base_time`]
-/// routes over whatever `MachineModel::topology` describes.
+/// routes over whatever the tables' `topology` describes.
 pub fn calibrate_backend(
     backend: &dyn hpf_machines::MachineModel,
     nodes: usize,
