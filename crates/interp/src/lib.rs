@@ -25,7 +25,7 @@ mod tests {
     use std::collections::BTreeMap;
 
     /// Compile → abstract → interpret in one call.
-    fn predict(
+    fn compile_and_predict(
         analyzed: &hpf_lang::AnalyzedProgram,
         copts: &CompileOptions,
         machine: &machine::MachineModel,
@@ -41,7 +41,7 @@ mod tests {
         let p = parse_program(src).unwrap();
         let a = analyze(&p, &BTreeMap::new()).unwrap();
         let m = ipsc860(nodes);
-        predict(
+        compile_and_predict(
             &a,
             &CompileOptions {
                 nodes,
@@ -99,7 +99,7 @@ END
         let a = analyze(&p, &BTreeMap::new()).unwrap();
         let t = |n: usize| {
             let m = ipsc860(n);
-            predict(
+            compile_and_predict(
                 &a,
                 &CompileOptions {
                     nodes: n,
@@ -185,8 +185,8 @@ END
             nodes: 4,
             ..Default::default()
         };
-        let (with_mem, _) = predict(&a, &co, &m, InterpOptions::default()).unwrap();
-        let (flat, _) = predict(
+        let (with_mem, _) = compile_and_predict(&a, &co, &m, InterpOptions::default()).unwrap();
+        let (flat, _) = compile_and_predict(
             &a,
             &co,
             &m,
@@ -208,8 +208,8 @@ END
             nodes: 8,
             ..Default::default()
         };
-        let (base, _) = predict(&a, &co, &m, InterpOptions::default()).unwrap();
-        let (ovl, _) = predict(
+        let (base, _) = compile_and_predict(&a, &co, &m, InterpOptions::default()).unwrap();
+        let (ovl, _) = compile_and_predict(
             &a,
             &co,
             &m,

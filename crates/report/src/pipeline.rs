@@ -334,7 +334,8 @@ impl From<hpf_eval::EvalError> for PipelineError {
 /// One program bound to one `(N, P)` point: the analyzed program, its SPMD
 /// lowering (Phase 1) and the AAG abstracted from it (Phase 2), with the
 /// key of the process-wide profile memo. Every path from a program to its
-/// AAG goes through [`Bound::new`].
+/// AAG goes through [`Bound::new`], except the advisor's per-candidate
+/// compile, whose candidates share one analyzed program.
 #[derive(Debug)]
 pub struct Bound {
     pub analyzed: AnalyzedProgram,
