@@ -3,7 +3,7 @@
 //! carries a usable source location — and neither may the functional
 //! evaluator on any program the front end accepts.
 
-use hpf_lang::{analyze, lex, parse_program, LangError, Phase};
+use hpf_lang::{analyze, lex, parse_program, LangError, Phase, Value};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -445,6 +445,78 @@ fn generated_programs_reach_the_evaluator() {
         ok >= 20 && ok + 50 <= analyzed,
         "{ok} of {analyzed} ran to completion"
     );
+}
+
+fn fnv(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// FNV-1a over what the evaluator makes of generated programs 0..2,000,
+/// each with `PRINT *, A`, `PRINT *, B` and `PRINT *, C` before `END`:
+/// per seed the PRINT lines, every profile entry, the step count and the
+/// final scalars of a completed run, or the message and span of an error.
+const GENERATED_DIGEST: u64 = 0x13d8_4792_33e4_5eae;
+
+/// The evaluator's outcome and error text on generated programs are pinned
+/// bit for bit, so a change to how it evaluates cannot move them unseen.
+#[test]
+fn generated_program_outcomes_are_pinned() {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for seed in 0..2_000u64 {
+        let src = ProgramGen::new(seed).program();
+        let body = src.strip_suffix("END\n").expect("programs end with END");
+        let src = format!("{body}PRINT *, A\nPRINT *, B\nPRINT *, C\nEND\n");
+        fnv(&mut h, &seed.to_le_bytes());
+        let Ok(p) = parse_program(&src) else {
+            fnv(&mut h, b"rejected");
+            continue;
+        };
+        let Ok(a) = analyze(&p, &BTreeMap::new()) else {
+            fnv(&mut h, b"rejected");
+            continue;
+        };
+        match hpf_eval::run_with_limit(&a, 20_000) {
+            Ok(out) => {
+                fnv(&mut h, b"ok");
+                for line in &out.output {
+                    fnv(&mut h, line.as_bytes());
+                    fnv(&mut h, b"\n");
+                }
+                for (&(line, start), s) in out.profile.iter() {
+                    for c in [line, start] {
+                        fnv(&mut h, &c.to_le_bytes());
+                    }
+                    for c in [s.executions, s.iterations, s.mask_true, s.mask_total] {
+                        fnv(&mut h, &c.to_le_bytes());
+                    }
+                }
+                fnv(&mut h, &out.profile.total_steps.to_le_bytes());
+                for (name, v) in &out.scalars {
+                    fnv(&mut h, name.as_bytes());
+                    match v {
+                        Value::Int(i) => fnv(&mut h, &[&[0u8][..], &i.to_le_bytes()].concat()),
+                        Value::Real(r) => {
+                            fnv(&mut h, &[&[1u8][..], &r.to_bits().to_le_bytes()].concat())
+                        }
+                        Value::Logical(b) => fnv(&mut h, &[2, u8::from(*b)]),
+                        Value::Str(s) => fnv(&mut h, &[&[3u8][..], s.as_bytes()].concat()),
+                    }
+                }
+            }
+            Err(e) => {
+                fnv(&mut h, b"err");
+                fnv(&mut h, e.message.as_bytes());
+                let s = e.span;
+                for c in [s.start, s.end, s.line, s.end_line] {
+                    fnv(&mut h, &c.to_le_bytes());
+                }
+            }
+        }
+    }
+    assert_eq!(h, GENERATED_DIGEST, "digest {h:016x}");
 }
 
 proptest! {
