@@ -589,6 +589,109 @@ END
     }
 
     #[test]
+    fn a_real_scalar_holding_an_integer_stays_one_in_real_arithmetic() {
+        // A DO loop stores `Int` into the REAL scalar X; a FORALL then reads
+        // it beside REAL literals and an index.
+        let out = run_src(
+            "PROGRAM T\nREAL X, A(4)\nDO X = 1, 3\nEND DO\n\
+             FORALL (I = 1:4) A(I) = X * 2.5 + I\nPRINT *, A\nPRINT *, X\nEND\n",
+        );
+        assert_eq!(out.output, ["8.5 9.5 10.5 11.5", "3"]);
+        assert_eq!(out.scalars.get("X"), Some(&hpf_lang::Value::Int(3)));
+    }
+
+    #[test]
+    fn a_logical_array_element_holding_an_integer_is_numeric() {
+        let out = run_src("PROGRAM T\nLOGICAL G(4)\nREAL Y\nG(2) = 3\nY = G(2) * 1.5\nEND\n");
+        assert_eq!(f(&out, "Y"), 4.5);
+    }
+
+    #[test]
+    fn integer_division_by_zero_in_a_forall_is_bad_operands() {
+        let e = run_err("PROGRAM T\nINTEGER A(4), Z\nZ = 0\nFORALL (I = 1:4) A(I) = I / Z\nEND\n");
+        assert_eq!(e.message, "bad operands");
+        assert_eq!(e.span.line, 4);
+    }
+
+    #[test]
+    fn subscripts_are_checked_dimension_by_dimension() {
+        // In bounds first, out of bounds second, affine and general.
+        for rhs in ["A(I, I+1)", "A(I, 2*I+1)"] {
+            let e = run_err(&format!(
+                "PROGRAM T\nREAL A(4,4), B(4)\nFORALL (I = 1:4) B(I) = {rhs}\nEND\n"
+            ));
+            assert_eq!(e.message, "index 5 out of bounds for `A`", "{rhs}");
+            assert_eq!(e.span.line, 3, "{rhs}");
+        }
+        // Both out of bounds: the first dimension reports.
+        for rhs in ["A(I+4, I+9)", "A(2*I+3, 3*I+9)"] {
+            let e = run_err(&format!(
+                "PROGRAM T\nREAL A(4,4), B(4)\nFORALL (I = 1:4) B(I) = {rhs}\nEND\n"
+            ));
+            assert_eq!(e.message, "index 5 out of bounds for `A`", "{rhs}");
+        }
+    }
+
+    #[test]
+    fn a_right_operands_bounds_error_beats_a_left_operands_type_error() {
+        for body in [
+            "FORALL (I = 1:4) B(I) = L + A(I+9)",
+            "Y = L + A(99)",
+            "Y = MAX(L, A(99))",
+        ] {
+            let e = run_err(&format!(
+                "PROGRAM T\nLOGICAL L\nREAL A(4), B(4), Y\n{body}\nEND\n"
+            ));
+            assert!(e.message.starts_with("index "), "{body}: {e}");
+            assert!(e.message.ends_with(" out of bounds for `A`"), "{body}: {e}");
+        }
+        // A whole left operand fails before the right one is read.
+        for (body, msg) in [
+            ("Y = -L + A(99)", "bad operand for unary operator"),
+            ("Y = ABS(L) + A(99)", "bad arguments to ABS"),
+        ] {
+            let e = run_err(&format!(
+                "PROGRAM T\nLOGICAL L\nREAL A(4), B(4), Y\n{body}\nEND\n"
+            ));
+            assert_eq!(e.message, msg, "{body}");
+        }
+    }
+
+    #[test]
+    fn operand_type_errors_are_raised_after_both_operands() {
+        for (body, msg) in [
+            ("Y = L + 1.0", "bad operands"),
+            ("Y = 2.0 * L", "bad operands"),
+            ("Y = 'abc' + 1", "bad operands"),
+            ("K = 7 / K", "bad operands"),
+            ("Y = -L", "bad operand for unary operator"),
+            ("Y = SQRT(L)", "bad arguments to SQRT"),
+            ("Y = A(1) + L", "bad operands"),
+        ] {
+            let e = run_err(&format!(
+                "PROGRAM T\nLOGICAL L\nINTEGER K\nREAL A(4), Y\n{body}\nEND\n"
+            ));
+            assert_eq!(e.message, msg, "{body}");
+        }
+    }
+
+    #[test]
+    fn integer_arithmetic_wraps_and_promotes_as_value_ops_does() {
+        let out = run_src(
+            "PROGRAM T\nINTEGER A(3), K, P, Q\nREAL Y, Z\n\
+             K = 9223372036854775807\nFORALL (I = 1:3) A(I) = K + I\n\
+             P = 2 ** (-1)\nQ = (-1) ** (-3)\nY = 7 / 2 + 0.5\nZ = 2 ** 0.5\n\
+             PRINT *, A, P, Q\nEND\n",
+        );
+        assert_eq!(
+            out.output,
+            ["-9223372036854775808 -9223372036854775807 -9223372036854775806 0 -1"]
+        );
+        assert_eq!(f(&out, "Y"), 3.5);
+        assert_eq!(f(&out, "Z"), 2f64.powf(0.5));
+    }
+
+    #[test]
     fn empty_sections_may_have_huge_extents() {
         let out = run_src(
             "PROGRAM T
