@@ -201,6 +201,32 @@ impl Buf {
         }
     }
 
+    /// Element `k` of an INTEGER buffer (a declared INTEGER array's).
+    #[inline]
+    pub(crate) fn int(&self, k: usize) -> i64 {
+        debug_assert_eq!(self.kind, Kind::Int);
+        self.words[k] as i64
+    }
+
+    /// Element `k` of a REAL buffer (a declared REAL array's).
+    #[inline]
+    pub(crate) fn real(&self, k: usize) -> f64 {
+        debug_assert_eq!(self.kind, Kind::Real);
+        f64::from_bits(self.words[k])
+    }
+
+    #[inline]
+    pub(crate) fn set_int(&mut self, k: usize, v: i64) {
+        debug_assert_eq!(self.kind, Kind::Int);
+        self.words[k] = v as u64;
+    }
+
+    #[inline]
+    pub(crate) fn set_real(&mut self, k: usize, v: f64) {
+        debug_assert_eq!(self.kind, Kind::Real);
+        self.words[k] = v.to_bits();
+    }
+
     #[inline]
     pub(crate) fn set(&mut self, k: usize, v: Val) {
         if self.kind != Kind::Mixed && v.kind() == self.kind {

@@ -8,13 +8,13 @@
 //! data-dependent execution profiles for the machine simulator, and
 //! critical-variable resolution of last resort.
 //!
-//! Each run lowers the program once ([`crate::lower`]) and then executes the
-//! slot code over `Copy` scalars and typed array buffers written in place.
+//! Each run lowers the program once ([`crate::lower`]), compiling its scalar
+//! expressions to closures ([`crate::compile`]), and then executes the slot
+//! code over `Copy` scalars and typed array buffers written in place.
 
 use crate::buffer::{self, coerce, Buf, Val};
-use crate::lower::{
-    self, Code, Ex, Forall, ForallItem, Instr, Op, Root, Sub, Subs, Where, WhereItem, A, S,
-};
+use crate::compile::Compiled;
+use crate::lower::{self, Code, Ex, Forall, ForallItem, Instr, Op, Root, Sub, Where, WhereItem, A};
 use crate::profile::{ExecutionProfile, StmtStats};
 use hpf_lang::ast::{BinOp, Intrinsic, TypeSpec};
 use hpf_lang::sema::AnalyzedProgram;
@@ -39,13 +39,22 @@ impl std::fmt::Display for EvalError {
 impl std::error::Error for EvalError {}
 
 /// Internal result: the error is boxed so that `R<Val>` stays two words.
-type R<T> = Result<T, Box<EvalError>>;
+pub(crate) type R<T> = Result<T, Box<EvalError>>;
 
-fn fail<T>(message: impl Into<String>, span: Span) -> R<T> {
+pub(crate) fn fail<T>(message: impl Into<String>, span: Span) -> R<T> {
     Err(Box::new(EvalError {
         message: message.into(),
         span,
     }))
+}
+
+/// `v` used as an INTEGER: REAL truncates, and any other value fails at
+/// `span`.
+pub(crate) fn integer(v: Val, span: Span) -> R<i64> {
+    match v.as_i64() {
+        Some(i) => Ok(i),
+        None => fail("expected integer value", span),
+    }
 }
 
 /// Outcome of a completed run.
@@ -80,22 +89,12 @@ pub fn run_with_limit(
 }
 
 /// A declared array: bounds, column-major strides and its buffer.
-struct Array {
+pub(crate) struct Array {
     ty: TypeSpec,
     lbounds: Vec<i64>,
     extents: Vec<usize>,
     strides: Vec<usize>,
-    buf: Buf,
-}
-
-impl Array {
-    /// The offset that subscript `i` adds along dimension `d`, or `None`
-    /// when `i` is out of bounds.
-    #[inline]
-    fn position(&self, d: usize, i: i64) -> Option<usize> {
-        let rel = i.wrapping_sub(self.lbounds[d]) as u64;
-        (rel < self.extents[d] as u64).then(|| rel as usize * self.strides[d])
-    }
+    pub(crate) buf: Buf,
 }
 
 /// An array value computed by an expression. Its lower bounds are never
@@ -138,14 +137,15 @@ struct Range {
     at: u64,
 }
 
-struct Machine<'c> {
-    code: &'c Code,
-    scalars: Vec<Val>,
+/// The state a run's compiled code reads and writes.
+pub(crate) struct Machine<'c> {
+    pub(crate) code: &'c Code,
+    pub(crate) scalars: Vec<Val>,
     /// Whether each scalar slot holds a binding yet.
-    bound: Vec<bool>,
-    arrays: Vec<Array>,
+    pub(crate) bound: Vec<bool>,
+    pub(crate) arrays: Vec<Array>,
     /// FORALL index registers.
-    idx: Vec<i64>,
+    pub(crate) idx: Vec<i64>,
     steps: u64,
     limit: u64,
     stats: Vec<StmtStats>,
@@ -155,7 +155,7 @@ struct Machine<'c> {
     /// Recycled array temporaries.
     temps: Vec<Temp>,
     /// `(offset, value)` of every FORALL assignment before its commit.
-    staging: Vec<(usize, Val)>,
+    pub(crate) staging: Vec<(usize, Val)>,
     /// Recycled FORALL index ranges and active-tuple lists.
     ranges: Vec<Vec<Range>>,
     lists: Vec<Vec<i64>>,
@@ -166,16 +166,7 @@ impl<'c> Machine<'c> {
         let mut total: u128 = 0;
         let mut arrays = Vec::with_capacity(code.arrays.len());
         for slot in &code.arrays {
-            let extents: Vec<u128> = slot
-                .shape
-                .iter()
-                .map(|&(lb, ub)| (ub as i128 - lb as i128 + 1).max(0) as u128)
-                .collect();
-            let n = extents
-                .iter()
-                .try_fold(1u128, |acc, &e| acc.checked_mul(e))
-                .unwrap_or(u128::MAX);
-            total = total.saturating_add(n);
+            total = total.saturating_add(slot.elements);
             if total > MAX_ELEMENTS {
                 return fail(
                     format!(
@@ -186,19 +177,12 @@ impl<'c> Machine<'c> {
                     slot.span,
                 );
             }
-            let extents: Vec<usize> = extents.iter().map(|&e| e as usize).collect();
-            let mut strides = Vec::with_capacity(extents.len());
-            let mut stride = 1;
-            for &e in &extents {
-                strides.push(stride);
-                stride *= e;
-            }
             arrays.push(Array {
                 ty: slot.ty,
-                lbounds: slot.shape.iter().map(|&(lb, _)| lb).collect(),
-                buf: Buf::zeroed(buffer::Kind::of(slot.ty), n as usize),
-                extents,
-                strides,
+                lbounds: slot.axes.iter().map(|a| a.lb).collect(),
+                extents: slot.axes.iter().map(|a| a.extent).collect(),
+                strides: slot.axes.iter().map(|a| a.stride).collect(),
+                buf: Buf::zeroed(buffer::Kind::of(slot.ty), slot.elements as usize),
             });
         }
         Ok(Machine {
@@ -264,7 +248,7 @@ impl<'c> Machine<'c> {
 
     // ---- statements ------------------------------------------------------
 
-    fn block(&mut self, body: &'c [Instr]) -> R<()> {
+    fn block(&mut self, body: &[Instr]) -> R<()> {
         for st in body {
             if self.stopped {
                 break;
@@ -274,21 +258,18 @@ impl<'c> Machine<'c> {
         Ok(())
     }
 
-    fn stmt(&mut self, st: &'c Instr) -> R<()> {
+    fn stmt(&mut self, st: &Instr) -> R<()> {
         let span = st.span;
         self.touch(st.prof).executions += 1;
         match &st.op {
             Op::AssignScalar { slot, ty, rhs } => {
                 self.tick(rhs.ticks, span)?;
-                let v = self.scalar(&rhs.e)?;
+                let v = (rhs.e)(self)?;
                 self.scalars[*slot] = coerce(v, *ty);
             }
-            Op::AssignElem { arr, subs, rhs } => {
-                self.tick(rhs.ticks, span)?;
-                let v = self.scalar(&rhs.e)?;
-                let off = self.offset(*arr, subs, span)?;
-                let a = &mut self.arrays[*arr];
-                a.buf.set(off, coerce(v, a.ty));
+            Op::AssignElem(store) => {
+                self.tick(store.ticks, span)?;
+                (store.e)(self)?;
             }
             Op::AssignArray { arr, section, rhs } => {
                 self.assign_array(*arr, section.as_deref(), rhs, span)?
@@ -304,10 +285,10 @@ impl<'c> Machine<'c> {
                 body,
             } => {
                 self.tick(*ticks, span)?;
-                let lo = self.int(lo, span)?;
-                let hi = self.int(hi, span)?;
+                let lo = lo(self)?;
+                let hi = hi(self)?;
                 let step = match step {
-                    Some(s) => self.int(s, span)?,
+                    Some(s) => s(self)?,
                     None => 1,
                 };
                 if step == 0 {
@@ -333,7 +314,7 @@ impl<'c> Machine<'c> {
             Op::DoWhile { cond, body } => {
                 while !self.stopped {
                     self.tick(cond.ticks, span)?;
-                    match self.scalar(&cond.e)? {
+                    match (cond.e)(self)? {
                         Val::Logical(true) => {}
                         Val::Logical(false) => break,
                         _ => return fail("DO WHILE condition must be scalar LOGICAL", span),
@@ -346,7 +327,7 @@ impl<'c> Machine<'c> {
             Op::If { arms, else_body } => {
                 for (cond, body) in arms {
                     self.tick(cond.ticks, span)?;
-                    match self.scalar(&cond.e)? {
+                    match (cond.e)(self)? {
                         Val::Logical(true) => {
                             let s = &mut self.stats[st.prof];
                             s.mask_true += 1;
@@ -368,7 +349,7 @@ impl<'c> Machine<'c> {
                     self.tick(item.ticks, span)?;
                     match &item.e {
                         Ex::S(s) => {
-                            let v = self.scalar(s)?;
+                            let v = s(self)?;
                             let _ = write!(line, "{}", v.to_value(&self.code.strings));
                         }
                         Ex::A(a) => {
@@ -398,8 +379,8 @@ impl<'c> Machine<'c> {
     fn assign_array(
         &mut self,
         arr: usize,
-        section: Option<&'c [Sub]>,
-        rhs: &'c Root<Ex>,
+        section: Option<&[Sub<Compiled<Val>>]>,
+        rhs: &Root<Ex<Compiled<Val>>>,
         span: Span,
     ) -> R<()> {
         self.tick(rhs.ticks, span)?;
@@ -452,7 +433,7 @@ impl<'c> Machine<'c> {
     /// assignment lowered as `direct` stores each value as it is computed,
     /// since no read can tell the difference; a failing run returns no
     /// state, so its partial stores are never observed.
-    fn forall(&mut self, f: &'c Forall) -> R<()> {
+    fn forall(&mut self, f: &Forall) -> R<()> {
         // HPF evaluates all triplet bounds before any index takes a value,
         // so bounds see the enclosing indices but no sibling triplet.
         self.tick(f.bound_ticks, f.span)?;
@@ -461,10 +442,10 @@ impl<'c> Machine<'c> {
         let mut counts = 1u128;
         let mut empty = false;
         for t in &f.triplets {
-            let lo = self.int(&t.lo, f.span)?;
-            let hi = self.int(&t.hi, f.span)?;
+            let lo = (t.lo)(self)?;
+            let hi = (t.hi)(self)?;
             let step = match &t.stride {
-                Some(s) => self.int(s, f.span)?,
+                Some(s) => s(self)?,
                 None => 1,
             };
             if step == 0 {
@@ -497,7 +478,7 @@ impl<'c> Machine<'c> {
             n = 0;
             for t in 0..total {
                 self.tuple(&mut ranges, None, t);
-                match self.scalar(&mask.e)? {
+                match (mask.e)(self)? {
                     Val::Logical(true) => {
                         list.extend(ranges.iter().map(|r| self.idx[r.reg]));
                         n += 1;
@@ -517,31 +498,23 @@ impl<'c> Machine<'c> {
             match item {
                 ForallItem::Assign {
                     arr,
-                    subs,
-                    rhs,
+                    store,
                     ticks,
                     span,
                     direct,
                 } => {
                     self.tick(ticks.saturating_mul(n), *span)?;
-                    let ty = self.arrays[*arr].ty;
-                    let mut staging = std::mem::take(&mut self.staging);
-                    staging.clear();
+                    self.staging.clear();
                     for t in 0..n {
                         self.tuple(&mut ranges, active.as_deref(), t);
-                        let v = coerce(self.scalar(rhs)?, ty);
-                        let off = self.offset(*arr, subs, *span)?;
-                        if *direct {
-                            self.arrays[*arr].buf.set(off, v);
-                        } else {
-                            staging.push((off, v));
+                        store(self)?;
+                    }
+                    if !direct {
+                        let buf = &mut self.arrays[*arr].buf;
+                        for &(off, v) in &self.staging {
+                            buf.set(off, v);
                         }
                     }
-                    let buf = &mut self.arrays[*arr].buf;
-                    for &(off, v) in &staging {
-                        buf.set(off, v);
-                    }
-                    self.staging = staging;
                 }
                 ForallItem::Nested(inner) => {
                     for t in 0..n {
@@ -593,7 +566,7 @@ impl<'c> Machine<'c> {
         }
     }
 
-    fn where_construct(&mut self, w: &'c Where, prof: usize, span: Span) -> R<()> {
+    fn where_construct(&mut self, w: &Where, prof: usize, span: Span) -> R<()> {
         self.tick(w.mask.ticks, span)?;
         let mask = self.array(&w.mask.e)?;
         let n = self.view(&mask).1.len();
@@ -651,60 +624,31 @@ impl<'c> Machine<'c> {
 
     // ---- references ------------------------------------------------------
 
-    /// Column-major offset of the element `arr(subs)`. Each subscript is
-    /// checked against its dimension's bounds before the next is read.
-    #[inline]
-    fn offset(&mut self, arr: usize, subs: &'c Subs, span: Span) -> R<usize> {
-        let mut off = 0usize;
-        match subs {
-            Subs::Affine(subs) => {
-                let a = &self.arrays[arr];
-                for (d, s) in subs.iter().enumerate() {
-                    let i = s.value(&self.idx);
-                    match a.position(d, i) {
-                        Some(p) => off += p,
-                        None => return self.out_of_bounds(arr, i, span),
-                    }
-                }
-            }
-            Subs::General(subs) => {
-                for (d, s) in subs.iter().enumerate() {
-                    let i = self.int(s, span)?;
-                    match self.arrays[arr].position(d, i) {
-                        Some(p) => off += p,
-                        None => return self.out_of_bounds(arr, i, span),
-                    }
-                }
-            }
-        }
-        Ok(off)
-    }
-
     #[cold]
-    fn out_of_bounds<T>(&self, arr: usize, i: i64, span: Span) -> R<T> {
+    pub(crate) fn out_of_bounds<T>(&self, arr: usize, i: i64, span: Span) -> R<T> {
         let name = &self.code.arrays[arr].name;
         fail(format!("index {i} out of bounds for `{name}`"), span)
     }
 
     /// Resolve a section's subscripts to per-dimension walks, checking that
     /// every element it selects is in bounds.
-    fn select(&mut self, arr: usize, subs: &'c [Sub], span: Span) -> R<Vec<Dim>> {
+    fn select(&mut self, arr: usize, subs: &[Sub<Compiled<Val>>], span: Span) -> R<Vec<Dim>> {
         let mut picks = Vec::with_capacity(subs.len());
         for (d, sub) in subs.iter().enumerate() {
             let (lb, extent) = (self.arrays[arr].lbounds[d], self.arrays[arr].extents[d]);
             picks.push(match sub {
-                Sub::Index(s) => (self.int(s, span)?, 1, 1, false),
+                Sub::Index(s) => (integer(s(self)?, span)?, 1, 1, false),
                 Sub::Triplet { lo, hi, stride } => {
                     let lo = match lo {
-                        Some(e) => self.int(e, span)?,
+                        Some(e) => integer(e(self)?, span)?,
                         None => lb,
                     };
                     let hi = match hi {
-                        Some(e) => self.int(e, span)?,
+                        Some(e) => integer(e(self)?, span)?,
                         None => lb + (extent as i64 - 1),
                     };
                     let step = match stride {
-                        Some(e) => self.int(e, span)?,
+                        Some(e) => integer(e(self)?, span)?,
                         None => 1,
                     };
                     if step == 0 {
@@ -739,87 +683,26 @@ impl<'c> Machine<'c> {
 
     // ---- expressions -----------------------------------------------------
 
-    fn int(&mut self, s: &'c S, span: Span) -> R<i64> {
-        match self.scalar(s)?.as_i64() {
-            Some(i) => Ok(i),
-            None => fail("expected integer value", span),
-        }
-    }
-
-    fn scalar(&mut self, s: &'c S) -> R<Val> {
-        Ok(match s {
-            S::Const(v) => *v,
-            S::Index(r) => Val::Int(self.idx[*r]),
-            S::Scalar(slot) => self.scalars[*slot],
-            S::Late(slot, span) => {
-                if !self.bound[*slot] {
-                    let name = &self.code.scalars[*slot].name;
-                    return fail(format!("undefined variable `{name}`"), *span);
-                }
-                self.scalars[*slot]
-            }
-            S::Elem { arr, subs, span } => {
-                let off = self.offset(*arr, subs, *span)?;
-                self.arrays[*arr].buf.get(off)
-            }
-            S::Unary(op, x, span) => {
-                let v = self.scalar(x)?;
-                match buffer::unary(*op, v) {
-                    Some(v) => v,
-                    None => return fail("bad operand for unary operator", *span),
-                }
-            }
-            S::Binary(op, l, r, span) => {
-                let a = self.scalar(l)?;
-                let b = self.scalar(r)?;
-                match buffer::binary(*op, a, b) {
-                    Some(v) => v,
-                    None => return fail("bad operands", *span),
-                }
-            }
-            S::Elemental(f, args, span) => {
-                let v = match &args[..] {
-                    [a] => {
-                        let a = self.scalar(a)?;
-                        buffer::elemental(*f, &[a])
-                    }
-                    [a, b] => {
-                        let a = self.scalar(a)?;
-                        let b = self.scalar(b)?;
-                        buffer::elemental(*f, &[a, b])
-                    }
-                    _ => {
-                        let vals = args.iter().map(|a| self.scalar(a)).collect::<R<Vec<_>>>()?;
-                        buffer::elemental(*f, &vals)
-                    }
-                };
-                match v {
-                    Some(v) => v,
-                    None => return fail(format!("bad arguments to {}", f.name()), *span),
-                }
-            }
-            S::Call(f, args, span) => {
-                let args = self.args(args)?;
-                let v = self.reduce(*f, &args, *span)?;
-                self.recycle_args(args);
-                v
-            }
-            S::Fail(msg, span) => return fail(msg.clone(), *span),
-        })
-    }
-
-    fn arg(&mut self, e: &'c Ex) -> R<Arg> {
+    fn arg(&mut self, e: &Ex<Compiled<Val>>) -> R<Arg> {
         Ok(match e {
-            Ex::S(s) => Arg::S(self.scalar(s)?),
+            Ex::S(s) => Arg::S(s(self)?),
             Ex::A(a) => Arg::A(self.array(a)?),
         })
     }
 
-    fn args(&mut self, args: &'c [Ex]) -> R<Vec<Arg>> {
+    fn args(&mut self, args: &[Ex<Compiled<Val>>]) -> R<Vec<Arg>> {
         args.iter().map(|a| self.arg(a)).collect()
     }
 
-    fn array(&mut self, a: &'c A) -> R<Arr> {
+    /// A transformational intrinsic with a scalar result over `args`.
+    pub(crate) fn call(&mut self, f: Intrinsic, args: &[Ex<Compiled<Val>>], span: Span) -> R<Val> {
+        let args = self.args(args)?;
+        let v = self.reduce(f, &args, span)?;
+        self.recycle_args(args);
+        Ok(v)
+    }
+
+    fn array(&mut self, a: &A<Compiled<Val>>) -> R<Arr> {
         match a {
             A::Whole(slot) => Ok(Arr::Var(*slot)),
             A::Section { arr, subs, span } => {

@@ -16,6 +16,7 @@
 //! buffers (`buffer`) written in place (`eval`).
 
 mod buffer;
+mod compile;
 mod eval;
 mod lower;
 mod profile;

@@ -17,8 +17,13 @@
 //! Lowering also decides how each FORALL assignment stores: in place when
 //! no read can see another tuple's store, staged otherwise
 //! ([`ForallItem::Assign`]).
+//!
+//! The `S` and `A` trees built here are the analysis form: as each statement
+//! is lowered, every scalar expression it runs is compiled to closures
+//! ([`crate::compile`]), and only those are executed.
 
 use crate::buffer::{zero, Val};
+use crate::compile::{Compiled, Compiler};
 use hpf_lang::ast::*;
 use hpf_lang::sema::{AnalyzedProgram, SymbolKind};
 use hpf_lang::value::Value;
@@ -49,26 +54,27 @@ pub(crate) enum S {
     Fail(String, Span),
 }
 
-/// An array-valued expression.
-pub(crate) enum A {
+/// An array-valued expression whose scalar operands are `X`: `S` trees
+/// while lowering analyzes them, compiled closures once it is done.
+pub(crate) enum A<X = S> {
     Whole(usize),
     Section {
         arr: usize,
-        subs: Box<[Sub]>,
+        subs: Box<[Sub<X>]>,
         span: Span,
     },
-    Unary(UnOp, Box<A>, Span),
+    Unary(UnOp, Box<A<X>>, Span),
     /// At least one operand is an array.
-    Binary(BinOp, Box<Ex>, Box<Ex>, Span),
+    Binary(BinOp, Box<Ex<X>>, Box<Ex<X>>, Span),
     /// A transformational intrinsic with an array result, or an elemental
     /// one with an array argument.
-    Call(Intrinsic, Box<[Ex]>, Span),
+    Call(Intrinsic, Box<[Ex<X>]>, Span),
     Fail(String, Span),
 }
 
-pub(crate) enum Ex {
-    S(S),
-    A(A),
+pub(crate) enum Ex<X = S> {
+    S(X),
+    A(A<X>),
 }
 
 /// The subscripts of an element reference or assignment target.
@@ -98,12 +104,12 @@ impl Affine {
 }
 
 /// One subscript of a section.
-pub(crate) enum Sub {
-    Index(S),
+pub(crate) enum Sub<X = S> {
+    Index(X),
     Triplet {
-        lo: Option<S>,
-        hi: Option<S>,
-        stride: Option<S>,
+        lo: Option<X>,
+        hi: Option<X>,
+        stride: Option<X>,
     },
 }
 
@@ -124,39 +130,36 @@ pub(crate) enum Op {
     AssignScalar {
         slot: usize,
         ty: TypeSpec,
-        rhs: Root<S>,
+        rhs: Root<Compiled<Val>>,
     },
-    AssignElem {
-        arr: usize,
-        subs: Subs,
-        rhs: Root<S>,
-    },
+    /// Evaluates the right-hand side, addresses the element and stores.
+    AssignElem(Root<Compiled<()>>),
     /// Whole-array (`section` is `None`) or section assignment.
     AssignArray {
         arr: usize,
-        section: Option<Box<[Sub]>>,
-        rhs: Root<Ex>,
+        section: Option<Box<[Sub<Compiled<Val>>]>>,
+        rhs: Root<Ex<Compiled<Val>>>,
     },
     Forall(Box<Forall>),
     Where(Box<Where>),
     Do {
         /// The loop variable's scalar slot, or the error binding it raises.
         var: Result<usize, String>,
-        lo: S,
-        hi: S,
-        step: Option<S>,
+        lo: Compiled<i64>,
+        hi: Compiled<i64>,
+        step: Option<Compiled<i64>>,
         ticks: u64,
         body: Vec<Instr>,
     },
     DoWhile {
-        cond: Root<S>,
+        cond: Root<Compiled<Val>>,
         body: Vec<Instr>,
     },
     If {
-        arms: Vec<(Root<S>, Vec<Instr>)>,
+        arms: Vec<(Root<Compiled<Val>>, Vec<Instr>)>,
         else_body: Vec<Instr>,
     },
-    Print(Vec<Root<Ex>>),
+    Print(Vec<Root<Ex<Compiled<Val>>>>),
     Stop,
     Io,
     Fail(String),
@@ -164,9 +167,9 @@ pub(crate) enum Op {
 
 pub(crate) struct Triplet {
     pub(crate) reg: usize,
-    pub(crate) lo: S,
-    pub(crate) hi: S,
-    pub(crate) stride: Option<S>,
+    pub(crate) lo: Compiled<i64>,
+    pub(crate) hi: Compiled<i64>,
+    pub(crate) stride: Option<Compiled<i64>>,
 }
 
 pub(crate) struct Forall {
@@ -175,7 +178,7 @@ pub(crate) struct Forall {
     pub(crate) triplets: Vec<Triplet>,
     /// Steps of all triplet bound expressions.
     pub(crate) bound_ticks: u64,
-    pub(crate) mask: Option<Root<S>>,
+    pub(crate) mask: Option<Root<Compiled<Val>>>,
     pub(crate) body: Vec<ForallItem>,
 }
 
@@ -190,11 +193,11 @@ pub(crate) enum ForallItem {
     /// (identical affine subscripts that use every index of this FORALL, so
     /// no two tuples store one element) or an element no tuple stores (a
     /// dimension where both subscripts are different constants). Any other
-    /// assignment stages all its values first.
+    /// assignment stages all its values first: `store` pushes each onto the
+    /// machine's staging buffer, committed once every tuple has run.
     Assign {
         arr: usize,
-        subs: Subs,
-        rhs: S,
+        store: Compiled<()>,
         ticks: u64,
         span: Span,
         direct: bool,
@@ -207,7 +210,7 @@ pub(crate) enum ForallItem {
 }
 
 pub(crate) struct Where {
-    pub(crate) mask: Root<A>,
+    pub(crate) mask: Root<A<Compiled<Val>>>,
     pub(crate) body: Vec<WhereItem>,
     pub(crate) elsewhere: Vec<WhereItem>,
 }
@@ -215,7 +218,7 @@ pub(crate) struct Where {
 pub(crate) enum WhereItem {
     Assign {
         arr: usize,
-        rhs: Root<Ex>,
+        rhs: Root<Ex<Compiled<Val>>>,
         span: Span,
     },
     Fail(String, Span),
@@ -233,8 +236,54 @@ pub(crate) struct ScalarSlot {
 pub(crate) struct ArraySlot {
     pub(crate) name: String,
     pub(crate) ty: TypeSpec,
-    pub(crate) shape: Vec<(i64, i64)>,
+    pub(crate) axes: Vec<Axis>,
+    /// Element count, saturating (the machine refuses a run past its cap
+    /// before it executes anything, so no stride of such an array is read).
+    pub(crate) elements: u128,
     pub(crate) span: Span,
+}
+
+/// One dimension of a declared array: lower bound, extent and column-major
+/// stride.
+#[derive(Clone, Copy)]
+pub(crate) struct Axis {
+    pub(crate) lb: i64,
+    pub(crate) extent: usize,
+    pub(crate) stride: usize,
+}
+
+impl Axis {
+    /// The offset that subscript `i` adds, or `None` when `i` is out of
+    /// bounds.
+    #[inline]
+    pub(crate) fn position(self, i: i64) -> Option<usize> {
+        let rel = i.wrapping_sub(self.lb) as u64;
+        (rel < self.extent as u64).then(|| rel as usize * self.stride)
+    }
+}
+
+impl ArraySlot {
+    fn new(name: &str, ty: TypeSpec, shape: &[(i64, i64)], span: Span) -> ArraySlot {
+        // `None` once the product overflows, whatever extents follow.
+        let mut elements = Some(1u128);
+        let mut axes = Vec::with_capacity(shape.len());
+        for &(lb, ub) in shape {
+            let extent = (ub as i128 - lb as i128 + 1).max(0) as u128;
+            axes.push(Axis {
+                lb,
+                extent: extent as usize,
+                stride: elements.unwrap_or(0) as usize,
+            });
+            elements = elements.and_then(|n| n.checked_mul(extent));
+        }
+        ArraySlot {
+            name: name.to_string(),
+            ty,
+            axes,
+            elements: elements.unwrap_or(u128::MAX),
+            span,
+        }
+    }
 }
 
 /// A lowered program.
@@ -249,45 +298,7 @@ pub(crate) struct Code {
 }
 
 pub(crate) fn lower(analyzed: &AnalyzedProgram) -> Code {
-    let mut l = Lowerer {
-        analyzed,
-        scalar_slot: BTreeMap::new(),
-        array_slot: BTreeMap::new(),
-        key_slot: BTreeMap::new(),
-        scope: Vec::new(),
-        inner: 0..0,
-        code: Code {
-            body: Vec::new(),
-            scalars: Vec::new(),
-            arrays: Vec::new(),
-            strings: Vec::new(),
-            keys: Vec::new(),
-            registers: 0,
-        },
-    };
-    for (name, sym) in &analyzed.symbols {
-        match &sym.kind {
-            SymbolKind::Scalar => {
-                l.scalar_slot.insert(name.clone(), l.code.scalars.len());
-                l.code.scalars.push(ScalarSlot {
-                    name: name.clone(),
-                    init: zero(sym.ty),
-                    declared: true,
-                });
-            }
-            SymbolKind::Array { shape } => {
-                l.array_slot.insert(name.clone(), l.code.arrays.len());
-                l.code.arrays.push(ArraySlot {
-                    name: name.clone(),
-                    ty: sym.ty,
-                    shape: shape.clone(),
-                    span: sym.span,
-                });
-            }
-            _ => {}
-        }
-    }
-    l.bind_do_variables(&analyzed.program.body);
+    let mut l = Lowerer::new(analyzed);
     l.code.body = l.block(&analyzed.program.body);
     l.code
 }
@@ -331,6 +342,53 @@ struct Lowerer<'a> {
 }
 
 impl<'a> Lowerer<'a> {
+    /// A lowerer with every declared variable and DO binding in its slot.
+    fn new(analyzed: &'a AnalyzedProgram) -> Lowerer<'a> {
+        let mut l = Lowerer {
+            analyzed,
+            scalar_slot: BTreeMap::new(),
+            array_slot: BTreeMap::new(),
+            key_slot: BTreeMap::new(),
+            scope: Vec::new(),
+            inner: 0..0,
+            code: Code {
+                body: Vec::new(),
+                scalars: Vec::new(),
+                arrays: Vec::new(),
+                strings: Vec::new(),
+                keys: Vec::new(),
+                registers: 0,
+            },
+        };
+        for (name, sym) in &analyzed.symbols {
+            match &sym.kind {
+                SymbolKind::Scalar => {
+                    l.scalar_slot.insert(name.clone(), l.code.scalars.len());
+                    l.code.scalars.push(ScalarSlot {
+                        name: name.clone(),
+                        init: zero(sym.ty),
+                        declared: true,
+                    });
+                }
+                SymbolKind::Array { shape } => {
+                    l.array_slot.insert(name.clone(), l.code.arrays.len());
+                    l.code
+                        .arrays
+                        .push(ArraySlot::new(name, sym.ty, shape, sym.span));
+                }
+                _ => {}
+            }
+        }
+        l.bind_do_variables(&analyzed.program.body);
+        l
+    }
+
+    fn compiler(&self) -> Compiler<'_> {
+        Compiler {
+            arrays: &self.code.arrays,
+        }
+    }
+
     /// Give every DO variable that is not a declared scalar a binding of its
     /// own (arrays excepted: binding one is an error at run time).
     fn bind_do_variables(&mut self, body: &[Stmt]) {
@@ -399,7 +457,7 @@ impl<'a> Lowerer<'a> {
         let span = st.span();
         let prof = self.prof(span);
         let op = match st {
-            Stmt::Assign { lhs, rhs, .. } => self.assign(lhs, rhs),
+            Stmt::Assign { lhs, rhs, .. } => self.assign(lhs, rhs, span),
             Stmt::Forall { header, body, .. } => {
                 Op::Forall(Box::new(self.forall(header, body, span)))
             }
@@ -412,7 +470,7 @@ impl<'a> Lowerer<'a> {
                 let mask = Root {
                     ticks: nodes(mask),
                     e: match self.expr(mask) {
-                        Ex::A(a) => a,
+                        Ex::A(a) => self.compiler().array(a),
                         Ex::S(_) => A::Fail("WHERE mask must be an array".into(), span),
                     },
                 };
@@ -434,9 +492,9 @@ impl<'a> Lowerer<'a> {
                     Some(&slot) => Ok(slot),
                     None => Err(format!("DO variable `{var}` is an array")),
                 },
-                lo: self.int_expr(lo),
-                hi: self.int_expr(hi),
-                step: step.as_ref().map(|s| self.int_expr(s)),
+                lo: self.bound(lo, span),
+                hi: self.bound(hi, span),
+                step: step.as_ref().map(|s| self.bound(s, span)),
                 ticks: nodes(lo) + nodes(hi) + step.as_ref().map_or(0, nodes),
                 body: self.block(body),
             },
@@ -466,7 +524,7 @@ impl<'a> Lowerer<'a> {
                     .iter()
                     .map(|e| Root {
                         ticks: nodes(e),
-                        e: self.expr(e),
+                        e: self.compiled(e),
                     })
                     .collect(),
             ),
@@ -479,17 +537,30 @@ impl<'a> Lowerer<'a> {
         Instr { prof, span, op }
     }
 
-    fn condition(&mut self, e: &'a Expr, msg: &str) -> Root<S> {
+    fn condition(&mut self, e: &'a Expr, msg: &str) -> Root<Compiled<Val>> {
+        let s = match self.expr(e) {
+            Ex::S(s) => s,
+            Ex::A(_) => S::Fail(msg.into(), e.span()),
+        };
         Root {
             ticks: nodes(e),
-            e: match self.expr(e) {
-                Ex::S(s) => s,
-                Ex::A(_) => S::Fail(msg.into(), e.span()),
-            },
+            e: self.compiler().scalar(s),
         }
     }
 
-    fn assign(&mut self, lhs: &'a DataRef, rhs: &'a Expr) -> Op {
+    /// `e` lowered and compiled, for a statement that runs nothing else.
+    fn compiled(&mut self, e: &'a Expr) -> Ex<Compiled<Val>> {
+        let e = self.expr(e);
+        self.compiler().ex(e)
+    }
+
+    /// A DO or FORALL bound: a scalar used as an INTEGER, failing at `span`.
+    fn bound(&mut self, e: &'a Expr, span: Span) -> Compiled<i64> {
+        let s = self.int_expr(e);
+        self.compiler().int(s, span)
+    }
+
+    fn assign(&mut self, lhs: &'a DataRef, rhs: &'a Expr, span: Span) -> Op {
         let ticks = nodes(rhs);
         let rhs = self.expr(rhs);
         let Some(&arr) = self.array_slot.get(&lhs.name) else {
@@ -512,12 +583,12 @@ impl<'a> Lowerer<'a> {
                 slot,
                 ty,
                 rhs: Root {
-                    e: rhs,
+                    e: self.compiler().scalar(rhs),
                     ticks: ticks + 1,
                 },
             };
         };
-        let rank = self.code.arrays[arr].shape.len();
+        let rank = self.code.arrays[arr].axes.len();
         let sub_ticks = ref_nodes(lhs);
         if !lhs.subs.is_empty() && lhs.subs.iter().all(Subscript::is_index) {
             let Ex::S(rhs) = rhs else {
@@ -526,24 +597,24 @@ impl<'a> Lowerer<'a> {
             if lhs.subs.len() != rank {
                 return Op::Fail(format!("index out of bounds for `{}`", lhs.name));
             }
-            return Op::AssignElem {
-                arr,
-                subs: self.element_subs(&lhs.subs),
-                rhs: Root {
-                    e: rhs,
-                    ticks: ticks + sub_ticks + 1,
-                },
-            };
+            let subs = self.element_subs(&lhs.subs);
+            return Op::AssignElem(Root {
+                e: self.compiler().store(arr, subs, rhs, span, false),
+                ticks: ticks + sub_ticks + 1,
+            });
         }
         if !lhs.subs.is_empty() && lhs.subs.len() != rank {
             return Op::Fail(format!("rank mismatch: `{}` has rank {rank}", lhs.name));
         }
-        let section = (!lhs.subs.is_empty()).then(|| self.section_subs(&lhs.subs));
+        let section = (!lhs.subs.is_empty()).then(|| {
+            let subs = self.section_subs(&lhs.subs);
+            self.compiler().section(subs)
+        });
         Op::AssignArray {
             arr,
             section,
             rhs: Root {
-                e: rhs,
+                e: self.compiler().ex(rhs),
                 ticks: ticks + sub_ticks,
             },
         }
@@ -559,9 +630,9 @@ impl<'a> Lowerer<'a> {
             bound_ticks += nodes(&t.lo) + nodes(&t.hi) + t.stride.as_ref().map_or(0, nodes);
             triplets.push(Triplet {
                 reg: first + k,
-                lo: self.int_expr(&t.lo),
-                hi: self.int_expr(&t.hi),
-                stride: t.stride.as_ref().map(|s| self.int_expr(s)),
+                lo: self.bound(&t.lo, span),
+                hi: self.bound(&t.hi, span),
+                stride: t.stride.as_ref().map(|s| self.bound(s, span)),
             });
         }
         let depth = self.scope.len();
@@ -612,7 +683,7 @@ impl<'a> Lowerer<'a> {
                         *span,
                     );
                 };
-                if lhs.subs.len() != self.code.arrays[arr].shape.len() {
+                if lhs.subs.len() != self.code.arrays[arr].axes.len() {
                     return ForallItem::FailIfActive(
                         format!("index out of bounds for `{}`", lhs.name),
                         *span,
@@ -622,8 +693,7 @@ impl<'a> Lowerer<'a> {
                 let direct = stores_in_place(arr, &subs, &rhs, self.inner.clone());
                 ForallItem::Assign {
                     arr,
-                    subs,
-                    rhs,
+                    store: self.compiler().store(arr, subs, rhs, *span, !direct),
                     ticks,
                     span: *span,
                     direct,
@@ -656,7 +726,7 @@ impl<'a> Lowerer<'a> {
             arr,
             rhs: Root {
                 ticks: nodes(rhs),
-                e: self.expr(rhs),
+                e: self.compiled(rhs),
             },
             span: *span,
         }
@@ -828,7 +898,7 @@ impl<'a> Lowerer<'a> {
             };
             return Ex::S(S::Fail(msg, span));
         };
-        let rank = self.code.arrays[arr].shape.len();
+        let rank = self.code.arrays[arr].axes.len();
         if r.subs.iter().all(Subscript::is_index) {
             if r.subs.len() != rank {
                 return Ex::S(S::Fail(
@@ -1070,15 +1140,19 @@ mod tests {
         ))
         .unwrap();
         let analyzed = analyze(&program, &BTreeMap::new()).unwrap();
-        let code = lower(&analyzed);
-        let Op::Forall(f) = &code.body[0].op else {
+        let Stmt::Forall { header, body, .. } = &analyzed.program.body[0] else {
             panic!("first statement is the FORALL")
         };
-        let ForallItem::Assign { rhs, .. } = &f.body[0] else {
+        let Stmt::Assign { rhs, .. } = &body[0] else {
             panic!("an assignment")
         };
+        let mut l = Lowerer::new(&analyzed);
+        l.scope.push((&header.triplets[0].var, 0));
+        let Ex::S(rhs) = l.expr(rhs) else {
+            panic!("a scalar right-hand side")
+        };
         let mut got = Vec::new();
-        each_read(rhs, &mut |_, subs| {
+        each_read(&rhs, &mut |_, subs| {
             got.push(subs.map(|s| (s[0].reg, s[0].offset)));
         });
         let i = Some(0);
