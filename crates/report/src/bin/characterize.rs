@@ -6,48 +6,12 @@
 //!        `characterize --machine <name> [nodes]`
 //!        `characterize --list-machines`
 
-use machine::{CollectiveOp, OpClass};
-
-/// One line per registered backend: name, interconnect, supported node
-/// range, and where its SAU parameter tables come from.
-fn list_machines() {
-    println!("Registered machines (hpf-machines registry):");
-    println!(
-        "  {:<12} {:<10} {:<12} calibration provenance",
-        "name", "topology", "nodes"
-    );
-    for name in hpf_machines::machine_names() {
-        let backend = hpf_machines::machine(name).expect("registered");
-        let (lo, hi) = backend.node_range();
-        let topo = backend
-            .params(8usize.clamp(lo, hi))
-            .map(|m| m.topology.label())
-            .unwrap_or("?");
-        println!(
-            "  {:<12} {:<10} {:<12} {}",
-            name,
-            topo,
-            format!("{lo}..{hi}"),
-            backend.provenance()
-        );
-        println!("               {}", backend.description());
-        // Whether the calibration pass fits a striped-I/O table for this
-        // backend, or predictions fall back to the default closed form.
-        let io_note = match ipsc_sim::calibrate_backend(backend, 8usize.clamp(lo, hi)) {
-            Ok(m) => match &m.calibration {
-                Some(cal) if !cal.io.is_empty() => "fitted (calibration pass)",
-                _ => "default (closed form)",
-            },
-            Err(_) => "default (closed form)",
-        };
-        println!("               i/o table: {io_note}");
-    }
-}
+use hpf_report::characterize::{characterize_text, machines_text};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--list-machines") {
-        list_machines();
+        print!("{}", machines_text());
         return;
     }
     let mut machine_name: Option<String> = None;
@@ -91,134 +55,5 @@ fn main() {
             }
         }
     };
-
-    println!("System characterization: {}", m.name);
-    println!("\n== System Abstraction Graph ==");
-    println!("{}", m.sag.outline());
-
-    let p = &m.node_processing;
-    println!("== Processing component (node) ==");
-    println!("  clock             : {} MHz", p.clock_mhz);
-    for (label, op) in [
-        ("FP add/sub", OpClass::FAdd),
-        ("FP multiply", OpClass::FMul),
-        ("FP divide", OpClass::FDiv),
-        ("transcendental", OpClass::FTranscendental),
-        ("integer ALU", OpClass::IntOp),
-        ("compare", OpClass::Compare),
-        ("loop iteration", OpClass::LoopIter),
-        ("loop setup", OpClass::LoopSetup),
-        ("branch", OpClass::Branch),
-        ("call linkage", OpClass::Call),
-        ("index calc", OpClass::Index),
-    ] {
-        println!("  {label:<18}: {:8.1} ns", p.op_time(op) * 1e9);
-    }
-
-    let mem = &m.node_memory;
-    println!("\n== Memory component (node) ==");
-    println!(
-        "  I-cache {} KB, D-cache {} KB, DRAM {} MB, {}B lines",
-        mem.icache_bytes / 1024,
-        mem.dcache_bytes / 1024,
-        mem.main_bytes / 1024 / 1024,
-        mem.cache_line_bytes
-    );
-    println!(
-        "  hit {:.0} ns, miss {:.0} ns",
-        mem.access_time(1.0) * 1e9,
-        mem.access_time(0.0) * 1e9
-    );
-    println!("  hit-ratio model: ws=4KB/unit-stride {:.3}, ws=1MB/unit-stride {:.3}, ws=1MB/strided {:.3}",
-        mem.hit_ratio(4096, 4, 1.0), mem.hit_ratio(1 << 20, 4, 1.0), mem.hit_ratio(1 << 20, 4, 0.1));
-
-    println!("\n== Communication component ==");
-    println!(
-        "  short latency {:.0} µs (≤{}B), long latency {:.0} µs, {:.2} µs/KB, {:.1} µs/hop",
-        m.comm.short_latency_s * 1e6,
-        m.comm.short_threshold,
-        m.comm.long_latency_s * 1e6,
-        m.comm.per_byte_s * 1e6 * 1024.0,
-        m.comm.per_hop_s * 1e6
-    );
-
-    println!("\n== I/O component (striped servers + SRM host) ==");
-    println!(
-        "  servers: {} (default), stripe unit {} KB",
-        m.io.io_servers,
-        m.io.stripe_bytes / 1024
-    );
-    println!(
-        "  disk: {:.2} ms latency, {:.2} MB/s stream, {:.3} ms/req server overhead",
-        m.io.disk_latency_s * 1e3,
-        m.io.disk_bandwidth_bps / (1024.0 * 1024.0),
-        m.io.server_overhead_s * 1e3
-    );
-    println!(
-        "  load: {:.1} s latency + {:.0} KB/s; transfer {:.0} KB/s",
-        m.io.load_latency_s,
-        m.io.load_bandwidth_bps / 1024.0,
-        m.io.transfer_bandwidth_bps / 1024.0
-    );
-
-    if let Some(cal) = &m.calibration {
-        println!("\n== Fitted characterization (benchmarking runs) ==");
-        println!(
-            "  compute scale: {:.4} (measured / instruction-counted)",
-            cal.compute_scale
-        );
-        println!("\n  collective library (α + β·m, per regime):");
-        println!(
-            "  {:<12} {:>4}  {:>12} {:>12}   {:>12} {:>12}",
-            "op", "p", "α_small(µs)", "β_s(ns/B)", "α_large(µs)", "β_l(ns/B)"
-        );
-        let ops = [
-            ("shift", CollectiveOp::Shift),
-            ("reduce", CollectiveOp::Reduce),
-            ("maxloc", CollectiveOp::ReduceLoc),
-            ("broadcast", CollectiveOp::Broadcast),
-            ("all-to-all", CollectiveOp::AllToAll),
-            ("gather", CollectiveOp::Gather),
-            ("barrier", CollectiveOp::Barrier),
-        ];
-        let mut p2 = 2usize;
-        while p2 <= nodes.max(2) {
-            for (name, op) in ops {
-                if let Some(pc) = cal.comm.get(&machine::Calibration::key(op, p2)) {
-                    println!(
-                        "  {:<12} {:>4}  {:>12.1} {:>12.2}   {:>12.1} {:>12.2}",
-                        name,
-                        p2,
-                        pc.small.alpha_s * 1e6,
-                        pc.small.beta_s_per_byte * 1e9,
-                        pc.large.alpha_s * 1e6,
-                        pc.large.beta_s_per_byte * 1e9
-                    );
-                }
-            }
-            if p2 >= nodes {
-                break;
-            }
-            p2 *= 2;
-        }
-
-        if !cal.io.is_empty() {
-            println!("\n  striped i/o (α + β·bytes, per regime; fitted at stripe factor 1):");
-            println!(
-                "  {:<8} {:>4}  {:>12} {:>12}   {:>12} {:>12}",
-                "servers", "p", "α_small(µs)", "β_s(ns/B)", "α_large(µs)", "β_l(ns/B)"
-            );
-            for (&(s_log2, p_log2), pc) in &cal.io {
-                println!(
-                    "  {:<8} {:>4}  {:>12.1} {:>12.2}   {:>12.1} {:>12.2}",
-                    1usize << s_log2,
-                    1usize << p_log2,
-                    pc.small.alpha_s * 1e6,
-                    pc.small.beta_s_per_byte * 1e9,
-                    pc.large.alpha_s * 1e6,
-                    pc.large.beta_s_per_byte * 1e9
-                );
-            }
-        }
-    }
+    print!("{}", characterize_text(&m, nodes));
 }

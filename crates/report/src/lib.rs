@@ -12,15 +12,17 @@
 //! | Figure 7   | [`experiments::figure7_text`], `bin/figure7` |
 //! | Figure 8   | [`workflow`], `bin/figure8`             |
 //! | Ablations  | [`experiments::ablations_text`], `bin/ablations` |
+//! | System characterization (§4.4) | [`characterize`], `bin/characterize` |
 //!
-//! The text of Table 2, Figures 2–5 and 7, the ablations and the I/O
-//! accuracy table is rendered here, not in the binaries, so
-//! `tests/goldens.rs` diffs exactly what they print.
+//! The text of Table 2, Figures 2–5 and 7, the ablations, the system
+//! characterization and the I/O accuracy table is rendered here, not in the
+//! binaries, so `tests/goldens.rs` diffs exactly what they print.
 //!
 //! It also holds the primitives the advisor and the service build on: the
 //! [`pipeline`] entry points, the fan-out [`pool`], the [`hash`] and the
 //! [`LruMap`].
 
+pub mod characterize;
 pub mod checkpoint;
 pub mod csv;
 pub mod experiments;

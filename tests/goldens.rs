@@ -5,6 +5,7 @@
 //! `UPDATE_GOLDENS=1` to regenerate the files instead.
 
 use hpf90d::kernels::{kernel_by_name, CompiledKernel};
+use hpf90d::report::characterize::{characterize_text, machines_text};
 use hpf90d::report::experiments::{
     ablations_text, figure2_text, figure3_text, figure7_text, figures4_5, table2, table2_text,
     SweepConfig,
@@ -17,15 +18,20 @@ use hpf_serve::{Api, CacheConfig};
 /// Renders an artifact's text.
 type Render = fn() -> String;
 
-/// `(artifact, renderer)`: what `ablations`, `figure2`, `figure3`,
-/// `figure7`, `table2 --quick` and `figures4_5` print with their default
-/// options;
+/// `(artifact, renderer)`: what `ablations`, `characterize`, `figure2`,
+/// `figure3`, `figure7`, `table2 --quick` and `figures4_5` print with their
+/// default options; the machine registry listing followed by every
+/// registered machine's characterization at 8 nodes;
 /// what `io_accuracy` prints, and what `advise --quick` prints alone and
 /// with `--machines ipsc860,torus3d,fattree,multicore`, each with
 /// `--threads 1` and `--threads 2`; and the service's answer to
 /// `examples/serve_predict_request.json`.
 const GOLDENS: &[(&str, Render)] = &[
     ("artifacts_ablations.txt", ablations_text),
+    ("artifacts_characterize.txt", || {
+        characterize_text(&hpf90d::sim::calibrate(8), 8)
+    }),
+    ("artifacts_machine_calibration.txt", machine_calibration),
     ("artifacts_figure2.txt", figure2_text),
     ("artifacts_figure3.txt", || figure3_text(16, 4)),
     ("artifacts_figure7.txt", || figure7_text(256, 4)),
@@ -42,6 +48,20 @@ const GOLDENS: &[(&str, Render)] = &[
     ("artifacts_io_accuracy.txt", || io_accuracy_table(2)),
     ("artifacts_serve_predict.json", serve_predict),
 ];
+
+/// `characterize --list-machines`, then for each registered backend a blank
+/// line, a `==== machine: <name> (8 nodes) ====` header and
+/// `characterize --machine <name> 8`.
+fn machine_calibration() -> String {
+    let mut out = machines_text();
+    for name in ["ipsc860", "torus3d", "fattree", "multicore"] {
+        let backend = hpf_machines::machine(name).unwrap();
+        let m = hpf90d::sim::calibrate_backend(backend, 8).unwrap();
+        out.push_str(&format!("\n==== machine: {name} (8 nodes) ====\n"));
+        out.push_str(&characterize_text(&m, 8));
+    }
+    out
+}
 
 /// `io_accuracy --threads <threads>`.
 fn io_accuracy_table(threads: usize) -> String {
