@@ -14,14 +14,12 @@
 //!   FORALL index registers;
 //! - arithmetic with a REAL operand is REAL, converting an INTEGER operand
 //!   with `as f64` and checking a `Val` one once both operands are
-//!   evaluated; INTEGER op INTEGER wraps as `value_ops` does;
-//! - relational operators over numeric operands, `-`, `+`, `ABS`, `MAX` and
-//!   `MIN` of two arguments and the one-argument REAL functions (`EXP`,
-//!   `SQRT`, …) are specialized the same way.
+//!   evaluated; INTEGER op INTEGER wraps as `value_ops` does; unary `-`
+//!   and `+` keep their operand's type.
 //!
 //! Everything else, declared scalars included (a DO loop stores `Int` into
 //! a REAL scalar), goes through `hpf_lang::value_ops` over `Val`s, the one
-//! operator semantics. Operands evaluate left to right, and a node raises
+//! operator semantics: relational, logical and elemental operators. Operands evaluate left to right, and a node raises
 //! its type error only after all its operands are evaluated, so an error in
 //! a later operand wins.
 
@@ -371,37 +369,27 @@ fn unary(op: UnOp, x: Typed, span: Span) -> Typed {
 fn binary(op: BinOp, l: Typed, r: Typed, span: Span) -> Typed {
     use BinOp::*;
     let bad = Bad::Operands(span);
-    let typed = match op {
-        Add | Sub | Mul | Div | Pow => match (l, r) {
-            (Typed::Int(a), Typed::Int(b)) => {
-                return Typed::Int(match op {
-                    Add => int2(a, b, bad, |x, y| Some(x.wrapping_add(y))),
-                    Sub => int2(a, b, bad, |x, y| Some(x.wrapping_sub(y))),
-                    Mul => int2(a, b, bad, |x, y| Some(x.wrapping_mul(y))),
-                    // Division by zero and negative powers: `value_ops`.
-                    _ => int2(a, b, bad, move |x, y| {
-                        match value_ops::binary(op, Scalar::Int(x), Scalar::Int(y)) {
-                            Some(Scalar::Int(v)) => Some(v),
-                            _ => None,
-                        }
-                    }),
-                });
-            }
-            (l, r) => match op {
-                Add => real2(l, r, bad, |x, y| x + y),
-                Sub => real2(l, r, bad, |x, y| x - y),
-                Mul => real2(l, r, bad, |x, y| x * y),
-                Div => real2(l, r, bad, |x, y| x / y),
-                _ => real2(l, r, bad, f64::powf),
-            },
-        },
-        Eq => compare(l, r, bad, |x, y| x == y),
-        Ne => compare(l, r, bad, |x, y| x != y),
-        Lt => compare(l, r, bad, |x, y| x < y),
-        Le => compare(l, r, bad, |x, y| x <= y),
-        Gt => compare(l, r, bad, |x, y| x > y),
-        Ge => compare(l, r, bad, |x, y| x >= y),
-        And | Or | Eqv | Neqv => Err((l, r)),
+    let typed = match (op, l, r) {
+        (Add | Sub | Mul | Div | Pow, Typed::Int(a), Typed::Int(b)) => {
+            return Typed::Int(match op {
+                Add => int2(a, b, bad, |x, y| Some(x.wrapping_add(y))),
+                Sub => int2(a, b, bad, |x, y| Some(x.wrapping_sub(y))),
+                Mul => int2(a, b, bad, |x, y| Some(x.wrapping_mul(y))),
+                // Division by zero and negative powers: `value_ops`.
+                _ => int2(a, b, bad, move |x, y| {
+                    match value_ops::binary(op, Scalar::Int(x), Scalar::Int(y)) {
+                        Some(Scalar::Int(v)) => Some(v),
+                        _ => None,
+                    }
+                }),
+            });
+        }
+        (Add, l, r) => real2(l, r, bad, |x, y| x + y),
+        (Sub, l, r) => real2(l, r, bad, |x, y| x - y),
+        (Mul, l, r) => real2(l, r, bad, |x, y| x * y),
+        (Div, l, r) => real2(l, r, bad, |x, y| x / y),
+        (Pow, l, r) => real2(l, r, bad, f64::powf),
+        (_, l, r) => Err((l, r)),
     };
     typed.unwrap_or_else(|(l, r)| {
         let (a, b) = (l.val(), r.val());
@@ -413,52 +401,8 @@ fn binary(op: BinOp, l: Typed, r: Typed, span: Span) -> Typed {
     })
 }
 
+/// An elemental intrinsic over scalars, through `value_ops`.
 fn elemental(f: Intrinsic, args: Vec<Typed>, bad: Bad) -> Typed {
-    use Intrinsic::*;
-    let mut args = args.into_iter();
-    match (f, args.len()) {
-        (Sqrt | Exp | Log | Log10 | Sin | Cos | Tan | Atan, 1) => {
-            let g: fn(f64) -> f64 = match f {
-                Sqrt => f64::sqrt,
-                Exp => f64::exp,
-                Log => f64::ln,
-                Log10 => f64::log10,
-                Sin => f64::sin,
-                Cos => f64::cos,
-                Tan => f64::tan,
-                _ => f64::atan,
-            };
-            Typed::Real(match args.next().expect("one argument") {
-                Typed::Int(a) => num1(a, bad, g),
-                Typed::Real(a) => num1(a, bad, g),
-                Typed::Val(a) => num1(a, bad, g),
-            })
-        }
-        (Abs, 1) => match args.next().expect("one argument") {
-            Typed::Int(a) => Typed::Int(compiled(move |m| Ok(a(m)?.wrapping_abs()))),
-            Typed::Real(a) => Typed::Real(compiled(move |m| Ok(a(m)?.abs()))),
-            x => generic(f, vec![x], bad),
-        },
-        (Max | Min, 2) => {
-            let (l, r) = (args.next().expect("two"), args.next().expect("two"));
-            let typed = match (l, r) {
-                (Typed::Int(a), Typed::Int(b)) if f == Max => {
-                    Ok(Typed::Int(int2(a, b, bad, |x, y| Some(x.max(y)))))
-                }
-                (Typed::Int(a), Typed::Int(b)) => {
-                    Ok(Typed::Int(int2(a, b, bad, |x, y| Some(x.min(y)))))
-                }
-                (l, r) if f == Max => real2(l, r, bad, f64::max),
-                (l, r) => real2(l, r, bad, f64::min),
-            };
-            typed.unwrap_or_else(|(l, r)| generic(f, vec![l, r], bad))
-        }
-        _ => generic(f, args.collect(), bad),
-    }
-}
-
-/// An elemental intrinsic through `value_ops`, over every argument.
-fn generic(f: Intrinsic, args: Vec<Typed>, bad: Bad) -> Typed {
     let args: Box<[Compiled<Val>]> = args.into_iter().map(Typed::val).collect();
     Typed::Val(compiled(move |m| {
         let v = match &args[..] {
@@ -493,19 +437,12 @@ fn int2(
     })
 }
 
-fn num1<X: Numeric>(a: Compiled<X>, bad: Bad, f: fn(f64) -> f64) -> Compiled<f64> {
-    compiled(move |m| match a(m)?.real() {
-        Some(x) => Ok(f(x)),
-        None => bad.raise(),
-    })
-}
-
-fn num2<X: Numeric, Y: Numeric, T: 'static>(
+fn num2<X: Numeric, Y: Numeric>(
     a: Compiled<X>,
     b: Compiled<Y>,
     bad: Bad,
-    f: impl Fn(f64, f64) -> T + 'static,
-) -> Compiled<T> {
+    f: impl Fn(f64, f64) -> f64 + 'static,
+) -> Compiled<f64> {
     compiled(move |m| {
         let x = a(m)?;
         let y = b(m)?;
@@ -529,29 +466,6 @@ fn real2(
         (Real(a), Real(b)) => num2(a, b, bad, f),
         (Real(a), Int(b)) => num2(a, b, bad, f),
         (Int(a), Real(b)) => num2(a, b, bad, f),
-        (Real(a), Val(b)) => num2(a, b, bad, f),
-        (Val(a), Real(b)) => num2(a, b, bad, f),
-        other => return Err(other),
-    }))
-}
-
-/// A comparison `f` of `l` and `r` as REAL, which is what `value_ops` does
-/// unless both are LOGICAL, or the operands back when both are `Val`s.
-fn compare(
-    l: Typed,
-    r: Typed,
-    bad: Bad,
-    f: impl Fn(f64, f64) -> bool + 'static,
-) -> Result<Typed, (Typed, Typed)> {
-    use Typed::*;
-    let f = move |x, y| buffer::Val::Logical(f(x, y));
-    Ok(Val(match (l, r) {
-        (Int(a), Int(b)) => num2(a, b, bad, f),
-        (Int(a), Real(b)) => num2(a, b, bad, f),
-        (Real(a), Int(b)) => num2(a, b, bad, f),
-        (Real(a), Real(b)) => num2(a, b, bad, f),
-        (Int(a), Val(b)) => num2(a, b, bad, f),
-        (Val(a), Int(b)) => num2(a, b, bad, f),
         (Real(a), Val(b)) => num2(a, b, bad, f),
         (Val(a), Real(b)) => num2(a, b, bad, f),
         other => return Err(other),
