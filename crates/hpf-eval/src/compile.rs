@@ -10,18 +10,18 @@
 //! and a tagged [`Val`] everywhere else:
 //!
 //! - element reads of declared INTEGER and REAL arrays (their buffers are
-//!   converted on every store and never change kind), INTEGER literals and
-//!   FORALL index registers;
+//!   converted on every store and never change kind), INTEGER and REAL
+//!   literals and FORALL index registers;
 //! - arithmetic with a REAL operand is REAL, converting an INTEGER operand
 //!   with `as f64` and checking a `Val` one once both operands are
 //!   evaluated; INTEGER op INTEGER wraps as `value_ops` does; unary `-`
 //!   and `+` keep their operand's type.
 //!
-//! Everything else, declared scalars included (a DO loop stores `Int` into
-//! a REAL scalar), goes through `hpf_lang::value_ops` over `Val`s, the one
-//! operator semantics: relational, logical and elemental operators. Operands evaluate left to right, and a node raises
-//! its type error only after all its operands are evaluated, so an error in
-//! a later operand wins.
+//! Everything else goes through `hpf_lang::value_ops` over `Val`s, the one
+//! operator semantics: declared scalars (a DO loop stores `Int` into a REAL
+//! scalar) and the relational, logical and elemental operators. Operands
+//! evaluate left to right, and a node raises its type error only after all
+//! its operands are evaluated, so an error in a later operand wins.
 
 use crate::buffer::{self, Buf, Val};
 use crate::eval::{fail, integer, Machine, R};
@@ -54,7 +54,7 @@ impl Typed {
     }
 }
 
-/// A scalar operand of REAL arithmetic or a comparison.
+/// A scalar operand of REAL arithmetic.
 trait Numeric: Copy + 'static {
     /// The value as REAL, or `None` when it is not numeric.
     fn real(self) -> Option<f64>;
