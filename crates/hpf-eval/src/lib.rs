@@ -609,9 +609,14 @@ END
 
     #[test]
     fn integer_division_by_zero_in_a_forall_is_bad_operands() {
-        let e = run_err("PROGRAM T\nINTEGER A(4), Z\nZ = 0\nFORALL (I = 1:4) A(I) = I / Z\nEND\n");
-        assert_eq!(e.message, "bad operands");
-        assert_eq!(e.span.line, 4);
+        // By a zero scalar, a zero index expression and a zero element.
+        for rhs in ["I / Z", "I / (I - I)", "7 / IZ(I)"] {
+            let e = run_err(&format!(
+                "PROGRAM T\nINTEGER A(4), Z, IZ(4)\nZ = 0\nFORALL (I = 1:4) A(I) = {rhs}\nEND\n"
+            ));
+            assert_eq!(e.message, "bad operands", "{rhs}");
+            assert_eq!(e.span.line, 4, "{rhs}");
+        }
     }
 
     #[test]
