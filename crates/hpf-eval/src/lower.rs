@@ -548,7 +548,7 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    /// `e` lowered and compiled, for a statement that runs nothing else.
+    /// `e` lowered and compiled at once, where nothing analyzes its `S` form.
     fn compiled(&mut self, e: &'a Expr) -> Ex<Compiled<Val>> {
         let e = self.expr(e);
         self.compiler().ex(e)
