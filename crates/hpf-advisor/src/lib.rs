@@ -27,7 +27,7 @@
 //! (§5.3): the `hpfenv` binary loads a program, varies parameters and the
 //! target machine, and its `search` command runs this search.
 //!
-//! Trace instrumentation (when `hpf_trace::enable()` is on):
+//! Trace instrumentation (when the current `hpf_trace::Recorder` is on):
 //! `advisor.candidates`, `advisor.pruned`, `advisor.evaluated`,
 //! `advisor.sessions_reused`, `advisor.profile_reused` counters and
 //! `advisor/{enumerate,lower_bound,evaluate,simulate}` spans.

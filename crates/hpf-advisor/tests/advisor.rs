@@ -257,14 +257,22 @@ fn trace_counters_register_and_do_not_perturb() {
     let cfg = small_cfg(2);
     let untraced = advisor.search(&cfg).unwrap();
 
-    hpf_trace::enable();
+    let rec = hpf_trace::Recorder::new();
+    let _on = rec.install();
+    rec.enable();
     let traced = advisor.search(&cfg).unwrap();
-    hpf_trace::disable();
 
-    // Counters are process-global and other tests may run concurrently,
-    // so assert lower bounds rather than exact values.
-    assert!(hpf_trace::counter_get("advisor.candidates") >= traced.candidates as u64);
-    assert!(hpf_trace::counter_get("advisor.sessions_reused") >= traced.sessions_reused);
-    assert!(hpf_trace::counter_get("advisor.evaluated") >= traced.ranked.len() as u64);
+    assert_eq!(
+        rec.counter_get("advisor.candidates"),
+        traced.candidates as u64
+    );
+    assert_eq!(
+        rec.counter_get("advisor.sessions_reused"),
+        traced.sessions_reused
+    );
+    assert_eq!(
+        rec.counter_get("advisor.evaluated"),
+        traced.ranked.len() as u64
+    );
     assert_eq!(render_table(&traced), render_table(&untraced));
 }

@@ -630,7 +630,10 @@ impl<'a> Lower<'a> {
                     )
                 }
             };
-            let ws = per_node.iter().copied().max().unwrap_or(0) * elem_bytes;
+            let ws = per_node
+                .iter()
+                .max()
+                .map_or(0, |m| m.saturating_mul(elem_bytes));
             out.push(SpmdNode::Comp(CompPhase {
                 label: format!("partial {label} over {arr}"),
                 span: rspan,
@@ -881,9 +884,9 @@ impl<'a> Lower<'a> {
                 .iter()
                 .map(|a| {
                     let eb = self.dist.get(a).map(|d| d.elem_bytes).unwrap_or(4);
-                    max_iters * eb
+                    max_iters.saturating_mul(eb)
                 })
-                .sum();
+                .fold(0, u64::saturating_add);
 
             // Figure-2 order: gather level, then computation level, then
             // (when needed) the write-back level.
@@ -904,7 +907,8 @@ impl<'a> Lower<'a> {
             }));
             if lhs_indirect && !lhs_dist.replicated && nodes > 1 {
                 // Scatter computed values to their owners.
-                let bytes = max_iters * lhs_dist.elem_bytes * (nodes as u64 - 1) / nodes as u64;
+                let bytes = saturating_product([max_iters, lhs_dist.elem_bytes, nodes as u64 - 1])
+                    / nodes as u64;
                 out.push(SpmdNode::Comm(CommPhase {
                     label: format!("scatter -> {}", lhs.name),
                     span,
@@ -972,7 +976,7 @@ impl<'a> Lower<'a> {
         let elem = rd.elem_bytes;
 
         // Max per-node iteration volume (for gather sizing).
-        let total_iters: u64 = trip_counts.values().product();
+        let total_iters = saturating_product(trip_counts.values().copied());
         let per_node_iters = (total_iters / nodes as u64).max(1);
 
         let mut worst: Option<CommPhase> = None;
@@ -1034,10 +1038,8 @@ impl<'a> Lower<'a> {
                                     }
                                     _ => t_off.unsigned_abs().max(1),
                                 };
-                                let cross: u64 = trip_counts
-                                    .iter()
-                                    .filter(|(k, _)| **k != v)
-                                    .map(|(k, c)| {
+                                let cross = saturating_product(
+                                    trip_counts.iter().filter(|(k, _)| **k != v).map(|(k, c)| {
                                         // local share if that dummy's dim distributed
                                         match dummy_dim.get(k) {
                                             Some(&(dd, ..))
@@ -1048,8 +1050,8 @@ impl<'a> Lower<'a> {
                                             }
                                             _ => *c,
                                         }
-                                    })
-                                    .product();
+                                    }),
+                                );
                                 // Contiguous boundary iff the fixed dim is
                                 // the last dimension (column-major hyperplane).
                                 let contiguous = d == rd.rank() - 1 || rd.rank() == 1;
@@ -1057,7 +1059,7 @@ impl<'a> Lower<'a> {
                                     label: format!("shift {} (δ={t_off}, dim {})", r.name, d + 1),
                                     span: r.span,
                                     op: CollectiveOp::Shift,
-                                    bytes_per_node: (delta * cross * elem).max(1),
+                                    bytes_per_node: saturating_product([delta, cross, elem]).max(1),
                                     participants: nodes,
                                     contiguous,
                                     shift_grid_dim: Some(pdim),
@@ -1069,7 +1071,7 @@ impl<'a> Lower<'a> {
                                     label: format!("remap {}", r.name),
                                     span: r.span,
                                     op: CollectiveOp::AllToAll,
-                                    bytes_per_node: per_node_iters * elem,
+                                    bytes_per_node: per_node_iters.saturating_mul(elem),
                                     participants: nodes,
                                     contiguous: false,
                                     shift_grid_dim: None,
@@ -1082,7 +1084,8 @@ impl<'a> Lower<'a> {
                             // full range on every node, reading a distributed
                             // dim → gather of the remote part.
                             let cnt = trip_counts.get(&v).copied().unwrap_or(1);
-                            let remote = cnt * elem * (nodes as u64 - 1) / nodes as u64;
+                            let remote =
+                                saturating_product([cnt, elem, nodes as u64 - 1]) / nodes as u64;
                             consider(CommPhase {
                                 label: format!("gather {}", r.name),
                                 span: r.span,
@@ -1100,13 +1103,13 @@ impl<'a> Lower<'a> {
                     // Constant subscript of a distributed dim: the slice
                     // lives on one coordinate — broadcast it.
                     let _ = c;
-                    let cross: u64 = trip_counts.values().product::<u64>()
+                    let cross = saturating_product(trip_counts.values().copied())
                         / trip_counts.values().copied().max().unwrap_or(1).max(1);
                     consider(CommPhase {
                         label: format!("broadcast {}", r.name),
                         span: r.span,
                         op: CollectiveOp::Broadcast,
-                        bytes_per_node: (cross.max(1) * elem).max(1),
+                        bytes_per_node: cross.max(1).saturating_mul(elem).max(1),
                         participants: nodes,
                         contiguous: true,
                         shift_grid_dim: None,
@@ -1119,7 +1122,11 @@ impl<'a> Lower<'a> {
                         label: format!("gather {} (indirect)", r.name),
                         span: r.span,
                         op: CollectiveOp::Gather,
-                        bytes_per_node: (per_node_iters * elem * (nodes as u64 - 1) / nodes as u64)
+                        bytes_per_node: (saturating_product([
+                            per_node_iters,
+                            elem,
+                            nodes as u64 - 1,
+                        ]) / nodes as u64)
                             .max(1),
                         participants: nodes,
                         contiguous: false,
@@ -1134,6 +1141,14 @@ impl<'a> Lower<'a> {
         let _ = lhs;
         Ok(worst.filter(|_| nodes > 1))
     }
+}
+
+/// The product of `xs`, saturating at `u64::MAX`. Iteration and byte counts
+/// saturate: a 2-D FORALL bound at N near 2^32 moves more bytes per node
+/// than a u64 holds, which prices as "more than any machine holds" all the
+/// same.
+fn saturating_product(xs: impl IntoIterator<Item = u64>) -> u64 {
+    xs.into_iter().fold(1, u64::saturating_mul)
 }
 
 /// Merge a new comm phase into the list: same (op, array, direction sign)

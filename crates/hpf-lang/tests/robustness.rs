@@ -228,7 +228,7 @@ impl ProgramGen {
     }
 
     fn real_expr(&mut self, depth: u32) -> String {
-        match self.below(if depth == 0 { 4 } else { 9 }) {
+        match self.below(if depth == 0 { 4 } else { 10 }) {
             0 => self.pick(&["1.5", "-2.0", "0.0", "1.0E30"]).to_string(),
             1 => self.pick(&["X", "Y", "K"]).to_string(),
             2 => self.int_expr(0),
@@ -250,6 +250,13 @@ impl ProgramGen {
             7 => {
                 let f = self.pick(&["SUM", "MAXVAL", "PRODUCT"]);
                 format!("{f}({})", self.array_expr())
+            }
+            // A LOGICAL left operand beside an element read that may fail:
+            // which error wins pins the evaluation order of REAL
+            // arithmetic.
+            8 => {
+                let op = self.pick(&["+", "-", "*", "/", "**"]);
+                format!("(L {op} {})", self.elem(depth - 1))
             }
             _ => self.elem(depth - 1),
         }
@@ -458,7 +465,7 @@ fn fnv(h: &mut u64, bytes: &[u8]) {
 /// each with `PRINT *, A`, `PRINT *, B` and `PRINT *, C` before `END`:
 /// per seed the PRINT lines, every profile entry, the step count and the
 /// final scalars of a completed run, or the message and span of an error.
-const GENERATED_DIGEST: u64 = 0x13d8_4792_33e4_5eae;
+const GENERATED_DIGEST: u64 = 0xbe23_8190_3814_b421;
 
 /// The evaluator's outcome and error text on generated programs are pinned
 /// bit for bit, so a change to how it evaluates cannot move them unseen.

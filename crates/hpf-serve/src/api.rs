@@ -93,12 +93,16 @@ struct ReqCtx {
 }
 
 /// The service's request handler: routing plus the warm cache stack.
+///
+/// An `Api` records its traces into the recorder that was current on the
+/// thread that built it, whichever thread calls [`Api::handle`].
 #[derive(Debug)]
 pub struct Api {
     cache: ServeCache,
     breaker: Breaker,
     status: Arc<ServiceStatus>,
-    /// Streaming metrics: windowed rates + the `?since=` cursor ring.
+    /// Streaming metrics: the recorder, windowed rates + the `?since=`
+    /// cursor ring.
     metrics: ServeMetrics,
     /// Honor the `x-chaos-panic` fault-injection header.
     chaos: bool,
@@ -111,9 +115,10 @@ fn num(v: f64) -> Value {
 /// The `/v1/healthz` latency section: a compact snapshot of every
 /// per-endpoint request-latency sketch (`serve.latency.*`, kernels
 /// excluded — those live in the full `/v1/metrics` document).
-fn latency_value() -> Value {
+fn latency_value(recorder: &hpf_trace::Recorder) -> Value {
     Value::Obj(
-        hpf_trace::sketches_snapshot()
+        recorder
+            .sketches_snapshot()
             .into_iter()
             .filter_map(|(name, s)| {
                 let short = name.strip_prefix("serve.latency.")?;
@@ -258,15 +263,18 @@ impl Target {
     }
 }
 
+/// `v` as an integer in `0..=u32::MAX`, the bound on every count and size
+/// a request names.
+fn small_uint(v: &Value) -> Option<usize> {
+    let f = v.as_f64()?;
+    (f >= 0.0 && f.fract() == 0.0 && f <= u32::MAX as f64).then_some(f as usize)
+}
+
 fn uint_field(body: &Value, key: &str, default: usize) -> Result<usize, ApiResponse> {
     match body.get(key) {
         None => Ok(default),
-        Some(v) => match v.as_f64() {
-            Some(f) if f >= 0.0 && f.fract() == 0.0 && f <= u32::MAX as f64 => Ok(f as usize),
-            _ => Err(bad_request(format!(
-                "`{key}` must be a small non-negative integer"
-            ))),
-        },
+        Some(v) => small_uint(v)
+            .ok_or_else(|| bad_request(format!("`{key}` must be a small non-negative integer"))),
     }
 }
 
@@ -363,12 +371,19 @@ impl Api {
         &self.metrics
     }
 
+    /// The recorder this service records into: the one current when it
+    /// was built.
+    pub fn recorder(&self) -> &hpf_trace::Recorder {
+        self.metrics.recorder()
+    }
+
     /// Route and serve one request. Infallible by construction — every
     /// failure mode is a JSON error response. The one deliberate
     /// exception: an injected chaos panic (test-only header, only when
     /// chaos is enabled), which the worker's `catch_unwind` isolation is
     /// expected to convert into a structured 500.
     pub fn handle(&self, req: &Request) -> ApiResponse {
+        let _recording = self.recorder().install();
         // The metrics scrape itself never self-counts: a delta capture
         // must observe the service, not perturb it.
         if req.method == "GET" && req.path == "/v1/metrics" {
@@ -487,7 +502,7 @@ impl Api {
                     ]),
                 ),
                 ("breaker", Value::Str(self.breaker.state_label().into())),
-                ("latency", latency_value()),
+                ("latency", latency_value(self.recorder())),
             ]),
         )
     }
@@ -948,9 +963,13 @@ impl Api {
             Some(Value::Arr(items)) => {
                 let mut out = Vec::with_capacity(items.len());
                 for it in items {
-                    match it.as_f64() {
-                        Some(f) if f >= 1.0 && f.fract() == 0.0 => out.push(f as usize),
-                        _ => return Err(bad_request("`sizes` entries must be positive integers")),
+                    match small_uint(it) {
+                        Some(n) if n >= 1 => out.push(n),
+                        _ => {
+                            return Err(bad_request(
+                                "`sizes` entries must be small positive integers",
+                            ))
+                        }
                     }
                 }
                 if out.is_empty() || out.len() > MAX_POINTS {
@@ -1398,6 +1417,42 @@ mod tests {
             assert_eq!(resp.status, 400, "{path} {body}");
             let text = String::from_utf8(resp.body.to_vec()).unwrap();
             assert!(text.contains(needle), "{path} {body}: {text}");
+        }
+    }
+
+    #[test]
+    fn huge_sweep_sizes_are_request_errors() {
+        // Entries past `u32::MAX` would bind as a negative or unnameable
+        // N; they are request errors, like an out-of-range `n`.
+        let api = api();
+        for size in ["1e300", "9223372036854775807", "4294967296"] {
+            let body = format!(r#"{{"kernel":"PI","sizes":[{size}],"procs":4}}"#);
+            let resp = api.handle(&post("/v1/sweep", &body));
+            assert_eq!(resp.status, 400, "{body}");
+            let v = parse_json(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+            let err = v.get("error").unwrap();
+            assert_eq!(err.get("kind").and_then(Value::as_str), Some("request"));
+            let message = err.get("message").and_then(Value::as_str).unwrap();
+            assert!(message.contains("`sizes`"), "{body}: {message}");
+        }
+    }
+
+    #[test]
+    fn a_2d_kernel_at_the_largest_n_is_answered() {
+        // At this N the per-node byte counts (the working set on predict,
+        // a shift's payload on advise) exceed a u64 and must saturate.
+        for (path, body) in [
+            (
+                "/v1/predict",
+                r#"{"kernel":"Laplace (Blk-X)","n":4294967295,"procs":4}"#,
+            ),
+            (
+                "/v1/advise",
+                r#"{"kernel":"Laplace (X-Blk)","n":4294967295,"procs":1}"#,
+            ),
+        ] {
+            let resp = api().handle(&post(path, body));
+            assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
         }
     }
 

@@ -49,8 +49,8 @@ use report::{fnv1a, splitmix64, FNV_OFFSET};
 
 use crate::api::CHAOS_HEADER;
 use crate::http::read_response;
-use crate::loadgen::{percentile, request_at};
-use crate::server::{start, ServerConfig, ServerHandle};
+use crate::loadgen::{percentile, request_at, shutdown_over_the_wire};
+use crate::server::{start_traced, ServerConfig};
 
 /// Chaos harness knobs.
 #[derive(Debug, Clone)]
@@ -71,7 +71,8 @@ pub struct ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// The `--quick` preset the CI chaos-smoke job runs.
+    /// The `--quick` preset, pinned by `tests/goldens.rs` at 1, 4 and 8
+    /// workers.
     pub fn quick() -> Self {
         ChaosConfig {
             requests: 240,
@@ -496,26 +497,6 @@ fn fetch_health(addr: SocketAddr) -> std::io::Result<Health> {
     })
 }
 
-fn fetch_counter(addr: SocketAddr, name: &str) -> u64 {
-    fetch_json(addr, "/v1/metrics")
-        .ok()
-        .and_then(|doc| {
-            doc.get("counters")
-                .and_then(|c| c.get(name))
-                .and_then(Value::as_f64)
-        })
-        .unwrap_or(0.0) as u64
-}
-
-fn shutdown_over_the_wire(addr: SocketAddr, handle: ServerHandle) {
-    if let Ok(mut stream) = TcpStream::connect(addr) {
-        let _ = stream.write_all(b"POST /v1/shutdown HTTP/1.1\r\ncontent-length: 0\r\n\r\n");
-        let mut reader = BufReader::new(stream.try_clone().unwrap_or(stream));
-        let _ = read_response(&mut reader);
-    }
-    handle.wait();
-}
-
 /// Everything one pass of the plan observed.
 struct PassResult {
     outcomes: Vec<Outcome>,
@@ -530,9 +511,10 @@ struct PassResult {
 
 /// One pass of the plan. `chaos: false` is the baseline — only the
 /// plan's healthy requests are fired, against a server with injection
-/// disabled.
+/// disabled. Each pass's server records into a recorder of its own, so
+/// its counters start from zero.
 fn run_pass(cfg: &ChaosConfig, chaos: bool) -> std::io::Result<PassResult> {
-    let handle = start(
+    let handle = start_traced(
         "127.0.0.1:0",
         ServerConfig {
             workers: cfg.workers.max(1),
@@ -588,9 +570,9 @@ fn run_pass(cfg: &ChaosConfig, chaos: bool) -> std::io::Result<PassResult> {
     let metrics_delta = fetch_json(addr, &format!("/v1/metrics?since={cursor}"))?;
 
     let health = fetch_health(addr)?;
-    let breaker_opens = fetch_counter(addr, "serve.breaker_open");
-    let degraded = fetch_counter(addr, "serve.degraded");
-    shutdown_over_the_wire(addr, handle);
+    let breaker_opens = handle.recorder().counter_get("serve.breaker_open");
+    let degraded = handle.recorder().counter_get("serve.degraded");
+    shutdown_over_the_wire(addr, handle)?;
     outcomes.sort_by_key(|o| o.index);
     Ok(PassResult {
         outcomes,
@@ -616,19 +598,15 @@ fn healthy_checksum_and_latencies(outcomes: &[Outcome]) -> (u64, Vec<f64>) {
 
 /// Run the full harness: baseline pass, chaos pass, contract check.
 ///
-/// Tracing is enabled for the duration (the breaker/respawn counters are
-/// part of the contract); the instrumented pipeline is bit-neutral under
-/// tracing, so this perturbs nothing.
+/// Each pass traces into its own recorder (the breaker/respawn counters
+/// are part of the contract); the instrumented pipeline is bit-neutral
+/// under tracing, so this perturbs nothing.
 pub fn run(cfg: &ChaosConfig) -> std::io::Result<ChaosReport> {
     silence_injected_panics();
-    hpf_trace::enable();
-    hpf_trace::reset();
     let baseline_pass = run_pass(cfg, false)?;
     let (baseline_checksum, baseline_lat) = healthy_checksum_and_latencies(&baseline_pass.outcomes);
 
-    hpf_trace::reset();
     let chaos_pass = run_pass(cfg, true)?;
-    hpf_trace::disable();
     let PassResult {
         outcomes,
         health,

@@ -74,10 +74,3 @@ pub use loadgen::{LoadgenConfig, LoadgenReport, OverloadConfig, OverloadReport};
 pub use metrics::{ServeMetrics, METRICS_SCHEMA};
 pub use server::{default_workers, start, ServerConfig, ServerHandle};
 pub use status::ServiceStatus;
-
-#[cfg(test)]
-pub(crate) mod testlock {
-    //! The hpf-trace global registry is shared by every unit test in this
-    //! binary; tests that enable/reset tracing serialize on this lock.
-    pub static TRACE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-}

@@ -42,13 +42,13 @@ use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::time::Instant;
 
-use hpf_trace::json::{parse as parse_json, Value};
-use hpf_trace::QuantileSketch;
+use hpf_trace::json::parse as parse_json;
+use hpf_trace::{QuantileSketch, Recorder};
 use report::{fnv1a, splitmix64, FNV_OFFSET};
 
 use crate::cache::CacheConfig;
 use crate::http::read_response;
-use crate::server::{start, ServerConfig};
+use crate::server::{start_traced, ServerConfig, ServerHandle};
 
 /// Loadgen knobs.
 #[derive(Debug, Clone)]
@@ -327,45 +327,41 @@ fn client_run(
     Ok(ClientResult { samples, sketch })
 }
 
-/// Warm-cache hit rate from the server's own metrics endpoint.
-fn fetch_hit_rate(addr: std::net::SocketAddr) -> std::io::Result<f64> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.write_all(b"GET /v1/metrics HTTP/1.1\r\nconnection: close\r\n\r\n")?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let (status, _, body) =
-        read_response(&mut reader).map_err(|e| std::io::Error::other(e.message))?;
-    if status != 200 {
-        return Err(std::io::Error::other(format!("metrics status {status}")));
-    }
-    let doc = parse_json(std::str::from_utf8(&body).map_err(std::io::Error::other)?)
-        .map_err(|e| std::io::Error::other(format!("metrics json: {e}")))?;
-    let counter = |name: &str| -> f64 {
-        doc.get("counters")
-            .and_then(|c| c.get(name))
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0)
-    };
-    let (hit, miss) = (counter("serve.cache.hit"), counter("serve.cache.miss"));
-    Ok(if hit + miss == 0.0 {
+/// Warm-cache hit rate from the server's own counters.
+fn hit_rate(recorder: &Recorder) -> f64 {
+    let hit = recorder.counter_get("serve.cache.hit") as f64;
+    let miss = recorder.counter_get("serve.cache.miss") as f64;
+    if hit + miss == 0.0 {
         0.0
     } else {
         hit / (hit + miss)
-    })
+    }
+}
+
+/// Shut a server down the way a supervisor would, over the wire, and wait
+/// for it to drain.
+pub(crate) fn shutdown_over_the_wire(
+    addr: std::net::SocketAddr,
+    handle: ServerHandle,
+) -> std::io::Result<()> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.write_all(b"POST /v1/shutdown HTTP/1.1\r\ncontent-length: 0\r\n\r\n")?;
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let _ = read_response(&mut reader);
+    handle.wait();
+    Ok(())
 }
 
 /// Run the generator against a fresh in-process server and drain it.
 ///
-/// Tracing is enabled (and the registry reset) for the duration so the
+/// The server records into an enabled recorder of its own, so the
 /// hit-rate counters exist; the instrumented pipeline is bit-neutral
 /// under tracing, so this perturbs nothing.
 pub fn run(cfg: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
     let workers = cfg.workers.max(1);
     let clients = cfg.clients.max(1).min(workers);
 
-    hpf_trace::enable();
-    hpf_trace::reset();
-
-    let handle = start(
+    let handle = start_traced(
         "127.0.0.1:0",
         ServerConfig {
             workers,
@@ -403,17 +399,8 @@ pub fn run(cfg: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
     }
     let wall_s = t0.elapsed().as_secs_f64();
 
-    let cache_hit_rate = fetch_hit_rate(addr)?;
-
-    // Shut the server down the way a supervisor would: over the wire.
-    {
-        let mut stream = TcpStream::connect(addr)?;
-        stream.write_all(b"POST /v1/shutdown HTTP/1.1\r\ncontent-length: 0\r\n\r\n")?;
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let _ = read_response(&mut reader);
-    }
-    handle.wait();
-    hpf_trace::disable();
+    let cache_hit_rate = hit_rate(handle.recorder());
+    shutdown_over_the_wire(addr, handle)?;
 
     // Fold body hashes in request-index order: worker count and arrival
     // order cancel out of the checksum by construction.
@@ -660,10 +647,7 @@ pub fn run_overload(cfg: &OverloadConfig) -> std::io::Result<OverloadReport> {
     let shapes = std::sync::Arc::new(shapes);
     let shape_of = std::sync::Arc::new(shape_of);
 
-    hpf_trace::enable();
-    hpf_trace::reset();
-
-    let handle = start(
+    let handle = start_traced(
         "127.0.0.1:0",
         ServerConfig {
             workers,
@@ -758,15 +742,7 @@ pub fn run_overload(cfg: &OverloadConfig) -> std::io::Result<OverloadReport> {
         }
     }
 
-    // Drain over the wire, like the healthy profile.
-    {
-        let mut stream = TcpStream::connect(addr)?;
-        stream.write_all(b"POST /v1/shutdown HTTP/1.1\r\ncontent-length: 0\r\n\r\n")?;
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let _ = read_response(&mut reader);
-    }
-    handle.wait();
-    hpf_trace::disable();
+    shutdown_over_the_wire(addr, handle)?;
 
     let mut checksum = FNV_OFFSET;
     for slot in &shape_hash {

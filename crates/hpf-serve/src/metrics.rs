@@ -3,11 +3,11 @@
 //!
 //! ## Why deltas
 //!
-//! The trace registry's counters and sketches are process-lifetime
-//! totals. A scraper that polls totals has to keep its own previous
-//! sample and subtract — and gets it wrong across restarts. Instead the
-//! service does the subtraction: every `GET /v1/metrics` response carries
-//! a `cursor`, and a follow-up `?since=<cursor>` answers with exactly
+//! A recorder's counters and sketches are lifetime totals. A scraper
+//! that polls totals has to keep its own previous sample and subtract —
+//! and gets it wrong across restarts. Instead the service does the
+//! subtraction: every `GET /v1/metrics` response carries a `cursor`,
+//! and a follow-up `?since=<cursor>` answers with exactly
 //! what happened *between the two scrapes* — per-counter deltas and
 //! per-endpoint/per-kernel latency-sketch deltas (exact bucket-wise
 //! subtraction, see [`hpf_trace::QuantileSketch::delta_since`]). A
@@ -21,17 +21,18 @@
 //! `?since=` delta equals the total, no matter how many writers raced
 //! the scrapes (the tests pin this down).
 //!
-//! Everything here is gated on [`hpf_trace::enabled`]: with tracing off
-//! the notes are no-ops and the export degrades to empty sections, so
-//! the bit-neutrality contract of the pipeline is untouched.
+//! Everything here reads the [`Recorder`] that was current when the
+//! metrics were built (its `Api`'s recorder) and is gated on that
+//! recorder's flag: with tracing off the notes are no-ops and the export
+//! degrades to empty sections, so the bit-neutrality contract of the
+//! pipeline is untouched.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use hpf_trace::json::Value;
-use hpf_trace::QuantileSketch;
-use hpf_trace::WindowedRate;
+use hpf_trace::{QuantileSketch, Recorder, WindowedRate};
 
 /// Schema tag on the `/v1/metrics` document.
 pub const METRICS_SCHEMA: &str = "hpf-serve-metrics/v1";
@@ -52,12 +53,10 @@ struct Snapshot {
     sketches: BTreeMap<String, QuantileSketch>,
 }
 
-fn capture() -> Snapshot {
+fn capture(recorder: &Recorder) -> Snapshot {
     Snapshot {
-        counters: hpf_trace::registry::counters_snapshot()
-            .into_iter()
-            .collect(),
-        sketches: hpf_trace::sketches_snapshot().into_iter().collect(),
+        counters: recorder.counters_snapshot().into_iter().collect(),
+        sketches: recorder.sketches_snapshot().into_iter().collect(),
     }
 }
 
@@ -87,10 +86,12 @@ impl Rates {
     }
 }
 
-/// Per-server streaming-metrics state: the windowed rates and the cursor
-/// ring. One instance per [`crate::api::Api`], shared with the server
-/// loops for the shed/panic notes.
+/// Per-server streaming-metrics state: the recorder it reads, the
+/// windowed rates and the cursor ring. One instance per
+/// [`crate::api::Api`], shared with the server loops for the shed/panic
+/// notes.
 pub struct ServeMetrics {
+    recorder: Recorder,
     start: Instant,
     rates: Mutex<Rates>,
     cursors: Mutex<CursorRing>,
@@ -109,8 +110,10 @@ impl Default for ServeMetrics {
 }
 
 impl ServeMetrics {
+    /// Metrics over the calling thread's current recorder.
     pub fn new() -> ServeMetrics {
         ServeMetrics {
+            recorder: Recorder::current(),
             start: Instant::now(),
             rates: Mutex::new(Rates::new()),
             cursors: Mutex::new(CursorRing {
@@ -120,12 +123,17 @@ impl ServeMetrics {
         }
     }
 
+    /// The recorder these metrics read (current when they were built).
+    pub fn recorder(&self) -> &Recorder {
+        &self.recorder
+    }
+
     fn now_ms(&self) -> u64 {
         self.start.elapsed().as_millis() as u64
     }
 
     fn with_rates(&self, f: impl FnOnce(&mut Rates, u64)) {
-        if !hpf_trace::enabled() {
+        if !self.recorder.enabled() {
             return;
         }
         let t = self.now_ms();
@@ -191,9 +199,8 @@ impl ServeMetrics {
     /// sketch, the windowed rates, and the embedded `hpf-trace/v1`
     /// export — plus a fresh `cursor` for the next `?since=` scrape.
     pub fn export_full(&self) -> Value {
-        let snap = capture();
+        let snap = capture(&self.recorder);
         let cursor = self.issue_cursor(&snap);
-        let trace = hpf_trace::json::parse(&hpf_trace::export_json()).unwrap_or(Value::Null);
         Value::obj(vec![
             ("schema", Value::Str(METRICS_SCHEMA.into())),
             ("cursor", Value::Num(cursor as f64)),
@@ -201,7 +208,7 @@ impl ServeMetrics {
             ("rates", self.rates_value()),
             ("counters", counters_value(&snap.counters)),
             ("sketches", sketches_value(&snap.sketches)),
-            ("trace", trace),
+            ("trace", self.recorder.export_value()),
         ])
     }
 
@@ -217,7 +224,7 @@ impl ServeMetrics {
                 .find(|(c, _)| *c == since)
                 .map(|(_, snap)| snap.clone())
         };
-        let now = capture();
+        let now = capture(&self.recorder);
         let cursor = self.issue_cursor(&now);
         let reset = earlier.is_none();
         let empty = Snapshot {
@@ -284,7 +291,15 @@ fn sketches_value(sketches: &BTreeMap<String, QuantileSketch>) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testlock::TRACE_LOCK;
+
+    /// Metrics over a fresh enabled recorder, installed on the calling
+    /// thread.
+    fn traced() -> (ServeMetrics, hpf_trace::Installed) {
+        let rec = Recorder::new();
+        let on = rec.install();
+        rec.enable();
+        (ServeMetrics::new(), on)
+    }
 
     fn counter_in(doc: &Value, name: &str) -> u64 {
         doc.get("counters")
@@ -299,10 +314,7 @@ mod tests {
 
     #[test]
     fn deltas_telescope_for_counters_and_sketches() {
-        let _g = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        hpf_trace::reset();
-        hpf_trace::enable();
-        let m = ServeMetrics::new();
+        let (m, _on) = traced();
 
         hpf_trace::counter_add("tm.requests", 10);
         hpf_trace::sketch_record("tm.lat", 1e-3);
@@ -313,7 +325,6 @@ mod tests {
         let b = m.export_delta(cursor_of(&a));
         hpf_trace::counter_add("tm.requests", 7);
         let c = m.export_delta(cursor_of(&b));
-        hpf_trace::disable();
 
         assert_eq!(counter_in(&a, "tm.requests"), 10);
         assert_eq!(counter_in(&b, "tm.requests"), 5);
@@ -334,38 +345,27 @@ mod tests {
 
     #[test]
     fn unknown_cursor_answers_totals_with_reset() {
-        let _g = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        hpf_trace::reset();
-        hpf_trace::enable();
-        let m = ServeMetrics::new();
+        let (m, _on) = traced();
         hpf_trace::counter_add("tm.reset_case", 4);
         let doc = m.export_delta(999_999);
-        hpf_trace::disable();
         assert_eq!(doc.get("reset"), Some(&Value::Bool(true)));
         assert_eq!(counter_in(&doc, "tm.reset_case"), 4);
     }
 
     #[test]
     fn aged_out_cursor_is_reset_too() {
-        let _g = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        hpf_trace::reset();
-        hpf_trace::enable();
-        let m = ServeMetrics::new();
+        let (m, _on) = traced();
         let first = m.export_full();
         for _ in 0..(CURSOR_RING_CAP + 4) {
             let _ = m.export_full();
         }
         let doc = m.export_delta(cursor_of(&first));
-        hpf_trace::disable();
         assert_eq!(doc.get("reset"), Some(&Value::Bool(true)));
     }
 
     #[test]
     fn deltas_hold_under_concurrent_writers() {
-        let _g = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        hpf_trace::reset();
-        hpf_trace::enable();
-        let m = ServeMetrics::new();
+        let (m, _on) = traced();
 
         const THREADS: usize = 4;
         const PER_THREAD: u64 = 5_000;
@@ -375,6 +375,7 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..THREADS {
                 s.spawn(|| {
+                    let _on = m.recorder().install();
                     for i in 0..PER_THREAD {
                         hpf_trace::counter_add("tm.conc", 1);
                         hpf_trace::sketch_record("tm.conc_lat", 1e-6 * (1 + i % 50) as f64);
@@ -404,7 +405,6 @@ mod tests {
             .and_then(|s| s.get("count"))
             .and_then(Value::as_f64)
             .unwrap_or(0.0) as u64;
-        hpf_trace::disable();
 
         let want = (THREADS as u64) * PER_THREAD;
         assert_eq!(summed, want, "counter deltas must telescope exactly");
@@ -413,9 +413,7 @@ mod tests {
 
     #[test]
     fn disabled_tracing_keeps_rates_silent() {
-        let _g = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        hpf_trace::disable();
-        hpf_trace::reset();
+        let _on = Recorder::new().install();
         let m = ServeMetrics::new();
         m.note_request(200);
         m.note_shed();

@@ -35,7 +35,9 @@
 //! `serve.conn.rejected`, `serve.conn.served`, `serve.worker_panic`,
 //! `serve.worker_death`, `serve.worker_respawn`, `serve.queue.shed`,
 //! plus the request/cache/breaker counters the API layer and
-//! [`crate::cache`] maintain.
+//! [`crate::cache`] maintain. Every server thread (acceptor, workers,
+//! supervisor, respawned workers) installs the recorder its [`Api`] was
+//! built under when it starts, so a server counts only its own work.
 
 use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Write};
@@ -149,6 +151,11 @@ impl ServerHandle {
         self.addr
     }
 
+    /// The recorder the server's threads record into.
+    pub fn recorder(&self) -> &hpf_trace::Recorder {
+        self.shared.api.recorder()
+    }
+
     /// Trigger shutdown from in-process (equivalent to `POST
     /// /v1/shutdown`): stop accepting, let in-flight work finish.
     pub fn shutdown(&self) {
@@ -202,21 +209,38 @@ pub fn start(addr: &str, cfg: ServerConfig) -> std::io::Result<ServerHandle> {
 
     let mut threads = Vec::with_capacity(shared.cfg.workers + 2);
     for _ in 0..shared.cfg.workers {
-        let s = shared.clone();
-        threads.push(std::thread::spawn(move || worker_entry(&s)));
+        threads.push(spawn_recording(&shared, worker_entry));
     }
-    {
-        let s = shared.clone();
-        threads.push(std::thread::spawn(move || supervisor_loop(&s)));
-    }
-    {
-        let s = shared.clone();
-        threads.push(std::thread::spawn(move || acceptor_loop(&s, listener)));
-    }
+    threads.push(spawn_recording(&shared, supervisor_loop));
+    threads.push(spawn_recording(&shared, move |s| {
+        acceptor_loop(s, listener)
+    }));
     Ok(ServerHandle {
         addr,
         shared,
         threads,
+    })
+}
+
+/// [`start`] a server that records into an enabled recorder of its own,
+/// never into the caller's: what the load and chaos harnesses run, which
+/// read its counters from [`ServerHandle::recorder`].
+pub(crate) fn start_traced(addr: &str, cfg: ServerConfig) -> std::io::Result<ServerHandle> {
+    let recorder = hpf_trace::Recorder::new();
+    recorder.enable();
+    let _recording = recorder.install();
+    start(addr, cfg)
+}
+
+/// Spawn a server thread that records into the server's recorder.
+fn spawn_recording(
+    shared: &Arc<Shared>,
+    body: impl FnOnce(&Arc<Shared>) + Send + 'static,
+) -> JoinHandle<()> {
+    let s = shared.clone();
+    std::thread::spawn(move || {
+        let _recording = s.api.recorder().install();
+        body(&s)
     })
 }
 
@@ -277,8 +301,7 @@ fn supervisor_loop(shared: &Arc<Shared>) {
         }
         shared.status.add(&shared.status.worker_respawns, 1);
         hpf_trace::counter_add("serve.worker_respawn", 1);
-        let s = shared.clone();
-        respawned.push(std::thread::spawn(move || worker_entry(&s)));
+        respawned.push(spawn_recording(shared, worker_entry));
     }
 }
 
@@ -550,9 +573,6 @@ mod tests {
     use crate::http::read_response;
     use std::io::BufRead;
 
-    // Trace counters are process-global; tests that read them serialize.
-    use crate::testlock::TRACE_LOCK;
-
     fn send(stream: &mut TcpStream, method: &str, path: &str, body: &str) -> std::io::Result<()> {
         let req = format!(
             "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
@@ -616,11 +636,9 @@ mod tests {
 
     #[test]
     fn full_queue_answers_429_with_retry_after() {
-        let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        hpf_trace::enable();
-        let base_served = hpf_trace::counter_get("serve.conn.served");
-        let base_accepted = hpf_trace::counter_get("serve.conn.accepted");
-
+        let rec = hpf_trace::Recorder::new();
+        let _on = rec.install();
+        rec.enable();
         let handle = start(
             "127.0.0.1:0",
             ServerConfig {
@@ -634,10 +652,10 @@ mod tests {
 
         // Occupy the single worker with an idle keep-alive connection.
         let held = TcpStream::connect(addr).unwrap();
-        wait_for(|| hpf_trace::counter_get("serve.conn.served") > base_served);
+        wait_for(|| rec.counter_get("serve.conn.served") == 1);
         // Fill the one queue slot with a second idle connection.
         let parked = TcpStream::connect(addr).unwrap();
-        wait_for(|| hpf_trace::counter_get("serve.conn.accepted") >= base_accepted + 2);
+        wait_for(|| rec.counter_get("serve.conn.accepted") == 2);
 
         // The third connection must be rejected with backpressure.
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -651,10 +669,10 @@ mod tests {
                 .any(|(k, v)| k == "retry-after" && !v.is_empty()),
             "{headers:?}"
         );
+        assert_eq!(rec.counter_get("serve.conn.rejected"), 1);
 
         drop(held);
         drop(parked);
-        hpf_trace::disable();
         handle.shutdown();
         handle.wait();
     }

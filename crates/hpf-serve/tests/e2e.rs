@@ -7,16 +7,12 @@
 //! order-independent checksum plus direct body comparison enforce it
 //! from two angles.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use hpf_serve::api::Api;
 use hpf_serve::cache::CacheConfig;
 use hpf_serve::http::Request;
 use hpf_serve::loadgen::{self, request_at, LoadgenConfig};
-
-/// The loadgen (and anything reading trace counters) flips process-global
-/// trace state; such tests serialize here.
-static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
 fn post(path: &str, body: &str) -> Request {
     Request {
@@ -64,9 +60,6 @@ END
 /// pass over the same request set on a fresh `Api`.
 #[test]
 fn concurrent_session_reuse_matches_sequential() {
-    // This test never reads counters, but its traffic would pollute the
-    // counter assertions of any test whose tracing window it overlaps.
-    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let requests = request_set(176);
 
     // Sequential reference on its own cache stack.
@@ -123,14 +116,17 @@ fn concurrent_session_reuse_matches_sequential() {
 /// byte-identical.
 #[test]
 fn identical_cold_requests_coalesce_to_one_execution() {
-    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    hpf_trace::enable();
-    hpf_trace::reset();
-
-    let api = Arc::new(Api::new(&CacheConfig {
-        shards: 8,
-        ..CacheConfig::default()
-    }));
+    // The Api records into the recorder current where it is built, on
+    // every thread that calls it.
+    let rec = hpf_trace::Recorder::new();
+    rec.enable();
+    let api = {
+        let _on = rec.install();
+        Arc::new(Api::new(&CacheConfig {
+            shards: 8,
+            ..CacheConfig::default()
+        }))
+    };
     // A cold advise over a source program no other test submits: the
     // process-wide profile memo has never seen it, so the leader's
     // compute is genuinely multi-millisecond — wide enough for the
@@ -171,10 +167,10 @@ END
         .map(|j| j.join().expect("advise thread panicked"))
         .collect();
 
-    let leaders = hpf_trace::counter_get("serve.singleflight.leader");
-    let parked = hpf_trace::counter_get("serve.singleflight.parked");
-    let hits = hpf_trace::counter_get("serve.cache.hit");
-    hpf_trace::disable();
+    let leaders = rec.counter_get("serve.singleflight.leader");
+    let parked = rec.counter_get("serve.singleflight.parked");
+    let hits = rec.counter_get("serve.cache.hit");
+    assert_eq!(rec.counter_get("serve.requests"), k as u64);
 
     for (status, resp_body) in &results {
         assert_eq!(
@@ -211,7 +207,6 @@ END
 /// checksums) and no failures.
 #[test]
 fn worker_count_does_not_change_response_bytes() {
-    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let base = LoadgenConfig {
         requests: 300,
         clients: 4,
@@ -234,7 +229,6 @@ fn worker_count_does_not_change_response_bytes() {
 /// distinct body, everything is a response-cache hit.
 #[test]
 fn loadgen_mix_runs_warm() {
-    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let report = loadgen::run(&LoadgenConfig {
         requests: 400,
         clients: 4,
@@ -258,7 +252,6 @@ fn loadgen_mix_runs_warm() {
 /// generic compile error.
 #[test]
 fn io_error_maps_to_structured_400_with_io_stage() {
-    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let api = Api::new(&CacheConfig::default());
     let src = "\nPROGRAM SCALARS\nREAL X\nX = 1.0\nCHECKPOINT\nEND\n";
     let body = hpf_trace::json::Value::obj(vec![
@@ -277,7 +270,6 @@ fn io_error_maps_to_structured_400_with_io_stage() {
 /// (present only when nonzero, so I/O-free responses keep the old schema).
 #[test]
 fn ooc_kernel_predict_reports_io_seconds() {
-    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let api = Api::new(&CacheConfig::default());
     let body = r#"{"kernel": "Laplace OOC", "n": 32, "procs": 4}"#;
     let resp = api.handle(&post("/v1/predict", body));

@@ -398,8 +398,6 @@ fn stale_queued_connections_are_shed_with_504() {
 
 /// The whole chaos harness, in-process and scaled down: baseline and
 /// chaos passes run, the contract holds, the report renders a PASS.
-/// (This is the only test here that touches process-global trace state;
-/// nothing else in this binary reads counters.)
 #[test]
 fn chaos_quick_run_passes() {
     let report = chaos::run(&ChaosConfig {

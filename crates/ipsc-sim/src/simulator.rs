@@ -256,7 +256,7 @@ struct Walk<'a, 'm> {
     overhead: f64,
     io: f64,
     /// Phase-tree nodes visited (weighted by loop trips) — the walk's
-    /// event count, reported to the trace registry as `sim.events`.
+    /// event count, reported to the current trace recorder as `sim.events`.
     events: u64,
     /// Memoized base durations of comm phases keyed by (op, bytes, p),
     /// owned by [`Simulator::simulate`] so the table persists across every

@@ -69,13 +69,15 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 ///
 /// A timed-out attempt's thread cannot be killed — it is detached and its
 /// eventual result discarded; the harness moves on. `job` must therefore be
-/// `Clone`: each attempt gets its own copy.
+/// `Clone`: each attempt gets its own copy. Every attempt records into the
+/// trace recorder that is current where this is called.
 pub fn run_isolated<T, F>(job: F, cfg: &HarnessConfig) -> Result<T, JobFailure>
 where
     T: Send + 'static,
     F: Fn() -> T + Clone + Send + 'static,
 {
     let mut last = JobFailure::TimedOut;
+    let recorder = hpf_trace::Recorder::current();
     hpf_trace::counter_add("harness.jobs", 1);
     for attempt in 0..=cfg.retries {
         if attempt > 0 {
@@ -84,7 +86,9 @@ where
         let started = std::time::Instant::now();
         let (tx, rx) = mpsc::channel();
         let j = job.clone();
+        let recorder = recorder.clone();
         std::thread::spawn(move || {
+            let _recording = recorder.install();
             let outcome = catch_unwind(AssertUnwindSafe(j)).map_err(panic_message);
             // Receiver may have given up (timeout): ignore the send error.
             let _ = tx.send(outcome);
@@ -93,7 +97,7 @@ where
             Some(t) => rx.recv_timeout(t).map_err(|_| JobFailure::TimedOut),
             None => rx.recv().map_err(|_| JobFailure::TimedOut),
         };
-        hpf_trace::histogram_record("harness.job_seconds", started.elapsed().as_secs_f64());
+        hpf_trace::sketch_record("harness.job_seconds", started.elapsed().as_secs_f64());
         match received {
             Ok(Ok(v)) => return Ok(v),
             Ok(Err(msg)) => {
@@ -240,33 +244,20 @@ mod tests {
     fn timeout_path_is_observable_in_trace_metrics() {
         // The harness instrumentation: a timed-out attempt increments
         // `harness.timeouts`, its wall time lands in `harness.job_seconds`,
-        // and the retry is counted. Deltas are used because the trace
-        // registry is process-global.
-        let _lock = crate::TRACE_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        hpf_trace::enable();
-        let t0 = hpf_trace::counter_get("harness.timeouts");
-        let r0 = hpf_trace::counter_get("harness.retries");
-        let h0 = hpf_trace::histogram_snapshot("harness.job_seconds")
-            .map(|h| h.count)
-            .unwrap_or(0);
+        // and the retry is counted.
+        let rec = hpf_trace::Recorder::new();
+        let _on = rec.install();
+        rec.enable();
         let cfg = HarnessConfig {
             timeout: Some(Duration::from_millis(40)),
             retries: 1,
         };
         let r: Result<(), _> = run_isolated(|| std::thread::sleep(Duration::from_secs(600)), &cfg);
-        hpf_trace::disable();
         assert!(r.is_err());
-        // >= rather than ==: other harness tests may run (and time out)
-        // concurrently inside the enabled window.
-        assert!(
-            hpf_trace::counter_get("harness.timeouts") - t0 >= 2,
-            "both attempts"
-        );
-        assert!(hpf_trace::counter_get("harness.retries") - r0 >= 1);
-        let h1 = hpf_trace::histogram_snapshot("harness.job_seconds").unwrap();
-        assert!(h1.count - h0 >= 2, "one wall-time sample per attempt");
+        assert_eq!(rec.counter_get("harness.timeouts"), 2, "both attempts");
+        assert_eq!(rec.counter_get("harness.retries"), 1);
+        let seconds = rec.sketch_snapshot("harness.job_seconds").unwrap();
+        assert_eq!(seconds.count(), 2, "one wall-time sample per attempt");
     }
 
     #[test]

@@ -44,7 +44,3 @@ pub use pipeline::{
     PipelineStage, PredictOptions, SimulateOptions,
 };
 pub use sweep::{directive_free_source, shared_profile, SweepSession};
-
-/// Serializes tests that flip the process-global `hpf_trace` enable flag.
-#[cfg(test)]
-pub(crate) static TRACE_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

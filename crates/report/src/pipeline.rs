@@ -552,13 +552,11 @@ END
         let pred_off = predict_source(PI_SRC, &popts).unwrap();
         let meas_off = simulate_source(PI_SRC, &sopts).unwrap();
 
-        let _lock = crate::TRACE_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        hpf_trace::enable();
+        let rec = hpf_trace::Recorder::new();
+        let _on = rec.install();
+        rec.enable();
         let pred_on = predict_source(PI_SRC, &popts).unwrap();
         let meas_on = simulate_source(PI_SRC, &sopts).unwrap();
-        hpf_trace::disable();
 
         assert_eq!(
             pred_off.total_seconds().to_bits(),
@@ -572,10 +570,7 @@ END
         );
 
         // And the traced pass actually produced the stage spans.
-        let paths: Vec<String> = hpf_trace::span_snapshot()
-            .into_iter()
-            .map(|s| s.path)
-            .collect();
+        let paths: Vec<String> = rec.span_snapshot().into_iter().map(|s| s.path).collect();
         for expected in ["predict", "predict/frontend/parse", "measure/simulate"] {
             assert!(
                 paths.iter().any(|p| p == expected),

@@ -26,7 +26,8 @@ pub fn effective_threads(requested: usize, jobs: usize) -> usize {
 
 /// Run `f(0..n)` across `threads` workers (0 = auto) and return results
 /// in index order. Bit-deterministic for pure `f`: scheduling affects
-/// only wall-clock, never which slot a result lands in.
+/// only wall-clock, never which slot a result lands in. Every job records
+/// into the trace recorder that is current where this is called.
 pub fn map_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -44,27 +45,33 @@ where
     // would force `T: Sync` on the caller, and slots are written exactly
     // once so the lock is never contended.
     let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let recorder = hpf_trace::Recorder::current();
 
     std::thread::scope(|s| {
         for w in 0..workers {
             let queues = &queues;
             let results = &results;
             let f = &f;
-            s.spawn(move || loop {
-                let job = pop_front(&queues[w])
-                    .or_else(|| (1..workers).find_map(|d| pop_back(&queues[(w + d) % workers])));
-                match job {
-                    Some(i) => {
-                        // A job index lives in exactly one deque and is
-                        // removed under its lock, so the slot is ours.
-                        let v = f(i);
-                        let prev = results[i]
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .replace(v);
-                        debug_assert!(prev.is_none(), "job {i} ran twice");
+            let recorder = &recorder;
+            s.spawn(move || {
+                let _recording = recorder.install();
+                loop {
+                    let job = pop_front(&queues[w]).or_else(|| {
+                        (1..workers).find_map(|d| pop_back(&queues[(w + d) % workers]))
+                    });
+                    match job {
+                        Some(i) => {
+                            // A job index lives in exactly one deque and is
+                            // removed under its lock, so the slot is ours.
+                            let v = f(i);
+                            let prev = results[i]
+                                .lock()
+                                .unwrap_or_else(|e| e.into_inner())
+                                .replace(v);
+                            debug_assert!(prev.is_none(), "job {i} ran twice");
+                        }
+                        None => break,
                     }
-                    None => break,
                 }
             });
         }
@@ -124,6 +131,17 @@ mod tests {
             i + 1
         });
         assert_eq!(out, (1..=32).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn jobs_record_into_the_callers_recorder() {
+        let rec = hpf_trace::Recorder::new();
+        let _on = rec.install();
+        rec.enable();
+        map_indexed(20, 4, |i| {
+            hpf_trace::counter_add("pool.test.jobs", i as u64)
+        });
+        assert_eq!(rec.counter_get("pool.test.jobs"), (0..20).sum::<u64>());
     }
 
     #[test]

@@ -238,23 +238,19 @@ mod tests {
         };
         let session = SweepSession::new(&k, &cfg).unwrap();
 
-        let _lock = crate::TRACE_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        hpf_trace::reset();
-        hpf_trace::enable();
+        let rec = hpf_trace::Recorder::new();
+        let _on = rec.install();
+        rec.enable();
         session.evaluate(128, 1).unwrap();
         session.evaluate(128, 4).unwrap();
-        let misses_one_size = hpf_trace::counter_get("profile_cache.miss");
+        let misses_one_size = rec.counter_get("profile_cache.miss");
         session.evaluate(256, 4).unwrap();
-        hpf_trace::disable();
         assert_eq!(misses_one_size, 1);
-        assert_eq!(hpf_trace::counter_get("profile_cache.miss"), 2);
+        assert_eq!(rec.counter_get("profile_cache.miss"), 2);
     }
 
     /// The process-wide memo is bounded and instrumented: repeat lookups
-    /// count as hits, first-time lookups as misses (the memo itself is
-    /// shared process state, so the test only asserts deltas).
+    /// count as hits, first-time lookups as misses.
     #[test]
     fn profile_cache_counters_fire() {
         let k = kernels::kernel_by_name("PI").unwrap();
@@ -265,20 +261,17 @@ mod tests {
             compiled.bind(96, 1, &CompileOptions::default()).unwrap().0
         };
 
-        let _lock = crate::TRACE_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        hpf_trace::reset();
-        hpf_trace::enable();
-        // First call may hit or miss depending on what ran before in this
-        // process; the two calls after it must both be hits.
+        // The first call may hit or miss depending on what ran before in
+        // this process; the two traced calls after it must both be hits.
         shared_profile(
             session.compiled.canonical_source(),
             96,
             cfg.profile_steps,
             &analyzed,
         );
-        let hits_before = hpf_trace::counter_get("profile_cache.hit");
+        let rec = hpf_trace::Recorder::new();
+        let _on = rec.install();
+        rec.enable();
         shared_profile(
             session.compiled.canonical_source(),
             96,
@@ -291,8 +284,8 @@ mod tests {
             cfg.profile_steps,
             &analyzed,
         );
-        hpf_trace::disable();
-        assert_eq!(hpf_trace::counter_get("profile_cache.hit") - hits_before, 2);
+        assert_eq!(rec.counter_get("profile_cache.hit"), 2);
+        assert_eq!(rec.counter_get("profile_cache.miss"), 0);
     }
 
     /// Session counters fire under tracing: one evaluate = one bind.
@@ -302,21 +295,15 @@ mod tests {
         let cfg = SweepConfig::quick();
         let session = SweepSession::new(&k, &cfg).unwrap();
 
-        let _lock = crate::TRACE_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        hpf_trace::reset();
-        hpf_trace::enable();
+        let rec = hpf_trace::Recorder::new();
+        let _on = rec.install();
+        rec.enable();
         session.evaluate(128, 4).unwrap();
         session.evaluate(128, 1).unwrap();
-        hpf_trace::disable();
 
-        assert_eq!(hpf_trace::counter_get("session.evaluate"), 2);
-        assert_eq!(hpf_trace::counter_get("session.bind"), 2);
-        let paths: Vec<String> = hpf_trace::span_snapshot()
-            .into_iter()
-            .map(|s| s.path)
-            .collect();
+        assert_eq!(rec.counter_get("session.evaluate"), 2);
+        assert_eq!(rec.counter_get("session.bind"), 2);
+        let paths: Vec<String> = rec.span_snapshot().into_iter().map(|s| s.path).collect();
         assert!(
             paths.iter().any(|p| p == "session/bind"),
             "missing session/bind span in {paths:?}"

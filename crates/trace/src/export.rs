@@ -2,135 +2,105 @@
 //! flamegraph-style text tree.
 
 use crate::json::Value;
-use crate::registry::{
-    counters_snapshot, gauges_snapshot, histograms_snapshot, sketches_snapshot, Histogram,
-};
-use crate::span::{span_snapshot, SpanSnapshot};
+use crate::recorder::{with_current, Recorder};
+use crate::span::SpanSnapshot;
 
-/// Serialize the current spans + metrics as a `hpf-trace/v1` JSON
-/// document. Deterministic layout (sorted keys/paths) so two exports of
-/// the same run diff cleanly.
-pub fn export_json() -> String {
-    let spans: Vec<Value> = span_snapshot()
-        .iter()
-        .map(|s| {
-            Value::obj(vec![
-                ("path", Value::Str(s.path.clone())),
-                ("count", Value::Num(s.count as f64)),
-                ("total_s", Value::Num(s.total_s())),
-                ("min_s", Value::Num(s.min_ns as f64 / 1e9)),
-                ("max_s", Value::Num(s.max_ns as f64 / 1e9)),
-            ])
-        })
-        .collect();
-
-    let counters = Value::Obj(
-        counters_snapshot()
-            .into_iter()
-            .map(|(k, v)| (k, Value::Num(v as f64)))
-            .collect(),
-    );
-    let gauges = Value::Obj(
-        gauges_snapshot()
-            .into_iter()
-            .map(|(k, v)| (k, Value::Num(v)))
-            .collect(),
-    );
-    let histograms = Value::Obj(
-        histograms_snapshot()
-            .into_iter()
-            .map(|(k, h)| {
-                let buckets: Vec<Value> = h
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &c)| c > 0)
-                    .map(|(i, &c)| {
-                        Value::Arr(vec![
-                            Value::Num(Histogram::bucket_lower(i)),
-                            Value::Num(c as f64),
-                        ])
-                    })
-                    .collect();
-                let v = Value::obj(vec![
-                    ("count", Value::Num(h.count as f64)),
-                    ("sum_s", Value::Num(h.sum)),
-                    ("min_s", Value::Num(h.min)),
-                    ("max_s", Value::Num(h.max)),
-                    ("p50_s", Value::Num(h.quantile(0.50))),
-                    ("p95_s", Value::Num(h.quantile(0.95))),
-                    ("buckets", Value::Arr(buckets)),
-                ]);
-                (k, v)
+impl Recorder {
+    /// The recorder's spans and metrics as a `hpf-trace/v1` document.
+    /// Deterministic layout (sorted keys/paths) so two exports of the same
+    /// run diff cleanly.
+    pub fn export_value(&self) -> Value {
+        let spans: Vec<Value> = self
+            .span_snapshot()
+            .iter()
+            .map(|s| {
+                Value::obj(vec![
+                    ("path", Value::Str(s.path.clone())),
+                    ("count", Value::Num(s.count as f64)),
+                    ("total_s", Value::Num(s.total_s())),
+                    ("min_s", Value::Num(s.min_ns as f64 / 1e9)),
+                    ("max_s", Value::Num(s.max_ns as f64 / 1e9)),
+                ])
             })
-            .collect(),
-    );
+            .collect();
+        let counters = Value::Obj(
+            self.counters_snapshot()
+                .into_iter()
+                .map(|(k, v)| (k, Value::Num(v as f64)))
+                .collect(),
+        );
+        let sketches = Value::Obj(
+            self.sketches_snapshot()
+                .into_iter()
+                .map(|(k, s)| (k, s.to_value()))
+                .collect(),
+        );
+        Value::obj(vec![
+            ("schema", Value::Str("hpf-trace/v1".into())),
+            ("spans", Value::Arr(spans)),
+            ("counters", counters),
+            ("sketches", sketches),
+        ])
+    }
 
-    let sketches = Value::Obj(
-        sketches_snapshot()
-            .into_iter()
-            .map(|(k, s)| (k, s.to_value()))
-            .collect(),
-    );
+    /// Render the span tree as indented flamegraph-style text:
+    ///
+    /// ```text
+    /// predict                       12.88ms 100.0%  ×1
+    ///   compile                      1.02ms   7.9%  ×1   (self 0.31ms)
+    ///     parse                      0.71ms   5.5%  ×3
+    /// ```
+    ///
+    /// Percentages are of the total root time; `self` is the span's time
+    /// not covered by its (recorded) children, shown when it differs from
+    /// the total.
+    pub fn flame_text(&self) -> String {
+        let spans = self.span_snapshot();
+        if spans.is_empty() {
+            return "(no spans recorded)\n".to_string();
+        }
+        let root_total: u64 = spans
+            .iter()
+            .filter(|s| s.depth == 0)
+            .map(|s| s.total_ns)
+            .sum::<u64>()
+            .max(1);
 
-    Value::obj(vec![
-        ("schema", Value::Str("hpf-trace/v1".into())),
-        ("spans", Value::Arr(spans)),
-        ("counters", counters),
-        ("gauges", gauges),
-        ("histograms", histograms),
-        ("sketches", sketches),
-    ])
-    .pretty()
+        let name_width = spans
+            .iter()
+            .map(|s| 2 * s.depth + s.leaf().len())
+            .max()
+            .unwrap_or(8)
+            .max(8);
+
+        let mut out = String::new();
+        for s in &spans {
+            let self_ns = s.total_ns.saturating_sub(child_total(&spans, s));
+            let pct = 100.0 * s.total_ns as f64 / root_total as f64;
+            let indent = "  ".repeat(s.depth);
+            let name = format!("{indent}{}", s.leaf());
+            out.push_str(&format!(
+                "{name:<name_width$} {:>10} {pct:>5.1}%  ×{}",
+                fmt_ns(s.total_ns),
+                s.count
+            ));
+            if self_ns != s.total_ns {
+                out.push_str(&format!("   (self {})", fmt_ns(self_ns)));
+            }
+            out.push('\n');
+        }
+        out
+    }
 }
 
-/// Render the span tree as indented flamegraph-style text:
-///
-/// ```text
-/// predict                       12.88ms 100.0%  ×1
-///   compile                      1.02ms   7.9%  ×1   (self 0.31ms)
-///     parse                      0.71ms   5.5%  ×3
-/// ```
-///
-/// Percentages are of the total root time; `self` is the span's time not
-/// covered by its (recorded) children, shown when it differs from the
-/// total.
+/// The current recorder's `hpf-trace/v1` document, pretty-printed.
+pub fn export_json() -> String {
+    with_current(|r| r.export_value().pretty())
+}
+
+/// The current recorder's span tree as text ([`Recorder::flame_text`]).
 pub fn flame_text() -> String {
-    let spans = span_snapshot();
-    if spans.is_empty() {
-        return "(no spans recorded)\n".to_string();
-    }
-    let root_total: u64 = spans
-        .iter()
-        .filter(|s| s.depth == 0)
-        .map(|s| s.total_ns)
-        .sum::<u64>()
-        .max(1);
-
-    let name_width = spans
-        .iter()
-        .map(|s| 2 * s.depth + s.leaf().len())
-        .max()
-        .unwrap_or(8)
-        .max(8);
-
-    let mut out = String::new();
-    for s in &spans {
-        let self_ns = s.total_ns.saturating_sub(child_total(&spans, s));
-        let pct = 100.0 * s.total_ns as f64 / root_total as f64;
-        let indent = "  ".repeat(s.depth);
-        let name = format!("{indent}{}", s.leaf());
-        out.push_str(&format!(
-            "{name:<name_width$} {:>10} {pct:>5.1}%  ×{}",
-            fmt_ns(s.total_ns),
-            s.count
-        ));
-        if self_ns != s.total_ns {
-            out.push_str(&format!("   (self {})", fmt_ns(self_ns)));
-        }
-        out.push('\n');
-    }
-    out
+    with_current(|r| r.flame_text())
 }
 
 /// Sum of the total times of `parent`'s direct children.
@@ -171,10 +141,6 @@ mod tests {
 
     #[test]
     fn flame_text_handles_empty() {
-        let _g = crate::tests::GLOBAL
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        crate::reset();
-        assert_eq!(flame_text(), "(no spans recorded)\n");
+        assert_eq!(Recorder::new().flame_text(), "(no spans recorded)\n");
     }
 }

@@ -1,116 +1,117 @@
 //! # hpf-trace — pipeline observability
 //!
 //! The paper's premise is *interpreting* where time goes; this crate lets
-//! the reproduction do the same to itself. It provides three pieces, all
+//! the reproduction do the same to itself. It provides, all
 //! dependency-free and thread-safe:
 //!
 //! * **Span timers** ([`span()`]) — RAII guards that time a region of code
 //!   and record it under a `/`-separated path built from the enclosing
 //!   spans on the same thread (`predict/compile/parse`, …).
-//! * **A metrics registry** ([`counter_add`], [`gauge_set`],
-//!   [`histogram_record`]) — counters, gauges, and histograms with fixed
-//!   log₂-scale buckets (see [`registry::Histogram`]).
-//! * **Streaming aggregation** ([`sketch_record`], [`sketch_merge`]) —
-//!   mergeable quantile sketches with an exact, deterministic merge
-//!   (see [`sketch::QuantileSketch`]) plus windowed rate counters
-//!   ([`sketch::WindowedRate`]), the primitives behind the service's
+//! * **Counters** ([`counter_add`]) and **mergeable quantile sketches**
+//!   ([`sketch_record`], [`sketch_merge`]) with an exact, deterministic
+//!   merge (see [`sketch::QuantileSketch`]), plus windowed rate counters
+//!   ([`sketch::WindowedRate`]): the primitives behind the service's
 //!   `/v1/metrics` delta export.
+//! * **Recorders** ([`Recorder`]) — where all of the above goes. The free
+//!   functions act on the calling thread's current recorder: the one
+//!   installed on the thread, else the process recorder. An instance that
+//!   runs on several threads keeps the recorder that was current where it
+//!   was built and installs it on each of them (see [`recorder`]).
 //! * **Exports** — a machine-readable JSON document
-//!   ([`export::export_json`]) and a human-readable flamegraph-style text
-//!   tree ([`export::flame_text`]).
+//!   ([`Recorder::export_value`], [`export_json`]) and a human-readable
+//!   flamegraph-style text tree ([`flame_text`]).
 //!
 //! ## Zero overhead when disabled
 //!
-//! Tracing is **off** by default. Every entry point first checks a single
-//! relaxed atomic flag and returns immediately when tracing is disabled:
-//! no allocation, no locking, no clock reads. Instrumented code paths are
+//! Tracing is **off** by default. Every entry point reads the thread's
+//! current recorder and checks its flag with one relaxed atomic load,
+//! returning at once when it is off: no lock, no allocation, no clock
+//! read, no reference-count traffic. Instrumented code paths are
 //! bit-identical to uninstrumented ones (nothing touches any RNG stream).
 //!
 //! ## Usage
 //!
 //! ```
-//! hpf_trace::reset();
-//! hpf_trace::enable();
+//! let rec = hpf_trace::Recorder::new();
+//! let _on = rec.install();
+//! rec.enable();
 //! {
 //!     let _outer = hpf_trace::span("predict");
 //!     let _inner = hpf_trace::span("parse");
 //!     hpf_trace::counter_add("parse.stmts", 3);
 //! }
-//! let spans = hpf_trace::span_snapshot();
+//! let spans = rec.span_snapshot();
 //! assert_eq!(spans.iter().map(|s| s.path.as_str()).collect::<Vec<_>>(),
 //!            vec!["predict", "predict/parse"]);
-//! hpf_trace::disable();
+//! assert_eq!(rec.counter_get("parse.stmts"), 3);
 //! ```
 
 pub mod export;
 pub mod json;
+pub mod recorder;
 pub mod registry;
 pub mod sketch;
 pub mod span;
 
 pub use export::{export_json, flame_text};
-pub use registry::{
-    counter_add, counter_get, gauge_get, gauge_set, histogram_record, histogram_snapshot,
-    sketch_merge, sketch_record, sketch_snapshot, sketches_snapshot, HistogramSnapshot,
-};
+pub use recorder::{Installed, Recorder};
+pub use registry::{counter_add, counter_get, sketch_merge, sketch_record};
 pub use sketch::{QuantileSketch, WindowedRate};
 pub use span::{span, span_snapshot, SpanGuard, SpanSnapshot};
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use recorder::with_current;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Is tracing globally enabled? A single relaxed load — the only cost an
-/// instrumented call site pays when tracing is off.
-#[inline(always)]
+/// Is the current recorder enabled? A thread-local read and one relaxed
+/// load: the only cost an instrumented call site pays when tracing is off.
+#[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    with_current(Recorder::enabled)
 }
 
-/// Turn tracing on (spans and metrics start recording).
+/// Turn the current recorder on (spans and metrics start recording).
 pub fn enable() {
-    ENABLED.store(true, Ordering::SeqCst);
+    with_current(Recorder::enable);
 }
 
-/// Turn tracing off (instrumented call sites become no-ops again).
+/// Turn the current recorder off (instrumented call sites become no-ops).
 pub fn disable() {
-    ENABLED.store(false, Ordering::SeqCst);
+    with_current(Recorder::disable);
 }
 
-/// Clear all recorded spans and metrics (the enabled flag is untouched).
+/// Clear the current recorder's spans and metrics (the flag is untouched).
 pub fn reset() {
-    span::reset_spans();
-    registry::reset_metrics();
+    with_current(Recorder::reset);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // The global trace state is shared by every test in the process, so
-    // tests that enable tracing serialize on this lock.
-    pub(crate) static GLOBAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    /// A fresh enabled recorder, installed on the calling thread.
+    fn traced() -> (Recorder, Installed) {
+        let rec = Recorder::new();
+        let on = rec.install();
+        rec.enable();
+        (rec, on)
+    }
 
     #[test]
     fn disabled_records_nothing() {
-        let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        disable();
-        reset();
+        let rec = Recorder::new();
+        let _on = rec.install();
         {
             let _s = span("ghost");
             counter_add("ghost.count", 5);
-            histogram_record("ghost.hist", 1.0);
+            sketch_record("ghost.sketch", 1.0);
         }
-        assert!(span_snapshot().is_empty());
-        assert_eq!(counter_get("ghost.count"), 0);
-        assert!(histogram_snapshot("ghost.hist").is_none());
+        assert!(rec.span_snapshot().is_empty());
+        assert_eq!(rec.counter_get("ghost.count"), 0);
+        assert!(rec.sketch_snapshot("ghost.sketch").is_none());
     }
 
     #[test]
     fn nested_spans_build_paths() {
-        let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
-        enable();
+        let (rec, _on) = traced();
         {
             let _a = span("outer");
             {
@@ -120,8 +121,7 @@ mod tests {
                 let _c = span("inner");
             }
         }
-        disable();
-        let snap = span_snapshot();
+        let snap = rec.span_snapshot();
         let paths: Vec<(&str, u64)> = snap.iter().map(|s| (s.path.as_str(), s.count)).collect();
         assert_eq!(paths, vec![("outer", 1), ("outer/inner", 2)]);
         let outer = &snap[0];
@@ -131,56 +131,100 @@ mod tests {
 
     #[test]
     fn concurrent_counter_increments_are_lossless() {
-        let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
-        enable();
+        let (rec, _on) = traced();
         const THREADS: usize = 8;
         const PER_THREAD: u64 = 10_000;
         std::thread::scope(|s| {
             for _ in 0..THREADS {
                 s.spawn(|| {
+                    let _on = rec.install();
                     for _ in 0..PER_THREAD {
                         counter_add("test.concurrent", 1);
                     }
                 });
             }
         });
-        disable();
-        assert_eq!(counter_get("test.concurrent"), THREADS as u64 * PER_THREAD);
+        assert_eq!(
+            rec.counter_get("test.concurrent"),
+            THREADS as u64 * PER_THREAD
+        );
     }
 
     #[test]
     fn spans_on_threads_do_not_interleave_paths() {
-        let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
-        enable();
+        let (rec, _on) = traced();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
+                    let _on = rec.install();
                     let _a = span("worker");
                     let _b = span("step");
                 });
             }
         });
-        disable();
-        let snap = span_snapshot();
+        let snap = rec.span_snapshot();
         let paths: Vec<&str> = snap.iter().map(|s| s.path.as_str()).collect();
         assert_eq!(paths, vec!["worker", "worker/step"]);
         assert!(snap.iter().all(|s| s.count == 4));
     }
 
     #[test]
-    fn export_json_parses_back() {
-        let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    fn installed_recorders_keep_their_own_records() {
+        // Two recorders counting on two threads at once each see exactly
+        // their own thread's work.
+        let recs = [Recorder::new(), Recorder::new()];
+        std::thread::scope(|s| {
+            for (i, rec) in recs.iter().enumerate() {
+                s.spawn(move || {
+                    let _on = rec.install();
+                    enable();
+                    for _ in 0..1_000 * (i + 1) {
+                        counter_add("test.own", 1);
+                    }
+                });
+            }
+        });
+        assert_eq!(recs[0].counter_get("test.own"), 1_000);
+        assert_eq!(recs[1].counter_get("test.own"), 2_000);
+    }
+
+    #[test]
+    fn install_nests_and_restores() {
+        let (outer, _on) = traced();
+        let inner = Recorder::new();
+        inner.enable();
+        counter_add("test.nest", 1);
+        {
+            let _in = inner.install();
+            counter_add("test.nest", 10);
+            // Installing the current recorder again is a no-op guard.
+            let _again = inner.install();
+            counter_add("test.nest", 10);
+        }
+        counter_add("test.nest", 1);
+        assert_eq!(outer.counter_get("test.nest"), 2);
+        assert_eq!(inner.counter_get("test.nest"), 20);
+    }
+
+    #[test]
+    fn reset_clears_and_keeps_the_flag() {
+        let (rec, _on) = traced();
+        counter_add("test.reset", 2);
         reset();
-        enable();
+        assert_eq!(rec.counter_get("test.reset"), 0);
+        assert!(enabled());
+        disable();
+        assert!(!rec.enabled());
+    }
+
+    #[test]
+    fn export_json_parses_back() {
+        let (_rec, _on) = traced();
         {
             let _s = span("stage");
             counter_add("n.things", 7);
-            gauge_set("depth", 3.5);
-            histogram_record("lat", 0.25);
+            sketch_record("lat", 0.25);
         }
-        disable();
         let doc = export_json();
         let v = json::parse(&doc).expect("export is valid JSON");
         assert_eq!(
@@ -192,6 +236,13 @@ mod tests {
                 .and_then(|c| c.get("n.things"))
                 .and_then(|n| n.as_f64()),
             Some(7.0)
+        );
+        assert_eq!(
+            v.get("sketches")
+                .and_then(|s| s.get("lat"))
+                .and_then(|s| s.get("count"))
+                .and_then(|n| n.as_f64()),
+            Some(1.0)
         );
         let flame = flame_text();
         assert!(flame.contains("stage"), "{flame}");

@@ -1,410 +1,59 @@
-//! Thread-safe metrics registry: counters, gauges, and fixed log₂-bucket
-//! histograms. Metric names are free-form `&'static str`s (dotted
-//! convention: `sim.fault.retries`). Everything is process-global and
-//! cleared by [`crate::reset`].
+//! Metrics: counters and mergeable quantile sketches, recorded into the
+//! calling thread's current [`Recorder`](crate::Recorder). Metric names are
+//! free-form (dotted convention: `sim.fault.retries`); counter names are
+//! `&'static str`, sketch names may be built at runtime.
 
+use crate::recorder::with_current;
 use crate::sketch::QuantileSketch;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Number of histogram buckets. Bucket `i` covers durations/values in
-/// `[2^i, 2^(i+1))` nanoseconds-equivalent units (see [`Histogram`]).
-pub const HISTOGRAM_BUCKETS: usize = 64;
-
-/// A histogram with fixed log₂-scale buckets.
-///
-/// Values are f64s in *seconds* (or any unit — the bucketing is relative
-/// to [`Histogram::UNIT`]). Bucket `i` covers `[UNIT·2^i, UNIT·2^(i+1))`
-/// with `UNIT` = 1 ns, so the 64 buckets span 1 ns … ~584 years; values
-/// below the first bound clamp into bucket 0 and values above the last
-/// bound clamp into the final bucket.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    /// Sum of recorded values, in nanosecond-equivalent integer units
-    /// (good for ~584 years of accumulated time at 1 ns resolution).
-    sum_units: AtomicU64,
-    /// Bit-patterns of the f64 min/max, maintained by CAS.
-    min_bits: AtomicU64,
-    max_bits: AtomicU64,
-}
-
-impl Histogram {
-    /// The value mapped to bucket 0's lower bound: one nanosecond.
-    pub const UNIT: f64 = 1e-9;
-
-    fn new() -> Self {
-        Histogram {
-            buckets: (0..HISTOGRAM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_units: AtomicU64::new(0),
-            min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-            max_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-        }
-    }
-
-    /// The bucket a value falls into: `floor(log2(v / UNIT))`, clamped.
-    pub fn bucket_index(value: f64) -> usize {
-        if value.is_nan() || value <= Self::UNIT {
-            return 0;
-        }
-        let exp = (value / Self::UNIT).log2().floor();
-        (exp as usize).min(HISTOGRAM_BUCKETS - 1)
-    }
-
-    /// Inclusive lower bound of bucket `i`.
-    pub fn bucket_lower(i: usize) -> f64 {
-        Self::UNIT * (i as f64).exp2()
-    }
-
-    /// Exclusive upper bound of bucket `i`.
-    pub fn bucket_upper(i: usize) -> f64 {
-        Self::UNIT * ((i + 1) as f64).exp2()
-    }
-
-    fn record(&self, value: f64) {
-        let v = if value.is_finite() {
-            value.max(0.0)
-        } else {
-            0.0
-        };
-        self.buckets[Self::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_units
-            .fetch_add((v / Self::UNIT) as u64, Ordering::Relaxed);
-        update_extreme(&self.min_bits, v, |new, cur| new < cur);
-        update_extreme(&self.max_bits, v, |new, cur| new > cur);
-    }
-
-    fn snapshot(&self) -> HistogramSnapshot {
-        let buckets: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let count = self.count.load(Ordering::Relaxed);
-        HistogramSnapshot {
-            count,
-            sum: self.sum_units.load(Ordering::Relaxed) as f64 * Self::UNIT,
-            min: f64::from_bits(self.min_bits.load(Ordering::Relaxed)),
-            max: f64::from_bits(self.max_bits.load(Ordering::Relaxed)),
-            buckets,
-        }
-    }
-}
-
-/// Monotonic CAS update of an f64 stored as bits.
-fn update_extreme(cell: &AtomicU64, value: f64, better: impl Fn(f64, f64) -> bool) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    while better(value, f64::from_bits(cur)) {
-        match cell.compare_exchange_weak(cur, value.to_bits(), Ordering::Relaxed, Ordering::Relaxed)
-        {
-            Ok(_) => break,
-            Err(seen) => cur = seen,
-        }
-    }
-}
-
-/// Point-in-time view of one histogram.
-#[derive(Debug, Clone)]
-pub struct HistogramSnapshot {
-    pub count: u64,
-    /// Sum of recorded values (1 ns resolution).
-    pub sum: f64,
-    pub min: f64,
-    pub max: f64,
-    /// Per-bucket counts; bucket `i` covers
-    /// [`Histogram::bucket_lower(i)`, `Histogram::bucket_upper(i)`).
-    pub buckets: Vec<u64>,
-}
-
-impl HistogramSnapshot {
-    /// Estimated quantile (`0.0 ..= 1.0`) by linear interpolation inside
-    /// the covering bucket, clamped to the observed min/max.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if seen + c >= target {
-                let frac = (target - seen) as f64 / c as f64;
-                let lo = Histogram::bucket_lower(i);
-                let hi = Histogram::bucket_upper(i);
-                return (lo + frac * (hi - lo)).clamp(self.min, self.max);
-            }
-            seen += c;
-        }
-        self.max
-    }
-
-    /// Mean of recorded values.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
-#[derive(Default)]
-struct Registry {
-    counters: BTreeMap<&'static str, Arc<AtomicU64>>,
-    gauges: BTreeMap<&'static str, f64>,
-    histograms: BTreeMap<&'static str, Arc<Histogram>>,
-    /// Quantile sketches keyed by owned names — sketch names are often
-    /// built at runtime (`serve.latency.kernel.<name>`), unlike the
-    /// `&'static str` counter/histogram keys.
-    sketches: BTreeMap<String, Arc<Mutex<QuantileSketch>>>,
-}
-
-static REGISTRY: Mutex<Option<Registry>> = Mutex::new(None);
-
-fn with_registry<T>(f: impl FnOnce(&mut Registry) -> T) -> T {
-    let mut guard = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-    f(guard.get_or_insert_with(Registry::default))
-}
 
 /// Add `delta` to the counter `name`. No-op while tracing is disabled.
 #[inline]
 pub fn counter_add(name: &'static str, delta: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    let cell = with_registry(|r| r.counters.entry(name).or_default().clone());
-    cell.fetch_add(delta, Ordering::Relaxed);
+    with_current(|r| r.counter_add(name, delta));
 }
 
 /// Current value of a counter (0 if never written).
 pub fn counter_get(name: &str) -> u64 {
-    with_registry(|r| {
-        r.counters
-            .get(name)
-            .map(|c| c.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    })
-}
-
-/// Set the gauge `name`. No-op while tracing is disabled.
-#[inline]
-pub fn gauge_set(name: &'static str, value: f64) {
-    if !crate::enabled() {
-        return;
-    }
-    with_registry(|r| {
-        r.gauges.insert(name, value);
-    });
-}
-
-/// Current value of a gauge.
-pub fn gauge_get(name: &str) -> Option<f64> {
-    with_registry(|r| r.gauges.get(name).copied())
-}
-
-/// Record `value` into the histogram `name`. No-op while tracing is
-/// disabled.
-#[inline]
-pub fn histogram_record(name: &'static str, value: f64) {
-    if !crate::enabled() {
-        return;
-    }
-    let h = with_registry(|r| {
-        r.histograms
-            .entry(name)
-            .or_insert_with(|| Arc::new(Histogram::new()))
-            .clone()
-    });
-    h.record(value);
-}
-
-/// Snapshot of the histogram `name`, if it has ever been written.
-pub fn histogram_snapshot(name: &str) -> Option<HistogramSnapshot> {
-    with_registry(|r| r.histograms.get(name).map(|h| h.snapshot()))
+    with_current(|r| r.counter_get(name))
 }
 
 /// Record `value` into the mergeable quantile sketch `name`. No-op while
-/// tracing is disabled. Unlike [`histogram_record`], the name may be
-/// built at runtime (per-kernel breakdowns).
+/// tracing is disabled.
 #[inline]
 pub fn sketch_record(name: &str, value: f64) {
-    if !crate::enabled() {
-        return;
-    }
-    let s = with_registry(|r| match r.sketches.get(name) {
-        Some(s) => s.clone(),
-        None => {
-            let s = Arc::new(Mutex::new(QuantileSketch::new()));
-            r.sketches.insert(name.to_string(), s.clone());
-            s
-        }
-    });
-    s.lock().unwrap_or_else(|e| e.into_inner()).record(value);
+    with_current(|r| r.sketch_record(name, value));
 }
 
-/// Merge a locally-accumulated sketch into the registry sketch `name`.
-/// No-op while tracing is disabled. This is the shard pattern: writers
-/// own a private sketch (no contention) and fold it in when done; the
-/// result is exactly the sketch a single shared writer would have built.
+/// Merge a locally accumulated sketch into the sketch `name`. No-op while
+/// tracing is disabled.
 #[inline]
 pub fn sketch_merge(name: &str, shard: &QuantileSketch) {
-    if !crate::enabled() {
-        return;
-    }
-    let s = with_registry(|r| match r.sketches.get(name) {
-        Some(s) => s.clone(),
-        None => {
-            let s = Arc::new(Mutex::new(QuantileSketch::new()));
-            r.sketches.insert(name.to_string(), s.clone());
-            s
-        }
-    });
-    s.lock().unwrap_or_else(|e| e.into_inner()).merge(shard);
-}
-
-/// Clone of the sketch `name`, if it has ever been written.
-pub fn sketch_snapshot(name: &str) -> Option<QuantileSketch> {
-    with_registry(|r| {
-        r.sketches
-            .get(name)
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).clone())
-    })
-}
-
-/// All sketches, sorted by name.
-pub fn sketches_snapshot() -> Vec<(String, QuantileSketch)> {
-    with_registry(|r| {
-        r.sketches
-            .iter()
-            .map(|(k, s)| {
-                (
-                    k.clone(),
-                    s.lock().unwrap_or_else(|e| e.into_inner()).clone(),
-                )
-            })
-            .collect()
-    })
+    with_current(|r| r.sketch_merge(name, shard));
 }
 
 /// All counters, sorted by name.
 pub fn counters_snapshot() -> Vec<(String, u64)> {
-    with_registry(|r| {
-        r.counters
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.load(Ordering::Relaxed)))
-            .collect()
-    })
-}
-
-/// All gauges, sorted by name.
-pub fn gauges_snapshot() -> Vec<(String, f64)> {
-    with_registry(|r| r.gauges.iter().map(|(k, v)| (k.to_string(), *v)).collect())
-}
-
-/// All histograms, sorted by name.
-pub fn histograms_snapshot() -> Vec<(String, HistogramSnapshot)> {
-    with_registry(|r| {
-        r.histograms
-            .iter()
-            .map(|(k, h)| (k.to_string(), h.snapshot()))
-            .collect()
-    })
-}
-
-pub(crate) fn reset_metrics() {
-    let mut guard = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-    *guard = Some(Registry::default());
+    with_current(|r| r.counters_snapshot())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Recorder;
 
     #[test]
-    fn bucket_boundaries_are_log2_exact() {
-        // 2^i ns lands exactly on bucket i's lower bound.
-        for i in [0usize, 1, 5, 10, 20, 30] {
-            let lower = Histogram::bucket_lower(i);
-            assert_eq!(
-                Histogram::bucket_index(lower),
-                i,
-                "lower bound of bucket {i}"
-            );
-            // Just below the bound falls into the previous bucket.
-            if i > 0 {
-                assert_eq!(
-                    Histogram::bucket_index(lower * (1.0 - 1e-12)),
-                    i - 1,
-                    "below lower bound of bucket {i}"
-                );
-            }
-            // Just below the upper bound stays in bucket i.
-            let upper = Histogram::bucket_upper(i);
-            assert_eq!(
-                Histogram::bucket_index(upper * (1.0 - 1e-12)),
-                i,
-                "upper interior of bucket {i}"
-            );
+    fn sketch_record_and_merge_agree() {
+        let rec = Recorder::new();
+        let _on = rec.install();
+        rec.enable();
+        let mut shard = QuantileSketch::new();
+        for v in [1e-3, 2e-3, 4e-3] {
+            sketch_record("t.direct", v);
+            shard.record(v);
         }
-        // Clamping: zero / negative / tiny → bucket 0; huge → last bucket.
-        assert_eq!(Histogram::bucket_index(0.0), 0);
-        assert_eq!(Histogram::bucket_index(-3.0), 0);
-        assert_eq!(Histogram::bucket_index(1e-12), 0);
-        assert_eq!(Histogram::bucket_index(f64::MAX), HISTOGRAM_BUCKETS - 1);
-    }
-
-    #[test]
-    fn histogram_quantiles_and_stats() {
-        let _g = crate::tests::GLOBAL
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        crate::reset();
-        crate::enable();
-        // 90 values at ~1 ms, 10 at ~1 s: p50 ≈ ms-scale, p95+ ≈ s-scale.
-        for _ in 0..90 {
-            histogram_record("t.h", 1e-3);
-        }
-        for _ in 0..10 {
-            histogram_record("t.h", 1.0);
-        }
-        crate::disable();
-        let h = histogram_snapshot("t.h").unwrap();
-        assert_eq!(h.count, 100);
-        assert!((h.mean() - (90.0 * 1e-3 + 10.0) / 100.0).abs() < 1e-4);
-        assert_eq!(h.min, 1e-3);
-        assert_eq!(h.max, 1.0);
-        let p50 = h.quantile(0.50);
-        assert!(p50 < 5e-3, "p50 {p50} should sit in the ms bucket");
-        let p99 = h.quantile(0.99);
-        assert!(p99 > 0.5, "p99 {p99} should sit in the s bucket");
-    }
-
-    #[test]
-    fn concurrent_histogram_records_count_correctly() {
-        let _g = crate::tests::GLOBAL
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        crate::reset();
-        crate::enable();
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                s.spawn(move || {
-                    for i in 0..1000 {
-                        histogram_record("t.conc", 1e-6 * (t * 1000 + i) as f64);
-                    }
-                });
-            }
-        });
-        crate::disable();
-        let h = histogram_snapshot("t.conc").unwrap();
-        assert_eq!(h.count, 4000);
-        assert_eq!(h.buckets.iter().sum::<u64>(), 4000);
-        assert_eq!(h.min, 0.0);
+        sketch_merge("t.merged", &shard);
+        let direct = rec.sketch_snapshot("t.direct").unwrap();
+        assert_eq!(direct.count(), 3);
+        assert_eq!(Some(direct), rec.sketch_snapshot("t.merged"));
     }
 }

@@ -18,13 +18,12 @@
 //! of any latency measurement.
 //!
 //! The sketch is a plain value type (no atomics): writers own one each
-//! (per thread, per shard) and merge, or share one behind the registry's
+//! (per thread, per shard) and merge, or share one behind a recorder's
 //! lock ([`crate::sketch_record`]).
 
 use crate::json::Value;
 
-/// Log₂ major buckets (same span as [`crate::registry::Histogram`]:
-/// 1 ns … ~584 years).
+/// Log₂ major buckets: 1 ns … ~584 years.
 pub const MAJOR_BUCKETS: usize = 64;
 
 /// Linear sub-buckets per major bucket. Eight gives ≤ 12.5% relative

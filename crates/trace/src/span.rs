@@ -3,24 +3,46 @@
 //! A [`span()`] guard times the region from its creation to its drop and
 //! records the duration under a path composed of the names of every span
 //! still open on the same thread (`a/b/c`). Aggregation happens at record
-//! time — the global store keeps one statistics cell per distinct path, so
-//! a span executed a million times costs one map entry, not a million.
+//! time: a recorder keeps one statistics cell per distinct path, so a span
+//! executed a million times costs one map entry, not a million.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::sync::Mutex;
 use std::time::Instant;
+
+use crate::recorder::with_current;
 
 /// Aggregated statistics for one span path.
 #[derive(Debug, Clone, Default)]
-struct SpanStat {
+pub(crate) struct SpanStat {
     count: u64,
     total_ns: u64,
     min_ns: u64,
     max_ns: u64,
 }
 
-static SPANS: Mutex<BTreeMap<String, SpanStat>> = Mutex::new(BTreeMap::new());
+impl SpanStat {
+    pub(crate) fn add(&mut self, dur_ns: u64) {
+        self.count += 1;
+        self.total_ns += dur_ns;
+        self.max_ns = self.max_ns.max(dur_ns);
+        self.min_ns = if self.count == 1 {
+            dur_ns
+        } else {
+            self.min_ns.min(dur_ns)
+        };
+    }
+
+    pub(crate) fn snapshot(&self, path: &str) -> SpanSnapshot {
+        SpanSnapshot {
+            depth: path.matches('/').count(),
+            path: path.to_string(),
+            count: self.count,
+            total_ns: self.total_ns,
+            min_ns: self.min_ns,
+            max_ns: self.max_ns,
+        }
+    }
+}
 
 thread_local! {
     /// Names of the spans currently open on this thread, outermost first.
@@ -54,16 +76,17 @@ impl SpanSnapshot {
     }
 }
 
-/// Guard returned by [`span()`]; records the elapsed time when dropped.
-/// When tracing is disabled at creation the guard is inert.
+/// Guard returned by [`span()`]; records the elapsed time when dropped,
+/// into the thread's current recorder. When tracing is disabled at
+/// creation the guard is inert.
 #[must_use = "a span guard times the region until it is dropped"]
 pub struct SpanGuard {
     name: &'static str,
     start: Option<Instant>,
 }
 
-/// Open a span named `name`. Returns an inert guard when tracing is
-/// disabled — the only cost is one relaxed atomic load.
+/// Open a span named `name`. Returns an inert guard when the current
+/// recorder is disabled.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
     if !crate::enabled() {
@@ -98,37 +121,14 @@ impl Drop for SpanGuard {
                 p
             }
         });
-        let mut spans = SPANS.lock().unwrap_or_else(|e| e.into_inner());
-        let st = spans.entry(path).or_default();
-        st.count += 1;
-        st.total_ns += dur_ns;
-        st.max_ns = st.max_ns.max(dur_ns);
-        st.min_ns = if st.count == 1 {
-            dur_ns
-        } else {
-            st.min_ns.min(dur_ns)
-        };
+        with_current(|r| r.record_span(path, dur_ns));
     }
 }
 
-/// All aggregated spans, sorted by path (parents sort before children).
+/// The current recorder's spans, sorted by path (parents sort before
+/// children).
 pub fn span_snapshot() -> Vec<SpanSnapshot> {
-    let spans = SPANS.lock().unwrap_or_else(|e| e.into_inner());
-    spans
-        .iter()
-        .map(|(path, st)| SpanSnapshot {
-            depth: path.matches('/').count(),
-            path: path.clone(),
-            count: st.count,
-            total_ns: st.total_ns,
-            min_ns: st.min_ns,
-            max_ns: st.max_ns,
-        })
-        .collect()
-}
-
-pub(crate) fn reset_spans() {
-    SPANS.lock().unwrap_or_else(|e| e.into_inner()).clear();
+    with_current(|r| r.span_snapshot())
 }
 
 #[cfg(test)]

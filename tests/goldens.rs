@@ -13,7 +13,7 @@ use hpf90d::report::experiments::{
 use hpf90d::report::io_accuracy::{io_accuracy, io_accuracy_text, IoAccuracyConfig};
 use hpf_advisor::{render_cross_table, render_table, Advisor, AdvisorConfig};
 use hpf_serve::http::Request;
-use hpf_serve::{Api, CacheConfig};
+use hpf_serve::{chaos, Api, CacheConfig, ChaosConfig};
 
 /// Renders an artifact's text.
 type Render = fn() -> String;
@@ -24,8 +24,9 @@ type Render = fn() -> String;
 /// registered machine's characterization at 8 nodes;
 /// what `io_accuracy` prints, and what `advise --quick` prints alone and
 /// with `--machines ipsc860,torus3d,fattree,multicore`, each with
-/// `--threads 1` and `--threads 2`; and the service's answer to
-/// `examples/serve_predict_request.json`.
+/// `--threads 1` and `--threads 2`; the service's answer to
+/// `examples/serve_predict_request.json`; and the metrics summary `serve
+/// chaos --quick --metrics-out` writes at 1, 4 and 8 workers.
 const GOLDENS: &[(&str, Render)] = &[
     ("artifacts_ablations.txt", ablations_text),
     ("artifacts_characterize.txt", || {
@@ -47,6 +48,9 @@ const GOLDENS: &[(&str, Render)] = &[
     ("artifacts_io_accuracy.txt", || io_accuracy_table(1)),
     ("artifacts_io_accuracy.txt", || io_accuracy_table(2)),
     ("artifacts_serve_predict.json", serve_predict),
+    ("artifacts_chaos_metrics.json", || chaos_metrics(1)),
+    ("artifacts_chaos_metrics.json", || chaos_metrics(4)),
+    ("artifacts_chaos_metrics.json", || chaos_metrics(8)),
 ];
 
 /// `characterize --list-machines`, then for each registered backend a blank
@@ -86,6 +90,19 @@ fn serve_predict() -> String {
     let response = Api::new(&CacheConfig::default()).handle(&request);
     assert_eq!(response.status, 200);
     String::from_utf8(response.body.to_vec()).unwrap()
+}
+
+/// `serve chaos --quick --workers <workers> --metrics-out`: the seeded
+/// chaos plan against an in-process server, whose resilience contract
+/// must hold.
+fn chaos_metrics(workers: usize) -> String {
+    let report = chaos::run(&ChaosConfig {
+        workers,
+        ..ChaosConfig::quick()
+    })
+    .unwrap();
+    assert!(report.passed(), "{}", report.render());
+    format!("{}\n", report.metrics_summary.pretty())
 }
 
 /// The advisor `advise` builds for its default kernel.
