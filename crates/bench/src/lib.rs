@@ -4,11 +4,11 @@
 //! → AAG → interpret → simulate), timed through the `hpf-trace` span
 //! instrumentation rather than external timers: each iteration resets the
 //! trace store, runs the case, and reads the per-stage span totals back.
-//! Medians and p95s across iterations land in `BENCH_pipeline.json`
-//! (schema [`SCHEMA`]), and [`compare`] diffs two such files, flagging any
-//! median regression past 20 % — the CI perf gate. [`analyze_trend`] looks at
-//! the whole checked-in series (`bench_history/`) instead of one pair,
-//! catching slow cumulative drift the pairwise gate is blind to.
+//! Medians and p95s across iterations land in a JSON report (schema
+//! [`SCHEMA`]). [`analyze_trend`] gates the checked-in series of such
+//! reports (`bench_history/`) on each stage's drift from the first report
+//! to the last. The work each case does, counted rather than timed, is
+//! pinned exactly by the root package's `tests/work_golden.rs`.
 
 use hpf_trace::json::{self, Value};
 use std::collections::BTreeMap;
@@ -16,18 +16,12 @@ use std::collections::BTreeMap;
 /// Schema identifier written into every report.
 pub const SCHEMA: &str = "hpf-bench/v1";
 
-/// Default regression tolerance for [`compare`]: +20 % on a stage median.
-pub const DEFAULT_TOLERANCE_PCT: f64 = 20.0;
-
-/// Default absolute floor: median deltas below this many seconds are never
-/// flagged (sub-millisecond stages are noise-dominated on shared CI boxes).
-pub const DEFAULT_MIN_DELTA_S: f64 = 5e-4;
-
 mod suite;
 mod trend;
 pub use suite::{bench_suite, BenchCase, SuiteKind};
 pub use trend::{
-    analyze_trend, TrendConfig, TrendDrop, TrendReport, TrendRow, DEFAULT_TREND_GATE_PCT,
+    analyze_trend, TrendConfig, TrendDrop, TrendReport, TrendRow, DEFAULT_MIN_DELTA_S,
+    DEFAULT_TREND_GATE_PCT,
 };
 
 /// Per-stage timing statistics across the iterations of one case.
@@ -52,7 +46,7 @@ pub struct CaseResult {
     pub counters: BTreeMap<String, u64>,
 }
 
-/// A full bench report (what `BENCH_pipeline.json` holds).
+/// A full bench report (what `hpf-bench run --out` writes).
 #[derive(Debug, Clone)]
 pub struct BenchReport {
     pub suite: String,
@@ -272,158 +266,6 @@ impl BenchReport {
     }
 }
 
-// ---- compare -----------------------------------------------------------
-
-/// One finding of [`compare`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum Finding {
-    /// `new` median exceeds `old` median by more than the tolerance (and
-    /// the absolute floor).
-    Regression {
-        case: String,
-        stage: String,
-        old_s: f64,
-        new_s: f64,
-        pct: f64,
-    },
-    /// `new` median improved by more than the tolerance (informational).
-    Improvement {
-        case: String,
-        stage: String,
-        old_s: f64,
-        new_s: f64,
-        pct: f64,
-    },
-    /// A case or stage present in `old` is missing from `new` — schema
-    /// drift, treated as a failure.
-    Missing { case: String, stage: Option<String> },
-}
-
-impl Finding {
-    /// Does this finding fail the gate?
-    pub fn is_failure(&self) -> bool {
-        !matches!(self, Finding::Improvement { .. })
-    }
-}
-
-impl std::fmt::Display for Finding {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Finding::Regression {
-                case,
-                stage,
-                old_s,
-                new_s,
-                pct,
-            } => write!(
-                f,
-                "REGRESSION  {case} / {stage}: {:.3} ms -> {:.3} ms (+{pct:.1}%)",
-                old_s * 1e3,
-                new_s * 1e3
-            ),
-            Finding::Improvement {
-                case,
-                stage,
-                old_s,
-                new_s,
-                pct,
-            } => write!(
-                f,
-                "improvement {case} / {stage}: {:.3} ms -> {:.3} ms ({pct:.1}%)",
-                old_s * 1e3,
-                new_s * 1e3
-            ),
-            Finding::Missing {
-                case,
-                stage: Some(stage),
-            } => {
-                write!(
-                    f,
-                    "MISSING     {case} / {stage}: stage absent from new report"
-                )
-            }
-            Finding::Missing { case, stage: None } => {
-                write!(f, "MISSING     {case}: case absent from new report")
-            }
-        }
-    }
-}
-
-/// Comparison knobs.
-#[derive(Debug, Clone)]
-pub struct CompareConfig {
-    /// Relative regression threshold, percent (default 20).
-    pub tolerance_pct: f64,
-    /// Absolute median-delta floor in seconds; smaller deltas are ignored.
-    pub min_delta_s: f64,
-    /// Restrict the diff to cases whose name contains this substring
-    /// (`None` = every case). Lets CI gate one stage family — e.g.
-    /// `sweep_point` — at a tighter tolerance than the rest of the suite.
-    pub case_filter: Option<String>,
-}
-
-impl Default for CompareConfig {
-    fn default() -> Self {
-        CompareConfig {
-            tolerance_pct: DEFAULT_TOLERANCE_PCT,
-            min_delta_s: DEFAULT_MIN_DELTA_S,
-            case_filter: None,
-        }
-    }
-}
-
-/// Diff two reports. Returns every finding; the caller fails the gate when
-/// any [`Finding::is_failure`] is present (the binary exits nonzero).
-pub fn compare(old: &BenchReport, new: &BenchReport, cfg: &CompareConfig) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for oc in &old.cases {
-        if let Some(f) = &cfg.case_filter {
-            if !oc.name.contains(f.as_str()) {
-                continue;
-            }
-        }
-        let Some(nc) = new.cases.iter().find(|c| c.name == oc.name) else {
-            findings.push(Finding::Missing {
-                case: oc.name.clone(),
-                stage: None,
-            });
-            continue;
-        };
-        for os in &oc.stages {
-            let Some(ns) = nc.stages.iter().find(|s| s.stage == os.stage) else {
-                findings.push(Finding::Missing {
-                    case: oc.name.clone(),
-                    stage: Some(os.stage.clone()),
-                });
-                continue;
-            };
-            let delta = ns.median_s - os.median_s;
-            if os.median_s <= 0.0 || delta.abs() < cfg.min_delta_s {
-                continue;
-            }
-            let pct = 100.0 * delta / os.median_s;
-            if pct > cfg.tolerance_pct {
-                findings.push(Finding::Regression {
-                    case: oc.name.clone(),
-                    stage: os.stage.clone(),
-                    old_s: os.median_s,
-                    new_s: ns.median_s,
-                    pct,
-                });
-            } else if pct < -cfg.tolerance_pct {
-                findings.push(Finding::Improvement {
-                    case: oc.name.clone(),
-                    stage: os.stage.clone(),
-                    old_s: os.median_s,
-                    new_s: ns.median_s,
-                    pct,
-                });
-            }
-        }
-    }
-    findings
-}
-
 /// Human-readable table of a report (stages ≥ 1 µs median).
 pub fn report_text(r: &BenchReport) -> String {
     let mut out = String::new();
@@ -508,77 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn compare_flags_median_regression_over_20pct() {
-        let old = report_with(0.010);
-        let new = report_with(0.0125); // +25 %
-        let findings = compare(&old, &new, &CompareConfig::default());
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(
-            matches!(&findings[0], Finding::Regression { stage, pct, .. }
-            if stage == "simulate" && *pct > 20.0)
-        );
-        assert!(findings[0].is_failure());
-    }
-
-    #[test]
-    fn compare_passes_within_tolerance() {
-        let old = report_with(0.010);
-        let new = report_with(0.0115); // +15 %
-        assert!(compare(&old, &new, &CompareConfig::default()).is_empty());
-    }
-
-    #[test]
-    fn compare_ignores_sub_floor_deltas() {
-        // parse goes 40 µs → 80 µs (+100 %) but the absolute delta is
-        // under the floor — noise, not a regression.
-        let old = report_with(0.010);
-        let mut new = report_with(0.010);
-        assert_eq!(new.cases[0].stages[0].stage, "parse");
-        new.cases[0].stages[0].median_s = 80e-6;
-        assert!(compare(&old, &new, &CompareConfig::default()).is_empty());
-    }
-
-    #[test]
-    fn compare_case_filter_restricts_scope() {
-        let old = report_with(0.010);
-        let new = report_with(0.0125); // +25 %: regresses when in scope
-        let filtered = CompareConfig {
-            case_filter: Some("no_such_case".into()),
-            ..Default::default()
-        };
-        assert!(compare(&old, &new, &filtered).is_empty());
-        let matching = CompareConfig {
-            case_filter: Some("cas".into()),
-            ..Default::default()
-        };
-        assert_eq!(compare(&old, &new, &matching).len(), 1);
-    }
-
-    #[test]
-    fn compare_reports_improvements_without_failing() {
-        let old = report_with(0.010);
-        let new = report_with(0.005); // −50 %
-        let findings = compare(&old, &new, &CompareConfig::default());
-        assert_eq!(findings.len(), 1);
-        assert!(!findings[0].is_failure());
-    }
-
-    #[test]
-    fn compare_fails_on_missing_case_or_stage() {
-        let old = report_with(0.010);
-        let mut new = report_with(0.010);
-        new.cases[0].stages.retain(|s| s.stage != "simulate");
-        let findings = compare(&old, &new, &CompareConfig::default());
-        assert!(findings.iter().any(|f| matches!(f,
-            Finding::Missing { stage: Some(s), .. } if s == "simulate")));
-
-        new.cases.clear();
-        let findings = compare(&old, &new, &CompareConfig::default());
-        assert!(matches!(&findings[0], Finding::Missing { stage: None, .. }));
-        assert!(findings[0].is_failure());
-    }
-
-    #[test]
     fn aggregate_computes_median_and_p95() {
         let iters: Vec<BTreeMap<String, f64>> = (1..=10)
             .map(|i| BTreeMap::from([("s".to_string(), i as f64)]))
@@ -595,8 +366,8 @@ mod tests {
     #[test]
     fn stage_schema_is_stable_for_pipeline_case() {
         // The schema contract: a pipeline case must expose the canonical
-        // stage set, whatever refactors happen upstream. Guards the CI
-        // compare job against silent stage renames.
+        // stage set, whatever refactors happen upstream. A renamed stage
+        // would drop out of the `bench_history/` series and fail `trend`.
         let case = &bench_suite(SuiteKind::Quick)[0];
         let r = run_case(case, 1);
         let stages: Vec<&str> = r.stages.iter().map(|s| s.stage.as_str()).collect();

@@ -1,30 +1,24 @@
-//! `hpf-bench` — run the fixed benchmark suite or compare two reports.
+//! `hpf-bench` — run the fixed benchmark suite or gate a series of reports.
 //!
 //! ```text
 //! hpf-bench run [--quick] [--iters N] [--out PATH]
-//! hpf-bench compare OLD NEW [--tolerance PCT] [--min-delta S] [--case SUBSTR]
 //! hpf-bench trend [--gate PCT] [--min-delta S] [--case SUBSTR] [--dir DIR] [FILE...]
 //! ```
 //!
-//! `run` writes a `hpf-bench/v1` JSON report (default
-//! `BENCH_pipeline.json`) and prints a human-readable summary. `compare`
-//! diffs two reports and exits nonzero when any stage median regressed by
-//! more than the tolerance — the CI perf gate. `trend` ingests an ordered
-//! series of reports (explicit FILE args in order, or every `*.json`
-//! under `--dir` sorted by name) and exits nonzero when any case/stage's
+//! `run` prints a human-readable summary and, with `--out`, writes the
+//! `hpf-bench/v1` JSON report to PATH. `trend` ingests an ordered series
+//! of reports (explicit FILE args in order, or every `*.json` under
+//! `--dir` sorted by name) and exits nonzero when any case/stage's
 //! cumulative median drift from the first report to the last exceeds the
-//! gate — even if every pairwise step passed `compare` — or when a
-//! case/stage dropped out of the series.
+//! gate, or when a case/stage dropped out of the series. Given two
+//! reports, it is a pairwise regression gate.
 
-use hpf_bench::{
-    analyze_trend, compare, run_suite, BenchReport, CompareConfig, SuiteKind, TrendConfig,
-};
+use hpf_bench::{analyze_trend, run_suite, BenchReport, SuiteKind, TrendConfig};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  hpf-bench run [--quick] [--iters N] [--out PATH]\n  \
-         hpf-bench compare OLD NEW [--tolerance PCT] [--min-delta S] [--case SUBSTR]\n  \
          hpf-bench trend [--gate PCT] [--min-delta S] [--case SUBSTR] [--dir DIR] [FILE...]"
     );
     ExitCode::from(2)
@@ -34,7 +28,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
-        Some("compare") => cmd_compare(&args[1..]),
         Some("trend") => cmd_trend(&args[1..]),
         _ => usage(),
     }
@@ -55,7 +48,7 @@ fn parse_flag<T: std::str::FromStr>(
 fn cmd_run(args: &[String]) -> ExitCode {
     let mut kind = SuiteKind::Full;
     let mut iters = 5usize;
-    let mut out = "BENCH_pipeline.json".to_string();
+    let mut out: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         let r = match args[i].as_str() {
@@ -64,7 +57,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 Ok(())
             }
             "--iters" => parse_flag(args, &mut i, "--iters").map(|n| iters = n),
-            "--out" => parse_flag(args, &mut i, "--out").map(|p: String| out = p),
+            "--out" => parse_flag(args, &mut i, "--out").map(|p| out = Some(p)),
             other => Err(format!("unknown flag {other}")),
         };
         if let Err(e) = r {
@@ -75,72 +68,15 @@ fn cmd_run(args: &[String]) -> ExitCode {
     }
 
     let report = run_suite(kind, iters);
-    if let Err(e) = std::fs::write(&out, report.to_json()) {
-        eprintln!("hpf-bench: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
     print!("{}", hpf_bench::report_text(&report));
-    println!("\nwrote {out}");
-    ExitCode::SUCCESS
-}
-
-fn cmd_compare(args: &[String]) -> ExitCode {
-    let mut cfg = CompareConfig::default();
-    let mut paths: Vec<&String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let r = match args[i].as_str() {
-            "--tolerance" => parse_flag(args, &mut i, "--tolerance").map(|p| cfg.tolerance_pct = p),
-            "--min-delta" => parse_flag(args, &mut i, "--min-delta").map(|s| cfg.min_delta_s = s),
-            "--case" => {
-                parse_flag(args, &mut i, "--case").map(|c: String| cfg.case_filter = Some(c))
-            }
-            _ => {
-                paths.push(&args[i]);
-                Ok(())
-            }
-        };
-        if let Err(e) = r {
-            eprintln!("hpf-bench: {e}");
-            return usage();
-        }
-        i += 1;
-    }
-    let [old_path, new_path] = paths.as_slice() else {
-        return usage();
-    };
-
-    let load = |path: &str| -> Result<BenchReport, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        BenchReport::from_json(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let (old, new) = match (load(old_path), load(new_path)) {
-        (Ok(o), Ok(n)) => (o, n),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("hpf-bench: {e}");
+    if let Some(out) = out {
+        if let Err(e) = std::fs::write(&out, report.to_json()) {
+            eprintln!("hpf-bench: cannot write {out}: {e}");
             return ExitCode::FAILURE;
         }
-    };
-
-    let findings = compare(&old, &new, &cfg);
-    if findings.is_empty() {
-        println!(
-            "OK: no median moved more than {:.0}% (floor {:.1} ms)",
-            cfg.tolerance_pct,
-            cfg.min_delta_s * 1e3
-        );
-        return ExitCode::SUCCESS;
+        println!("\nwrote {out}");
     }
-    for f in &findings {
-        println!("{f}");
-    }
-    if findings.iter().any(|f| f.is_failure()) {
-        eprintln!("hpf-bench: regression gate FAILED");
-        ExitCode::FAILURE
-    } else {
-        println!("only improvements — gate passes");
-        ExitCode::SUCCESS
-    }
+    ExitCode::SUCCESS
 }
 
 fn cmd_trend(args: &[String]) -> ExitCode {

@@ -1,7 +1,8 @@
 //! The fixed benchmark suite: Laplace pipeline cases across sizes × proc
 //! counts, a trimmed Table 2 sweep, and a trimmed fault-injection sweep.
-//! Case names are part of the `BENCH_pipeline.json` schema — renaming one
-//! makes the CI compare job fail with a `Missing` finding, deliberately.
+//! Case names key the `bench_history/` series and the work golden
+//! (`tests/work_golden.rs`) — renaming one makes `trend` report the case
+//! as dropped, deliberately.
 
 use hpf_advisor::{Advisor, AdvisorConfig};
 use hpf_serve::api::Api;
@@ -313,7 +314,7 @@ fn serve_sweep_batched_case() -> BenchCase {
 
 /// Build the suite. Case order is stable (it is the file order in the
 /// report); the Quick suite is a strict subset of Full case names so a
-/// quick report can be compared against a full baseline.
+/// quick report lines up with a full one.
 pub fn bench_suite(kind: SuiteKind) -> Vec<BenchCase> {
     match kind {
         SuiteKind::Quick => vec![

@@ -1,25 +1,28 @@
 //! Trend analysis over an ordered series of bench reports.
 //!
-//! The pairwise [`crate::compare`] gate has a blind spot: a stage that
-//! slips +15 % per PR passes every 20 % pairwise check while compounding
-//! into a 2–3× slowdown over a handful of merges. `trend` closes it by
-//! looking at the whole checked-in history (`bench_history/`) at once:
-//! for every case/stage it computes the **cumulative drift** — the
+//! `trend` looks at a whole series (the checked-in `bench_history/`) at
+//! once: for every case/stage it computes the **cumulative drift** — the
 //! relative change from the first report to the last — and a
 //! least-squares **slope** per report (the average drift per merge), and
-//! fails the gate when the cumulative median drift exceeds the trend
-//! tolerance even though every individual step stayed in-band.
+//! fails the gate when the cumulative median drift exceeds the tolerance.
+//! A stage that slips +15 % per merge passes every step-by-step check at
+//! 20 % but compounds into a 2–3× slowdown over a handful of merges; the
+//! first-to-last drift catches it. Over two reports, the same analysis is
+//! a pairwise regression gate.
 //!
 //! A case or stage that disappears partway through the series is a
 //! failure, not a skip — schema drift hides regressions.
 
-use crate::{BenchReport, DEFAULT_MIN_DELTA_S};
+use crate::BenchReport;
 
 /// Default cumulative-drift gate: +30 % from the first report to the
-/// last. Deliberately wider than the 20 % pairwise tolerance (a single
-/// step that big is caught by `compare`) but far tighter than what the
-/// pairwise gate lets through over several merges (1.2^4 ≈ 2×).
+/// last, far tighter than what a 20 % step-by-step gate lets through over
+/// several merges (1.2^4 ≈ 2×).
 pub const DEFAULT_TREND_GATE_PCT: f64 = 30.0;
+
+/// Default absolute floor: median drifts below this many seconds are never
+/// flagged (sub-millisecond stages are noise-dominated on shared CI boxes).
+pub const DEFAULT_MIN_DELTA_S: f64 = 5e-4;
 
 /// Trend-analysis knobs.
 #[derive(Debug, Clone)]

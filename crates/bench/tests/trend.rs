@@ -1,10 +1,8 @@
 //! The trend gate's contract: slow cumulative drift fails even when
-//! every pairwise step passes the `compare` gate, stable series pass,
-//! and the checked-in `bench_history/` series is green.
+//! every pairwise step passes a 20% gate, stable series pass, and the
+//! checked-in `bench_history/` series is green.
 
-use hpf_bench::{
-    analyze_trend, compare, BenchReport, CaseResult, CompareConfig, StageStat, TrendConfig,
-};
+use hpf_bench::{analyze_trend, BenchReport, CaseResult, StageStat, TrendConfig};
 
 /// A one-case report whose `simulate` median is `median` seconds.
 fn report(median: f64) -> BenchReport {
@@ -37,20 +35,24 @@ fn report(median: f64) -> BenchReport {
 }
 
 /// Eight reports, each 17 % slower than the one before: every pairwise
-/// step is inside the 20 % `compare` tolerance, but the series compounds
-/// to 1.17⁷ ≈ 3.0× — the exact blind spot the trend gate closes.
+/// step is inside a 20 % tolerance, but the series compounds to
+/// 1.17⁷ ≈ 3.0× — the exact blind spot the trend gate closes.
 fn creeping_series() -> Vec<BenchReport> {
     (0..8).map(|i| report(0.010 * 1.17f64.powi(i))).collect()
 }
 
 #[test]
-fn every_pairwise_step_passes_the_compare_gate() {
-    let series = creeping_series();
-    for w in series.windows(2) {
-        let findings = compare(&w[0], &w[1], &CompareConfig::default());
+fn every_pairwise_step_passes_a_20pct_gate() {
+    let pairwise = TrendConfig {
+        gate_pct: 20.0,
+        ..Default::default()
+    };
+    for w in creeping_series().windows(2) {
+        let t = analyze_trend(w, &pairwise);
         assert!(
-            findings.iter().all(|f| !f.is_failure()),
-            "a single +17% step must pass the 20% pairwise gate: {findings:?}"
+            t.passed(),
+            "a single +17% step must pass the 20% pairwise gate:\n{}",
+            t.render()
         );
     }
 }

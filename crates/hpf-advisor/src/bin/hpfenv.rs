@@ -8,34 +8,17 @@
 //! ```
 
 use hpf_advisor::Session;
-use std::io::{BufRead, Write};
 
 fn main() {
-    let mut session = Session::new();
-    let stdin = std::io::stdin();
     let interactive = std::env::args().all(|a| a != "--batch");
     if interactive {
         println!("HPF/Fortran 90D performance interpretation environment — `help` for commands");
     }
-    loop {
-        if interactive {
-            print!("hpf> ");
-            let _ = std::io::stdout().flush();
-        }
-        let mut line = String::new();
-        match stdin.lock().read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(_) => break,
-        }
-        match session.execute(&line) {
-            Ok(out) => {
-                if !out.is_empty() {
-                    println!("{out}");
-                }
-            }
-            Err(e) if e == "quit" => break,
-            Err(e) => eprintln!("error: {e}"),
-        }
-    }
+    let prompt = if interactive { "hpf> " } else { "" };
+    let _ = Session::new().run_script(
+        std::io::stdin().lock(),
+        &mut std::io::stdout(),
+        &mut std::io::stderr(),
+        prompt,
+    );
 }

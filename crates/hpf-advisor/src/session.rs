@@ -4,9 +4,9 @@
 //! interface*, predict, query lines, compare against the simulated
 //! machine, and search the directive space with the [`Advisor`].
 //!
-//! The REPL binary (`bin/hpfenv`) is a thin stdin loop over
-//! [`Session::execute`]; keeping the engine here makes every command
-//! unit-testable. Every command targets one registered machine by name
+//! The REPL loop is [`Session::run_script`] over [`Session::execute`];
+//! the binary (`bin/hpfenv`) runs it on stdin, and keeping the engine here
+//! makes every command and whole scripts testable. Every command targets one registered machine by name
 //! (`machine <name>`, default `ipsc860`), so the registry validates the
 //! node count on every path.
 
@@ -22,6 +22,7 @@ use report::pipeline::{
 };
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::io::{self, BufRead};
 
 /// Interactive session state.
 pub struct Session {
@@ -66,6 +67,35 @@ impl Session {
         self.source.as_deref().ok_or_else(|| {
             "no program loaded — use `kernel <name> [size]` or `load <path>`".to_string()
         })
+    }
+
+    /// The REPL: execute each line of `input` until its end or `quit`,
+    /// writing each command's output to `out` and each error, as
+    /// `error: <message>`, to `err`. A non-empty `prompt` is written to
+    /// `out` before each line is read.
+    pub fn run_script(
+        &mut self,
+        input: impl BufRead,
+        out: &mut impl io::Write,
+        err: &mut impl io::Write,
+        prompt: &str,
+    ) -> io::Result<()> {
+        let mut lines = input.lines();
+        loop {
+            if !prompt.is_empty() {
+                write!(out, "{prompt}")?;
+                out.flush()?;
+            }
+            let Some(Ok(line)) = lines.next() else {
+                return Ok(());
+            };
+            match self.execute(&line) {
+                Ok(text) if text.is_empty() => {}
+                Ok(text) => writeln!(out, "{text}")?,
+                Err(e) if e == "quit" => return Ok(()),
+                Err(e) => writeln!(err, "error: {e}")?,
+            }
+        }
     }
 
     /// Execute one command line; returns the text to display.

@@ -374,11 +374,6 @@ impl CheckpointSchedule {
         }
         self.restart_s + self.interval_s.min(self.work_s) / 2.0
     }
-
-    /// Expected completion time under one uniformly-placed failure.
-    pub fn expected_run_with_failure_s(&self) -> f64 {
-        self.healthy_run_s() + self.expected_recovery_s()
-    }
 }
 
 #[cfg(test)]

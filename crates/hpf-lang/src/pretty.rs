@@ -1,8 +1,8 @@
 //! Pretty-printer: renders an AST back to HPF/Fortran 90D source.
 //!
 //! `parse(pretty(ast)) == ast` (modulo spans) is enforced by property tests;
-//! the printer is also used by the report binaries to show the directive
-//! variants the "intelligent compiler" search enumerates.
+//! the compiler also prints expressions with it, to name an expression it
+//! cannot resolve statically in its diagnostics.
 
 use crate::ast::*;
 use std::fmt::Write;

@@ -956,7 +956,7 @@ impl Api {
     }
 
     /// Sizes from either an explicit `"sizes": [..]` array or a
-    /// `{"min":.., "max":.., "steps":..}` doubling/linear range object.
+    /// `{"min":.., "max":..}` range object, doubled from `min` up to `max`.
     fn sweep_sizes(body: &Value) -> Result<Vec<usize>, ApiResponse> {
         const MAX_POINTS: usize = 64;
         match body.get("sizes") {

@@ -250,9 +250,7 @@ impl<V: Clone> ShardedLru<V> {
 
     /// Look up `key`, marking it most recently used in its shard.
     pub fn get(&self, key: &str) -> Option<V> {
-        self.lock_shard(self.shard_index(key))
-            .get(&key.to_string())
-            .cloned()
+        self.lock_shard(self.shard_index(key)).get(key).cloned()
     }
 
     /// Insert `key → value`; returns the entry the shard evicted, if any.

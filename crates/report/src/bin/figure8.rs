@@ -3,34 +3,11 @@
 //! implementation variant; plus the wall-clock of this reproduction's own
 //! two paths as the modern analog.
 
-use hpf_report::workflow::{time_actual_paths, WorkflowModel};
+use hpf_report::workflow::time_actual_paths;
 use kernels::LaplaceDist;
 
 fn main() {
-    let machine = machine::ipsc860(8);
-    let model = WorkflowModel::default();
-
-    println!("Figure 8: Experimentation Time — Laplace Solver (16 instances per variant)");
-    println!();
-    println!(
-        "{:<12} {:>18} {:>18}",
-        "Impl.", "Interpreter (min)", "iPSC/860 (min)"
-    );
-
-    let variants = [
-        (LaplaceDist::BlockBlock, 0.065),
-        (LaplaceDist::BlockStar, 0.050),
-        (LaplaceDist::StarBlock, 0.110),
-    ];
-    for (dist, mean_run_s) in variants {
-        let t = model.variant_times(&machine, dist.label(), 16, 1000, mean_run_s);
-        println!(
-            "{:<12} {:>18.1} {:>18.1}",
-            t.variant, t.interpreter_min, t.measured_min
-        );
-    }
-    println!();
-    println!("(paper: interpreter ≈10 min per variant; measurements 27–60 min)");
+    print!("{}", hpf_report::experiments::figure8_text());
     println!();
 
     // The modern analog: actual wall time of our two code paths across the

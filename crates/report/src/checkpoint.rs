@@ -221,32 +221,6 @@ fn predicted_frame(
     )
 }
 
-/// Render the campaign as a text table.
-pub fn checkpoint_table_text(cfg: &CheckpointExperimentConfig, rows: &[CheckpointRow]) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "Ckpts  Interval     Pred healthy  Pred recovery  Pred total   Sim healthy   Sim recovery  Sim total\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:>5}  {:>8.3}ms  {:>10.3}ms  {:>11.3}ms  {:>8.3}ms  {:>10.3}ms  {:>10.3}ms  {:>7.3}ms\n",
-            r.checkpoints,
-            r.interval_s * 1e3,
-            r.predicted_healthy_s * 1e3,
-            r.predicted_recovery_s * 1e3,
-            r.predicted_total_s * 1e3,
-            r.simulated_healthy_s * 1e3,
-            r.simulated_recovery_s * 1e3,
-            r.simulated_total_s * 1e3,
-        ));
-    }
-    out.push_str(&format!(
-        "({} n={} p={}, plan {}, {} simulated runs)\n",
-        cfg.kernel, cfg.size, cfg.procs, cfg.plan.name, cfg.runs
-    ));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,7 +1,7 @@
 //! Plain-CSV export of experiment data (no external dependencies): lets
 //! downstream users regenerate the paper's plots with any plotting tool.
 
-use crate::experiments::{AccuracySample, LaplacePoint, PhaseProfile, Table2Row};
+use crate::experiments::{AccuracySample, LaplacePoint, Table2Row};
 use std::fmt::Write as _;
 
 /// Escape one CSV field.
@@ -66,22 +66,6 @@ pub fn laplace_csv(points: &[LaplacePoint]) -> String {
             p.size,
             p.estimated_s,
             p.measured_s
-        );
-    }
-    out
-}
-
-/// Render Figure-7 phase profiles as CSV.
-pub fn phases_csv(phases: &[PhaseProfile]) -> String {
-    let mut out = String::from("phase,comp_us,comm_us,overhead_us\n");
-    for p in phases {
-        let _ = writeln!(
-            out,
-            "{},{:.3},{:.3},{:.3}",
-            field(&p.phase),
-            p.comp_us,
-            p.comm_us,
-            p.overhead_us
         );
     }
     out

@@ -770,6 +770,37 @@ END
     (bound.spmd.outline(), bound.aag.outline())
 }
 
+/// Figure 8's experimentation-time model as `bin/figure8` prints it: for
+/// each Laplace variant, 16 instances on the shared 8-node iPSC/860, the
+/// minutes the interpretive path takes against the measurement path.
+pub fn figure8_text() -> String {
+    let machine = machine::ipsc860(8);
+    let model = crate::workflow::WorkflowModel::default();
+    let mut out = String::from(
+        "Figure 8: Experimentation Time — Laplace Solver (16 instances per variant)\n\n",
+    );
+    let _ = writeln!(
+        out,
+        "{:<12} {:>18} {:>18}",
+        "Impl.", "Interpreter (min)", "iPSC/860 (min)"
+    );
+    let variants = [
+        (LaplaceDist::BlockBlock, 0.065),
+        (LaplaceDist::BlockStar, 0.050),
+        (LaplaceDist::StarBlock, 0.110),
+    ];
+    for (dist, mean_run_s) in variants {
+        let t = model.variant_times(&machine, dist.label(), 16, 1000, mean_run_s);
+        let _ = writeln!(
+            out,
+            "{:<12} {:>18.1} {:>18.1}",
+            t.variant, t.interpreter_min, t.measured_min
+        );
+    }
+    out.push_str("\n(paper: interpreter ≈10 min per variant; measurements 27–60 min)\n");
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

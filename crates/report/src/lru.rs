@@ -9,6 +9,7 @@
 //! function of that sequence — cache behaviour never depends on hash
 //! iteration order or wall-clock time.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -45,8 +46,13 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
         self.cap
     }
 
-    /// Look up `key`, marking it most recently used on a hit.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
+    /// Look up `key`, marking it most recently used on a hit. Any borrowed
+    /// form of the key works, so a `String`-keyed map is read with a `&str`.
+    pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.tick += 1;
         let tick = self.tick;
         match self.map.get_mut(key) {

@@ -186,18 +186,6 @@ impl PipelineError {
         }
     }
 
-    pub fn with_span(
-        stage: PipelineStage,
-        message: impl Into<String>,
-        span: hpf_lang::Span,
-    ) -> Self {
-        PipelineError {
-            stage,
-            message: message.into(),
-            span: Some(span),
-        }
-    }
-
     /// 1-based source line of the error, if located.
     pub fn line(&self) -> Option<u32> {
         self.span.map(|s| s.line)

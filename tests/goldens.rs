@@ -7,8 +7,8 @@
 use hpf90d::kernels::{kernel_by_name, CompiledKernel};
 use hpf90d::report::characterize::{characterize_text, machines_text};
 use hpf90d::report::experiments::{
-    ablations_text, figure2_text, figure3_text, figure7_text, figures4_5, table2, table2_text,
-    SweepConfig,
+    ablations_text, figure2_text, figure3_text, figure7_text, figure8_text, figures4_5, table2,
+    table2_text, SweepConfig,
 };
 use hpf90d::report::io_accuracy::{io_accuracy, io_accuracy_text, IoAccuracyConfig};
 use hpf_advisor::{render_cross_table, render_table, Advisor, AdvisorConfig};
@@ -19,9 +19,10 @@ use hpf_serve::{chaos, Api, CacheConfig, ChaosConfig};
 type Render = fn() -> String;
 
 /// `(artifact, renderer)`: what `ablations`, `characterize`, `figure2`,
-/// `figure3`, `figure7`, `table2 --quick` and `figures4_5` print with their
-/// default options; the machine registry listing followed by every
-/// registered machine's characterization at 8 nodes;
+/// `figure3`, `figure7`, `table2`, `table2 --quick` and `figures4_5` print
+/// with their default options; `figure8`'s model table, without the
+/// wall-clock lines it prints after it; the machine registry listing
+/// followed by every registered machine's characterization at 8 nodes;
 /// what `io_accuracy` prints, and what `advise --quick` prints alone and
 /// with `--machines ipsc860,torus3d,fattree,multicore`, each with
 /// `--threads 1` and `--threads 2`; the service's answer to
@@ -36,6 +37,11 @@ const GOLDENS: &[(&str, Render)] = &[
     ("artifacts_figure2.txt", figure2_text),
     ("artifacts_figure3.txt", || figure3_text(16, 4)),
     ("artifacts_figure7.txt", || figure7_text(256, 4)),
+    ("artifacts_figure8.txt", figure8_text),
+    ("artifacts_table2.txt", || {
+        let cfg = SweepConfig::default();
+        table2_text(&table2(&cfg).rows, cfg.runs)
+    }),
     ("artifacts_table2_quick.txt", || {
         let cfg = SweepConfig::quick();
         table2_text(&table2(&cfg).rows, cfg.runs)
