@@ -162,8 +162,8 @@ impl Front {
     /// directive list, check it, then partition and lower with the grid
     /// pinned through `CompileOptions::grid_extents`. No AST is cloned.
     pub fn compile(&self, c: &Candidate, procs: usize) -> Result<SpmdProgram, PipelineError> {
-        let directives = space::candidate_directives(&self.analyzed.program.directives, c);
-        check_directives(&self.analyzed, &directives, &self.overrides)?;
+        let directives = space::CandidateDirectives::new(&self.analyzed.program.directives, c);
+        check_directives(&self.analyzed, directives.iter(), &self.overrides)?;
         let opts = CompileOptions {
             nodes: procs,
             grid_extents: Some(c.grid.clone()),
@@ -173,7 +173,7 @@ impl Front {
         Ok(compile_normalized(
             &self.analyzed,
             &self.normalized,
-            &directives,
+            directives.iter(),
             &opts,
         )?)
     }
@@ -244,6 +244,7 @@ impl Advisor {
         };
         hpf_trace::counter_add("advisor.candidates", cands.len() as u64);
         let labels: Vec<String> = cands.iter().map(|c| c.label()).collect();
+        let ties: Vec<u64> = labels.iter().map(|l| tie_break(cfg.seed, l)).collect();
 
         let lb_engine = InterpretationEngine::with_options(
             &machine,
@@ -283,8 +284,7 @@ impl Advisor {
         order.sort_by(|&a, &b| {
             let la = sessions[a].as_ref().unwrap().lower_bound_s;
             let lb = sessions[b].as_ref().unwrap().lower_bound_s;
-            la.total_cmp(&lb)
-                .then_with(|| tie_break(cfg.seed, &labels[a]).cmp(&tie_break(cfg.seed, &labels[b])))
+            la.total_cmp(&lb).then(ties[a].cmp(&ties[b]))
         });
 
         let mut incumbent = f64::INFINITY;
@@ -328,8 +328,7 @@ impl Advisor {
         rank_order.sort_by(|&a, &b| {
             let ta = predictions[a].unwrap().time();
             let tb = predictions[b].unwrap().time();
-            ta.total_cmp(&tb)
-                .then_with(|| tie_break(cfg.seed, &labels[a]).cmp(&tie_break(cfg.seed, &labels[b])))
+            ta.total_cmp(&tb).then(ties[a].cmp(&ties[b]))
         });
 
         // Stage 3: cross-validate the leaders against the DES simulator,
@@ -460,23 +459,26 @@ impl Advisor {
             };
             reports.push(self.search(&per)?);
         }
-        let mut ranked: Vec<CrossMachineRow> = reports
+        let mut keyed: Vec<(u64, CrossMachineRow)> = reports
             .iter()
             .flat_map(|r| {
-                r.ranked.iter().map(|c| CrossMachineRow {
-                    machine: r.machine.clone(),
-                    candidate: c.clone(),
+                r.ranked.iter().map(|c| {
+                    let key = format!("{}::{}", r.machine, c.label);
+                    let row = CrossMachineRow {
+                        machine: r.machine.clone(),
+                        candidate: c.clone(),
+                    };
+                    (tie_break(cfg.seed, &key), row)
                 })
             })
             .collect();
-        ranked.sort_by(|a, b| {
-            let ka = format!("{}::{}", a.machine, a.candidate.label);
-            let kb = format!("{}::{}", b.machine, b.candidate.label);
+        keyed.sort_by(|(ka, a), (kb, b)| {
             a.candidate
                 .predicted_s
                 .total_cmp(&b.candidate.predicted_s)
-                .then_with(|| tie_break(cfg.seed, &ka).cmp(&tie_break(cfg.seed, &kb)))
+                .then(ka.cmp(kb))
         });
+        let ranked = keyed.into_iter().map(|(_, row)| row).collect();
         Ok(CrossMachineReport {
             kernel: self.name.clone(),
             n: cfg.n,

@@ -125,28 +125,61 @@ pub fn enumerate_candidates(rank: usize, procs: usize, ks: &[i64]) -> Vec<Candid
     }
 }
 
-/// Rewrite a program's mapping directives to realize `candidate`: every
+/// A program's mapping directives rewritten to realize `candidate`: every
 /// `DISTRIBUTE` whose rank matches the candidate gets the candidate's
 /// format tuple, and every `PROCESSORS` arrangement is redeclared with the
 /// candidate's grid shape. Nothing else in the program differs between
-/// candidates, so the search's back half reads only this list.
-pub(crate) fn candidate_directives(
-    directives: &[Directive],
-    candidate: &Candidate,
-) -> Vec<Directive> {
-    let mut out = directives.to_vec();
-    for d in &mut out {
-        match d {
-            Directive::Distribute { formats, .. } if formats.len() == candidate.formats.len() => {
-                *formats = candidate.formats.clone();
-            }
-            Directive::Processors { shape, .. } => {
-                *shape = candidate.grid.iter().map(|&e| Expr::int(e)).collect();
-            }
-            _ => {}
+/// candidates, so the search's back half reads only this list; only the
+/// rewritten entries are owned here, the rest are borrowed.
+pub(crate) struct CandidateDirectives<'p> {
+    directives: &'p [Directive],
+    /// (position in `directives`, its rewrite).
+    rewritten: Vec<(usize, Directive)>,
+}
+
+impl<'p> CandidateDirectives<'p> {
+    pub(crate) fn new(directives: &'p [Directive], candidate: &Candidate) -> Self {
+        let rewritten = directives
+            .iter()
+            .enumerate()
+            .filter_map(|(i, d)| {
+                let d = match d {
+                    Directive::Distribute {
+                        target,
+                        formats,
+                        onto,
+                        span,
+                    } if formats.len() == candidate.formats.len() => Directive::Distribute {
+                        target: target.clone(),
+                        formats: candidate.formats.clone(),
+                        onto: onto.clone(),
+                        span: *span,
+                    },
+                    Directive::Processors { name, span, .. } => Directive::Processors {
+                        name: name.clone(),
+                        shape: candidate.grid.iter().map(|&e| Expr::int(e)).collect(),
+                        span: *span,
+                    },
+                    _ => return None,
+                };
+                Some((i, d))
+            })
+            .collect();
+        CandidateDirectives {
+            directives,
+            rewritten,
         }
     }
-    out
+
+    /// The rewritten list, in the program's order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Directive> + Clone {
+        self.directives.iter().enumerate().map(|(i, d)| {
+            self.rewritten
+                .iter()
+                .find(|(j, _)| *j == i)
+                .map_or(d, |(_, r)| r)
+        })
+    }
 }
 
 /// `program` with its directives rewritten for `candidate` as the search's
@@ -155,7 +188,10 @@ pub(crate) fn candidate_directives(
 /// aligned with the original source text.
 pub fn apply_candidate(program: &Program, candidate: &Candidate) -> Program {
     Program {
-        directives: candidate_directives(&program.directives, candidate),
+        directives: CandidateDirectives::new(&program.directives, candidate)
+            .iter()
+            .cloned()
+            .collect(),
         ..program.clone()
     }
 }

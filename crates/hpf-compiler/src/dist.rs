@@ -461,33 +461,30 @@ pub fn partition(
 /// source would have declared, so the partitioning (and everything
 /// downstream) is identical. Without it the grid is the arrangement's
 /// extents as `analyzed` records them, which a front half
-/// (`hpf_lang::analyze_front`) does not.
-pub fn partition_onto(
+/// (`hpf_lang::analyze_front`) does not. `directives` is walked once per
+/// directive kind, so any cloneable iterator of borrowed directives works.
+pub fn partition_onto<'d, D>(
     analyzed: &AnalyzedProgram,
-    directives: &[Directive],
+    directives: D,
     nodes_override: Option<usize>,
     grid_extents: Option<&[i64]>,
-) -> Result<DistributionTable, PartitionError> {
+) -> Result<DistributionTable, PartitionError>
+where
+    D: IntoIterator<Item = &'d Directive> + Clone,
+{
+    let symbols = &analyzed.symbols;
     // 1. The processor arrangement: last PROCESSORS directive wins; the
     //    override rescales the total while keeping the shape ratio when it
     //    can (exact grid reshaping is the caller's business via directives).
-    let mut grid = ProcGrid {
-        name: "P".into(),
-        extents: vec![1],
-    };
-    for d in directives {
-        if let Directive::Processors { name, .. } = d {
-            if let Some(SymbolKind::Processors { shape }) =
-                analyzed.symbols.get(name).map(|s| &s.kind)
-            {
-                grid = ProcGrid {
-                    name: name.clone(),
-                    extents: shape.clone(),
-                };
+    let (mut name, mut shape): (&str, &[i64]) = ("P", &[1]);
+    for d in directives.clone() {
+        if let Directive::Processors { name: n, .. } = d {
+            if let Some(SymbolKind::Processors { shape: s }) = symbols.get(n).map(|s| &s.kind) {
+                (name, shape) = (n, s);
             }
         }
     }
-    if let Some(extents) = grid_extents {
+    let grid = if let Some(extents) = grid_extents {
         if extents.is_empty() || extents.iter().any(|&e| e < 1) {
             return Err(PartitionError {
                 message: format!("grid_extents must be non-empty and positive, got {extents:?}"),
@@ -505,47 +502,45 @@ pub fn partition_onto(
                 });
             }
         }
-        grid = ProcGrid {
-            name: grid.name.clone(),
+        ProcGrid {
+            name: name.to_string(),
             extents: extents.to_vec(),
-        };
-    } else if grid.extents.is_empty() {
+        }
+    } else if shape.is_empty() {
         return Err(PartitionError {
-            message: format!(
-                "PROCESSORS `{}` has no resolved extents; pin the grid",
-                grid.name
-            ),
+            message: format!("PROCESSORS `{name}` has no resolved extents; pin the grid"),
             span: Span::SYNTHETIC,
         });
-    } else if let Some(n) = nodes_override {
-        if grid.total() != n {
-            grid = reshape_grid(&grid, n);
+    } else {
+        let grid = ProcGrid {
+            name: name.to_string(),
+            extents: shape.to_vec(),
+        };
+        match nodes_override {
+            Some(n) if grid.total() != n => reshape_grid(&grid, n),
+            _ => grid,
         }
-    }
+    };
 
-    // 2. Template distributions.
-    #[derive(Clone)]
-    struct TemplateDist {
-        shape: Vec<(i64, i64)>,
-        formats: Vec<DistFormat>,
-    }
-    let mut templates: BTreeMap<String, TemplateDist> = BTreeMap::new();
-    for d in directives {
+    // 2. Template distributions, in the order first declared; a later
+    //    TEMPLATE of the same name starts it over undistributed.
+    let mut templates: Vec<Template> = Vec::new();
+    for d in directives.clone() {
         if let Directive::Template { name, .. } = d {
-            if let Some(SymbolKind::Template { shape }) =
-                analyzed.symbols.get(name).map(|s| &s.kind)
-            {
-                templates.insert(
-                    name.clone(),
-                    TemplateDist {
-                        shape: shape.clone(),
-                        formats: vec![DistFormat::Degenerate; shape.len()],
-                    },
-                );
+            if let Some(SymbolKind::Template { shape }) = symbols.get(name).map(|s| &s.kind) {
+                let t = Template {
+                    name,
+                    shape,
+                    formats: None,
+                };
+                match templates.iter_mut().find(|t| t.name == name) {
+                    Some(old) => *old = t,
+                    None => templates.push(t),
+                }
             }
         }
     }
-    for d in directives {
+    for d in directives.clone() {
         if let Directive::Distribute {
             target,
             formats,
@@ -569,50 +564,28 @@ pub fn partition_onto(
                     }
                 }
             }
-            match templates.get_mut(target) {
-                Some(t) => t.formats = formats.clone(),
+            match templates.iter_mut().find(|t| t.name == target) {
+                Some(t) => t.formats = Some(formats),
                 None => {
                     // DISTRIBUTE directly on an array: synthesize an identity
                     // template (HPF allows distributing arrays directly).
-                    let sym = analyzed.symbols.get(target).ok_or_else(|| PartitionError {
+                    let sym = symbols.get(target).ok_or_else(|| PartitionError {
                         message: format!("DISTRIBUTE of unknown `{target}`"),
                         span: *span,
                     })?;
-                    let shape = sym
-                        .shape()
-                        .ok_or_else(|| PartitionError {
-                            message: format!("DISTRIBUTE of non-array `{target}`"),
-                            span: *span,
-                        })?
-                        .to_vec();
-                    templates.insert(
-                        target.clone(),
-                        TemplateDist {
-                            shape,
-                            formats: formats.clone(),
-                        },
-                    );
+                    let shape = sym.shape().ok_or_else(|| PartitionError {
+                        message: format!("DISTRIBUTE of non-array `{target}`"),
+                        span: *span,
+                    })?;
+                    templates.push(Template {
+                        name: target,
+                        shape,
+                        formats: Some(formats),
+                    });
                 }
             }
         }
     }
-
-    // Assign grid dimensions to distributed template dims, in order.
-    let assign_pdims = |formats: &[DistFormat]| -> Vec<Option<usize>> {
-        let mut next = 0usize;
-        formats
-            .iter()
-            .map(|f| {
-                if *f == DistFormat::Degenerate {
-                    None
-                } else {
-                    let p = next.min(grid.extents.len().saturating_sub(1));
-                    next += 1;
-                    Some(p)
-                }
-            })
-            .collect()
-    };
 
     // 3. Compose alignments.
     let mut arrays: BTreeMap<String, ArrayDist> = BTreeMap::new();
@@ -625,101 +598,59 @@ pub fn partition_onto(
             span,
         } = d
         {
-            let sym = analyzed
-                .symbols
-                .get(alignee)
-                .ok_or_else(|| PartitionError {
-                    message: format!("ALIGN of unknown `{alignee}`"),
-                    span: *span,
-                })?;
-            let bounds = sym
-                .shape()
-                .ok_or_else(|| PartitionError {
-                    message: format!("ALIGN of scalar `{alignee}`"),
-                    span: *span,
-                })?
-                .to_vec();
+            let sym = symbols.get(alignee).ok_or_else(|| PartitionError {
+                message: format!("ALIGN of unknown `{alignee}`"),
+                span: *span,
+            })?;
+            let bounds = sym.shape().ok_or_else(|| PartitionError {
+                message: format!("ALIGN of scalar `{alignee}`"),
+                span: *span,
+            })?;
             // Target may be a template or another (distributed) array.
-            let tdist = match templates.get(target) {
-                Some(t) => t.clone(),
-                None => {
-                    return Err(PartitionError {
-                        message: format!("ALIGN WITH unknown template `{target}`"),
-                        span: *span,
-                    })
-                }
+            let Some(t) = templates.iter().find(|t| t.name == target) else {
+                return Err(PartitionError {
+                    message: format!("ALIGN WITH unknown template `{target}`"),
+                    span: *span,
+                });
             };
-            let pdims = assign_pdims(&tdist.formats);
 
-            // For each array dim: find which template dim its dummy lands in.
-            let subs: Vec<AlignSub> = if target_subs.is_empty() {
-                dummies
-                    .iter()
-                    .map(|d| AlignSub::Affine {
-                        dummy: d.clone(),
-                        stride: 1,
-                        offset: 0,
-                    })
-                    .collect()
-            } else {
-                target_subs.clone()
-            };
+            // For each array dim: find which template dim its dummy lands
+            // in. No target subscripts is the identity alignment.
             let mut align = vec![(1i64, 0i64); bounds.len()];
             let mut dims = vec![DimDist::Collapsed; bounds.len()];
-            for (tdim, sub) in subs.iter().enumerate() {
-                if let AlignSub::Affine {
-                    dummy,
-                    stride,
-                    offset,
-                } = sub
-                {
-                    let adim =
-                        dummies
-                            .iter()
-                            .position(|x| x == dummy)
-                            .ok_or_else(|| PartitionError {
-                                message: format!("align dummy `{dummy}` not declared"),
-                                span: *span,
-                            })?;
-                    // Template cells are normalized to 0-based.
-                    let tlb = tdist.shape[tdim].0;
-                    align[adim] = (*stride, *offset - tlb);
-                    let textent = (tdist.shape[tdim].1 - tdist.shape[tdim].0 + 1).max(1);
-                    dims[adim] = match tdist.formats[tdim] {
-                        DistFormat::Degenerate => DimDist::Collapsed,
-                        DistFormat::Block => {
-                            let pdim = pdims[tdim].expect("distributed dim has pdim");
-                            let pcount = grid.extents[pdim];
-                            DimDist::Block {
-                                pdim,
-                                pcount,
-                                block: (textent + pcount - 1) / pcount,
-                            }
-                        }
-                        DistFormat::Cyclic => {
-                            let pdim = pdims[tdim].expect("distributed dim has pdim");
-                            DimDist::Cyclic {
-                                pdim,
-                                pcount: grid.extents[pdim],
-                                k: 1,
-                            }
-                        }
-                        DistFormat::CyclicK(k) => {
-                            let pdim = pdims[tdim].expect("distributed dim has pdim");
-                            DimDist::Cyclic {
-                                pdim,
-                                pcount: grid.extents[pdim],
-                                k,
-                            }
-                        }
-                    };
-                }
+            let identity = target_subs.is_empty();
+            let subs = if identity {
+                dummies.len()
+            } else {
+                target_subs.len()
+            };
+            for tdim in 0..subs {
+                let (dummy, stride, offset) = match target_subs.get(tdim) {
+                    None => (&dummies[tdim], 1, 0),
+                    Some(AlignSub::Affine {
+                        dummy,
+                        stride,
+                        offset,
+                    }) => (dummy, *stride, *offset),
+                    Some(AlignSub::Replicated) => continue,
+                };
+                let adim =
+                    dummies
+                        .iter()
+                        .position(|x| x == dummy)
+                        .ok_or_else(|| PartitionError {
+                            message: format!("align dummy `{dummy}` not declared"),
+                            span: *span,
+                        })?;
+                // Template cells are normalized to 0-based.
+                align[adim] = (stride, offset - t.shape[tdim].0);
+                dims[adim] = t.dim_dist(tdim, &grid.extents);
             }
             arrays.insert(
                 alignee.clone(),
                 ArrayDist {
                     array: alignee.clone(),
-                    bounds,
+                    bounds: bounds.to_vec(),
                     align,
                     dims,
                     replicated: false,
@@ -730,53 +661,23 @@ pub fn partition_onto(
     }
 
     // 3b. Arrays distributed directly (no ALIGN, DISTRIBUTE names the array).
-    for (tname, t) in &templates {
-        if arrays.contains_key(tname) {
+    for t in &templates {
+        if arrays.contains_key(t.name) {
             continue;
         }
-        if let Some(sym) = analyzed.symbols.get(tname) {
+        if let Some(sym) = symbols.get(t.name) {
             if sym.is_array() {
-                let pdims = assign_pdims(&t.formats);
                 let bounds = sym.shape().expect("array").to_vec();
                 let mut align = vec![(1i64, 0i64); bounds.len()];
                 let mut dims = vec![DimDist::Collapsed; bounds.len()];
-                for tdim in 0..t.formats.len() {
-                    let tlb = t.shape[tdim].0;
-                    align[tdim] = (1, -tlb);
-                    let textent = (t.shape[tdim].1 - t.shape[tdim].0 + 1).max(1);
-                    dims[tdim] = match t.formats[tdim] {
-                        DistFormat::Degenerate => DimDist::Collapsed,
-                        DistFormat::Block => {
-                            let pdim = pdims[tdim].expect("pdim");
-                            let pcount = grid.extents[pdim];
-                            DimDist::Block {
-                                pdim,
-                                pcount,
-                                block: (textent + pcount - 1) / pcount,
-                            }
-                        }
-                        DistFormat::Cyclic => {
-                            let pdim = pdims[tdim].expect("pdim");
-                            DimDist::Cyclic {
-                                pdim,
-                                pcount: grid.extents[pdim],
-                                k: 1,
-                            }
-                        }
-                        DistFormat::CyclicK(k) => {
-                            let pdim = pdims[tdim].expect("pdim");
-                            DimDist::Cyclic {
-                                pdim,
-                                pcount: grid.extents[pdim],
-                                k,
-                            }
-                        }
-                    };
+                for tdim in 0..t.rank() {
+                    align[tdim] = (1, -t.shape[tdim].0);
+                    dims[tdim] = t.dim_dist(tdim, &grid.extents);
                 }
                 arrays.insert(
-                    tname.clone(),
+                    t.name.to_string(),
                     ArrayDist {
-                        array: tname.clone(),
+                        array: t.name.to_string(),
                         bounds,
                         align,
                         dims,
@@ -789,7 +690,7 @@ pub fn partition_onto(
     }
 
     // 4. Default: replication for unmapped arrays.
-    for (name, sym) in &analyzed.symbols {
+    for (name, sym) in symbols {
         if sym.is_array() && !arrays.contains_key(name) {
             arrays.insert(
                 name.clone(),
@@ -803,6 +704,59 @@ pub fn partition_onto(
     }
 
     Ok(DistributionTable { grid, arrays })
+}
+
+/// One template as the directives declare and distribute it, borrowed from
+/// the symbol table and the directive list.
+struct Template<'a> {
+    name: &'a str,
+    shape: &'a [(i64, i64)],
+    /// The DISTRIBUTE formats; `None` until one names the template, which
+    /// leaves every dimension `*`.
+    formats: Option<&'a [DistFormat]>,
+}
+
+impl Template<'_> {
+    fn rank(&self) -> usize {
+        self.formats.map_or(self.shape.len(), <[_]>::len)
+    }
+
+    /// The mapping of template dimension `tdim` onto a grid of `extents`:
+    /// distributed dimensions take the grid dimensions in order.
+    fn dim_dist(&self, tdim: usize, extents: &[i64]) -> DimDist {
+        let Some(formats) = self.formats else {
+            return DimDist::Collapsed;
+        };
+        let distributed = |f: &&DistFormat| **f != DistFormat::Degenerate;
+        let pdim = formats[..tdim]
+            .iter()
+            .filter(distributed)
+            .count()
+            .min(extents.len().saturating_sub(1));
+        let (lb, ub) = self.shape[tdim];
+        let textent = (ub - lb + 1).max(1);
+        match formats[tdim] {
+            DistFormat::Degenerate => DimDist::Collapsed,
+            DistFormat::Block => {
+                let pcount = extents[pdim];
+                DimDist::Block {
+                    pdim,
+                    pcount,
+                    block: (textent + pcount - 1) / pcount,
+                }
+            }
+            DistFormat::Cyclic => DimDist::Cyclic {
+                pdim,
+                pcount: extents[pdim],
+                k: 1,
+            },
+            DistFormat::CyclicK(k) => DimDist::Cyclic {
+                pdim,
+                pcount: extents[pdim],
+                k,
+            },
+        }
+    }
 }
 
 /// Reshape a grid to a new total processor count, preserving rank: factor
@@ -1190,6 +1144,58 @@ END
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// Near the `i64` limits — a BLOCK bound more than `i64::MAX` from the
+    /// first cell, a CYCLIC period or cell offset past `i64`, floor sums
+    /// whose `a·n + b` passes `u64` — the closed forms still count what
+    /// the ownership rule says of each cell, evaluated here in `i128`.
+    #[test]
+    fn closed_forms_near_the_i64_limits_match_the_rule() {
+        let block = |pcount, block| DimDist::Block {
+            pdim: 0,
+            pcount,
+            block,
+        };
+        let cyclic = |pcount, k| DimDist::Cyclic { pdim: 0, pcount, k };
+        // (mapping, first index, index step, steps); the alignment is the
+        // identity.
+        let cases = [
+            (block(3, 1 << 61), i64::MIN + 5, 1 << 62, 4),
+            (block(3, 1 << 61), (1 << 62) + 5, -(1 << 62), 4),
+            (cyclic(3, 1 << 62), -(1 << 62) - 7, (1 << 61) + 3, 9),
+            (cyclic(1, 1 << 62), i64::MIN + 9, 1 << 61, 8),
+            (cyclic(2, 1 << 40), i64::MIN + 5, 1 << 50, 6),
+            (cyclic(5, 1 << 62), (1 << 62) + 3, 1 << 62, 2),
+            (cyclic(2, i64::MAX / 2), i64::MAX - 2, i64::MAX - 1, 2),
+            (cyclic(1, i64::MAX), i64::MAX - 2, i64::MAX - 1, 2),
+        ];
+        for (dim, first, step, n) in cases {
+            let ad = ArrayDist {
+                array: "A".into(),
+                bounds: vec![(i64::MIN, i64::MAX)],
+                align: vec![(1, 0)],
+                dims: vec![dim],
+                replicated: false,
+                elem_bytes: 4,
+            };
+            let owner = |cell: i128| match dim {
+                DimDist::Block { pcount, block, .. } => {
+                    cell.div_euclid(block.into()).clamp(0, (pcount - 1).into())
+                }
+                DimDist::Cyclic { pcount, k, .. } => {
+                    cell.div_euclid(k.into()).rem_euclid(pcount.into())
+                }
+                DimDist::Collapsed => 0,
+            };
+            for c in 0..dim.pcount() {
+                let got = count_owned_steps(n, std::iter::once(ad.owned_steps(0, c, first, step)));
+                let want = (0..n as i128)
+                    .filter(|&j| owner(first as i128 + j * step as i128) == c.into())
+                    .count() as u64;
+                assert_eq!(got, want, "{dim:?} from {first} by {step} at {c}");
             }
         }
     }

@@ -8,7 +8,7 @@
 
 use crate::dist::{count_owned_steps, triplet_count, ArrayDist, DistributionTable};
 use crate::normalize::{normalize, NormalizeError};
-use crate::ops::{count_assign, count_expr, OpCounts};
+use crate::ops::{count_assign, count_expr, is_dummy, OpCounts};
 use crate::spmd::{CommPhase, CompPhase, CompileWarning, SeqBlock, SpmdNode, SpmdProgram};
 use hpf_lang::ast::*;
 use hpf_lang::sema::{const_eval_in, AnalyzedProgram};
@@ -127,12 +127,17 @@ pub fn compile(analyzed: &AnalyzedProgram, opts: &CompileOptions) -> CResult<Spm
 /// `normalized`, the [`normalize`]d body of `analyzed`. Normalization reads
 /// no directive, so a directive search normalizes once and runs this once
 /// per candidate list, which `hpf_lang::check_directives` has checked.
-pub fn compile_normalized(
+/// `directives` is any cloneable iterator of borrowed directives (see
+/// [`partition_onto`](crate::dist::partition_onto)).
+pub fn compile_normalized<'d, D>(
     analyzed: &AnalyzedProgram,
     normalized: &[Stmt],
-    directives: &[Directive],
+    directives: D,
     opts: &CompileOptions,
-) -> CResult<SpmdProgram> {
+) -> CResult<SpmdProgram>
+where
+    D: IntoIterator<Item = &'d Directive> + Clone,
+{
     let dist = {
         let _s = hpf_trace::span("partition");
         crate::dist::partition_onto(
@@ -149,13 +154,7 @@ pub fn compile_normalized(
     };
 
     let _lower_span = hpf_trace::span("lower");
-    let mut lw = Lower {
-        analyzed,
-        dist: &dist,
-        opts,
-        loop_env: BTreeMap::new(),
-        warnings: Vec::new(),
-    };
+    let mut lw = Lower::new(analyzed, &dist, opts);
     let mut body = Vec::new();
     for st in normalized {
         lw.stmt(st, &mut body)?;
@@ -176,25 +175,52 @@ struct Lower<'a> {
     analyzed: &'a AnalyzedProgram,
     dist: &'a DistributionTable,
     opts: &'a CompileOptions,
-    /// Enclosing DO variables bound to representative (midpoint) values so
-    /// that dependent bounds (triangular loops) still resolve statically.
-    loop_env: BTreeMap<String, i64>,
+    /// The one environment every bound resolves in, besides PARAMETERs:
+    /// traced critical variables, then the user-supplied critical values
+    /// over them, then each enclosing DO and DO WHILE variable bound to a
+    /// representative (midpoint) value so that dependent bounds (triangular
+    /// loops) still resolve statically — except that a user-supplied value
+    /// of the same name wins over a loop binding too.
+    env: BTreeMap<String, i64>,
+    /// The largest declared array extent — the worst-case trip count for a
+    /// loop whose bound depends on an unresolvable critical variable (every
+    /// loop in the modelled programs iterates over some declared array).
+    worst_case_extent: i64,
     /// Graceful-degradation diagnostics (attached to the SpmdProgram).
     warnings: Vec<CompileWarning>,
 }
 
 impl<'a> Lower<'a> {
-    /// Constant-evaluate an expression using parameters, traced critical
-    /// variables, user-specified critical values, and loop midpoints.
+    fn new(
+        analyzed: &'a AnalyzedProgram,
+        dist: &'a DistributionTable,
+        opts: &'a CompileOptions,
+    ) -> Self {
+        let mut env = analyzed.resolved_critical.clone();
+        env.extend(opts.critical_values.iter().map(|(k, v)| (k.clone(), *v)));
+        let worst_case_extent = analyzed
+            .symbols
+            .values()
+            .filter_map(|s| s.shape())
+            .flat_map(|dims| dims.iter().map(|&(lo, hi)| hi - lo + 1))
+            .max()
+            .unwrap_or(opts.while_trips_hint as i64)
+            .max(1);
+        Lower {
+            analyzed,
+            dist,
+            opts,
+            env,
+            worst_case_extent,
+            warnings: Vec::new(),
+        }
+    }
+
+    /// Constant-evaluate an expression using parameters and the
+    /// environment (traced and user-specified critical values, loop
+    /// midpoints).
     fn eval_i64(&self, e: &Expr) -> CResult<i64> {
-        let mut env = self.loop_env.clone();
-        for (k, v) in &self.analyzed.resolved_critical {
-            env.entry(k.clone()).or_insert(*v);
-        }
-        for (k, v) in &self.opts.critical_values {
-            env.insert(k.clone(), *v);
-        }
-        match const_eval_in(e, &self.analyzed.symbols, &env) {
+        match const_eval_in(e, &self.analyzed.symbols, &self.env) {
             Ok(v) => v.as_i64().ok_or_else(|| CompileError {
                 message: "bound did not evaluate to an integer".into(),
                 span: e.span(),
@@ -208,6 +234,37 @@ impl<'a> Lower<'a> {
                 ),
                 e.span(),
             ),
+        }
+    }
+
+    /// Bind loop variable `var` to `value` for the bounds nested in the
+    /// loop, unless a user-supplied critical value names it. Returns what
+    /// [`unbind`](Self::unbind) restores: `None` when the user's value
+    /// kept the name, else the value the binding displaced.
+    fn bind(&mut self, var: &str, value: i64) -> Option<Option<i64>> {
+        if self.opts.critical_values.contains_key(var) {
+            return None;
+        }
+        Some(match self.env.get_mut(var) {
+            Some(v) => Some(std::mem::replace(v, value)),
+            None => {
+                self.env.insert(var.to_string(), value);
+                None
+            }
+        })
+    }
+
+    fn unbind(&mut self, var: &str, saved: Option<Option<i64>>) {
+        match saved {
+            Some(Some(v)) => {
+                if let Some(slot) = self.env.get_mut(var) {
+                    *slot = v;
+                }
+            }
+            Some(None) => {
+                self.env.remove(var);
+            }
+            None => {}
         }
     }
 
@@ -229,20 +286,6 @@ impl<'a> Lower<'a> {
         }
     }
 
-    /// The largest declared array extent — the worst-case trip count for a
-    /// loop whose bound depends on an unresolvable critical variable (every
-    /// loop in the modelled programs iterates over some declared array).
-    fn worst_case_extent(&self) -> i64 {
-        self.analyzed
-            .symbols
-            .values()
-            .filter_map(|s| s.shape())
-            .flat_map(|dims| dims.iter().map(|&(lo, hi)| hi - lo + 1))
-            .max()
-            .unwrap_or(self.opts.while_trips_hint as i64)
-            .max(1)
-    }
-
     fn stmt(&mut self, st: &Stmt, out: &mut Vec<SpmdNode>) -> CResult<()> {
         match st {
             Stmt::Forall { header, body, span } => self.lower_forall(header, body, *span, out),
@@ -255,9 +298,8 @@ impl<'a> Lower<'a> {
                 body,
                 span,
             } => {
-                let worst = self.worst_case_extent();
                 let lo_v = self.eval_bound(lo, 1);
-                let hi_v = self.eval_bound(hi, worst);
+                let hi_v = self.eval_bound(hi, self.worst_case_extent);
                 let st_v = match step {
                     Some(s) => self.eval_bound(s, 1),
                     None => 1,
@@ -268,19 +310,12 @@ impl<'a> Lower<'a> {
                 let trips = triplet_count(lo_v, hi_v, st_v);
                 // Bind the loop variable to its midpoint for nested bounds.
                 let mid = lo_v + ((hi_v - lo_v) / 2 / st_v.max(1)) * st_v.max(1);
-                let prev = self.loop_env.insert(var.clone(), mid);
+                let saved = self.bind(var, mid);
                 let mut inner = Vec::new();
                 for s in body {
                     self.stmt(s, &mut inner)?;
                 }
-                match prev {
-                    Some(p) => {
-                        self.loop_env.insert(var.clone(), p);
-                    }
-                    None => {
-                        self.loop_env.remove(var);
-                    }
-                }
+                self.unbind(var, saved);
                 out.push(SpmdNode::Loop {
                     var: var.clone(),
                     trips,
@@ -298,17 +333,15 @@ impl<'a> Lower<'a> {
                 // bounds — still a heuristic, so recursive-halving kernels
                 // keep a deliberate residual error.
                 let induction = self.recognize_geometric(cond, body);
-                let (trips, estimated, bind) = match induction {
-                    Some((var, trips, geo_mid)) => (trips, false, Some((var, geo_mid))),
-                    None => (self.opts.while_trips_hint, true, None),
+                let (trips, estimated) = match induction {
+                    Some((_, trips, _)) => (trips, false),
+                    None => (self.opts.while_trips_hint, true),
                 };
-                let prev = bind
-                    .as_ref()
-                    .map(|(var, mid)| (var.clone(), self.loop_env.insert(var.clone(), *mid)));
+                let saved = induction.map(|(var, _, geo_mid)| (var, self.bind(var, geo_mid)));
 
                 let mut inner = Vec::new();
                 // Charge the condition evaluation per trip as a Seq block.
-                let cond_ops = count_expr(cond, self.analyzed, &BTreeMap::new());
+                let cond_ops = count_expr(cond, self.analyzed, &[]);
                 inner.push(SpmdNode::Seq(SeqBlock {
                     label: "while-test".into(),
                     span: *span,
@@ -317,15 +350,8 @@ impl<'a> Lower<'a> {
                 for s in body {
                     self.stmt(s, &mut inner)?;
                 }
-                if let Some((var, old)) = prev {
-                    match old {
-                        Some(v) => {
-                            self.loop_env.insert(var, v);
-                        }
-                        None => {
-                            self.loop_env.remove(&var);
-                        }
-                    }
+                if let Some((var, saved)) = saved {
+                    self.unbind(var, saved);
                 }
                 out.push(SpmdNode::Loop {
                     var: "<while>".into(),
@@ -344,7 +370,7 @@ impl<'a> Lower<'a> {
                 let mut spmd_arms = Vec::new();
                 for (cond, body) in arms {
                     let mut inner = Vec::new();
-                    let cond_ops = count_expr(cond, self.analyzed, &BTreeMap::new());
+                    let cond_ops = count_expr(cond, self.analyzed, &[]);
                     inner.push(SpmdNode::Seq(SeqBlock {
                         label: "if-test".into(),
                         span: cond.span(),
@@ -369,7 +395,7 @@ impl<'a> Lower<'a> {
             Stmt::Print { items, span } => {
                 let mut ops = OpCounts::zero();
                 for e in items {
-                    ops += count_expr(e, self.analyzed, &BTreeMap::new());
+                    ops += count_expr(e, self.analyzed, &[]);
                 }
                 ops.calls += 1.0; // I/O library call
                 out.push(SpmdNode::Seq(SeqBlock {
@@ -485,11 +511,15 @@ impl<'a> Lower<'a> {
     /// Recognize `DO WHILE (v > c)` / `DO WHILE (v >= c)` with a body step
     /// `v = v / k` (k ≥ 2) and a statically known initial `v`: returns
     /// (variable, exact trip count, geometric-mean value of `v`).
-    fn recognize_geometric(&self, cond: &Expr, body: &[Stmt]) -> Option<(String, u64, i64)> {
+    fn recognize_geometric<'e>(
+        &self,
+        cond: &'e Expr,
+        body: &[Stmt],
+    ) -> Option<(&'e str, u64, i64)> {
         let (var, limit, strict) = match cond {
             Expr::Binary { op, lhs, rhs, .. } => {
                 let v = match lhs.as_ref() {
-                    Expr::Ref(r) if r.subs.is_empty() => r.name.clone(),
+                    Expr::Ref(r) if r.subs.is_empty() => r.name.as_str(),
                     _ => return None,
                 };
                 let c = self.eval_i64(rhs).ok()?;
@@ -526,7 +556,7 @@ impl<'a> Lower<'a> {
             }
         }
         let k = k?;
-        let init = self.eval_i64(&Expr::var(var.clone())).ok()?;
+        let init = self.eval_i64(&Expr::var(var)).ok()?;
         let mut v = init;
         let mut trips = 0u64;
         let mut post_sum = 0i64;
@@ -562,7 +592,7 @@ impl<'a> Lower<'a> {
         let mut reductions = Vec::new();
         collect_reductions(rhs, &mut reductions);
         if reductions.is_empty() {
-            let ops = count_assign(lhs, rhs, self.analyzed, &BTreeMap::new());
+            let ops = count_assign(lhs, rhs, self.analyzed, &[]);
             out.push(SpmdNode::Seq(SeqBlock {
                 label: format!("{} = …", lhs.name),
                 span,
@@ -684,17 +714,10 @@ impl<'a> Lower<'a> {
         out: &mut Vec<SpmdNode>,
     ) -> CResult<()> {
         // Resolve the index space.
-        struct TripletR {
-            var: String,
-            lo: i64,
-            hi: i64,
-            st: i64,
-        }
-        let mut trips = Vec::new();
-        let worst = self.worst_case_extent();
+        let mut trips = Vec::with_capacity(header.triplets.len());
         for t in &header.triplets {
             let lo = self.eval_bound(&t.lo, 1);
-            let hi = self.eval_bound(&t.hi, worst);
+            let hi = self.eval_bound(&t.hi, self.worst_case_extent);
             let st = match &t.stride {
                 Some(s) => self.eval_bound(s, 1),
                 None => 1,
@@ -702,15 +725,16 @@ impl<'a> Lower<'a> {
             if st == 0 {
                 return cerr("forall stride of zero", span);
             }
-            trips.push(TripletR {
-                var: t.var.clone(),
+            trips.push(Triplet {
+                var: &t.var,
                 lo,
-                hi,
                 st,
+                count: triplet_count(lo, hi, st),
             });
         }
-        let count_of = |t: &TripletR| triplet_count(t.lo, t.hi, t.st);
-        let dummies: BTreeMap<String, ()> = trips.iter().map(|t| (t.var.clone(), ())).collect();
+        let dummies = header.triplets.as_slice();
+        let dist = self.dist;
+        let grid = &dist.grid;
 
         for st_body in body {
             let (lhs, rhs) = match st_body {
@@ -722,7 +746,7 @@ impl<'a> Lower<'a> {
                 } => {
                     // Nested forall: lower independently (iteration-space
                     // product is approximated by scaling inside a Loop).
-                    let outer: u64 = trips.iter().map(count_of).product();
+                    let outer: u64 = trips.iter().map(|t| t.count).product();
                     let mut inner = Vec::new();
                     self.lower_forall(h2, b2, *s2, &mut inner)?;
                     out.push(SpmdNode::Loop {
@@ -739,29 +763,28 @@ impl<'a> Lower<'a> {
                 }
             };
 
-            let nodes = self.dist.grid.total();
-            let lhs_dist = self.dist.get(&lhs.name).ok_or_else(|| CompileError {
+            let nodes = grid.total();
+            let lhs_dist = dist.get(&lhs.name).ok_or_else(|| CompileError {
                 message: format!("no distribution for `{}`", lhs.name),
                 span: lhs.span,
                 io: None,
             })?;
 
-            // Map each triplet dummy to the LHS dimension it indexes
+            // Map each triplet dummy to the LHS dimensions it indexes
             // (affine, stride ±1) — the owner-computes partitioning basis.
-            // dummy -> (lhs_dim, a, b) with index = a*dummy + b. A dummy
-            // indexing several dimensions keeps the last here, for the
-            // communication and locality models; `lhs_axes` keeps them all,
-            // as (triplet position, lhs_dim, a, b).
-            let mut dummy_dim: BTreeMap<String, (usize, i64, i64)> = BTreeMap::new();
-            let mut lhs_axes = Vec::with_capacity(lhs.subs.len());
+            let mut axes = Vec::with_capacity(lhs.subs.len());
             let mut lhs_indirect = false;
             for (d, s) in lhs.subs.iter().enumerate() {
                 match s {
-                    Subscript::Index(e) => match affine_in(e, &dummies) {
+                    Subscript::Index(e) => match affine_in(e, dummies) {
                         Some((Some(v), a, b)) => {
-                            let pos = trips.iter().position(|t| t.var == v);
-                            lhs_axes.push((pos.expect("dummies come from the triplets"), d, a, b));
-                            dummy_dim.insert(v, (d, a, b));
+                            let triplet = trips.iter().position(|t| t.var == v);
+                            axes.push(Axis {
+                                triplet: triplet.expect("dummies come from the triplets"),
+                                dim: d,
+                                a,
+                                b,
+                            });
                         }
                         Some((None, _, _)) => {} // constant subscript
                         None => lhs_indirect = true,
@@ -771,6 +794,12 @@ impl<'a> Lower<'a> {
                     }
                 }
             }
+            let f = Forall {
+                trips: &trips,
+                axes: &axes,
+                lhs_dist,
+                nodes,
+            };
 
             // Per-node iteration counts (owner-computes on the LHS): a node
             // runs the values of each dummy whose LHS element it owns in
@@ -779,65 +808,71 @@ impl<'a> Lower<'a> {
             let mut per_node = vec![1u64; nodes];
             let mut total: u64 = 1;
             for (ti, t) in trips.iter().enumerate() {
-                let cnt = count_of(t);
-                total = total.saturating_mul(cnt);
-                let axes = lhs_axes
-                    .iter()
-                    .filter(|&&(at, d, ..)| at == ti && lhs_dist.dims[d].is_distributed());
-                if lhs_indirect || axes.clone().next().is_none() {
-                    for pn in per_node.iter_mut() {
-                        *pn = pn.saturating_mul(cnt);
-                    }
-                    continue;
+                total = total.saturating_mul(t.count);
+                if lhs_indirect {
+                    continue; // every node runs every iteration (below)
                 }
-                for (n, pn) in per_node.iter_mut().enumerate() {
-                    // index values: a*dummy+b over the dummy's triplet
-                    let owned = axes.clone().map(|&(_, d, a, b)| {
-                        let pdim = lhs_dist.dims[d].pdim().expect("distributed");
-                        let c = self.dist.grid.coord(n, pdim);
-                        lhs_dist.owned_steps(d, c, a * t.lo + b, a * t.st)
-                    });
-                    *pn = pn.saturating_mul(count_owned_steps(cnt, owned));
+                let mut owning = axes
+                    .iter()
+                    .filter(|x| x.triplet == ti && lhs_dist.dims[x.dim].is_distributed());
+                let owned =
+                    |x: &Axis, c: i64| lhs_dist.owned_steps(x.dim, c, x.a * t.lo + x.b, x.a * t.st);
+                match (owning.next(), owning.clone().next()) {
+                    (None, _) => {
+                        for pn in per_node.iter_mut() {
+                            *pn = pn.saturating_mul(t.count);
+                        }
+                    }
+                    (Some(x), None) => {
+                        // One dimension: the count depends only on the
+                        // node's coordinate along that dimension's grid
+                        // axis, so it is counted once per coordinate.
+                        let pdim = lhs_dist.dims[x.dim].pdim().expect("distributed");
+                        let by_coord: Vec<u64> = (0..grid.extents[pdim])
+                            .map(|c| count_owned_steps(t.count, std::iter::once(owned(x, c))))
+                            .collect();
+                        for (n, pn) in per_node.iter_mut().enumerate() {
+                            *pn = pn.saturating_mul(by_coord[grid.coord(n, pdim) as usize]);
+                        }
+                    }
+                    (Some(x), Some(_)) => {
+                        let joint = std::iter::once(x).chain(owning);
+                        for (n, pn) in per_node.iter_mut().enumerate() {
+                            let steps = joint.clone().map(|x| {
+                                let pdim = lhs_dist.dims[x.dim].pdim().expect("distributed");
+                                owned(x, grid.coord(n, pdim))
+                            });
+                            *pn = pn.saturating_mul(count_owned_steps(t.count, steps));
+                        }
+                    }
                 }
             }
             if lhs_dist.replicated || lhs_indirect {
                 // replicated LHS: every node executes everything
-                per_node = vec![total; nodes];
+                per_node.fill(total);
             }
 
             // ---- communication detection over RHS (and mask) ----
-            let trip_counts: BTreeMap<String, u64> =
-                trips.iter().map(|t| (t.var.clone(), count_of(t))).collect();
-            let mut comm_phases: Vec<CommPhase> = Vec::new();
-            let analyze_expr = |e: &Expr, phases: &mut Vec<CommPhase>| -> CResult<()> {
-                let mut refs = Vec::new();
-                collect_refs(e, &mut refs);
-                for r in refs {
-                    if let Some(ph) = self.classify_ref(
-                        &r,
-                        lhs,
-                        lhs_dist,
-                        &dummy_dim,
-                        &dummies,
-                        &trip_counts,
-                        nodes,
-                    )? {
-                        merge_phase(phases, ph);
-                    }
-                }
-                Ok(())
-            };
-            analyze_expr(rhs, &mut comm_phases)?;
+            // Figure-2 order: the gather level goes out first, then the
+            // computation level, then (when needed) the write-back level.
+            let mut refs = Vec::new();
+            collect_refs(rhs, &mut refs);
             if let Some(m) = &header.mask {
-                analyze_expr(m, &mut comm_phases)?;
+                collect_refs(m, &mut refs);
+            }
+            let first_comm = out.len();
+            for r in &refs {
+                if let Some(ph) = f.classify_ref(r, dist, dummies)? {
+                    merge_phase(out, first_comm, ph);
+                }
             }
 
             // ---- operation counts ----
-            let assign_ops = count_assign(lhs, rhs, self.analyzed, &dummies);
+            let assign_ops = count_assign(lhs, rhs, self.analyzed, dummies);
             let (per_iter, masked_ops, mask_hint) = match &header.mask {
                 None => (assign_ops, None, None),
                 Some(m) => {
-                    let mut mask_ops = count_expr(m, self.analyzed, &dummies);
+                    let mut mask_ops = count_expr(m, self.analyzed, dummies);
                     mask_ops.branches += 1.0;
                     (
                         mask_ops,
@@ -851,53 +886,40 @@ impl<'a> Lower<'a> {
             // Generated loop nest follows header order, last triplet
             // innermost. Memory stride of the inner loop = product of the
             // *local* extents of LHS dims faster-varying than the indexed
-            // dim (column-major).
-            let locality = if self.opts.loop_reorder {
-                // optimizer picks a stride-1 ordering when some dummy
-                // indexes dim 0
-                if trips
+            // dim (column-major). With loop reordering the optimizer picks
+            // a stride-1 ordering when some dummy indexes dim 0.
+            let locality = if self.opts.loop_reorder
+                && trips
                     .iter()
-                    .any(|t| dummy_dim.get(&t.var).map(|&(d, ..)| d) == Some(0))
-                {
-                    1.0
-                } else {
-                    self.inner_locality(&trips.last().map(|t| t.var.clone()), &dummy_dim, lhs_dist)
-                }
+                    .any(|t| f.axis_of(t.var).map(|x| x.dim) == Some(0))
+            {
+                1.0
             } else {
-                self.inner_locality(&trips.last().map(|t| t.var.clone()), &dummy_dim, lhs_dist)
+                f.inner_locality()
             };
 
-            // ---- working set ----
-            let mut arrays_touched: Vec<String> = vec![lhs.name.clone()];
-            let mut refs = Vec::new();
-            collect_refs(rhs, &mut refs);
-            if let Some(m) = &header.mask {
-                collect_refs(m, &mut refs);
-            }
-            for r in &refs {
-                if !arrays_touched.contains(&r.name) {
-                    arrays_touched.push(r.name.clone());
-                }
-            }
+            // ---- working set: every distinct array touched ----
             let max_iters = per_node.iter().copied().max().unwrap_or(0);
-            let ws: u64 = arrays_touched
-                .iter()
+            let ws: u64 = std::iter::once(lhs.name.as_str())
+                .chain(
+                    refs.iter()
+                        .enumerate()
+                        .filter(|&(i, r)| {
+                            r.name != lhs.name && refs[..i].iter().all(|q| q.name != r.name)
+                        })
+                        .map(|(_, r)| r.name.as_str()),
+                )
                 .map(|a| {
-                    let eb = self.dist.get(a).map(|d| d.elem_bytes).unwrap_or(4);
+                    let eb = dist.get(a).map(|d| d.elem_bytes).unwrap_or(4);
                     max_iters.saturating_mul(eb)
                 })
                 .fold(0, u64::saturating_add);
 
-            // Figure-2 order: gather level, then computation level, then
-            // (when needed) the write-back level.
-            for ph in comm_phases {
-                out.push(SpmdNode::Comm(ph));
-            }
             out.push(SpmdNode::Comp(CompPhase {
                 label: format!("forall -> {}", lhs.name),
                 span,
                 total_iters: total,
-                per_node_iters: per_node.clone(),
+                per_node_iters: per_node,
                 per_iter,
                 masked_ops,
                 mask_density_hint: mask_hint,
@@ -923,23 +945,75 @@ impl<'a> Lower<'a> {
         }
         Ok(())
     }
+}
 
-    /// Locality of the innermost generated loop: 1.0 when it strides unit
-    /// through local memory, decreasing as the stride (in elements) grows.
-    fn inner_locality(
-        &self,
-        inner_var: &Option<String>,
-        dummy_dim: &BTreeMap<String, (usize, i64, i64)>,
-        lhs_dist: &ArrayDist,
-    ) -> f64 {
-        let Some(var) = inner_var else { return 1.0 };
-        let Some(&(d, _, _)) = dummy_dim.get(var) else {
+/// One resolved FORALL triplet.
+struct Triplet<'h> {
+    var: &'h str,
+    lo: i64,
+    st: i64,
+    count: u64,
+}
+
+/// An LHS subscript `a·dummy + b` of the FORALL index at position
+/// `triplet`, in dimension `dim`.
+struct Axis {
+    triplet: usize,
+    dim: usize,
+    a: i64,
+    b: i64,
+}
+
+/// One FORALL assignment as communication detection and the locality model
+/// read it: its triplets, the LHS subscripts affine in them, and the LHS
+/// mapping. Indices are looked up by name, so where a name repeats in the
+/// header its last triplet counts, and its last LHS dimension.
+struct Forall<'f> {
+    trips: &'f [Triplet<'f>],
+    axes: &'f [Axis],
+    lhs_dist: &'f ArrayDist,
+    nodes: usize,
+}
+
+impl Forall<'_> {
+    /// The LHS dimension index `var` drives (the last, when it drives
+    /// several).
+    fn axis_of(&self, var: &str) -> Option<&Axis> {
+        self.axes
+            .iter()
+            .rev()
+            .find(|x| self.trips[x.triplet].var == var)
+    }
+
+    /// Trip count of each distinct index name.
+    fn counts(&self) -> impl Iterator<Item = (&str, u64)> + Clone {
+        let trips = self.trips;
+        trips
+            .iter()
+            .enumerate()
+            .filter(move |&(i, t)| trips[i + 1..].iter().all(|u| u.var != t.var))
+            .map(|(_, t)| (t.var, t.count))
+    }
+
+    fn count_of(&self, var: &str) -> Option<u64> {
+        self.counts().find(|&(v, _)| v == var).map(|(_, c)| c)
+    }
+
+    /// Locality of the innermost generated loop (the last triplet): 1.0
+    /// when it strides unit through local memory, decreasing as the stride
+    /// (in elements) grows.
+    fn inner_locality(&self) -> f64 {
+        let Some(inner) = self.trips.last() else {
+            return 1.0;
+        };
+        let Some(&Axis { dim: d, .. }) = self.axis_of(inner.var) else {
             return 0.5;
         };
         if d == 0 {
             return 1.0; // first dimension: unit stride in column-major
         }
         // Stride = product of local extents of faster dims.
+        let lhs_dist = self.lhs_dist;
         let mut stride_elems: i64 = 1;
         for dd in 0..d {
             let pc = lhs_dist.dims[dd].pcount();
@@ -951,32 +1025,28 @@ impl<'a> Lower<'a> {
     }
 
     /// Classify one RHS array reference against the LHS home distribution,
-    /// returning the communication phase it requires (None = local).
-    #[allow(clippy::too_many_arguments)]
+    /// returning the communication phase it requires (None = local). A
+    /// read of the LHS array itself, aligned at zero offset, is local.
     fn classify_ref(
         &self,
         r: &DataRef,
-        lhs: &DataRef,
-        lhs_dist: &ArrayDist,
-        dummy_dim: &BTreeMap<String, (usize, i64, i64)>,
-        dummies: &BTreeMap<String, ()>,
-        trip_counts: &BTreeMap<String, u64>,
-        nodes: usize,
+        dist: &DistributionTable,
+        dummies: &[ForallTriplet],
     ) -> CResult<Option<CommPhase>> {
         if r.subs.is_empty() {
             return Ok(None); // scalar
         }
-        let Some(rd) = self.dist.get(&r.name) else {
+        let Some(rd) = dist.get(&r.name) else {
             return Ok(None);
         };
         if rd.replicated {
             return Ok(None);
         }
-        // Reads of the LHS array at identical subscripts are local.
+        let (lhs_dist, nodes) = (self.lhs_dist, self.nodes);
         let elem = rd.elem_bytes;
 
         // Max per-node iteration volume (for gather sizing).
-        let total_iters = saturating_product(trip_counts.values().copied());
+        let total_iters = saturating_product(self.counts().map(|(_, c)| c));
         let per_node_iters = (total_iters / nodes as u64).max(1);
 
         let mut worst: Option<CommPhase> = None;
@@ -1003,94 +1073,76 @@ impl<'a> Lower<'a> {
             }
             let pdim = rd.dims[d].pdim().expect("distributed");
             match affine_in(e, dummies) {
-                Some((Some(v), a, b)) => {
-                    // Which LHS dim does this dummy drive, and is it mapped
-                    // to the same grid dimension?
-                    match dummy_dim.get(&v) {
-                        Some(&(ld, la, lb2)) => {
-                            let lhs_mapped =
-                                lhs_dist.dims.get(ld).map(|dd| dd.pdim()).unwrap_or(None);
-                            if lhs_mapped == Some(pdim) && a == la {
-                                // Same grid dim, same direction: offset-only.
-                                // Template-space offset:
-                                let (ras, rao) = rd.align[d];
-                                let (las, lao) = lhs_dist.align[ld];
-                                let t_off = (ras * b + rao) - (las * lb2 + lao);
-                                if t_off == 0 && ras == las {
-                                    continue; // perfectly aligned: local
-                                }
-                                // Shift volume: for BLOCK, only the |off|
-                                // boundary planes cross processors; for
-                                // CYCLIC, *every* element's neighbor lives on
-                                // another processor, so the whole local
-                                // portion of the shifted dimension moves.
-                                let pc_shift = lhs_dist.dims[ld].pcount() as u64;
-                                let own_count = trip_counts.get(&v).copied().unwrap_or(1);
-                                let delta = match lhs_dist.dims[ld] {
-                                    crate::dist::DimDist::Cyclic { k, .. } => {
-                                        // δ of every k-block crosses: the
-                                        // local share scaled by min(δ/k, 1).
-                                        let local = own_count.div_ceil(pc_shift.max(1)).max(1);
-                                        let frac_num = t_off.unsigned_abs().min(k as u64);
-                                        // k >= 1 is guaranteed by partition-
-                                        // time validation of the DISTRIBUTE.
-                                        (local * frac_num / k as u64).max(1)
-                                    }
-                                    _ => t_off.unsigned_abs().max(1),
-                                };
-                                let cross = saturating_product(
-                                    trip_counts.iter().filter(|(k, _)| **k != v).map(|(k, c)| {
-                                        // local share if that dummy's dim distributed
-                                        match dummy_dim.get(k) {
-                                            Some(&(dd, ..))
-                                                if lhs_dist.dims[dd].is_distributed() =>
-                                            {
-                                                let pc = lhs_dist.dims[dd].pcount() as u64;
-                                                (*c).div_ceil(pc).max(1)
-                                            }
-                                            _ => *c,
-                                        }
-                                    }),
-                                );
-                                // Contiguous boundary iff the fixed dim is
-                                // the last dimension (column-major hyperplane).
-                                let contiguous = d == rd.rank() - 1 || rd.rank() == 1;
-                                consider(CommPhase {
-                                    label: format!("shift {} (δ={t_off}, dim {})", r.name, d + 1),
-                                    span: r.span,
-                                    op: CollectiveOp::Shift,
-                                    bytes_per_node: saturating_product([delta, cross, elem]).max(1),
-                                    participants: nodes,
-                                    contiguous,
-                                    shift_grid_dim: Some(pdim),
-                                    arrays: vec![r.name.clone()],
-                                });
-                            } else {
-                                // Transposed or cross-mapped access.
-                                consider(CommPhase {
-                                    label: format!("remap {}", r.name),
-                                    span: r.span,
-                                    op: CollectiveOp::AllToAll,
-                                    bytes_per_node: per_node_iters.saturating_mul(elem),
-                                    participants: nodes,
-                                    contiguous: false,
-                                    shift_grid_dim: None,
-                                    arrays: vec![r.name.clone()],
-                                });
+                // Which LHS dim does this dummy drive, and is it mapped to
+                // the same grid dimension?
+                Some((Some(v), a, b)) => match self.axis_of(v) {
+                    Some(&Axis {
+                        dim: ld,
+                        a: la,
+                        b: lb2,
+                        ..
+                    }) => {
+                        let lhs_mapped = lhs_dist.dims.get(ld).map(|dd| dd.pdim()).unwrap_or(None);
+                        if lhs_mapped == Some(pdim) && a == la {
+                            // Same grid dim, same direction: offset-only.
+                            // Template-space offset:
+                            let (ras, rao) = rd.align[d];
+                            let (las, lao) = lhs_dist.align[ld];
+                            let t_off = (ras * b + rao) - (las * lb2 + lao);
+                            if t_off == 0 && ras == las {
+                                continue; // perfectly aligned: local
                             }
-                        }
-                        None => {
-                            // Dummy not partitioned on LHS: iteration runs the
-                            // full range on every node, reading a distributed
-                            // dim → gather of the remote part.
-                            let cnt = trip_counts.get(&v).copied().unwrap_or(1);
-                            let remote =
-                                saturating_product([cnt, elem, nodes as u64 - 1]) / nodes as u64;
+                            // Shift volume: for BLOCK, only the |off|
+                            // boundary planes cross processors; for CYCLIC,
+                            // *every* element's neighbor lives on another
+                            // processor, so the whole local portion of the
+                            // shifted dimension moves.
+                            let pc_shift = lhs_dist.dims[ld].pcount() as u64;
+                            let own_count = self.count_of(v).unwrap_or(1);
+                            let delta = match lhs_dist.dims[ld] {
+                                crate::dist::DimDist::Cyclic { k, .. } => {
+                                    // δ of every k-block crosses: the local
+                                    // share scaled by min(δ/k, 1).
+                                    let local = own_count.div_ceil(pc_shift.max(1)).max(1);
+                                    let frac_num = t_off.unsigned_abs().min(k as u64);
+                                    // k >= 1 is guaranteed by partition-time
+                                    // validation of the DISTRIBUTE.
+                                    (local * frac_num / k as u64).max(1)
+                                }
+                                _ => t_off.unsigned_abs().max(1),
+                            };
+                            // Every other index: its local share when its
+                            // LHS dimension is distributed.
+                            let cross =
+                                saturating_product(self.counts().filter(|&(k, _)| k != v).map(
+                                    |(k, c)| match self.axis_of(k) {
+                                        Some(x) if lhs_dist.dims[x.dim].is_distributed() => {
+                                            let pc = lhs_dist.dims[x.dim].pcount() as u64;
+                                            c.div_ceil(pc).max(1)
+                                        }
+                                        _ => c,
+                                    },
+                                ));
+                            // Contiguous boundary iff the fixed dim is the
+                            // last dimension (column-major hyperplane).
+                            let contiguous = d == rd.rank() - 1 || rd.rank() == 1;
                             consider(CommPhase {
-                                label: format!("gather {}", r.name),
+                                label: format!("shift {} (δ={t_off}, dim {})", r.name, d + 1),
                                 span: r.span,
-                                op: CollectiveOp::Gather,
-                                bytes_per_node: remote.max(1),
+                                op: CollectiveOp::Shift,
+                                bytes_per_node: saturating_product([delta, cross, elem]).max(1),
+                                participants: nodes,
+                                contiguous,
+                                shift_grid_dim: Some(pdim),
+                                arrays: vec![r.name.clone()],
+                            });
+                        } else {
+                            // Transposed or cross-mapped access.
+                            consider(CommPhase {
+                                label: format!("remap {}", r.name),
+                                span: r.span,
+                                op: CollectiveOp::AllToAll,
+                                bytes_per_node: per_node_iters.saturating_mul(elem),
                                 participants: nodes,
                                 contiguous: false,
                                 shift_grid_dim: None,
@@ -1098,13 +1150,31 @@ impl<'a> Lower<'a> {
                             });
                         }
                     }
-                }
-                Some((None, _, c)) => {
+                    None => {
+                        // Dummy not partitioned on LHS: iteration runs the
+                        // full range on every node, reading a distributed dim
+                        // → gather of the remote part.
+                        let cnt = self.count_of(v).unwrap_or(1);
+                        let remote =
+                            saturating_product([cnt, elem, nodes as u64 - 1]) / nodes as u64;
+                        consider(CommPhase {
+                            label: format!("gather {}", r.name),
+                            span: r.span,
+                            op: CollectiveOp::Gather,
+                            bytes_per_node: remote.max(1),
+                            participants: nodes,
+                            contiguous: false,
+                            shift_grid_dim: None,
+                            arrays: vec![r.name.clone()],
+                        });
+                    }
+                },
+                Some((None, _, _)) => {
                     // Constant subscript of a distributed dim: the slice
                     // lives on one coordinate — broadcast it.
-                    let _ = c;
-                    let cross = saturating_product(trip_counts.values().copied())
-                        / trip_counts.values().copied().max().unwrap_or(1).max(1);
+                    let counts = self.counts().map(|(_, c)| c);
+                    let cross =
+                        saturating_product(counts.clone()) / counts.max().unwrap_or(1).max(1);
                     consider(CommPhase {
                         label: format!("broadcast {}", r.name),
                         span: r.span,
@@ -1136,9 +1206,6 @@ impl<'a> Lower<'a> {
                 }
             }
         }
-        // A read of the LHS array itself, aligned at zero offset, is local —
-        // `worst == None` in that case.
-        let _ = lhs;
         Ok(worst.filter(|_| nodes > 1))
     }
 }
@@ -1151,30 +1218,33 @@ fn saturating_product(xs: impl IntoIterator<Item = u64>) -> u64 {
     xs.into_iter().fold(1, u64::saturating_mul)
 }
 
-/// Merge a new comm phase into the list: same (op, array, direction sign)
-/// phases keep the larger payload (the compiler coalesces ghost exchanges).
-fn merge_phase(phases: &mut Vec<CommPhase>, ph: CommPhase) {
-    for p in phases.iter_mut() {
-        if p.op == ph.op
-            && p.arrays == ph.arrays
-            && p.label == ph.label
-            && p.shift_grid_dim == ph.shift_grid_dim
-        {
-            p.bytes_per_node = p.bytes_per_node.max(ph.bytes_per_node);
-            return;
+/// Merge a new comm phase into the phases `out` holds from `first` on: same
+/// (op, array, direction sign) phases keep the larger payload (the compiler
+/// coalesces ghost exchanges).
+fn merge_phase(out: &mut Vec<SpmdNode>, first: usize, ph: CommPhase) {
+    for node in &mut out[first..] {
+        if let SpmdNode::Comm(p) = node {
+            if p.op == ph.op
+                && p.arrays == ph.arrays
+                && p.label == ph.label
+                && p.shift_grid_dim == ph.shift_grid_dim
+            {
+                p.bytes_per_node = p.bytes_per_node.max(ph.bytes_per_node);
+                return;
+            }
         }
     }
-    phases.push(ph);
+    out.push(SpmdNode::Comm(ph));
 }
 
-/// Decompose `e` as `a*dummy + b`; `Some((None, 0, c))` for constants;
-/// `None` for non-affine.
-fn affine_in(e: &Expr, dummies: &BTreeMap<String, ()>) -> Option<(Option<String>, i64, i64)> {
+/// Decompose `e` as `a*dummy + b`, naming the dummy; `Some((None, 0, c))`
+/// for constants; `None` for non-affine.
+fn affine_in<'e>(e: &'e Expr, dummies: &[ForallTriplet]) -> Option<(Option<&'e str>, i64, i64)> {
     match e {
         Expr::IntLit(v, _) => Some((None, 0, *v)),
         Expr::Ref(r) if r.subs.is_empty() => {
-            if dummies.contains_key(&r.name) {
-                Some((Some(r.name.clone()), 1, 0))
+            if is_dummy(dummies, &r.name) {
+                Some((Some(&r.name), 1, 0))
             } else {
                 // Loop variables / scalars: treat as constant-like (affine
                 // offset unknown but uniform) — classify as constant 0.
@@ -1202,7 +1272,7 @@ fn affine_in(e: &Expr, dummies: &BTreeMap<String, ()>) -> Option<(Option<String>
                         (Some(_), Some(_)) => None, // two dummies: non-affine here
                     }
                 }
-                BinOp::Mul => match (l.0.clone(), r.0.clone()) {
+                BinOp::Mul => match (l.0, r.0) {
                     (Some(v), None) => Some((Some(v), l.1 * r.2, l.2 * r.2)),
                     (None, Some(v)) => Some((Some(v), r.1 * l.2, r.2 * l.2)),
                     (None, None) => Some((None, 0, l.2 * r.2)),
@@ -1215,11 +1285,12 @@ fn affine_in(e: &Expr, dummies: &BTreeMap<String, ()>) -> Option<(Option<String>
     }
 }
 
-/// Collect all array references in an expression.
-fn collect_refs(e: &Expr, out: &mut Vec<DataRef>) {
+/// Collect all array references in an expression, each before the ones in
+/// its subscripts.
+fn collect_refs<'e>(e: &'e Expr, out: &mut Vec<&'e DataRef>) {
     match e {
         Expr::Ref(r) if !r.subs.is_empty() => {
-            out.push(r.clone());
+            out.push(r);
             for s in &r.subs {
                 if let Subscript::Index(ix) = s {
                     collect_refs(ix, out);
@@ -1284,6 +1355,6 @@ fn count_residual(e: &Expr, analyzed: &AnalyzedProgram) -> OpCounts {
             c.ftrans += 1.0;
             c
         }
-        other => count_expr(other, analyzed, &BTreeMap::new()),
+        other => count_expr(other, analyzed, &[]),
     }
 }

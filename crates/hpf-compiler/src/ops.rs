@@ -4,7 +4,6 @@
 
 use hpf_lang::ast::*;
 use hpf_lang::sema::{AnalyzedProgram, SymbolKind};
-use std::collections::BTreeMap;
 use std::ops::{Add, AddAssign, Mul};
 
 /// Operation counts per evaluation (fractional: probability-weighted paths).
@@ -105,15 +104,22 @@ pub enum ExprType {
     Logical,
 }
 
-/// Infer the scalar result type of an expression.
-pub fn expr_type(e: &Expr, analyzed: &AnalyzedProgram, dummies: &BTreeMap<String, ()>) -> ExprType {
+/// Whether `name` is the index of one of `dummies`, the FORALL triplets in
+/// scope (integer dummies, register-resident).
+pub(crate) fn is_dummy(dummies: &[ForallTriplet], name: &str) -> bool {
+    dummies.iter().any(|t| t.var == name)
+}
+
+/// Infer the scalar result type of an expression; `dummies` are the FORALL
+/// triplets in scope.
+pub fn expr_type(e: &Expr, analyzed: &AnalyzedProgram, dummies: &[ForallTriplet]) -> ExprType {
     match e {
         Expr::IntLit(..) => ExprType::Int,
         Expr::RealLit(..) => ExprType::Real,
         Expr::LogicalLit(..) => ExprType::Logical,
         Expr::StrLit(..) => ExprType::Int,
         Expr::Ref(r) => {
-            if r.subs.is_empty() && dummies.contains_key(&r.name) {
+            if r.subs.is_empty() && is_dummy(dummies, &r.name) {
                 return ExprType::Int;
             }
             match analyzed.symbols.get(&r.name) {
@@ -165,27 +171,18 @@ pub fn expr_type(e: &Expr, analyzed: &AnalyzedProgram, dummies: &BTreeMap<String
 /// (the optimizer keeps loop-invariant scalars in registers), charging a
 /// quarter-load on average. Transformational intrinsics are *not* counted
 /// here — the lowering pass expands them into phases.
-pub fn count_expr(
-    e: &Expr,
-    analyzed: &AnalyzedProgram,
-    dummies: &BTreeMap<String, ()>,
-) -> OpCounts {
+pub fn count_expr(e: &Expr, analyzed: &AnalyzedProgram, dummies: &[ForallTriplet]) -> OpCounts {
     let mut c = OpCounts::zero();
     count_into(e, analyzed, dummies, &mut c);
     c
 }
 
-fn count_into(
-    e: &Expr,
-    analyzed: &AnalyzedProgram,
-    dummies: &BTreeMap<String, ()>,
-    c: &mut OpCounts,
-) {
+fn count_into(e: &Expr, analyzed: &AnalyzedProgram, dummies: &[ForallTriplet], c: &mut OpCounts) {
     match e {
         Expr::IntLit(..) | Expr::RealLit(..) | Expr::LogicalLit(..) | Expr::StrLit(..) => {}
         Expr::Ref(r) => {
             if r.subs.is_empty() {
-                let is_dummy = dummies.contains_key(&r.name);
+                let is_dummy = is_dummy(dummies, &r.name);
                 let is_param = matches!(
                     analyzed.symbols.get(&r.name).map(|s| &s.kind),
                     Some(SymbolKind::Parameter { .. })
@@ -283,7 +280,7 @@ pub fn count_assign(
     lhs: &DataRef,
     rhs: &Expr,
     analyzed: &AnalyzedProgram,
-    dummies: &BTreeMap<String, ()>,
+    dummies: &[ForallTriplet],
 ) -> OpCounts {
     let mut c = count_expr(rhs, analyzed, dummies);
     c.stores += 1.0;
@@ -308,13 +305,17 @@ mod tests {
         analyze(&parse_program(src).unwrap(), &Map::new()).unwrap()
     }
 
-    fn first_assign(a: &AnalyzedProgram) -> (&DataRef, &Expr) {
-        fn find(stmts: &[Stmt]) -> Option<(&DataRef, &Expr)> {
+    /// The first assignment, with the triplets of the FORALL around it.
+    fn first_assign(a: &AnalyzedProgram) -> (&[ForallTriplet], &DataRef, &Expr) {
+        fn find<'p>(
+            stmts: &'p [Stmt],
+            triplets: &'p [ForallTriplet],
+        ) -> Option<(&'p [ForallTriplet], &'p DataRef, &'p Expr)> {
             for s in stmts {
                 match s {
-                    Stmt::Assign { lhs, rhs, .. } => return Some((lhs, rhs)),
-                    Stmt::Forall { body, .. } => {
-                        if let Some(r) = find(body) {
+                    Stmt::Assign { lhs, rhs, .. } => return Some((triplets, lhs, rhs)),
+                    Stmt::Forall { header, body, .. } => {
+                        if let Some(r) = find(body, &header.triplets) {
                             return Some(r);
                         }
                     }
@@ -323,7 +324,7 @@ mod tests {
             }
             None
         }
-        find(&a.program.body).expect("assignment")
+        find(&a.program.body, &[]).expect("assignment")
     }
 
     #[test]
@@ -331,11 +332,9 @@ mod tests {
         let a = prog(
             "PROGRAM T\nREAL U(8,8), V(8,8)\nFORALL (I=2:7, J=2:7) V(I,J) = 0.25 * (U(I-1,J) + U(I+1,J) + U(I,J-1) + U(I,J+1))\nEND\n",
         );
-        let (lhs, rhs) = first_assign(&a);
-        let mut dum = Map::new();
-        dum.insert("I".to_string(), ());
-        dum.insert("J".to_string(), ());
-        let c = count_assign(lhs, rhs, &a, &dum);
+        let (dummies, lhs, rhs) = first_assign(&a);
+        assert_eq!(dummies.len(), 2);
+        let c = count_assign(lhs, rhs, &a, dummies);
         assert_eq!(c.fadd, 3.0); // the three FP adds between U refs
         assert_eq!(c.int_ops, 4.0); // the four I±1 / J±1 offset computations
         assert_eq!(c.fmul, 1.0);
@@ -347,8 +346,8 @@ mod tests {
     #[test]
     fn integer_vs_real_ops() {
         let a = prog("PROGRAM T\nINTEGER K, M\nK = M * 3 + 1\nEND\n");
-        let (lhs, rhs) = first_assign(&a);
-        let c = count_assign(lhs, rhs, &a, &Map::new());
+        let (_, lhs, rhs) = first_assign(&a);
+        let c = count_assign(lhs, rhs, &a, &[]);
         assert_eq!(c.imul, 1.0);
         assert_eq!(c.int_ops, 1.0);
         assert_eq!(c.fmul, 0.0);
@@ -357,8 +356,8 @@ mod tests {
     #[test]
     fn transcendental_counted() {
         let a = prog("PROGRAM T\nREAL X, Y\nY = SQRT(X) + EXP(X)\nEND\n");
-        let (lhs, rhs) = first_assign(&a);
-        let c = count_assign(lhs, rhs, &a, &Map::new());
+        let (_, lhs, rhs) = first_assign(&a);
+        let c = count_assign(lhs, rhs, &a, &[]);
         assert_eq!(c.ftrans, 2.0);
         assert_eq!(c.fadd, 1.0);
     }
@@ -366,8 +365,8 @@ mod tests {
     #[test]
     fn division_distinguished() {
         let a = prog("PROGRAM T\nREAL X, Y\nY = 1.0 / X\nEND\n");
-        let (_, rhs) = first_assign(&a);
-        let c = count_expr(rhs, &a, &Map::new());
+        let (_, _, rhs) = first_assign(&a);
+        let c = count_expr(rhs, &a, &[]);
         assert_eq!(c.fdiv, 1.0);
         assert_eq!(c.fmul, 0.0);
     }
@@ -375,8 +374,8 @@ mod tests {
     #[test]
     fn integer_power_becomes_multiplies() {
         let a = prog("PROGRAM T\nREAL X, Y\nY = X ** 4\nEND\n");
-        let (_, rhs) = first_assign(&a);
-        let c = count_expr(rhs, &a, &Map::new());
+        let (_, _, rhs) = first_assign(&a);
+        let c = count_expr(rhs, &a, &[]);
         assert_eq!(c.ftrans, 0.0);
         assert!(c.fmul >= 2.0);
     }
@@ -384,8 +383,8 @@ mod tests {
     #[test]
     fn expr_type_inference() {
         let a = prog("PROGRAM T\nINTEGER K\nREAL X\nX = K + 1\nEND\n");
-        let (_, rhs) = first_assign(&a);
-        assert_eq!(expr_type(rhs, &a, &Map::new()), ExprType::Int);
+        let (_, _, rhs) = first_assign(&a);
+        assert_eq!(expr_type(rhs, &a, &[]), ExprType::Int);
     }
 
     #[test]

@@ -350,6 +350,53 @@ END
         .next_back()
         .unwrap();
     assert_eq!(comp.total_iters, 64);
+
+    // The precedence of the names a bound resolves: a DO variable's
+    // midpoint bounds a nested FORALL, a user value for the variable beats
+    // the midpoint, and an enclosing DO or DO WHILE binding beats a traced
+    // value of the same name.
+    let src = "
+PROGRAM D
+INTEGER K, L
+REAL A(128)
+K = 5
+L = 64
+DO K = 1, 64
+  FORALL (I=1:K) A(I) = 1.0
+END DO
+DO WHILE (L > 1)
+  FORALL (I=1:L) A(I) = 1.0
+  L = L / 2
+END DO
+END
+";
+    let a = analyze(&parse_program(src).unwrap(), &BTreeMap::new()).unwrap();
+    assert_eq!(a.resolved_critical.get("K"), Some(&5));
+    assert_eq!(a.resolved_critical.get("L"), Some(&64));
+    let forall_trips = |critical_values: &[(&str, i64)]| -> Vec<u64> {
+        let opts = CompileOptions {
+            nodes: 2,
+            critical_values: critical_values
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v))
+                .collect(),
+            ..Default::default()
+        };
+        let sp = compile(&a, &opts).unwrap();
+        assert!(sp.warnings.is_empty(), "{:?}", sp.warnings);
+        phases(&sp)
+            .iter()
+            .filter_map(|n| match n {
+                SpmdNode::Comp(c) => Some(c.total_iters),
+                _ => None,
+            })
+            .collect()
+    };
+    // K's midpoint over 1..64 is 32; L's geometric mean over its six
+    // halvings (32, 16, 8, 4, 2, 1) rounds to 11.
+    assert_eq!(forall_trips(&[]), [32, 11]);
+    assert_eq!(forall_trips(&[("K", 10)]), [10, 11]);
+    assert_eq!(forall_trips(&[("L", 7)]), [32, 7]);
 }
 
 #[test]

@@ -147,15 +147,16 @@ pub fn analyze_front(
 /// each PROCESSORS extent, each DISTRIBUTE's rank against its target, and
 /// its distributed dimensions against the ONTO arrangement. `directives`
 /// must be the front half's own list with only those formats and shapes
-/// rewritten, as a directive candidate is.
-pub fn check_directives(
+/// rewritten, as a directive candidate is; any iterator of borrowed
+/// directives works, so a candidate need not own an unchanged entry.
+pub fn check_directives<'d>(
     front: &AnalyzedProgram,
-    directives: &[Directive],
+    directives: impl IntoIterator<Item = &'d Directive>,
     overrides: &BTreeMap<String, i64>,
 ) -> LangResult<()> {
     let mut checks = DirectiveChecks::new(overrides);
     directives
-        .iter()
+        .into_iter()
         .try_for_each(|d| checks.check(&front.symbols, d))
 }
 

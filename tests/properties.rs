@@ -77,38 +77,54 @@ proptest! {
         st in 1i64..6,
         st_negative in 0u8..2,
     ) {
-        let ub = lb + extent - 1;
         let stride = if align_negative == 1 { -align_stride } else { align_stride };
         let st = if st_negative == 1 { -st } else { st };
+        let ad = one_dim(lb, extent, dim_dist(format, p, textent, k), stride, offset);
+        owned_counts_match(&ad, p, lo, lo + len * st.signum(), st)?;
+    }
+
+    /// The same counts far from zero, where the closed forms' products and
+    /// floor sums pass 64 bits: the array's lower bound, the triplet's
+    /// start and the alignment offset sit near ±2^31, ±2^40 or ±2^60; the template extent and CYCLIC(k) block size are small or
+    /// near 2^40, 2^61 or 2^62; the triplet's stride is small or near 2^20
+    /// or 2^50. Lengths stay below 330, so the brute force stays cheap. A
+    /// case whose cells would reach 2^62 is skipped: the oracle,
+    /// `owner_coord`, computes them in an `i64`.
+    #[test]
+    fn owned_count_matches_bruteforce_far_from_zero(
+        scale in 0usize..3,
+        lb_negative in 0u8..2,
+        lb_jitter in -400i64..400,
+        offset_negative in 0u8..2,
+        offset_jitter in -400i64..400,
+        lo_jitter in -400i64..400,
+        extent in 0i64..330,
+        size_scale in 0usize..4,
+        size in 1i64..400,
+        p in 1i64..70,
+        format in 0u8..3,
+        align_stride in 1i64..4,
+        align_negative in 0u8..2,
+        len in -20i64..330,
+        st_scale in 0usize..3,
+        st in 1i64..6,
+        st_negative in 0u8..2,
+    ) {
+        let far = [1i64 << 31, 1 << 40, 1 << 60][scale];
+        let sign = |negative: u8| if negative == 1 { -1 } else { 1 };
+        let lb = sign(lb_negative) * far + lb_jitter;
+        let offset = sign(offset_negative) * far + offset_jitter;
+        let size = [0, 1i64 << 40, 1 << 61, 1 << 62][size_scale] + size;
+        let stride = sign(align_negative) * align_stride;
+        let st = sign(st_negative) * ([0, 1i64 << 20, 1 << 50][st_scale] + st);
+        let lo = lb + lo_jitter;
         let hi = lo + len * st.signum();
-        let dim = match format {
-            0 => DimDist::Block { pdim: 0, pcount: p, block: (textent + p - 1) / p },
-            1 => DimDist::Cyclic { pdim: 0, pcount: p, k: 1 },
-            _ => DimDist::Cyclic { pdim: 0, pcount: p, k },
-        };
-        let ad = ArrayDist {
-            array: "A".into(),
-            bounds: vec![(lb, ub)],
-            align: vec![(stride, offset)],
-            dims: vec![dim],
-            replicated: false,
-            elem_bytes: 4,
-        };
-        let brute = |c: i64, lo: i64, hi: i64, st: i64| {
-            let mut n = 0u64;
-            let mut i = lo;
-            while (st > 0 && i <= hi) || (st < 0 && i >= hi) {
-                if ad.owner_coord(0, i) == c {
-                    n += 1;
-                }
-                i += st;
-            }
-            n
-        };
-        for c in -1..=p {
-            prop_assert_eq!(ad.owned_count_in_range(0, c, lo, hi, st), brute(c, lo, hi, st), "c={}", c);
-            prop_assert_eq!(ad.local_extent(0, c), brute(c, lb, ub, 1) as i64, "c={}", c);
+        let cell = |i: i64| (stride as i128 * i as i128 + offset as i128).abs();
+        if [lb, lb + extent - 1, lo, hi].into_iter().any(|i| cell(i) >= 1 << 62) {
+            return Ok(());
         }
+        let ad = one_dim(lb, extent, dim_dist(format, p, size, size), stride, offset);
+        owned_counts_match(&ad, p, lo, hi, st)?;
     }
 
     /// Pretty-printing is a fixpoint: parse(pretty(parse(s))) == pretty(parse(s)).
@@ -798,4 +814,66 @@ mod forall_gen {
             }
         }
     }
+}
+
+/// BLOCK over a template of `textent` cells, CYCLIC or CYCLIC(`k`) on `p`
+/// processors, by `format` 0, 1 or 2.
+fn dim_dist(format: u8, p: i64, textent: i64, k: i64) -> DimDist {
+    match format {
+        0 => DimDist::Block {
+            pdim: 0,
+            pcount: p,
+            block: (textent + p - 1) / p,
+        },
+        1 => DimDist::Cyclic {
+            pdim: 0,
+            pcount: p,
+            k: 1,
+        },
+        _ => DimDist::Cyclic {
+            pdim: 0,
+            pcount: p,
+            k,
+        },
+    }
+}
+
+/// A one-dimensional array `A(lb : lb + extent - 1)` aligned to template
+/// cell `stride·i + offset`, mapped by `dim`.
+fn one_dim(lb: i64, extent: i64, dim: DimDist, stride: i64, offset: i64) -> ArrayDist {
+    ArrayDist {
+        array: "A".into(),
+        bounds: vec![(lb, lb + extent - 1)],
+        align: vec![(stride, offset)],
+        dims: vec![dim],
+        replicated: false,
+        elem_bytes: 4,
+    }
+}
+
+/// `owned_count_in_range` over `lo:hi:st` and `local_extent` equal a walk
+/// of `owner_coord` at every coordinate of `p` and the two just outside.
+fn owned_counts_match(ad: &ArrayDist, p: i64, lo: i64, hi: i64, st: i64) -> Result<(), String> {
+    let brute = |c: i64, lo: i64, hi: i64, st: i64| {
+        let mut n = 0u64;
+        let mut i = lo;
+        while (st > 0 && i <= hi) || (st < 0 && i >= hi) {
+            if ad.owner_coord(0, i) == c {
+                n += 1;
+            }
+            i += st;
+        }
+        n
+    };
+    let (lb, ub) = ad.bounds[0];
+    for c in -1..=p {
+        prop_assert_eq!(
+            ad.owned_count_in_range(0, c, lo, hi, st),
+            brute(c, lo, hi, st),
+            "c={}",
+            c
+        );
+        prop_assert_eq!(ad.local_extent(0, c), brute(c, lb, ub, 1) as i64, "c={}", c);
+    }
+    Ok(())
 }
