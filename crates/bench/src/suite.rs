@@ -255,7 +255,7 @@ fn serve_predict_case(batch: usize) -> BenchCase {
         headers: Vec::new(),
         body: body.as_bytes().to_vec(),
     };
-    // Warm every distinct body (bind + interpret + body cache) outside
+    // Warm every distinct body (bind + interpret + response cache) outside
     // the timed region.
     for b in &bodies {
         assert_eq!(api.handle(&request(b)).status, 200);

@@ -3,8 +3,8 @@
 //!
 //! Handlers are deterministic — the same request always produces the same
 //! bytes, whatever worker runs it and in whatever order requests arrive —
-//! which is what lets the body cache serve repeats verbatim and what the
-//! cross-worker byte-identity tests pin down. The pieces that make this
+//! which is what lets the response cache serve repeats verbatim and what
+//! the cross-worker byte-identity tests pin down. The pieces that make this
 //! hold: all JSON objects are `BTreeMap`-backed (sorted keys), floats are
 //! formatted by the same `Display` path everywhere, the prediction and
 //! simulation engines are seeded and deterministic, and response bodies
@@ -15,8 +15,7 @@
 //! stderr ([`PipelineError::render_diagnostic`]) — one diagnostic, two
 //! transports. Expired deadlines come back as 504 with the stage that was
 //! about to start — including a deadline that is already dead at *parse*
-//! time, which short-circuits before the cache lookup or any pipeline
-//! stage runs.
+//! time, which short-circuits before any pipeline stage runs.
 //!
 //! Degradation surface: the expensive DES cross-check behind
 //! `simulate: true` sweeps and the advisor's top-k validation runs under
@@ -25,7 +24,8 @@
 //! `"degraded": true`. Degraded bodies are never stored in the response
 //! cache, so a healthy breaker never replays them.
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 use hpf_trace::json::{parse as parse_json, Value};
 use interp::{InterpOptions, InterpretationEngine, Prediction};
@@ -34,8 +34,8 @@ use report::PipelineError;
 
 use crate::breaker::{Breaker, BreakerConfig, BreakerOutcome};
 use crate::cache::{
-    body_cache_key, CacheConfig, Deadline, FlightJoin, FlightWait, ServeCache, ServeFailure,
-    WireEntry,
+    response_key, CacheConfig, CachedResponse, Deadline, FlightJoin, FlightWait, ServeCache,
+    ServeFailure,
 };
 use crate::http::Request;
 use crate::metrics::ServeMetrics;
@@ -225,6 +225,36 @@ fn bad_request(message: impl Into<String>) -> ApiResponse {
     )
 }
 
+/// A 200 that the breaker may have served analytic-only: a degraded body
+/// carries `"degraded": true` and is never cached.
+fn ok_or_degraded(mut top: Vec<(&str, Value)>, degraded: bool) -> ApiResponse {
+    if degraded {
+        top.push(("degraded", Value::Bool(true)));
+        return ApiResponse::json_uncacheable(200, &Value::obj(top));
+    }
+    ApiResponse::json(200, &Value::obj(top))
+}
+
+/// One row of an advise ranking; `machine` names the backend in a
+/// cross-machine ranking.
+fn ranked_value(c: &hpf_advisor::RankedCandidate, machine: Option<&str>) -> Value {
+    let mut entry: Vec<(&str, Value)> = vec![
+        ("directives", Value::Str(c.label.clone())),
+        ("predicted_s", num(c.predicted_s)),
+        ("metrics", metrics_value(&c.metrics)),
+    ];
+    if let Some(m) = machine {
+        entry.push(("machine", Value::Str(m.to_string())));
+    }
+    if let Some(s) = c.simulated_s {
+        entry.push(("simulated_s", num(s)));
+    }
+    if let Some(e) = c.sim_error_pct {
+        entry.push(("sim_error_pct", num(e)));
+    }
+    Value::obj(entry)
+}
+
 /// What a predict/sweep/advise body may select: a suite kernel by name, or
 /// inline HPF source.
 enum Target {
@@ -287,44 +317,37 @@ fn deadline_from(body: &Value) -> Result<Deadline, ApiResponse> {
     }
 }
 
-/// The per-kernel latency sketch name, preallocated for every suite
-/// kernel so the hot path records without a `format!` per request.
-/// Unknown names (a request for a kernel that does not exist still gets
-/// its latency recorded) fall back to an owned allocation.
-fn kernel_metric_name(name: &str) -> std::borrow::Cow<'static, str> {
-    use std::collections::HashMap;
-    use std::sync::OnceLock;
+/// The per-kernel latency sketch (`serve.latency.kernel.<name>`) of the
+/// kernel `name` resolves to, under its canonical name, so every spelling
+/// [`kernels::kernel_by_name`] accepts feeds one sketch. `None` when
+/// `name` names no kernel: a client cannot make the server keep a sketch.
+fn kernel_metric_name(name: &str) -> Option<&'static str> {
     static NAMES: OnceLock<HashMap<&'static str, String>> = OnceLock::new();
     let names = NAMES.get_or_init(|| {
         kernels::all_kernels()
-            .iter()
+            .into_iter()
+            .chain(kernels::ooc_kernels())
             .map(|k| (k.name, format!("serve.latency.kernel.{}", k.name)))
             .collect()
     });
-    match names.get(name) {
-        Some(s) => std::borrow::Cow::Borrowed(s.as_str()),
-        None => std::borrow::Cow::Owned(format!("serve.latency.kernel.{name}")),
-    }
+    names
+        .get(kernels::kernel_by_name(name)?.name)
+        .map(String::as_str)
 }
 
-/// The per-machine latency sketch name (`serve.latency.machine.<name>`),
-/// preallocated for every registered backend. Only requests that name a
-/// machine explicitly record here — the default-machine bulk of traffic
+/// The per-machine latency sketch (`serve.latency.machine.<name>`) of a
+/// registered backend; `None` for any other name. Only requests that name
+/// a machine explicitly record here — the default-machine bulk of traffic
 /// already lands on the per-endpoint sketches.
-fn machine_metric_name(name: &str) -> std::borrow::Cow<'static, str> {
-    use std::collections::HashMap;
-    use std::sync::OnceLock;
+fn machine_metric_name(name: &str) -> Option<&'static str> {
     static NAMES: OnceLock<HashMap<&'static str, String>> = OnceLock::new();
     let names = NAMES.get_or_init(|| {
         hpf_machines::machine_names()
-            .iter()
-            .map(|m| (*m, format!("serve.latency.machine.{m}")))
+            .into_iter()
+            .map(|m| (m, format!("serve.latency.machine.{m}")))
             .collect()
     });
-    match names.get(name) {
-        Some(s) => std::borrow::Cow::Borrowed(s.as_str()),
-        None => std::borrow::Cow::Owned(format!("serve.latency.machine.{name}")),
-    }
+    names.get(name).map(String::as_str)
 }
 
 /// The optional `"machine"` body field: absent means the default backend
@@ -528,26 +551,29 @@ impl Api {
         }
     }
 
-    /// Parse the body, serve from the body cache when the canonical
-    /// request was answered before, compute and store otherwise. Only
-    /// cacheable 200 responses are stored: errors are cheap to
-    /// recompute, a 504 depends on the deadline, and degraded bodies
-    /// depend on breaker state, not the request.
+    /// Serve a POST from the response cache when the exact request was
+    /// answered before; parse, compute and store otherwise. The cache key
+    /// is the path plus the raw body bytes, looked up before any parse, so
+    /// a warm repeat costs one hash lookup. Only cacheable 200 responses
+    /// are stored: errors are cheap to recompute, a 504 depends on the
+    /// deadline, and degraded bodies depend on breaker state, not the
+    /// request.
     ///
-    /// Cold misses are single-flighted: the first request for a key
-    /// becomes the leader and computes; concurrent duplicates park and
-    /// receive the leader's body verbatim when it was a cacheable 200.
-    /// A leader that produced anything else (error, degraded, 504)
-    /// releases its waiters to compute independently — coalescing must
-    /// never replay a response that depends on transient service state.
-    /// Parked waiters honor their own deadlines: a budget that expires
-    /// while parked answers 504 (stage `coalesce`) without waiting out
-    /// the leader.
+    /// Cold misses are single-flighted under the same key: the first
+    /// request becomes the leader and computes; concurrent duplicates park
+    /// and receive the leader's body verbatim when it was a cacheable 200.
+    /// The leader stores that body before it releases its waiters, so a
+    /// duplicate arriving after the flight ends is a hit. A leader that
+    /// produced anything else (error, degraded, 504) releases its waiters
+    /// to compute independently — coalescing must never replay a response
+    /// that depends on transient service state. Parked waiters honor their
+    /// own deadlines: a budget that expires while parked answers 504
+    /// (stage `coalesce`) without waiting out the leader.
     ///
     /// A deadline that is already dead when the body is parsed
-    /// short-circuits to 504 here — before the cache lookup and before
-    /// any pipeline stage runs, so an overloaded client's expired work
-    /// costs one JSON parse and nothing more.
+    /// short-circuits to 504 here — before any pipeline stage runs, so an
+    /// overloaded client's expired work costs one JSON parse and nothing
+    /// more.
     fn cached_post(
         &self,
         req: &Request,
@@ -558,22 +584,21 @@ impl Api {
             Ok(t) => t,
             Err(_) => return bad_request("body is not UTF-8"),
         };
-        // Wire memo: an exact byte-repeat of a previously answered
-        // cacheable request skips the parse and canonicalization below
-        // entirely. Only cacheable 200s are ever stored, and identical
-        // bytes always canonicalize to the same key, so this can never
-        // disagree with the canonical layers.
-        let t_wire = hpf_trace::enabled().then(std::time::Instant::now);
-        if let Some(hit) = self.cache.wire_lookup(&req.path, text) {
-            if let Some(t0) = t_wire {
+        // Per-kernel and per-machine latency sketches cover both the warm
+        // and cold paths, so each distribution reflects what callers of
+        // that kernel or machine actually observed.
+        let t0 = hpf_trace::enabled().then(std::time::Instant::now);
+        let record = |metrics: [Option<&'static str>; 2]| {
+            if let Some(t0) = t0 {
                 let elapsed = t0.elapsed().as_secs_f64();
-                if let Some(name) = hit.kernel_metric.as_deref() {
-                    hpf_trace::sketch_record(name, elapsed);
-                }
-                if let Some(name) = hit.machine_metric.as_deref() {
+                for name in metrics.into_iter().flatten() {
                     hpf_trace::sketch_record(name, elapsed);
                 }
             }
+        };
+        let key = response_key(&req.path, text);
+        if let Some(hit) = self.cache.response(&key) {
+            record([hit.kernel_metric, hit.machine_metric]);
             return ApiResponse {
                 status: 200,
                 body: hit.body.clone(),
@@ -596,86 +621,64 @@ impl Api {
             }
             Err(resp) => return resp,
         };
-        let key = body_cache_key(&req.path, &body);
-        // Per-kernel latency sketch: covers both the warm (body-cache
-        // hit) and cold paths, so the distribution reflects what callers
-        // of this kernel actually observed.
-        let t0 = hpf_trace::enabled().then(std::time::Instant::now);
-        let record_kernel = |resp: ApiResponse| {
-            if let Some(t0) = t0 {
-                let elapsed = t0.elapsed().as_secs_f64();
-                if let Some(name) = body.get("kernel").and_then(Value::as_str) {
-                    hpf_trace::sketch_record(&kernel_metric_name(name), elapsed);
-                }
-                if let Some(name) = body.get("machine").and_then(Value::as_str) {
-                    hpf_trace::sketch_record(&machine_metric_name(name), elapsed);
-                }
+        hpf_trace::counter_add("serve.cache.miss", 1);
+        let kernel_metric = body
+            .get("kernel")
+            .and_then(Value::as_str)
+            .and_then(kernel_metric_name);
+        let machine_metric = body
+            .get("machine")
+            .and_then(Value::as_str)
+            .and_then(machine_metric_name);
+        let flight = self.cache.join_flight(&key);
+        // Run the handler and store a cacheable 200 (moving the key: one
+        // store per request at most).
+        let compute = || {
+            let response = handler(self, &body, ctx);
+            if response.status == 200 && response.cacheable {
+                self.cache.store_response(
+                    key,
+                    CachedResponse {
+                        body: response.body.clone(),
+                        kernel_metric,
+                        machine_metric,
+                    },
+                );
             }
-            resp
+            response
         };
-        let response = if let Some(cached) = self.cache.cached_body(&key) {
-            ApiResponse {
-                status: 200,
-                body: cached,
-                cacheable: true,
-            }
-        } else {
-            match self.cache.join_flight(&key) {
-                FlightJoin::Leader(leader) => {
-                    hpf_trace::counter_add("serve.singleflight.leader", 1);
-                    let response = handler(self, &body, ctx);
-                    if response.status == 200 && response.cacheable {
-                        let shared = self.cache.store_body(&key, response.body.clone());
-                        leader.publish_shared(shared);
-                    }
-                    // Anything else: the leader guard drops unpublished and
-                    // the waiters recompute on their own (solo).
-                    response
+        let response = match flight {
+            FlightJoin::Leader(leader) => {
+                hpf_trace::counter_add("serve.singleflight.leader", 1);
+                let response = compute();
+                if response.status == 200 && response.cacheable {
+                    leader.publish_shared(response.body.clone());
                 }
-                FlightJoin::Waiter(flight) => {
-                    hpf_trace::counter_add("serve.singleflight.parked", 1);
-                    match flight.wait(&deadline) {
-                        FlightWait::Shared(shared) => ApiResponse {
-                            status: 200,
-                            body: shared,
-                            cacheable: true,
-                        },
-                        FlightWait::Solo => {
-                            let response = handler(self, &body, ctx);
-                            if response.status == 200 && response.cacheable {
-                                self.cache.store_body(&key, response.body.clone());
-                            }
-                            response
-                        }
-                        FlightWait::Expired => {
-                            hpf_trace::counter_add("serve.deadline_exceeded", 1);
-                            let f = ServeFailure::Deadline { stage: "coalesce" };
-                            let source = body.get("source").and_then(Value::as_str);
-                            let (status, value) = failure_value(&f, source);
-                            ApiResponse::json(status, &value)
-                        }
+                // Anything else: the leader guard drops unpublished and
+                // the waiters recompute on their own (solo).
+                response
+            }
+            FlightJoin::Waiter(flight) => {
+                hpf_trace::counter_add("serve.singleflight.parked", 1);
+                match flight.wait(&deadline) {
+                    FlightWait::Shared(shared) => ApiResponse {
+                        status: 200,
+                        body: shared,
+                        cacheable: true,
+                    },
+                    FlightWait::Solo => compute(),
+                    FlightWait::Expired => {
+                        hpf_trace::counter_add("serve.deadline_exceeded", 1);
+                        let f = ServeFailure::Deadline { stage: "coalesce" };
+                        let source = body.get("source").and_then(Value::as_str);
+                        let (status, value) = failure_value(&f, source);
+                        ApiResponse::json(status, &value)
                     }
                 }
             }
         };
-        if response.status == 200 && response.cacheable {
-            self.cache.wire_store(
-                &req.path,
-                text,
-                WireEntry {
-                    body: response.body.clone(),
-                    kernel_metric: body
-                        .get("kernel")
-                        .and_then(Value::as_str)
-                        .map(|n| kernel_metric_name(n).into_owned()),
-                    machine_metric: body
-                        .get("machine")
-                        .and_then(Value::as_str)
-                        .map(|n| machine_metric_name(n).into_owned()),
-                },
-            );
-        }
-        record_kernel(response)
+        record([kernel_metric, machine_metric]);
+        response
     }
 
     /// Bind the request's target to `(n, procs)` through the warm caches.
@@ -848,14 +851,23 @@ impl Api {
         let _batch = hpf_trace::span("batch");
         hpf_trace::counter_add("serve.batch.sessions", 1);
         hpf_trace::counter_add("serve.batch.points", sizes.len() as u64);
-        let looked_up = match &target {
-            Target::Kernel(name) => self.cache.kernel_artifact(name).map(drop),
-            Target::Source(src) => self.cache.source_program(src).map(drop),
+        let artifact = match &target {
+            Target::Kernel(name) => self.cache.kernel_artifact(name).map(Some),
+            Target::Source(src) => self.cache.source_program(src).map(|_| None),
         };
-        if let Err(f) = looked_up {
-            let (status, value) = failure_value(&f, target.source_text());
-            return ApiResponse::json(status, &value);
-        }
+        let artifact = match artifact {
+            Ok(a) => a,
+            Err(f) => {
+                let (status, value) = failure_value(&f, target.source_text());
+                return ApiResponse::json(status, &value);
+            }
+        };
+        // The text the profile memo keys on: the kernel's canonical source
+        // or the inline source.
+        let profile_source = match &artifact {
+            Some(a) => a.canonical_source(),
+            None => target.source_text().unwrap_or_default(),
+        };
         let machine = match report::pipeline::calibrated_machine_for(
             machine_name
                 .as_deref()
@@ -907,7 +919,7 @@ impl Api {
                         panic!("chaos: injected DES cross-check panic");
                     }
                     let (profile, _) =
-                        report::shared_profile(&bound.canonical, n, 50_000_000, &bound.analyzed);
+                        report::shared_profile(profile_source, n, 50_000_000, &bound.analyzed);
                     let sim_machine = report::pipeline::machine_params(sim_machine_name, procs)
                         .expect("machine validated before the sweep loop");
                     let sim = Simulator::with_config(
@@ -944,15 +956,7 @@ impl Api {
         if let Some(m) = &machine_name {
             top.push(("machine", Value::Str(m.clone())));
         }
-        if degraded {
-            top.push(("degraded", Value::Bool(true)));
-        }
-        let value = Value::obj(top);
-        if degraded {
-            ApiResponse::json_uncacheable(200, &value)
-        } else {
-            ApiResponse::json(200, &value)
-        }
+        ok_or_degraded(top, degraded)
     }
 
     /// Sizes from either an explicit `"sizes": [..]` array or a
@@ -1075,33 +1079,16 @@ impl Api {
                 return ApiResponse::json(400, &pipeline_error_value(&e, Some(source)));
             }
         };
-        // The cross-validating search runs under the breaker. On an open
-        // breaker or a contained panic, fall back to the same search with
-        // the simulator fanned down to zero candidates — the analytic
-        // ranking is identical (simulation never reorders it), only the
-        // `simulated_s`/`sim_error_pct` columns disappear.
         // The advisor search is already a bind-once/evaluate-many batch
         // over its candidate directive space; count it on the same batch
         // telemetry as sweeps so `/v1/advise` and `/v1/sweep` report
         // comparable evaluation work.
         let _batch = hpf_trace::span("batch");
         hpf_trace::counter_add("serve.batch.sessions", 1);
-        let shown_k = cfg.top_k;
         if let Some(names) = &machines_list {
-            return self.advise_cross(&advisor, &cfg, names, &target, shown_k);
+            return self.advise_cross(&advisor, &cfg, names, &target);
         }
-        let (report, degraded) = match self.breaker.call(|| advisor.search(&cfg)) {
-            BreakerOutcome::Ok(r) => (r, false),
-            BreakerOutcome::Rejected | BreakerOutcome::Failed(_) => {
-                hpf_trace::counter_add("serve.degraded", 1);
-                self.metrics.note_degraded();
-                let degraded_cfg = hpf_advisor::AdvisorConfig {
-                    top_k: 0,
-                    ..cfg.clone()
-                };
-                (advisor.search(&degraded_cfg), true)
-            }
-        };
+        let (report, degraded) = self.search_guarded(&cfg, |cfg| advisor.search(cfg));
         let report = match report {
             Ok(r) => r,
             Err(e) => {
@@ -1114,21 +1101,8 @@ impl Api {
         let ranked: Vec<Value> = report
             .ranked
             .iter()
-            .take(shown_k)
-            .map(|c| {
-                let mut entry: Vec<(&str, Value)> = vec![
-                    ("directives", Value::Str(c.label.clone())),
-                    ("predicted_s", num(c.predicted_s)),
-                    ("metrics", metrics_value(&c.metrics)),
-                ];
-                if let Some(s) = c.simulated_s {
-                    entry.push(("simulated_s", num(s)));
-                }
-                if let Some(e) = c.sim_error_pct {
-                    entry.push(("sim_error_pct", num(e)));
-                }
-                Value::obj(entry)
-            })
+            .take(cfg.top_k)
+            .map(|c| ranked_value(c, None))
             .collect();
         let mut top: Vec<(&str, Value)> = vec![
             ("schema", Value::Str(SCHEMA.into())),
@@ -1143,14 +1117,31 @@ impl Api {
         if machine_name.is_some() {
             top.push(("machine", Value::Str(report.machine.clone())));
         }
-        if degraded {
-            top.push(("degraded", Value::Bool(true)));
-        }
-        let value = Value::obj(top);
-        if degraded {
-            ApiResponse::json_uncacheable(200, &value)
-        } else {
-            ApiResponse::json(200, &value)
+        ok_or_degraded(top, degraded)
+    }
+
+    /// Run an advisor search under the breaker. On an open breaker or a
+    /// contained panic, count the degradation and rerun the same search
+    /// with the simulator fanned down to zero candidates (`top_k: 0`): the
+    /// analytic ranking is identical (simulation never reorders it), only
+    /// the `simulated_s`/`sim_error_pct` columns disappear. Returns the
+    /// result and whether it is degraded.
+    fn search_guarded<R>(
+        &self,
+        cfg: &hpf_advisor::AdvisorConfig,
+        search: impl Fn(&hpf_advisor::AdvisorConfig) -> R,
+    ) -> (R, bool) {
+        match self.breaker.call(|| search(cfg)) {
+            BreakerOutcome::Ok(r) => (r, false),
+            BreakerOutcome::Rejected | BreakerOutcome::Failed(_) => {
+                hpf_trace::counter_add("serve.degraded", 1);
+                self.metrics.note_degraded();
+                let analytic = hpf_advisor::AdvisorConfig {
+                    top_k: 0,
+                    ..cfg.clone()
+                };
+                (search(&analytic), true)
+            }
         }
     }
 
@@ -1197,20 +1188,8 @@ impl Api {
         cfg: &hpf_advisor::AdvisorConfig,
         names: &[String],
         target: &Target,
-        shown_k: usize,
     ) -> ApiResponse {
-        let (report, degraded) = match self.breaker.call(|| advisor.search_cross(cfg, names)) {
-            BreakerOutcome::Ok(r) => (r, false),
-            BreakerOutcome::Rejected | BreakerOutcome::Failed(_) => {
-                hpf_trace::counter_add("serve.degraded", 1);
-                self.metrics.note_degraded();
-                let degraded_cfg = hpf_advisor::AdvisorConfig {
-                    top_k: 0,
-                    ..cfg.clone()
-                };
-                (advisor.search_cross(&degraded_cfg, names), true)
-            }
-        };
+        let (report, degraded) = self.search_guarded(cfg, |cfg| advisor.search_cross(cfg, names));
         let report = match report {
             Ok(r) => r,
             Err(e) => {
@@ -1222,29 +1201,14 @@ impl Api {
         let pruned: usize = report.reports.iter().map(|r| r.pruned).sum();
         hpf_trace::counter_add("serve.batch.points", candidates as u64);
 
-        let shown = shown_k.saturating_mul(names.len());
+        let shown = cfg.top_k.saturating_mul(names.len());
         let ranked: Vec<Value> = report
             .ranked
             .iter()
             .take(shown)
-            .map(|row| {
-                let c = &row.candidate;
-                let mut entry: Vec<(&str, Value)> = vec![
-                    ("machine", Value::Str(row.machine.clone())),
-                    ("directives", Value::Str(c.label.clone())),
-                    ("predicted_s", num(c.predicted_s)),
-                    ("metrics", metrics_value(&c.metrics)),
-                ];
-                if let Some(s) = c.simulated_s {
-                    entry.push(("simulated_s", num(s)));
-                }
-                if let Some(e) = c.sim_error_pct {
-                    entry.push(("sim_error_pct", num(e)));
-                }
-                Value::obj(entry)
-            })
+            .map(|row| ranked_value(&row.candidate, Some(&row.machine)))
             .collect();
-        let mut top: Vec<(&str, Value)> = vec![
+        let top: Vec<(&str, Value)> = vec![
             ("schema", Value::Str(SCHEMA.into())),
             ("kind", Value::Str("advise".into())),
             ("target", target.describe()),
@@ -1258,15 +1222,7 @@ impl Api {
             ("pruned", num(pruned as f64)),
             ("ranked", Value::Arr(ranked)),
         ];
-        if degraded {
-            top.push(("degraded", Value::Bool(true)));
-        }
-        let value = Value::obj(top);
-        if degraded {
-            ApiResponse::json_uncacheable(200, &value)
-        } else {
-            ApiResponse::json(200, &value)
-        }
+        ok_or_degraded(top, degraded)
     }
 }
 
@@ -1322,7 +1278,7 @@ mod tests {
     }
 
     #[test]
-    fn repeat_predicts_are_byte_identical_and_cached() {
+    fn reformatted_repeat_predicts_are_byte_identical() {
         let api = api();
         let body = r#"{"kernel": "Laplace (Blk-Blk)", "n": 64, "procs": 4}"#;
         let a = api.handle(&post("/v1/predict", body));
@@ -1333,6 +1289,139 @@ mod tests {
         ));
         assert_eq!(a.status, 200);
         assert_eq!(a.body, b.body, "near-repeat must serve identical bytes");
+    }
+
+    /// An `Api` recording into an enabled recorder of the test's own.
+    fn traced_api() -> (hpf_trace::Recorder, Api) {
+        let rec = hpf_trace::Recorder::new();
+        rec.enable();
+        let api = {
+            let _on = rec.install();
+            api()
+        };
+        (rec, api)
+    }
+
+    /// One response cache, keyed by the exact request: a byte-for-byte
+    /// repeat is answered from it without running a handler, and a
+    /// reformatted repeat (other key order, whitespace and `deadline_ms`)
+    /// is a new request that the handler answers again with the same bytes.
+    #[test]
+    fn exact_repeats_hit_the_cache_and_reformatted_ones_recompute() {
+        let (rec, api) = traced_api();
+        let body = r#"{"kernel": "PI", "n": 256, "procs": 4}"#;
+        let a = api.handle(&post("/v1/predict", body));
+        let b = api.handle(&post("/v1/predict", body));
+        assert_eq!(a.status, 200, "{}", String::from_utf8_lossy(&a.body));
+        assert!(
+            Arc::ptr_eq(&a.body, &b.body),
+            "a hit serves the stored body"
+        );
+        assert_eq!(rec.counter_get("serve.singleflight.leader"), 1);
+        assert_eq!(rec.counter_get("serve.cache.miss"), 1);
+        assert_eq!(rec.counter_get("serve.cache.hit"), 1);
+        assert_eq!(rec.counter_get("serve.cache.wire_hit"), 1);
+
+        let c = api.handle(&post(
+            "/v1/predict",
+            "{\"procs\":4,\n  \"n\":256, \"kernel\":\"PI\", \"deadline_ms\": 60000}",
+        ));
+        assert_eq!(
+            c.body, a.body,
+            "a reformatted repeat answers the same bytes"
+        );
+        assert_eq!(rec.counter_get("serve.singleflight.leader"), 2);
+        assert_eq!(rec.counter_get("serve.cache.miss"), 2);
+        assert_eq!(rec.counter_get("serve.cache.hit"), 1);
+    }
+
+    /// Latency sketches exist only for names the server resolves: a
+    /// client naming kernels or machines that do not exist adds none, and
+    /// every spelling of a kernel feeds its canonical sketch.
+    #[test]
+    fn only_resolvable_names_get_latency_sketches() {
+        let (rec, api) = traced_api();
+        for i in 0..5 {
+            for body in [
+                format!(r#"{{"kernel": "NOSUCH {i}", "n": 64, "procs": 4}}"#),
+                format!(r#"{{"kernel": "PI", "n": 64, "procs": 4, "machine": "nosuch{i}"}}"#),
+            ] {
+                assert_eq!(api.handle(&post("/v1/predict", &body)).status, 400);
+            }
+        }
+        for body in [
+            r#"{"kernel": "laplace (blk-blk)", "n": 64, "procs": 4}"#,
+            r#"{"kernel": "Laplace (Blk-Blk)", "n": 64, "procs": 4}"#,
+            r#"{"kernel": "Laplace OOC", "n": 32, "procs": 4, "machine": "torus3d"}"#,
+        ] {
+            let resp = api.handle(&post("/v1/predict", body));
+            assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+        }
+        let sketches: Vec<(String, u64)> = rec
+            .sketches_snapshot()
+            .into_iter()
+            .filter(|(name, _)| {
+                name.starts_with("serve.latency.kernel.")
+                    || name.starts_with("serve.latency.machine.")
+            })
+            .map(|(name, s)| (name, s.count()))
+            .collect();
+        let expected = [
+            ("serve.latency.kernel.Laplace (Blk-Blk)", 2),
+            ("serve.latency.kernel.Laplace OOC", 1),
+            // The unknown-machine 400s still name a kernel that resolves.
+            ("serve.latency.kernel.PI", 5),
+            ("serve.latency.machine.torus3d", 1),
+        ]
+        .map(|(name, count)| (name.to_string(), count));
+        assert_eq!(sketches, expected);
+    }
+
+    /// An `Api` whose breaker is open for the whole test, so every
+    /// breaker-guarded call is served analytic-only.
+    fn open_breaker_api() -> Api {
+        let api = Api {
+            breaker: Breaker::new(BreakerConfig {
+                failure_threshold: 1,
+                latency_cap_ms: 0,
+                cooldown_ms: 3_600_000,
+            }),
+            ..api()
+        };
+        // Any call is over a zero latency cap: one failure trips it.
+        api.breaker
+            .call(|| std::thread::sleep(std::time::Duration::from_millis(1)));
+        assert_eq!(api.breaker.state_label(), "open");
+        api
+    }
+
+    /// No golden file covers a `/v1/advise` body, so both forms
+    /// (`"machine"` and `"machines"`), healthy and degraded, are pinned
+    /// here byte for byte by length and FNV-1a digest.
+    #[test]
+    fn advise_bodies_are_pinned() {
+        let single = r#"{"kernel": "Laplace (Blk-Blk)", "n": 64, "procs": 4, "top_k": 2, "machine": "torus3d"}"#;
+        let cross = r#"{"kernel": "Laplace (Blk-Blk)", "n": 64, "procs": 4, "top_k": 1, "machines": ["ipsc860", "multicore"]}"#;
+        for (body, degraded, len, digest) in [
+            (single, false, 1022, 0xf574_c89d_44ff_56c4),
+            (single, true, 874, 0x0ce9_1c74_8a7e_76be),
+            (cross, false, 1025, 0x626a_efea_8eb9_57ea),
+            (cross, true, 959, 0x53ef_a2b0_1f99_2147),
+        ] {
+            let api = if degraded { open_breaker_api() } else { api() };
+            let resp = api.handle(&post("/v1/advise", body));
+            let text = String::from_utf8_lossy(&resp.body);
+            assert_eq!(resp.status, 200, "{text}");
+            assert_eq!(resp.cacheable, !degraded, "{text}");
+            assert_eq!(
+                (
+                    resp.body.len(),
+                    report::fnv1a(report::FNV_OFFSET, &resp.body)
+                ),
+                (len, digest),
+                "{body} (degraded: {degraded}) answered\n{text}"
+            );
+        }
     }
 
     #[test]

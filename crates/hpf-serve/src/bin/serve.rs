@@ -1,9 +1,9 @@
 //! `serve` — the prediction service CLI.
 //!
 //! ```text
-//! serve serve   [--addr HOST:PORT] [--workers N] [--queue N] [--shards N] [--no-trace]
+//! serve serve   [--addr HOST:PORT] [--workers N] [--queue N] [--no-trace]
 //! serve loadgen [--quick] [--overload] [--requests R] [--clients C] [--workers W]
-//!               [--seed S] [--shards N] [--pipeline D]
+//!               [--seed S] [--pipeline D]
 //! serve chaos   [--quick] [--requests R] [--clients C] [--workers W] [--seed S]
 //!               [--metrics-out PATH]
 //! ```
@@ -11,7 +11,7 @@
 //! `serve serve` runs the HTTP service until a `POST /v1/shutdown`
 //! arrives, then drains in-flight work and exits 0. Workers default to
 //! the machine's available parallelism (clamped to [2, 64]) and cache
-//! shards default to the worker count rounded up to a power of two; the
+//! shards follow the worker count rounded up to a power of two; the
 //! chosen values are logged at startup. `serve loadgen`
 //! starts a private in-process server, fires the seeded deterministic
 //! request mix at it, and prints throughput, latency percentiles, the
@@ -32,9 +32,9 @@ use hpf_serve::{chaos, loadgen, server, ChaosConfig, LoadgenConfig, OverloadConf
 
 fn usage() -> ! {
     eprintln!(
-        "usage: serve serve   [--addr HOST:PORT] [--workers N] [--queue N] [--shards N] [--no-trace]\n\
+        "usage: serve serve   [--addr HOST:PORT] [--workers N] [--queue N] [--no-trace]\n\
          \x20      serve loadgen [--quick] [--overload] [--requests R] [--clients C] [--workers W]\n\
-         \x20                    [--seed S] [--shards N] [--pipeline D]\n\
+         \x20                    [--seed S] [--pipeline D]\n\
          \x20      serve chaos   [--quick] [--requests R] [--clients C] [--workers W] [--seed S]\n\
          \x20                    [--metrics-out PATH]"
     );
@@ -71,7 +71,6 @@ fn run_server(args: &[String]) {
             "--addr" => addr = take(args, &mut i),
             "--workers" => cfg.workers = take(args, &mut i).parse().unwrap_or_else(|_| usage()),
             "--queue" => cfg.queue_depth = take(args, &mut i).parse().unwrap_or_else(|_| usage()),
-            "--shards" => cfg.cache.shards = take(args, &mut i).parse().unwrap_or_else(|_| usage()),
             "--no-trace" => trace = false,
             "--help" | "-h" => usage(),
             other => {
@@ -89,13 +88,7 @@ fn run_server(args: &[String]) {
     // Mirror the derivations in `server::start` / `ShardedLru::new` so the
     // startup line reports the effective values, not the raw flags.
     let workers = cfg.workers.max(1);
-    let shards = if cfg.cache.shards == 0 {
-        workers
-    } else {
-        cfg.cache.shards
-    }
-    .max(1)
-    .next_power_of_two();
+    let shards = workers.next_power_of_two();
     let handle = match server::start(&addr, cfg) {
         Ok(h) => h,
         Err(e) => {
@@ -129,7 +122,6 @@ fn run_loadgen(args: &[String]) {
             "--clients" => cfg.clients = take(args, &mut i).parse().unwrap_or_else(|_| usage()),
             "--workers" => cfg.workers = take(args, &mut i).parse().unwrap_or_else(|_| usage()),
             "--seed" => cfg.seed = take(args, &mut i).parse().unwrap_or_else(|_| usage()),
-            "--shards" => cfg.shards = take(args, &mut i).parse().unwrap_or_else(|_| usage()),
             "--pipeline" => cfg.pipeline = take(args, &mut i).parse().unwrap_or_else(|_| usage()),
             "--help" | "-h" => usage(),
             other => {
@@ -166,7 +158,6 @@ fn run_loadgen(args: &[String]) {
             } else {
                 cfg.seed
             },
-            shards: cfg.shards,
         };
         match loadgen::run_overload(&ocfg) {
             Ok(report) => {

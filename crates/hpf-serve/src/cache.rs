@@ -7,12 +7,15 @@
 //!   kernel shape (the PR-3 warm-session primitive);
 //! * **source programs** — parsed ASTs of POSTed HPF text, keyed by the
 //!   full source (directives included — they shape the partitioning);
-//! * **bound programs** — one [`report::Bound`] (analyzed, SPMD, AAG and
-//!   profile-memo key) per `(origin, n, procs)` point, so a repeat or
-//!   near-repeat request skips parse, semantic analysis *and* partitioning
-//!   entirely;
-//! * **response bodies** — the serialized JSON answer per canonical
-//!   request, the layer that makes a warm `/v1/predict` a hash lookup.
+//! * **bound programs** — one [`report::Bound`] (analyzed, SPMD and AAG)
+//!   per `(origin, n, procs)` point, so a request for a bound point skips
+//!   parse, semantic analysis *and* partitioning entirely;
+//! * **responses** — the serialized JSON answer per exact request: the
+//!   path plus the raw body bytes ([`response_key`]), looked up before the
+//!   body is parsed, so a warm `/v1/predict` is one hash lookup. A request
+//!   that differs in any byte (reordered keys, other whitespace, another
+//!   `deadline_ms`) is computed again; handlers are deterministic, so it
+//!   gets the same bytes.
 //!
 //! Each layer is a [`ShardedLru`]: N power-of-two shards selected by the
 //! FNV-1a hash of the key, each shard its own mutex *and* its own LRU
@@ -23,13 +26,15 @@
 //! (or is not) pulling its weight at a given worker count.
 //!
 //! Cold misses are further deduplicated by a [`SingleFlight`] table keyed
-//! by the canonical body key ([`body_cache_key`]): the first request for
-//! a missing body becomes the *leader* and computes it; concurrent
-//! duplicates park on a condvar and receive the leader's `Arc<Vec<u8>>`
-//! verbatim. Only cacheable 200 bodies are shared — a degraded or failed
-//! leader publishes "solo", and every parked waiter then computes its own
-//! answer (degraded bodies depend on breaker state, not the request, so
-//! replaying them to waiters could serve a stale degradation).
+//! by the same response key: the first request for a missing answer
+//! becomes the *leader* and computes it; concurrent duplicates park on a
+//! condvar and receive the leader's `Arc<Vec<u8>>` verbatim. The leader
+//! stores its answer before it releases its waiters, so a duplicate that
+//! arrives after the flight ends is a cache hit, never a second leader.
+//! Only cacheable 200 bodies are shared — a degraded or failed leader
+//! publishes "solo", and every parked waiter then computes its own answer
+//! (degraded bodies depend on breaker state, not the request, so replaying
+//! them to waiters could serve a stale degradation).
 //!
 //! Functional-interpreter profiles are *not* cached here: they live in the
 //! process-wide memo behind [`report::shared_profile`], keyed by the
@@ -48,7 +53,6 @@ use std::time::{Duration, Instant};
 use hpf_compiler::{compile, CompileOptions};
 use hpf_lang::ast::Program;
 use hpf_lang::{analyze, parse_program};
-use hpf_trace::json::Value;
 use kernels::CompiledKernel;
 use report::lru::LruMap;
 use report::{fnv1a, Bound, PipelineError, PipelineStage, FNV_OFFSET};
@@ -60,7 +64,7 @@ pub struct CacheConfig {
     pub sessions: usize,
     /// Distinct bound programs.
     pub binds: usize,
-    /// Distinct serialized response bodies.
+    /// Distinct cached responses.
     pub bodies: usize,
     /// Lock shards per cache layer, rounded up to a power of two.
     /// `0` = derive: the server sets it from its worker count; a
@@ -79,23 +83,12 @@ impl Default for CacheConfig {
     }
 }
 
-/// Canonical cache key for a POST body: path + re-serialized (sorted,
-/// whitespace-normalized) JSON with the timing-only `deadline_ms` knob
-/// removed — so near-repeat requests (reordered keys, different
-/// formatting, different deadlines) share one cached response. This one
-/// function keys both the response-body cache and the single-flight
-/// table, so "same cached answer" and "same in-flight computation" can
-/// never disagree about request identity.
-pub fn body_cache_key(path: &str, body: &Value) -> String {
-    let canonical = match body {
-        Value::Obj(map) => {
-            let mut map = map.clone();
-            map.remove("deadline_ms");
-            Value::Obj(map)
-        }
-        other => other.clone(),
-    };
-    format!("{path}\u{0}{}", canonical.pretty())
+/// The identity of a POST: its path and raw body bytes. This one key
+/// indexes both the response cache and the single-flight table, so "same
+/// cached answer" and "same in-flight computation" can never disagree
+/// about request identity.
+pub fn response_key(path: &str, raw: &str) -> String {
+    format!("{path}\u{0}{raw}")
 }
 
 /// A request deadline, checked between pipeline stages: work in progress
@@ -279,8 +272,8 @@ enum FlightState {
     Solo,
 }
 
-/// One in-flight computation: concurrent requests for the same canonical
-/// body park here until the leader publishes.
+/// One in-flight computation: concurrent requests with the same response
+/// key park here until the leader publishes.
 #[derive(Debug)]
 pub struct Flight {
     state: Mutex<FlightState>,
@@ -324,7 +317,7 @@ impl Flight {
 #[derive(Debug)]
 pub struct FlightLeader<'a> {
     table: &'a SingleFlight,
-    key: String,
+    key: Arc<str>,
     flight: Arc<Flight>,
 }
 
@@ -359,12 +352,12 @@ pub enum FlightJoin<'a> {
     Waiter(Arc<Flight>),
 }
 
-/// The per-shard in-flight table: at most one leader per canonical body
-/// key at any moment. Sharded with the same FNV mapping as the caches so
+/// The per-shard in-flight table: at most one leader per response key at
+/// any moment. Sharded with the same FNV mapping as the caches so
 /// join/remove never funnel through one lock.
 #[derive(Debug)]
 pub struct SingleFlight {
-    shards: Vec<Mutex<HashMap<String, Arc<Flight>>>>,
+    shards: Vec<Mutex<HashMap<Arc<str>, Arc<Flight>>>>,
     mask: u64,
 }
 
@@ -377,7 +370,7 @@ impl SingleFlight {
         }
     }
 
-    fn shard(&self, key: &str) -> &Mutex<HashMap<String, Arc<Flight>>> {
+    fn shard(&self, key: &str) -> &Mutex<HashMap<Arc<str>, Arc<Flight>>> {
         &self.shards[(fnv1a(FNV_OFFSET, key.as_bytes()) & self.mask) as usize]
     }
 
@@ -391,10 +384,11 @@ impl SingleFlight {
             state: Mutex::new(FlightState::Pending),
             cv: Condvar::new(),
         });
-        map.insert(key.to_string(), flight.clone());
+        let key: Arc<str> = Arc::from(key);
+        map.insert(key.clone(), flight.clone());
         FlightJoin::Leader(FlightLeader {
             table: self,
-            key: key.to_string(),
+            key,
             flight,
         })
     }
@@ -411,27 +405,21 @@ pub struct ServeCache {
     kernels: ShardedLru<Arc<CompiledKernel>>,
     programs: ShardedLru<Arc<Program>>,
     binds: ShardedLru<Arc<Bound>>,
-    bodies: ShardedLru<Arc<Vec<u8>>>,
-    /// Exact-raw-bytes front memo over `bodies` — see [`ServeCache::wire_lookup`].
-    wire: ShardedLru<Arc<WireEntry>>,
+    responses: ShardedLru<Arc<CachedResponse>>,
     flights: SingleFlight,
 }
 
-/// One wire-memo entry: the cached response for an exact raw request
-/// body, plus the per-kernel latency-sketch name the parsed path would
-/// have recorded into (kept so a memo hit feeds the same per-kernel
-/// distribution as a canonical-cache hit).
+/// One cached answer: a cacheable 200 body, plus the latency sketches the
+/// request records into, so a hit feeds the same per-kernel and
+/// per-machine distributions as the request that computed it.
 #[derive(Debug)]
-pub struct WireEntry {
+pub struct CachedResponse {
     pub body: Arc<Vec<u8>>,
-    pub kernel_metric: Option<String>,
-    /// `serve.latency.machine.<name>` sketch name, for requests that
-    /// named a machine explicitly.
-    pub machine_metric: Option<String>,
-}
-
-fn wire_key(path: &str, raw: &str) -> String {
-    format!("{path}\u{0}{raw}")
+    /// `serve.latency.kernel.<name>`, for a request naming a suite kernel.
+    pub kernel_metric: Option<&'static str>,
+    /// `serve.latency.machine.<name>`, for a request naming a registry
+    /// machine.
+    pub machine_metric: Option<&'static str>,
 }
 
 fn counter_pair(prefix: &'static str, hit: bool) {
@@ -465,18 +453,12 @@ impl ServeCache {
             kernels: ShardedLru::new(cfg.sessions, shards),
             programs: ShardedLru::new(cfg.sessions, shards),
             binds: ShardedLru::new(cfg.binds, shards),
-            bodies: ShardedLru::new(cfg.bodies, shards),
-            wire: ShardedLru::new(cfg.bodies, shards),
+            responses: ShardedLru::new(cfg.bodies, shards),
             flights: SingleFlight::new(shards),
         }
     }
 
-    /// Lock shards per layer (for the startup log line).
-    pub fn shard_count(&self) -> usize {
-        self.bodies.shard_count()
-    }
-
-    /// Join the in-flight table for a canonical body key: lead or park.
+    /// Join the in-flight table for a response key: lead or park.
     pub fn join_flight(&self, key: &str) -> FlightJoin<'_> {
         self.flights.join(key)
     }
@@ -545,7 +527,7 @@ impl ServeCache {
             deadline.check("analyze")?;
             let (analyzed, spmd) = compiled.bind(n, procs, &CompileOptions::default())?;
             deadline.check("build_aag")?;
-            Ok(Bound::new(analyzed, spmd, compiled.canonical_source()))
+            Ok(Bound::new(analyzed, spmd))
         })
     }
 
@@ -571,43 +553,16 @@ impl ServeCache {
             };
             let spmd = compile(&analyzed, &opts).map_err(PipelineError::from)?;
             deadline.check("build_aag")?;
-            Ok(Bound::new(analyzed, spmd, source))
+            Ok(Bound::new(analyzed, spmd))
         })
     }
 
-    /// Look up a serialized response body (`serve.cache.hit` /
-    /// `serve.cache.miss` are the loadgen's warm-hit-rate counters).
-    pub fn cached_body(&self, key: &str) -> Option<Arc<Vec<u8>>> {
-        let hit = self.bodies.get(key);
-        hpf_trace::counter_add(
-            if hit.is_some() {
-                "serve.cache.hit"
-            } else {
-                "serve.cache.miss"
-            },
-            1,
-        );
-        hit
-    }
-
-    /// Store a freshly computed response body.
-    pub fn store_body(&self, key: &str, body: Arc<Vec<u8>>) -> Arc<Vec<u8>> {
-        self.bodies.insert(key.to_string(), body.clone());
-        body
-    }
-
-    /// Wire-level memo lookup: exact raw request bytes → cached response.
-    ///
-    /// Strictly narrower than the canonical body cache — identical bytes
-    /// always canonicalize to the same [`body_cache_key`], so a memo hit
-    /// can never disagree with the canonical layer; it merely skips the
-    /// JSON parse and key canonicalization for exact byte-repeats, which
-    /// is most of a warm request's CPU. Only cacheable 200 responses are
-    /// ever stored, so degraded/error answers never replay from here. A
-    /// hit counts on `serve.cache.hit` (it *is* a body-cache hit, served
-    /// one layer earlier) and on `serve.cache.wire_hit` for its own rate.
-    pub fn wire_lookup(&self, path: &str, raw: &str) -> Option<Arc<WireEntry>> {
-        let hit = self.wire.get(&wire_key(path, raw));
+    /// The cached answer to the request with this [`response_key`]. A hit
+    /// counts on `serve.cache.hit` and on `serve.cache.wire_hit` (the name
+    /// the exact-bytes layer has always reported under); the caller counts
+    /// `serve.cache.miss` once the body has parsed and its deadline holds.
+    pub fn response(&self, key: &str) -> Option<Arc<CachedResponse>> {
+        let hit = self.responses.get(key);
         if hit.is_some() {
             hpf_trace::counter_add("serve.cache.hit", 1);
             hpf_trace::counter_add("serve.cache.wire_hit", 1);
@@ -615,18 +570,15 @@ impl ServeCache {
         hit
     }
 
-    /// Fill the wire memo after a cacheable 200 answer (canonical hit or
-    /// freshly computed). Only reached when [`Self::wire_lookup`] missed,
-    /// so warm exact-repeat traffic never pays this insert.
-    pub fn wire_store(&self, path: &str, raw: &str, entry: WireEntry) {
-        self.wire.insert(wire_key(path, raw), Arc::new(entry));
+    /// Store a cacheable 200 answer under its [`response_key`].
+    pub fn store_response(&self, key: String, entry: CachedResponse) {
+        self.responses.insert(key, Arc::new(entry));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpf_trace::json::parse as parse_json;
 
     const PI_SRC: &str = "
 PROGRAM PI
@@ -660,7 +612,6 @@ END
             .unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(a.spmd.nodes, 4);
-        assert!(!a.canonical.contains("!HPF$"));
     }
 
     #[test]
@@ -697,36 +648,6 @@ END
         cache
             .bind_kernel("PI", 300, 4, &Deadline::in_ms(0))
             .expect("warm hit carries no further stages");
-    }
-
-    #[test]
-    fn body_cache_round_trips() {
-        let cache = ServeCache::new(&CacheConfig::default());
-        assert!(cache.cached_body("k").is_none());
-        cache.store_body("k", Arc::new(b"{\"x\":1}".to_vec()));
-        assert_eq!(cache.cached_body("k").unwrap().as_slice(), b"{\"x\":1}");
-    }
-
-    #[test]
-    fn body_key_ignores_deadline_but_not_content() {
-        let a = parse_json(r#"{"kernel":"PI","n":128,"deadline_ms":5}"#).unwrap();
-        let b = parse_json(r#"{"deadline_ms": 9000, "n": 128, "kernel": "PI"}"#).unwrap();
-        let c = parse_json(r#"{"kernel":"PI","n":256,"deadline_ms":5}"#).unwrap();
-        // Differ only in deadline_ms (and formatting/key order): collide.
-        assert_eq!(
-            body_cache_key("/v1/predict", &a),
-            body_cache_key("/v1/predict", &b)
-        );
-        // Different payload: distinct keys.
-        assert_ne!(
-            body_cache_key("/v1/predict", &a),
-            body_cache_key("/v1/predict", &c)
-        );
-        // Same body on a different route: distinct keys.
-        assert_ne!(
-            body_cache_key("/v1/predict", &a),
-            body_cache_key("/v1/sweep", &a)
-        );
     }
 
     #[test]

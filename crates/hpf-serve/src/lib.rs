@@ -32,8 +32,8 @@
 //!   JSON keys, seeded simulation); the loadgen checksum and the
 //!   end-to-end tests enforce this.
 //! * **Bounded memory** — every cache layer (kernel artifacts, parsed
-//!   sources, bound programs, response bodies, and the process-wide
-//!   profile memo in `report`) is LRU-bounded.
+//!   sources, bound programs, responses, and the process-wide profile
+//!   memo in `report`) is LRU-bounded.
 //! * **Backpressure** — a full connection queue answers `429` with
 //!   `Retry-After` instead of queueing without limit.
 //! * **Graceful cancellation** — per-request deadlines are checked
@@ -68,7 +68,7 @@ pub mod status;
 
 pub use api::{Api, ApiResponse, SCHEMA};
 pub use breaker::{Breaker, BreakerConfig, BreakerOutcome};
-pub use cache::{body_cache_key, CacheConfig, Deadline, ServeCache, ServeFailure, ShardedLru};
+pub use cache::{CacheConfig, Deadline, ServeCache, ServeFailure, ShardedLru};
 pub use chaos::{ChaosConfig, ChaosReport};
 pub use loadgen::{LoadgenConfig, LoadgenReport, OverloadConfig, OverloadReport};
 pub use metrics::{ServeMetrics, METRICS_SCHEMA};

@@ -46,7 +46,6 @@ use hpf_trace::json::parse as parse_json;
 use hpf_trace::{QuantileSketch, Recorder};
 use report::{fnv1a, splitmix64, FNV_OFFSET};
 
-use crate::cache::CacheConfig;
 use crate::http::read_response;
 use crate::server::{start_traced, ServerConfig, ServerHandle};
 
@@ -65,8 +64,6 @@ pub struct LoadgenConfig {
     pub seed: u64,
     /// Requests per pipelined burst (1 = classic write/read lockstep).
     pub pipeline: usize,
-    /// Cache lock shards (0 = derive from the worker count).
-    pub shards: usize,
 }
 
 impl LoadgenConfig {
@@ -78,7 +75,6 @@ impl LoadgenConfig {
             workers: 4,
             seed: 0x010A_D6E4,
             pipeline: 32,
-            shards: 0,
         }
     }
 }
@@ -368,10 +364,6 @@ pub fn run(cfg: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
             // Never the bottleneck here: clients <= workers holds every
             // connection on a worker, the queue stays empty.
             queue_depth: workers * 2,
-            cache: CacheConfig {
-                shards: cfg.shards,
-                ..CacheConfig::default()
-            },
             ..ServerConfig::default()
         },
     )?;
@@ -451,8 +443,6 @@ pub struct OverloadConfig {
     pub workers: usize,
     /// Mix seed (the same duplicate-heavy mix as the healthy profile).
     pub seed: u64,
-    /// Cache lock shards (0 = derive from the worker count).
-    pub shards: usize,
 }
 
 impl OverloadConfig {
@@ -463,7 +453,6 @@ impl OverloadConfig {
             clients: 12,
             workers: 4,
             seed: 0x0BAD_10AD,
-            shards: 0,
         }
     }
 }
@@ -656,10 +645,6 @@ pub fn run_overload(cfg: &OverloadConfig) -> std::io::Result<OverloadReport> {
             // Tight dequeue cap: anything that waited longer is answered
             // 504, never served late — the flat-p99 half of the contract.
             queue_wait_cap_ms: 50,
-            cache: CacheConfig {
-                shards: cfg.shards,
-                ..CacheConfig::default()
-            },
             ..ServerConfig::default()
         },
     )?;

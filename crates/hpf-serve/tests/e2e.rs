@@ -112,7 +112,7 @@ fn concurrent_session_reuse_matches_sequential() {
 /// one pipeline execution. One caller wins the single-flight table and
 /// computes; the duplicates either park on the flight (the common case,
 /// asserted via `serve.singleflight.parked`) or arrive after publication
-/// and hit the body cache — never a second execution. All K bodies are
+/// and hit the response cache — never a second execution. All K bodies are
 /// byte-identical.
 #[test]
 fn identical_cold_requests_coalesce_to_one_execution() {

@@ -3,7 +3,6 @@
 //! machine" path). These are the two experimentation routes Figure 8
 //! compares.
 
-use crate::sweep::directive_free_source;
 use hpf_compiler::{compile, CompileOptions, SpmdProgram};
 use hpf_lang::{analyze, parse_program, AnalyzedProgram, LangError};
 use hpf_machines::TopologyError;
@@ -320,27 +319,22 @@ impl From<hpf_eval::EvalError> for PipelineError {
 }
 
 /// One program bound to one `(N, P)` point: the analyzed program, its SPMD
-/// lowering (Phase 1) and the AAG abstracted from it (Phase 2), with the
-/// key of the process-wide profile memo. Every path from a program to its
-/// AAG goes through [`Bound::new`], except the advisor's per-candidate
-/// compile, whose candidates share one analyzed program.
+/// lowering (Phase 1) and the AAG abstracted from it (Phase 2). Every path
+/// from a program to its AAG goes through [`Bound::new`], except the
+/// advisor's per-candidate compile, whose candidates share one analyzed
+/// program.
 #[derive(Debug)]
 pub struct Bound {
     pub analyzed: AnalyzedProgram,
     pub spmd: SpmdProgram,
     pub aag: appgraph::Aag,
-    /// The source with its directive lines removed, the key under which
-    /// [`shared_profile`](crate::shared_profile) memoizes the profile.
-    pub canonical: String,
 }
 
 impl Bound {
-    /// Abstract `spmd` into its AAG and key the profile memo by `source`,
-    /// the text `analyzed` came from.
-    pub fn new(analyzed: AnalyzedProgram, spmd: SpmdProgram, source: &str) -> Bound {
+    /// Abstract `spmd` into its AAG.
+    pub fn new(analyzed: AnalyzedProgram, spmd: SpmdProgram) -> Bound {
         Bound {
             aag: appgraph::build_aag(&spmd),
-            canonical: directive_free_source(source),
             analyzed,
             spmd,
         }
@@ -371,7 +365,7 @@ pub fn compile_source(
     copts: &CompileOptions,
 ) -> Result<Bound, PipelineError> {
     let (analyzed, spmd) = frontend(src, nodes, overrides, copts)?;
-    Ok(Bound::new(analyzed, spmd, src))
+    Ok(Bound::new(analyzed, spmd))
 }
 
 /// Source-driven performance prediction: the interpretive path.

@@ -116,8 +116,13 @@ impl SweepSession {
             self.compiled
                 .bind(n as i64, procs, &CompileOptions::default())?
         };
-        let bound = Bound::new(analyzed, spmd, self.compiled.canonical_source());
-        let (profile, _) = shared_profile(&bound.canonical, n, self.profile_steps, &bound.analyzed);
+        let bound = Bound::new(analyzed, spmd);
+        let (profile, _) = shared_profile(
+            self.compiled.canonical_source(),
+            n,
+            self.profile_steps,
+            &bound.analyzed,
+        );
         sample_from_artifact_on(
             self.compiled.kernel().name,
             &bound,
@@ -308,5 +313,21 @@ mod tests {
             paths.iter().any(|p| p == "session/bind"),
             "missing session/bind span in {paths:?}"
         );
+    }
+
+    /// The profile-memo key drops every directive line, indented or not,
+    /// and keeps every other line as it is.
+    #[test]
+    fn directive_free_source_drops_only_directive_lines() {
+        let src = "PROGRAM PI\nREAL F(8)\n!HPF$ PROCESSORS P(4)\n  !HPF$ DISTRIBUTE F(BLOCK) ONTO P\n  F = 1.0 ! !HPF$ in a comment\nEND";
+        let stripped = directive_free_source(src);
+        assert_eq!(
+            stripped,
+            "PROGRAM PI\nREAL F(8)\n  F = 1.0 ! !HPF$ in a comment\nEND"
+        );
+        let kernel = kernels::kernel_by_name("PI").unwrap();
+        let compiled = CompiledKernel::new(&kernel).unwrap();
+        assert!(compiled.canonical_source().contains("!HPF$"));
+        assert!(!directive_free_source(compiled.canonical_source()).contains("!HPF$"));
     }
 }

@@ -131,7 +131,7 @@ fn assert_reuse_contracts(cases: &[(String, Work)]) {
         w.counter("advisor.evaluated") + w.counter("sim.simulations")
     );
 
-    // Every warm request is answered from the response caches, without
+    // Every warm request is answered from the response cache, without
     // running the front end or the handler.
     let w = case(cases, "serve_predict_warm_b256");
     assert_eq!(w.counter("serve.requests"), 256);
