@@ -442,10 +442,11 @@ impl Advisor {
     /// Run [`Advisor::search`] once per named machine and merge the ranked
     /// tables into a single cross-machine ranking. Each per-machine search
     /// keeps its own determinism contract, and the merge orders rows by
-    /// predicted time with the same seeded tie-break (over
-    /// `machine::label`), so the combined table is bit-identical across
-    /// runs and thread counts. An unknown machine name fails the whole
-    /// call with the registry's structured error.
+    /// predicted time, equal times by a seeded order of the machines and
+    /// then by each machine's own rank, so the combined table is
+    /// bit-identical across runs and thread counts and, restricted to one
+    /// machine, is that machine's ranked list. An unknown machine name
+    /// fails the whole call with the registry's structured error.
     pub fn search_cross(
         &self,
         cfg: &AdvisorConfig,
@@ -459,26 +460,27 @@ impl Advisor {
             };
             reports.push(self.search(&per)?);
         }
-        let mut keyed: Vec<(u64, CrossMachineRow)> = reports
+        let mut keyed: Vec<(u64, usize, CrossMachineRow)> = reports
             .iter()
             .flat_map(|r| {
-                r.ranked.iter().map(|c| {
-                    let key = format!("{}::{}", r.machine, c.label);
+                let machine_key = tie_break(cfg.seed, &r.machine);
+                r.ranked.iter().enumerate().map(move |(rank, c)| {
                     let row = CrossMachineRow {
                         machine: r.machine.clone(),
                         candidate: c.clone(),
                     };
-                    (tie_break(cfg.seed, &key), row)
+                    (machine_key, rank, row)
                 })
             })
             .collect();
-        keyed.sort_by(|(ka, a), (kb, b)| {
+        keyed.sort_by(|(ma, ra, a), (mb, rb, b)| {
             a.candidate
                 .predicted_s
                 .total_cmp(&b.candidate.predicted_s)
-                .then(ka.cmp(kb))
+                .then(ma.cmp(mb))
+                .then(ra.cmp(rb))
         });
-        let ranked = keyed.into_iter().map(|(_, row)| row).collect();
+        let ranked = keyed.into_iter().map(|(_, _, row)| row).collect();
         Ok(CrossMachineReport {
             kernel: self.name.clone(),
             n: cfg.n,

@@ -192,6 +192,36 @@ fn cross_machine_search_is_bit_identical_across_threads() {
     }
 }
 
+/// The merged cross-machine table, restricted to any one machine, is that
+/// machine's own ranked list: a tie in predicted time never reorders a
+/// machine's rows, so a candidate its search simulated is never shown
+/// below a tied one it did not.
+#[test]
+fn cross_machine_table_restricted_to_one_machine_is_its_ranking() {
+    let advisor = laplace_advisor();
+    let machines: Vec<String> = hpf_machines::machine_names()
+        .iter()
+        .map(|m| m.to_string())
+        .collect();
+    for threads in [1usize, 2] {
+        let cfg = AdvisorConfig {
+            threads,
+            ..AdvisorConfig::quick()
+        };
+        let cross = advisor.search_cross(&cfg, &machines).unwrap();
+        for report in &cross.reports {
+            let merged: Vec<&str> = cross
+                .ranked
+                .iter()
+                .filter(|row| row.machine == report.machine)
+                .map(|row| row.candidate.label.as_str())
+                .collect();
+            let own: Vec<&str> = report.ranked.iter().map(|c| c.label.as_str()).collect();
+            assert_eq!(merged, own, "threads={threads} machine={}", report.machine);
+        }
+    }
+}
+
 /// An unknown machine fails the whole cross search with the registry's
 /// structured error instead of panicking.
 #[test]

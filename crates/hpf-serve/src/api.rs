@@ -34,7 +34,7 @@ use report::PipelineError;
 
 use crate::breaker::{Breaker, BreakerConfig, BreakerOutcome};
 use crate::cache::{
-    response_key, CacheConfig, CachedResponse, Deadline, FlightJoin, FlightWait, ServeCache,
+    response_key, CacheConfig, CachedResponse, Deadline, FlightJoin, FlightWait, Route, ServeCache,
     ServeFailure,
 };
 use crate::http::Request;
@@ -433,9 +433,9 @@ impl Api {
         let ctx = self.chaos_ctx(req);
         match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/v1/healthz") => self.healthz(),
-            ("POST", "/v1/predict") => self.cached_post(req, ctx, Self::predict),
-            ("POST", "/v1/sweep") => self.cached_post(req, ctx, Self::sweep),
-            ("POST", "/v1/advise") => self.cached_post(req, ctx, Self::advise),
+            ("POST", "/v1/predict") => self.cached_post(req, ctx, Route::Predict, Self::predict),
+            ("POST", "/v1/sweep") => self.cached_post(req, ctx, Route::Sweep, Self::sweep),
+            ("POST", "/v1/advise") => self.cached_post(req, ctx, Route::Advise, Self::advise),
             (_, "/v1/healthz" | "/v1/metrics" | "/v1/predict" | "/v1/sweep" | "/v1/advise") => {
                 ApiResponse::json(
                     405,
@@ -552,16 +552,17 @@ impl Api {
     }
 
     /// Serve a POST from the response cache when the exact request was
-    /// answered before; parse, compute and store otherwise. The cache key
-    /// is the path plus the raw body bytes, looked up before any parse, so
-    /// a warm repeat costs one hash lookup. Only cacheable 200 responses
-    /// are stored: errors are cheap to recompute, a 504 depends on the
-    /// deadline, and degraded bodies depend on breaker state, not the
-    /// request.
+    /// answered before; parse, compute and store otherwise. The cache is
+    /// read by the route and the borrowed raw body bytes, before any parse
+    /// and without a copy, so a warm repeat costs one hash lookup. Only
+    /// cacheable 200 responses are stored: errors are cheap to recompute,
+    /// a 504 depends on the deadline, and degraded bodies depend on
+    /// breaker state, not the request.
     ///
-    /// Cold misses are single-flighted under the same key: the first
-    /// request becomes the leader and computes; concurrent duplicates park
-    /// and receive the leader's body verbatim when it was a cacheable 200.
+    /// Cold misses are single-flighted under the same identity
+    /// ([`response_key`], built only on a miss): the first request becomes
+    /// the leader and computes; concurrent duplicates park and receive the
+    /// leader's body verbatim when it was a cacheable 200.
     /// The leader stores that body before it releases its waiters, so a
     /// duplicate arriving after the flight ends is a hit. A leader that
     /// produced anything else (error, degraded, 504) releases its waiters
@@ -578,6 +579,7 @@ impl Api {
         &self,
         req: &Request,
         ctx: ReqCtx,
+        route: Route,
         handler: fn(&Api, &Value, ReqCtx) -> ApiResponse,
     ) -> ApiResponse {
         let text = match std::str::from_utf8(&req.body) {
@@ -596,12 +598,11 @@ impl Api {
                 }
             }
         };
-        let key = response_key(&req.path, text);
-        if let Some(hit) = self.cache.response(&key) {
+        if let Some(hit) = self.cache.response(route, text) {
             record([hit.kernel_metric, hit.machine_metric]);
             return ApiResponse {
                 status: 200,
-                body: hit.body.clone(),
+                body: hit.body,
                 cacheable: true,
             };
         }
@@ -630,14 +631,15 @@ impl Api {
             .get("machine")
             .and_then(Value::as_str)
             .and_then(machine_metric_name);
-        let flight = self.cache.join_flight(&key);
-        // Run the handler and store a cacheable 200 (moving the key: one
-        // store per request at most).
+        let flight = self.cache.join_flight(&response_key(route.path(), text));
+        // Run the handler and store a cacheable 200 (one store per
+        // request at most).
         let compute = || {
             let response = handler(self, &body, ctx);
             if response.status == 200 && response.cacheable {
                 self.cache.store_response(
-                    key,
+                    route,
+                    text,
                     CachedResponse {
                         body: response.body.clone(),
                         kernel_metric,
@@ -1306,6 +1308,8 @@ mod tests {
     /// repeat is answered from it without running a handler, and a
     /// reformatted repeat (other key order, whitespace and `deadline_ms`)
     /// is a new request that the handler answers again with the same bytes.
+    /// The route is part of the identity: one body POSTed to two routes is
+    /// two requests, and each repeat hits its own route's answer.
     #[test]
     fn exact_repeats_hit_the_cache_and_reformatted_ones_recompute() {
         let (rec, api) = traced_api();
@@ -1333,6 +1337,19 @@ mod tests {
         assert_eq!(rec.counter_get("serve.singleflight.leader"), 2);
         assert_eq!(rec.counter_get("serve.cache.miss"), 2);
         assert_eq!(rec.counter_get("serve.cache.hit"), 1);
+
+        let both = r#"{"kernel": "PI", "n": 256, "procs": 4, "sizes": [256]}"#;
+        let predict = api.handle(&post("/v1/predict", both));
+        let sweep = api.handle(&post("/v1/sweep", both));
+        assert_eq!((predict.status, sweep.status), (200, 200));
+        assert_ne!(predict.body, sweep.body, "each route answers its own way");
+        assert_eq!(rec.counter_get("serve.cache.miss"), 4);
+        for (path, first) in [("/v1/sweep", &sweep), ("/v1/predict", &predict)] {
+            let repeat = api.handle(&post(path, both));
+            assert!(Arc::ptr_eq(&repeat.body, &first.body), "{path}");
+        }
+        assert_eq!(rec.counter_get("serve.cache.miss"), 4);
+        assert_eq!(rec.counter_get("serve.cache.hit"), 3);
     }
 
     /// Latency sketches exist only for names the server resolves: a
@@ -1405,8 +1422,8 @@ mod tests {
         for (body, degraded, len, digest) in [
             (single, false, 1022, 0xf574_c89d_44ff_56c4),
             (single, true, 874, 0x0ce9_1c74_8a7e_76be),
-            (cross, false, 1025, 0x626a_efea_8eb9_57ea),
-            (cross, true, 959, 0x53ef_a2b0_1f99_2147),
+            (cross, false, 1025, 0x6335_e0b9_23c0_8eb8),
+            (cross, true, 959, 0x4cc3_0548_dca2_4a8b),
         ] {
             let api = if degraded { open_breaker_api() } else { api() };
             let resp = api.handle(&post("/v1/advise", body));

@@ -10,23 +10,28 @@
 //! * **bound programs** — one [`report::Bound`] (analyzed, SPMD and AAG)
 //!   per `(origin, n, procs)` point, so a request for a bound point skips
 //!   parse, semantic analysis *and* partitioning entirely;
-//! * **responses** — the serialized JSON answer per exact request: the
-//!   path plus the raw body bytes ([`response_key`]), looked up before the
-//!   body is parsed, so a warm `/v1/predict` is one hash lookup. A request
+//! * **responses** — the serialized JSON answer per exact request. A
+//!   request's identity is its POST [`Route`] and its raw body bytes; the
+//!   layer is keyed by the body alone, and each entry holds one answer
+//!   slot per route. A lookup borrows the request's body as the key and
+//!   reads the route's slot, before the body is parsed and without
+//!   copying it, so a warm `/v1/predict` is one hash lookup. A request
 //!   that differs in any byte (reordered keys, other whitespace, another
 //!   `deadline_ms`) is computed again; handlers are deterministic, so it
-//!   gets the same bytes.
+//!   gets the same bytes. Capacity is [`CacheConfig::bodies`] bodies.
 //!
 //! Each layer is a [`ShardedLru`]: N power-of-two shards selected by the
-//! FNV-1a hash of the key, each shard its own mutex *and* its own LRU
-//! clock, so hot-path lookups from different workers stop convoying on
-//! one global lock. A failed `try_lock` (another worker holds the shard)
-//! is counted on `serve.cache.shard_contention` before falling back to a
-//! blocking lock — the counter is the observable proof that sharding is
-//! (or is not) pulling its weight at a given worker count.
+//! FNV-1a hash of the key (no hash at all with one shard), each shard its
+//! own mutex *and* its own LRU clock, so hot-path lookups from different
+//! workers stop convoying on one global lock. A failed `try_lock`
+//! (another worker holds the shard) is counted on
+//! `serve.cache.shard_contention` before falling back to a blocking lock
+//! — the counter is the observable proof that sharding is (or is not)
+//! pulling its weight at a given worker count.
 //!
 //! Cold misses are further deduplicated by a [`SingleFlight`] table keyed
-//! by the same response key: the first request for a missing answer
+//! by the request's path and body ([`response_key`], built only on a
+//! miss): the first request for a missing answer
 //! becomes the *leader* and computes it; concurrent duplicates park on a
 //! condvar and receive the leader's `Arc<Vec<u8>>` verbatim. The leader
 //! stores its answer before it releases its waiters, so a duplicate that
@@ -64,7 +69,7 @@ pub struct CacheConfig {
     pub sessions: usize,
     /// Distinct bound programs.
     pub binds: usize,
-    /// Distinct cached responses.
+    /// Distinct request bodies with cached responses.
     pub bodies: usize,
     /// Lock shards per cache layer, rounded up to a power of two.
     /// `0` = derive: the server sets it from its worker count; a
@@ -83,10 +88,30 @@ impl Default for CacheConfig {
     }
 }
 
-/// The identity of a POST: its path and raw body bytes. This one key
-/// indexes both the response cache and the single-flight table, so "same
-/// cached answer" and "same in-flight computation" can never disagree
-/// about request identity.
+/// A POST route whose answers the response cache holds: the slot its
+/// answer takes in a cached body's entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    Predict,
+    Sweep,
+    Advise,
+}
+
+impl Route {
+    /// The route's path.
+    pub fn path(self) -> &'static str {
+        match self {
+            Route::Predict => "/v1/predict",
+            Route::Sweep => "/v1/sweep",
+            Route::Advise => "/v1/advise",
+        }
+    }
+}
+
+/// The identity of a POST as one string, its path and raw body bytes: the
+/// single-flight key of a request that missed the response cache, which
+/// is keyed by the same two parts, so "same cached answer" and "same
+/// in-flight computation" can never disagree about request identity.
 pub fn response_key(path: &str, raw: &str) -> String {
     format!("{path}\u{0}{raw}")
 }
@@ -168,9 +193,19 @@ fn lock_plain<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// The shard `key` maps to under `mask` (shard count − 1): its FNV-1a
+/// hash masked, or shard 0 without hashing when there is one shard.
+fn shard_of(key: &str, mask: u64) -> usize {
+    if mask == 0 {
+        return 0;
+    }
+    (fnv1a(FNV_OFFSET, key.as_bytes()) & mask) as usize
+}
+
 /// A bounded LRU map split into power-of-two lock shards.
 ///
-/// The shard for a key is `fnv1a(key) & (shards - 1)`; each shard is an
+/// The shard for a key is `fnv1a(key) & (shards - 1)` (shard 0, with no
+/// hashing, when there is one shard); each shard is an
 /// independent [`LruMap`] with its own capacity slice and its own logical
 /// clock, so recency ordering (and therefore eviction) is per-shard.
 /// Every cached value is a pure function of its key, so shard-local
@@ -212,7 +247,7 @@ impl<V: Clone> ShardedLru<V> {
 
     /// The shard index `key` maps to.
     pub fn shard_index(&self, key: &str) -> usize {
-        (fnv1a(FNV_OFFSET, key.as_bytes()) & self.mask) as usize
+        shard_of(key, self.mask)
     }
 
     /// Entries currently held, per shard (for capacity assertions).
@@ -243,7 +278,26 @@ impl<V: Clone> ShardedLru<V> {
 
     /// Look up `key`, marking it most recently used in its shard.
     pub fn get(&self, key: &str) -> Option<V> {
-        self.lock_shard(self.shard_index(key)).get(key).cloned()
+        self.get_with(key, V::clone)
+    }
+
+    /// Look up `key` and read its value through `read` under the shard
+    /// lock, marking it most recently used.
+    pub fn get_with<R>(&self, key: &str, read: impl FnOnce(&V) -> R) -> Option<R> {
+        self.lock_shard(self.shard_index(key)).get(key).map(read)
+    }
+
+    /// Change the value under `key` through `change`, starting from
+    /// `V::default()` when the key is absent, under one hold of the
+    /// shard lock; returns the entry the shard evicted, if any.
+    pub fn update(&self, key: &str, change: impl FnOnce(&mut V)) -> Option<(String, V)>
+    where
+        V: Default,
+    {
+        let mut shard = self.lock_shard(self.shard_index(key));
+        let mut value = shard.get(key).cloned().unwrap_or_default();
+        change(&mut value);
+        shard.insert(key.to_string(), value)
     }
 
     /// Insert `key → value`; returns the entry the shard evicted, if any.
@@ -371,7 +425,7 @@ impl SingleFlight {
     }
 
     fn shard(&self, key: &str) -> &Mutex<HashMap<Arc<str>, Arc<Flight>>> {
-        &self.shards[(fnv1a(FNV_OFFSET, key.as_bytes()) & self.mask) as usize]
+        &self.shards[shard_of(key, self.mask)]
     }
 
     /// Become the leader for `key`, or park behind the current one.
@@ -405,14 +459,20 @@ pub struct ServeCache {
     kernels: ShardedLru<Arc<CompiledKernel>>,
     programs: ShardedLru<Arc<Program>>,
     binds: ShardedLru<Arc<Bound>>,
-    responses: ShardedLru<Arc<CachedResponse>>,
+    /// Keyed by the raw request body: one answer slot per [`Route`].
+    responses: ShardedLru<RouteSlots>,
     flights: SingleFlight,
 }
+
+/// The cached answers to one request body, one slot per [`Route`],
+/// indexed by it. Each answer is behind an `Arc`, so an entry holds three
+/// pointers however many routes have answered.
+type RouteSlots = [Option<Arc<CachedResponse>>; 3];
 
 /// One cached answer: a cacheable 200 body, plus the latency sketches the
 /// request records into, so a hit feeds the same per-kernel and
 /// per-machine distributions as the request that computed it.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CachedResponse {
     pub body: Arc<Vec<u8>>,
     /// `serve.latency.kernel.<name>`, for a request naming a suite kernel.
@@ -557,12 +617,16 @@ impl ServeCache {
         })
     }
 
-    /// The cached answer to the request with this [`response_key`]. A hit
-    /// counts on `serve.cache.hit` and on `serve.cache.wire_hit` (the name
-    /// the exact-bytes layer has always reported under); the caller counts
+    /// The cached answer to `body` POSTed to `route`, looked up by the
+    /// borrowed body without copying it. A hit counts on
+    /// `serve.cache.hit` and on `serve.cache.wire_hit` (the name the
+    /// exact-bytes layer has always reported under); the caller counts
     /// `serve.cache.miss` once the body has parsed and its deadline holds.
-    pub fn response(&self, key: &str) -> Option<Arc<CachedResponse>> {
-        let hit = self.responses.get(key);
+    pub fn response(&self, route: Route, body: &str) -> Option<CachedResponse> {
+        let hit = self
+            .responses
+            .get_with(body, |slots| slots[route as usize].as_deref().cloned())
+            .flatten();
         if hit.is_some() {
             hpf_trace::counter_add("serve.cache.hit", 1);
             hpf_trace::counter_add("serve.cache.wire_hit", 1);
@@ -570,9 +634,11 @@ impl ServeCache {
         hit
     }
 
-    /// Store a cacheable 200 answer under its [`response_key`].
-    pub fn store_response(&self, key: String, entry: CachedResponse) {
-        self.responses.insert(key, Arc::new(entry));
+    /// Store a cacheable 200 answer to `body` POSTed to `route`, beside
+    /// the body's answers on other routes.
+    pub fn store_response(&self, route: Route, body: &str, entry: CachedResponse) {
+        self.responses
+            .update(body, |slots| slots[route as usize] = Some(Arc::new(entry)));
     }
 }
 

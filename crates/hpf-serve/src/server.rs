@@ -12,6 +12,11 @@
 //!   keep-alive until the peer closes, a read times out, or shutdown
 //!   begins. Handlers are pure ([`crate::api`]), so any worker can serve
 //!   any request and the response bytes do not depend on which one did;
+//! * **per-connection buffers**: a connection reads through one
+//!   [`http::RequestReader`] (a bounded head buffer and a reused
+//!   [`http::Request`]) and writes through one write buffer that is
+//!   flushed when no pipelined request is waiting, so a warm keep-alive
+//!   request allocates nothing between the socket reads and writes;
 //! * **panic isolation**: each request dispatch runs under
 //!   `catch_unwind`, so a panicking handler answers a structured 500
 //!   (with a panic-payload excerpt) and the pool keeps its capacity —
@@ -93,15 +98,13 @@ impl Default for ServerConfig {
     }
 }
 
-/// The default pool size: one worker per available hardware thread,
-/// clamped to [2, 64] — at least two so a single stalled connection
-/// never serializes the whole service, at most 64 because beyond that
-/// the bounded queue, not the pool, is the right lever.
+/// The default pool size: one worker per available hardware thread
+/// ([`report::pool::available_threads`], read once per process), clamped
+/// to [2, 64] — at least two so a single stalled connection never
+/// serializes the whole service, at most 64 because beyond that the
+/// bounded queue, not the pool, is the right lever.
 pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2)
-        .clamp(2, 64)
+    report::pool::available_threads().clamp(2, 64)
 }
 
 /// A connection parked in the accept queue, timestamped so dequeue can
@@ -476,8 +479,11 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
     // buffer is sized so a pipelined burst of ~2.5 KB bodies coalesces
     // into few write() calls.
     let mut writer = BufWriter::with_capacity(128 << 10, stream);
+    // The connection's request buffers: a keep-alive request is parsed
+    // into the same head buffer and `Request` as the one before it.
+    let mut requests = http::RequestReader::default();
     loop {
-        match http::read_request(&mut reader) {
+        match requests.read(&mut reader) {
             // Peer closed between requests: normal end of a keep-alive
             // connection.
             Ok(None) => return,
@@ -496,13 +502,8 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
                     ),
                 ])
                 .pretty();
-                let _ = writer.write_all(&http::response_bytes(
-                    e.status,
-                    JSON,
-                    body.as_bytes(),
-                    false,
-                    None,
-                ));
+                let _ =
+                    http::write_response(&mut writer, e.status, JSON, body.as_bytes(), false, None);
                 let _ = writer.flush();
                 return;
             }
@@ -514,13 +515,8 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
                         ("status", Value::Str("draining".into())),
                     ])
                     .pretty();
-                    let _ = writer.write_all(&http::response_bytes(
-                        200,
-                        JSON,
-                        body.as_bytes(),
-                        false,
-                        None,
-                    ));
+                    let _ =
+                        http::write_response(&mut writer, 200, JSON, body.as_bytes(), false, None);
                     let _ = writer.flush();
                     return;
                 }
@@ -536,7 +532,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
                 // rhythm is intact, but a handler that panicked halfway
                 // earns no further trust.
                 let (resp, panicked) =
-                    match catch_unwind(AssertUnwindSafe(|| shared.api.handle(&req))) {
+                    match catch_unwind(AssertUnwindSafe(|| shared.api.handle(req))) {
                         Ok(resp) => (resp, false),
                         Err(payload) => {
                             hpf_trace::counter_add("serve.worker_panic", 1);

@@ -291,3 +291,104 @@ fn ooc_kernel_predict_reports_io_seconds() {
     let text = String::from_utf8(resp.body.to_vec()).unwrap();
     assert!(!text.contains("\"io_s\""), "body: {text}");
 }
+
+/// Over a real socket, a pipelined burst whose heads are split across
+/// many small writes — requests with a query and extra headers next to
+/// bare ones, errors among them — is answered in order, each answer
+/// byte-identical to `Api::handle` of the same request.
+#[test]
+fn split_pipelined_burst_is_answered_in_order_over_a_socket() {
+    use std::io::{BufReader, Read, Write};
+    use std::net::TcpStream;
+
+    // (method, target, extra header lines, body), in the order sent.
+    let mut burst: Vec<(&str, String, &str, String)> = (0..12)
+        .map(|i| {
+            let (path, body) = request_at(0x5B17, i);
+            let (target, extra) = if i % 3 == 0 {
+                (
+                    format!("{path}?trace=1&x=y"),
+                    "X-Trace: on\r\nAccept: */*\r\n",
+                )
+            } else {
+                (path.to_string(), "")
+            };
+            ("POST", target, extra, body)
+        })
+        .collect();
+    burst.insert(4, ("GET", "/v1/nosuch".into(), "", String::new()));
+    burst.insert(7, ("POST", "/v1/predict".into(), "", "{not json".into()));
+    burst.push((
+        "POST",
+        "/v1/sweep".into(),
+        "Connection: close\r\n",
+        r#"{"kernel": "PI", "sizes": {"min": 32, "max": 64}, "procs": 2}"#.into(),
+    ));
+
+    let mut wire = Vec::new();
+    let fresh = Api::new(&CacheConfig::default());
+    let mut expected = Vec::new();
+    for (method, target, extra, body) in &burst {
+        wire.extend_from_slice(
+            format!(
+                "{method} {target} HTTP/1.1\r\n{extra}Content-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
+        );
+        let (path, query) = target.split_once('?').unwrap_or((target, ""));
+        let resp = fresh.handle(&Request {
+            method: method.to_string(),
+            path: path.to_string(),
+            query: query.to_string(),
+            body: body.as_bytes().to_vec(),
+            ..Request::default()
+        });
+        expected.push((resp.status, resp.body));
+    }
+
+    let handle = hpf_serve::start("127.0.0.1:0", hpf_serve::ServerConfig::default()).unwrap();
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let mut write_half = stream.try_clone().unwrap();
+    let writer = std::thread::spawn(move || {
+        let sizes = [1usize, 2, 3, 5, 8, 13, 21, 34];
+        let mut at = 0;
+        for size in sizes.iter().cycle() {
+            if at == wire.len() {
+                break;
+            }
+            let end = (at + size).min(wire.len());
+            write_half.write_all(&wire[at..end]).unwrap();
+            write_half.flush().unwrap();
+            at = end;
+        }
+    });
+
+    let mut reader = BufReader::new(stream);
+    for (i, (status, body)) in expected.iter().enumerate() {
+        let (got_status, _, got_body) = hpf_serve::http::read_response(&mut reader)
+            .unwrap_or_else(|e| panic!("response {i}: {e}"));
+        assert_eq!(got_status, *status, "response {i}");
+        assert_eq!(
+            got_body,
+            body.as_slice(),
+            "response {i}: {}",
+            String::from_utf8_lossy(&got_body)
+        );
+    }
+    writer.join().unwrap();
+    // `Connection: close` on the last request: nothing follows its answer.
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).unwrap();
+    assert!(
+        rest.is_empty(),
+        "{} bytes after the last answer",
+        rest.len()
+    );
+    handle.shutdown();
+    handle.wait();
+}

@@ -237,12 +237,16 @@ pub fn ooc_kernels() -> Vec<Kernel> {
     ]
 }
 
-/// Look a kernel up by its Table-1 name (or an out-of-core variant's name).
+/// Look a kernel up by its Table-1 name (or an out-of-core variant's
+/// name), in any letter case, against a table of both lists built once
+/// per process.
 pub fn kernel_by_name(name: &str) -> Option<Kernel> {
-    all_kernels()
-        .into_iter()
-        .chain(ooc_kernels())
+    static SUITE: std::sync::OnceLock<Vec<Kernel>> = std::sync::OnceLock::new();
+    SUITE
+        .get_or_init(|| all_kernels().into_iter().chain(ooc_kernels()).collect())
+        .iter()
         .find(|k| k.name.eq_ignore_ascii_case(name))
+        .cloned()
 }
 
 /// 1-D PROCESSORS / TEMPLATE / ALIGN / DISTRIBUTE boilerplate.

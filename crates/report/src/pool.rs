@@ -10,17 +10,38 @@
 //! Results are written into per-index slots, so the output order — and
 //! therefore every downstream bit — is independent of which worker ran
 //! which job and of the worker count.
+//!
+//! The host's parallelism is asked of the OS once per process
+//! ([`available_threads`]), not once per fan-out: the answer reads
+//! cgroup and affinity files and costs microseconds, and an advisor
+//! search fans out a dozen times.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
-/// Resolve a requested worker count: `0` means "ask the OS", and the
-/// result is clamped to the job count (no idle spawn) and to 16.
+/// The hardware threads this process may run on
+/// (`std::thread::available_parallelism`, 1 when the OS cannot say),
+/// read on the first call and cached: a process reads its CPU set once,
+/// so an affinity change after that first call is not seen (a benchmark
+/// that pins itself does so before it).
+pub fn available_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
+/// Resolve a requested worker count: `0` means "as many as the host has"
+/// ([`available_threads`]), and the result is clamped to the job count
+/// (no idle spawn) and to 16.
 pub fn effective_threads(requested: usize, jobs: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let t = if requested == 0 { hw } else { requested };
+    let t = if requested == 0 {
+        available_threads()
+    } else {
+        requested
+    };
     t.clamp(1, 16).min(jobs.max(1))
 }
 
