@@ -631,7 +631,7 @@ impl Api {
             .get("machine")
             .and_then(Value::as_str)
             .and_then(machine_metric_name);
-        let flight = self.cache.join_flight(&response_key(route.path(), text));
+        let flight = self.cache.join_flight(&response_key(&req.path, text));
         // Run the handler and store a cacheable 200 (one store per
         // request at most).
         let compute = || {

@@ -97,17 +97,6 @@ pub enum Route {
     Advise,
 }
 
-impl Route {
-    /// The route's path.
-    pub fn path(self) -> &'static str {
-        match self {
-            Route::Predict => "/v1/predict",
-            Route::Sweep => "/v1/sweep",
-            Route::Advise => "/v1/advise",
-        }
-    }
-}
-
 /// The identity of a POST as one string, its path and raw body bytes: the
 /// single-flight key of a request that missed the response cache, which
 /// is keyed by the same two parts, so "same cached answer" and "same
