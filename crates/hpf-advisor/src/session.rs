@@ -23,6 +23,7 @@ use report::pipeline::{
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{self, BufRead};
+use std::sync::Arc;
 
 /// Interactive session state.
 pub struct Session {
@@ -59,7 +60,7 @@ impl Session {
 
     /// The calibrated model of the target machine at the session's node
     /// count; the registry rejects counts the machine does not support.
-    fn model(&self) -> Result<MachineModel, String> {
+    fn model(&self) -> Result<Arc<MachineModel>, String> {
         calibrated_machine_for(&self.machine, self.nodes).map_err(|e| e.to_string())
     }
 
@@ -467,11 +468,10 @@ impl Session {
         }
         let backend =
             hpf_machines::machine(&rest.to_ascii_lowercase()).map_err(|e| e.to_string())?;
-        self.machine = backend.name().to_string();
+        self.machine = backend.name.to_string();
         Ok(format!(
             "target machine: {} ({})",
-            backend.name(),
-            backend.description()
+            backend.name, backend.description
         ))
     }
 }

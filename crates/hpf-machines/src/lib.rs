@@ -11,23 +11,25 @@
 //!   (dimension-ordered shortest-wrap routing), a two-level fat tree
 //!   (up/down routing through switch vertices), and an idealized
 //!   crossbar (receiver-port serialization).
-//! * [`MachineModel`] — a named machine backend: its supported node range
-//!   and SAU parameter tables (via [`machine::MachineModel`]), which name
-//!   the topology ([`build_topology`]) and degrade under a fault plan. The
-//!   iPSC/860 is re-expressed as the first registered backend with zero
-//!   behavioral change.
-//! * [`mod@registry`]/[`fn@machine`] — the `MachineRegistry`: name → backend,
-//!   following the ReFrame/HPL per-system reference-table idiom
-//!   (machine name → expected calibration numbers ± tolerance, see
-//!   [`refs::calibration_references`]).
+//! * [`Backend`] — one row of the registry table: a machine's name,
+//!   description, supported node range, provenance, and the function that
+//!   builds its SAU parameter tables ([`machine::MachineModel`]) for a node
+//!   count. The tables name the topology ([`build_topology`]) and degrade
+//!   under a fault plan. The iPSC/860 is the first row, and its tables are
+//!   [`machine::ipsc860`] itself.
+//! * [`fn@registry`]/[`fn@machine`] — the table and the lookup by name,
+//!   following the ReFrame/HPL per-system reference-table idiom (a system
+//!   is data keyed by its name; machine name → expected calibration
+//!   numbers ± tolerance, see [`refs::calibration_references`]).
 //! * [`TopologyError`] — the typed error that replaces the old
 //!   route-table hard assertions; `report` converts it into a
 //!   `PipelineError` so serve answers a structured 400 and the CLIs
 //!   print a diagnostic instead of panicking.
 //!
 //! The crate deliberately depends only on `machine`: calibration runs
-//! (which need the DES) live in `ipsc-sim::calibrate_backend`, and the
-//! registry's reference tables are validated by tests there.
+//! (which need the DES) live in `ipsc-sim`, their process-wide memo in
+//! `report::pipeline::calibrated_machine_for`, and the registry's
+//! reference tables are validated by tests in `ipsc-sim`.
 
 pub mod error;
 pub mod refs;
@@ -36,5 +38,5 @@ pub mod topology;
 
 pub use error::TopologyError;
 pub use refs::{calibration_references, CalibrationReference};
-pub use registry::{machine, machine_names, registry, MachineModel, DEFAULT_MACHINE};
+pub use registry::{machine, machine_names, registry, Backend, DEFAULT_MACHINE};
 pub use topology::{build_topology, Topology};

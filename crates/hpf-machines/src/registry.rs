@@ -1,45 +1,52 @@
-//! The machine registry: named backends behind the [`MachineModel`] trait.
+//! The machine registry: one [`Backend`] row per named machine.
 //!
-//! A backend owns the SAU parameter tables for a node count (via
-//! [`machine::MachineModel`]); the tables name the topology the DES routes
-//! over (`build_topology(&params.topology, nodes)`) and degrade under a
-//! fault plan (`params.degrade(&plan)`). The iPSC/860 backend delegates to
-//! [`machine::ipsc860`] verbatim — same struct, same numbers — so routing
-//! the existing stack through the registry is a zero-behavioral-change
-//! refactor. Three further backends model the machine classes the paper's
-//! methodology was designed to compare (§7): a Paragon-class 3-D
-//! torus/mesh, an SP-2-class fat-tree cluster, and an idealized modern
-//! multicore node.
+//! A backend is data keyed by its name, as a ReFrame system is: a
+//! description, a supported node range, a provenance note, and the
+//! function that builds its SAU parameter tables ([`machine::MachineModel`])
+//! for a node count. The tables name the topology the DES routes over
+//! (`build_topology(&params.topology, nodes)`) and degrade under a fault
+//! plan (`params.degrade(&plan)`). The iPSC/860 row's tables are
+//! [`machine::ipsc860`] itself — same struct, same numbers. Three further
+//! rows model the machine classes the paper's methodology was designed to
+//! compare (§7): a Paragon-class 3-D torus/mesh, an SP-2-class fat-tree
+//! cluster, and an idealized modern multicore node.
 
 use crate::error::TopologyError;
 use machine::{
     CommComponent, IoComponent, MemoryComponent, ProcessingComponent, Sau, TopologyDesc,
 };
 
-/// A named machine backend the pipeline can target.
-pub trait MachineModel: Send + Sync {
+/// A named machine backend the pipeline can target: one row of the
+/// registry table.
+#[derive(Debug)]
+pub struct Backend {
     /// Registry key (stable, lowercase; used in CLIs, HTTP bodies and
     /// metric names).
-    fn name(&self) -> &'static str;
-
+    pub name: &'static str,
     /// One-line human description.
-    fn description(&self) -> &'static str;
-
+    pub description: &'static str,
     /// Inclusive `(min, max)` node counts the backend supports.
-    fn node_range(&self) -> (usize, usize);
-
+    pub node_range: (usize, usize),
     /// Where the SAU parameter tables come from (§4.4 provenance).
-    fn provenance(&self) -> &'static str;
+    pub provenance: &'static str,
+    /// The SAU parameter tables for a node count inside `node_range`.
+    /// [`Backend::params`] is the checked way to call it.
+    pub tables: fn(usize) -> machine::MachineModel,
+}
 
+impl Backend {
     /// Parameter tables for `nodes` compute nodes.
-    fn params(&self, nodes: usize) -> Result<machine::MachineModel, TopologyError>;
+    pub fn params(&self, nodes: usize) -> Result<machine::MachineModel, TopologyError> {
+        self.validate_nodes(nodes)?;
+        Ok((self.tables)(nodes))
+    }
 
-    /// Reject node counts outside [`MachineModel::node_range`].
-    fn validate_nodes(&self, nodes: usize) -> Result<(), TopologyError> {
-        let (lo, hi) = self.node_range();
+    /// Reject node counts outside [`Backend::node_range`].
+    pub fn validate_nodes(&self, nodes: usize) -> Result<(), TopologyError> {
+        let (lo, hi) = self.node_range;
         if nodes < lo || nodes > hi {
             return Err(TopologyError::InvalidNodes {
-                machine: self.name().to_string(),
+                machine: self.name.to_string(),
                 nodes,
                 reason: format!("supported node range is {lo}..={hi}"),
             });
@@ -51,24 +58,53 @@ pub trait MachineModel: Send + Sync {
 /// The default backend: the machine the paper measured.
 pub const DEFAULT_MACHINE: &str = "ipsc860";
 
+/// The registry table, ipsc860 first.
+static BACKENDS: [Backend; 4] = [
+    Backend {
+        name: "ipsc860",
+        description: "Intel iPSC/860 hypercube: 40 MHz i860 nodes, NX Direct-Connect network",
+        node_range: (1, 1024),
+        provenance: "vendor specifications + instruction counting; comm fitted by SAU calibration runs (paper §4.4)",
+        tables: machine::ipsc860,
+    },
+    Backend {
+        name: "torus3d",
+        description: "Paragon-class 3-D torus: 50 MHz nodes, dimension-ordered wormhole mesh",
+        node_range: (1, 4096),
+        provenance: "Paragon-class estimates scaled from iPSC/860 tables; comm fitted by SAU calibration runs against the DES",
+        tables: torus3d,
+    },
+    Backend {
+        name: "fattree",
+        description: "SP-2-class cluster: 66 MHz superscalar nodes on a two-level fat tree (radix 4)",
+        node_range: (1, 4096),
+        provenance: "SP-2-class estimates; comm fitted by SAU calibration runs against the DES",
+        tables: fattree,
+    },
+    Backend {
+        name: "multicore",
+        description: "idealized multicore node: 3 GHz cores, on-chip crossbar, sub-µs messaging",
+        node_range: (1, 128),
+        provenance: "idealized modern-node estimates; comm fitted by SAU calibration runs against the DES",
+        tables: multicore,
+    },
+];
+
 /// All registered backends, in registry order (ipsc860 first).
-pub fn registry() -> &'static [&'static dyn MachineModel] {
-    static BACKENDS: [&'static dyn MachineModel; 4] =
-        [&Ipsc860, &Torus3d, &FatTreeCluster, &MulticoreNode];
+pub fn registry() -> &'static [Backend] {
     &BACKENDS
 }
 
 /// Registered backend names, in registry order.
 pub fn machine_names() -> Vec<&'static str> {
-    registry().iter().map(|b| b.name()).collect()
+    BACKENDS.iter().map(|b| b.name).collect()
 }
 
 /// Look a backend up by name.
-pub fn machine(name: &str) -> Result<&'static dyn MachineModel, TopologyError> {
-    registry()
+pub fn machine(name: &str) -> Result<&'static Backend, TopologyError> {
+    BACKENDS
         .iter()
-        .find(|b| b.name() == name)
-        .copied()
+        .find(|b| b.name == name)
         .ok_or_else(|| TopologyError::UnknownMachine {
             name: name.to_string(),
             available: machine_names(),
@@ -141,266 +177,177 @@ pub fn balanced_dims3(nodes: usize) -> Vec<usize> {
     best
 }
 
-/// The Intel iPSC/860 hypercube — the paper's machine, unchanged.
-struct Ipsc860;
-
-impl MachineModel for Ipsc860 {
-    fn name(&self) -> &'static str {
-        "ipsc860"
-    }
-
-    fn description(&self) -> &'static str {
-        "Intel iPSC/860 hypercube: 40 MHz i860 nodes, NX Direct-Connect network"
-    }
-
-    fn node_range(&self) -> (usize, usize) {
-        (1, 1024)
-    }
-
-    fn provenance(&self) -> &'static str {
-        "vendor specifications + instruction counting; comm fitted by SAU calibration runs (paper §4.4)"
-    }
-
-    fn params(&self, nodes: usize) -> Result<machine::MachineModel, TopologyError> {
-        self.validate_nodes(nodes)?;
-        Ok(machine::ipsc860(nodes))
-    }
-}
-
 /// A Paragon-class 3-D mesh/torus: 50 MHz i860XP-class nodes on a
 /// wormhole-routed grid with far lower per-message latency than NX.
-struct Torus3d;
-
-impl MachineModel for Torus3d {
-    fn name(&self) -> &'static str {
-        "torus3d"
-    }
-
-    fn description(&self) -> &'static str {
-        "Paragon-class 3-D torus: 50 MHz nodes, dimension-ordered wormhole mesh"
-    }
-
-    fn node_range(&self) -> (usize, usize) {
-        (1, 4096)
-    }
-
-    fn provenance(&self) -> &'static str {
-        "Paragon-class estimates scaled from iPSC/860 tables; comm fitted by SAU calibration runs against the DES"
-    }
-
-    fn params(&self, nodes: usize) -> Result<machine::MachineModel, TopologyError> {
-        self.validate_nodes(nodes)?;
-        let mut proc_ = machine::ipsc860_node_processing();
-        proc_.clock_mhz = 50.0;
-        let mut mem = machine::ipsc860_node_memory();
-        mem.icache_bytes = 16 * 1024;
-        mem.dcache_bytes = 16 * 1024;
-        mem.main_bytes = 32 * 1024 * 1024;
-        mem.clock_mhz = 50.0;
-        let comm = CommComponent {
-            short_latency_s: 45e-6,
-            long_latency_s: 70e-6,
-            short_threshold: 256,
-            per_byte_s: 0.02e-6,
-            per_hop_s: 0.1e-6,
-            pack_per_byte_s: 0.04e-6,
-            sync_overhead_s: 10e-6,
-        };
-        let io = IoComponent {
-            load_bandwidth_bps: 2048.0 * 1024.0,
-            load_latency_s: 1.0,
-            transfer_bandwidth_bps: 1024.0 * 1024.0,
-            // Paragon-class PFS: four I/O partitions striping 64 KB units,
-            // seek-dominated SCSI disks behind each.
-            io_servers: 4,
-            stripe_bytes: 64 * 1024,
-            disk_latency_s: 20e-3,
-            disk_bandwidth_bps: 3.0 * 1024.0 * 1024.0,
-            server_overhead_s: 0.4e-3,
-        };
-        Ok(assemble(
-            format!("3-D torus ({nodes} nodes)"),
-            "wormhole mesh",
-            "mesh node",
-            nodes,
-            proc_,
-            mem,
-            comm,
-            io,
-            TopologyDesc::Torus {
-                dims: balanced_dims3(nodes),
-            },
-        ))
-    }
+fn torus3d(nodes: usize) -> machine::MachineModel {
+    let mut proc_ = machine::ipsc860_node_processing();
+    proc_.clock_mhz = 50.0;
+    let mut mem = machine::ipsc860_node_memory();
+    mem.icache_bytes = 16 * 1024;
+    mem.dcache_bytes = 16 * 1024;
+    mem.main_bytes = 32 * 1024 * 1024;
+    mem.clock_mhz = 50.0;
+    let comm = CommComponent {
+        short_latency_s: 45e-6,
+        long_latency_s: 70e-6,
+        short_threshold: 256,
+        per_byte_s: 0.02e-6,
+        per_hop_s: 0.1e-6,
+        pack_per_byte_s: 0.04e-6,
+        sync_overhead_s: 10e-6,
+    };
+    let io = IoComponent {
+        load_bandwidth_bps: 2048.0 * 1024.0,
+        load_latency_s: 1.0,
+        transfer_bandwidth_bps: 1024.0 * 1024.0,
+        // Paragon-class PFS: four I/O partitions striping 64 KB units,
+        // seek-dominated SCSI disks behind each.
+        io_servers: 4,
+        stripe_bytes: 64 * 1024,
+        disk_latency_s: 20e-3,
+        disk_bandwidth_bps: 3.0 * 1024.0 * 1024.0,
+        server_overhead_s: 0.4e-3,
+    };
+    assemble(
+        format!("3-D torus ({nodes} nodes)"),
+        "wormhole mesh",
+        "mesh node",
+        nodes,
+        proc_,
+        mem,
+        comm,
+        io,
+        TopologyDesc::Torus {
+            dims: balanced_dims3(nodes),
+        },
+    )
 }
 
 /// An SP-2-class fat-tree cluster: faster superscalar nodes behind a
 /// two-level multistage switch.
-struct FatTreeCluster;
-
-impl MachineModel for FatTreeCluster {
-    fn name(&self) -> &'static str {
-        "fattree"
-    }
-
-    fn description(&self) -> &'static str {
-        "SP-2-class cluster: 66 MHz superscalar nodes on a two-level fat tree (radix 4)"
-    }
-
-    fn node_range(&self) -> (usize, usize) {
-        (1, 4096)
-    }
-
-    fn provenance(&self) -> &'static str {
-        "SP-2-class estimates; comm fitted by SAU calibration runs against the DES"
-    }
-
-    fn params(&self, nodes: usize) -> Result<machine::MachineModel, TopologyError> {
-        self.validate_nodes(nodes)?;
-        let proc_ = ProcessingComponent {
-            clock_mhz: 66.0,
-            fadd_cycles: 1.0,
-            fmul_cycles: 1.0,
-            fdiv_cycles: 17.0,
-            ftrans_cycles: 60.0,
-            int_cycles: 1.0,
-            imul_cycles: 4.0,
-            idiv_cycles: 18.0,
-            cmp_cycles: 1.0,
-            logical_cycles: 1.0,
-            loop_iter_cycles: 2.5,
-            loop_setup_cycles: 8.0,
-            branch_cycles: 2.0,
-            call_cycles: 15.0,
-            index_cycles: 1.0,
-        };
-        let mem = MemoryComponent {
-            icache_bytes: 32 * 1024,
-            dcache_bytes: 64 * 1024,
-            main_bytes: 64 * 1024 * 1024,
-            cache_line_bytes: 64,
-            hit_cycles: 1.0,
-            miss_penalty_cycles: 18.0,
-            clock_mhz: 66.0,
-        };
-        let comm = CommComponent {
-            short_latency_s: 40e-6,
-            long_latency_s: 60e-6,
-            short_threshold: 512,
-            per_byte_s: 0.03e-6,
-            per_hop_s: 0.5e-6,
-            pack_per_byte_s: 0.04e-6,
-            sync_overhead_s: 15e-6,
-        };
-        let io = IoComponent {
-            load_bandwidth_bps: 4096.0 * 1024.0,
-            load_latency_s: 0.5,
-            transfer_bandwidth_bps: 2048.0 * 1024.0,
-            // SP-2-class Vesta/PIOFS: dedicated server nodes on the switch,
-            // 32 KB stripe units.
-            io_servers: 4,
-            stripe_bytes: 32 * 1024,
-            disk_latency_s: 12e-3,
-            disk_bandwidth_bps: 6.0 * 1024.0 * 1024.0,
-            server_overhead_s: 0.25e-3,
-        };
-        Ok(assemble(
-            format!("fat-tree cluster ({nodes} nodes)"),
-            "multistage switch",
-            "cluster node",
-            nodes,
-            proc_,
-            mem,
-            comm,
-            io,
-            TopologyDesc::FatTree { radix: 4 },
-        ))
-    }
+fn fattree(nodes: usize) -> machine::MachineModel {
+    let proc_ = ProcessingComponent {
+        clock_mhz: 66.0,
+        fadd_cycles: 1.0,
+        fmul_cycles: 1.0,
+        fdiv_cycles: 17.0,
+        ftrans_cycles: 60.0,
+        int_cycles: 1.0,
+        imul_cycles: 4.0,
+        idiv_cycles: 18.0,
+        cmp_cycles: 1.0,
+        logical_cycles: 1.0,
+        loop_iter_cycles: 2.5,
+        loop_setup_cycles: 8.0,
+        branch_cycles: 2.0,
+        call_cycles: 15.0,
+        index_cycles: 1.0,
+    };
+    let mem = MemoryComponent {
+        icache_bytes: 32 * 1024,
+        dcache_bytes: 64 * 1024,
+        main_bytes: 64 * 1024 * 1024,
+        cache_line_bytes: 64,
+        hit_cycles: 1.0,
+        miss_penalty_cycles: 18.0,
+        clock_mhz: 66.0,
+    };
+    let comm = CommComponent {
+        short_latency_s: 40e-6,
+        long_latency_s: 60e-6,
+        short_threshold: 512,
+        per_byte_s: 0.03e-6,
+        per_hop_s: 0.5e-6,
+        pack_per_byte_s: 0.04e-6,
+        sync_overhead_s: 15e-6,
+    };
+    let io = IoComponent {
+        load_bandwidth_bps: 4096.0 * 1024.0,
+        load_latency_s: 0.5,
+        transfer_bandwidth_bps: 2048.0 * 1024.0,
+        // SP-2-class Vesta/PIOFS: dedicated server nodes on the switch,
+        // 32 KB stripe units.
+        io_servers: 4,
+        stripe_bytes: 32 * 1024,
+        disk_latency_s: 12e-3,
+        disk_bandwidth_bps: 6.0 * 1024.0 * 1024.0,
+        server_overhead_s: 0.25e-3,
+    };
+    assemble(
+        format!("fat-tree cluster ({nodes} nodes)"),
+        "multistage switch",
+        "cluster node",
+        nodes,
+        proc_,
+        mem,
+        comm,
+        io,
+        TopologyDesc::FatTree { radix: 4 },
+    )
 }
 
 /// An idealized modern multicore node: GHz-class cores over a
 /// full-crossbar on-chip fabric where only the receiver port contends.
-struct MulticoreNode;
-
-impl MachineModel for MulticoreNode {
-    fn name(&self) -> &'static str {
-        "multicore"
-    }
-
-    fn description(&self) -> &'static str {
-        "idealized multicore node: 3 GHz cores, on-chip crossbar, sub-µs messaging"
-    }
-
-    fn node_range(&self) -> (usize, usize) {
-        (1, 128)
-    }
-
-    fn provenance(&self) -> &'static str {
-        "idealized modern-node estimates; comm fitted by SAU calibration runs against the DES"
-    }
-
-    fn params(&self, nodes: usize) -> Result<machine::MachineModel, TopologyError> {
-        self.validate_nodes(nodes)?;
-        let proc_ = ProcessingComponent {
-            clock_mhz: 3000.0,
-            fadd_cycles: 1.0,
-            fmul_cycles: 1.0,
-            fdiv_cycles: 14.0,
-            ftrans_cycles: 40.0,
-            int_cycles: 0.5,
-            imul_cycles: 3.0,
-            idiv_cycles: 20.0,
-            cmp_cycles: 0.5,
-            logical_cycles: 0.5,
-            loop_iter_cycles: 1.0,
-            loop_setup_cycles: 4.0,
-            branch_cycles: 1.0,
-            call_cycles: 8.0,
-            index_cycles: 0.5,
-        };
-        let mem = MemoryComponent {
-            icache_bytes: 32 * 1024,
-            dcache_bytes: 512 * 1024,
-            main_bytes: 8 * 1024 * 1024 * 1024,
-            cache_line_bytes: 64,
-            hit_cycles: 1.0,
-            miss_penalty_cycles: 60.0,
-            clock_mhz: 3000.0,
-        };
-        let comm = CommComponent {
-            short_latency_s: 0.5e-6,
-            long_latency_s: 0.8e-6,
-            short_threshold: 4096,
-            per_byte_s: 0.1e-9,
-            per_hop_s: 0.0,
-            pack_per_byte_s: 0.02e-9,
-            sync_overhead_s: 1e-6,
-        };
-        let io = IoComponent {
-            load_bandwidth_bps: 512.0 * 1024.0 * 1024.0,
-            load_latency_s: 0.01,
-            transfer_bandwidth_bps: 256.0 * 1024.0 * 1024.0,
-            // Single shared SSD-class device: one logical server, large
-            // stripe unit, negligible seek cost relative to the other
-            // backends.
-            io_servers: 1,
-            stripe_bytes: 1024 * 1024,
-            disk_latency_s: 0.1e-3,
-            disk_bandwidth_bps: 512.0 * 1024.0 * 1024.0,
-            server_overhead_s: 0.02e-3,
-        };
-        Ok(assemble(
-            format!("multicore node ({nodes} cores)"),
-            "on-chip crossbar",
-            "core",
-            nodes,
-            proc_,
-            mem,
-            comm,
-            io,
-            TopologyDesc::Crossbar,
-        ))
-    }
+fn multicore(nodes: usize) -> machine::MachineModel {
+    let proc_ = ProcessingComponent {
+        clock_mhz: 3000.0,
+        fadd_cycles: 1.0,
+        fmul_cycles: 1.0,
+        fdiv_cycles: 14.0,
+        ftrans_cycles: 40.0,
+        int_cycles: 0.5,
+        imul_cycles: 3.0,
+        idiv_cycles: 20.0,
+        cmp_cycles: 0.5,
+        logical_cycles: 0.5,
+        loop_iter_cycles: 1.0,
+        loop_setup_cycles: 4.0,
+        branch_cycles: 1.0,
+        call_cycles: 8.0,
+        index_cycles: 0.5,
+    };
+    let mem = MemoryComponent {
+        icache_bytes: 32 * 1024,
+        dcache_bytes: 512 * 1024,
+        main_bytes: 8 * 1024 * 1024 * 1024,
+        cache_line_bytes: 64,
+        hit_cycles: 1.0,
+        miss_penalty_cycles: 60.0,
+        clock_mhz: 3000.0,
+    };
+    let comm = CommComponent {
+        short_latency_s: 0.5e-6,
+        long_latency_s: 0.8e-6,
+        short_threshold: 4096,
+        per_byte_s: 0.1e-9,
+        per_hop_s: 0.0,
+        pack_per_byte_s: 0.02e-9,
+        sync_overhead_s: 1e-6,
+    };
+    let io = IoComponent {
+        load_bandwidth_bps: 512.0 * 1024.0 * 1024.0,
+        load_latency_s: 0.01,
+        transfer_bandwidth_bps: 256.0 * 1024.0 * 1024.0,
+        // Single shared SSD-class device: one logical server, large
+        // stripe unit, negligible seek cost relative to the other
+        // backends.
+        io_servers: 1,
+        stripe_bytes: 1024 * 1024,
+        disk_latency_s: 0.1e-3,
+        disk_bandwidth_bps: 512.0 * 1024.0 * 1024.0,
+        server_overhead_s: 0.02e-3,
+    };
+    assemble(
+        format!("multicore node ({nodes} cores)"),
+        "on-chip crossbar",
+        "core",
+        nodes,
+        proc_,
+        mem,
+        comm,
+        io,
+        TopologyDesc::Crossbar,
+    )
 }
 
 #[cfg(test)]
@@ -418,7 +365,7 @@ mod tests {
 
     #[test]
     fn unknown_machine_lists_alternatives() {
-        let err = machine("cm5").err().expect("cm5 is not registered");
+        let err = machine("cm5").expect_err("cm5 is not registered");
         match err {
             TopologyError::UnknownMachine { name, available } => {
                 assert_eq!(name, "cm5");

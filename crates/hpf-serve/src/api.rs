@@ -27,6 +27,8 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
+use hpf_lang::ast::Program;
+use hpf_lang::parse_program;
 use hpf_trace::json::{parse as parse_json, Value};
 use interp::{InterpOptions, InterpretationEngine, Prediction};
 use ipsc_sim::{SimConfig, Simulator};
@@ -355,12 +357,12 @@ fn machine_metric_name(name: &str) -> Option<&'static str> {
 /// registry backend. An unknown name is the registry's typed
 /// `TopologyError`, surfaced as the same structured 400 pipeline body the
 /// CLI diagnostics map to (stage `machine`).
-fn machine_from(body: &Value, source: Option<&str>) -> Result<Option<String>, ApiResponse> {
+fn machine_from(body: &Value, source: Option<&str>) -> Result<Option<&'static str>, ApiResponse> {
     match body.get("machine") {
         None => Ok(None),
         Some(v) => match v.as_str() {
             Some(name) => match hpf_machines::machine(name) {
-                Ok(_) => Ok(Some(name.to_string())),
+                Ok(backend) => Ok(Some(backend.name)),
                 Err(e) => {
                     let err = PipelineError::from(e);
                     Err(ApiResponse::json(400, &pipeline_error_value(&err, source)))
@@ -684,9 +686,11 @@ impl Api {
     }
 
     /// Bind the request's target to `(n, procs)` through the warm caches.
+    /// `parsed` is the caller's parse of an inline source, if it has one.
     fn bind_target(
         &self,
         target: &Target,
+        parsed: Option<&Program>,
         n: Option<i64>,
         procs: usize,
         deadline: &Deadline,
@@ -696,7 +700,7 @@ impl Api {
                 let n = n.unwrap_or(256);
                 self.cache.bind_kernel(name, n, procs, deadline)
             }
-            Target::Source(src) => self.cache.bind_source(src, n, procs, deadline),
+            Target::Source(src) => self.cache.bind_source(src, parsed, n, procs, deadline),
         }
     }
 
@@ -758,7 +762,7 @@ impl Api {
             Ok(m) => m,
             Err(resp) => return resp,
         };
-        let bound = match self.bind_target(&target, n, procs, &deadline) {
+        let bound = match self.bind_target(&target, None, n, procs, &deadline) {
             Ok(b) => b,
             Err(f) => {
                 let (status, value) = failure_value(&f, target.source_text());
@@ -770,9 +774,7 @@ impl Api {
             return ApiResponse::json(status, &value);
         }
         let machine = match report::pipeline::calibrated_machine_for(
-            machine_name
-                .as_deref()
-                .unwrap_or(hpf_machines::DEFAULT_MACHINE),
+            machine_name.unwrap_or(hpf_machines::DEFAULT_MACHINE),
             procs,
         ) {
             Ok(m) => m,
@@ -784,14 +786,7 @@ impl Api {
         let prediction = engine.interpret(&bound.aag);
         ApiResponse::json(
             200,
-            &Self::predict_value(
-                &bound.aag,
-                &prediction,
-                &target,
-                n,
-                procs,
-                machine_name.as_deref(),
-            ),
+            &Self::predict_value(&bound.aag, &prediction, &target, n, procs, machine_name),
         )
     }
 
@@ -848,17 +843,20 @@ impl Api {
 
         // Batched evaluation: every point binds through `bind_target`,
         // under the same bind-cache keys as a predict of that point. The
-        // program is looked up first, so a bad program fails before the
-        // machine is checked.
+        // program is resolved first — a kernel's artifact, or one parse of
+        // an inline source that every point binds from — so a bad program
+        // fails before the machine is checked.
         let _batch = hpf_trace::span("batch");
         hpf_trace::counter_add("serve.batch.sessions", 1);
         hpf_trace::counter_add("serve.batch.points", sizes.len() as u64);
-        let artifact = match &target {
-            Target::Kernel(name) => self.cache.kernel_artifact(name).map(Some),
-            Target::Source(src) => self.cache.source_program(src).map(|_| None),
+        let program = match &target {
+            Target::Kernel(name) => self.cache.kernel_artifact(name).map(|a| (Some(a), None)),
+            Target::Source(src) => parse_program(src)
+                .map(|p| (None, Some(p)))
+                .map_err(|e| ServeFailure::Pipeline(e.into())),
         };
-        let artifact = match artifact {
-            Ok(a) => a,
+        let (artifact, parsed) = match program {
+            Ok(p) => p,
             Err(f) => {
                 let (status, value) = failure_value(&f, target.source_text());
                 return ApiResponse::json(status, &value);
@@ -871,9 +869,7 @@ impl Api {
             None => target.source_text().unwrap_or_default(),
         };
         let machine = match report::pipeline::calibrated_machine_for(
-            machine_name
-                .as_deref()
-                .unwrap_or(hpf_machines::DEFAULT_MACHINE),
+            machine_name.unwrap_or(hpf_machines::DEFAULT_MACHINE),
             procs,
         ) {
             Ok(m) => m,
@@ -889,7 +885,13 @@ impl Api {
                 let (status, value) = failure_value(&f, target.source_text());
                 return ApiResponse::json(status, &value);
             }
-            let bound = match self.bind_target(&target, Some(n as i64), procs, &deadline) {
+            let bound = match self.bind_target(
+                &target,
+                parsed.as_ref(),
+                Some(n as i64),
+                procs,
+                &deadline,
+            ) {
                 Ok(b) => b,
                 Err(f) => {
                     let (status, value) = failure_value(&f, target.source_text());
@@ -913,9 +915,7 @@ impl Api {
                 // The whole cross-check runs under the breaker: a panic or
                 // an open breaker degrades this point to analytic-only.
                 let sim_panic = ctx.sim_panic;
-                let sim_machine_name = machine_name
-                    .as_deref()
-                    .unwrap_or(hpf_machines::DEFAULT_MACHINE);
+                let sim_machine_name = machine_name.unwrap_or(hpf_machines::DEFAULT_MACHINE);
                 let outcome = self.breaker.call(|| {
                     if sim_panic {
                         panic!("chaos: injected DES cross-check panic");
@@ -955,8 +955,8 @@ impl Api {
             ("procs", num(procs as f64)),
             ("points", Value::Arr(points)),
         ];
-        if let Some(m) = &machine_name {
-            top.push(("machine", Value::Str(m.clone())));
+        if let Some(m) = machine_name {
+            top.push(("machine", Value::Str(m.to_string())));
         }
         ok_or_degraded(top, degraded)
     }
@@ -1057,8 +1057,8 @@ impl Api {
         if machine_name.is_some() && machines_list.is_some() {
             return bad_request("give either `machine` or `machines`, not both");
         }
-        if let Some(m) = &machine_name {
-            cfg.machine = m.clone();
+        if let Some(m) = machine_name {
+            cfg.machine = m.to_string();
         }
 
         let advisor = match &target {
@@ -1615,6 +1615,41 @@ mod tests {
         let v = parse_json(std::str::from_utf8(&resp.body).unwrap()).unwrap();
         let err = v.get("error").unwrap();
         assert_eq!(err.get("stage").and_then(Value::as_str), Some("machine"));
+    }
+
+    /// A sweep over an inline source parses it once and binds every point
+    /// from that parse, and a source that does not parse is reported
+    /// before a `procs` the named machine cannot run.
+    #[test]
+    fn inline_sweeps_parse_once_and_report_parse_errors_first() {
+        let source = "PROGRAM PI\nINTEGER, PARAMETER :: N = 128\nREAL F(N), PIE\n\
+                      !HPF$ PROCESSORS P(4)\n!HPF$ DISTRIBUTE F(BLOCK) ONTO P\n\
+                      FORALL (I = 1:N) F(I) = 1.0 / I\nPIE = SUM(F) / N\nEND\n";
+        let (rec, api) = traced_api();
+        let body = format!(
+            r#"{{"source": {}, "procs": 4, "sizes": [64, 128, 256]}}"#,
+            Value::Str(source.into()).pretty()
+        );
+        let resp = api.handle(&post("/v1/sweep", &body));
+        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+        let parses: u64 = rec
+            .span_snapshot()
+            .iter()
+            .filter(|s| s.path.ends_with("/parse"))
+            .map(|s| s.count)
+            .sum();
+        assert_eq!(parses, 1, "one parse for three cold binds");
+        assert_eq!(rec.counter_get("serve.bind.miss"), 3);
+
+        let resp = api.handle(&post(
+            "/v1/sweep",
+            r#"{"source": "PROGRAM X\nREAL A(\nEND\n", "procs": 256, "sizes": [64],
+                "machine": "multicore"}"#,
+        ));
+        assert_eq!(resp.status, 400, "{}", String::from_utf8_lossy(&resp.body));
+        let v = parse_json(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+        let stage = v.get("error").and_then(|e| e.get("stage"));
+        assert_eq!(stage.and_then(Value::as_str), Some("parse"));
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Warm compiled state shared by every worker, behind bounded LRU caches.
 //!
-//! Four layers, all keyed deterministically and all safe to recompute on a
+//! Three layers, all keyed deterministically and all safe to recompute on a
 //! miss (every cached object is a pure function of its key):
 //!
 //! * **kernel artifacts** — [`kernels::CompiledKernel`], one parse per
 //!   kernel shape (the PR-3 warm-session primitive);
-//! * **source programs** — parsed ASTs of POSTed HPF text, keyed by the
-//!   full source (directives included — they shape the partitioning);
 //! * **bound programs** — one [`report::Bound`] (analyzed, SPMD and AAG)
 //!   per `(origin, n, procs)` point, so a request for a bound point skips
-//!   parse, semantic analysis *and* partitioning entirely;
+//!   parse, semantic analysis *and* partitioning entirely. An inline
+//!   source is keyed by its full text (directives included — they shape
+//!   the partitioning). A bind miss of a predict parses the source; a
+//!   sweep parses it once and binds every point from that parse;
 //! * **responses** — the serialized JSON answer per exact request. A
 //!   request's identity is its POST [`Route`] and its raw body bytes; the
 //!   layer is keyed by the body alone, and each entry holds one answer
@@ -65,7 +66,7 @@ use report::{fnv1a, Bound, PipelineError, PipelineStage, FNV_OFFSET};
 /// Capacities of the serving caches.
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
-    /// Distinct kernel artifacts + parsed source programs.
+    /// Distinct kernel artifacts.
     pub sessions: usize,
     /// Distinct bound programs.
     pub binds: usize,
@@ -446,7 +447,6 @@ impl SingleFlight {
 #[derive(Debug)]
 pub struct ServeCache {
     kernels: ShardedLru<Arc<CompiledKernel>>,
-    programs: ShardedLru<Arc<Program>>,
     binds: ShardedLru<Arc<Bound>>,
     /// Keyed by the raw request body: one answer slot per [`Route`].
     responses: ShardedLru<RouteSlots>,
@@ -500,7 +500,6 @@ impl ServeCache {
         let shards = cfg.shards.max(1);
         ServeCache {
             kernels: ShardedLru::new(cfg.sessions, shards),
-            programs: ShardedLru::new(cfg.sessions, shards),
             binds: ShardedLru::new(cfg.binds, shards),
             responses: ShardedLru::new(cfg.bodies, shards),
             flights: SingleFlight::new(shards),
@@ -529,19 +528,6 @@ impl ServeCache {
         let compiled = Arc::new(CompiledKernel::new(&kernel)?);
         self.kernels.insert(name.to_string(), compiled.clone());
         Ok(compiled)
-    }
-
-    /// The parsed AST for POSTed source (full text is the key: directive
-    /// lines shape partitioning, so they are part of program identity).
-    pub fn source_program(&self, source: &str) -> Result<Arc<Program>, ServeFailure> {
-        if let Some(p) = self.programs.get(source) {
-            counter_pair("session", true);
-            return Ok(p);
-        }
-        counter_pair("session", false);
-        let program = Arc::new(parse_program(source).map_err(PipelineError::from)?);
-        self.programs.insert(source.to_string(), program.clone());
-        Ok(program)
     }
 
     fn bind_cached(
@@ -582,19 +568,29 @@ impl ServeCache {
 
     /// Bind POSTed source to `(n, procs)`. `n = None` leaves the program's
     /// own PARAMETER values untouched; `Some(n)` overrides the critical
-    /// variable `N` exactly like the kernel path.
+    /// variable `N` exactly like the kernel path. On a miss the bind
+    /// analyzes `parsed`, the caller's parse of `source`, or parses
+    /// `source` when given none.
     pub fn bind_source(
         &self,
         source: &str,
+        parsed: Option<&Program>,
         n: Option<i64>,
         procs: usize,
         deadline: &Deadline,
     ) -> Result<Arc<Bound>, ServeFailure> {
         self.bind_cached(&source_bind_key(source, n, procs), deadline, || {
-            let program = self.source_program(source)?;
+            let owned;
+            let program = match parsed {
+                Some(p) => p,
+                None => {
+                    owned = parse_program(source).map_err(PipelineError::from)?;
+                    &owned
+                }
+            };
             deadline.check("analyze")?;
             let overrides = n.map(|n| ("N".to_string(), n)).into_iter().collect();
-            let analyzed = analyze(&program, &overrides).map_err(PipelineError::from)?;
+            let analyzed = analyze(program, &overrides).map_err(PipelineError::from)?;
             deadline.check("compile")?;
             let opts = CompileOptions {
                 nodes: procs,
@@ -660,10 +656,10 @@ END
     fn source_binds_are_reused_and_match_kernel_semantics() {
         let cache = ServeCache::new(&CacheConfig::default());
         let a = cache
-            .bind_source(PI_SRC, None, 4, &Deadline::none())
+            .bind_source(PI_SRC, None, None, 4, &Deadline::none())
             .unwrap();
         let b = cache
-            .bind_source(PI_SRC, None, 4, &Deadline::none())
+            .bind_source(PI_SRC, None, None, 4, &Deadline::none())
             .unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(a.spmd.nodes, 4);
@@ -682,7 +678,7 @@ END
     fn malformed_source_is_a_spanned_pipeline_error() {
         let cache = ServeCache::new(&CacheConfig::default());
         let bad = "PROGRAM X\nREAL A(\nEND\n";
-        match cache.bind_source(bad, None, 4, &Deadline::none()) {
+        match cache.bind_source(bad, None, None, 4, &Deadline::none()) {
             Err(ServeFailure::Pipeline(e)) => {
                 assert!(e.line().is_some(), "diagnostic must carry a span: {e}")
             }

@@ -22,7 +22,10 @@
 //!
 //! **Responses.** [`write_response`] writes the status line and headers
 //! from static pieces and a small integer formatter, with no `fmt`
-//! machinery on the hot path.
+//! machinery on the hot path. A client reads responses through one
+//! [`ResponseReader`] per connection, the same bounded head reader over
+//! buffers it reuses; [`read_response`] is the same parser over fresh
+//! buffers.
 
 use std::io::{BufRead, Read, Take, Write};
 
@@ -364,40 +367,63 @@ pub fn write_response<W: Write>(
 /// One parsed response: `(status, headers, body)`, header names lower-cased.
 pub type Response = (u16, Vec<(String, String)>, Vec<u8>);
 
-/// Read one response from a buffered connection — the client half used by
-/// the loadgen and the end-to-end tests. Its head is read through the
-/// same bounded reader as a request's.
-pub fn read_response<R: BufRead>(reader: &mut R) -> Result<Response, HttpError> {
-    let mut head = Vec::new();
-    let mut limited = Read::take(&mut *reader, MAX_HEADER_BYTES as u64 + 1);
-    let read = limited.read_until(b'\n', &mut head);
-    if read.map_err(|e| read_error("read status line", &e))? == 0 {
-        return Err(HttpError::new(400, "eof before status line"));
-    }
-    let line = head_text(&head, 0)?;
-    let mut parts = line.split_whitespace();
-    let status = match (parts.next(), parts.next()) {
-        (Some(v), Some(s)) if v.starts_with("HTTP/1.") => s
-            .parse::<u16>()
-            .map_err(|_| HttpError::new(400, format!("bad status {}", echo(s))))?,
-        _ => {
+/// A connection's response buffers, reused across its keep-alive
+/// responses — the client-side twin of [`RequestReader`]: the head's
+/// bytes and the last [`Response`] read.
+#[derive(Debug, Default)]
+pub struct ResponseReader {
+    head: Vec<u8>,
+    response: Response,
+}
+
+impl ResponseReader {
+    /// Read the next response from `reader`, overwriting the buffered one
+    /// in place. Its head is read through the same bounded reader as a
+    /// request's; an end of stream before the status line is an error.
+    /// After an error the buffered response is unspecified.
+    pub fn read<R: BufRead>(&mut self, reader: &mut R) -> Result<&Response, HttpError> {
+        let ResponseReader {
+            head,
+            response: (status, headers, body),
+        } = self;
+        head.clear();
+        let mut limited = Read::take(&mut *reader, MAX_HEADER_BYTES as u64 + 1);
+        let read = limited.read_until(b'\n', head);
+        if read.map_err(|e| read_error("read status line", &e))? == 0 {
+            return Err(HttpError::new(400, "eof before status line"));
+        }
+        if head.len() > MAX_HEADER_BYTES {
             return Err(HttpError::new(
                 400,
-                format!("malformed status line {}", echo(line)),
-            ))
+                format!("status line longer than {MAX_HEADER_BYTES} bytes"),
+            ));
         }
-    };
+        let line = head_text(head, 0)?;
+        let mut parts = line.split_whitespace();
+        *status = match (parts.next(), parts.next()) {
+            (Some(v), Some(s)) if v.starts_with("HTTP/1.") => s
+                .parse::<u16>()
+                .map_err(|_| HttpError::new(400, format!("bad status {}", echo(s))))?,
+            _ => {
+                return Err(HttpError::new(
+                    400,
+                    format!("malformed status line {}", echo(line)),
+                ))
+            }
+        };
+        read_headers(&mut limited, head, headers, "response header")?;
+        let len = content_length(headers)?;
+        read_body(reader, body, len, "read response body")?;
+        Ok(&self.response)
+    }
+}
 
-    let mut headers = Vec::new();
-    read_headers(&mut limited, &mut head, &mut headers, "response header")?;
-    let mut body = Vec::new();
-    read_body(
-        reader,
-        &mut body,
-        content_length(&headers)?,
-        "read response body",
-    )?;
-    Ok((status, headers, body))
+/// Read one response from a buffered connection into fresh buffers —
+/// [`ResponseReader::read`] for a caller that reads one response.
+pub fn read_response<R: BufRead>(reader: &mut R) -> Result<Response, HttpError> {
+    let mut responses = ResponseReader::default();
+    responses.read(reader)?;
+    Ok(responses.response)
 }
 
 #[cfg(test)]
@@ -859,6 +885,49 @@ mod tests {
                 "held {} bytes",
                 requests.head.capacity()
             );
+        }
+    }
+
+    /// One response reader reads keep-alive responses in place, leaving
+    /// nothing of a response with more headers in the one that follows.
+    #[test]
+    fn a_reused_response_keeps_no_stale_fields() {
+        let mut bytes = response_bytes(429, "application/json", b"{\"a\":1}", true, Some(1));
+        bytes.extend(response_bytes(200, "text/plain", b"", false, None));
+        let mut r = BufReader::new(bytes.as_slice());
+        let mut responses = ResponseReader::default();
+        let (status, headers, body) = responses.read(&mut r).unwrap();
+        assert_eq!((*status, body.as_slice()), (429, &b"{\"a\":1}"[..]));
+        assert!(headers.iter().any(|(k, v)| k == "retry-after" && v == "1"));
+        let (status, headers, body) = responses.read(&mut r).unwrap();
+        assert_eq!((*status, body.len(), headers.len()), (200, 0, 3));
+        assert!(headers
+            .iter()
+            .any(|(k, v)| k == "connection" && v == "close"));
+        assert!(responses.read(&mut r).is_err(), "eof is an error here");
+    }
+
+    /// A 32 MiB status line or response header with no newline is
+    /// refused after at most `MAX_HEADER_BYTES` plus one buffer.
+    #[test]
+    fn unterminated_response_lines_are_refused_after_a_bounded_read() {
+        const LINE: u64 = 32 << 20;
+        const BUFFER: usize = 8 << 10;
+        let cases: [(&[u8], u16); 2] = [
+            (b"HTTP/1.1 200 ", 400),
+            (b"HTTP/1.1 200 OK\r\nx-long: ", 413),
+        ];
+        for (prefix, status) in cases {
+            let source = Counted {
+                inner: prefix.chain(std::io::repeat(b'a').take(LINE)),
+                read: 0,
+            };
+            let mut reader = BufReader::with_capacity(BUFFER, source);
+            let mut responses = ResponseReader::default();
+            let err = responses.read(&mut reader).unwrap_err();
+            assert_eq!(err.status, status, "{err}");
+            let read = reader.get_ref().read;
+            assert!(read <= MAX_HEADER_BYTES + BUFFER, "read {read} bytes");
         }
     }
 

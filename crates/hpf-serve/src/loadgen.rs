@@ -46,7 +46,7 @@ use hpf_trace::json::parse as parse_json;
 use hpf_trace::{QuantileSketch, Recorder};
 use report::{fnv1a, splitmix64, FNV_OFFSET};
 
-use crate::http::read_response;
+use crate::http::{read_response, ResponseReader};
 use crate::server::{start_traced, ServerConfig, ServerHandle};
 
 /// Loadgen knobs.
@@ -250,48 +250,6 @@ fn memoized_hash(memo: &mut Vec<(Vec<u8>, u64)>, body: &[u8]) -> u64 {
     hash
 }
 
-/// The loadgen's lean response reader: status + body, no per-header
-/// allocations, body into a caller-owned reusable buffer.
-fn read_response_lean<R: std::io::BufRead>(
-    reader: &mut R,
-    line: &mut String,
-    body: &mut Vec<u8>,
-) -> std::io::Result<u16> {
-    line.clear();
-    if reader.read_line(line)? == 0 {
-        return Err(std::io::Error::other("eof before status line"));
-    }
-    let mut parts = line.split_whitespace();
-    let status = match (parts.next(), parts.next()) {
-        (Some(v), Some(s)) if v.starts_with("HTTP/1.") => s
-            .parse::<u16>()
-            .map_err(|_| std::io::Error::other("bad status"))?,
-        _ => return Err(std::io::Error::other("malformed status line")),
-    };
-    let mut content_length = 0usize;
-    loop {
-        line.clear();
-        if reader.read_line(line)? == 0 {
-            return Err(std::io::Error::other("eof inside response headers"));
-        }
-        let h = line.trim_end_matches(['\r', '\n']);
-        if h.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = h.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| std::io::Error::other("bad content-length"))?;
-            }
-        }
-    }
-    body.resize(content_length, 0);
-    std::io::Read::read_exact(reader, body)?;
-    Ok(status)
-}
-
 fn client_run(
     addr: std::net::SocketAddr,
     bursts: Vec<PreparedBurst>,
@@ -304,8 +262,7 @@ fn client_run(
     let mut samples = Vec::with_capacity(total);
     let mut sketch = QuantileSketch::new();
     let mut memo: Vec<(Vec<u8>, u64)> = Vec::new();
-    let mut line = String::new();
-    let mut body = Vec::new();
+    let mut responses = ResponseReader::default();
     for burst in &bursts {
         // One burst: up to `pipeline` requests in a single write, then
         // drain that many responses. Latency for each response is
@@ -314,10 +271,12 @@ fn client_run(
         let t0 = Instant::now();
         stream.write_all(&burst.bytes)?;
         for &idx in &burst.indices {
-            let status = read_response_lean(&mut reader, &mut line, &mut body)?;
+            let (status, _, body) = responses
+                .read(&mut reader)
+                .map_err(|e| std::io::Error::other(e.message))?;
             let secs = t0.elapsed().as_secs_f64();
             sketch.record(secs);
-            samples.push((idx, secs * 1e3, status, memoized_hash(&mut memo, &body)));
+            samples.push((idx, secs * 1e3, *status, memoized_hash(&mut memo, body)));
         }
     }
     Ok(ClientResult { samples, sketch })

@@ -62,6 +62,9 @@ use crate::status::ServiceStatus;
 
 const JSON: &str = "application/json";
 
+/// `Retry-After` seconds advertised on a shed connection's 429 or 504.
+const RETRY_AFTER_S: u32 = 1;
+
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -72,8 +75,6 @@ pub struct ServerConfig {
     /// Keep-alive read timeout: an idle connection is closed after this
     /// long with no next request.
     pub read_timeout_ms: u64,
-    /// `Retry-After` seconds advertised on 429.
-    pub retry_after_s: u32,
     /// Longest a connection may wait in the accept queue before it is
     /// shed with a structured 504 at dequeue instead of served late.
     pub queue_wait_cap_ms: u64,
@@ -90,7 +91,6 @@ impl Default for ServerConfig {
             workers: default_workers(),
             queue_depth: 64,
             read_timeout_ms: 5_000,
-            retry_after_s: 1,
             queue_wait_cap_ms: 2_000,
             chaos: false,
             cache: CacheConfig::default(),
@@ -328,7 +328,7 @@ fn acceptor_loop(shared: &Shared, listener: TcpListener) {
                 if q.len() >= shared.cfg.queue_depth {
                     drop(q);
                     hpf_trace::counter_add("serve.conn.rejected", 1);
-                    reject_overloaded(shared, stream);
+                    reject_overloaded(stream);
                 } else {
                     hpf_trace::counter_add("serve.conn.accepted", 1);
                     q.push_back(QueuedConn {
@@ -349,7 +349,7 @@ fn acceptor_loop(shared: &Shared, listener: TcpListener) {
 }
 
 /// The backpressure answer: 429 + `Retry-After`, then close.
-fn reject_overloaded(shared: &Shared, mut stream: TcpStream) {
+fn reject_overloaded(mut stream: TcpStream) {
     let body = Value::obj(vec![
         ("schema", Value::Str(SCHEMA.into())),
         (
@@ -369,7 +369,7 @@ fn reject_overloaded(shared: &Shared, mut stream: TcpStream) {
         JSON,
         body.as_bytes(),
         false,
-        Some(shared.cfg.retry_after_s),
+        Some(RETRY_AFTER_S),
     ));
 }
 
@@ -422,7 +422,7 @@ fn worker_loop(shared: &Shared) {
                     hpf_trace::counter_add("serve.queue.shed", 1);
                     shared.api.serve_metrics().note_shed();
                     shared.status.add(&shared.status.shed, 1);
-                    shed_expired(shared, stream);
+                    shed_expired(stream);
                     continue;
                 }
                 hpf_trace::counter_add("serve.conn.served", 1);
@@ -435,7 +435,7 @@ fn worker_loop(shared: &Shared) {
 
 /// The shedding answer: 504 + `Retry-After`, then close — without ever
 /// reading the request (the connection is being dropped unserved).
-fn shed_expired(shared: &Shared, mut stream: TcpStream) {
+fn shed_expired(mut stream: TcpStream) {
     let body = Value::obj(vec![
         ("schema", Value::Str(SCHEMA.into())),
         (
@@ -457,7 +457,7 @@ fn shed_expired(shared: &Shared, mut stream: TcpStream) {
         JSON,
         body.as_bytes(),
         false,
-        Some(shared.cfg.retry_after_s),
+        Some(RETRY_AFTER_S),
     ));
 }
 

@@ -224,7 +224,6 @@ fn overload_429_always_carries_retry_after() {
             workers: 1,
             queue_depth: 1,
             read_timeout_ms: 1_000,
-            retry_after_s: 1,
             ..ServerConfig::default()
         },
     )

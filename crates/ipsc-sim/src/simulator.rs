@@ -671,29 +671,32 @@ pub fn io_base_time(machine: &MachineModel, phase: &hpf_io::IoPhase) -> f64 {
     t
 }
 
-/// Run the machine characterization (§4.4): benchmark every collective at a
-/// spread of message sizes and fit `α + β·m` per (op, p), and measure the
-/// compute-scale of a representative operation mix against instruction-count
-/// estimates. Returns the machine with its calibration installed — the
-/// "off-line, performed only once" system abstraction step.
+/// [`calibrate_params`] over the iPSC/860's tables, unchecked: `nodes`
+/// must be at least 1. Callers that take a node count from outside go
+/// through the registry (`report::pipeline::calibrated_machine_for`),
+/// which builds the same model.
 pub fn calibrate(nodes: usize) -> MachineModel {
     calibrate_params(machine::ipsc860(nodes))
 }
 
 /// Calibrate a registered machine backend: fetch its parameter tables for
-/// `nodes` (typed error on an out-of-range node count) and run the same
-/// §4.4 benchmarking/fitting pass [`calibrate`] runs for the iPSC/860 —
-/// against the backend's own topology, since [`collective_base_time`]
-/// routes over whatever the tables' `topology` describes.
+/// `nodes` (typed error on an out-of-range node count) and run
+/// [`calibrate_params`] over them.
 pub fn calibrate_backend(
-    backend: &dyn hpf_machines::MachineModel,
+    backend: &hpf_machines::Backend,
     nodes: usize,
 ) -> Result<MachineModel, TopologyError> {
     Ok(calibrate_params(backend.params(nodes)?))
 }
 
-/// The characterization pass itself, over caller-supplied parameter
-/// tables. `calibrate(n)` is exactly `calibrate_params(ipsc860(n))`.
+/// Run the machine characterization (§4.4) over caller-supplied
+/// parameter tables: benchmark every collective at a spread of message
+/// sizes and fit `α + β·m` per (op, p), against the tables' own topology
+/// (since [`collective_base_time`] routes over whatever the tables'
+/// `topology` describes), and measure the compute-scale of a
+/// representative operation mix against instruction-count estimates.
+/// Returns the machine with its calibration installed — the "off-line,
+/// performed only once" system abstraction step.
 pub fn calibrate_params(mut machine: MachineModel) -> MachineModel {
     let nodes = machine.nodes;
     let mut cal = machine::Calibration {

@@ -7,6 +7,7 @@
 //!        `characterize --list-machines`
 
 use hpf_report::characterize::{characterize_text, machines_text};
+use hpf_report::pipeline::calibrated_machine_for;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -34,26 +35,14 @@ fn main() {
         }
     }
     let nodes: usize = positional.unwrap_or(8);
-    let m = match machine_name.as_deref() {
-        // The default path is byte-identical to the historical
-        // `characterize [nodes]` output: same calibration entry point.
-        None => ipsc_sim::calibrate(nodes),
-        Some(name) => {
-            let backend = match hpf_machines::machine(name) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                }
-            };
-            match ipsc_sim::calibrate_backend(backend, nodes) {
-                Ok(m) => m,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                }
-            }
+    let name = machine_name
+        .as_deref()
+        .unwrap_or(hpf_machines::DEFAULT_MACHINE);
+    match calibrated_machine_for(name, nodes) {
+        Ok(m) => print!("{}", characterize_text(&m, nodes)),
+        Err(e) => {
+            eprintln!("error: {}", e.message);
+            std::process::exit(2);
         }
-    };
-    print!("{}", characterize_text(&m, nodes));
+    }
 }

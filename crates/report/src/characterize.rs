@@ -16,30 +16,25 @@ pub fn machines_text() -> String {
         "  {:<12} {:<10} {:<12} calibration provenance",
         "name", "topology", "nodes"
     );
-    for name in hpf_machines::machine_names() {
-        let backend = hpf_machines::machine(name).expect("registered");
-        let (lo, hi) = backend.node_range();
-        let topo = backend
-            .params(8usize.clamp(lo, hi))
-            .map(|m| m.topology.label())
-            .unwrap_or("?");
+    for backend in hpf_machines::registry() {
+        let (lo, hi) = backend.node_range;
+        let calibrated =
+            crate::pipeline::calibrated_machine_for(backend.name, 8usize.clamp(lo, hi))
+                .expect("a node count inside the backend's range");
         let _ = writeln!(
             out,
             "  {:<12} {:<10} {:<12} {}",
-            name,
-            topo,
+            backend.name,
+            calibrated.topology.label(),
             format!("{lo}..{hi}"),
-            backend.provenance()
+            backend.provenance
         );
-        let _ = writeln!(out, "               {}", backend.description());
+        let _ = writeln!(out, "               {}", backend.description);
         // Whether the calibration pass fits a striped-I/O table for this
         // backend, or predictions fall back to the default closed form.
-        let io_note = match ipsc_sim::calibrate_backend(backend, 8usize.clamp(lo, hi)) {
-            Ok(m) => match &m.calibration {
-                Some(cal) if !cal.io.is_empty() => "fitted (calibration pass)",
-                _ => "default (closed form)",
-            },
-            Err(_) => "default (closed form)",
+        let io_note = match &calibrated.calibration {
+            Some(cal) if !cal.io.is_empty() => "fitted (calibration pass)",
+            _ => "default (closed form)",
         };
         let _ = writeln!(out, "               i/o table: {io_note}");
     }

@@ -10,12 +10,14 @@
 //! can be evaluated in the same predicted-vs-simulated frame as Table 2.
 
 use crate::pipeline::{
-    calibrated_machine, compile_source, profile_with_limit, PipelineError, PipelineStage,
+    calibrated_machine_for, compile_source, machine_params, profile_with_limit, PipelineError,
+    PipelineStage,
 };
 use hpf_compiler::CompileOptions;
 use hpf_io::{CheckpointSchedule, IoKind, IoPhase};
+use hpf_machines::DEFAULT_MACHINE;
 use ipsc_sim::{io_base_time, SimConfig, Simulator};
-use machine::{ipsc860, FaultPlan, MachineModel};
+use machine::{FaultPlan, MachineModel};
 use serde::Serialize;
 
 /// One checkpoint-count row, with both measurement frames.
@@ -111,6 +113,8 @@ pub fn checkpoint_experiment(
             format!("unknown kernel {:?}", cfg.kernel),
         )
     })?;
+    let healthy = calibrated_machine_for(DEFAULT_MACHINE, cfg.procs)?;
+    let raw = machine_params(DEFAULT_MACHINE, cfg.procs)?;
     let src = kernel.source(cfg.size, cfg.procs);
     let bound = compile_source(
         &src,
@@ -142,7 +146,6 @@ pub fn checkpoint_experiment(
 
     // Predicted frame: analytic engine on the calibrated machine, healthy
     // and degraded. Work is the non-I/O share of the prediction.
-    let healthy = calibrated_machine(cfg.procs);
     let degraded = healthy.degrade(&cfg.plan);
     let (work_p, ckpt_p, restart_p) = predicted_frame(&healthy, &bound.aag, ckpt, read);
     let (work_p_deg, _, _) = predicted_frame(&degraded, &bound.aag, ckpt, read);
@@ -153,7 +156,6 @@ pub fn checkpoint_experiment(
     };
 
     // Simulated frame: the DES, healthy and with the plan injected.
-    let raw = ipsc860(cfg.procs);
     let sim = Simulator::with_config(
         &raw,
         SimConfig {

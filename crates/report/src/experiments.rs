@@ -2,8 +2,8 @@
 
 use crate::harness::{run_batch, HarnessConfig, JobFailure, SweepFailure};
 use crate::pipeline::{
-    calibrated_machine, calibrated_machine_for, compile_source, machine_params, profile_with_limit,
-    Bound, PredictOptions,
+    calibrated_machine_for, compile_source, machine_params, profile_with_limit, Bound,
+    PredictOptions,
 };
 use crate::sweep::SweepSession;
 use hpf_compiler::CompileOptions;
@@ -11,6 +11,7 @@ use hpf_eval::ExecutionProfile;
 use interp::{InterpOptions, InterpretationEngine};
 use ipsc_sim::{SimConfig, Simulator};
 use kernels::{all_kernels, Kernel, KernelKind, LaplaceDist};
+use machine::MachineModel;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -95,8 +96,7 @@ impl SweepConfig {
 /// on the *same* compiled program. Both [`accuracy_sample`] (from-scratch)
 /// and [`SweepSession::evaluate`] (compile-once) funnel through here.
 /// Predicts on the named backend's calibrated model and simulates on its
-/// raw parameter tables; the default machine takes exactly the historical
-/// code path (same calibration memo, same `ipsc860` constructor).
+/// raw parameter tables.
 #[allow(clippy::too_many_arguments)]
 pub fn sample_from_artifact_on(
     app: &str,
@@ -195,36 +195,31 @@ pub struct Table2Output {
 pub fn table2(cfg: &SweepConfig) -> Table2Output {
     // Compile each kernel once per session: the workers share the artifact
     // behind an Arc and only re-bind (N, P) per point. A kernel whose
-    // canonical instance fails to parse falls back to the from-scratch
-    // path, which reports the error per-point as before.
-    let sessions: HashMap<&'static str, Arc<SweepSession>> = all_kernels()
+    // canonical instance fails to parse fails each of its points with
+    // that error.
+    let sessions: HashMap<&'static str, Result<Arc<SweepSession>, String>> = all_kernels()
         .iter()
-        .filter_map(|k| {
-            SweepSession::new(k, cfg)
-                .ok()
-                .map(|s| (k.name, Arc::new(s)))
+        .map(|k| {
+            let session = SweepSession::new(k, cfg).map_err(|e| e.to_string());
+            (k.name, session.map(Arc::new))
         })
         .collect();
 
-    let hcfg = cfg.harness.clone();
     let jobs: Vec<(String, _)> = table2_work(cfg)
         .into_iter()
         .map(|(k, size, p)| {
-            let cfg = cfg.clone();
-            let session = sessions.get(k.name).cloned();
+            let session = sessions[k.name].clone();
             let label = format!("{} n={size} p={p}", k.name);
             let inner_label = label.clone();
             let job = move || {
-                let result = match &session {
-                    Some(s) => s.evaluate(size, p),
-                    None => accuracy_sample(&k, size, p, &cfg),
-                };
-                result.map_err(|e| (inner_label.clone(), e.to_string()))
+                let failed = |e: String| (inner_label.clone(), e);
+                let session = session.as_ref().map_err(|e| failed(e.clone()))?;
+                session.evaluate(size, p).map_err(|e| failed(e.to_string()))
             };
             (label, job)
         })
         .collect();
-    let (outcomes, mut failures) = run_batch(jobs, &hcfg);
+    let (outcomes, mut failures) = run_batch(jobs, &cfg.harness);
 
     let mut samples = Vec::new();
     for outcome in outcomes {
@@ -366,14 +361,12 @@ pub fn laplace_curves(procs: usize, max_size: usize, runs: usize) -> Vec<Laplace
         };
         // One compile-once session per distribution; the curve only
         // re-binds N at each size step.
-        let session = SweepSession::new(&kernel, &cfg).ok();
+        let Ok(session) = SweepSession::new(&kernel, &cfg) else {
+            continue;
+        };
         let mut size = 16;
         while size <= max_size {
-            let sample = match &session {
-                Some(s) => s.evaluate(size, procs),
-                None => accuracy_sample(&kernel, size, procs, &cfg),
-            };
-            if let Ok(s) = sample {
+            if let Ok(s) = session.evaluate(size, procs) {
                 pts.push(LaplacePoint {
                     dist: dist.label().to_string(),
                     procs,
@@ -661,6 +654,14 @@ pub fn ablations_text() -> String {
             loop_reorder: true,
         },
     ];
+    let calibrated = calibrated_machine_for(hpf_machines::DEFAULT_MACHINE, procs)
+        .expect("the paper's machine runs on 4 nodes");
+    let uncalibrated = MachineModel {
+        calibration: None,
+        ..(*calibrated).clone()
+    };
+    let raw = machine_params(hpf_machines::DEFAULT_MACHINE, procs)
+        .expect("the paper's machine runs on 4 nodes");
     let compile = |src: &str, loop_reorder: bool| {
         let copts = CompileOptions {
             loop_reorder,
@@ -680,7 +681,6 @@ pub fn ablations_text() -> String {
                 .source(*size, procs);
             let bound = compile(&src, false);
             let profile = profile_with_limit(&bound.analyzed, cfg.profile_steps);
-            let raw = machine::ipsc860(procs);
             let sim = Simulator::with_config(
                 &raw,
                 SimConfig {
@@ -701,11 +701,12 @@ pub fn ablations_text() -> String {
     }
     let _ = writeln!(out, " {:>9}", "mean");
     for ab in &ablations {
-        let mut machine = calibrated_machine(procs);
-        if ab.uncalibrated {
-            machine.calibration = None;
-        }
-        let engine = InterpretationEngine::with_options(&machine, ab.interp.clone());
+        let machine = if ab.uncalibrated {
+            &uncalibrated
+        } else {
+            &*calibrated
+        };
+        let engine = InterpretationEngine::with_options(machine, ab.interp.clone());
         let _ = write!(out, "{:<24}", ab.name);
         let mut errs = Vec::new();
         for (src, bound, measured) in &truths {

@@ -15,12 +15,14 @@
 //! every degraded row.
 
 use crate::pipeline::{
-    calibrated_machine, compile_source, profile_with_limit, PipelineError, PredictOptions,
+    calibrated_machine_for, compile_source, machine_params, profile_with_limit, PipelineError,
+    PredictOptions,
 };
 use hpf_compiler::CompileOptions;
+use hpf_machines::DEFAULT_MACHINE;
 use ipsc_sim::{SimConfig, Simulator};
 use kernels::Kernel;
-use machine::{ipsc860, FaultPlan};
+use machine::FaultPlan;
 use serde::Serialize;
 
 /// One (fault plan) row of the predicted-vs-simulated comparison.
@@ -87,6 +89,8 @@ pub fn fault_experiment(cfg: &FaultExperimentConfig) -> Result<Vec<FaultRow>, Pi
             format!("unknown kernel {:?}", cfg.kernel),
         )
     })?;
+    let healthy_calibrated = calibrated_machine_for(DEFAULT_MACHINE, cfg.procs)?;
+    let healthy_machine = machine_params(DEFAULT_MACHINE, cfg.procs)?;
     let src = kernel.source(cfg.size, cfg.procs);
 
     let bound = compile_source(
@@ -100,8 +104,6 @@ pub fn fault_experiment(cfg: &FaultExperimentConfig) -> Result<Vec<FaultRow>, Pi
     )?;
     let profile = profile_with_limit(&bound.analyzed, cfg.profile_steps);
 
-    let healthy_calibrated = calibrated_machine(cfg.procs);
-    let healthy_machine = ipsc860(cfg.procs);
     let popts = PredictOptions::with_nodes(cfg.procs);
 
     let mut rows = Vec::new();
@@ -250,5 +252,16 @@ mod tests {
             .find(|r| r.plan.starts_with("link-down"))
             .unwrap();
         assert!(severed.detours > 0, "severed link should record detours");
+    }
+
+    #[test]
+    fn out_of_range_procs_fail_at_the_machine_stage() {
+        let cfg = FaultExperimentConfig {
+            procs: 2048,
+            ..quick_cfg()
+        };
+        let err = fault_experiment(&cfg).expect_err("the iPSC/860 tops out at 1024 nodes");
+        assert_eq!(err.stage, crate::pipeline::PipelineStage::Machine);
+        assert!(err.message.contains("2048"), "{err}");
     }
 }

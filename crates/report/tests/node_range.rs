@@ -1,0 +1,43 @@
+//! A node count named on the command line reaches the paper's machine
+//! through the registry, like any other machine's: one outside its range
+//! is refused with the registry's typed error, not a panic and not a run
+//! on a machine the registry does not describe.
+
+use std::process::{Command, Output};
+
+fn run(bin: &str, args: &[&str]) -> Output {
+    Command::new(bin)
+        .args(args)
+        .output()
+        .expect("the binary starts")
+}
+
+/// The registry's message for `nodes` on the iPSC/860.
+fn refusal(nodes: &str) -> String {
+    format!("machine `ipsc860` cannot run on {nodes} node(s): supported node range is 1..=1024")
+}
+
+#[test]
+fn characterize_refuses_node_counts_outside_the_registry_range() {
+    for nodes in ["0", "2000"] {
+        let out = run(env!("CARGO_BIN_EXE_characterize"), &[nodes]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "characterize {nodes}: {stderr}");
+        assert_eq!(stderr, format!("error: {}\n", refusal(nodes)));
+        assert!(
+            out.stdout.is_empty(),
+            "characterize {nodes} printed a model"
+        );
+    }
+}
+
+#[test]
+fn faults_refuses_procs_outside_the_registry_range() {
+    let out = run(env!("CARGO_BIN_EXE_faults"), &["--procs", "2048"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(
+        stderr,
+        format!("faults: machine error: {}\n", refusal("2048"))
+    );
+}

@@ -6,7 +6,7 @@
 //! ```
 
 use hpf90d::prelude::*;
-use hpf90d::report::pipeline::{calibrated_machine, predict_source_full};
+use hpf90d::report::pipeline::{calibrated_machine_for, predict_source_full};
 
 const SRC: &str = r#"
 PROGRAM SAXPY
@@ -57,7 +57,7 @@ fn main() {
     );
 
     // 3. The machine abstraction itself (System Abstraction Graph).
-    let machine = calibrated_machine(8);
+    let machine = calibrated_machine_for(&opts.machine, opts.nodes).expect("registered machine");
     println!("\n== System Abstraction Graph ==");
     println!("{}", machine.sag.outline());
 }

@@ -11,7 +11,9 @@ use hpf90d::report::experiments::{
     table2_text, SweepConfig,
 };
 use hpf90d::report::io_accuracy::{io_accuracy, io_accuracy_text, IoAccuracyConfig};
+use hpf90d::report::pipeline::calibrated_machine_for;
 use hpf_advisor::{render_cross_table, render_table, Advisor, AdvisorConfig};
+use hpf_machines::DEFAULT_MACHINE;
 use hpf_serve::http::Request;
 use hpf_serve::{chaos, Api, CacheConfig, ChaosConfig};
 
@@ -31,7 +33,7 @@ type Render = fn() -> String;
 const GOLDENS: &[(&str, Render)] = &[
     ("artifacts_ablations.txt", ablations_text),
     ("artifacts_characterize.txt", || {
-        characterize_text(&hpf90d::sim::calibrate(8), 8)
+        characterize_text(&calibrated_machine_for(DEFAULT_MACHINE, 8).unwrap(), 8)
     }),
     ("artifacts_machine_calibration.txt", machine_calibration),
     ("artifacts_figure2.txt", figure2_text),
@@ -65,8 +67,7 @@ const GOLDENS: &[(&str, Render)] = &[
 fn machine_calibration() -> String {
     let mut out = machines_text();
     for name in ["ipsc860", "torus3d", "fattree", "multicore"] {
-        let backend = hpf_machines::machine(name).unwrap();
-        let m = hpf90d::sim::calibrate_backend(backend, 8).unwrap();
+        let m = calibrated_machine_for(name, 8).unwrap();
         out.push_str(&format!("\n==== machine: {name} (8 nodes) ====\n"));
         out.push_str(&characterize_text(&m, 8));
     }
