@@ -168,63 +168,56 @@ fn kind_label(kind: &appgraph::AauKind) -> &'static str {
     }
 }
 
-/// The structured 400/504 body for a failed evaluation.
-fn failure_value(f: &ServeFailure, source: Option<&str>) -> (u16, Value) {
-    match f {
-        ServeFailure::Pipeline(e) => (400, pipeline_error_value(e, source)),
-        ServeFailure::Deadline { stage } => (
-            504,
-            Value::obj(vec![
-                ("schema", Value::Str(SCHEMA.into())),
-                (
-                    "error",
-                    Value::obj(vec![
-                        ("kind", Value::Str("deadline".into())),
-                        ("stage", Value::Str((*stage).into())),
-                        ("message", Value::Str(format!("{f}"))),
-                    ]),
-                ),
-            ]),
-        ),
-    }
-}
-
-fn pipeline_error_value(e: &PipelineError, source: Option<&str>) -> Value {
-    let mut err: Vec<(&str, Value)> = vec![
-        ("kind", Value::Str("pipeline".into())),
-        ("stage", Value::Str(e.stage.label().into())),
-        ("message", Value::Str(e.message.clone())),
+/// The service's one error body, `{"schema", "error": {"kind", "message"}}`,
+/// with `extra` fields in the error object.
+pub(crate) fn error_value<'k>(
+    kind: &str,
+    message: impl Into<String>,
+    extra: impl IntoIterator<Item = (&'k str, Value)>,
+) -> Value {
+    let mut err = vec![
+        ("kind", Value::Str(kind.into())),
+        ("message", Value::Str(message.into())),
     ];
-    if let Some(line) = e.line() {
-        err.push(("line", num(line as f64)));
-    }
-    if let Some(src) = source {
-        if let Some(col) = e.column_in(src) {
-            err.push(("column", num(col as f64)));
-        }
-        // The exact string `advise` prints to stderr for the same input.
-        err.push(("diagnostic", Value::Str(e.render_diagnostic(src))));
-    }
+    err.extend(extra);
     Value::obj(vec![
         ("schema", Value::Str(SCHEMA.into())),
         ("error", Value::obj(err)),
     ])
 }
 
-fn bad_request(message: impl Into<String>) -> ApiResponse {
-    ApiResponse::json(
-        400,
-        &Value::obj(vec![
-            ("schema", Value::Str(SCHEMA.into())),
-            (
-                "error",
-                Value::obj(vec![
-                    ("kind", Value::Str("request".into())),
-                    ("message", Value::Str(message.into())),
-                ]),
+/// The structured 400/504 body for a failed evaluation.
+fn failure_value(f: &ServeFailure, source: Option<&str>) -> (u16, Value) {
+    match f {
+        ServeFailure::Pipeline(e) => (400, pipeline_error_value(e, source)),
+        ServeFailure::Deadline { stage } => (
+            504,
+            error_value(
+                "deadline",
+                f.to_string(),
+                [("stage", Value::Str((*stage).into()))],
             ),
-        ]),
-    )
+        ),
+    }
+}
+
+fn pipeline_error_value(e: &PipelineError, source: Option<&str>) -> Value {
+    let mut extra = vec![("stage", Value::Str(e.stage.label().into()))];
+    if let Some(line) = e.line() {
+        extra.push(("line", num(line as f64)));
+    }
+    if let Some(src) = source {
+        if let Some(col) = e.column_in(src) {
+            extra.push(("column", num(col as f64)));
+        }
+        // The exact string `advise` prints to stderr for the same input.
+        extra.push(("diagnostic", Value::Str(e.render_diagnostic(src))));
+    }
+    error_value("pipeline", e.message.clone(), extra)
+}
+
+fn bad_request(message: impl Into<String>) -> ApiResponse {
+    ApiResponse::json(400, &error_value("request", message, []))
 }
 
 /// A 200 that the breaker may have served analytic-only: a degraded body
@@ -439,38 +432,12 @@ impl Api {
             ("POST", "/v1/sweep") => self.cached_post(req, ctx, Route::Sweep, Self::sweep),
             ("POST", "/v1/advise") => self.cached_post(req, ctx, Route::Advise, Self::advise),
             (_, "/v1/healthz" | "/v1/metrics" | "/v1/predict" | "/v1/sweep" | "/v1/advise") => {
-                ApiResponse::json(
-                    405,
-                    &Value::obj(vec![
-                        ("schema", Value::Str(SCHEMA.into())),
-                        (
-                            "error",
-                            Value::obj(vec![
-                                ("kind", Value::Str("request".into())),
-                                (
-                                    "message",
-                                    Value::Str(format!(
-                                        "method {} not allowed on {}",
-                                        req.method, req.path
-                                    )),
-                                ),
-                            ]),
-                        ),
-                    ]),
-                )
+                let message = format!("method {} not allowed on {}", req.method, req.path);
+                ApiResponse::json(405, &error_value("request", message, []))
             }
             _ => ApiResponse::json(
                 404,
-                &Value::obj(vec![
-                    ("schema", Value::Str(SCHEMA.into())),
-                    (
-                        "error",
-                        Value::obj(vec![
-                            ("kind", Value::Str("request".into())),
-                            ("message", Value::Str(format!("no route {}", req.path))),
-                        ]),
-                    ),
-                ]),
+                &error_value("request", format!("no route {}", req.path), []),
             ),
         }
     }
@@ -769,7 +736,7 @@ impl Api {
                 return ApiResponse::json(status, &value);
             }
         };
-        if let Err(f) = deadline.check("interpret") {
+        if let Err(f) = deadline.check("calibrate") {
             let (status, value) = failure_value(&f, target.source_text());
             return ApiResponse::json(status, &value);
         }
@@ -782,6 +749,11 @@ impl Api {
                 return ApiResponse::json(400, &pipeline_error_value(&e, target.source_text()))
             }
         };
+        // A cold calibration can take longer than the whole budget.
+        if let Err(f) = deadline.check("interpret") {
+            let (status, value) = failure_value(&f, target.source_text());
+            return ApiResponse::json(status, &value);
+        }
         let engine = InterpretationEngine::with_options(&machine, InterpOptions::default());
         let prediction = engine.interpret(&bound.aag);
         ApiResponse::json(

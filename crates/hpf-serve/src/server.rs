@@ -55,7 +55,7 @@ use std::time::{Duration, Instant};
 
 use hpf_trace::json::Value;
 
-use crate::api::{Api, CHAOS_HEADER, SCHEMA};
+use crate::api::{error_value, Api, CHAOS_HEADER, SCHEMA};
 use crate::cache::CacheConfig;
 use crate::http;
 use crate::status::ServiceStatus;
@@ -350,20 +350,7 @@ fn acceptor_loop(shared: &Shared, listener: TcpListener) {
 
 /// The backpressure answer: 429 + `Retry-After`, then close.
 fn reject_overloaded(mut stream: TcpStream) {
-    let body = Value::obj(vec![
-        ("schema", Value::Str(SCHEMA.into())),
-        (
-            "error",
-            Value::obj(vec![
-                ("kind", Value::Str("overloaded".into())),
-                (
-                    "message",
-                    Value::Str("request queue is full; retry shortly".into()),
-                ),
-            ]),
-        ),
-    ])
-    .pretty();
+    let body = error_value("overloaded", "request queue is full; retry shortly", []).pretty();
     let _ = stream.write_all(&http::response_bytes(
         429,
         JSON,
@@ -376,20 +363,7 @@ fn reject_overloaded(mut stream: TcpStream) {
 /// The structured 500 a caught handler panic is answered with.
 fn panic_response(payload: Box<dyn std::any::Any + Send>) -> crate::api::ApiResponse {
     let excerpt = crate::breaker::panic_excerpt(payload);
-    let body = Value::obj(vec![
-        ("schema", Value::Str(SCHEMA.into())),
-        (
-            "error",
-            Value::obj(vec![
-                ("kind", Value::Str("panic".into())),
-                (
-                    "message",
-                    Value::Str(format!("handler panicked: {excerpt}")),
-                ),
-            ]),
-        ),
-    ])
-    .pretty();
+    let body = error_value("panic", format!("handler panicked: {excerpt}"), []).pretty();
     crate::api::ApiResponse {
         status: 500,
         body: Arc::new(body.into_bytes()),
@@ -436,22 +410,8 @@ fn worker_loop(shared: &Shared) {
 /// The shedding answer: 504 + `Retry-After`, then close — without ever
 /// reading the request (the connection is being dropped unserved).
 fn shed_expired(mut stream: TcpStream) {
-    let body = Value::obj(vec![
-        ("schema", Value::Str(SCHEMA.into())),
-        (
-            "error",
-            Value::obj(vec![
-                ("kind", Value::Str("shed".into())),
-                (
-                    "message",
-                    Value::Str(
-                        "connection out-waited the queue-wait cap; shed before service".into(),
-                    ),
-                ),
-            ]),
-        ),
-    ])
-    .pretty();
+    let message = "connection out-waited the queue-wait cap; shed before service";
+    let body = error_value("shed", message, []).pretty();
     let _ = stream.write_all(&http::response_bytes(
         504,
         JSON,
@@ -491,17 +451,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
             // timed-out peer ignores it; a broken client learns why) and
             // close either way.
             Err(e) => {
-                let body = Value::obj(vec![
-                    ("schema", Value::Str(SCHEMA.into())),
-                    (
-                        "error",
-                        Value::obj(vec![
-                            ("kind", Value::Str("http".into())),
-                            ("message", Value::Str(e.message.clone())),
-                        ]),
-                    ),
-                ])
-                .pretty();
+                let body = error_value("http", e.message.clone(), []).pretty();
                 let _ =
                     http::write_response(&mut writer, e.status, JSON, body.as_bytes(), false, None);
                 let _ = writer.flush();
@@ -702,6 +652,91 @@ mod tests {
         assert_eq!(status, 400);
         handle.shutdown();
         handle.wait();
+    }
+
+    /// Every error body the service answers, pinned byte for byte by
+    /// status, length and FNV-1a digest: the five the `Api` answers (a
+    /// bad request, an unknown method and route, an expired deadline and
+    /// a pipeline error) and the four the server writes around it
+    /// (overload, handler panic, shed connection, malformed HTTP).
+    #[test]
+    fn error_bodies_are_pinned() {
+        fn request(method: &str, path: &str, body: &str) -> http::Request {
+            http::Request {
+                method: method.into(),
+                path: path.into(),
+                query: String::new(),
+                headers: Vec::new(),
+                body: body.as_bytes().to_vec(),
+            }
+        }
+        /// What `write` sends down the server's end of a fresh connection.
+        fn written(write: fn(TcpStream)) -> (u16, Vec<u8>) {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            write(listener.accept().unwrap().0);
+            let (status, _, body) = read_response(&mut BufReader::new(client)).unwrap();
+            (status, body)
+        }
+        let api = Api::new(&CacheConfig::default());
+        let handled = |method: &str, path: &str, body: &str| {
+            let resp = api.handle(&request(method, path, body));
+            (resp.status, resp.body.to_vec())
+        };
+        let malformed = Value::obj(vec![(
+            "source",
+            Value::Str(
+                "PROGRAM BAD\nINTEGER, PARAMETER :: N = 64\nREAL A(N)\nA(1) = +\nEND\n".into(),
+            ),
+        )])
+        .pretty();
+        let server = start("127.0.0.1:0", ServerConfig::default()).unwrap();
+        let mut garbage = TcpStream::connect(server.addr()).unwrap();
+        garbage.write_all(b"GARBAGE\r\n\r\n").unwrap();
+        let (status, _, body) = read_response(&mut BufReader::new(garbage)).unwrap();
+        server.shutdown();
+        server.wait();
+        let panicked = panic_response(Box::new("boom"));
+        let bodies = [
+            handled("POST", "/v1/predict", r#"{"kernel": "PI", "procs": 0}"#),
+            handled("GET", "/v1/predict", ""),
+            handled("GET", "/v1/nowhere", ""),
+            handled(
+                "POST",
+                "/v1/predict",
+                r#"{"kernel": "PI", "n": 8192, "procs": 4, "deadline_ms": 0}"#,
+            ),
+            handled("POST", "/v1/predict", &malformed),
+            written(reject_overloaded),
+            (panicked.status, panicked.body.to_vec()),
+            written(shed_expired),
+            (status, body),
+        ];
+        let got: Vec<(u16, usize, u64)> = bodies
+            .iter()
+            .map(|(status, body)| (*status, body.len(), report::fnv1a(report::FNV_OFFSET, body)))
+            .collect();
+        let want: Vec<(u16, usize, u64)> = vec![
+            (400, 124, 0xe43d_cee7_ccab_6e0c),
+            (405, 127, 0xd7ec_6121_cf96_48fb),
+            (404, 110, 0x07f5_3134_dd8a_6c69),
+            (504, 151, 0x24b8_f656_73d7_701d),
+            (400, 301, 0xf349_a1d7_225a_49eb),
+            (429, 129, 0x5721_2d2a_9302_d2c1),
+            (500, 110, 0xcc2a_8cdf_56ea_acfc),
+            (504, 148, 0xdff7_acaa_ad52_1e73),
+            (400, 121, 0x64dd_88a5_8cd1_3686),
+        ];
+        assert_eq!(
+            got,
+            want,
+            "{}",
+            bodies
+                .iter()
+                .map(|(_, b)| String::from_utf8_lossy(b).into_owned())
+                .collect::<Vec<_>>()
+                .join("\n")
+        );
     }
 
     fn wait_for(mut cond: impl FnMut() -> bool) {

@@ -11,6 +11,7 @@
 //! constant.
 
 use crate::network::{patterns, simulate_phase, FaultStats, Message};
+use crate::trace::{Activity, Record};
 use hpf_compiler::{CommPhase, CompPhase, OpCounts, SeqBlock, SpmdNode, SpmdProgram};
 use hpf_eval::ExecutionProfile;
 use hpf_machines::topology::HypercubeTopo;
@@ -125,6 +126,17 @@ impl<'m> Simulator<'m> {
     /// (from the functional interpreter); without it the simulator falls
     /// back to the same static hints the predictor uses.
     pub fn simulate(&self, spmd: &SpmdProgram, profile: Option<&ExecutionProfile>) -> SimResult {
+        self.simulate_recording(spmd, profile, ())
+    }
+
+    /// [`Simulator::simulate`], with the jitter-free base pass recording
+    /// its per-node intervals into `rec`. The timed runs record nothing.
+    pub(crate) fn simulate_recording(
+        &self,
+        spmd: &SpmdProgram,
+        profile: Option<&ExecutionProfile>,
+        rec: impl Record,
+    ) -> SimResult {
         let _span = hpf_trace::span("simulate");
         let plan = &self.config.faults;
         let faults_active = !plan.is_zero();
@@ -160,6 +172,7 @@ impl<'m> Simulator<'m> {
             None,
             faults_active.then(|| FaultSession::new(plan, 0)),
             &mut comm_cache,
+            rec,
         );
         let base_total = base.run(&spmd.body);
         let (comp, comm, overhead, io) = (base.comp, base.comm, base.overhead, base.io);
@@ -181,6 +194,7 @@ impl<'m> Simulator<'m> {
                 Some(jitter_rng),
                 session,
                 &mut comm_cache,
+                (),
             );
             let t = w.run(&spmd.body);
             if let Some(s) = w.faults.take() {
@@ -243,7 +257,7 @@ impl<'p> FaultSession<'p> {
 }
 
 /// One walk over the phase tree (one simulated run).
-struct Walk<'a, 'm> {
+struct Walk<'a, 'm, R> {
     sim: &'a Simulator<'m>,
     /// The machine the walk computes against (clock-degraded under a
     /// slow-node fault plan, otherwise `sim.machine`).
@@ -264,9 +278,12 @@ struct Walk<'a, 'm> {
     /// make each phase instance distinct, so caching would freeze the
     /// first draw.
     comm_cache: &'a mut HashMap<(u8, u64, usize), f64>,
+    /// Where the per-node intervals go: a timeline in the base pass of a
+    /// traced simulation, `()` in every other walk.
+    rec: R,
 }
 
-impl<'a, 'm> Walk<'a, 'm> {
+impl<'a, 'm, R: Record> Walk<'a, 'm, R> {
     fn new(
         sim: &'a Simulator<'m>,
         machine: &'a MachineModel,
@@ -274,6 +291,7 @@ impl<'a, 'm> Walk<'a, 'm> {
         rng: Option<StdRng>,
         faults: Option<FaultSession<'a>>,
         comm_cache: &'a mut HashMap<(u8, u64, usize), f64>,
+        rec: R,
     ) -> Self {
         Walk {
             sim,
@@ -287,6 +305,7 @@ impl<'a, 'm> Walk<'a, 'm> {
             io: 0.0,
             events: 0,
             comm_cache,
+            rec,
         }
     }
 
@@ -309,6 +328,20 @@ impl<'a, 'm> Walk<'a, 'm> {
         t
     }
 
+    /// [`Walk::run`] with the timeline's scale multiplied by `k`: a loop
+    /// body's one walk drawn over all its trips, or a branch arm's weighted
+    /// by its probability.
+    fn run_scaled(&mut self, nodes: &[SpmdNode], k: f64) -> f64 {
+        let mut outer = 1.0;
+        self.rec.record(|tl| {
+            outer = tl.scale;
+            tl.scale *= k;
+        });
+        let t = self.run(nodes);
+        self.rec.record(|tl| tl.scale = outer);
+        t
+    }
+
     fn node(&mut self, n: &SpmdNode) -> f64 {
         self.events += 1;
         match n {
@@ -317,7 +350,11 @@ impl<'a, 'm> Walk<'a, 'm> {
             SpmdNode::Comm(c) => self.comm_phase(c),
             SpmdNode::Io { phase, .. } => self.io_phase(phase),
             SpmdNode::Loop {
-                trips, body, span, ..
+                var,
+                trips,
+                body,
+                span,
+                ..
             } => {
                 // Actual trip count from the execution profile when present.
                 let trips = match self.profile.and_then(|p| p.get(*span)) {
@@ -328,19 +365,25 @@ impl<'a, 'm> Walk<'a, 'm> {
                 };
                 let p = &self.machine.node_processing;
                 let mut t = p.op_time(OpClass::LoopSetup) * DISTORTION.loop_ovh;
+                // The loop's own setup and per-trip overhead, drawn after
+                // its body.
+                let mut ovh = t;
                 // Walk the body once and scale by the trip count (identical
                 // trips absent per-trip profile variation); the breakdown
                 // accumulators are scaled by the same factor.
                 if trips > 0 {
                     let (c0, m0, o0) = (self.comp, self.comm, self.overhead);
-                    let body_t = self.run(body);
                     let k = trips as f64;
+                    let body_t = self.run_scaled(body, k);
                     self.comp = c0 + (self.comp - c0) * k;
                     self.comm = m0 + (self.comm - m0) * k;
                     let per_trip_ovh = p.op_time(OpClass::LoopIter) * DISTORTION.loop_ovh;
                     self.overhead = o0 + (self.overhead - o0) * k + k * per_trip_ovh;
+                    ovh += k * per_trip_ovh;
                     t += k * (body_t + per_trip_ovh);
                 }
+                self.rec
+                    .record(|tl| tl.all(ovh, Activity::Busy, &format!("DO {var}")));
                 t * self.jitter()
             }
             SpmdNode::Branch {
@@ -362,15 +405,16 @@ impl<'a, 'm> Walk<'a, 'm> {
                     .unwrap_or(0.5);
                 let pnode = &self.machine.node_processing;
                 let mut t = pnode.op_time(OpClass::Branch) * DISTORTION.mask_branch;
+                self.rec.record(|tl| tl.all(t, Activity::Busy, "IF"));
                 let mut consumed = 0.0f64;
                 for (i, (w, body)) in arms.iter().enumerate() {
                     let prob = if i == 0 { taken } else { *w * (1.0 - taken) };
                     consumed += prob;
-                    t += prob * self.run(body);
+                    t += prob * self.run_scaled(body, prob);
                 }
                 let else_p = (1.0 - consumed).max(0.0);
                 if !else_body.is_empty() {
-                    t += else_p * self.run(else_body);
+                    t += else_p * self.run_scaled(else_body, else_p);
                 }
                 t
             }
@@ -380,6 +424,7 @@ impl<'a, 'm> Walk<'a, 'm> {
     fn seq(&mut self, s: &SeqBlock) -> f64 {
         let t = self.ops_time(&s.ops, 0.95) * self.jitter();
         self.comp += t;
+        self.rec.record(|tl| tl.all(t, Activity::Busy, &s.label));
         t
     }
 
@@ -441,12 +486,13 @@ impl<'a, 'm> Walk<'a, 'm> {
             per_iter += density * self.ops_time_hit(body, hit)
                 + p.op_time(OpClass::Branch) * (DISTORTION.mask_branch - 1.0);
         }
-        let loop_ovh = iters * p.op_time(OpClass::LoopIter) * DISTORTION.loop_ovh
-            + c.loop_depth as f64 * p.op_time(OpClass::LoopSetup) * DISTORTION.loop_ovh;
+        let setup = c.loop_depth as f64 * p.op_time(OpClass::LoopSetup) * DISTORTION.loop_ovh;
+        let loop_ovh = iters * p.op_time(OpClass::LoopIter) * DISTORTION.loop_ovh + setup;
 
         let t = (iters * per_iter + loop_ovh) * self.jitter();
         self.comp += iters * per_iter;
         self.overhead += loop_ovh;
+        self.rec.record(|tl| tl.comp(c, t, setup));
         t
     }
 
@@ -485,6 +531,7 @@ impl<'a, 'm> Walk<'a, 'm> {
         let t = (base + pack) * self.jitter();
         self.comm += base;
         self.overhead += pack;
+        self.rec.record(|tl| tl.all(t, Activity::Comm, &c.label));
         t
     }
 
@@ -500,6 +547,7 @@ impl<'a, 'm> Walk<'a, 'm> {
         let base = io_base_time(self.machine, p);
         let t = base * self.jitter();
         self.io += base;
+        self.rec.record(|tl| tl.all(t, Activity::Io, &p.outline()));
         t
     }
 

@@ -1,11 +1,13 @@
 //! Per-node execution traces of simulated runs — the machine-side analog of
 //! ParaGraph's utilization displays: for every node, busy / communication /
-//! idle intervals over the loosely synchronous phase sequence.
+//! idle intervals over the loosely synchronous phase sequence. The trace is
+//! recorded by the simulator's own jitter-free base pass, so its intervals
+//! add up to the simulated time.
 
-use crate::simulator::{collective_base_time, sim_ops_time};
-use hpf_compiler::{CompPhase, SpmdNode, SpmdProgram};
+use crate::simulator::{SimConfig, Simulator};
+use hpf_compiler::{CompPhase, SpmdProgram};
 use hpf_eval::ExecutionProfile;
-use machine::{MachineModel, OpClass};
+use machine::MachineModel;
 
 /// What a node was doing during an interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,8 +30,6 @@ pub struct TraceEvent {
     pub end_s: f64,
     pub activity: Activity,
     pub label: String,
-    /// How many times this interval repeats back-to-back (loop compression).
-    pub repeat: u64,
 }
 
 /// A complete trace.
@@ -45,7 +45,7 @@ impl SimTrace {
     pub fn utilization(&self) -> Vec<(f64, f64, f64)> {
         let mut acc = vec![(0.0f64, 0.0f64, 0.0f64); self.nodes];
         for e in &self.events {
-            let d = (e.end_s - e.start_s) * e.repeat as f64;
+            let d = e.end_s - e.start_s;
             let a = &mut acc[e.node];
             match e.activity {
                 Activity::Busy => a.0 += d,
@@ -63,28 +63,24 @@ impl SimTrace {
             .collect()
     }
 
-    /// Render an ASCII Gantt chart (one row per node, `width` columns).
+    /// Render an ASCII Gantt chart (one row per node, `width` columns). A
+    /// column shows the last non-idle activity that touches it, so it reads
+    /// idle only when the node idles through all of it.
     pub fn gantt(&self, width: usize) -> String {
         let mut out = String::new();
         let scale = width as f64 / self.total_s.max(1e-30);
         for node in 0..self.nodes {
             let mut row = vec!['.'; width];
             for e in self.events.iter().filter(|e| e.node == node) {
-                let reps = e.repeat.max(1) as f64;
-                let span_end = e.start_s + (e.end_s - e.start_s) * reps;
-                let a = (e.start_s * scale) as usize;
-                let b = ((span_end * scale) as usize).min(width);
                 let ch = match e.activity {
                     Activity::Busy => '#',
                     Activity::Comm => '~',
                     Activity::Io => '=',
-                    Activity::Idle => '.',
+                    Activity::Idle => continue,
                 };
-                for c in row.iter_mut().take(b).skip(a.min(width)) {
-                    if ch != '.' {
-                        *c = ch;
-                    }
-                }
+                let b = ((e.end_s * scale).ceil() as usize).min(width);
+                let a = ((e.start_s * scale) as usize).min(b);
+                row[a..b].fill(ch);
             }
             out.push_str(&format!("node {node}: "));
             out.extend(row);
@@ -95,144 +91,105 @@ impl SimTrace {
     }
 }
 
-/// Trace one jitter-free run of the program.
+/// Trace one jitter-free run of the program: the base pass of
+/// [`Simulator::simulate`], recorded per node. `total_s` is that pass's
+/// simulated time, the `mean` of a simulation configured with no timed
+/// runs.
 pub fn trace_program(
     machine: &MachineModel,
     spmd: &SpmdProgram,
     profile: Option<&ExecutionProfile>,
 ) -> SimTrace {
-    let mut tr = Tracer {
+    let sim = Simulator::with_config(
         machine,
-        profile,
-        clock: 0.0,
-        events: Vec::new(),
+        SimConfig {
+            runs: 0,
+            ..SimConfig::default()
+        },
+    );
+    let mut timeline = Timeline {
         nodes: spmd.nodes,
+        clock: 0.0,
+        scale: 1.0,
+        events: Vec::new(),
     };
-    tr.walk(&spmd.body, 1);
+    let total_s = sim.simulate_recording(spmd, profile, &mut timeline).mean;
     SimTrace {
         nodes: spmd.nodes,
-        total_s: tr.clock,
-        events: tr.events,
+        events: timeline.events,
+        total_s,
     }
 }
 
-struct Tracer<'a> {
-    machine: &'a MachineModel,
-    profile: Option<&'a ExecutionProfile>,
-    clock: f64,
-    events: Vec<TraceEvent>,
+/// What the simulator's base pass records: a cursor over simulated time,
+/// and the scale that draws one walk of a loop body over all its trips
+/// (or a branch arm at its probability). A phase of walk duration `d`
+/// takes `[clock, clock + scale·d)` on every node.
+pub(crate) struct Timeline {
     nodes: usize,
+    clock: f64,
+    pub(crate) scale: f64,
+    events: Vec<TraceEvent>,
 }
 
-impl<'a> Tracer<'a> {
-    fn emit(&mut self, node: usize, dur: f64, act: Activity, label: &str, repeat: u64) {
-        if dur <= 0.0 {
-            return;
-        }
-        self.events.push(TraceEvent {
-            node,
-            start_s: self.clock,
-            end_s: self.clock + dur,
-            activity: act,
-            label: label.to_string(),
-            repeat,
-        });
-    }
+/// Where a simulator walk records its per-node intervals: a traced base
+/// pass into its [`Timeline`]; every other walk into `()`, which compiles
+/// the recording away.
+pub(crate) trait Record {
+    fn record(&mut self, f: impl FnOnce(&mut Timeline));
+}
 
-    fn walk(&mut self, nodes: &[SpmdNode], repeat: u64) {
-        for n in nodes {
-            match n {
-                SpmdNode::Seq(s) => {
-                    let t = sim_ops_time(self.machine, &s.ops, 0.95);
-                    for node in 0..self.nodes {
-                        self.emit(node, t, Activity::Busy, &s.label, repeat);
-                    }
-                    self.clock += t;
-                }
-                SpmdNode::Comp(c) => {
-                    let phase = self.comp_duration(c);
-                    for (node, t) in phase.iter().enumerate() {
-                        self.emit(node, *t, Activity::Busy, &c.label, repeat);
-                        let max = phase.iter().copied().fold(0.0, f64::max);
-                        let idle = max - t;
-                        if idle > 0.0 {
-                            self.events.push(TraceEvent {
-                                node,
-                                start_s: self.clock + t,
-                                end_s: self.clock + max,
-                                activity: Activity::Idle,
-                                label: format!("wait after {}", c.label),
-                                repeat,
-                            });
-                        }
-                    }
-                    self.clock += phase.iter().copied().fold(0.0, f64::max);
-                }
-                SpmdNode::Comm(c) => {
-                    let t =
-                        collective_base_time(self.machine, c.op, c.participants, c.bytes_per_node)
-                            + self.machine.comm.pack_time(c.bytes_per_node);
-                    for node in 0..self.nodes {
-                        self.emit(node, t, Activity::Comm, &c.label, repeat);
-                    }
-                    self.clock += t;
-                }
-                SpmdNode::Io { phase, .. } => {
-                    let t = crate::simulator::io_base_time(self.machine, phase);
-                    let label = phase.outline();
-                    for node in 0..self.nodes {
-                        self.emit(node, t, Activity::Io, &label, repeat);
-                    }
-                    self.clock += t;
-                }
-                SpmdNode::Loop {
-                    trips, body, span, ..
-                } => {
-                    let trips = match self.profile.and_then(|p| p.get(*span)) {
-                        Some(st) if st.executions > 0 && st.iterations > 0 => {
-                            (st.iterations as f64 / st.executions as f64).round() as u64
-                        }
-                        _ => *trips,
-                    };
-                    if trips == 0 {
-                        continue;
-                    }
-                    // Walk the body once; mark events as repeating.
-                    let start = self.clock;
-                    self.walk(body, repeat * trips);
-                    let body_t = self.clock - start;
-                    self.clock = start + body_t * trips as f64;
-                }
-                SpmdNode::Branch {
-                    arms, else_body, ..
-                } => {
-                    // Trace the most likely arm.
-                    let best = arms
-                        .iter()
-                        .max_by(|a, b| a.0.total_cmp(&b.0))
-                        .map(|(_, b)| b.as_slice())
-                        .unwrap_or(else_body.as_slice());
-                    self.walk(best, repeat);
-                }
-            }
+impl Record for () {
+    fn record(&mut self, _: impl FnOnce(&mut Timeline)) {}
+}
+
+impl Record for &mut Timeline {
+    fn record(&mut self, f: impl FnOnce(&mut Timeline)) {
+        f(self)
+    }
+}
+
+impl Timeline {
+    fn push(&mut self, node: usize, start_s: f64, end_s: f64, activity: Activity, label: &str) {
+        if end_s > start_s {
+            self.events.push(TraceEvent {
+                node,
+                start_s,
+                end_s,
+                activity,
+                label: label.to_string(),
+            });
         }
     }
 
-    fn comp_duration(&self, c: &CompPhase) -> Vec<f64> {
-        let p = &self.machine.node_processing;
-        let hit = self
-            .machine
-            .node_memory
-            .hit_ratio(c.working_set_bytes, 4, c.locality);
-        let density = c.mask_density_hint.unwrap_or(1.0);
-        let mut per_iter = sim_ops_time(self.machine, &c.per_iter, hit);
-        if let Some(body) = &c.masked_ops {
-            per_iter += density * sim_ops_time(self.machine, body, hit);
+    /// A phase every node spends alike.
+    pub(crate) fn all(&mut self, d: f64, activity: Activity, label: &str) {
+        let (start, end) = (self.clock, self.clock + self.scale * d);
+        for node in 0..self.nodes {
+            self.push(node, start, end, activity, label);
         }
-        c.per_node_iters
-            .iter()
-            .map(|&n| n as f64 * (per_iter + p.op_time(OpClass::LoopIter)))
-            .collect()
+        self.clock = end;
+    }
+
+    /// A computation phase of duration `d`, `setup` of it the loop-nest
+    /// setup every node pays: node `k` computes its share of the busiest
+    /// node's iterations and waits out the rest at the phase boundary.
+    pub(crate) fn comp(&mut self, c: &CompPhase, d: f64, setup: f64) {
+        let (start, end) = (self.clock, self.clock + self.scale * d);
+        let max = c.max_node_iters();
+        let wait = format!("wait after {}", c.label);
+        for (node, &iters) in c.per_node_iters.iter().enumerate() {
+            let share = if max == 0 {
+                1.0
+            } else {
+                iters as f64 / max as f64
+            };
+            // The busiest node's share is 1: it never waits.
+            let busy_end = (end - self.scale * (d - setup) * (1.0 - share)).max(start);
+            self.push(node, start, busy_end, Activity::Busy, &c.label);
+            self.push(node, busy_end, end, Activity::Idle, &wait);
+        }
+        self.clock = end;
     }
 }
 

@@ -41,3 +41,29 @@ fn faults_refuses_procs_outside_the_registry_range() {
         format!("faults: machine error: {}\n", refusal("2048"))
     );
 }
+
+#[test]
+fn characterize_refuses_arguments_it_does_not_understand() {
+    for args in [
+        &["abc"][..],
+        &["--mahcine", "torus3d"],
+        &["8", "16"],
+        &["--machine", "torus3d", "4", "extra"],
+    ] {
+        let out = run(env!("CARGO_BIN_EXE_characterize"), args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "characterize {args:?}: {stderr}"
+        );
+        assert!(
+            stderr.contains("usage: characterize"),
+            "characterize {args:?}: {stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "characterize {args:?} printed a model"
+        );
+    }
+}
