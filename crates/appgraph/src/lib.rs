@@ -13,9 +13,10 @@
 //! iterative construct), `CondtD` (deterministic conditional), and `Comm`
 //! (communication/synchronization operation).
 
-use hpf_compiler::{CommPhase, CompPhase, OpCounts, SeqBlock, SpmdNode, SpmdProgram};
+use hpf_compiler::{CommPhase, CompPhase, OpCounts, SpmdNode, SpmdProgram};
 use hpf_lang::Span;
 use machine::CollectiveOp;
+use std::sync::{Arc, LazyLock};
 
 /// Index of an AAU within its AAG.
 pub type AauId = usize;
@@ -37,8 +38,9 @@ pub enum AauKind {
         trips: u64,
         estimated: bool,
         /// When this IterD abstracts a local computation phase (the
-        /// sequentialized forall), its parameters live here.
-        comp: Option<Box<CompPhase>>,
+        /// sequentialized forall), its parameters live here, shared with
+        /// the SPMD program.
+        comp: Option<Arc<CompPhase>>,
         body: Vec<AauId>,
     },
     /// Deterministic conditional: weighted arms (the forall mask's CondtD
@@ -54,7 +56,7 @@ pub enum AauKind {
     },
     /// A parallel I/O phase (striped READ/WRITE/CHECKPOINT over the
     /// machine's I/O servers).
-    Io { phase: hpf_io::IoPhase },
+    Io { phase: Arc<hpf_io::IoPhase> },
 }
 
 /// One Application Abstraction Unit.
@@ -62,7 +64,8 @@ pub enum AauKind {
 pub struct Aau {
     pub id: AauId,
     pub kind: AauKind,
-    pub label: String,
+    /// Shared with the SPMD phase the unit abstracts, where it has one.
+    pub label: Arc<str>,
     pub span: Span,
 }
 
@@ -187,21 +190,22 @@ pub struct AagCensus {
 }
 
 /// Build the AAG/SAAG from a compiled SPMD program — the abstraction parse.
+/// The graph shares the program's phases and labels rather than copying
+/// them.
 pub fn build_aag(spmd: &SpmdProgram) -> Aag {
     let _span = hpf_trace::span("build_aag");
+    let (mut aaus, mut comms) = (2, 0);
+    census(&spmd.body, &mut aaus, &mut comms);
     let mut b = Builder {
-        aaus: Vec::new(),
-        comm_table: Vec::new(),
-        comm_edges: Vec::new(),
+        aaus: Vec::with_capacity(aaus),
+        comm_table: Vec::with_capacity(comms),
+        comm_edges: Vec::with_capacity(comms),
+        pending: Vec::new(),
     };
-    let start = b.push(AauKind::Start, "start", Span::SYNTHETIC);
-    let mut top = vec![start];
-    let mut pending_comms: Vec<AauId> = Vec::new();
-    for n in &spmd.body {
-        top.push(b.node(n, &mut pending_comms));
-    }
-    let end = b.push(AauKind::End, "end", Span::SYNTHETIC);
-    top.push(end);
+    let mut top = Vec::with_capacity(spmd.body.len() + 2);
+    top.push(b.push(AauKind::Start, FIXED.start.clone(), Span::SYNTHETIC));
+    top.extend(spmd.body.iter().map(|n| b.node(n, 0)));
+    top.push(b.push(AauKind::End, FIXED.end.clone(), Span::SYNTHETIC));
     Aag {
         aaus: b.aaus,
         top,
@@ -210,44 +214,114 @@ pub fn build_aag(spmd: &SpmdProgram) -> Aag {
     }
 }
 
+/// The labels of units that take none from a phase, allocated once per
+/// process.
+struct FixedLabels {
+    start: Arc<str>,
+    end: Arc<str>,
+    cond: Arc<str>,
+    read: Arc<str>,
+    write: Arc<str>,
+    checkpoint: Arc<str>,
+}
+
+static FIXED: LazyLock<FixedLabels> = LazyLock::new(|| FixedLabels {
+    start: Arc::from("start"),
+    end: Arc::from("end"),
+    cond: Arc::from("if"),
+    read: Arc::from("read io"),
+    write: Arc::from("write io"),
+    checkpoint: Arc::from("checkpoint io"),
+});
+
+fn io_label(kind: hpf_io::IoKind) -> Arc<str> {
+    match kind {
+        hpf_io::IoKind::Read => FIXED.read.clone(),
+        hpf_io::IoKind::Write => FIXED.write.clone(),
+        hpf_io::IoKind::Checkpoint => FIXED.checkpoint.clone(),
+    }
+}
+
+/// Count the AAUs and communication phases `nodes` abstract to.
+fn census(nodes: &[SpmdNode], aaus: &mut usize, comms: &mut usize) {
+    *aaus += nodes.len();
+    for n in nodes {
+        match n {
+            SpmdNode::Comm(_) => *comms += 1,
+            SpmdNode::Loop { body, .. } => census(body, aaus, comms),
+            SpmdNode::Branch {
+                arms, else_body, ..
+            } => {
+                for (_, body) in arms {
+                    census(body, aaus, comms);
+                }
+                census(else_body, aaus, comms);
+            }
+            _ => {}
+        }
+    }
+}
+
 struct Builder {
     aaus: Vec<Aau>,
     comm_table: Vec<CommRecord>,
     comm_edges: Vec<(AauId, AauId)>,
+    /// Communication AAUs not yet linked to the computation they feed; a
+    /// nested body links only the ones past its own start.
+    pending: Vec<AauId>,
 }
 
 impl Builder {
-    fn push(&mut self, kind: AauKind, label: impl Into<String>, span: Span) -> AauId {
+    fn push(&mut self, kind: AauKind, label: Arc<str>, span: Span) -> AauId {
         let id = self.aaus.len();
         self.aaus.push(Aau {
             id,
             kind,
-            label: label.into(),
+            label,
             span,
         });
         id
     }
 
-    fn node(&mut self, n: &SpmdNode, pending_comms: &mut Vec<AauId>) -> AauId {
+    /// A nested sequence: its communications feed only its own
+    /// computations.
+    fn body(&mut self, nodes: &[SpmdNode]) -> Vec<AauId> {
+        let base = self.pending.len();
+        let ids = nodes.iter().map(|n| self.node(n, base)).collect();
+        self.pending.truncate(base);
+        ids
+    }
+
+    /// One node of a sequence whose pending communications start at `base`.
+    fn node(&mut self, n: &SpmdNode, base: usize) -> AauId {
         match n {
-            SpmdNode::Seq(s) => self.seq(s),
+            SpmdNode::Seq(s) => self.push(AauKind::Seq { ops: s.ops }, s.label.clone(), s.span),
             SpmdNode::Comm(c) => {
                 let id = self.comm(c);
-                pending_comms.push(id);
+                self.pending.push(id);
                 id
             }
             SpmdNode::Io { phase, span } => self.push(
                 AauKind::Io {
                     phase: phase.clone(),
                 },
-                format!("{} io", phase.kind.label()),
+                io_label(phase.kind),
                 *span,
             ),
             SpmdNode::Comp(c) => {
-                let id = self.comp(c);
+                let id = self.push(
+                    AauKind::IterD {
+                        trips: c.max_node_iters(),
+                        estimated: false,
+                        comp: Some(c.clone()),
+                        body: Vec::new(),
+                    },
+                    c.label.clone(),
+                    c.span,
+                );
                 // SAAG edges: the gather communications this computation
                 // depends on.
-                for cm in pending_comms.drain(..) {
+                for cm in self.pending.drain(base..) {
                     self.comm_edges.push((cm, id));
                 }
                 id
@@ -259,19 +333,15 @@ impl Builder {
                 body,
                 span,
             } => {
-                let mut inner_pending = Vec::new();
-                let body_ids: Vec<AauId> = body
-                    .iter()
-                    .map(|c| self.node(c, &mut inner_pending))
-                    .collect();
+                let body = self.body(body);
                 self.push(
                     AauKind::IterD {
                         trips: *trips,
                         estimated: *estimated,
                         comp: None,
-                        body: body_ids,
+                        body,
                     },
-                    format!("do {var}"),
+                    Arc::from(format!("do {var}")),
                     *span,
                 )
             }
@@ -280,34 +350,15 @@ impl Builder {
                 else_body,
                 span,
             } => {
-                let mut built_arms = Vec::new();
-                for (p, body) in arms {
-                    let mut inner_pending = Vec::new();
-                    let ids: Vec<AauId> = body
-                        .iter()
-                        .map(|c| self.node(c, &mut inner_pending))
-                        .collect();
-                    built_arms.push((*p, ids));
-                }
-                let mut inner_pending = Vec::new();
-                let else_ids: Vec<AauId> = else_body
-                    .iter()
-                    .map(|c| self.node(c, &mut inner_pending))
-                    .collect();
+                let arms = arms.iter().map(|(p, body)| (*p, self.body(body))).collect();
+                let else_arm = self.body(else_body);
                 self.push(
-                    AauKind::CondtD {
-                        arms: built_arms,
-                        else_arm: else_ids,
-                    },
-                    "if",
+                    AauKind::CondtD { arms, else_arm },
+                    FIXED.cond.clone(),
                     *span,
                 )
             }
         }
-    }
-
-    fn seq(&mut self, s: &SeqBlock) -> AauId {
-        self.push(AauKind::Seq { ops: s.ops }, s.label.clone(), s.span)
     }
 
     fn comm(&mut self, c: &CommPhase) -> AauId {
@@ -328,19 +379,6 @@ impl Builder {
             status: CommStatus::Pending,
         });
         id
-    }
-
-    fn comp(&mut self, c: &CompPhase) -> AauId {
-        self.push(
-            AauKind::IterD {
-                trips: c.max_node_iters(),
-                estimated: false,
-                comp: Some(Box::new(c.clone())),
-                body: Vec::new(),
-            },
-            c.label.clone(),
-            c.span,
-        )
     }
 }
 

@@ -21,8 +21,8 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use hpf_compiler::{compile_normalized, normalize, CompileError, CompileOptions, SpmdProgram};
-use hpf_lang::ast::{Program, Stmt};
+use hpf_compiler::{normalize, CompileError, CompileOptions, LowerPlan, SpmdProgram};
+use hpf_lang::ast::Program;
 use hpf_lang::{analyze_front, check_directives, parse_program, AnalyzedProgram};
 use interp::{InterpOptions, InterpretationEngine, Metrics};
 use ipsc_sim::{SimConfig, Simulator};
@@ -146,36 +146,29 @@ struct CandidateSession {
     lower_bound_s: f64,
 }
 
-/// The front half of one search: the program analyzed with `N` bound and
-/// normalized, once. Candidates differ only in their directive lists, and
-/// nothing here reads a DISTRIBUTE format or a PROCESSORS shape, so every
-/// candidate's back half ([`Front::compile`]) starts from this.
+/// The front half of one search: the program analyzed with `N` bound,
+/// normalized and planned for lowering, once. Candidates differ only in
+/// their directive lists, and nothing here reads a DISTRIBUTE format or a
+/// PROCESSORS shape, so every candidate's back half ([`Front::compile`])
+/// starts from this.
 #[derive(Debug)]
 pub struct Front {
     overrides: BTreeMap<String, i64>,
     analyzed: AnalyzedProgram,
-    normalized: Vec<Stmt>,
+    plan: LowerPlan,
 }
 
 impl Front {
     /// The back half for one candidate on `procs` nodes: rewrite the
-    /// directive list, check it, then partition and lower with the grid
-    /// pinned through `CompileOptions::grid_extents`. No AST is cloned.
+    /// directive list, check it, then partition onto the candidate's grid
+    /// and run the plan's per-distribution pass. No AST is cloned.
     pub fn compile(&self, c: &Candidate, procs: usize) -> Result<SpmdProgram, PipelineError> {
         let directives = space::CandidateDirectives::new(&self.analyzed.program.directives, c);
         check_directives(&self.analyzed, directives.iter(), &self.overrides)?;
-        let opts = CompileOptions {
-            nodes: procs,
-            grid_extents: Some(c.grid.clone()),
-            ..CompileOptions::default()
-        };
         let _s = hpf_trace::span("compile");
-        Ok(compile_normalized(
-            &self.analyzed,
-            &self.normalized,
-            directives.iter(),
-            &opts,
-        )?)
+        Ok(self
+            .plan
+            .compile(&self.analyzed, directives.iter(), procs, Some(&c.grid))?)
     }
 }
 
@@ -185,7 +178,9 @@ impl Front {
 #[derive(Debug)]
 pub struct Advisor {
     name: String,
-    source: String,
+    /// The source the program was parsed from, which keys the shared
+    /// profile; a kernel's is its artifact's, shared.
+    source: Arc<str>,
     program: Arc<Program>,
     rank: usize,
 }
@@ -196,7 +191,7 @@ impl Advisor {
     pub fn for_kernel(artifact: &CompiledKernel) -> Result<Self, PipelineError> {
         Advisor::new(
             artifact.kernel().name,
-            artifact.canonical_source(),
+            artifact.shared_source().clone(),
             artifact.program().clone(),
         )
     }
@@ -206,11 +201,12 @@ impl Advisor {
     /// [`PipelineError`] — never a panic — so callers can render the same
     /// diagnostic on a terminal or in a structured 400 body.
     pub fn for_source(name: &str, source: &str) -> Result<Self, PipelineError> {
-        Advisor::new(name, source, Arc::new(parse_program(source)?))
+        let program = Arc::new(parse_program(source)?);
+        Advisor::new(name, Arc::from(source), program)
     }
 
     /// Locate the template rank the enumeration runs over.
-    fn new(name: &str, source: &str, program: Arc<Program>) -> Result<Self, PipelineError> {
+    fn new(name: &str, source: Arc<str>, program: Arc<Program>) -> Result<Self, PipelineError> {
         let rank = space::distribute_rank(&program).ok_or_else(|| {
             PipelineError::new(
                 PipelineStage::Analyze,
@@ -219,7 +215,7 @@ impl Advisor {
         })?;
         Ok(Advisor {
             name: name.to_string(),
-            source: source.to_string(),
+            source,
             program,
             rank,
         })
@@ -399,18 +395,20 @@ impl Advisor {
     }
 
     /// The front half at problem size `n`: semantic analysis with the
-    /// `N = n` override and normalization, run once per search.
+    /// `N = n` override, normalization and the lowering plan, run once per
+    /// search.
     pub fn front(&self, n: usize) -> Result<Front, PipelineError> {
         let overrides = BTreeMap::from([("N".to_string(), n as i64)]);
         let analyzed = analyze_front(&self.program, &overrides)?;
-        let normalized = {
+        let plan = {
             let _s = hpf_trace::span("compile");
-            normalize(&analyzed).map_err(CompileError::from)?
+            let normalized = normalize(&analyzed).map_err(CompileError::from)?;
+            LowerPlan::new(&analyzed, &normalized, &CompileOptions::default())
         };
         Ok(Front {
             overrides,
             analyzed,
-            normalized,
+            plan,
         })
     }
 }

@@ -23,20 +23,21 @@ pub struct Candidate {
 impl Candidate {
     /// Human-readable identity, e.g. `(BLOCK,CYCLIC(2)) onto (2,4)`.
     /// Also the seeded tie-break key, so it must be unique per candidate.
+    /// Written into one string, sized for `CYCLIC(kkk)` formats and
+    /// three-digit extents.
     pub fn label(&self) -> String {
-        let fmts = self
-            .formats
-            .iter()
-            .map(|f| f.display())
-            .collect::<Vec<_>>()
-            .join(",");
-        let grid = self
-            .grid
-            .iter()
-            .map(|e| e.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        format!("({fmts}) onto ({grid})")
+        use std::fmt::Write as _;
+        let mut out = String::with_capacity(12 * self.formats.len() + 4 * self.grid.len() + 9);
+        out.push('(');
+        for (i, f) in self.formats.iter().enumerate() {
+            let _ = write!(out, "{}{f}", if i == 0 { "" } else { "," });
+        }
+        out.push_str(") onto (");
+        for (i, e) in self.grid.iter().enumerate() {
+            let _ = write!(out, "{}{e}", if i == 0 { "" } else { "," });
+        }
+        out.push(')');
+        out
     }
 
     /// Number of distributed (non-`*`) dimensions.

@@ -53,7 +53,7 @@ impl ProcGrid {
 }
 
 /// How one array dimension is mapped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DimDist {
     /// Not distributed: every owner holds the full extent.
     Collapsed,

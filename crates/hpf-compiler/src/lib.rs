@@ -21,7 +21,7 @@ pub mod ops;
 pub mod spmd;
 
 pub use dist::{partition, partition_onto, ArrayDist, DimDist, DistributionTable, ProcGrid};
-pub use lower::{compile, compile_normalized, CompileError, CompileOptions};
+pub use lower::{compile, CompileError, CompileOptions, LowerPlan};
 pub use normalize::normalize;
 pub use ops::{count_assign, count_expr, expr_type, ExprType, OpCounts};
 pub use spmd::{CommPhase, CompPhase, CompileWarning, SeqBlock, SpmdNode, SpmdProgram};

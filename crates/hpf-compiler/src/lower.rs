@@ -5,8 +5,15 @@
 //! level[, collective write-back level]) exactly as Figure 2 of the paper
 //! shows; reductions become partial-computation + global-combine phases;
 //! scalar code becomes replicated `Seq` blocks.
+//!
+//! Lowering runs in two halves. [`LowerPlan::new`] walks the normalized
+//! body once and records everything no mapping directive changes; the
+//! per-distribution pass ([`LowerPlan::compile`]) walks the plan under one
+//! [`DistributionTable`] and computes only what the mapping decides. A
+//! directive search plans once and runs the pass per candidate; [`compile`]
+//! runs both halves once.
 
-use crate::dist::{count_owned_steps, triplet_count, ArrayDist, DistributionTable};
+use crate::dist::{count_owned_steps, triplet_count, ArrayDist, DimDist, DistributionTable};
 use crate::normalize::{normalize, NormalizeError};
 use crate::ops::{count_assign, count_expr, is_dummy, OpCounts};
 use crate::spmd::{CommPhase, CompPhase, CompileWarning, SeqBlock, SpmdNode, SpmdProgram};
@@ -15,6 +22,8 @@ use hpf_lang::sema::{const_eval_in, AnalyzedProgram};
 use hpf_lang::Span;
 use machine::CollectiveOp;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+use std::sync::{Arc, Mutex};
 
 /// Options steering compilation and the static heuristics (the knobs the
 /// paper exposes to the user: critical-variable values, optimization
@@ -76,6 +85,14 @@ pub struct CompileError {
 }
 
 impl CompileError {
+    fn at(message: impl Into<String>, span: Span) -> CompileError {
+        CompileError {
+            message: message.into(),
+            span,
+            io: None,
+        }
+    }
+
     /// Wrap a typed I/O subsystem error at `span`.
     pub fn from_io(err: hpf_io::IoError, span: Span) -> CompileError {
         CompileError {
@@ -97,83 +114,347 @@ impl std::error::Error for CompileError {}
 type CResult<T> = Result<T, CompileError>;
 
 fn cerr<T>(message: impl Into<String>, span: Span) -> CResult<T> {
-    Err(CompileError {
-        message: message.into(),
-        span,
-        io: None,
-    })
+    Err(CompileError::at(message, span))
 }
 
 impl From<NormalizeError> for CompileError {
     fn from(e: NormalizeError) -> Self {
-        CompileError {
-            message: e.message,
-            span: e.span,
-            io: None,
+        CompileError::at(e.message, e.span)
+    }
+}
+
+/// Compile an analyzed program to the SPMD IR: normalize the body, plan
+/// its lowering, then partition onto the program's own directives and run
+/// the plan's per-distribution pass once ([`LowerPlan`]).
+pub fn compile(analyzed: &AnalyzedProgram, opts: &CompileOptions) -> CResult<SpmdProgram> {
+    let _span = hpf_trace::span("compile");
+    let normalized = normalize(analyzed)?;
+    LowerPlan::new(analyzed, &normalized, opts).compile(
+        analyzed,
+        &analyzed.program.directives,
+        opts.nodes,
+        opts.grid_extents.as_deref(),
+    )
+}
+
+/// The directive-independent half of lowering: one walk of a normalized
+/// body that records everything no mapping directive changes — the DO/IF
+/// structure and trip counts, each FORALL's resolved triplets and LHS axes,
+/// its RHS references with their affine subscripts, op counts and mask
+/// costs, and the phase labels. [`LowerPlan::compile`] is the other half:
+/// a pass over the plan under one distribution. A directive search builds
+/// one plan and runs the pass per candidate.
+///
+/// A plan holds what `CompileOptions` decides except `nodes` and
+/// `grid_extents`, which only the pass reads. Planning never fails: where
+/// lowering must stop with an error the plan stops too and records it, and
+/// the pass returns it unless the mapping fails an earlier step first, so
+/// under every mapping the error reported is the first one a walk of the
+/// program in order meets.
+#[derive(Debug)]
+pub struct LowerPlan {
+    name: String,
+    body: Vec<Step>,
+    warnings: Vec<CompileWarning>,
+    io: hpf_io::IoConfig,
+    /// What the passes over this plan share. Every entry is a pure
+    /// function of its key, so a pass reads the same values whichever
+    /// thread filled them in.
+    memo: Mutex<Memo>,
+}
+
+#[derive(Debug, Default)]
+struct Memo {
+    /// The owned iterations of a FORALL axis per grid coordinate, counted
+    /// once per mapping of the axis's LHS dimension; sorted by key.
+    owned: Vec<(OwnedKey, Box<[u64]>)>,
+    /// Communication labels by kind and array.
+    labels: Vec<(CommKind, Arc<[String]>, Arc<str>)>,
+    /// Formatting buffer for labels.
+    text: String,
+}
+
+/// What one axis's per-coordinate owned iterations depend on: the LHS
+/// dimension's mapping and alignment, the index progression
+/// `first + j·step` for `count` steps, and the grid extent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct OwnedKey {
+    dim: DimDist,
+    align: (i64, i64),
+    first: i64,
+    step: i64,
+    count: u64,
+    extent: i64,
+}
+
+/// One planned step; the pass turns each into zero or more SPMD nodes.
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)]
+enum Step {
+    /// Replicated scalar work: the same under every mapping.
+    Seq(SeqBlock),
+    Loop {
+        var: Arc<str>,
+        trips: u64,
+        estimated: bool,
+        body: Vec<Step>,
+        span: Span,
+    },
+    Branch {
+        arms: Vec<(f64, Vec<Step>)>,
+        else_body: Vec<Step>,
+        span: Span,
+    },
+    /// One assignment of a FORALL body. Unboxed: a plan is built once and
+    /// read by every pass, and a box would cost a one-shot compile an
+    /// allocation per assignment.
+    Assign(AssignPlan),
+    /// One reduction of a scalar assignment.
+    Reduce(ReducePlan),
+    /// A READ/WRITE/CHECKPOINT of `arrays` (each with whether the program
+    /// declares it), or of every distributed array when `arrays` is empty.
+    Io {
+        kind: hpf_io::IoKind,
+        arrays: Vec<(String, bool)>,
+        span: Span,
+    },
+    /// The mapping must give `array` a distribution; that failure comes
+    /// before the error that follows.
+    Mapped { array: String, span: Span },
+    /// Lowering stops here with this error. Nothing after it is planned.
+    Fail(CompileError),
+}
+
+impl Step {
+    /// The most SPMD nodes the pass emits for this step.
+    fn max_nodes(&self) -> usize {
+        match self {
+            Step::Assign(a) => a.refs.len() + 2,
+            Step::Reduce(_) => 2,
+            Step::Mapped { .. } | Step::Fail(_) => 0,
+            _ => 1,
         }
     }
 }
 
-/// Compile an analyzed program to the SPMD IR: normalize the body, then
-/// run the back half ([`compile_normalized`]) over the program's own
-/// directives.
-pub fn compile(analyzed: &AnalyzedProgram, opts: &CompileOptions) -> CResult<SpmdProgram> {
-    let _span = hpf_trace::span("compile");
-    let normalized = normalize(analyzed)?;
-    compile_normalized(analyzed, &normalized, &analyzed.program.directives, opts)
+/// One FORALL assignment as the pass reads it.
+#[derive(Debug)]
+struct AssignPlan {
+    /// The FORALL's span, which its phases carry.
+    span: Span,
+    /// The LHS array, as a one-name `arrays` list.
+    lhs: Arc<[String]>,
+    lhs_span: Span,
+    /// The LHS subscripts affine in a FORALL index.
+    axes: Vec<Axis>,
+    /// Some LHS subscript is not affine: every node runs every iteration.
+    lhs_indirect: bool,
+    /// Each distinct index name, in the order of its last triplet.
+    indices: Vec<Index>,
+    /// The header's triplet count: the generated loop nest's depth.
+    loop_depth: u32,
+    /// Every triplet's count multiplied: the global iteration count.
+    total: u64,
+    /// The counts of the triplets no LHS subscript indexes, multiplied:
+    /// every node runs all of their values.
+    free: u64,
+    /// The distinct indices' counts multiplied, which sizes a remap or an
+    /// indirect gather.
+    distinct_total: u64,
+    /// That product over the largest count: the slice a broadcast moves.
+    broadcast_cross: u64,
+    /// Array references of the RHS, then of the mask.
+    refs: Vec<RefPlan>,
+    /// Every reference's subscripts, in reference order.
+    subs: Vec<RefSub>,
+    per_iter: OpCounts,
+    masked_ops: Option<OpCounts>,
+    mask_density_hint: Option<f64>,
+    locality: Locality,
+    label: Arc<str>,
+    /// The scatter's label, when the LHS is indirect.
+    scatter: Option<Arc<str>>,
 }
 
-/// The back half of [`compile`]: partition onto `directives` and lower
-/// `normalized`, the [`normalize`]d body of `analyzed`. Normalization reads
-/// no directive, so a directive search normalizes once and runs this once
-/// per candidate list, which `hpf_lang::check_directives` has checked.
-/// `directives` is any cloneable iterator of borrowed directives (see
-/// [`partition_onto`](crate::dist::partition_onto)).
-pub fn compile_normalized<'d, D>(
-    analyzed: &AnalyzedProgram,
-    normalized: &[Stmt],
-    directives: D,
-    opts: &CompileOptions,
-) -> CResult<SpmdProgram>
-where
-    D: IntoIterator<Item = &'d Directive> + Clone,
-{
-    let dist = {
-        let _s = hpf_trace::span("partition");
-        crate::dist::partition_onto(
-            analyzed,
-            directives,
-            Some(opts.nodes),
-            opts.grid_extents.as_deref(),
-        )
-        .map_err(|e| CompileError {
-            message: e.message,
-            span: e.span,
-            io: None,
-        })?
-    };
+/// One resolved FORALL triplet.
+#[derive(Debug, Clone, Copy)]
+struct Trip {
+    lo: i64,
+    st: i64,
+    count: u64,
+}
 
-    let _lower_span = hpf_trace::span("lower");
-    let mut lw = Lower::new(analyzed, &dist, opts);
-    let mut body = Vec::new();
-    for st in normalized {
-        lw.stmt(st, &mut body)?;
+/// An LHS subscript `a·index + b` of the FORALL triplet `trip` at position
+/// `triplet` (the first of its name), in dimension `dim`.
+#[derive(Debug, Clone, Copy)]
+struct Axis {
+    triplet: usize,
+    trip: Trip,
+    dim: usize,
+    a: i64,
+    b: i64,
+}
+
+/// One distinct FORALL index: the count of its last triplet, and the LHS
+/// axis it drives (its last, where it drives several).
+#[derive(Debug)]
+struct Index {
+    count: u64,
+    axis: Option<Axis>,
+}
+
+/// One array reference of a FORALL assignment.
+#[derive(Debug)]
+struct RefPlan {
+    array: Arc<[String]>,
+    span: Span,
+    /// Its subscripts' place in [`AssignPlan::subs`].
+    subs: std::ops::Range<usize>,
+}
+
+/// One subscript of a [`RefPlan`].
+#[derive(Debug, Clone, Copy)]
+enum RefSub {
+    /// `a·index + b` of the distinct index at `index`.
+    Index { index: usize, a: i64, b: i64 },
+    /// Free of the FORALL indices.
+    Const,
+    /// Not affine: data-dependent.
+    Indirect,
+    /// A section, which lowering rejects inside a FORALL body.
+    Section,
+}
+
+/// The innermost generated loop's locality, where the LHS mapping does
+/// not decide it, or the LHS dimension whose local stride does.
+#[derive(Debug, Clone, Copy)]
+enum Locality {
+    Fixed(f64),
+    Strided(usize),
+}
+
+/// One reduction of a scalar assignment.
+#[derive(Debug)]
+struct ReducePlan {
+    array: Arc<[String]>,
+    span: Span,
+    per_iter: OpCounts,
+    op: CollectiveOp,
+    comp_label: Arc<str>,
+    comm_label: Arc<str>,
+}
+
+impl LowerPlan {
+    /// Plan `normalized`, the [`normalize`]d body of `analyzed`, under the
+    /// options' critical values, hints, loop reordering and I/O
+    /// configuration.
+    pub fn new(analyzed: &AnalyzedProgram, normalized: &[Stmt], opts: &CompileOptions) -> Self {
+        let mut planner = Planner::new(analyzed, opts);
+        let mut body = Vec::with_capacity(normalized.len());
+        planner.block(normalized, &mut body);
+        LowerPlan {
+            name: analyzed.program.name.clone(),
+            body,
+            warnings: planner.warnings,
+            io: opts.io,
+            memo: Mutex::new(Memo {
+                text: planner.text,
+                ..Memo::default()
+            }),
+        }
     }
-    let warnings = lw.warnings;
 
-    Ok(SpmdProgram {
-        name: analyzed.program.name.clone(),
-        nodes: opts.nodes,
-        grid: dist.grid.clone(),
-        dist,
-        body,
-        warnings,
-    })
+    /// Partition `analyzed` onto `directives` for `nodes` processors (the
+    /// grid pinned to `grid_extents` when given) and run the
+    /// per-distribution pass. [`compile`] does this once per plan; a
+    /// directive search once per candidate list, which
+    /// `hpf_lang::check_directives` has checked. `directives` is any
+    /// cloneable iterator of borrowed directives (see
+    /// [`partition_onto`](crate::dist::partition_onto)).
+    pub fn compile<'d, D>(
+        &self,
+        analyzed: &AnalyzedProgram,
+        directives: D,
+        nodes: usize,
+        grid_extents: Option<&[i64]>,
+    ) -> CResult<SpmdProgram>
+    where
+        D: IntoIterator<Item = &'d Directive> + Clone,
+    {
+        let dist = {
+            let _s = hpf_trace::span("partition");
+            crate::dist::partition_onto(analyzed, directives, Some(nodes), grid_extents)
+                .map_err(|e| CompileError::at(e.message, e.span))?
+        };
+        let _lower_span = hpf_trace::span("lower");
+        self.lower(dist, nodes)
+    }
+
+    fn memo(&self) -> std::sync::MutexGuard<'_, Memo> {
+        self.memo.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The label of a `kind` communication of `array`, formatted once per
+    /// plan.
+    fn comm_label(&self, kind: CommKind, array: &Arc<[String]>) -> Arc<str> {
+        let mut memo = self.memo();
+        if let Some((.., label)) = memo
+            .labels
+            .iter()
+            .find(|(k, a, _)| *k == kind && Arc::ptr_eq(a, array))
+        {
+            return label.clone();
+        }
+        let name = &array[0];
+        let text = &mut memo.text;
+        let label = match kind {
+            CommKind::Shift { t_off, dim, .. } => shared_label(
+                text,
+                format_args!("shift {name} (δ={t_off}, dim {})", dim + 1),
+            ),
+            CommKind::Remap => shared_label(text, format_args!("remap {name}")),
+            CommKind::Gather => shared_label(text, format_args!("gather {name}")),
+            CommKind::Broadcast => shared_label(text, format_args!("broadcast {name}")),
+            CommKind::GatherIndirect => {
+                shared_label(text, format_args!("gather {name} (indirect)"))
+            }
+        };
+        memo.labels.push((kind, array.clone(), label.clone()));
+        label
+    }
+
+    /// The per-distribution pass: everything `dist` decides.
+    fn lower(&self, dist: DistributionTable, nodes: usize) -> CResult<SpmdProgram> {
+        let mut pass = Pass {
+            plan: self,
+            dist: &dist,
+            nodes,
+            comms: Vec::new(),
+        };
+        let body = pass.steps(&self.body)?;
+        Ok(SpmdProgram {
+            name: self.name.clone(),
+            nodes,
+            grid: dist.grid.clone(),
+            dist,
+            body,
+            warnings: self.warnings.clone(),
+        })
+    }
 }
 
-struct Lower<'a> {
+/// `args` as a label to share, formatted in the reused buffer `text` so
+/// that it allocates once.
+fn shared_label(text: &mut String, args: std::fmt::Arguments) -> Arc<str> {
+    text.clear();
+    text.reserve(64);
+    let _ = text.write_fmt(args);
+    Arc::from(text.as_str())
+}
+
+/// The walk that builds a [`LowerPlan`].
+struct Planner<'a> {
     analyzed: &'a AnalyzedProgram,
-    dist: &'a DistributionTable,
     opts: &'a CompileOptions,
     /// The one environment every bound resolves in, besides PARAMETERs:
     /// traced critical variables, then the user-supplied critical values
@@ -186,16 +467,18 @@ struct Lower<'a> {
     /// loop whose bound depends on an unresolvable critical variable (every
     /// loop in the modelled programs iterates over some declared array).
     worst_case_extent: i64,
-    /// Graceful-degradation diagnostics (attached to the SpmdProgram).
+    /// Graceful-degradation diagnostics (attached to every SpmdProgram).
     warnings: Vec<CompileWarning>,
+    /// A step failed: nothing more is planned.
+    failed: bool,
+    /// One-name `arrays` lists, one per array referenced.
+    arrays: Vec<Arc<[String]>>,
+    /// Formatting buffer for labels.
+    text: String,
 }
 
-impl<'a> Lower<'a> {
-    fn new(
-        analyzed: &'a AnalyzedProgram,
-        dist: &'a DistributionTable,
-        opts: &'a CompileOptions,
-    ) -> Self {
+impl<'a> Planner<'a> {
+    fn new(analyzed: &'a AnalyzedProgram, opts: &'a CompileOptions) -> Self {
         let mut env = analyzed.resolved_critical.clone();
         env.extend(opts.critical_values.iter().map(|(k, v)| (k.clone(), *v)));
         let worst_case_extent = analyzed
@@ -206,14 +489,36 @@ impl<'a> Lower<'a> {
             .max()
             .unwrap_or(opts.while_trips_hint as i64)
             .max(1);
-        Lower {
+        Planner {
             analyzed,
-            dist,
             opts,
             env,
             worst_case_extent,
             warnings: Vec::new(),
+            failed: false,
+            arrays: Vec::new(),
+            text: String::new(),
         }
+    }
+
+    /// Stop planning with `err` as the last step.
+    fn fail(&mut self, err: CompileError, out: &mut Vec<Step>) {
+        out.push(Step::Fail(err));
+        self.failed = true;
+    }
+
+    fn label(&mut self, args: std::fmt::Arguments) -> Arc<str> {
+        shared_label(&mut self.text, args)
+    }
+
+    /// The shared one-name `arrays` list of `name`.
+    fn array(&mut self, name: &str) -> Arc<[String]> {
+        if let Some(a) = self.arrays.iter().find(|a| a[0] == name) {
+            return a.clone();
+        }
+        let a: Arc<[String]> = Arc::new([name.to_string()]);
+        self.arrays.push(a.clone());
+        a
     }
 
     /// Constant-evaluate an expression using parameters and the
@@ -286,10 +591,19 @@ impl<'a> Lower<'a> {
         }
     }
 
-    fn stmt(&mut self, st: &Stmt, out: &mut Vec<SpmdNode>) -> CResult<()> {
+    fn block(&mut self, stmts: &[Stmt], out: &mut Vec<Step>) {
+        for st in stmts {
+            if self.failed {
+                return;
+            }
+            self.stmt(st, out);
+        }
+    }
+
+    fn stmt(&mut self, st: &Stmt, out: &mut Vec<Step>) {
         match st {
-            Stmt::Forall { header, body, span } => self.lower_forall(header, body, *span, out),
-            Stmt::Assign { lhs, rhs, span } => self.lower_scalar_assign(lhs, rhs, *span, out),
+            Stmt::Forall { header, body, span } => self.forall(header, body, *span, out),
+            Stmt::Assign { lhs, rhs, span } => self.scalar_assign(lhs, rhs, *span, out),
             Stmt::Do {
                 var,
                 lo,
@@ -305,25 +619,22 @@ impl<'a> Lower<'a> {
                     None => 1,
                 };
                 if st_v == 0 {
-                    return cerr("DO step of zero", *span);
+                    return self.fail(CompileError::at("DO step of zero", *span), out);
                 }
                 let trips = triplet_count(lo_v, hi_v, st_v);
                 // Bind the loop variable to its midpoint for nested bounds.
                 let mid = lo_v + ((hi_v - lo_v) / 2 / st_v.max(1)) * st_v.max(1);
                 let saved = self.bind(var, mid);
-                let mut inner = Vec::new();
-                for s in body {
-                    self.stmt(s, &mut inner)?;
-                }
+                let mut inner = Vec::with_capacity(body.len());
+                self.block(body, &mut inner);
                 self.unbind(var, saved);
-                out.push(SpmdNode::Loop {
-                    var: var.clone(),
+                out.push(Step::Loop {
+                    var: Arc::from(var.as_str()),
                     trips,
                     estimated: false,
                     body: inner,
                     span: *span,
                 });
-                Ok(())
             }
             Stmt::DoWhile { cond, body, span } => {
                 // Induction-variable recognition: `DO WHILE (v > c)` with a
@@ -339,58 +650,49 @@ impl<'a> Lower<'a> {
                 };
                 let saved = induction.map(|(var, _, geo_mid)| (var, self.bind(var, geo_mid)));
 
-                let mut inner = Vec::new();
                 // Charge the condition evaluation per trip as a Seq block.
-                let cond_ops = count_expr(cond, self.analyzed, &[]);
-                inner.push(SpmdNode::Seq(SeqBlock {
-                    label: "while-test".into(),
+                let mut inner = vec![Step::Seq(SeqBlock {
+                    label: Arc::from("while-test"),
                     span: *span,
-                    ops: cond_ops,
-                }));
-                for s in body {
-                    self.stmt(s, &mut inner)?;
-                }
+                    ops: count_expr(cond, self.analyzed, &[]),
+                })];
+                self.block(body, &mut inner);
                 if let Some((var, saved)) = saved {
                     self.unbind(var, saved);
                 }
-                out.push(SpmdNode::Loop {
-                    var: "<while>".into(),
+                out.push(Step::Loop {
+                    var: Arc::from("<while>"),
                     trips,
                     estimated,
                     body: inner,
                     span: *span,
                 });
-                Ok(())
             }
             Stmt::If {
                 arms,
                 else_body,
                 span,
             } => {
-                let mut spmd_arms = Vec::new();
+                let mut planned = Vec::with_capacity(arms.len());
                 for (cond, body) in arms {
-                    let mut inner = Vec::new();
-                    let cond_ops = count_expr(cond, self.analyzed, &[]);
-                    inner.push(SpmdNode::Seq(SeqBlock {
-                        label: "if-test".into(),
-                        span: cond.span(),
-                        ops: cond_ops,
-                    }));
-                    for s in body {
-                        self.stmt(s, &mut inner)?;
+                    if self.failed {
+                        break;
                     }
-                    spmd_arms.push((self.opts.branch_prob_hint, inner));
+                    let mut inner = vec![Step::Seq(SeqBlock {
+                        label: Arc::from("if-test"),
+                        span: cond.span(),
+                        ops: count_expr(cond, self.analyzed, &[]),
+                    })];
+                    self.block(body, &mut inner);
+                    planned.push((self.opts.branch_prob_hint, inner));
                 }
-                let mut els = Vec::new();
-                for s in else_body {
-                    self.stmt(s, &mut els)?;
-                }
-                out.push(SpmdNode::Branch {
-                    arms: spmd_arms,
+                let mut els = Vec::with_capacity(else_body.len());
+                self.block(else_body, &mut els);
+                out.push(Step::Branch {
+                    arms: planned,
                     else_body: els,
                     span: *span,
                 });
-                Ok(())
             }
             Stmt::Print { items, span } => {
                 let mut ops = OpCounts::zero();
@@ -398,114 +700,37 @@ impl<'a> Lower<'a> {
                     ops += count_expr(e, self.analyzed, &[]);
                 }
                 ops.calls += 1.0; // I/O library call
-                out.push(SpmdNode::Seq(SeqBlock {
-                    label: "print".into(),
+                out.push(Step::Seq(SeqBlock {
+                    label: Arc::from("print"),
                     span: *span,
                     ops,
                 }));
-                Ok(())
             }
-            Stmt::Stop { .. } => Ok(()),
-            Stmt::Io { kind, arrays, span } => self.lower_io(*kind, arrays, *span, out),
-            Stmt::Where { span, .. } => cerr("WHERE should have been normalized away", *span),
-            Stmt::Call { name, span, .. } => cerr(
-                format!("CALL `{name}`: user procedures are outside the subset"),
-                *span,
+            Stmt::Stop { .. } => {}
+            Stmt::Io { kind, arrays, span } => out.push(Step::Io {
+                kind: match kind {
+                    IoStmtKind::Read => hpf_io::IoKind::Read,
+                    IoStmtKind::Write => hpf_io::IoKind::Write,
+                    IoStmtKind::Checkpoint => hpf_io::IoKind::Checkpoint,
+                },
+                arrays: arrays
+                    .iter()
+                    .map(|a| (a.clone(), self.analyzed.symbols.contains_key(a)))
+                    .collect(),
+                span: *span,
+            }),
+            Stmt::Where { span, .. } => self.fail(
+                CompileError::at("WHERE should have been normalized away", *span),
+                out,
+            ),
+            Stmt::Call { name, span, .. } => self.fail(
+                CompileError::at(
+                    format!("CALL `{name}`: user procedures are outside the subset"),
+                    *span,
+                ),
+                out,
             ),
         }
-    }
-
-    /// Lower a READ/WRITE/CHECKPOINT statement to a single parallel-I/O
-    /// phase. Each named array must be distributed (parallel I/O moves the
-    /// partitioned sections; replicated data goes through the host's normal
-    /// sequential path and is outside the model). A bare CHECKPOINT snapshots
-    /// every distributed array in the program.
-    fn lower_io(
-        &mut self,
-        kind: IoStmtKind,
-        arrays: &[String],
-        span: Span,
-        out: &mut Vec<SpmdNode>,
-    ) -> CResult<()> {
-        let io_kind = match kind {
-            IoStmtKind::Read => hpf_io::IoKind::Read,
-            IoStmtKind::Write => hpf_io::IoKind::Write,
-            IoStmtKind::Checkpoint => hpf_io::IoKind::Checkpoint,
-        };
-
-        let names: Vec<String> = if arrays.is_empty() {
-            // Bare CHECKPOINT: all distributed arrays, in deterministic
-            // (BTreeMap) order.
-            self.dist
-                .arrays
-                .iter()
-                .filter(|(_, ad)| !ad.replicated)
-                .map(|(n, _)| n.clone())
-                .collect()
-        } else {
-            arrays.to_vec()
-        };
-        if names.is_empty() {
-            return Err(CompileError::from_io(
-                hpf_io::IoError::UnpartitionedArray {
-                    array: "<none>".into(),
-                },
-                span,
-            ));
-        }
-
-        let nodes = self.dist.grid.total();
-        let mut total_bytes = 0u64;
-        let mut per_node = vec![0u64; nodes];
-        for name in &names {
-            let ad = match self.dist.get(name) {
-                Some(ad) if !ad.replicated => ad,
-                Some(_) => {
-                    return Err(CompileError::from_io(
-                        hpf_io::IoError::UnpartitionedArray {
-                            array: name.clone(),
-                        },
-                        span,
-                    ))
-                }
-                None => {
-                    let err = if self.analyzed.symbols.contains_key(name) {
-                        hpf_io::IoError::UnpartitionedArray {
-                            array: name.clone(),
-                        }
-                    } else {
-                        hpf_io::IoError::UnknownArray {
-                            array: name.clone(),
-                        }
-                    };
-                    return Err(CompileError::from_io(err, span));
-                }
-            };
-            total_bytes += ad.elems() * ad.elem_bytes;
-            for (n, acc) in per_node.iter_mut().enumerate() {
-                *acc += ad.local_elems(|p| self.dist.grid.coord(n, p)) * ad.elem_bytes;
-            }
-        }
-
-        let (servers, stripe_factor) = self
-            .opts
-            .io
-            .resolve(self.opts.nodes)
-            .map_err(|e| CompileError::from_io(e, span))?;
-
-        out.push(SpmdNode::Io {
-            phase: hpf_io::IoPhase {
-                kind: io_kind,
-                arrays: names,
-                total_bytes,
-                bytes_per_node: per_node.iter().copied().max().unwrap_or(0),
-                participants: nodes,
-                servers,
-                stripe_factor,
-            },
-            span,
-        });
-        Ok(())
     }
 
     /// Recognize `DO WHILE (v > c)` / `DO WHILE (v >= c)` with a body step
@@ -580,49 +805,33 @@ impl<'a> Lower<'a> {
 
     // ---- scalar assignments (incl. reductions) ---------------------------
 
-    fn lower_scalar_assign(
-        &mut self,
-        lhs: &DataRef,
-        rhs: &Expr,
-        span: Span,
-        out: &mut Vec<SpmdNode>,
-    ) -> CResult<()> {
+    fn scalar_assign(&mut self, lhs: &DataRef, rhs: &Expr, span: Span, out: &mut Vec<Step>) {
         // Detect a top-level reduction structure: the RHS contains one or
         // more transformational reductions over distributed arrays.
         let mut reductions = Vec::new();
         collect_reductions(rhs, &mut reductions);
         if reductions.is_empty() {
             let ops = count_assign(lhs, rhs, self.analyzed, &[]);
-            out.push(SpmdNode::Seq(SeqBlock {
-                label: format!("{} = …", lhs.name),
+            out.push(Step::Seq(SeqBlock {
+                label: self.label(format_args!("{} = …", lhs.name)),
                 span,
                 ops,
             }));
-            return Ok(());
+            return;
         }
 
         for (intr, args, rspan) in reductions {
             let arr = match args.first() {
-                Some(Expr::Ref(r)) if r.subs.is_empty() => r.name.clone(),
-                _ => return cerr("reduction argument must be a whole array", rspan),
+                Some(Expr::Ref(r)) if r.subs.is_empty() => r.name.as_str(),
+                _ => {
+                    return self.fail(
+                        CompileError::at("reduction argument must be a whole array", rspan),
+                        out,
+                    )
+                }
             };
-            let ad = self.dist.get(&arr).ok_or_else(|| CompileError {
-                message: format!("no distribution for `{arr}`"),
-                span: rspan,
-                io: None,
-            })?;
-            let elem_bytes = ad.elem_bytes;
 
             // Partial-reduction computation phase over locally owned elems.
-            let nodes = self.dist.grid.total();
-            let per_node: Vec<u64> = (0..nodes)
-                .map(|n| ad.local_elems(|p| self.dist.grid.coord(n, p)))
-                .collect();
-            let total: u64 = if ad.replicated {
-                ad.elems()
-            } else {
-                per_node.iter().sum()
-            };
             let mut per_iter = OpCounts {
                 loads: 1.0,
                 ..OpCounts::zero()
@@ -654,40 +863,27 @@ impl<'a> Lower<'a> {
                     (CollectiveOp::Reduce, "dot product")
                 }
                 other => {
-                    return cerr(
-                        format!("{} is not a supported reduction", other.name()),
-                        rspan,
-                    )
+                    out.push(Step::Mapped {
+                        array: arr.to_string(),
+                        span: rspan,
+                    });
+                    return self.fail(
+                        CompileError::at(
+                            format!("{} is not a supported reduction", other.name()),
+                            rspan,
+                        ),
+                        out,
+                    );
                 }
             };
-            let ws = per_node
-                .iter()
-                .max()
-                .map_or(0, |m| m.saturating_mul(elem_bytes));
-            out.push(SpmdNode::Comp(CompPhase {
-                label: format!("partial {label} over {arr}"),
+            out.push(Step::Reduce(ReducePlan {
+                array: self.array(arr),
                 span: rspan,
-                total_iters: total,
-                per_node_iters: per_node,
                 per_iter,
-                masked_ops: None,
-                mask_density_hint: None,
-                loop_depth: 1,
-                working_set_bytes: ws,
-                locality: 1.0,
+                op,
+                comp_label: self.label(format_args!("partial {label} over {arr}")),
+                comm_label: self.label(format_args!("{label} combine")),
             }));
-            if !ad.replicated && nodes > 1 {
-                out.push(SpmdNode::Comm(CommPhase {
-                    label: format!("{label} combine"),
-                    span: rspan,
-                    op,
-                    bytes_per_node: elem_bytes,
-                    participants: nodes,
-                    contiguous: true,
-                    shift_grid_dim: None,
-                    arrays: vec![arr],
-                }));
-            }
         }
 
         // Residual scalar work combining the reduction results.
@@ -696,23 +892,16 @@ impl<'a> Lower<'a> {
             ..OpCounts::zero()
         };
         ops += count_residual(rhs, self.analyzed);
-        out.push(SpmdNode::Seq(SeqBlock {
-            label: format!("{} = …", lhs.name),
+        out.push(Step::Seq(SeqBlock {
+            label: self.label(format_args!("{} = …", lhs.name)),
             span,
             ops,
         }));
-        Ok(())
     }
 
     // ---- forall -----------------------------------------------------------
 
-    fn lower_forall(
-        &mut self,
-        header: &ForallHeader,
-        body: &[Stmt],
-        span: Span,
-        out: &mut Vec<SpmdNode>,
-    ) -> CResult<()> {
+    fn forall(&mut self, header: &ForallHeader, body: &[Stmt], span: Span, out: &mut Vec<Step>) {
         // Resolve the index space.
         let mut trips = Vec::with_capacity(header.triplets.len());
         for t in &header.triplets {
@@ -723,22 +912,23 @@ impl<'a> Lower<'a> {
                 None => 1,
             };
             if st == 0 {
-                return cerr("forall stride of zero", span);
+                return self.fail(CompileError::at("forall stride of zero", span), out);
             }
-            trips.push(Triplet {
-                var: &t.var,
+            trips.push(Trip {
                 lo,
                 st,
                 count: triplet_count(lo, hi, st),
             });
         }
-        let dummies = header.triplets.as_slice();
-        let dist = self.dist;
-        let grid = &dist.grid;
 
         for st_body in body {
-            let (lhs, rhs) = match st_body {
-                Stmt::Assign { lhs, rhs, .. } => (lhs, rhs),
+            if self.failed {
+                return;
+            }
+            match st_body {
+                Stmt::Assign { lhs, rhs, .. } => {
+                    self.forall_assign(header, &trips, lhs, rhs, span, out)
+                }
                 Stmt::Forall {
                     header: h2,
                     body: b2,
@@ -748,335 +938,683 @@ impl<'a> Lower<'a> {
                     // product is approximated by scaling inside a Loop).
                     let outer: u64 = trips.iter().map(|t| t.count).product();
                     let mut inner = Vec::new();
-                    self.lower_forall(h2, b2, *s2, &mut inner)?;
-                    out.push(SpmdNode::Loop {
-                        var: "<forall>".into(),
+                    self.forall(h2, b2, *s2, &mut inner);
+                    out.push(Step::Loop {
+                        var: Arc::from("<forall>"),
                         trips: outer,
                         estimated: false,
                         body: inner,
                         span: *s2,
                     });
-                    continue;
                 }
-                other => {
-                    return cerr("forall body must be assignments", other.span());
+                other => self.fail(
+                    CompileError::at("forall body must be assignments", other.span()),
+                    out,
+                ),
+            }
+        }
+    }
+
+    fn forall_assign(
+        &mut self,
+        header: &ForallHeader,
+        trips: &[Trip],
+        lhs: &DataRef,
+        rhs: &Expr,
+        span: Span,
+        out: &mut Vec<Step>,
+    ) {
+        let dummies = header.triplets.as_slice();
+
+        // Map each triplet dummy to the LHS dimensions it indexes
+        // (affine, stride ±1) — the owner-computes partitioning basis.
+        let mut axes = Vec::with_capacity(lhs.subs.len());
+        let mut lhs_indirect = false;
+        for (d, s) in lhs.subs.iter().enumerate() {
+            match s {
+                Subscript::Index(e) => match affine_in(e, dummies) {
+                    Some((Some(v), a, b)) => {
+                        let triplet = dummies.iter().position(|t| t.var == v);
+                        let triplet = triplet.expect("dummies come from the triplets");
+                        axes.push(Axis {
+                            triplet,
+                            trip: trips[triplet],
+                            dim: d,
+                            a,
+                            b,
+                        });
+                    }
+                    Some((None, _, _)) => {} // constant subscript
+                    None => lhs_indirect = true,
+                },
+                Subscript::Triplet { .. } => {
+                    out.push(Step::Mapped {
+                        array: lhs.name.clone(),
+                        span: lhs.span,
+                    });
+                    return self.fail(
+                        CompileError::at("LHS sections inside forall bodies", lhs.span),
+                        out,
+                    );
                 }
-            };
+            }
+        }
+        // Indices are looked up by name, so where a name repeats in the
+        // header its last triplet counts, and its last LHS dimension.
+        let axis_of = |var: &str| {
+            axes.iter()
+                .rev()
+                .find(|x| dummies[x.triplet].var == var)
+                .copied()
+        };
+        let last = |i: usize| dummies[i + 1..].iter().all(|u| u.var != dummies[i].var);
+        let index_of = |var: &str| {
+            let at = dummies.iter().rposition(|t| t.var == var).expect("a dummy");
+            (0..at).filter(|&i| last(i)).count()
+        };
+        let counts = (0..dummies.len())
+            .filter(|&i| last(i))
+            .map(|i| trips[i].count);
+        let distinct_total = saturating_product(counts.clone());
+        let broadcast_cross = distinct_total / counts.max().unwrap_or(1).max(1);
 
-            let nodes = grid.total();
-            let lhs_dist = dist.get(&lhs.name).ok_or_else(|| CompileError {
-                message: format!("no distribution for `{}`", lhs.name),
-                span: lhs.span,
-                io: None,
-            })?;
-
-            // Map each triplet dummy to the LHS dimensions it indexes
-            // (affine, stride ±1) — the owner-computes partitioning basis.
-            let mut axes = Vec::with_capacity(lhs.subs.len());
-            let mut lhs_indirect = false;
-            for (d, s) in lhs.subs.iter().enumerate() {
-                match s {
+        // ---- references the pass classifies: the RHS, then the mask ----
+        let (mut refs, mut subs) = (Vec::new(), Vec::new());
+        for e in std::iter::once(rhs).chain(&header.mask) {
+            visit_refs(e, &mut |r| {
+                let first = subs.len();
+                subs.extend(r.subs.iter().map(|s| match s {
                     Subscript::Index(e) => match affine_in(e, dummies) {
-                        Some((Some(v), a, b)) => {
-                            let triplet = trips.iter().position(|t| t.var == v);
-                            axes.push(Axis {
-                                triplet: triplet.expect("dummies come from the triplets"),
-                                dim: d,
-                                a,
-                                b,
-                            });
-                        }
-                        Some((None, _, _)) => {} // constant subscript
-                        None => lhs_indirect = true,
+                        Some((Some(v), a, b)) => RefSub::Index {
+                            index: index_of(v),
+                            a,
+                            b,
+                        },
+                        Some((None, _, _)) => RefSub::Const,
+                        None => RefSub::Indirect,
                     },
-                    Subscript::Triplet { .. } => {
-                        return cerr("LHS sections inside forall bodies", lhs.span)
-                    }
-                }
-            }
-            let f = Forall {
-                trips: &trips,
-                axes: &axes,
-                lhs_dist,
-                nodes,
-            };
-
-            // Per-node iteration counts (owner-computes on the LHS): a node
-            // runs the values of each dummy whose LHS element it owns in
-            // every distributed dimension the dummy indexes, jointly when
-            // there are several (`A(I,I)`).
-            let mut per_node = vec![1u64; nodes];
-            let mut total: u64 = 1;
-            for (ti, t) in trips.iter().enumerate() {
-                total = total.saturating_mul(t.count);
-                if lhs_indirect {
-                    continue; // every node runs every iteration (below)
-                }
-                let mut owning = axes
-                    .iter()
-                    .filter(|x| x.triplet == ti && lhs_dist.dims[x.dim].is_distributed());
-                let owned =
-                    |x: &Axis, c: i64| lhs_dist.owned_steps(x.dim, c, x.a * t.lo + x.b, x.a * t.st);
-                match (owning.next(), owning.clone().next()) {
-                    (None, _) => {
-                        for pn in per_node.iter_mut() {
-                            *pn = pn.saturating_mul(t.count);
-                        }
-                    }
-                    (Some(x), None) => {
-                        // One dimension: the count depends only on the
-                        // node's coordinate along that dimension's grid
-                        // axis, so it is counted once per coordinate.
-                        let pdim = lhs_dist.dims[x.dim].pdim().expect("distributed");
-                        let by_coord: Vec<u64> = (0..grid.extents[pdim])
-                            .map(|c| count_owned_steps(t.count, std::iter::once(owned(x, c))))
-                            .collect();
-                        for (n, pn) in per_node.iter_mut().enumerate() {
-                            *pn = pn.saturating_mul(by_coord[grid.coord(n, pdim) as usize]);
-                        }
-                    }
-                    (Some(x), Some(_)) => {
-                        let joint = std::iter::once(x).chain(owning);
-                        for (n, pn) in per_node.iter_mut().enumerate() {
-                            let steps = joint.clone().map(|x| {
-                                let pdim = lhs_dist.dims[x.dim].pdim().expect("distributed");
-                                owned(x, grid.coord(n, pdim))
-                            });
-                            *pn = pn.saturating_mul(count_owned_steps(t.count, steps));
-                        }
-                    }
-                }
-            }
-            if lhs_dist.replicated || lhs_indirect {
-                // replicated LHS: every node executes everything
-                per_node.fill(total);
-            }
-
-            // ---- communication detection over RHS (and mask) ----
-            // Figure-2 order: the gather level goes out first, then the
-            // computation level, then (when needed) the write-back level.
-            let mut refs = Vec::new();
-            collect_refs(rhs, &mut refs);
-            if let Some(m) = &header.mask {
-                collect_refs(m, &mut refs);
-            }
-            let first_comm = out.len();
-            for r in &refs {
-                if let Some(ph) = f.classify_ref(r, dist, dummies)? {
-                    merge_phase(out, first_comm, ph);
-                }
-            }
-
-            // ---- operation counts ----
-            let assign_ops = count_assign(lhs, rhs, self.analyzed, dummies);
-            let (per_iter, masked_ops, mask_hint) = match &header.mask {
-                None => (assign_ops, None, None),
-                Some(m) => {
-                    let mut mask_ops = count_expr(m, self.analyzed, dummies);
-                    mask_ops.branches += 1.0;
-                    (
-                        mask_ops,
-                        Some(assign_ops),
-                        Some(self.opts.mask_density_hint),
-                    )
-                }
-            };
-
-            // ---- locality model ----
-            // Generated loop nest follows header order, last triplet
-            // innermost. Memory stride of the inner loop = product of the
-            // *local* extents of LHS dims faster-varying than the indexed
-            // dim (column-major). With loop reordering the optimizer picks
-            // a stride-1 ordering when some dummy indexes dim 0.
-            let locality = if self.opts.loop_reorder
-                && trips
-                    .iter()
-                    .any(|t| f.axis_of(t.var).map(|x| x.dim) == Some(0))
-            {
-                1.0
-            } else {
-                f.inner_locality()
-            };
-
-            // ---- working set: every distinct array touched ----
-            let max_iters = per_node.iter().copied().max().unwrap_or(0);
-            let ws: u64 = std::iter::once(lhs.name.as_str())
-                .chain(
-                    refs.iter()
-                        .enumerate()
-                        .filter(|&(i, r)| {
-                            r.name != lhs.name && refs[..i].iter().all(|q| q.name != r.name)
-                        })
-                        .map(|(_, r)| r.name.as_str()),
-                )
-                .map(|a| {
-                    let eb = dist.get(a).map(|d| d.elem_bytes).unwrap_or(4);
-                    max_iters.saturating_mul(eb)
-                })
-                .fold(0, u64::saturating_add);
-
-            out.push(SpmdNode::Comp(CompPhase {
-                label: format!("forall -> {}", lhs.name),
-                span,
-                total_iters: total,
-                per_node_iters: per_node,
-                per_iter,
-                masked_ops,
-                mask_density_hint: mask_hint,
-                loop_depth: trips.len() as u32,
-                working_set_bytes: ws,
-                locality,
-            }));
-            if lhs_indirect && !lhs_dist.replicated && nodes > 1 {
-                // Scatter computed values to their owners.
-                let bytes = saturating_product([max_iters, lhs_dist.elem_bytes, nodes as u64 - 1])
-                    / nodes as u64;
-                out.push(SpmdNode::Comm(CommPhase {
-                    label: format!("scatter -> {}", lhs.name),
-                    span,
-                    op: CollectiveOp::Scatter,
-                    bytes_per_node: bytes.max(1),
-                    participants: nodes,
-                    contiguous: false,
-                    shift_grid_dim: None,
-                    arrays: vec![lhs.name.clone()],
+                    Subscript::Triplet { .. } => RefSub::Section,
                 }));
+                refs.push(RefPlan {
+                    array: self.array(&r.name),
+                    span: r.span,
+                    subs: first..subs.len(),
+                });
+            });
+        }
+
+        // ---- operation counts ----
+        let assign_ops = count_assign(lhs, rhs, self.analyzed, dummies);
+        let (per_iter, masked_ops, mask_density_hint) = match &header.mask {
+            None => (assign_ops, None, None),
+            Some(m) => {
+                let mut mask_ops = count_expr(m, self.analyzed, dummies);
+                mask_ops.branches += 1.0;
+                (
+                    mask_ops,
+                    Some(assign_ops),
+                    Some(self.opts.mask_density_hint),
+                )
             }
+        };
+
+        // ---- locality model ----
+        // Generated loop nest follows header order, last triplet
+        // innermost. Memory stride of the inner loop = product of the
+        // *local* extents of LHS dims faster-varying than the indexed
+        // dim (column-major). With loop reordering the optimizer picks
+        // a stride-1 ordering when some dummy indexes dim 0.
+        let locality = if self.opts.loop_reorder
+            && dummies
+                .iter()
+                .any(|t| axis_of(&t.var).map(|x| x.dim) == Some(0))
+        {
+            Locality::Fixed(1.0)
+        } else {
+            match dummies.last().map(|inner| axis_of(&inner.var)) {
+                None => Locality::Fixed(1.0),
+                Some(None) => Locality::Fixed(0.5),
+                // First dimension: unit stride in column-major.
+                Some(Some(Axis { dim: 0, .. })) => Locality::Fixed(1.0),
+                Some(Some(x)) => Locality::Strided(x.dim),
+            }
+        };
+
+        // Only references read the distinct indices.
+        let indices = if refs.is_empty() {
+            Vec::new()
+        } else {
+            (0..dummies.len())
+                .filter(|&i| last(i))
+                .map(|i| Index {
+                    count: trips[i].count,
+                    axis: axis_of(&dummies[i].var),
+                })
+                .collect()
+        };
+        let free = trips
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| axes.iter().all(|x| x.triplet != i))
+            .fold(1, |n: u64, (_, t)| n.saturating_mul(t.count));
+        let scatter = lhs_indirect.then(|| self.label(format_args!("scatter -> {}", lhs.name)));
+        out.push(Step::Assign(AssignPlan {
+            span,
+            lhs: self.array(&lhs.name),
+            lhs_span: lhs.span,
+            axes,
+            lhs_indirect,
+            indices,
+            loop_depth: trips.len() as u32,
+            total: trips.iter().fold(1, |n, t| n.saturating_mul(t.count)),
+            free,
+            distinct_total,
+            broadcast_cross,
+            refs,
+            subs,
+            per_iter,
+            masked_ops,
+            mask_density_hint,
+            locality,
+            label: self.label(format_args!("forall -> {}", lhs.name)),
+            scatter,
+        }));
+    }
+}
+
+/// The per-distribution pass over a [`LowerPlan`].
+struct Pass<'p> {
+    plan: &'p LowerPlan,
+    dist: &'p DistributionTable,
+    /// The node count the program was compiled for (I/O servers resolve
+    /// against it).
+    nodes: usize,
+    /// One assignment's communication, merged before it is emitted.
+    comms: Vec<Comm<'p>>,
+}
+
+/// A communication an assignment's reference needs, before it is emitted.
+#[derive(Debug, Clone, Copy)]
+struct Comm<'p> {
+    kind: CommKind,
+    array: &'p Arc<[String]>,
+    span: Span,
+    bytes_per_node: u64,
+    contiguous: bool,
+}
+
+/// How a reference communicates: with its label's array, it names the
+/// phase, and phases of the same kind and array merge.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum CommKind {
+    /// Offset access along the LHS grid dimension `pdim`: a ghost exchange.
+    Shift { t_off: i64, dim: usize, pdim: usize },
+    /// Transposed or cross-mapped access.
+    Remap,
+    /// A full-range index reading a distributed dimension.
+    Gather,
+    /// A constant subscript of a distributed dimension.
+    Broadcast,
+    /// A data-dependent subscript.
+    GatherIndirect,
+}
+
+impl CommKind {
+    fn op(self) -> CollectiveOp {
+        match self {
+            CommKind::Shift { .. } => CollectiveOp::Shift,
+            CommKind::Remap => CollectiveOp::AllToAll,
+            CommKind::Gather | CommKind::GatherIndirect => CollectiveOp::Gather,
+            CommKind::Broadcast => CollectiveOp::Broadcast,
+        }
+    }
+
+    /// The order in which one reference's candidates replace each other.
+    fn rank(self) -> u8 {
+        match self.op() {
+            CollectiveOp::Shift => 1,
+            CollectiveOp::Broadcast => 2,
+            CollectiveOp::Gather => 3,
+            CollectiveOp::AllToAll => 4,
+            _ => 0,
+        }
+    }
+}
+
+impl<'p> Pass<'p> {
+    fn steps(&mut self, steps: &'p [Step]) -> CResult<Vec<SpmdNode>> {
+        let mut out = Vec::with_capacity(steps.iter().map(Step::max_nodes).sum());
+        for step in steps {
+            self.step(step, &mut out)?;
+        }
+        Ok(out)
+    }
+
+    fn step(&mut self, step: &'p Step, out: &mut Vec<SpmdNode>) -> CResult<()> {
+        match step {
+            Step::Seq(s) => out.push(SpmdNode::Seq(s.clone())),
+            Step::Loop {
+                var,
+                trips,
+                estimated,
+                body,
+                span,
+            } => {
+                let body = self.steps(body)?;
+                out.push(SpmdNode::Loop {
+                    var: var.clone(),
+                    trips: *trips,
+                    estimated: *estimated,
+                    body,
+                    span: *span,
+                });
+            }
+            Step::Branch {
+                arms,
+                else_body,
+                span,
+            } => {
+                let mut lowered = Vec::with_capacity(arms.len());
+                for (p, body) in arms {
+                    lowered.push((*p, self.steps(body)?));
+                }
+                let else_body = self.steps(else_body)?;
+                out.push(SpmdNode::Branch {
+                    arms: lowered,
+                    else_body,
+                    span: *span,
+                });
+            }
+            Step::Assign(a) => self.assign(a, out)?,
+            Step::Reduce(r) => self.reduce(r, out)?,
+            Step::Io { kind, arrays, span } => self.io(*kind, arrays, *span, out)?,
+            Step::Mapped { array, span } => {
+                self.mapped(array, *span)?;
+            }
+            Step::Fail(e) => return Err(e.clone()),
         }
         Ok(())
     }
-}
 
-/// One resolved FORALL triplet.
-struct Triplet<'h> {
-    var: &'h str,
-    lo: i64,
-    st: i64,
-    count: u64,
-}
-
-/// An LHS subscript `a·dummy + b` of the FORALL index at position
-/// `triplet`, in dimension `dim`.
-struct Axis {
-    triplet: usize,
-    dim: usize,
-    a: i64,
-    b: i64,
-}
-
-/// One FORALL assignment as communication detection and the locality model
-/// read it: its triplets, the LHS subscripts affine in them, and the LHS
-/// mapping. Indices are looked up by name, so where a name repeats in the
-/// header its last triplet counts, and its last LHS dimension.
-struct Forall<'f> {
-    trips: &'f [Triplet<'f>],
-    axes: &'f [Axis],
-    lhs_dist: &'f ArrayDist,
-    nodes: usize,
-}
-
-impl Forall<'_> {
-    /// The LHS dimension index `var` drives (the last, when it drives
-    /// several).
-    fn axis_of(&self, var: &str) -> Option<&Axis> {
-        self.axes
-            .iter()
-            .rev()
-            .find(|x| self.trips[x.triplet].var == var)
+    /// The distribution of `array`, which lowering requires at `span`.
+    fn mapped(&self, array: &str, span: Span) -> CResult<&'p ArrayDist> {
+        self.dist
+            .get(array)
+            .ok_or_else(|| CompileError::at(format!("no distribution for `{array}`"), span))
     }
 
-    /// Trip count of each distinct index name.
-    fn counts(&self) -> impl Iterator<Item = (&str, u64)> + Clone {
-        let trips = self.trips;
-        trips
-            .iter()
-            .enumerate()
-            .filter(move |&(i, t)| trips[i + 1..].iter().all(|u| u.var != t.var))
-            .map(|(_, t)| (t.var, t.count))
-    }
-
-    fn count_of(&self, var: &str) -> Option<u64> {
-        self.counts().find(|&(v, _)| v == var).map(|(_, c)| c)
-    }
-
-    /// Locality of the innermost generated loop (the last triplet): 1.0
-    /// when it strides unit through local memory, decreasing as the stride
-    /// (in elements) grows.
-    fn inner_locality(&self) -> f64 {
-        let Some(inner) = self.trips.last() else {
-            return 1.0;
+    /// Lower a READ/WRITE/CHECKPOINT statement to a single parallel-I/O
+    /// phase. Each named array must be distributed (parallel I/O moves the
+    /// partitioned sections; replicated data goes through the host's normal
+    /// sequential path and is outside the model). A bare CHECKPOINT snapshots
+    /// every distributed array in the program.
+    fn io(
+        &mut self,
+        kind: hpf_io::IoKind,
+        arrays: &[(String, bool)],
+        span: Span,
+        out: &mut Vec<SpmdNode>,
+    ) -> CResult<()> {
+        let dist = self.dist;
+        let names: Vec<String> = if arrays.is_empty() {
+            // Bare CHECKPOINT: all distributed arrays, in deterministic
+            // (BTreeMap) order.
+            dist.arrays
+                .iter()
+                .filter(|(_, ad)| !ad.replicated)
+                .map(|(n, _)| n.clone())
+                .collect()
+        } else {
+            arrays.iter().map(|(n, _)| n.clone()).collect()
         };
-        let Some(&Axis { dim: d, .. }) = self.axis_of(inner.var) else {
-            return 0.5;
-        };
-        if d == 0 {
-            return 1.0; // first dimension: unit stride in column-major
+        if names.is_empty() {
+            return Err(CompileError::from_io(
+                hpf_io::IoError::UnpartitionedArray {
+                    array: "<none>".into(),
+                },
+                span,
+            ));
         }
-        // Stride = product of local extents of faster dims.
-        let lhs_dist = self.lhs_dist;
-        let mut stride_elems: i64 = 1;
-        for dd in 0..d {
-            let pc = lhs_dist.dims[dd].pcount();
-            stride_elems *= (lhs_dist.extent(dd) + pc - 1) / pc.max(1);
+
+        let nodes = dist.grid.total();
+        let mut total_bytes = 0u64;
+        let mut per_node = vec![0u64; nodes];
+        for name in &names {
+            let ad = match dist.get(name) {
+                Some(ad) if !ad.replicated => ad,
+                Some(_) => {
+                    return Err(CompileError::from_io(
+                        hpf_io::IoError::UnpartitionedArray {
+                            array: name.clone(),
+                        },
+                        span,
+                    ))
+                }
+                None => {
+                    let declared = arrays.iter().any(|(n, declared)| n == name && *declared);
+                    let err = if declared {
+                        hpf_io::IoError::UnpartitionedArray {
+                            array: name.clone(),
+                        }
+                    } else {
+                        hpf_io::IoError::UnknownArray {
+                            array: name.clone(),
+                        }
+                    };
+                    return Err(CompileError::from_io(err, span));
+                }
+            };
+            total_bytes += ad.elems() * ad.elem_bytes;
+            for (n, acc) in per_node.iter_mut().enumerate() {
+                *acc += ad.local_elems(|p| dist.grid.coord(n, p)) * ad.elem_bytes;
+            }
         }
-        let line = 32.0; // cache line bytes (i860)
-        let stride_bytes = stride_elems as f64 * lhs_dist.elem_bytes as f64;
-        (line / stride_bytes).clamp(0.05, 1.0)
+
+        let (servers, stripe_factor) = self
+            .plan
+            .io
+            .resolve(self.nodes)
+            .map_err(|e| CompileError::from_io(e, span))?;
+
+        out.push(SpmdNode::Io {
+            phase: Arc::new(hpf_io::IoPhase {
+                kind,
+                arrays: names,
+                total_bytes,
+                bytes_per_node: per_node.iter().copied().max().unwrap_or(0),
+                participants: nodes,
+                servers,
+                stripe_factor,
+            }),
+            span,
+        });
+        Ok(())
     }
 
-    /// Classify one RHS array reference against the LHS home distribution,
-    /// returning the communication phase it requires (None = local). A
-    /// read of the LHS array itself, aligned at zero offset, is local.
-    fn classify_ref(
+    /// A reduction's partial computation over the owned elements and, when
+    /// the array is distributed, its global combine.
+    fn reduce(&mut self, r: &'p ReducePlan, out: &mut Vec<SpmdNode>) -> CResult<()> {
+        let ad = self.mapped(&r.array[0], r.span)?;
+        let grid = &self.dist.grid;
+        let nodes = grid.total();
+        let per_node: Vec<u64> = (0..nodes)
+            .map(|n| ad.local_elems(|p| grid.coord(n, p)))
+            .collect();
+        let total: u64 = if ad.replicated {
+            ad.elems()
+        } else {
+            per_node.iter().sum()
+        };
+        let ws = per_node
+            .iter()
+            .max()
+            .map_or(0, |m| m.saturating_mul(ad.elem_bytes));
+        out.push(SpmdNode::Comp(Arc::new(CompPhase {
+            label: r.comp_label.clone(),
+            span: r.span,
+            total_iters: total,
+            per_node_iters: per_node,
+            per_iter: r.per_iter,
+            masked_ops: None,
+            mask_density_hint: None,
+            loop_depth: 1,
+            working_set_bytes: ws,
+            locality: 1.0,
+        })));
+        if !ad.replicated && nodes > 1 {
+            out.push(SpmdNode::Comm(CommPhase {
+                label: r.comm_label.clone(),
+                span: r.span,
+                op: r.op,
+                bytes_per_node: ad.elem_bytes,
+                participants: nodes,
+                contiguous: true,
+                shift_grid_dim: None,
+                arrays: r.array.clone(),
+            }));
+        }
+        Ok(())
+    }
+
+    /// One FORALL assignment: Figure-2 order — the gather level goes out
+    /// first, then the computation level, then (when needed) the
+    /// write-back level.
+    fn assign(&mut self, a: &'p AssignPlan, out: &mut Vec<SpmdNode>) -> CResult<()> {
+        let dist = self.dist;
+        let grid = &dist.grid;
+        let nodes = grid.total();
+        let lhs_dist = self.mapped(&a.lhs[0], a.lhs_span)?;
+        let per_node = if lhs_dist.replicated || a.lhs_indirect {
+            // Every node executes everything.
+            vec![a.total; nodes]
+        } else {
+            self.owned_iterations(a, lhs_dist)
+        };
+
+        // ---- communication detection over RHS (and mask) ----
+        for r in &a.refs {
+            if let Some(c) = a.classify(r, lhs_dist, dist, nodes)? {
+                // Same-kind phases of one array keep the larger payload
+                // (the compiler coalesces ghost exchanges).
+                match self
+                    .comms
+                    .iter_mut()
+                    .find(|p| p.kind == c.kind && Arc::ptr_eq(p.array, c.array))
+                {
+                    Some(p) => p.bytes_per_node = p.bytes_per_node.max(c.bytes_per_node),
+                    None => self.comms.push(c),
+                }
+            }
+        }
+        for c in self.comms.drain(..) {
+            out.push(SpmdNode::Comm(CommPhase {
+                label: self.plan.comm_label(c.kind, c.array),
+                span: c.span,
+                op: c.kind.op(),
+                bytes_per_node: c.bytes_per_node,
+                participants: nodes,
+                contiguous: c.contiguous,
+                shift_grid_dim: match c.kind {
+                    CommKind::Shift { pdim, .. } => Some(pdim),
+                    _ => None,
+                },
+                arrays: c.array.clone(),
+            }));
+        }
+
+        let locality = match a.locality {
+            Locality::Fixed(l) => l,
+            Locality::Strided(d) => {
+                // Stride = product of local extents of faster dims.
+                let mut stride_elems: i64 = 1;
+                for dd in 0..d {
+                    let pc = lhs_dist.dims[dd].pcount();
+                    stride_elems *= (lhs_dist.extent(dd) + pc - 1) / pc.max(1);
+                }
+                let line = 32.0; // cache line bytes (i860)
+                let stride_bytes = stride_elems as f64 * lhs_dist.elem_bytes as f64;
+                (line / stride_bytes).clamp(0.05, 1.0)
+            }
+        };
+
+        // ---- working set: every distinct array touched ----
+        let max_iters = per_node.iter().copied().max().unwrap_or(0);
+        let ws: u64 = std::iter::once(&a.lhs)
+            .chain(
+                a.refs
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, r)| {
+                        !Arc::ptr_eq(&r.array, &a.lhs)
+                            && a.refs[..i].iter().all(|q| !Arc::ptr_eq(&q.array, &r.array))
+                    })
+                    .map(|(_, r)| &r.array),
+            )
+            .map(|arr| {
+                let eb = dist.get(&arr[0]).map(|d| d.elem_bytes).unwrap_or(4);
+                max_iters.saturating_mul(eb)
+            })
+            .fold(0, u64::saturating_add);
+
+        out.push(SpmdNode::Comp(Arc::new(CompPhase {
+            label: a.label.clone(),
+            span: a.span,
+            total_iters: a.total,
+            per_node_iters: per_node,
+            per_iter: a.per_iter,
+            masked_ops: a.masked_ops,
+            mask_density_hint: a.mask_density_hint,
+            loop_depth: a.loop_depth,
+            working_set_bytes: ws,
+            locality,
+        })));
+        if let Some(label) = a
+            .scatter
+            .as_ref()
+            .filter(|_| !lhs_dist.replicated && nodes > 1)
+        {
+            // Scatter computed values to their owners.
+            let bytes = saturating_product([max_iters, lhs_dist.elem_bytes, nodes as u64 - 1])
+                / nodes as u64;
+            out.push(SpmdNode::Comm(CommPhase {
+                label: label.clone(),
+                span: a.span,
+                op: CollectiveOp::Scatter,
+                bytes_per_node: bytes.max(1),
+                participants: nodes,
+                contiguous: false,
+                shift_grid_dim: None,
+                arrays: a.lhs.clone(),
+            }));
+        }
+        Ok(())
+    }
+
+    /// Per-node iteration counts (owner-computes on the LHS): a node runs
+    /// the values of each index whose LHS element it owns in every
+    /// distributed dimension the index drives, jointly when there are
+    /// several (`A(I,I)`).
+    fn owned_iterations(&self, a: &AssignPlan, lhs_dist: &ArrayDist) -> Vec<u64> {
+        let grid = &self.dist.grid;
+        let mut per_node = vec![a.free; grid.total()];
+        // Each indexed triplet once, at its first axis.
+        for (i, x) in a.axes.iter().enumerate() {
+            if a.axes[..i].iter().any(|y| y.triplet == x.triplet) {
+                continue;
+            }
+            let t = x.trip;
+            let mut owning = a.axes[i..]
+                .iter()
+                .filter(|y| y.triplet == x.triplet && lhs_dist.dims[y.dim].is_distributed());
+            let owned =
+                |x: &Axis, c: i64| lhs_dist.owned_steps(x.dim, c, x.a * t.lo + x.b, x.a * t.st);
+            match (owning.next(), owning.clone().next()) {
+                (None, _) => {
+                    for pn in per_node.iter_mut() {
+                        *pn = pn.saturating_mul(t.count);
+                    }
+                }
+                (Some(x), None) => {
+                    // One dimension: the count depends only on the node's
+                    // coordinate along that dimension's grid axis, so it is
+                    // counted once per coordinate — and once per plan for
+                    // each mapping of the dimension.
+                    let dim = lhs_dist.dims[x.dim];
+                    let pdim = dim.pdim().expect("distributed");
+                    let key = OwnedKey {
+                        dim,
+                        align: lhs_dist.align[x.dim],
+                        first: x.a * t.lo + x.b,
+                        step: x.a * t.st,
+                        count: t.count,
+                        extent: grid.extents[pdim],
+                    };
+                    let mut memo = self.plan.memo();
+                    let at = match memo.owned.binary_search_by(|(k, _)| k.cmp(&key)) {
+                        Ok(at) => at,
+                        Err(at) => {
+                            let counts = (0..key.extent)
+                                .map(|c| count_owned_steps(t.count, std::iter::once(owned(x, c))))
+                                .collect();
+                            memo.owned.insert(at, (key, counts));
+                            at
+                        }
+                    };
+                    let by_coord = &memo.owned[at].1;
+                    // Nodes run first grid dimension fastest: each run of
+                    // `below` nodes shares one coordinate along `pdim`.
+                    let below = grid.extents[..pdim].iter().product::<i64>() as usize;
+                    for (run, owned) in per_node.chunks_mut(below).zip(by_coord.iter().cycle()) {
+                        for pn in run {
+                            *pn = pn.saturating_mul(*owned);
+                        }
+                    }
+                }
+                (Some(x), Some(_)) => {
+                    let joint = std::iter::once(x).chain(owning);
+                    for (n, pn) in per_node.iter_mut().enumerate() {
+                        let steps = joint.clone().map(|x| {
+                            let pdim = lhs_dist.dims[x.dim].pdim().expect("distributed");
+                            owned(x, grid.coord(n, pdim))
+                        });
+                        *pn = pn.saturating_mul(count_owned_steps(t.count, steps));
+                    }
+                }
+            }
+        }
+        per_node
+    }
+}
+
+impl AssignPlan {
+    /// Classify one array reference against the LHS home distribution,
+    /// returning the communication it requires (None = local). A read of
+    /// the LHS array itself, aligned at zero offset, is local.
+    fn classify<'p>(
         &self,
-        r: &DataRef,
+        r: &'p RefPlan,
+        lhs_dist: &ArrayDist,
         dist: &DistributionTable,
-        dummies: &[ForallTriplet],
-    ) -> CResult<Option<CommPhase>> {
-        if r.subs.is_empty() {
-            return Ok(None); // scalar
-        }
-        let Some(rd) = dist.get(&r.name) else {
+        nodes: usize,
+    ) -> CResult<Option<Comm<'p>>> {
+        let Some(rd) = dist.get(&r.array[0]) else {
             return Ok(None);
         };
         if rd.replicated {
             return Ok(None);
         }
-        let (lhs_dist, nodes) = (self.lhs_dist, self.nodes);
         let elem = rd.elem_bytes;
 
         // Max per-node iteration volume (for gather sizing).
-        let total_iters = saturating_product(self.counts().map(|(_, c)| c));
-        let per_node_iters = (total_iters / nodes as u64).max(1);
+        let per_node_iters = (self.distinct_total / nodes as u64).max(1);
 
-        let mut worst: Option<CommPhase> = None;
-        let mut consider = |ph: CommPhase| {
-            let rank = |op: CollectiveOp| match op {
-                CollectiveOp::Shift => 1,
-                CollectiveOp::Broadcast => 2,
-                CollectiveOp::Gather => 3,
-                CollectiveOp::AllToAll => 4,
-                _ => 0,
-            };
-            match &worst {
-                Some(w) if rank(w.op) >= rank(ph.op) => {}
-                _ => worst = Some(ph),
+        let mut worst: Option<Comm<'p>> = None;
+        let mut consider = |kind: CommKind, bytes_per_node: u64, contiguous: bool| match &worst {
+            Some(w) if w.kind.rank() >= kind.rank() => {}
+            _ => {
+                worst = Some(Comm {
+                    kind,
+                    array: &r.array,
+                    span: r.span,
+                    bytes_per_node,
+                    contiguous,
+                })
             }
         };
 
-        for (d, s) in r.subs.iter().enumerate() {
-            let Subscript::Index(e) = s else {
+        for (d, &sub) in self.subs[r.subs.clone()].iter().enumerate() {
+            if let RefSub::Section = sub {
                 return cerr("sections inside forall bodies", r.span);
-            };
+            }
             if !rd.dims[d].is_distributed() {
                 continue; // this dimension is local regardless of the index
             }
             let pdim = rd.dims[d].pdim().expect("distributed");
-            match affine_in(e, dummies) {
-                // Which LHS dim does this dummy drive, and is it mapped to
+            match sub {
+                // Which LHS dim does this index drive, and is it mapped to
                 // the same grid dimension?
-                Some((Some(v), a, b)) => match self.axis_of(v) {
-                    Some(&Axis {
+                RefSub::Index { index, a, b } => match self.indices[index].axis {
+                    Some(Axis {
                         dim: ld,
                         a: la,
                         b: lb2,
@@ -1098,9 +1636,9 @@ impl Forall<'_> {
                             // processor, so the whole local portion of the
                             // shifted dimension moves.
                             let pc_shift = lhs_dist.dims[ld].pcount() as u64;
-                            let own_count = self.count_of(v).unwrap_or(1);
+                            let own_count = self.indices[index].count;
                             let delta = match lhs_dist.dims[ld] {
-                                crate::dist::DimDist::Cyclic { k, .. } => {
+                                DimDist::Cyclic { k, .. } => {
                                     // δ of every k-block crosses: the local
                                     // share scaled by min(δ/k, 1).
                                     let local = own_count.div_ceil(pc_shift.max(1)).max(1);
@@ -1113,97 +1651,61 @@ impl Forall<'_> {
                             };
                             // Every other index: its local share when its
                             // LHS dimension is distributed.
-                            let cross =
-                                saturating_product(self.counts().filter(|&(k, _)| k != v).map(
-                                    |(k, c)| match self.axis_of(k) {
+                            let cross = saturating_product(
+                                self.indices
+                                    .iter()
+                                    .enumerate()
+                                    .filter(|&(k, _)| k != index)
+                                    .map(|(_, o)| match o.axis {
                                         Some(x) if lhs_dist.dims[x.dim].is_distributed() => {
                                             let pc = lhs_dist.dims[x.dim].pcount() as u64;
-                                            c.div_ceil(pc).max(1)
+                                            o.count.div_ceil(pc).max(1)
                                         }
-                                        _ => c,
-                                    },
-                                ));
+                                        _ => o.count,
+                                    }),
+                            );
                             // Contiguous boundary iff the fixed dim is the
                             // last dimension (column-major hyperplane).
                             let contiguous = d == rd.rank() - 1 || rd.rank() == 1;
-                            consider(CommPhase {
-                                label: format!("shift {} (δ={t_off}, dim {})", r.name, d + 1),
-                                span: r.span,
-                                op: CollectiveOp::Shift,
-                                bytes_per_node: saturating_product([delta, cross, elem]).max(1),
-                                participants: nodes,
+                            consider(
+                                CommKind::Shift {
+                                    t_off,
+                                    dim: d,
+                                    pdim,
+                                },
+                                saturating_product([delta, cross, elem]).max(1),
                                 contiguous,
-                                shift_grid_dim: Some(pdim),
-                                arrays: vec![r.name.clone()],
-                            });
+                            );
                         } else {
                             // Transposed or cross-mapped access.
-                            consider(CommPhase {
-                                label: format!("remap {}", r.name),
-                                span: r.span,
-                                op: CollectiveOp::AllToAll,
-                                bytes_per_node: per_node_iters.saturating_mul(elem),
-                                participants: nodes,
-                                contiguous: false,
-                                shift_grid_dim: None,
-                                arrays: vec![r.name.clone()],
-                            });
+                            consider(CommKind::Remap, per_node_iters.saturating_mul(elem), false);
                         }
                     }
                     None => {
-                        // Dummy not partitioned on LHS: iteration runs the
+                        // Index not partitioned on LHS: iteration runs the
                         // full range on every node, reading a distributed dim
                         // → gather of the remote part.
-                        let cnt = self.count_of(v).unwrap_or(1);
+                        let cnt = self.indices[index].count;
                         let remote =
                             saturating_product([cnt, elem, nodes as u64 - 1]) / nodes as u64;
-                        consider(CommPhase {
-                            label: format!("gather {}", r.name),
-                            span: r.span,
-                            op: CollectiveOp::Gather,
-                            bytes_per_node: remote.max(1),
-                            participants: nodes,
-                            contiguous: false,
-                            shift_grid_dim: None,
-                            arrays: vec![r.name.clone()],
-                        });
+                        consider(CommKind::Gather, remote.max(1), false);
                     }
                 },
-                Some((None, _, _)) => {
-                    // Constant subscript of a distributed dim: the slice
-                    // lives on one coordinate — broadcast it.
-                    let counts = self.counts().map(|(_, c)| c);
-                    let cross =
-                        saturating_product(counts.clone()) / counts.max().unwrap_or(1).max(1);
-                    consider(CommPhase {
-                        label: format!("broadcast {}", r.name),
-                        span: r.span,
-                        op: CollectiveOp::Broadcast,
-                        bytes_per_node: cross.max(1).saturating_mul(elem).max(1),
-                        participants: nodes,
-                        contiguous: true,
-                        shift_grid_dim: None,
-                        arrays: vec![r.name.clone()],
-                    });
-                }
-                None => {
-                    // Indirect (data-dependent) subscript: unstructured gather.
-                    consider(CommPhase {
-                        label: format!("gather {} (indirect)", r.name),
-                        span: r.span,
-                        op: CollectiveOp::Gather,
-                        bytes_per_node: (saturating_product([
-                            per_node_iters,
-                            elem,
-                            nodes as u64 - 1,
-                        ]) / nodes as u64)
-                            .max(1),
-                        participants: nodes,
-                        contiguous: false,
-                        shift_grid_dim: None,
-                        arrays: vec![r.name.clone()],
-                    });
-                }
+                // Constant subscript of a distributed dim: the slice lives
+                // on one coordinate — broadcast it.
+                RefSub::Const => consider(
+                    CommKind::Broadcast,
+                    self.broadcast_cross.max(1).saturating_mul(elem).max(1),
+                    true,
+                ),
+                // Indirect (data-dependent) subscript: unstructured gather.
+                RefSub::Indirect => consider(
+                    CommKind::GatherIndirect,
+                    (saturating_product([per_node_iters, elem, nodes as u64 - 1]) / nodes as u64)
+                        .max(1),
+                    false,
+                ),
+                RefSub::Section => unreachable!("rejected above"),
             }
         }
         Ok(worst.filter(|_| nodes > 1))
@@ -1216,25 +1718,6 @@ impl Forall<'_> {
 /// same.
 fn saturating_product(xs: impl IntoIterator<Item = u64>) -> u64 {
     xs.into_iter().fold(1, u64::saturating_mul)
-}
-
-/// Merge a new comm phase into the phases `out` holds from `first` on: same
-/// (op, array, direction sign) phases keep the larger payload (the compiler
-/// coalesces ghost exchanges).
-fn merge_phase(out: &mut Vec<SpmdNode>, first: usize, ph: CommPhase) {
-    for node in &mut out[first..] {
-        if let SpmdNode::Comm(p) = node {
-            if p.op == ph.op
-                && p.arrays == ph.arrays
-                && p.label == ph.label
-                && p.shift_grid_dim == ph.shift_grid_dim
-            {
-                p.bytes_per_node = p.bytes_per_node.max(ph.bytes_per_node);
-                return;
-            }
-        }
-    }
-    out.push(SpmdNode::Comm(ph));
 }
 
 /// Decompose `e` as `a*dummy + b`, naming the dummy; `Some((None, 0, c))`
@@ -1285,27 +1768,27 @@ fn affine_in<'e>(e: &'e Expr, dummies: &[ForallTriplet]) -> Option<(Option<&'e s
     }
 }
 
-/// Collect all array references in an expression, each before the ones in
+/// Visit every array reference in an expression, each before the ones in
 /// its subscripts.
-fn collect_refs<'e>(e: &'e Expr, out: &mut Vec<&'e DataRef>) {
+fn visit_refs(e: &Expr, f: &mut impl FnMut(&DataRef)) {
     match e {
         Expr::Ref(r) if !r.subs.is_empty() => {
-            out.push(r);
+            f(r);
             for s in &r.subs {
                 if let Subscript::Index(ix) = s {
-                    collect_refs(ix, out);
+                    visit_refs(ix, f);
                 }
             }
         }
         Expr::Intrinsic { args, .. } => {
             for a in args {
-                collect_refs(a, out);
+                visit_refs(a, f);
             }
         }
-        Expr::Unary { operand, .. } => collect_refs(operand, out),
+        Expr::Unary { operand, .. } => visit_refs(operand, f),
         Expr::Binary { lhs, rhs, .. } => {
-            collect_refs(lhs, out);
-            collect_refs(rhs, out);
+            visit_refs(lhs, f);
+            visit_refs(rhs, f);
         }
         _ => {}
     }

@@ -12,6 +12,7 @@ use crate::dist::{DistributionTable, ProcGrid};
 use crate::ops::OpCounts;
 use hpf_lang::Span;
 use machine::CollectiveOp;
+use std::sync::Arc;
 
 /// A non-fatal compilation diagnostic: the compiler degraded gracefully
 /// (e.g. an unresolvable critical variable replaced by a worst-case bound)
@@ -66,7 +67,7 @@ impl SpmdProgram {
         fn walk<'a>(nodes: &'a [SpmdNode], out: &mut Vec<&'a hpf_io::IoPhase>) {
             for n in nodes {
                 match n {
-                    SpmdNode::Io { phase, .. } => out.push(phase),
+                    SpmdNode::Io { phase, .. } => out.push(phase.as_ref()),
                     SpmdNode::Loop { body, .. } => walk(body, out),
                     SpmdNode::Branch {
                         arms, else_body, ..
@@ -143,21 +144,27 @@ impl SpmdProgram {
     }
 }
 
-/// One node of the SPMD program structure.
+/// One node of the SPMD program structure. Labels, computation phases and
+/// communication payload lists are shared (`Arc`), so the application
+/// graph built from a program holds them without copying, and a lowering
+/// plan hands the same label to every program it lowers.
 #[derive(Debug, Clone)]
 pub enum SpmdNode {
     /// Replicated scalar computation executed identically on every node.
     Seq(SeqBlock),
     /// Local (owner-computes) computation phase.
-    Comp(CompPhase),
+    Comp(Arc<CompPhase>),
     /// Global communication phase.
     Comm(CommPhase),
     /// Parallel I/O phase: a striped READ/WRITE/CHECKPOINT over the I/O
     /// servers (descriptor defined in `hpf-io`).
-    Io { phase: hpf_io::IoPhase, span: Span },
+    Io {
+        phase: Arc<hpf_io::IoPhase>,
+        span: Span,
+    },
     /// Counted loop around nested phases.
     Loop {
-        var: String,
+        var: Arc<str>,
         /// Resolved trip count (critical-variable tracing / user input).
         trips: u64,
         /// Whether `trips` was estimated rather than resolved exactly
@@ -191,7 +198,7 @@ impl SpmdNode {
 /// Replicated scalar work (scalar assignments, I/O).
 #[derive(Debug, Clone)]
 pub struct SeqBlock {
-    pub label: String,
+    pub label: Arc<str>,
     pub span: Span,
     /// Operation counts for one execution.
     pub ops: OpCounts,
@@ -201,7 +208,7 @@ pub struct SeqBlock {
 /// locally owned part of a forall / array operation.
 #[derive(Debug, Clone)]
 pub struct CompPhase {
-    pub label: String,
+    pub label: Arc<str>,
     pub span: Span,
     /// Global iteration count (all nodes together, before masking).
     pub total_iters: u64,
@@ -245,7 +252,7 @@ impl CompPhase {
 /// A communication phase.
 #[derive(Debug, Clone)]
 pub struct CommPhase {
-    pub label: String,
+    pub label: Arc<str>,
     pub span: Span,
     pub op: CollectiveOp,
     /// Payload per participating node, bytes.
@@ -258,7 +265,7 @@ pub struct CommPhase {
     /// For Shift: the distributed grid dimension being crossed.
     pub shift_grid_dim: Option<usize>,
     /// The arrays involved (for tracing / per-line attribution).
-    pub arrays: Vec<String>,
+    pub arrays: Arc<[String]>,
 }
 
 #[cfg(test)]

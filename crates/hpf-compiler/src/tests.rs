@@ -720,7 +720,7 @@ END
     let ph = phases(&p);
     assert!(ph
         .iter()
-        .any(|n| matches!(n, SpmdNode::Seq(s) if s.label == "print")));
+        .any(|n| matches!(n, SpmdNode::Seq(s) if &*s.label == "print")));
 }
 
 #[test]

@@ -167,12 +167,14 @@ impl DistFormat {
             DistFormat::Degenerate => "*",
         }
     }
+}
 
-    /// Render including the block factor.
-    pub fn display(self) -> String {
+/// The format as a DISTRIBUTE directive spells it, block factor included.
+impl std::fmt::Display for DistFormat {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DistFormat::CyclicK(k) => format!("CYCLIC({k})"),
-            other => other.name().to_string(),
+            DistFormat::CyclicK(k) => write!(f, "CYCLIC({k})"),
+            other => f.write_str(other.name()),
         }
     }
 }

@@ -145,7 +145,7 @@ fn pretty_directive(d: &Directive, out: &mut String) {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&f.display());
+                let _ = write!(out, "{f}");
             }
             out.push(')');
             if let Some(p) = onto {

@@ -686,7 +686,7 @@ impl Api {
             .filter(|(_, m)| m.time() > 0.0 || m.wait > 0.0)
             .map(|(aau, m)| {
                 Value::obj(vec![
-                    ("label", Value::Str(aau.label.clone())),
+                    ("label", Value::Str(aau.label.to_string())),
                     ("kind", Value::Str(kind_label(&aau.kind).into())),
                     ("metrics", metrics_value(m)),
                 ])

@@ -64,7 +64,7 @@ impl From<CompileError> for KernelBindError {
 #[derive(Debug, Clone)]
 pub struct CompiledKernel {
     kernel: Kernel,
-    source: String,
+    source: Arc<str>,
     program: Arc<hpf_lang::ast::Program>,
 }
 
@@ -76,7 +76,7 @@ impl CompiledKernel {
         let program = Arc::new(parse_program(&source)?);
         Ok(CompiledKernel {
             kernel: kernel.clone(),
-            source,
+            source: Arc::from(source),
             program,
         })
     }
@@ -91,6 +91,12 @@ impl CompiledKernel {
     /// source parse to the same program, so anything derived purely from
     /// the AST plus a critical-variable binding can be shared by key).
     pub fn canonical_source(&self) -> &str {
+        &self.source
+    }
+
+    /// [`canonical_source`](Self::canonical_source), shared rather than
+    /// copied: the directive advisor keys its profile lookup by it.
+    pub fn shared_source(&self) -> &Arc<str> {
         &self.source
     }
 
