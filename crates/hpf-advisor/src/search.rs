@@ -33,6 +33,9 @@ use report::{fnv1a, shared_profile, PipelineError, PipelineStage, FNV_OFFSET};
 
 use crate::space::{self, Candidate};
 
+/// Candidates per branch-and-bound wave.
+const WAVE_WIDTH: usize = 8;
+
 /// Search-shaping knobs. The defaults match the paper-scale Laplace
 /// what-if loop; [`AdvisorConfig::quick`] trims sizes for CI.
 #[derive(Debug, Clone)]
@@ -51,8 +54,6 @@ pub struct AdvisorConfig {
     pub threads: usize,
     /// Seed mixed into the tie-break hash.
     pub seed: u64,
-    /// Candidates per branch-and-bound wave.
-    pub wave_width: usize,
     /// Step budget for the functional-interpreter profile.
     pub profile_steps: u64,
     /// Registered machine backend the search predicts and cross-checks on
@@ -70,7 +71,6 @@ impl Default for AdvisorConfig {
             sim_runs: 200,
             threads: 0,
             seed: 0x5EED_CAFE,
-            wave_width: 8,
             profile_steps: 40_000_000,
             machine: hpf_machines::DEFAULT_MACHINE.to_string(),
         }
@@ -286,7 +286,7 @@ impl Advisor {
         let mut incumbent = f64::INFINITY;
         let mut pruned = 0usize;
         let mut predictions: Vec<Option<Metrics>> = vec![None; cands.len()];
-        for wave in order.chunks(cfg.wave_width.max(1)) {
+        for wave in order.chunks(WAVE_WIDTH) {
             let selected: Vec<usize> = wave
                 .iter()
                 .copied()
@@ -448,12 +448,12 @@ impl Advisor {
     pub fn search_cross(
         &self,
         cfg: &AdvisorConfig,
-        machines: &[String],
+        machines: &[impl AsRef<str>],
     ) -> Result<CrossMachineReport, PipelineError> {
         let mut reports = Vec::with_capacity(machines.len());
         for name in machines {
             let per = AdvisorConfig {
-                machine: name.clone(),
+                machine: name.as_ref().to_string(),
                 ..cfg.clone()
             };
             reports.push(self.search(&per)?);

@@ -277,7 +277,6 @@ impl Session {
                 ..Default::default()
             },
             machine: self.machine.clone(),
-            ..Default::default()
         }
     }
 

@@ -37,8 +37,6 @@ pub struct CompileOptions {
     pub mask_density_hint: f64,
     /// Trip-count guess for DO WHILE loops the tracer cannot resolve.
     pub while_trips_hint: u64,
-    /// Branch-probability heuristic for IF arms.
-    pub branch_prob_hint: f64,
     /// User-supplied critical-variable values (§4.2: "allowing the user to
     /// explicitly specify their values").
     pub critical_values: BTreeMap<String, i64>,
@@ -63,7 +61,6 @@ impl Default for CompileOptions {
             nodes: 8,
             mask_density_hint: 1.0,
             while_trips_hint: 16,
-            branch_prob_hint: 0.5,
             critical_values: BTreeMap::new(),
             loop_reorder: false,
             grid_extents: None,
@@ -71,6 +68,9 @@ impl Default for CompileOptions {
         }
     }
 }
+
+/// Branch-probability heuristic for IF arms.
+const BRANCH_PROB_HINT: f64 = 0.5;
 
 /// Compilation error.
 #[derive(Debug, Clone, PartialEq)]
@@ -684,7 +684,7 @@ impl<'a> Planner<'a> {
                         ops: count_expr(cond, self.analyzed, &[]),
                     })];
                     self.block(body, &mut inner);
-                    planned.push((self.opts.branch_prob_hint, inner));
+                    planned.push((BRANCH_PROB_HINT, inner));
                 }
                 let mut els = Vec::with_capacity(else_body.len());
                 self.block(else_body, &mut els);

@@ -10,6 +10,13 @@
 //! simulation engines are seeded and deterministic, and response bodies
 //! never embed timestamps or identity of the serving worker.
 //!
+//! One path per POST: [`Api::cached_post`] answers a repeat from the
+//! response cache, or parses the body once into a [`Post`] (the body, the
+//! one [`Deadline`] its `deadline_ms` sets at parse time, and the chaos
+//! flag) and runs the route's handler on it. A handler returns its 200 or
+//! a [`Failure`], and [`Failure::render`] is the one place a failure
+//! becomes a response.
+//!
 //! Error surface: malformed HPF source comes back as a structured 400
 //! whose `diagnostic` field is the very string the `advise` CLI prints to
 //! stderr ([`PipelineError::render_diagnostic`]) — one diagnostic, two
@@ -25,6 +32,7 @@
 //! cache, so a healthy breaker never replays them.
 
 use std::collections::HashMap;
+use std::ops::RangeInclusive;
 use std::sync::{Arc, OnceLock};
 
 use hpf_lang::ast::Program;
@@ -32,6 +40,7 @@ use hpf_lang::parse_program;
 use hpf_trace::json::{parse as parse_json, Value};
 use interp::{InterpOptions, InterpretationEngine, Prediction};
 use ipsc_sim::{SimConfig, Simulator};
+use report::pipeline::{calibrated_machine_for, machine_params};
 use report::PipelineError;
 
 use crate::breaker::{Breaker, BreakerConfig, BreakerOutcome};
@@ -86,13 +95,100 @@ impl ApiResponse {
     }
 }
 
-/// Per-request context threaded from routing into the handlers: the
-/// chaos injection flags the handler honors when chaos is enabled.
-#[derive(Debug, Default, Clone, Copy)]
-struct ReqCtx {
-    /// Panic inside the breaker-guarded DES cross-check.
+/// One POST, parsed once: everything its handler reads.
+struct Post {
+    body: Value,
+    /// The request's one deadline, set from `deadline_ms` when the body
+    /// was parsed; a waiter released to compute on its own keeps it.
+    deadline: Deadline,
+    /// Panic inside the breaker-guarded DES cross-check (chaos only).
     sim_panic: bool,
 }
+
+impl Post {
+    /// Parse a POST body. A deadline that is already dead here is a 504
+    /// before any pipeline stage runs.
+    fn parse(text: &str, sim_panic: bool) -> Result<Post, Failure> {
+        let body = match parse_json(text) {
+            Ok(v @ Value::Obj(_)) => v,
+            Ok(_) => return Err(bad_request("body must be a JSON object")),
+            Err(e) => return Err(bad_request(format!("body is not valid JSON: {e}"))),
+        };
+        // Absent = no deadline; present (including 0) = a budget of that
+        // many milliseconds, enforced between pipeline stages.
+        let deadline = match body.get("deadline_ms") {
+            None => Deadline::none(),
+            Some(_) => Deadline::in_ms(uint_field(&body, "deadline_ms", 0)? as u64),
+        };
+        deadline.check("parse")?;
+        Ok(Post {
+            body,
+            deadline,
+            sim_panic,
+        })
+    }
+
+    /// The inline source a pipeline error's diagnostic is rendered
+    /// against, if the request has one.
+    fn source(&self) -> Option<&str> {
+        self.body.get("source").and_then(Value::as_str)
+    }
+}
+
+/// Why a POST is not answered with a 200. Handlers return it, and
+/// [`Failure::render`] turns it into the response.
+enum Failure {
+    /// The body asks for something the service does not take (400, kind
+    /// `request`).
+    Request(String),
+    /// A pipeline error (400, kind `pipeline`, with the inline source's
+    /// diagnostic) or an expired deadline (504).
+    Serve(ServeFailure),
+    /// The advisor refused the program or its search: a `pipeline` 400
+    /// whose diagnostic is rendered against the inline source, or an
+    /// empty one for a kernel.
+    Advisor(PipelineError),
+}
+
+fn bad_request(message: impl Into<String>) -> Failure {
+    Failure::Request(message.into())
+}
+
+impl From<ServeFailure> for Failure {
+    fn from(f: ServeFailure) -> Failure {
+        Failure::Serve(f)
+    }
+}
+
+impl From<PipelineError> for Failure {
+    fn from(e: PipelineError) -> Failure {
+        Failure::Serve(ServeFailure::Pipeline(e))
+    }
+}
+
+impl Failure {
+    /// The structured error response; `source` is the request's inline
+    /// source.
+    fn render(self, source: Option<&str>) -> ApiResponse {
+        let (status, value) = match self {
+            Failure::Request(message) => (400, error_value("request", message, [])),
+            Failure::Serve(ServeFailure::Pipeline(e)) => (400, pipeline_error_value(&e, source)),
+            Failure::Serve(f @ ServeFailure::Deadline { stage }) => (
+                504,
+                error_value(
+                    "deadline",
+                    f.to_string(),
+                    [("stage", Value::Str(stage.into()))],
+                ),
+            ),
+            Failure::Advisor(e) => (400, pipeline_error_value(&e, Some(source.unwrap_or("")))),
+        };
+        ApiResponse::json(status, &value)
+    }
+}
+
+/// A POST route's handler.
+type Handler = fn(&Api, &Post) -> Result<ApiResponse, Failure>;
 
 /// The service's request handler: routing plus the warm cache stack.
 ///
@@ -103,8 +199,7 @@ pub struct Api {
     cache: ServeCache,
     breaker: Breaker,
     status: Arc<ServiceStatus>,
-    /// Streaming metrics: the recorder, windowed rates + the `?since=`
-    /// cursor ring.
+    /// Streaming metrics: the recorder and the `?since=` cursor ring.
     metrics: ServeMetrics,
     /// Honor the `x-chaos-panic` fault-injection header.
     chaos: bool,
@@ -186,21 +281,6 @@ pub(crate) fn error_value<'k>(
     ])
 }
 
-/// The structured 400/504 body for a failed evaluation.
-fn failure_value(f: &ServeFailure, source: Option<&str>) -> (u16, Value) {
-    match f {
-        ServeFailure::Pipeline(e) => (400, pipeline_error_value(e, source)),
-        ServeFailure::Deadline { stage } => (
-            504,
-            error_value(
-                "deadline",
-                f.to_string(),
-                [("stage", Value::Str((*stage).into()))],
-            ),
-        ),
-    }
-}
-
 fn pipeline_error_value(e: &PipelineError, source: Option<&str>) -> Value {
     let mut extra = vec![("stage", Value::Str(e.stage.label().into()))];
     if let Some(line) = e.line() {
@@ -214,10 +294,6 @@ fn pipeline_error_value(e: &PipelineError, source: Option<&str>) -> Value {
         extra.push(("diagnostic", Value::Str(e.render_diagnostic(src))));
     }
     error_value("pipeline", e.message.clone(), extra)
-}
-
-fn bad_request(message: impl Into<String>) -> ApiResponse {
-    ApiResponse::json(400, &error_value("request", message, []))
 }
 
 /// A 200 that the breaker may have served analytic-only: a degraded body
@@ -251,38 +327,32 @@ fn ranked_value(c: &hpf_advisor::RankedCandidate, machine: Option<&str>) -> Valu
 }
 
 /// What a predict/sweep/advise body may select: a suite kernel by name, or
-/// inline HPF source.
-enum Target {
-    Kernel(String),
-    Source(String),
+/// inline HPF source, borrowed from the body.
+#[derive(Clone, Copy)]
+enum Target<'a> {
+    Kernel(&'a str),
+    Source(&'a str),
 }
 
-impl Target {
-    fn from_body(body: &Value) -> Result<Target, ApiResponse> {
+impl<'a> Target<'a> {
+    fn from_body(body: &'a Value) -> Result<Target<'a>, Failure> {
         match (body.get("kernel"), body.get("source")) {
             (Some(_), Some(_)) => Err(bad_request("give either `kernel` or `source`, not both")),
-            (Some(k), None) => match k.as_str() {
-                Some(name) => Ok(Target::Kernel(name.to_string())),
-                None => Err(bad_request("`kernel` must be a string")),
-            },
-            (None, Some(s)) => match s.as_str() {
-                Some(src) => Ok(Target::Source(src.to_string())),
-                None => Err(bad_request("`source` must be a string")),
-            },
+            (Some(k), None) => k
+                .as_str()
+                .map(Target::Kernel)
+                .ok_or_else(|| bad_request("`kernel` must be a string")),
+            (None, Some(s)) => s
+                .as_str()
+                .map(Target::Source)
+                .ok_or_else(|| bad_request("`source` must be a string")),
             (None, None) => Err(bad_request("body needs a `kernel` name or HPF `source`")),
         }
     }
 
-    fn source_text(&self) -> Option<&str> {
+    fn describe(self) -> Value {
         match self {
-            Target::Kernel(_) => None,
-            Target::Source(s) => Some(s.as_str()),
-        }
-    }
-
-    fn describe(&self) -> Value {
-        match self {
-            Target::Kernel(name) => Value::Str(name.clone()),
+            Target::Kernel(name) => Value::Str(name.to_string()),
             Target::Source(_) => Value::Str("<inline source>".into()),
         }
     }
@@ -295,7 +365,7 @@ fn small_uint(v: &Value) -> Option<usize> {
     (f >= 0.0 && f.fract() == 0.0 && f <= u32::MAX as f64).then_some(f as usize)
 }
 
-fn uint_field(body: &Value, key: &str, default: usize) -> Result<usize, ApiResponse> {
+fn uint_field(body: &Value, key: &str, default: usize) -> Result<usize, Failure> {
     match body.get(key) {
         None => Ok(default),
         Some(v) => small_uint(v)
@@ -303,12 +373,26 @@ fn uint_field(body: &Value, key: &str, default: usize) -> Result<usize, ApiRespo
     }
 }
 
-/// `deadline_ms` absent = no deadline; present (including 0) = a budget
-/// of that many milliseconds, enforced between pipeline stages.
-fn deadline_from(body: &Value) -> Result<Deadline, ApiResponse> {
-    match body.get("deadline_ms") {
-        None => Ok(Deadline::none()),
-        Some(_) => Ok(Deadline::in_ms(uint_field(body, "deadline_ms", 0)? as u64)),
+/// Every value [`small_uint`] accepts but zero.
+const POSITIVE: RangeInclusive<usize> = 1..=u32::MAX as usize;
+
+/// `key` as an integer in `range`, `default` when absent.
+fn ranged_field(
+    body: &Value,
+    key: &str,
+    default: usize,
+    range: RangeInclusive<usize>,
+) -> Result<usize, Failure> {
+    let v = uint_field(body, key, default)?;
+    if range.contains(&v) {
+        Ok(v)
+    } else if range == POSITIVE {
+        Err(bad_request(format!("`{key}` must be positive")))
+    } else {
+        let (lo, hi) = range.into_inner();
+        Err(bad_request(format!(
+            "`{key}` must be between {lo} and {hi}"
+        )))
     }
 }
 
@@ -345,25 +429,26 @@ fn machine_metric_name(name: &str) -> Option<&'static str> {
     names.get(name).map(String::as_str)
 }
 
+/// The registry backend `name` names. An unknown name is the registry's
+/// typed `TopologyError`, surfaced as the same structured 400 pipeline
+/// body the CLI diagnostics map to (stage `machine`).
+fn registered(name: &str) -> Result<&'static str, Failure> {
+    Ok(hpf_machines::machine(name)
+        .map_err(PipelineError::from)?
+        .name)
+}
+
 /// The optional `"machine"` body field: absent means the default backend
 /// (and the response does not echo a machine), present means the named
-/// registry backend. An unknown name is the registry's typed
-/// `TopologyError`, surfaced as the same structured 400 pipeline body the
-/// CLI diagnostics map to (stage `machine`).
-fn machine_from(body: &Value, source: Option<&str>) -> Result<Option<&'static str>, ApiResponse> {
-    match body.get("machine") {
-        None => Ok(None),
-        Some(v) => match v.as_str() {
-            Some(name) => match hpf_machines::machine(name) {
-                Ok(backend) => Ok(Some(backend.name)),
-                Err(e) => {
-                    let err = PipelineError::from(e);
-                    Err(ApiResponse::json(400, &pipeline_error_value(&err, source)))
-                }
-            },
-            None => Err(bad_request("`machine` must be a string")),
-        },
-    }
+/// registry backend.
+fn machine_from(body: &Value) -> Result<Option<&'static str>, Failure> {
+    let Some(v) = body.get("machine") else {
+        return Ok(None);
+    };
+    let name = v
+        .as_str()
+        .ok_or_else(|| bad_request("`machine` must be a string"))?;
+    registered(name).map(Some)
 }
 
 impl Api {
@@ -381,12 +466,6 @@ impl Api {
             metrics: ServeMetrics::new(),
             chaos,
         }
-    }
-
-    /// The streaming-metrics layer, shared with the server loops so shed
-    /// and panic events feed the windowed rates.
-    pub fn serve_metrics(&self) -> &ServeMetrics {
-        &self.metrics
     }
 
     /// The recorder this service records into: the one current when it
@@ -419,18 +498,18 @@ impl Api {
                 _ => "serve.latency.other",
             };
             hpf_trace::sketch_record(name, t0.elapsed().as_secs_f64());
-            self.metrics.note_request(resp.status);
         }
         resp
     }
 
     fn dispatch(&self, req: &Request) -> ApiResponse {
-        let ctx = self.chaos_ctx(req);
+        let sim_panic = self.sim_panic(req);
+        let post = |route, handler| self.cached_post(req, sim_panic, route, handler);
         match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/v1/healthz") => self.healthz(),
-            ("POST", "/v1/predict") => self.cached_post(req, ctx, Route::Predict, Self::predict),
-            ("POST", "/v1/sweep") => self.cached_post(req, ctx, Route::Sweep, Self::sweep),
-            ("POST", "/v1/advise") => self.cached_post(req, ctx, Route::Advise, Self::advise),
+            ("POST", "/v1/predict") => post(Route::Predict, Self::predict),
+            ("POST", "/v1/sweep") => post(Route::Sweep, Self::sweep),
+            ("POST", "/v1/advise") => post(Route::Advise, Self::advise),
             (_, "/v1/healthz" | "/v1/metrics" | "/v1/predict" | "/v1/sweep" | "/v1/advise") => {
                 let message = format!("method {} not allowed on {}", req.method, req.path);
                 ApiResponse::json(405, &error_value("request", message, []))
@@ -442,18 +521,19 @@ impl Api {
         }
     }
 
-    /// Interpret the chaos header (only when chaos is enabled). The
-    /// `handler` variant panics right here, inside the routed request —
-    /// the worker's panic isolation must turn it into a structured 500
-    /// without shrinking the pool.
-    fn chaos_ctx(&self, req: &Request) -> ReqCtx {
+    /// Interpret the chaos header (only when chaos is enabled): whether
+    /// the DES cross-check should panic. The `handler` variant panics
+    /// right here, inside the routed request — the worker's panic
+    /// isolation must turn it into a structured 500 without shrinking the
+    /// pool.
+    fn sim_panic(&self, req: &Request) -> bool {
         if !self.chaos {
-            return ReqCtx::default();
+            return false;
         }
         match req.header(CHAOS_HEADER) {
             Some("handler") => panic!("chaos: injected handler panic"),
-            Some("sim") => ReqCtx { sim_panic: true },
-            _ => ReqCtx::default(),
+            Some("sim") => true,
+            _ => false,
         }
     }
 
@@ -500,17 +580,19 @@ impl Api {
     }
 
     /// The streaming-metrics endpoint. Without a query: the full
-    /// `hpf-serve-metrics/v1` document (counter totals, windowed rates,
-    /// latency sketches, and the embedded `hpf-trace/v1` export), stamped
-    /// with a fresh `cursor`. With `?since=<cursor>`: per-counter and
-    /// per-sketch deltas against that cursor's snapshot (`"reset": true`
-    /// totals when the cursor has aged out of the ring).
+    /// `hpf-serve-metrics/v1` document (counter totals, latency sketches,
+    /// and the embedded `hpf-trace/v1` export), stamped with a fresh
+    /// `cursor`. With `?since=<cursor>`: per-counter and per-sketch deltas
+    /// against that cursor's snapshot (`"reset": true` totals when the
+    /// cursor has aged out of the ring).
     fn metrics(&self, req: &Request) -> ApiResponse {
         let doc = match req.query_param("since") {
             None => self.metrics.export_full(),
             Some(raw) => match raw.parse::<u64>() {
                 Ok(since) => self.metrics.export_delta(since),
-                Err(_) => return bad_request("`since` must be an unsigned integer cursor"),
+                Err(_) => {
+                    return bad_request("`since` must be an unsigned integer cursor").render(None)
+                }
             },
         };
         ApiResponse {
@@ -536,24 +618,19 @@ impl Api {
     /// duplicate arriving after the flight ends is a hit. A leader that
     /// produced anything else (error, degraded, 504) releases its waiters
     /// to compute independently — coalescing must never replay a response
-    /// that depends on transient service state. Parked waiters honor their
-    /// own deadlines: a budget that expires while parked answers 504
-    /// (stage `coalesce`) without waiting out the leader.
-    ///
-    /// A deadline that is already dead when the body is parsed
-    /// short-circuits to 504 here — before any pipeline stage runs, so an
-    /// overloaded client's expired work costs one JSON parse and nothing
-    /// more.
+    /// that depends on transient service state. A waiter's deadline is the
+    /// one its body set at parse time: a budget that expires while parked
+    /// answers 504 (stage `coalesce`) without waiting out the leader, and
+    /// a waiter released to compute on its own has only what is left of it.
     fn cached_post(
         &self,
         req: &Request,
-        ctx: ReqCtx,
+        sim_panic: bool,
         route: Route,
-        handler: fn(&Api, &Value, ReqCtx) -> ApiResponse,
+        handler: Handler,
     ) -> ApiResponse {
-        let text = match std::str::from_utf8(&req.body) {
-            Ok(t) => t,
-            Err(_) => return bad_request("body is not UTF-8"),
+        let Ok(text) = std::str::from_utf8(&req.body) else {
+            return bad_request("body is not UTF-8").render(None);
         };
         // Per-kernel and per-machine latency sketches cover both the warm
         // and cold paths, so each distribution reflects what callers of
@@ -575,36 +652,19 @@ impl Api {
                 cacheable: true,
             };
         }
-        let body = match parse_json(text) {
-            Ok(v @ Value::Obj(_)) => v,
-            Ok(_) => return bad_request("body must be a JSON object"),
-            Err(e) => return bad_request(format!("body is not valid JSON: {e}")),
-        };
-        let deadline = match deadline_from(&body) {
-            Ok(deadline) => {
-                if let Err(f) = deadline.check("parse") {
-                    let source = body.get("source").and_then(Value::as_str);
-                    let (status, value) = failure_value(&f, source);
-                    return ApiResponse::json(status, &value);
-                }
-                deadline
-            }
-            Err(resp) => return resp,
+        let post = match Post::parse(text, sim_panic) {
+            Ok(post) => post,
+            Err(f) => return f.render(None),
         };
         hpf_trace::counter_add("serve.cache.miss", 1);
-        let kernel_metric = body
-            .get("kernel")
-            .and_then(Value::as_str)
-            .and_then(kernel_metric_name);
-        let machine_metric = body
-            .get("machine")
-            .and_then(Value::as_str)
-            .and_then(machine_metric_name);
+        let name = |key| post.body.get(key).and_then(Value::as_str);
+        let kernel_metric = name("kernel").and_then(kernel_metric_name);
+        let machine_metric = name("machine").and_then(machine_metric_name);
         let flight = self.cache.join_flight(&response_key(&req.path, text));
         // Run the handler and store a cacheable 200 (one store per
         // request at most).
         let compute = || {
-            let response = handler(self, &body, ctx);
+            let response = handler(self, &post).unwrap_or_else(|f| f.render(post.source()));
             if response.status == 200 && response.cacheable {
                 self.cache.store_response(
                     route,
@@ -631,7 +691,7 @@ impl Api {
             }
             FlightJoin::Waiter(flight) => {
                 hpf_trace::counter_add("serve.singleflight.parked", 1);
-                match flight.wait(&deadline) {
+                match flight.wait(&post.deadline) {
                     FlightWait::Shared(shared) => ApiResponse {
                         status: 200,
                         body: shared,
@@ -640,10 +700,7 @@ impl Api {
                     FlightWait::Solo => compute(),
                     FlightWait::Expired => {
                         hpf_trace::counter_add("serve.deadline_exceeded", 1);
-                        let f = ServeFailure::Deadline { stage: "coalesce" };
-                        let source = body.get("source").and_then(Value::as_str);
-                        let (status, value) = failure_value(&f, source);
-                        ApiResponse::json(status, &value)
+                        Failure::from(ServeFailure::Deadline { stage: "coalesce" }).render(None)
                     }
                 }
             }
@@ -656,12 +713,12 @@ impl Api {
     /// `parsed` is the caller's parse of an inline source, if it has one.
     fn bind_target(
         &self,
-        target: &Target,
+        target: Target,
         parsed: Option<&Program>,
         n: Option<i64>,
         procs: usize,
         deadline: &Deadline,
-    ) -> Result<std::sync::Arc<report::Bound>, ServeFailure> {
+    ) -> Result<Arc<report::Bound>, ServeFailure> {
         match target {
             Target::Kernel(name) => {
                 let n = n.unwrap_or(256);
@@ -674,7 +731,7 @@ impl Api {
     fn predict_value(
         aag: &appgraph::Aag,
         prediction: &Prediction,
-        target: &Target,
+        target: Target,
         n: Option<i64>,
         procs: usize,
         machine: Option<&str>,
@@ -715,66 +772,28 @@ impl Api {
     /// a registered backend; the response echoes it only when the request
     /// named one, so default-machine bodies are byte-identical to the
     /// pre-registry service.
-    fn predict(&self, body: &Value, _ctx: ReqCtx) -> ApiResponse {
+    fn predict(&self, post: &Post) -> Result<ApiResponse, Failure> {
         let _span = hpf_trace::span("serve.predict");
-        let target = match Target::from_body(body) {
-            Ok(t) => t,
-            Err(resp) => return resp,
-        };
-        let (n, procs, deadline) = match Self::point_params(body) {
-            Ok(p) => p,
-            Err(resp) => return resp,
-        };
-        let machine_name = match machine_from(body, target.source_text()) {
-            Ok(m) => m,
-            Err(resp) => return resp,
-        };
-        let bound = match self.bind_target(&target, None, n, procs, &deadline) {
-            Ok(b) => b,
-            Err(f) => {
-                let (status, value) = failure_value(&f, target.source_text());
-                return ApiResponse::json(status, &value);
-            }
-        };
-        if let Err(f) = deadline.check("calibrate") {
-            let (status, value) = failure_value(&f, target.source_text());
-            return ApiResponse::json(status, &value);
-        }
-        let machine = match report::pipeline::calibrated_machine_for(
-            machine_name.unwrap_or(hpf_machines::DEFAULT_MACHINE),
-            procs,
-        ) {
-            Ok(m) => m,
-            Err(e) => {
-                return ApiResponse::json(400, &pipeline_error_value(&e, target.source_text()))
-            }
-        };
-        // A cold calibration can take longer than the whole budget.
-        if let Err(f) = deadline.check("interpret") {
-            let (status, value) = failure_value(&f, target.source_text());
-            return ApiResponse::json(status, &value);
-        }
-        let engine = InterpretationEngine::with_options(&machine, InterpOptions::default());
-        let prediction = engine.interpret(&bound.aag);
-        ApiResponse::json(
-            200,
-            &Self::predict_value(&bound.aag, &prediction, &target, n, procs, machine_name),
-        )
-    }
-
-    fn point_params(body: &Value) -> Result<(Option<i64>, usize, Deadline), ApiResponse> {
+        let (body, deadline) = (&post.body, &post.deadline);
+        let target = Target::from_body(body)?;
         let n = match body.get("n") {
             None => None,
-            Some(_) => match uint_field(body, "n", 0)? {
-                0 => return Err(bad_request("`n` must be positive")),
-                n => Some(n as i64),
-            },
+            Some(_) => Some(ranged_field(body, "n", 0, POSITIVE)? as i64),
         };
-        let procs = uint_field(body, "procs", 8)?;
-        if !(1..=1024).contains(&procs) {
-            return Err(bad_request("`procs` must be between 1 and 1024"));
-        }
-        Ok((n, procs, deadline_from(body)?))
+        let procs = ranged_field(body, "procs", 8, 1..=1024)?;
+        let machine_name = machine_from(body)?;
+        let bound = self.bind_target(target, None, n, procs, deadline)?;
+        deadline.check("calibrate")?;
+        let machine =
+            calibrated_machine_for(machine_name.unwrap_or(hpf_machines::DEFAULT_MACHINE), procs)?;
+        // A cold calibration can take longer than the whole budget.
+        deadline.check("interpret")?;
+        let engine = InterpretationEngine::with_options(&machine, InterpOptions::default());
+        let prediction = engine.interpret(&bound.aag);
+        Ok(ApiResponse::json(
+            200,
+            &Self::predict_value(&bound.aag, &prediction, target, n, procs, machine_name),
+        ))
     }
 
     /// `POST /v1/sweep` — the predicted (and optionally simulated) curve
@@ -783,35 +802,16 @@ impl Api {
     /// runs under the breaker: when it is open or the simulation fails,
     /// the point is served analytic-only and the response carries
     /// `"degraded": true`.
-    fn sweep(&self, body: &Value, ctx: ReqCtx) -> ApiResponse {
+    fn sweep(&self, post: &Post) -> Result<ApiResponse, Failure> {
         let _span = hpf_trace::span("serve.sweep");
-        let target = match Target::from_body(body) {
-            Ok(t) => t,
-            Err(resp) => return resp,
-        };
-        let procs = match uint_field(body, "procs", 8) {
-            Ok(p) if (1..=1024).contains(&p) => p,
-            Ok(_) => return bad_request("`procs` must be between 1 and 1024"),
-            Err(resp) => return resp,
-        };
-        let deadline = match deadline_from(body) {
-            Ok(d) => d,
-            Err(resp) => return resp,
-        };
-        let sizes = match Self::sweep_sizes(body) {
-            Ok(s) => s,
-            Err(resp) => return resp,
-        };
+        let (body, deadline) = (&post.body, &post.deadline);
+        let target = Target::from_body(body)?;
+        let procs = ranged_field(body, "procs", 8, 1..=1024)?;
+        let sizes = Self::sweep_sizes(body)?;
         let simulate = matches!(body.get("simulate"), Some(Value::Bool(true)));
-        let sim_runs = match uint_field(body, "runs", 100) {
-            Ok(r) if (1..=10_000).contains(&r) => r,
-            Ok(_) => return bad_request("`runs` must be between 1 and 10000"),
-            Err(resp) => return resp,
-        };
-        let machine_name = match machine_from(body, target.source_text()) {
-            Ok(m) => m,
-            Err(resp) => return resp,
-        };
+        let runs = ranged_field(body, "runs", 100, 1..=10_000)?;
+        let machine_name = machine_from(body)?;
+        let machine_id = machine_name.unwrap_or(hpf_machines::DEFAULT_MACHINE);
 
         // Batched evaluation: every point binds through `bind_target`,
         // under the same bind-cache keys as a predict of that point. The
@@ -821,88 +821,57 @@ impl Api {
         let _batch = hpf_trace::span("batch");
         hpf_trace::counter_add("serve.batch.sessions", 1);
         hpf_trace::counter_add("serve.batch.points", sizes.len() as u64);
-        let program = match &target {
-            Target::Kernel(name) => self.cache.kernel_artifact(name).map(|a| (Some(a), None)),
-            Target::Source(src) => parse_program(src)
-                .map(|p| (None, Some(p)))
-                .map_err(|e| ServeFailure::Pipeline(e.into())),
-        };
-        let (artifact, parsed) = match program {
-            Ok(p) => p,
-            Err(f) => {
-                let (status, value) = failure_value(&f, target.source_text());
-                return ApiResponse::json(status, &value);
-            }
+        let (artifact, parsed) = match target {
+            Target::Kernel(name) => (Some(self.cache.kernel_artifact(name)?), None),
+            Target::Source(src) => (None, Some(parse_program(src).map_err(PipelineError::from)?)),
         };
         // The text the profile memo keys on: the kernel's canonical source
         // or the inline source.
         let profile_source = match &artifact {
             Some(a) => a.canonical_source(),
-            None => target.source_text().unwrap_or_default(),
+            None => post.source().unwrap_or_default(),
         };
-        let machine = match report::pipeline::calibrated_machine_for(
-            machine_name.unwrap_or(hpf_machines::DEFAULT_MACHINE),
-            procs,
-        ) {
-            Ok(m) => m,
-            Err(e) => {
-                return ApiResponse::json(400, &pipeline_error_value(&e, target.source_text()))
-            }
-        };
+        let machine = calibrated_machine_for(machine_id, procs)?;
         let engine = InterpretationEngine::with_options(&machine, InterpOptions::default());
+        // The DES side of a simulated sweep: one set of machine tables and
+        // one simulator for every point.
+        let sim_machine = simulate
+            .then(|| machine_params(machine_id, procs))
+            .transpose()?;
+        let simulator = sim_machine.as_ref().map(|m| {
+            Simulator::with_config(
+                m,
+                SimConfig {
+                    runs,
+                    ..SimConfig::default()
+                },
+            )
+        });
         let mut points = Vec::with_capacity(sizes.len());
         let mut degraded = false;
         for &n in &sizes {
-            if let Err(f) = deadline.check("sweep_point") {
-                let (status, value) = failure_value(&f, target.source_text());
-                return ApiResponse::json(status, &value);
-            }
-            let bound = match self.bind_target(
-                &target,
-                parsed.as_ref(),
-                Some(n as i64),
-                procs,
-                &deadline,
-            ) {
-                Ok(b) => b,
-                Err(f) => {
-                    let (status, value) = failure_value(&f, target.source_text());
-                    return ApiResponse::json(status, &value);
-                }
-            };
+            deadline.check("sweep_point")?;
+            let bound =
+                self.bind_target(target, parsed.as_ref(), Some(n as i64), procs, deadline)?;
             let prediction = engine.interpret(&bound.aag);
             let mut point: Vec<(&str, Value)> = vec![
                 ("n", num(n as f64)),
                 ("predicted_s", num(prediction.total_seconds())),
                 ("total", metrics_value(&prediction.total)),
             ];
-            if simulate {
-                if let Err(f) = deadline.check("simulate") {
-                    let (status, value) = failure_value(&f, target.source_text());
-                    return ApiResponse::json(status, &value);
-                }
+            if let Some(sim) = &simulator {
+                deadline.check("simulate")?;
                 // Profile through the process-wide memo (shared with the
                 // sweep sessions and the advisor), then one seeded DES run
                 // set — deterministic for a given (target, n, procs, runs).
                 // The whole cross-check runs under the breaker: a panic or
                 // an open breaker degrades this point to analytic-only.
-                let sim_panic = ctx.sim_panic;
-                let sim_machine_name = machine_name.unwrap_or(hpf_machines::DEFAULT_MACHINE);
                 let outcome = self.breaker.call(|| {
-                    if sim_panic {
+                    if post.sim_panic {
                         panic!("chaos: injected DES cross-check panic");
                     }
                     let (profile, _) =
                         report::shared_profile(profile_source, n, 50_000_000, &bound.analyzed);
-                    let sim_machine = report::pipeline::machine_params(sim_machine_name, procs)
-                        .expect("machine validated before the sweep loop");
-                    let sim = Simulator::with_config(
-                        &sim_machine,
-                        SimConfig {
-                            runs: sim_runs,
-                            ..SimConfig::default()
-                        },
-                    );
                     let result = sim.simulate(&bound.spmd, profile.as_deref());
                     (result.measured(), result.std)
                 });
@@ -913,7 +882,6 @@ impl Api {
                     }
                     BreakerOutcome::Rejected | BreakerOutcome::Failed(_) => {
                         hpf_trace::counter_add("serve.degraded", 1);
-                        self.metrics.note_degraded();
                         degraded = true;
                     }
                 }
@@ -930,26 +898,22 @@ impl Api {
         if let Some(m) = machine_name {
             top.push(("machine", Value::Str(m.to_string())));
         }
-        ok_or_degraded(top, degraded)
+        Ok(ok_or_degraded(top, degraded))
     }
 
     /// Sizes from either an explicit `"sizes": [..]` array or a
     /// `{"min":.., "max":..}` range object, doubled from `min` up to `max`.
-    fn sweep_sizes(body: &Value) -> Result<Vec<usize>, ApiResponse> {
+    fn sweep_sizes(body: &Value) -> Result<Vec<usize>, Failure> {
         const MAX_POINTS: usize = 64;
         match body.get("sizes") {
             Some(Value::Arr(items)) => {
-                let mut out = Vec::with_capacity(items.len());
-                for it in items {
-                    match small_uint(it) {
-                        Some(n) if n >= 1 => out.push(n),
-                        _ => {
-                            return Err(bad_request(
-                                "`sizes` entries must be small positive integers",
-                            ))
-                        }
-                    }
-                }
+                let out = items
+                    .iter()
+                    .map(|it| small_uint(it).filter(|&n| n >= 1))
+                    .collect::<Option<Vec<usize>>>()
+                    .ok_or_else(|| {
+                        bad_request("`sizes` entries must be small positive integers")
+                    })?;
                 if out.is_empty() || out.len() > MAX_POINTS {
                     return Err(bad_request(format!(
                         "`sizes` must have 1..={MAX_POINTS} entries"
@@ -988,88 +952,49 @@ impl Api {
     /// open, the search runs without simulation (`top_k = 0` inside the
     /// advisor) and the ranked table is served analytic-only with
     /// `"degraded": true`.
-    fn advise(&self, body: &Value, _ctx: ReqCtx) -> ApiResponse {
+    fn advise(&self, post: &Post) -> Result<ApiResponse, Failure> {
         let _span = hpf_trace::span("serve.advise");
-        let target = match Target::from_body(body) {
-            Ok(t) => t,
-            Err(resp) => return resp,
+        let body = &post.body;
+        let target = Target::from_body(body)?;
+        let quick = hpf_advisor::AdvisorConfig::quick();
+        let mut cfg = hpf_advisor::AdvisorConfig {
+            n: ranged_field(body, "n", quick.n, POSITIVE)?,
+            procs: ranged_field(body, "procs", quick.procs, 1..=64)?,
+            top_k: ranged_field(body, "top_k", quick.top_k, 1..=16)?,
+            ..quick
         };
-        let mut cfg = hpf_advisor::AdvisorConfig::quick();
-        cfg.n = match uint_field(body, "n", cfg.n) {
-            Ok(n) if n >= 1 => n,
-            Ok(_) => return bad_request("`n` must be positive"),
-            Err(resp) => return resp,
-        };
-        cfg.procs = match uint_field(body, "procs", cfg.procs) {
-            Ok(p) if (1..=64).contains(&p) => p,
-            Ok(_) => return bad_request("`procs` must be between 1 and 64"),
-            Err(resp) => return resp,
-        };
-        cfg.top_k = match uint_field(body, "top_k", cfg.top_k) {
-            Ok(k) if (1..=16).contains(&k) => k,
-            Ok(_) => return bad_request("`top_k` must be between 1 and 16"),
-            Err(resp) => return resp,
-        };
-        let deadline = match deadline_from(body) {
-            Ok(d) => d,
-            Err(resp) => return resp,
-        };
-        if let Err(f) = deadline.check("advise") {
-            let (status, value) = failure_value(&f, target.source_text());
-            return ApiResponse::json(status, &value);
-        }
-        let machine_name = match machine_from(body, target.source_text()) {
-            Ok(m) => m,
-            Err(resp) => return resp,
-        };
-        let machines_list = match Self::machines_param(body, target.source_text()) {
-            Ok(m) => m,
-            Err(resp) => return resp,
-        };
-        if machine_name.is_some() && machines_list.is_some() {
-            return bad_request("give either `machine` or `machines`, not both");
+        post.deadline.check("advise")?;
+        let machine_name = machine_from(body)?;
+        let machines = Self::machines_param(body)?;
+        if machine_name.is_some() && machines.is_some() {
+            return Err(bad_request("give either `machine` or `machines`, not both"));
         }
         if let Some(m) = machine_name {
             cfg.machine = m.to_string();
         }
 
-        let advisor = match &target {
+        let advisor = match target {
             Target::Kernel(name) => match self.cache.kernel_artifact(name) {
                 Ok(artifact) => hpf_advisor::Advisor::for_kernel(&artifact),
                 Err(_) if kernels::kernel_by_name(name).is_none() => {
-                    return bad_request(format!("unknown kernel `{name}`"))
+                    return Err(bad_request(format!("unknown kernel `{name}`")))
                 }
-                Err(f) => {
-                    let (status, value) = failure_value(&f, None);
-                    return ApiResponse::json(status, &value);
-                }
+                Err(f) => return Err(f.into()),
             },
             Target::Source(src) => hpf_advisor::Advisor::for_source("<inline source>", src),
-        };
-        let advisor = match advisor {
-            Ok(a) => a,
-            Err(e) => {
-                let source = target.source_text().unwrap_or("");
-                return ApiResponse::json(400, &pipeline_error_value(&e, Some(source)));
-            }
-        };
+        }
+        .map_err(Failure::Advisor)?;
         // The advisor search is already a bind-once/evaluate-many batch
         // over its candidate directive space; count it on the same batch
         // telemetry as sweeps so `/v1/advise` and `/v1/sweep` report
         // comparable evaluation work.
         let _batch = hpf_trace::span("batch");
         hpf_trace::counter_add("serve.batch.sessions", 1);
-        if let Some(names) = &machines_list {
-            return self.advise_cross(&advisor, &cfg, names, &target);
+        if let Some(names) = &machines {
+            return self.advise_cross(&advisor, &cfg, names, target);
         }
         let (report, degraded) = self.search_guarded(&cfg, |cfg| advisor.search(cfg));
-        let report = match report {
-            Ok(r) => r,
-            Err(e) => {
-                let source = target.source_text().unwrap_or("");
-                return ApiResponse::json(400, &pipeline_error_value(&e, Some(source)));
-            }
-        };
+        let report = report.map_err(Failure::Advisor)?;
         hpf_trace::counter_add("serve.batch.points", report.candidates as u64);
 
         let ranked: Vec<Value> = report
@@ -1091,7 +1016,7 @@ impl Api {
         if machine_name.is_some() {
             top.push(("machine", Value::Str(report.machine.clone())));
         }
-        ok_or_degraded(top, degraded)
+        Ok(ok_or_degraded(top, degraded))
     }
 
     /// Run an advisor search under the breaker. On an open breaker or a
@@ -1109,7 +1034,6 @@ impl Api {
             BreakerOutcome::Ok(r) => (r, false),
             BreakerOutcome::Rejected | BreakerOutcome::Failed(_) => {
                 hpf_trace::counter_add("serve.degraded", 1);
-                self.metrics.note_degraded();
                 let analytic = hpf_advisor::AdvisorConfig {
                     top_k: 0,
                     ..cfg.clone()
@@ -1121,35 +1045,26 @@ impl Api {
 
     /// The optional `"machines"` array on `/v1/advise`: every entry must
     /// name a registered backend (typed registry error otherwise).
-    fn machines_param(
-        body: &Value,
-        source: Option<&str>,
-    ) -> Result<Option<Vec<String>>, ApiResponse> {
+    fn machines_param(body: &Value) -> Result<Option<Vec<&'static str>>, Failure> {
         const MAX_MACHINES: usize = 8;
-        match body.get("machines") {
-            None => Ok(None),
-            Some(Value::Arr(items)) => {
-                let mut out = Vec::with_capacity(items.len());
-                for it in items {
-                    let name = match it.as_str() {
-                        Some(n) => n,
-                        None => return Err(bad_request("`machines` entries must be strings")),
-                    };
-                    if let Err(e) = hpf_machines::machine(name) {
-                        let err = PipelineError::from(e);
-                        return Err(ApiResponse::json(400, &pipeline_error_value(&err, source)));
-                    }
-                    out.push(name.to_string());
-                }
-                if out.is_empty() || out.len() > MAX_MACHINES {
-                    return Err(bad_request(format!(
-                        "`machines` must have 1..={MAX_MACHINES} entries"
-                    )));
-                }
-                Ok(Some(out))
-            }
-            Some(_) => Err(bad_request("`machines` must be an array of machine names")),
+        let items = match body.get("machines") {
+            None => return Ok(None),
+            Some(Value::Arr(items)) => items,
+            Some(_) => return Err(bad_request("`machines` must be an array of machine names")),
+        };
+        let names = items
+            .iter()
+            .map(|it| match it.as_str() {
+                Some(name) => registered(name),
+                None => Err(bad_request("`machines` entries must be strings")),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        if names.is_empty() || names.len() > MAX_MACHINES {
+            return Err(bad_request(format!(
+                "`machines` must have 1..={MAX_MACHINES} entries"
+            )));
         }
+        Ok(Some(names))
     }
 
     /// The cross-machine advise: one merged ranking spanning every named
@@ -1160,17 +1075,11 @@ impl Api {
         &self,
         advisor: &hpf_advisor::Advisor,
         cfg: &hpf_advisor::AdvisorConfig,
-        names: &[String],
-        target: &Target,
-    ) -> ApiResponse {
+        names: &[&str],
+        target: Target,
+    ) -> Result<ApiResponse, Failure> {
         let (report, degraded) = self.search_guarded(cfg, |cfg| advisor.search_cross(cfg, names));
-        let report = match report {
-            Ok(r) => r,
-            Err(e) => {
-                let source = target.source_text().unwrap_or("");
-                return ApiResponse::json(400, &pipeline_error_value(&e, Some(source)));
-            }
-        };
+        let report = report.map_err(Failure::Advisor)?;
         let candidates: usize = report.reports.iter().map(|r| r.candidates).sum();
         let pruned: usize = report.reports.iter().map(|r| r.pruned).sum();
         hpf_trace::counter_add("serve.batch.points", candidates as u64);
@@ -1190,13 +1099,13 @@ impl Api {
             ("procs", num(report.procs as f64)),
             (
                 "machines",
-                Value::Arr(names.iter().map(|m| Value::Str(m.clone())).collect()),
+                Value::Arr(names.iter().map(|m| Value::Str(m.to_string())).collect()),
             ),
             ("candidates", num(candidates as f64)),
             ("pruned", num(pruned as f64)),
             ("ranked", Value::Arr(ranked)),
         ];
-        ok_or_degraded(top, degraded)
+        Ok(ok_or_degraded(top, degraded))
     }
 }
 
@@ -1649,6 +1558,72 @@ mod tests {
             .map(|r| r.get("predicted_s").and_then(Value::as_f64).unwrap())
             .collect();
         assert!(times.windows(2).all(|w| w[0] <= w[1]), "{times:?}");
+    }
+
+    /// A request parked behind a leader whose answer cannot be shared
+    /// computes on its own once released, against the deadline it was
+    /// parsed with: the budget it spent parked is gone, not restarted.
+    ///
+    /// The sweep is sized from its own warm time `warm` on this build: the
+    /// budget is 40% of it, so all 64 points together take 2.5 budgets,
+    /// one point takes 1/64 of it, and the answer must come within the
+    /// budget plus 8 points' work. A waiter that started a fresh budget on
+    /// release would answer after about 1.9 budgets.
+    #[test]
+    fn a_waiter_released_solo_keeps_its_own_deadline() {
+        use std::time::Instant;
+        let (rec, api) = traced_api();
+        let sizes: Vec<String> = (32..96).map(|n| n.to_string()).collect();
+        let sweep = |runs: usize, extra: &str| {
+            format!(
+                r#"{{"kernel": "Laplace (Blk-Blk)", "sizes": [{}], "procs": 4, "simulate": true, "runs": {runs}{extra}}}"#,
+                sizes.join(", ")
+            )
+        };
+        let timed = |body: &str| {
+            let t0 = Instant::now();
+            let resp = api.handle(&post("/v1/sweep", body));
+            assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+            t0.elapsed()
+        };
+        // The first sweep binds every point and fills the calibration and
+        // profile memos; the runs are then scaled so the warm sweep takes
+        // about a second. Each body differs, so none is a cache hit.
+        timed(&sweep(20, ""));
+        let probe = timed(&sweep(20, r#", "deadline_ms": 3600000"#));
+        let runs = ((20.0 * 2.0 / probe.as_secs_f64()) as usize).clamp(20, 10_000);
+        let warm = timed(&sweep(runs, ""));
+        let budget = warm * 2 / 5;
+        let body = sweep(runs, &format!(r#", "deadline_ms": {}"#, budget.as_millis()));
+        let FlightJoin::Leader(leader) = api.cache.join_flight(&response_key("/v1/sweep", &body))
+        else {
+            panic!("nothing else is in flight");
+        };
+        let (resp, took) = std::thread::scope(|s| {
+            let (api, body, start) = (&api, &body, Instant::now());
+            let waiter = s.spawn(move || {
+                let resp = api.handle(&post("/v1/sweep", body));
+                (resp, start.elapsed())
+            });
+            std::thread::sleep(budget * 9 / 10);
+            drop(leader);
+            waiter.join().expect("the waiter answers")
+        });
+        let limit = budget + warm / 8;
+        println!(
+            "{runs} runs: warm sweep {warm:?}, budget {budget:?}, answered {} after {took:?}",
+            resp.status
+        );
+        assert_eq!(resp.status, 504, "{}", String::from_utf8_lossy(&resp.body));
+        assert!(
+            took < limit,
+            "answered after {took:?}: budget {budget:?}, warm sweep {warm:?}"
+        );
+        assert_eq!(
+            rec.counter_get("serve.singleflight.parked"),
+            1,
+            "the request parked behind the held flight"
+        );
     }
 
     #[test]

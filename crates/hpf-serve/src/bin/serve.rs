@@ -25,8 +25,9 @@
 //! structured answers for every fault, and a healthy-request checksum
 //! bit-identical to a fault-free baseline pass. `--metrics-out PATH`
 //! additionally writes the plan-deterministic summary of the pass's
-//! `/v1/metrics?since=` delta export as JSON — CI diffs it against a
-//! checked-in golden at several worker counts.
+//! `/v1/metrics?since=` delta export as JSON: the Tier-1 golden test
+//! (`tests/goldens.rs`) runs the same pass in process at 1, 4 and 8
+//! workers and diffs that summary against `artifacts_chaos_metrics.json`.
 
 use hpf_serve::{chaos, loadgen, server, ChaosConfig, LoadgenConfig, OverloadConfig, ServerConfig};
 

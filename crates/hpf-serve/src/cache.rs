@@ -63,13 +63,15 @@ use kernels::CompiledKernel;
 use report::lru::LruMap;
 use report::{fnv1a, Bound, PipelineError, PipelineStage, FNV_OFFSET};
 
+/// Distinct kernel artifacts.
+const KERNEL_ARTIFACTS: usize = 32;
+
+/// Distinct bound programs.
+const BOUND_PROGRAMS: usize = 128;
+
 /// Capacities of the serving caches.
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
-    /// Distinct kernel artifacts.
-    pub sessions: usize,
-    /// Distinct bound programs.
-    pub binds: usize,
     /// Distinct request bodies with cached responses.
     pub bodies: usize,
     /// Lock shards per cache layer, rounded up to a power of two.
@@ -81,8 +83,6 @@ pub struct CacheConfig {
 impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
-            sessions: 32,
-            binds: 128,
             bodies: 512,
             shards: 0,
         }
@@ -499,8 +499,8 @@ impl ServeCache {
     pub fn new(cfg: &CacheConfig) -> Self {
         let shards = cfg.shards.max(1);
         ServeCache {
-            kernels: ShardedLru::new(cfg.sessions, shards),
-            binds: ShardedLru::new(cfg.binds, shards),
+            kernels: ShardedLru::new(KERNEL_ARTIFACTS, shards),
+            binds: ShardedLru::new(BOUND_PROGRAMS, shards),
             responses: ShardedLru::new(cfg.bodies, shards),
             flights: SingleFlight::new(shards),
         }

@@ -21,7 +21,7 @@
 //! | `POST /v1/predict` | per-phase predicted times for `(kernel or source, n, procs)` |
 //! | `POST /v1/sweep`   | predicted (optionally DES-simulated) curve over a size range |
 //! | `POST /v1/advise`  | top-k directive recommendations via the hpf-advisor search |
-//! | `GET /v1/metrics`  | streaming metrics: totals, windowed rates, latency sketches, and the embedded `hpf-trace/v1` doc; `?since=<cursor>` answers deltas ([`metrics`]) |
+//! | `GET /v1/metrics`  | streaming metrics: counter totals, latency sketches, and the embedded `hpf-trace/v1` doc; `?since=<cursor>` answers deltas ([`metrics`]) |
 //! | `GET /v1/healthz`  | liveness: pool strength, queue depth, panics, breaker state |
 //! | `POST /v1/shutdown`| graceful drain: answer in-flight work, then exit |
 //!
@@ -31,15 +31,18 @@
 //!   regardless of worker count or arrival order (pure handlers, sorted
 //!   JSON keys, seeded simulation); the loadgen checksum and the
 //!   end-to-end tests enforce this.
-//! * **Bounded memory** — every cache layer (kernel artifacts, parsed
-//!   sources, bound programs, responses, and the process-wide profile
-//!   memo in `report`) is LRU-bounded.
+//! * **Bounded memory** — every cache layer (kernel artifacts, bound
+//!   programs, responses, and the process-wide profile memo in `report`)
+//!   is LRU-bounded. The process-wide calibration memo in `report` is a
+//!   map, not an LRU: it holds one model per `(backend, nodes)` pair, so
+//!   it is bounded only by the registry's backends and their node ranges.
 //! * **Backpressure** — a full connection queue answers `429` with
 //!   `Retry-After` instead of queueing without limit.
-//! * **Graceful cancellation** — per-request deadlines are checked
-//!   between pipeline stages; an expired deadline yields `504` without
-//!   interrupting a stage midway, and a deadline that is already dead at
-//!   parse time short-circuits before any pipeline stage runs.
+//! * **Graceful cancellation** — a request's one deadline is set when its
+//!   body is parsed and checked between pipeline stages; an expired
+//!   deadline yields `504` without interrupting a stage midway, and a
+//!   deadline that is already dead at parse time short-circuits before
+//!   any pipeline stage runs.
 //! * **Crash isolation** — a panicking handler is caught at the worker
 //!   boundary and answered as a structured `500` (kind `panic`); the
 //!   worker survives, and a supervisor respawns any worker that dies

@@ -1,5 +1,5 @@
-//! Streaming metrics for the service: windowed rates plus the cursor
-//! ring behind `GET /v1/metrics?since=<cursor>`.
+//! Streaming metrics for the service: the cursor ring behind
+//! `GET /v1/metrics?since=<cursor>`.
 //!
 //! ## Why deltas
 //!
@@ -22,17 +22,18 @@
 //! the scrapes (the tests pin this down).
 //!
 //! Everything here reads the [`Recorder`] that was current when the
-//! metrics were built (its `Api`'s recorder) and is gated on that
-//! recorder's flag: with tracing off the notes are no-ops and the export
+//! metrics were built (its `Api`'s recorder): with tracing off the export
 //! degrades to empty sections, so the bit-neutrality contract of the
-//! pipeline is untouched.
+//! pipeline is untouched. A rate over any interval a scraper picks is a
+//! `?since=` delta of a counter (`serve.requests`, `serve.queue.shed`,
+//! `serve.worker_panic`, `serve.degraded`, `serve.deadline_exceeded`).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use hpf_trace::json::Value;
-use hpf_trace::{QuantileSketch, Recorder, WindowedRate};
+use hpf_trace::{QuantileSketch, Recorder};
 
 /// Schema tag on the `/v1/metrics` document.
 pub const METRICS_SCHEMA: &str = "hpf-serve-metrics/v1";
@@ -40,10 +41,6 @@ pub const METRICS_SCHEMA: &str = "hpf-serve-metrics/v1";
 /// Snapshots kept for `?since=` resolution. At one scrape per second
 /// this is half a minute of history; beyond it, `"reset": true`.
 const CURSOR_RING_CAP: usize = 32;
-
-/// Rate window: 10 s at 1 s resolution.
-const RATE_SLOT_MS: u64 = 1_000;
-const RATE_SLOTS: usize = 10;
 
 /// A point-in-time capture of every counter and sketch, labeled by the
 /// cursor handed to the client that caused it.
@@ -65,35 +62,11 @@ struct CursorRing {
     snaps: VecDeque<(u64, Snapshot)>,
 }
 
-struct Rates {
-    requests: WindowedRate,
-    errors: WindowedRate,
-    shed: WindowedRate,
-    panics: WindowedRate,
-    degraded: WindowedRate,
-}
-
-impl Rates {
-    fn new() -> Rates {
-        let mk = || WindowedRate::new(RATE_SLOT_MS, RATE_SLOTS);
-        Rates {
-            requests: mk(),
-            errors: mk(),
-            shed: mk(),
-            panics: mk(),
-            degraded: mk(),
-        }
-    }
-}
-
-/// Per-server streaming-metrics state: the recorder it reads, the
-/// windowed rates and the cursor ring. One instance per
-/// [`crate::api::Api`], shared with the server loops for the shed/panic
-/// notes.
+/// Per-server streaming-metrics state: the recorder it reads and the
+/// cursor ring. One instance per [`crate::api::Api`].
 pub struct ServeMetrics {
     recorder: Recorder,
     start: Instant,
-    rates: Mutex<Rates>,
     cursors: Mutex<CursorRing>,
 }
 
@@ -115,7 +88,6 @@ impl ServeMetrics {
         ServeMetrics {
             recorder: Recorder::current(),
             start: Instant::now(),
-            rates: Mutex::new(Rates::new()),
             cursors: Mutex::new(CursorRing {
                 next: 1,
                 snaps: VecDeque::new(),
@@ -126,58 +98,6 @@ impl ServeMetrics {
     /// The recorder these metrics read (current when they were built).
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
-    }
-
-    fn now_ms(&self) -> u64 {
-        self.start.elapsed().as_millis() as u64
-    }
-
-    fn with_rates(&self, f: impl FnOnce(&mut Rates, u64)) {
-        if !self.recorder.enabled() {
-            return;
-        }
-        let t = self.now_ms();
-        f(&mut self.rates.lock().unwrap_or_else(|e| e.into_inner()), t);
-    }
-
-    /// One request answered with `status` (everything except the metrics
-    /// route itself, which never self-counts).
-    pub fn note_request(&self, status: u16) {
-        self.with_rates(|r, t| {
-            r.requests.add(t, 1);
-            if status >= 500 {
-                r.errors.add(t, 1);
-            }
-        });
-    }
-
-    /// A connection shed at dequeue (queue-wait cap exceeded).
-    pub fn note_shed(&self) {
-        self.with_rates(|r, t| r.shed.add(t, 1));
-    }
-
-    /// A handler panic caught at the worker boundary.
-    pub fn note_panic(&self) {
-        self.with_rates(|r, t| r.panics.add(t, 1));
-    }
-
-    /// A degraded (breaker-open / analytic-only) response served.
-    pub fn note_degraded(&self) {
-        self.with_rates(|r, t| r.degraded.add(t, 1));
-    }
-
-    /// The `"rates"` section: events per second over the live window.
-    fn rates_value(&self) -> Value {
-        let r = self.rates.lock().unwrap_or_else(|e| e.into_inner());
-        let t = self.now_ms();
-        Value::obj(vec![
-            ("window_s", Value::Num(r.requests.window_s())),
-            ("requests_per_s", Value::Num(r.requests.rate_per_s(t))),
-            ("errors_per_s", Value::Num(r.errors.rate_per_s(t))),
-            ("shed_per_s", Value::Num(r.shed.rate_per_s(t))),
-            ("panics_per_s", Value::Num(r.panics.rate_per_s(t))),
-            ("degraded_per_s", Value::Num(r.degraded.rate_per_s(t))),
-        ])
     }
 
     /// Store `snap` in the ring under a fresh cursor and return that
@@ -196,8 +116,8 @@ impl ServeMetrics {
     }
 
     /// The full `/v1/metrics` document: totals for every counter and
-    /// sketch, the windowed rates, and the embedded `hpf-trace/v1`
-    /// export — plus a fresh `cursor` for the next `?since=` scrape.
+    /// sketch and the embedded `hpf-trace/v1` export — plus a fresh
+    /// `cursor` for the next `?since=` scrape.
     pub fn export_full(&self) -> Value {
         let snap = capture(&self.recorder);
         let cursor = self.issue_cursor(&snap);
@@ -205,7 +125,6 @@ impl ServeMetrics {
             ("schema", Value::Str(METRICS_SCHEMA.into())),
             ("cursor", Value::Num(cursor as f64)),
             ("uptime_s", Value::Num(self.start.elapsed().as_secs_f64())),
-            ("rates", self.rates_value()),
             ("counters", counters_value(&snap.counters)),
             ("sketches", sketches_value(&snap.sketches)),
             ("trace", self.recorder.export_value()),
@@ -259,7 +178,6 @@ impl ServeMetrics {
             ("schema", Value::Str(METRICS_SCHEMA.into())),
             ("cursor", Value::Num(cursor as f64)),
             ("since", Value::Num(since as f64)),
-            ("rates", self.rates_value()),
             ("counters", counters_value(&counters)),
             ("sketches", sketches_value(&sketches)),
         ];
@@ -409,21 +327,5 @@ mod tests {
         let want = (THREADS as u64) * PER_THREAD;
         assert_eq!(summed, want, "counter deltas must telescope exactly");
         assert_eq!(sketch_summed, want, "sketch deltas must telescope exactly");
-    }
-
-    #[test]
-    fn disabled_tracing_keeps_rates_silent() {
-        let _on = Recorder::new().install();
-        let m = ServeMetrics::new();
-        m.note_request(200);
-        m.note_shed();
-        m.note_panic();
-        let doc = m.export_full();
-        let rate = doc
-            .get("rates")
-            .and_then(|r| r.get("requests_per_s"))
-            .and_then(Value::as_f64)
-            .unwrap();
-        assert_eq!(rate, 0.0);
     }
 }

@@ -394,7 +394,6 @@ fn worker_loop(shared: &Shared) {
                 // burning this worker on a late answer.
                 if enqueued.elapsed() > Duration::from_millis(shared.cfg.queue_wait_cap_ms) {
                     hpf_trace::counter_add("serve.queue.shed", 1);
-                    shared.api.serve_metrics().note_shed();
                     shared.status.add(&shared.status.shed, 1);
                     shed_expired(stream);
                     continue;
@@ -486,7 +485,6 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
                         Ok(resp) => (resp, false),
                         Err(payload) => {
                             hpf_trace::counter_add("serve.worker_panic", 1);
-                            shared.api.serve_metrics().note_panic();
                             shared.status.add(&shared.status.worker_panics, 1);
                             (panic_response(payload), true)
                         }

@@ -21,9 +21,6 @@ pub struct InterpOptions {
     /// Model overlap between computation and communication: a fraction of
     /// each communication's wire time hides under the following computation.
     pub overlap_comp_comm: bool,
-    /// Fraction of wire time that can overlap when enabled (NX supported
-    /// limited overlap via asynchronous receives).
-    pub overlap_fraction: f64,
     /// Interpret every communication phase as free (zero comm, zero pack
     /// overhead). The resulting prediction is a *lower bound* on the real
     /// one for the same SPMD program — computation, loop bookkeeping and
@@ -37,11 +34,15 @@ impl Default for InterpOptions {
         InterpOptions {
             memory_hierarchy: true,
             overlap_comp_comm: false,
-            overlap_fraction: 0.5,
             zero_comm: false,
         }
     }
 }
+
+/// Fraction of wire time that can overlap when
+/// [`InterpOptions::overlap_comp_comm`] is enabled (NX supported limited
+/// overlap via asynchronous receives).
+const OVERLAP_FRACTION: f64 = 0.5;
 
 /// A completed interpretation: total and per-AAU metrics plus the clock.
 #[derive(Debug, Clone)]
@@ -112,7 +113,7 @@ impl<'m> InterpretationEngine<'m> {
                     AauKind::Comm { phase, .. } => {
                         // Wire time (not packing) may hide under later comp.
                         let wire = self.comm_wire_time(phase);
-                        pending_overlap += wire * self.options.overlap_fraction;
+                        pending_overlap += wire * OVERLAP_FRACTION;
                     }
                     AauKind::Io { phase } => {
                         // Streamed server transfers hide under later
@@ -120,7 +121,7 @@ impl<'m> InterpretationEngine<'m> {
                         // asynchronous-request half of the two-phase
                         // access).
                         let t = hpf_io::phase_time_on(self.machine, phase);
-                        pending_io_overlap += t * self.options.overlap_fraction;
+                        pending_io_overlap += t * OVERLAP_FRACTION;
                     }
                     AauKind::IterD { comp: Some(_), .. } => {
                         let hidden = pending_overlap.min(m.comp);

@@ -4,9 +4,26 @@
 //!
 //! Usage: `figure7 [SIZE] [PROCS]`.
 
+const USAGE: &str = "usage: figure7 [SIZE] [PROCS]";
+
+fn usage_err(msg: &str) -> ! {
+    eprintln!("figure7: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let size = args.get(1).and_then(|v| v.parse().ok()).unwrap_or(256);
-    let procs = args.get(2).and_then(|v| v.parse().ok()).unwrap_or(4);
-    print!("{}", hpf_report::experiments::figure7_text(size, procs));
+    let mut values = [256, 4];
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.len() > values.len() {
+        usage_err(&format!("unexpected argument {:?}", args[values.len()]));
+    }
+    for ((value, name), arg) in values.iter_mut().zip(["SIZE", "PROCS"]).zip(&args) {
+        *value = arg
+            .parse()
+            .unwrap_or_else(|_| usage_err(&format!("{name} must be a number, got {arg:?}")));
+    }
+    print!(
+        "{}",
+        hpf_report::experiments::figure7_text(values[0], values[1])
+    );
 }

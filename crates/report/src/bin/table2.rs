@@ -2,26 +2,46 @@
 //! framework: min/max absolute error between interpreted and measured
 //! (simulated-machine) times over the full problem-size × system-size sweep.
 //!
-//! Usage: `table2 [--quick] [--runs R] [--max-size S]`
+//! Usage: `table2 [--quick] [--runs R] [--max-size S] [--csv PATH]`
 
 use hpf_report::experiments::{table2, table2_text, SweepConfig};
 
+const USAGE: &str = "usage: table2 [--quick] [--runs R] [--max-size S] [--csv PATH]";
+
+fn usage_err(msg: &str) -> ! {
+    eprintln!("table2: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut cfg = if args.iter().any(|a| a == "--quick") {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (mut quick, mut runs, mut max_size, mut csv_path) = (false, None, None, None);
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let value = |it: &mut std::slice::Iter<String>| -> String {
+            it.next()
+                .unwrap_or_else(|| usage_err(&format!("{flag} requires a value")))
+                .clone()
+        };
+        let number = |v: String| -> usize {
+            v.parse()
+                .unwrap_or_else(|_| usage_err(&format!("{flag} expects a number, got {v:?}")))
+        };
+        match flag.as_str() {
+            "--quick" => quick = true,
+            "--runs" => runs = Some(number(value(&mut it))),
+            "--max-size" => max_size = Some(number(value(&mut it))),
+            "--csv" => csv_path = Some(value(&mut it)),
+            other => usage_err(&format!("unknown option {other:?}")),
+        }
+    }
+    let mut cfg = if quick {
         SweepConfig::quick()
     } else {
         SweepConfig::default()
     };
-    if let Some(i) = args.iter().position(|a| a == "--runs") {
-        cfg.runs = args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(cfg.runs);
-    }
-    if let Some(i) = args.iter().position(|a| a == "--max-size") {
-        cfg.max_size = args.get(i + 1).and_then(|v| v.parse().ok());
-    }
+    cfg.runs = runs.unwrap_or(cfg.runs);
+    cfg.max_size = max_size.or(cfg.max_size);
 
     eprintln!(
         "sweeping {} proc counts, {} runs per measurement …",
@@ -46,15 +66,13 @@ fn main() {
         }
     }
 
-    if let Some(i) = args.iter().position(|a| a == "--csv") {
-        if let Some(path) = args.get(i + 1) {
-            let _ = std::fs::write(path, hpf_report::csv::table2_csv(&rows));
-            let _ = std::fs::write(
-                format!("{path}.samples.csv"),
-                hpf_report::csv::samples_csv(&samples),
-            );
-            eprintln!("wrote {path} (+ .samples.csv)");
-        }
+    if let Some(path) = csv_path {
+        let _ = std::fs::write(&path, hpf_report::csv::table2_csv(&rows));
+        let _ = std::fs::write(
+            format!("{path}.samples.csv"),
+            hpf_report::csv::samples_csv(&samples),
+        );
+        eprintln!("wrote {path} (+ .samples.csv)");
     }
 
     print!("{}", table2_text(&rows, cfg.runs));

@@ -99,9 +99,6 @@ pub struct SimulateOptions {
     pub param_overrides: BTreeMap<String, i64>,
     pub compile: CompileOptions,
     pub sim: SimConfig,
-    /// Run the functional interpreter to collect the dynamic profile
-    /// (actual trip counts / mask densities) before simulating.
-    pub use_profile: bool,
     /// Registered machine backend to simulate on.
     pub machine: String,
 }
@@ -113,7 +110,6 @@ impl Default for SimulateOptions {
             param_overrides: BTreeMap::new(),
             compile: CompileOptions::default(),
             sim: SimConfig::default(),
-            use_profile: true,
             machine: hpf_machines::DEFAULT_MACHINE.to_string(),
         }
     }
@@ -421,11 +417,11 @@ pub fn profile_with_limit(
 pub fn simulate_source(src: &str, opts: &SimulateOptions) -> Result<SimResult, PipelineError> {
     let _span = hpf_trace::span("measure");
     let (analyzed, spmd) = frontend(src, opts.nodes, &opts.param_overrides, &opts.compile)?;
-    let profile = if opts.use_profile {
+    // Run the functional interpreter to collect the dynamic profile
+    // (actual trip counts / mask densities) before simulating.
+    let profile = {
         let _s = hpf_trace::span("profile");
         hpf_eval::run(&analyzed).ok().map(|o| o.profile)
-    } else {
-        None
     };
     let machine = machine_params(&opts.machine, opts.nodes)?;
     let sim = Simulator::with_config(&machine, opts.sim.clone());

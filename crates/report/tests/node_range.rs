@@ -67,3 +67,83 @@ fn characterize_refuses_arguments_it_does_not_understand() {
         );
     }
 }
+
+/// The report binaries refuse an unknown flag, a flag without its value
+/// and a value that does not parse, before any sweep runs: each exits 2
+/// with its usage line and prints nothing to stdout.
+#[test]
+fn report_binaries_refuse_arguments_they_do_not_understand() {
+    for (bin, name, args) in [
+        (
+            env!("CARGO_BIN_EXE_table2"),
+            "table2",
+            &["--quick", "--max-size", "5l2"][..],
+        ),
+        (
+            env!("CARGO_BIN_EXE_table2"),
+            "table2",
+            &["--quick", "--runs", "x"],
+        ),
+        (env!("CARGO_BIN_EXE_table2"), "table2", &["--quik"]),
+        (
+            env!("CARGO_BIN_EXE_table2"),
+            "table2",
+            &["--quick", "--csv"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_table2"),
+            "table2",
+            &["--quick", "extra"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_figures4_5"),
+            "figures4_5",
+            &["--runs", "x"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_figures4_5"),
+            "figures4_5",
+            &["--max-size"],
+        ),
+        (env!("CARGO_BIN_EXE_figures4_5"), "figures4_5", &["--quick"]),
+        (env!("CARGO_BIN_EXE_figure3"), "figure3", &["abc"]),
+        (env!("CARGO_BIN_EXE_figure3"), "figure3", &["16", "4", "8"]),
+        (env!("CARGO_BIN_EXE_figure7"), "figure7", &["--size", "256"]),
+        (env!("CARGO_BIN_EXE_figure7"), "figure7", &["256", "four"]),
+    ] {
+        let out = run(bin, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name} {args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("usage: {name}")),
+            "{name} {args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{name} {args:?} printed a report");
+    }
+}
+
+/// Every flag a report binary takes appears in its usage line.
+#[test]
+fn usage_lines_name_every_flag() {
+    for (bin, name, flags) in [
+        (
+            env!("CARGO_BIN_EXE_table2"),
+            "table2",
+            &["--quick", "--runs", "--max-size", "--csv"][..],
+        ),
+        (
+            env!("CARGO_BIN_EXE_figures4_5"),
+            "figures4_5",
+            &["--runs", "--max-size", "--csv"],
+        ),
+    ] {
+        let out = run(bin, &["--no-such-flag"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        for flag in flags {
+            assert!(
+                stderr.contains(&format!("[{flag}")),
+                "{name}: {flag} missing from {stderr}"
+            );
+        }
+    }
+}

@@ -9,9 +9,8 @@
 //!   spans on the same thread (`predict/compile/parse`, …).
 //! * **Counters** ([`counter_add`]) and **mergeable quantile sketches**
 //!   ([`sketch_record`], [`sketch_merge`]) with an exact, deterministic
-//!   merge (see [`sketch::QuantileSketch`]), plus windowed rate counters
-//!   ([`sketch::WindowedRate`]): the primitives behind the service's
-//!   `/v1/metrics` delta export.
+//!   merge (see [`sketch::QuantileSketch`]): the primitives behind the
+//!   service's `/v1/metrics` delta export.
 //! * **Recorders** ([`Recorder`]) — where all of the above goes. The free
 //!   functions act on the calling thread's current recorder: the one
 //!   installed on the thread, else the process recorder. An instance that
@@ -56,7 +55,7 @@ pub mod span;
 pub use export::{export_json, flame_text};
 pub use recorder::{Installed, Recorder};
 pub use registry::{counter_add, counter_get, sketch_merge, sketch_record};
-pub use sketch::{QuantileSketch, WindowedRate};
+pub use sketch::QuantileSketch;
 pub use span::{span, span_snapshot, SpanGuard, SpanSnapshot};
 
 use recorder::with_current;

@@ -1,6 +1,6 @@
-//! Mergeable quantile sketches and windowed rate counters — the
-//! streaming-aggregation primitives behind `/v1/metrics` deltas and the
-//! loadgen's shard-merged latency percentiles.
+//! Mergeable quantile sketches — the streaming-aggregation primitive
+//! behind `/v1/metrics` deltas and the loadgen's shard-merged latency
+//! percentiles.
 //!
 //! ## Why a sketch and not a sample vector
 //!
@@ -256,64 +256,6 @@ impl QuantileSketch {
     }
 }
 
-/// A windowed event-rate counter: a ring of fixed-width time slots, so
-/// "requests per second over the last N seconds" is cheap to maintain
-/// and immune to unbounded growth. Timestamps are caller-supplied
-/// milliseconds from an arbitrary origin, which keeps the type clock-free
-/// and deterministic under test.
-#[derive(Debug, Clone)]
-pub struct WindowedRate {
-    slot_ms: u64,
-    /// `(slot id, count)` per ring position; a stale id means the slot
-    /// has wrapped and its count belongs to a dead window.
-    ring: Vec<(u64, u64)>,
-}
-
-impl WindowedRate {
-    /// `slots` windows of `slot_ms` each (e.g. `new(1_000, 10)` = a 10 s
-    /// window at 1 s resolution).
-    pub fn new(slot_ms: u64, slots: usize) -> WindowedRate {
-        WindowedRate {
-            slot_ms: slot_ms.max(1),
-            ring: vec![(u64::MAX, 0); slots.max(1)],
-        }
-    }
-
-    /// Record `n` events at time `t_ms`.
-    pub fn add(&mut self, t_ms: u64, n: u64) {
-        let slot = t_ms / self.slot_ms;
-        let pos = (slot % self.ring.len() as u64) as usize;
-        if self.ring[pos].0 != slot {
-            self.ring[pos] = (slot, 0);
-        }
-        self.ring[pos].1 += n;
-    }
-
-    /// Events inside the window ending at `t_ms`.
-    pub fn window_count(&self, t_ms: u64) -> u64 {
-        let cur = t_ms / self.slot_ms;
-        let oldest = cur.saturating_sub(self.ring.len() as u64 - 1);
-        self.ring
-            .iter()
-            .filter(|(slot, _)| *slot >= oldest && *slot <= cur)
-            .map(|(_, c)| c)
-            .sum()
-    }
-
-    /// Events per second over the window ending at `t_ms`. Early in a
-    /// process's life only the elapsed portion of the window divides, so
-    /// a fresh counter is not biased toward zero.
-    pub fn rate_per_s(&self, t_ms: u64) -> f64 {
-        let window_ms = (self.ring.len() as u64 * self.slot_ms).min(t_ms.max(self.slot_ms));
-        self.window_count(t_ms) as f64 * 1e3 / window_ms as f64
-    }
-
-    /// The window width, seconds.
-    pub fn window_s(&self) -> f64 {
-        (self.ring.len() as u64 * self.slot_ms) as f64 / 1e3
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,30 +365,5 @@ mod tests {
         recombined.merge(&d);
         assert_eq!(recombined.count(), late.count());
         assert_eq!(recombined.buckets, late.buckets);
-    }
-
-    #[test]
-    fn windowed_rate_counts_only_the_window() {
-        let mut r = WindowedRate::new(1_000, 10);
-        for t in 0..30 {
-            r.add(t * 1_000, 100);
-        }
-        // At t=29.999 s the live window is exactly slots 20..=29.
-        assert_eq!(r.window_count(29_999), 1000);
-        assert!((r.rate_per_s(29_999) - 100.0).abs() < 1e-9);
-        // One second later slot 20 has aged out and slot 30 is empty.
-        assert_eq!(r.window_count(30_999), 900);
-        // Idle time decays the rate to zero.
-        assert_eq!(r.window_count(60_000), 0);
-        assert_eq!(r.rate_per_s(60_000), 0.0);
-    }
-
-    #[test]
-    fn windowed_rate_fresh_counter_is_not_biased_to_zero() {
-        let mut r = WindowedRate::new(1_000, 10);
-        r.add(500, 50);
-        // Only 1 s of the 10 s window has existed; 50 events in it.
-        let rate = r.rate_per_s(999);
-        assert!((rate - 50.0).abs() < 1.0, "{rate}");
     }
 }

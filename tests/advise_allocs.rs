@@ -8,51 +8,10 @@
 //! could not be; the freed chunks also cost the next large allocation
 //! time, so the count tracks more than the search's own work.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
 
 use hpf_advisor::{Advisor, AdvisorConfig};
 use kernels::{kernel_by_name, CompiledKernel};
-
-/// Allocations made by the current thread, counted only while `COUNTING`
-/// is set. Both cells are `const`-initialised with no destructor, so
-/// reading them never allocates.
-struct ThreadCounting;
-
-thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn note_alloc() {
-    if COUNTING.with(Cell::get) {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-    }
-}
-
-unsafe impl GlobalAlloc for ThreadCounting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: ThreadCounting = ThreadCounting;
 
 /// At most this many allocations per warm search (7,985 are made).
 const BUDGET_PER_SEARCH: u64 = 8_500;
@@ -72,10 +31,7 @@ fn warm_search_stays_within_its_allocation_budget() {
     let search = || advisor.search(&cfg).expect("search runs");
     let warm = search();
 
-    COUNTING.with(|c| c.set(true));
-    let report = search();
-    COUNTING.with(|c| c.set(false));
-    let allocs = ALLOCS.with(Cell::get);
+    let (report, allocs) = common::allocations(search);
 
     assert_eq!(report.candidates, 135);
     assert_eq!(report.ranked.len(), warm.ranked.len());
