@@ -3,10 +3,14 @@
 //! The *abstraction parse* of Phase 2 (§4.2): intercepts the SPMD program
 //! structure produced by Phase 1 and abstracts its execution and
 //! communication structures into Application Abstraction Units (AAUs),
-//! combined into the Application Abstraction Graph (AAG). Superimposing the
-//! communication/synchronization edges yields the Synchronized AAG (SAAG),
-//! and a communication table records the specification and status of every
-//! communication (§4.2).
+//! combined into the Application Abstraction Graph (AAG), and records the
+//! specification of every communication in a communication table (§4.2).
+//!
+//! The paper superimposes communication/synchronization edges on the AAG
+//! to form the Synchronized AAG (SAAG). This crate keeps no edge list: the
+//! loosely synchronous SPMD program already places each communication
+//! before the computation it feeds, so the interpretation engine's walk in
+//! program order is the SAAG's order.
 //!
 //! AAU taxonomy (§3.2, Figure 2): `Seq` (sequential straight-line work,
 //! including message packing / index translation), `IterD` (deterministic
@@ -36,7 +40,6 @@ pub enum AauKind {
     /// per-iteration cost is carried in `comp`.
     IterD {
         trips: u64,
-        estimated: bool,
         /// When this IterD abstracts a local computation phase (the
         /// sequentialized forall), its parameters live here, shared with
         /// the SPMD program.
@@ -50,10 +53,7 @@ pub enum AauKind {
         else_arm: Vec<AauId>,
     },
     /// A communication/synchronization operation.
-    Comm {
-        phase: CommPhase,
-        table_index: usize,
-    },
+    Comm { phase: CommPhase },
     /// A parallel I/O phase (striped READ/WRITE/CHECKPOINT over the
     /// machine's I/O servers).
     Io { phase: Arc<hpf_io::IoPhase> },
@@ -69,15 +69,6 @@ pub struct Aau {
     pub span: Span,
 }
 
-/// Status of a communication in the communication table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommStatus {
-    /// Specified but not yet interpreted/simulated.
-    Pending,
-    /// Interpreted/executed.
-    Done,
-}
-
 /// One row of the communication table (§4.2).
 #[derive(Debug, Clone)]
 pub struct CommRecord {
@@ -85,20 +76,20 @@ pub struct CommRecord {
     pub op: CollectiveOp,
     pub bytes_per_node: u64,
     pub participants: usize,
-    pub status: CommStatus,
 }
 
-/// The Application Abstraction Graph; with `comm_edges` superimposed it is
-/// the Synchronized AAG (SAAG).
+/// The Application Abstraction Graph: the AAUs, the top-level sequence the
+/// interpretation engine walks in program order, and the communication
+/// table. Its readers are the interpretation engine, the output module,
+/// `hpf-serve`'s predict body and the repository benchmark, which counts
+/// the table's rows.
 #[derive(Debug, Clone)]
 pub struct Aag {
     pub aaus: Vec<Aau>,
     /// Top-level control sequence (AAU ids, in program order).
     pub top: Vec<AauId>,
-    /// The communication table.
+    /// The communication table: one row per communication phase.
     pub comm_table: Vec<CommRecord>,
-    /// SAAG synchronization edges: (comm AAU → dependent AAU).
-    pub comm_edges: Vec<(AauId, AauId)>,
 }
 
 impl Aag {
@@ -132,7 +123,7 @@ impl Aag {
             .collect()
     }
 
-    /// Figure-2 style outline of the (S)AAG.
+    /// Figure-2 style outline of the AAG.
     pub fn outline(&self) -> String {
         let mut out = String::new();
         self.outline_seq(&self.top, 0, &mut out);
@@ -189,7 +180,7 @@ pub struct AagCensus {
     pub io: usize,
 }
 
-/// Build the AAG/SAAG from a compiled SPMD program — the abstraction parse.
+/// Build the AAG from a compiled SPMD program — the abstraction parse.
 /// The graph shares the program's phases and labels rather than copying
 /// them.
 pub fn build_aag(spmd: &SpmdProgram) -> Aag {
@@ -199,18 +190,15 @@ pub fn build_aag(spmd: &SpmdProgram) -> Aag {
     let mut b = Builder {
         aaus: Vec::with_capacity(aaus),
         comm_table: Vec::with_capacity(comms),
-        comm_edges: Vec::with_capacity(comms),
-        pending: Vec::new(),
     };
     let mut top = Vec::with_capacity(spmd.body.len() + 2);
     top.push(b.push(AauKind::Start, FIXED.start.clone(), Span::SYNTHETIC));
-    top.extend(spmd.body.iter().map(|n| b.node(n, 0)));
+    top.extend(spmd.body.iter().map(|n| b.node(n)));
     top.push(b.push(AauKind::End, FIXED.end.clone(), Span::SYNTHETIC));
     Aag {
         aaus: b.aaus,
         top,
         comm_table: b.comm_table,
-        comm_edges: b.comm_edges,
     }
 }
 
@@ -265,10 +253,6 @@ fn census(nodes: &[SpmdNode], aaus: &mut usize, comms: &mut usize) {
 struct Builder {
     aaus: Vec<Aau>,
     comm_table: Vec<CommRecord>,
-    comm_edges: Vec<(AauId, AauId)>,
-    /// Communication AAUs not yet linked to the computation they feed; a
-    /// nested body links only the ones past its own start.
-    pending: Vec<AauId>,
 }
 
 impl Builder {
@@ -283,24 +267,14 @@ impl Builder {
         id
     }
 
-    /// A nested sequence: its communications feed only its own
-    /// computations.
     fn body(&mut self, nodes: &[SpmdNode]) -> Vec<AauId> {
-        let base = self.pending.len();
-        let ids = nodes.iter().map(|n| self.node(n, base)).collect();
-        self.pending.truncate(base);
-        ids
+        nodes.iter().map(|n| self.node(n)).collect()
     }
 
-    /// One node of a sequence whose pending communications start at `base`.
-    fn node(&mut self, n: &SpmdNode, base: usize) -> AauId {
+    fn node(&mut self, n: &SpmdNode) -> AauId {
         match n {
             SpmdNode::Seq(s) => self.push(AauKind::Seq { ops: s.ops }, s.label.clone(), s.span),
-            SpmdNode::Comm(c) => {
-                let id = self.comm(c);
-                self.pending.push(id);
-                id
-            }
+            SpmdNode::Comm(c) => self.comm(c),
             SpmdNode::Io { phase, span } => self.push(
                 AauKind::Io {
                     phase: phase.clone(),
@@ -308,36 +282,26 @@ impl Builder {
                 io_label(phase.kind),
                 *span,
             ),
-            SpmdNode::Comp(c) => {
-                let id = self.push(
-                    AauKind::IterD {
-                        trips: c.max_node_iters(),
-                        estimated: false,
-                        comp: Some(c.clone()),
-                        body: Vec::new(),
-                    },
-                    c.label.clone(),
-                    c.span,
-                );
-                // SAAG edges: the gather communications this computation
-                // depends on.
-                for cm in self.pending.drain(base..) {
-                    self.comm_edges.push((cm, id));
-                }
-                id
-            }
+            SpmdNode::Comp(c) => self.push(
+                AauKind::IterD {
+                    trips: c.max_node_iters(),
+                    comp: Some(c.clone()),
+                    body: Vec::new(),
+                },
+                c.label.clone(),
+                c.span,
+            ),
             SpmdNode::Loop {
                 var,
                 trips,
-                estimated,
                 body,
                 span,
+                ..
             } => {
                 let body = self.body(body);
                 self.push(
                     AauKind::IterD {
                         trips: *trips,
-                        estimated: *estimated,
                         comp: None,
                         body,
                     },
@@ -362,21 +326,12 @@ impl Builder {
     }
 
     fn comm(&mut self, c: &CommPhase) -> AauId {
-        let table_index = self.comm_table.len();
-        let id = self.push(
-            AauKind::Comm {
-                phase: c.clone(),
-                table_index,
-            },
-            c.label.clone(),
-            c.span,
-        );
+        let id = self.push(AauKind::Comm { phase: c.clone() }, c.label.clone(), c.span);
         self.comm_table.push(CommRecord {
             aau: id,
             op: c.op,
             bytes_per_node: c.bytes_per_node,
             participants: c.participants,
-            status: CommStatus::Pending,
         });
         id
     }
@@ -444,20 +399,9 @@ END
         let aag = aag_for(FIG2, 4);
         assert!(!aag.comm_table.is_empty());
         for r in &aag.comm_table {
-            assert_eq!(r.status, CommStatus::Pending);
             assert!(r.bytes_per_node > 0);
             assert_eq!(r.participants, 4);
             assert!(matches!(aag.aau(r.aau).kind, AauKind::Comm { .. }));
-        }
-    }
-
-    #[test]
-    fn saag_edges_link_comm_to_comp() {
-        let aag = aag_for(FIG2, 4);
-        assert!(!aag.comm_edges.is_empty());
-        for (from, to) in &aag.comm_edges {
-            assert!(matches!(aag.aau(*from).kind, AauKind::Comm { .. }));
-            assert!(matches!(aag.aau(*to).kind, AauKind::IterD { .. }));
         }
     }
 
@@ -541,10 +485,11 @@ mod more_tests {
         build_aag(&spmd)
     }
 
+    /// The order the interpretation engine walks stands in for the SAAG's
+    /// edges: a shift inside a DO loop sits in the loop's body, before the
+    /// computation it feeds.
     #[test]
-    fn comm_edges_form_inside_loops() {
-        // Gather/shift inside a DO loop must still get SAAG edges to the
-        // computation they feed.
+    fn communications_precede_the_computation_they_feed_inside_loops() {
         let src = "
 PROGRAM L
 INTEGER, PARAMETER :: N = 64
@@ -561,11 +506,22 @@ END DO
 END
 ";
         let aag = aag_for(src, 4);
-        assert!(!aag.comm_edges.is_empty(), "{}", aag.outline());
-        for (from, to) in &aag.comm_edges {
-            assert!(matches!(aag.aau(*from).kind, AauKind::Comm { .. }));
-            assert!(matches!(aag.aau(*to).kind, AauKind::IterD { .. }));
-        }
+        let body = aag
+            .aaus
+            .iter()
+            .find_map(|a| match &a.kind {
+                AauKind::IterD {
+                    comp: None, body, ..
+                } => Some(body),
+                _ => None,
+            })
+            .expect("loop IterD");
+        let kinds: Vec<&AauKind> = body.iter().map(|&id| &aag.aau(id).kind).collect();
+        let comm = kinds.iter().position(|k| matches!(k, AauKind::Comm { .. }));
+        let comp = kinds
+            .iter()
+            .position(|k| matches!(k, AauKind::IterD { comp: Some(_), .. }));
+        assert!(comm.is_some() && comm < comp, "{}", aag.outline());
     }
 
     #[test]

@@ -27,7 +27,7 @@ use hpf_lang::{analyze_front, check_directives, parse_program, AnalyzedProgram};
 use interp::{InterpOptions, InterpretationEngine, Metrics};
 use ipsc_sim::{SimConfig, Simulator};
 use kernels::CompiledKernel;
-use report::pipeline::{calibrated_machine_for, machine_params};
+use report::pipeline::calibrated_machine_for;
 use report::pool;
 use report::{fnv1a, shared_profile, PipelineError, PipelineStage, FNV_OFFSET};
 
@@ -327,10 +327,11 @@ impl Advisor {
             ta.total_cmp(&tb).then(ties[a].cmp(&ties[b]))
         });
 
-        // Stage 3: cross-validate the leaders against the DES simulator,
-        // re-serving the memoized sessions and the shared functional
-        // profile (one interpreter run per problem size, process-wide,
-        // because the profile ignores directives).
+        // Stage 3: cross-validate the leaders against the DES simulator on
+        // the model the predictions read, re-serving the memoized sessions
+        // and the shared functional profile (one interpreter run per
+        // problem size, process-wide, because the profile ignores
+        // directives).
         let top: Vec<usize> = rank_order.iter().take(cfg.top_k).copied().collect();
         let profile = front.as_ref().filter(|_| !top.is_empty()).map(|front| {
             let (p, reused) =
@@ -341,12 +342,11 @@ impl Advisor {
             p
         });
         let profile = profile.flatten();
-        let sim_machine = machine_params(&cfg.machine, cfg.procs)?;
         let sims: Vec<f64> = pool::map_indexed(top.len(), cfg.threads, |j| {
             let _s = hpf_trace::span("simulate");
             hpf_trace::counter_add("advisor.sessions_reused", 1);
             let sim = Simulator::with_config(
-                &sim_machine,
+                &machine,
                 SimConfig {
                     runs: cfg.sim_runs,
                     ..SimConfig::default()

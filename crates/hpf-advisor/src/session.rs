@@ -13,12 +13,14 @@
 use crate::search::{render_table, Advisor, AdvisorConfig};
 use hpf_compiler::CompileOptions;
 use hpf_lang::{AnalyzedProgram, SymbolKind, Value};
-use interp::{profile_report, query_line, query_lines, InterpOptions, Prediction};
-use ipsc_sim::SimConfig;
+use interp::{
+    profile_report, query_line, query_lines, InterpOptions, InterpretationEngine, Prediction,
+};
+use ipsc_sim::{SimConfig, Simulator};
 use machine::MachineModel;
 use report::pipeline::{
-    calibrated_machine_for, compile_source, machine_params, predict_source_full,
-    profile_with_limit, simulate_source, Bound, PredictOptions, SimulateOptions,
+    calibrated_machine_for, compile_source, machine_params, profile_with_limit, simulate_source,
+    Bound, SimulateOptions,
 };
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -257,16 +259,6 @@ impl Session {
         .map_err(|e| e.to_string())
     }
 
-    fn popts(&self) -> PredictOptions {
-        PredictOptions {
-            nodes: self.nodes,
-            param_overrides: self.overrides.clone(),
-            compile: self.copts.clone(),
-            interp: self.iopts.clone(),
-            machine: self.machine.clone(),
-        }
-    }
-
     fn sim_options(&self, runs: usize) -> SimulateOptions {
         SimulateOptions {
             nodes: self.nodes,
@@ -280,12 +272,18 @@ impl Session {
         }
     }
 
-    fn predicted(&self) -> Result<(Prediction, Bound), String> {
-        predict_source_full(self.require_source()?, &self.popts()).map_err(|e| e.to_string())
+    /// The session's program, bound and predicted on the target machine,
+    /// with the one model it was predicted on.
+    fn predicted(&self) -> Result<(Prediction, Bound, Arc<MachineModel>), String> {
+        let bound = self.compiled()?;
+        let machine = self.model()?;
+        let pred =
+            InterpretationEngine::with_options(&machine, self.iopts.clone()).interpret(&bound.aag);
+        Ok((pred, bound, machine))
     }
 
     fn cmd_predict(&self) -> Result<String, String> {
-        let (pred, bound) = self.predicted()?;
+        let (pred, bound, machine) = self.predicted()?;
         let mut out = String::new();
         for w in &bound.spmd.warnings {
             let _ = writeln!(out, "{w}");
@@ -294,7 +292,7 @@ impl Session {
             out,
             "estimated {:.6} s on {} (comp {:.6}, comm {:.6}, ovhd {:.6})",
             pred.total_seconds(),
-            self.model()?.name,
+            machine.name,
             pred.total.comp,
             pred.total.comm,
             pred.total.overhead
@@ -303,7 +301,7 @@ impl Session {
     }
 
     fn cmd_profile(&self) -> Result<String, String> {
-        let (pred, bound) = self.predicted()?;
+        let (pred, bound, _) = self.predicted()?;
         Ok(profile_report(&pred, &bound.aag, &self.source_name))
     }
 
@@ -314,7 +312,7 @@ impl Session {
             .ok()
             .filter(|&n| n >= 1)
             .ok_or("usage: line <number>, counting from 1")?;
-        let (pred, bound) = self.predicted()?;
+        let (pred, bound, _) = self.predicted()?;
         let m = query_line(&pred, &bound.aag, n);
         let text = self
             .require_source()?
@@ -342,7 +340,7 @@ impl Session {
             .next()
             .and_then(|v| v.parse().ok())
             .ok_or("usage: lines <a> <b>")?;
-        let (pred, bound) = self.predicted()?;
+        let (pred, bound, _) = self.predicted()?;
         let m = query_lines(&pred, &bound.aag, a..=b);
         Ok(format!(
             "lines {a}-{b}: {:.1} µs (comm fraction {:.1}%)",
@@ -398,13 +396,16 @@ impl Session {
         ))
     }
 
+    /// Predict and simulate the one bound program on the one model.
     fn cmd_compare(&self) -> Result<String, String> {
-        let (pred, _) = self.predicted()?;
-        let meas = simulate_source(
-            self.require_source()?,
-            &self.sim_options(self.runs.min(200)),
-        )
-        .map_err(|e| e.to_string())?;
+        let (pred, bound, machine) = self.predicted()?;
+        // The step budget `simulate` profiles with (`simulate_source`).
+        let profile = profile_with_limit(&bound.analyzed, 500_000_000);
+        let config = SimConfig {
+            runs: self.runs.min(200),
+            ..Default::default()
+        };
+        let meas = Simulator::with_config(&machine, config).simulate(&bound.spmd, profile.as_ref());
         let err = 100.0 * (pred.total_seconds() - meas.mean).abs() / meas.mean.max(1e-30);
         Ok(format!(
             "estimated {:.6} s   measured {:.6} s   |error| {:.2}%",

@@ -39,14 +39,6 @@ impl Candidate {
         out.push(')');
         out
     }
-
-    /// Number of distributed (non-`*`) dimensions.
-    pub fn distributed_dims(&self) -> usize {
-        self.formats
-            .iter()
-            .filter(|f| **f != DistFormat::Degenerate)
-            .count()
-    }
 }
 
 /// All ordered tuples of `dims` positive integers whose product is `p`,
@@ -235,7 +227,8 @@ mod tests {
         labels.dedup();
         assert_eq!(labels.len(), cands.len(), "labels must be unique");
         for c in &cands {
-            assert_eq!(c.grid.len(), c.distributed_dims());
+            let distributed = c.formats.iter().filter(|f| **f != DistFormat::Degenerate);
+            assert_eq!(c.grid.len(), distributed.count());
             assert_eq!(c.grid.iter().product::<i64>(), 8);
         }
     }

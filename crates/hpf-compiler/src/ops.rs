@@ -30,11 +30,6 @@ impl OpCounts {
         OpCounts::default()
     }
 
-    /// Total floating-point operations (for MFlop/s style reporting).
-    pub fn flops(&self) -> f64 {
-        self.fadd + self.fmul + self.fdiv + self.ftrans
-    }
-
     /// Total memory references.
     pub fn mem_refs(&self) -> f64 {
         self.loads + self.stores
@@ -404,7 +399,6 @@ mod tests {
         assert_eq!(s.mem_refs(), 3.0);
         let d = s * 2.0;
         assert_eq!(d.fadd, 8.0);
-        assert_eq!(d.flops(), 8.0);
         assert!(OpCounts::zero().is_zero());
     }
 }

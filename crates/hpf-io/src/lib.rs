@@ -17,9 +17,9 @@
 //!   per-(servers, participants) `α + β·m` model from the machine's
 //!   [`machine::Calibration`] when an I/O characterization pass has run,
 //!   falling back to the closed form;
-//! * [`CheckpointSchedule`] — checkpoint/restart arithmetic that composes
-//!   with the PR-1 `FaultPlan` experiments (run to failure, restart from the
-//!   last checkpoint, re-execute lost work);
+//! * [`CheckpointSchedule`] — checkpoint/restart schedule arithmetic
+//!   (checkpoints taken, failure-free completion); the recovery cost of a
+//!   failure, composed with a `FaultPlan`, is `report::checkpoint`'s;
 //! * [`IoError`] — typed validation errors (bad stripe factor, more servers
 //!   than nodes, checkpoint of an unpartitioned array), surfaced as
 //!   pipeline-stage `io` diagnostics rather than panics.
@@ -341,39 +341,6 @@ impl CheckpointSchedule {
     pub fn healthy_run_s(&self) -> f64 {
         self.work_s + self.checkpoints() as f64 * self.checkpoint_s
     }
-
-    /// Completion time when one node fails after `fail_at_work_s` seconds
-    /// of useful work: run to the failure, restart from the last durable
-    /// checkpoint, re-execute the lost work, finish.
-    pub fn run_with_failure_s(&self, fail_at_work_s: f64) -> f64 {
-        let fail_at = fail_at_work_s.clamp(0.0, self.work_s);
-        let interval = if self.interval_s > 0.0 {
-            self.interval_s
-        } else {
-            return self.work_s + self.restart_s + fail_at; // no checkpoints: full rerun
-        };
-        let completed = (fail_at / interval).floor() * interval;
-        let ckpts_before = (fail_at / interval).floor();
-        let rework = fail_at - completed;
-        // wall to failure + restart read + rework + remaining schedule
-        fail_at
-            + ckpts_before * self.checkpoint_s
-            + self.restart_s
-            + rework
-            + (self.work_s - completed - rework)
-            + (self.checkpoints() as f64 - ckpts_before).max(0.0) * self.checkpoint_s
-    }
-
-    /// Expected extra time a single failure costs, with the failure point
-    /// uniform over the run: the restart read plus half an interval of lost
-    /// work. Strictly monotone in `interval_s` — the property the
-    /// FaultPlan × checkpoint composition test pins.
-    pub fn expected_recovery_s(&self) -> f64 {
-        if self.interval_s <= 0.0 {
-            return self.restart_s + self.work_s / 2.0;
-        }
-        self.restart_s + self.interval_s.min(self.work_s) / 2.0
-    }
 }
 
 #[cfg(test)]
@@ -484,25 +451,5 @@ mod tests {
         };
         assert_eq!(s.checkpoints(), 4);
         assert!((s.healthy_run_s() - 12.0).abs() < 1e-12);
-        // failure at 5 s of work: 2 ckpts behind us, 1 s of rework
-        let t = s.run_with_failure_s(5.0);
-        assert!(t > s.healthy_run_s(), "failure must cost time: {t}");
-        assert!((t - (s.healthy_run_s() + 0.25 + 1.0)).abs() < 1e-9, "{t}");
-    }
-
-    #[test]
-    fn expected_recovery_monotone_in_interval() {
-        let mut prev = 0.0;
-        for interval in [0.5, 1.0, 2.0, 4.0, 8.0] {
-            let s = CheckpointSchedule {
-                work_s: 10.0,
-                interval_s: interval,
-                checkpoint_s: 0.5,
-                restart_s: 0.25,
-            };
-            let r = s.expected_recovery_s();
-            assert!(r >= prev, "recovery must grow with interval: {r} < {prev}");
-            prev = r;
-        }
     }
 }

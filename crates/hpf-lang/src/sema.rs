@@ -45,15 +45,6 @@ impl Symbol {
         }
     }
 
-    /// Total element count for arrays/templates.
-    pub fn elem_count(&self) -> Option<u64> {
-        self.shape().map(|s| {
-            s.iter()
-                .map(|(lb, ub)| (ub - lb + 1).max(0) as u64)
-                .product()
-        })
-    }
-
     pub fn is_array(&self) -> bool {
         matches!(self.kind, SymbolKind::Array { .. })
     }
@@ -947,7 +938,6 @@ mod tests {
             analyze_src("PROGRAM T\nINTEGER, PARAMETER :: N = 8\nREAL A(N, 2*N)\nA = 0.0\nEND\n");
         let sym = a.symbol("A").unwrap();
         assert_eq!(sym.shape().unwrap(), &[(1, 8), (1, 16)]);
-        assert_eq!(sym.elem_count(), Some(128));
     }
 
     #[test]

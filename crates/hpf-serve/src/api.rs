@@ -40,7 +40,7 @@ use hpf_lang::parse_program;
 use hpf_trace::json::{parse as parse_json, Value};
 use interp::{InterpOptions, InterpretationEngine, Prediction};
 use ipsc_sim::{SimConfig, Simulator};
-use report::pipeline::{calibrated_machine_for, machine_params};
+use report::pipeline::calibrated_machine_for;
 use report::PipelineError;
 
 use crate::breaker::{Breaker, BreakerConfig, BreakerOutcome};
@@ -833,14 +833,11 @@ impl Api {
         };
         let machine = calibrated_machine_for(machine_id, procs)?;
         let engine = InterpretationEngine::with_options(&machine, InterpOptions::default());
-        // The DES side of a simulated sweep: one set of machine tables and
-        // one simulator for every point.
-        let sim_machine = simulate
-            .then(|| machine_params(machine_id, procs))
-            .transpose()?;
-        let simulator = sim_machine.as_ref().map(|m| {
+        // The DES side of a simulated sweep: one simulator for every point,
+        // on the model the prediction reads.
+        let simulator = simulate.then(|| {
             Simulator::with_config(
-                m,
+                &machine,
                 SimConfig {
                     runs,
                     ..SimConfig::default()
@@ -1273,6 +1270,27 @@ mod tests {
         ]
         .map(|(name, count)| (name.to_string(), count));
         assert_eq!(sketches, expected);
+    }
+
+    /// A kernel's parsed artifact and its binds are keyed by the kernel,
+    /// not by the request's spelling of its name: a predict that differs
+    /// from an earlier one only in the name's case parses and binds
+    /// nothing again, and still echoes its own spelling.
+    #[test]
+    fn kernel_name_spellings_share_one_artifact_and_bind() {
+        let (rec, api) = traced_api();
+        let targets = ["pi", "PI"].map(|kernel| {
+            let body = format!(r#"{{"kernel": "{kernel}", "n": 256, "procs": 4}}"#);
+            let resp = api.handle(&post("/v1/predict", &body));
+            assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+            let v = parse_json(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+            v.get("target").and_then(Value::as_str).unwrap().to_string()
+        });
+        assert_eq!(targets, ["pi", "PI"]);
+        assert_eq!(rec.counter_get("serve.session.miss"), 1);
+        assert_eq!(rec.counter_get("serve.session.hit"), 0);
+        assert_eq!(rec.counter_get("serve.bind.miss"), 1);
+        assert_eq!(rec.counter_get("serve.bind.hit"), 1);
     }
 
     /// An `Api` whose breaker is open for the whole test, so every

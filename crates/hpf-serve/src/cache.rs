@@ -4,7 +4,8 @@
 //! miss (every cached object is a pure function of its key):
 //!
 //! * **kernel artifacts** — [`kernels::CompiledKernel`], one parse per
-//!   kernel shape (the PR-3 warm-session primitive);
+//!   kernel, keyed by the kernel's own name, so every spelling
+//!   [`kernels::kernel_by_name`] accepts shares it;
 //! * **bound programs** — one [`report::Bound`] (analyzed, SPMD and AAG)
 //!   per `(origin, n, procs)` point, so a request for a bound point skips
 //!   parse, semantic analysis *and* partitioning entirely. An inline
@@ -59,7 +60,7 @@ use std::time::{Duration, Instant};
 use hpf_compiler::{compile, CompileOptions};
 use hpf_lang::ast::Program;
 use hpf_lang::{analyze, parse_program};
-use kernels::CompiledKernel;
+use kernels::{CompiledKernel, Kernel};
 use report::lru::LruMap;
 use report::{fnv1a, Bound, PipelineError, PipelineStage, FNV_OFFSET};
 
@@ -511,22 +512,34 @@ impl ServeCache {
         self.flights.join(key)
     }
 
-    /// The compile-once artifact for a suite kernel (one parse per kernel
-    /// shape, process lifetime permitting).
+    /// The compile-once artifact for the suite kernel `name` names, in any
+    /// letter case (one parse per kernel, process lifetime permitting).
     pub fn kernel_artifact(&self, name: &str) -> Result<Arc<CompiledKernel>, ServeFailure> {
-        if let Some(k) = self.kernels.get(name) {
+        self.artifact(name, kernels::kernel_by_name(name))
+    }
+
+    /// The artifact of `kernel`, which `name` resolved to, under the
+    /// kernel's own name; a name that resolved to none misses and is an
+    /// unknown-kernel error.
+    fn artifact(
+        &self,
+        name: &str,
+        kernel: Option<Kernel>,
+    ) -> Result<Arc<CompiledKernel>, ServeFailure> {
+        let key = kernel.as_ref().map_or(name, |k| k.name);
+        if let Some(k) = self.kernels.get(key) {
             counter_pair("session", true);
             return Ok(k);
         }
         counter_pair("session", false);
-        let kernel = kernels::kernel_by_name(name).ok_or_else(|| {
+        let kernel = kernel.ok_or_else(|| {
             ServeFailure::Pipeline(PipelineError::new(
                 PipelineStage::Parse,
                 format!("unknown kernel `{name}`"),
             ))
         })?;
         let compiled = Arc::new(CompiledKernel::new(&kernel)?);
-        self.kernels.insert(name.to_string(), compiled.clone());
+        self.kernels.insert(key.to_string(), compiled.clone());
         Ok(compiled)
     }
 
@@ -549,7 +562,8 @@ impl ServeCache {
 
     /// Bind a suite kernel to `(n, procs)` — warm, deadline-checked
     /// between the pipeline stages it runs on a miss (semantic analysis +
-    /// SPMD lowering, then the AAG).
+    /// SPMD lowering, then the AAG). Keyed, like its artifact, by the
+    /// kernel's own name.
     pub fn bind_kernel(
         &self,
         name: &str,
@@ -557,8 +571,10 @@ impl ServeCache {
         procs: usize,
         deadline: &Deadline,
     ) -> Result<Arc<Bound>, ServeFailure> {
-        self.bind_cached(&kernel_bind_key(name, n, procs), deadline, || {
-            let compiled = self.kernel_artifact(name)?;
+        let kernel = kernels::kernel_by_name(name);
+        let key = kernel_bind_key(kernel.as_ref().map_or(name, |k| k.name), n, procs);
+        self.bind_cached(&key, deadline, || {
+            let compiled = self.artifact(name, kernel)?;
             deadline.check("analyze")?;
             let (analyzed, spmd) = compiled.bind(n, procs, &CompileOptions::default())?;
             deadline.check("build_aag")?;

@@ -14,7 +14,7 @@ pub mod output;
 
 pub use engine::{InterpOptions, InterpretationEngine, Prediction};
 pub use metrics::Metrics;
-pub use output::{paragraph_trace, profile_report, query_line, query_lines, query_subgraph};
+pub use output::{paragraph_trace, profile_report, query_line, query_lines};
 
 #[cfg(test)]
 mod tests {

@@ -3,7 +3,6 @@
 //! and the global clock.
 
 use std::ops::{Add, AddAssign, Mul};
-use std::time::Duration;
 
 /// Time breakdown, in seconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -35,10 +34,6 @@ impl Metrics {
     /// overheads; waits overlap the critical path by construction).
     pub fn time(&self) -> f64 {
         self.comp + self.comm + self.overhead + self.io
-    }
-
-    pub fn as_duration(&self) -> Duration {
-        Duration::from_secs_f64(self.time().max(0.0))
     }
 
     /// Fraction of the time spent communicating.
@@ -104,17 +99,5 @@ mod tests {
         assert_eq!(c.comm, 6.0);
         assert!((a.comm_fraction() - 2.0 / 3.5).abs() < 1e-12);
         assert_eq!(Metrics::ZERO.comm_fraction(), 0.0);
-    }
-
-    #[test]
-    fn duration_conversion() {
-        let m = Metrics {
-            comp: 0.25,
-            comm: 0.25,
-            overhead: 0.0,
-            wait: 0.0,
-            io: 0.0,
-        };
-        assert_eq!(m.as_duration(), Duration::from_millis(500));
     }
 }

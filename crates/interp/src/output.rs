@@ -62,41 +62,6 @@ pub fn query_line(pred: &Prediction, aag: &Aag, line: u32) -> Metrics {
     m
 }
 
-/// Cumulative metrics for a branch of the AAG (an AAU and every AAU in its
-/// sub-graph) — the middle granularity of §3.4 ("for an individual AAU,
-/// cumulatively for a branch of the AAG (i.e. sub-AAG), or for the entire
-/// AAG").
-pub fn query_subgraph(pred: &Prediction, aag: &Aag, root: appgraph::AauId) -> Metrics {
-    fn collect(aag: &Aag, id: appgraph::AauId, out: &mut Vec<appgraph::AauId>) {
-        out.push(id);
-        match &aag.aau(id).kind {
-            AauKind::IterD { body, .. } => {
-                for &c in body {
-                    collect(aag, c, out);
-                }
-            }
-            AauKind::CondtD { arms, else_arm } => {
-                for (_, b) in arms {
-                    for &c in b {
-                        collect(aag, c, out);
-                    }
-                }
-                for &c in else_arm {
-                    collect(aag, c, out);
-                }
-            }
-            _ => {}
-        }
-    }
-    let mut ids = Vec::new();
-    collect(aag, root, &mut ids);
-    let mut m = Metrics::ZERO;
-    for id in ids {
-        m += pred.per_aau[id];
-    }
-    m
-}
-
 /// Metrics for a range of source lines.
 pub fn query_lines(pred: &Prediction, aag: &Aag, lines: std::ops::RangeInclusive<u32>) -> Metrics {
     let mut m = Metrics::ZERO;
@@ -254,60 +219,6 @@ END
             .count();
         assert!(rows >= 3, "{rep}");
         assert!(rep.contains("wait"));
-    }
-
-    #[test]
-    fn subgraph_query_covers_loop_body() {
-        let src = "
-PROGRAM T
-INTEGER, PARAMETER :: N = 128
-REAL A(N)
-INTEGER K
-!HPF$ PROCESSORS P(4)
-!HPF$ DISTRIBUTE A(BLOCK) ONTO P
-DO K = 1, 8
-A = A + 1.0
-END DO
-END
-"
-        .to_string();
-        let p = hpf_lang::parse_program(&src).unwrap();
-        let a = hpf_lang::analyze(&p, &BTreeMap::new()).unwrap();
-        let spmd = hpf_compiler::compile(
-            &a,
-            &CompileOptions {
-                nodes: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let aag = appgraph::build_aag(&spmd);
-        let m = ipsc860(4);
-        let pred = crate::InterpretationEngine::new(&m).interpret(&aag);
-        // find the loop IterD (no comp payload)
-        let loop_id = aag
-            .aaus
-            .iter()
-            .find(|u| matches!(&u.kind, appgraph::AauKind::IterD { comp: None, .. }))
-            .unwrap()
-            .id;
-        let sub = query_subgraph(&pred, &aag, loop_id);
-        // The loop sub-graph is essentially the whole program here.
-        assert!(
-            sub.time() > 0.9 * pred.global_clock,
-            "{} vs {}",
-            sub.time(),
-            pred.global_clock
-        );
-        // A leaf's sub-graph equals its own metrics.
-        let leaf = aag
-            .aaus
-            .iter()
-            .find(|u| matches!(&u.kind, appgraph::AauKind::IterD { comp: Some(_), .. }))
-            .unwrap()
-            .id;
-        let leaf_m = query_subgraph(&pred, &aag, leaf);
-        assert_eq!(leaf_m, pred.per_aau[leaf]);
     }
 
     #[test]

@@ -31,42 +31,6 @@ impl Sau {
         }
     }
 
-    /// Depth-first search by name.
-    pub fn find(&self, name: &str) -> Option<&Sau> {
-        if self.name == name {
-            return Some(self);
-        }
-        self.children.iter().find_map(|c| c.find(name))
-    }
-
-    /// The nearest (self-or-ancestor-provided) component lookup used by the
-    /// interpretation engine: a leaf inherits parameters its parent exports.
-    pub fn resolve<'a, T>(
-        &'a self,
-        path: &[&str],
-        get: impl Fn(&'a Sau) -> Option<&'a T> + Copy,
-    ) -> Option<&'a T> {
-        // Walk down `path`, remembering the deepest unit that exports T.
-        let mut cur = self;
-        let mut best = get(cur);
-        for name in path {
-            cur = cur.children.iter().find(|c| c.name == *name)?;
-            if let Some(t) = get(cur) {
-                best = Some(t);
-            }
-        }
-        best
-    }
-
-    /// Number of leaves under this unit (counts itself if childless).
-    pub fn leaf_count(&self) -> usize {
-        if self.children.is_empty() {
-            1
-        } else {
-            self.children.iter().map(|c| c.leaf_count()).sum()
-        }
-    }
-
     /// Render the tree as an indented outline (used by reports/examples to
     /// show the system characterization).
     pub fn outline(&self) -> String {
@@ -106,31 +70,6 @@ impl Sau {
 #[cfg(test)]
 mod tests {
     use crate::ipsc860;
-
-    #[test]
-    fn ipsc860_sag_structure() {
-        let m = ipsc860(8);
-        let sag = &m.sag;
-        assert!(sag.find("SRM host").is_some());
-        let cube = sag.find("i860 cube").unwrap();
-        assert_eq!(cube.leaf_count(), 8);
-        assert!(sag.find("node 0").is_some());
-        assert!(sag.find("node 7").is_some());
-        assert!(sag.find("node 8").is_none());
-    }
-
-    #[test]
-    fn resolve_inherits_from_ancestor() {
-        let m = ipsc860(4);
-        // Nodes do not carry their own comm component; they inherit the
-        // cube-level C/S parameters.
-        let comm = m.sag.resolve(&["i860 cube", "node 0"], |s| s.comm.as_ref());
-        assert!(comm.is_some());
-        let proc_ = m
-            .sag
-            .resolve(&["i860 cube", "node 0"], |s| s.processing.as_ref());
-        assert!(proc_.is_some());
-    }
 
     #[test]
     fn outline_mentions_components() {

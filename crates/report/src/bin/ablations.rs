@@ -5,5 +5,9 @@
 //! error against the simulated machine.
 
 fn main() {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("ablations: unexpected argument {arg:?}\nusage: ablations");
+        std::process::exit(2);
+    }
     print!("{}", hpf_report::experiments::ablations_text());
 }

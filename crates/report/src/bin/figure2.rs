@@ -3,5 +3,9 @@
 //! communication) and the Phase-2 sub-AAG (Seq → Comm → IterD ⊃ CondtD).
 
 fn main() {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("figure2: unexpected argument {arg:?}\nusage: figure2");
+        std::process::exit(2);
+    }
     print!("{}", hpf_report::experiments::figure2_text());
 }

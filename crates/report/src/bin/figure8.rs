@@ -7,6 +7,10 @@ use hpf_report::workflow::time_actual_paths;
 use kernels::LaplaceDist;
 
 fn main() {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("figure8: unexpected argument {arg:?}\nusage: figure8");
+        std::process::exit(2);
+    }
     print!("{}", hpf_report::experiments::figure8_text());
     println!();
 

@@ -7,26 +7,26 @@
 
 use hpf_report::io_accuracy::{io_accuracy, io_accuracy_text, IoAccuracyConfig};
 
+const USAGE: &str = "usage: io_accuracy [--threads N]";
+
+fn usage_err(msg: &str) -> ! {
+    eprintln!("io_accuracy: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut threads = 1usize;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
             "--threads" => {
-                threads = args
-                    .get(i + 1)
+                threads = it
+                    .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--threads requires a positive integer");
-                        std::process::exit(2);
-                    });
-                i += 2;
+                    .unwrap_or_else(|| usage_err("--threads requires a positive integer"));
             }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                std::process::exit(2);
-            }
+            other => usage_err(&format!("unknown option {other:?}")),
         }
     }
     let cfg = IoAccuracyConfig {

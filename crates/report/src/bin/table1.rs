@@ -1,6 +1,10 @@
 //! Regenerate **Table 1** — the validation application set.
 
 fn main() {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("table1: unexpected argument {arg:?}\nusage: table1");
+        std::process::exit(2);
+    }
     println!("Table 1: Validation Application Set");
     println!("{:-<72}", "");
     println!("{:<20} Description", "Name");

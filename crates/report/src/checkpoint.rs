@@ -10,8 +10,7 @@
 //! can be evaluated in the same predicted-vs-simulated frame as Table 2.
 
 use crate::pipeline::{
-    calibrated_machine_for, compile_source, machine_params, profile_with_limit, PipelineError,
-    PipelineStage,
+    calibrated_machine_for, compile_source, profile_with_limit, PipelineError, PipelineStage,
 };
 use hpf_compiler::CompileOptions;
 use hpf_io::{CheckpointSchedule, IoKind, IoPhase};
@@ -114,7 +113,6 @@ pub fn checkpoint_experiment(
         )
     })?;
     let healthy = calibrated_machine_for(DEFAULT_MACHINE, cfg.procs)?;
-    let raw = machine_params(DEFAULT_MACHINE, cfg.procs)?;
     let src = kernel.source(cfg.size, cfg.procs);
     let bound = compile_source(
         &src,
@@ -157,7 +155,7 @@ pub fn checkpoint_experiment(
 
     // Simulated frame: the DES, healthy and with the plan injected.
     let sim = Simulator::with_config(
-        &raw,
+        &healthy,
         SimConfig {
             runs: cfg.runs,
             ..Default::default()
@@ -166,7 +164,7 @@ pub fn checkpoint_experiment(
     let meas = sim.simulate(&bound.spmd, profile.as_ref());
     let work_s = (meas.mean - meas.io).max(0.0);
     let sim_deg = Simulator::with_config(
-        &raw,
+        &healthy,
         SimConfig {
             runs: cfg.runs,
             faults: cfg.plan.clone(),
@@ -180,8 +178,8 @@ pub fn checkpoint_experiment(
     } else {
         1.0
     };
-    let ckpt_s = io_base_time(&raw, ckpt);
-    let restart_s = io_base_time(&raw, read);
+    let ckpt_s = io_base_time(&healthy, ckpt);
+    let restart_s = io_base_time(&healthy, read);
 
     let mut rows = Vec::new();
     for &k in &cfg.checkpoint_counts {

@@ -2,8 +2,7 @@
 
 use crate::harness::{run_batch, HarnessConfig, JobFailure, SweepFailure};
 use crate::pipeline::{
-    calibrated_machine_for, compile_source, machine_params, profile_with_limit, Bound,
-    PredictOptions,
+    calibrated_machine_for, compile_source, profile_with_limit, Bound, PredictOptions,
 };
 use crate::sweep::SweepSession;
 use hpf_compiler::CompileOptions;
@@ -95,8 +94,8 @@ impl SweepConfig {
 /// the point where the interpretive and measurement paths provably operate
 /// on the *same* compiled program. Both [`accuracy_sample`] (from-scratch)
 /// and [`SweepSession::evaluate`] (compile-once) funnel through here.
-/// Predicts on the named backend's calibrated model and simulates on its
-/// raw parameter tables.
+/// Predicts and simulates on the named backend's one calibrated model: the
+/// simulator reads only its parameter tables, never the calibration.
 #[allow(clippy::too_many_arguments)]
 pub fn sample_from_artifact_on(
     app: &str,
@@ -107,17 +106,17 @@ pub fn sample_from_artifact_on(
     runs: usize,
     machine_name: &str,
 ) -> Result<AccuracySample, crate::PipelineError> {
-    let pred = {
+    let (machine, pred) = {
         let _span = hpf_trace::span("predict");
         let machine = {
             let _s = hpf_trace::span("calibrate");
             calibrated_machine_for(machine_name, procs)?
         };
-        let engine = InterpretationEngine::with_options(&machine, InterpOptions::default());
-        engine.interpret(&bound.aag)
+        let pred = InterpretationEngine::with_options(&machine, InterpOptions::default())
+            .interpret(&bound.aag);
+        (machine, pred)
     };
 
-    let machine = machine_params(machine_name, procs)?;
     let sim = Simulator::with_config(
         &machine,
         SimConfig {
@@ -660,8 +659,6 @@ pub fn ablations_text() -> String {
         calibration: None,
         ..(*calibrated).clone()
     };
-    let raw = machine_params(hpf_machines::DEFAULT_MACHINE, procs)
-        .expect("the paper's machine runs on 4 nodes");
     let compile = |src: &str, loop_reorder: bool| {
         let copts = CompileOptions {
             loop_reorder,
@@ -682,7 +679,7 @@ pub fn ablations_text() -> String {
             let bound = compile(&src, false);
             let profile = profile_with_limit(&bound.analyzed, cfg.profile_steps);
             let sim = Simulator::with_config(
-                &raw,
+                &calibrated,
                 SimConfig {
                     runs: cfg.runs,
                     ..Default::default()

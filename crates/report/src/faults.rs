@@ -15,8 +15,7 @@
 //! every degraded row.
 
 use crate::pipeline::{
-    calibrated_machine_for, compile_source, machine_params, profile_with_limit, PipelineError,
-    PredictOptions,
+    calibrated_machine_for, compile_source, profile_with_limit, PipelineError, PredictOptions,
 };
 use hpf_compiler::CompileOptions;
 use hpf_machines::DEFAULT_MACHINE;
@@ -89,8 +88,7 @@ pub fn fault_experiment(cfg: &FaultExperimentConfig) -> Result<Vec<FaultRow>, Pi
             format!("unknown kernel {:?}", cfg.kernel),
         )
     })?;
-    let healthy_calibrated = calibrated_machine_for(DEFAULT_MACHINE, cfg.procs)?;
-    let healthy_machine = machine_params(DEFAULT_MACHINE, cfg.procs)?;
+    let healthy = calibrated_machine_for(DEFAULT_MACHINE, cfg.procs)?;
     let src = kernel.source(cfg.size, cfg.procs);
 
     let bound = compile_source(
@@ -109,13 +107,13 @@ pub fn fault_experiment(cfg: &FaultExperimentConfig) -> Result<Vec<FaultRow>, Pi
     let mut rows = Vec::new();
     for plan in &cfg.plans {
         // Predicted: the analytic engine against the degraded abstraction.
-        let degraded = healthy_calibrated.degrade(plan);
+        let degraded = healthy.degrade(plan);
         let engine = interp::InterpretationEngine::with_options(&degraded, popts.interp.clone());
         let predicted = engine.interpret(&bound.aag).total_seconds();
 
         // Measured: the DES with the plan injected at the network level.
         let sim = Simulator::with_config(
-            &healthy_machine,
+            &healthy,
             SimConfig {
                 runs: cfg.runs,
                 faults: plan.clone(),

@@ -3,17 +3,16 @@
 //! the parallel-I/O subsystem (`artifacts_io_accuracy.txt`).
 //!
 //! Every (kernel × size) point compiles the OOC source once; each machine
-//! prices that one bound program with the analytic interpreter on the
-//! backend's calibrated model, and measures it with the discrete-event
-//! simulator on the raw parameter tables — the same dual-frame contract as
-//! the in-core Table 2.
+//! prices that one bound program with the analytic interpreter and measures
+//! it with the discrete-event simulator, both on the backend's one
+//! calibrated model (the simulator reads only its parameter tables) — the
+//! same dual-frame contract as the in-core Table 2.
 //! The sweep runs on a caller-chosen number of worker threads and is
 //! bit-deterministic at every thread count: jobs write into indexed slots
 //! and each job is a pure function of its inputs.
 
 use crate::pipeline::{
-    calibrated_machine_for, compile_source, machine_params, profile_with_limit, Bound,
-    PipelineError,
+    calibrated_machine_for, compile_source, profile_with_limit, Bound, PipelineError,
 };
 use crate::pool::map_indexed;
 use hpf_compiler::CompileOptions;
@@ -130,13 +129,11 @@ fn point(
     bound: &Bound,
     profile: Option<&hpf_eval::ExecutionProfile>,
 ) -> Result<IoAccuracyRow, PipelineError> {
-    let calibrated = calibrated_machine_for(machine_name, cfg.procs)?;
-    let engine = InterpretationEngine::with_options(&calibrated, InterpOptions::default());
-    let pred = engine.interpret(&bound.aag);
-
-    let raw = machine_params(machine_name, cfg.procs)?;
+    let machine = calibrated_machine_for(machine_name, cfg.procs)?;
+    let pred = InterpretationEngine::with_options(&machine, InterpOptions::default())
+        .interpret(&bound.aag);
     let sim = Simulator::with_config(
-        &raw,
+        &machine,
         SimConfig {
             runs: cfg.runs,
             ..Default::default()

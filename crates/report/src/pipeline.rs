@@ -3,12 +3,14 @@
 //! machine" path). These are the two experimentation routes Figure 8
 //! compares.
 //!
-//! Both reach a machine by its registry name: [`calibrated_machine_for`]
-//! hands out the calibrated model the prediction reads, from one
-//! process-wide memo keyed by `(backend, nodes)`, and [`machine_params`]
-//! the uncalibrated tables the simulator runs on. An unknown name or a
-//! node count outside the backend's range is a [`PipelineStage::Machine`]
-//! error.
+//! Both reach a machine by its registry name. [`calibrated_machine_for`]
+//! hands out the calibrated model, from one process-wide memo keyed by
+//! `(backend, nodes)`; a caller that predicts and then simulates runs both
+//! on that one model, because the simulator reads only its parameter
+//! tables, never the calibration (`tests/calibration_inert.rs`).
+//! [`machine_params`] builds the uncalibrated tables for callers that only
+//! simulate. An unknown name or a node count outside the backend's range
+//! is a [`PipelineStage::Machine`] error.
 
 use hpf_compiler::{compile, CompileOptions, SpmdProgram};
 use hpf_lang::{analyze, parse_program, AnalyzedProgram, LangError};
@@ -51,9 +53,11 @@ pub fn calibrated_machine_for(
         .clone())
 }
 
-/// Uncalibrated parameter tables of a registered backend: the DES side of
-/// a sweep runs against these, and the prediction side against the
-/// calibrated copy from [`calibrated_machine_for`].
+/// Uncalibrated parameter tables of a registered backend, for callers
+/// that simulate without predicting: [`simulate_source`], `hpfenv`'s
+/// `simulate` and `trace`, and the repository benchmark's set-up. There a
+/// calibration would be pure cost; a caller that also predicts simulates
+/// on [`calibrated_machine_for`]'s model, whose tables are the same.
 pub fn machine_params(name: &str, nodes: usize) -> Result<MachineModel, PipelineError> {
     Ok(hpf_machines::machine(name)?.params(nodes)?)
 }

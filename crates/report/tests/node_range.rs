@@ -69,8 +69,9 @@ fn characterize_refuses_arguments_it_does_not_understand() {
 }
 
 /// The report binaries refuse an unknown flag, a flag without its value
-/// and a value that does not parse, before any sweep runs: each exits 2
-/// with its usage line and prints nothing to stdout.
+/// and a value that does not parse, and those that take no arguments
+/// refuse any, before any sweep runs: each exits 2 with its usage line and
+/// prints nothing to stdout.
 #[test]
 fn report_binaries_refuse_arguments_they_do_not_understand() {
     for (bin, name, args) in [
@@ -110,6 +111,35 @@ fn report_binaries_refuse_arguments_they_do_not_understand() {
         (env!("CARGO_BIN_EXE_figure3"), "figure3", &["16", "4", "8"]),
         (env!("CARGO_BIN_EXE_figure7"), "figure7", &["--size", "256"]),
         (env!("CARGO_BIN_EXE_figure7"), "figure7", &["256", "four"]),
+        (env!("CARGO_BIN_EXE_table1"), "table1", &["--quick"]),
+        (env!("CARGO_BIN_EXE_table1"), "table1", &["extra"]),
+        (env!("CARGO_BIN_EXE_figure2"), "figure2", &["--quick"]),
+        (env!("CARGO_BIN_EXE_figure8"), "figure8", &["--quick"]),
+        (
+            env!("CARGO_BIN_EXE_ablations"),
+            "ablations",
+            &["--runs", "5"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_io_accuracy"),
+            "io_accuracy",
+            &["--help"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_io_accuracy"),
+            "io_accuracy",
+            &["--thread", "2"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_io_accuracy"),
+            "io_accuracy",
+            &["--threads"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_io_accuracy"),
+            "io_accuracy",
+            &["--threads", "x"],
+        ),
     ] {
         let out = run(bin, args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -135,6 +165,11 @@ fn usage_lines_name_every_flag() {
             env!("CARGO_BIN_EXE_figures4_5"),
             "figures4_5",
             &["--runs", "--max-size", "--csv"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_io_accuracy"),
+            "io_accuracy",
+            &["--threads"],
         ),
     ] {
         let out = run(bin, &["--no-such-flag"]);
